@@ -5,7 +5,7 @@
      dune exec bench/engine.exe                  # acceptance workload
                                                  # (100 vertices, 50 sessions)
      dune exec bench/engine.exe -- --quick       # CI smoke run
-     dune exec bench/engine.exe -- --sessions 200 --domains 4
+     dune exec bench/engine.exe -- --sessions 200 --shards
      dune exec bench/engine.exe -- --out results/engine.json
 
    Always writes the full result (config, timings, speedup, engine
@@ -22,7 +22,7 @@ let usage () =
   prerr_endline
     "usage: engine [--quick] [--vertices N] [--density D] [--stages N]\n\
     \              [--sessions N] [--batches N] [--pairs N]\n\
-    \              [--no-withdrawals] [--seed N] [--domains N]\n\
+    \              [--no-withdrawals] [--seed N]\n\
     \              [--algorithm NAME] [--out FILE] [--trace-out FILE]\n\
     \              [--baseline FILE] [--shards] [--net] [--tiered] [--evolve]\n\
     \              [--oracle]";
@@ -121,11 +121,7 @@ let tiered config =
   let resident_cap = 4096 in
   let cap = resident_cap * session_bytes in
   Serving.set_mem_cap serving (Some cap);
-  let run =
-    Shard_bench.serve_traffic
-      ~mode:(`Parallel config.Workbench.domains)
-      serving spec ~pairs
-  in
+  let run = Shard_bench.serve_traffic serving spec ~pairs in
   Serving.close serving;
   if run.Shard_bench.t_errors > 0 then
     failwith
@@ -190,7 +186,7 @@ let evolve base_config =
         match r.Engine.result with
         | Ok () -> ()
         | Error msg -> failwith ("evolve bench: request failed: " ^ msg))
-      (Serving.drain ~mode:(`Parallel config.Workbench.domains) serving);
+      (Serving.drain serving);
     serving
   in
   let step =
@@ -372,9 +368,6 @@ let () =
         parse rest
     | "--seed" :: n :: rest ->
         config := { !config with Workbench.seed = int_of_string n };
-        parse rest
-    | "--domains" :: n :: rest ->
-        config := { !config with Workbench.domains = int_of_string n };
         parse rest
     | "--algorithm" :: name :: rest -> (
         match Algorithms.of_string name with

@@ -44,7 +44,7 @@ STORE_DIR=$(mktemp -d)
 CLEANUP_DIRS="$CLEANUP_DIRS $STORE_DIR"
 dune exec bin/cdw.exe -- serve-bench --quick --trials 1 \
   --journal "$STORE_DIR" --fsync never > /dev/null
-dune exec bin/cdw.exe -- store fault "$STORE_DIR" --truncate-tail 7
+dune exec bin/cdw.exe -- store fault "$STORE_DIR/shard-0" --truncate-tail 7
 dune exec bin/cdw.exe -- store verify "$STORE_DIR" > /dev/null  # damaged but scannable
 dune exec bin/cdw.exe -- store replay "$STORE_DIR"              # prefix-consistent rebuild
 dune exec bin/cdw.exe -- store compact "$STORE_DIR"

@@ -532,11 +532,8 @@ let serve_bench_cmd =
     Arg.(value & flag & info [ "no-withdrawals" ] ~doc:"Skip the per-session withdrawal round.")
   in
   let seed = Arg.(value & opt (some int) None & info [ "seed" ] ~doc:"PRNG seed.") in
-  let domains =
-    Arg.(value & opt (some int) None & info [ "domains" ] ~doc:"Domains of the parallel drain.")
-  in
   let shards =
-    Arg.(value & opt (some int) None & info [ "shards" ] ~docv:"N" ~doc:"Serve through a sharded group of $(docv) engines over one shared base instead of a single engine (replies are identical either way). With --journal, each shard gets its own ledger in DIR/shard-<i>.")
+    Arg.(value & opt (some int) None & info [ "shards" ] ~docv:"N" ~doc:"Serve through a group of $(docv) shard engines over one shared base (default 1; replies are identical at every shard count). With --journal, each shard gets its own ledger in DIR/shard-<i>, next to a group.json.")
   in
   let algo =
     Arg.(value & opt (some algo_conv) None & info [ "algorithm"; "a" ] ~doc:"Solving algorithm.")
@@ -587,7 +584,7 @@ let serve_bench_cmd =
     Arg.(value & flag & info [ "refine" ] ~doc:"Run the anytime cut refiner between drain windows (DESIGN.md §17): requests are still answered by the session's heuristic solver, and a background exact ILP pass re-solves served users on spare time, installing strictly-better cuts at drain boundaries as journaled $(b,Cut_refined) events. Prints the refine counters (solves, improvements, installs, utility reclaimed). Requires --traffic; in-process only — with --connect, refinement lives server-side.")
   in
   let run quick vertices stages density sessions batches pairs no_withdrawals
-      seed domains shards algo trials connect user_prefix out metrics_out
+      seed shards algo trials connect user_prefix out metrics_out
       journal fsync trace_out prom_out stats_out stats_interval traffic mem_cap
       evolve refine =
     let module Serving = Cdw_shard.Serving in
@@ -608,7 +605,6 @@ let serve_bench_cmd =
         withdrawals = base.Workbench.withdrawals && not no_withdrawals;
         seed = pick (fun c -> c.Workbench.seed) seed;
         algorithm = pick (fun c -> c.Workbench.algorithm) algo;
-        domains = pick (fun c -> c.Workbench.domains) domains;
       }
     in
     let traffic_spec =
@@ -642,9 +638,9 @@ let serve_bench_cmd =
             serve_bench_connect config ~addr ~prefix:user_prefix ~trials ~out
               ~trace_out)
     | None ->
-        (* One code path for every local serving shape: [Serving.create]
-           picks single-engine or sharded from --shards, and everything
-           below this point is written against the packed value. *)
+        (* One code path for every shard count: [Serving.create] takes
+           --shards, and everything below is written against the one
+           serving value. *)
         (* Telemetry thunks of whatever serving value is live in the
            trial currently running: (prometheus exposition, metrics
            JSON). The SIGINT flush reads the same pair. *)
@@ -759,9 +755,8 @@ let serve_bench_cmd =
               attach serving;
               let pairs = Workbench.connected_pairs wf in
               let trun =
-                Shard_bench.serve_traffic
-                  ~mode:(`Parallel config.Workbench.domains)
-                  ~evolve:evolve_steps ~refine serving spec ~pairs
+                Shard_bench.serve_traffic ~evolve:evolve_steps ~refine serving
+                  spec ~pairs
               in
               (trun, serving)
             with
@@ -844,7 +839,7 @@ let serve_bench_cmd =
     Term.(
       ret
         (const run $ quick $ vertices $ stages $ density $ sessions $ batches
-       $ pairs $ no_withdrawals $ seed $ domains $ shards $ algo $ trials
+       $ pairs $ no_withdrawals $ seed $ shards $ algo $ trials
        $ connect $ user_prefix $ out $ metrics_out $ journal $ fsync
        $ trace_out $ prom_out $ stats_out $ stats_interval $ traffic
        $ mem_cap $ evolve $ refine))
@@ -878,7 +873,7 @@ let serve_cmd =
     Arg.(value & opt (some algo_conv) None & info [ "algorithm"; "a" ] ~doc:"Solving algorithm.")
   in
   let shards =
-    Arg.(value & opt (some int) None & info [ "shards" ] ~docv:"N" ~doc:"Serve through an $(docv)-shard group (pinned drain domains, per-shard ledgers).")
+    Arg.(value & opt (some int) None & info [ "shards" ] ~docv:"N" ~doc:"Serve through an $(docv)-shard group (default 1; N > 1 drains on pinned per-shard domains). Ledgers hold one store per shard.")
   in
   let journal =
     Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"DIR" ~doc:"Journal consent into a durable ledger at $(docv). A non-empty $(docv) is resumed (workflow, algorithm, seed and shard count come from the ledger; the flags above are ignored).")

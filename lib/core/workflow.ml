@@ -124,18 +124,24 @@ let copy t =
 
 let is_frozen t = Digraph.is_view t.graph
 
-(* Freezing deep-copies the metadata: the result is the private base of
-   a shared index, and must not alias vectors the caller might keep
-   growing through the original builder workflow. *)
+(* Freezing a builder deep-copies the metadata: the result is the
+   private base of a shared index, and must not alias vectors the
+   caller might keep growing through the original builder workflow. A
+   view-backed workflow's metadata can no longer grow (see [copy]), so
+   re-freezing one shares it, and with it the base: N engines over one
+   frozen workflow hold one copy of names, weights and CSR arrays. *)
 let freeze ?epoch t =
-  {
-    graph = Digraph.view (Digraph.freeze ?epoch t.graph);
-    kinds = Vec.copy t.kinds;
-    names = Vec.copy t.names;
-    name_index = Hashtbl.copy t.name_index;
-    weights = Vec.copy t.weights;
-    init_values = Vec.copy t.init_values;
-  }
+  if Digraph.is_view t.graph then
+    { t with graph = Digraph.view (Digraph.freeze ?epoch t.graph) }
+  else
+    {
+      graph = Digraph.view (Digraph.freeze ?epoch t.graph);
+      kinds = Vec.copy t.kinds;
+      names = Vec.copy t.names;
+      name_index = Hashtbl.copy t.name_index;
+      weights = Vec.copy t.weights;
+      init_values = Vec.copy t.init_values;
+    }
 
 let epoch t =
   match Digraph.frozen_base t.graph with

@@ -70,7 +70,9 @@ val freeze : ?epoch:int -> t -> t
 (** Compile the workflow into a frozen representation: the graph becomes
     a fresh view over an immutable CSR snapshot
     ({!Cdw_graph.Digraph.freeze}), and the metadata is deep-copied so
-    the result is independent of the original builder. Subsequent
+    the result is independent of the original builder. Re-freezing a
+    frozen workflow shares its (immutable) metadata and, when its mask
+    is still the base's, the snapshot itself. Subsequent
     {!copy} calls on the result (and its copies) share the snapshot.
     Structure-changing builders ([add_user], [connect], ...) raise
     [Invalid_argument] on frozen workflows; [remove]/[restore] of edges

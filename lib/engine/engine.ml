@@ -2,8 +2,6 @@ module Algorithms = Cdw_core.Algorithms
 module Constraint_set = Cdw_core.Constraint_set
 module Digraph = Cdw_graph.Digraph
 module Evolution = Cdw_core.Evolution
-module Incremental = Cdw_core.Incremental
-module Json = Cdw_util.Json
 module Reach = Cdw_graph.Reach
 module Serialize = Cdw_core.Serialize
 module Timing = Cdw_util.Timing
@@ -119,11 +117,6 @@ let create ?(algorithm = Algorithms.Remove_min_mc)
 
 let index t = t.index
 let metrics t = Shared_index.metrics t.index
-let prometheus t = Metrics.prometheus (metrics t)
-
-(* A single engine drains on the caller (or a transient pool) — there
-   are no pinned domains to account for. *)
-let domain_stats _ = ([] : Domain_acct.stats list)
 let base t = Shared_index.base t.index
 let epoch t = Shared_index.epoch t.index
 let algorithm t = t.algorithm
@@ -1041,7 +1034,9 @@ let serve_segment m user s segment =
       Metrics.record_ms m "request" time_ms;
       List.map (fun request -> { user; request; result; time_ms }) reqs
 
-let drain ?mode t =
+(* [domains] is the width of the per-user fan-out: 1 solves every user
+   group on the caller. *)
+let drain_on ~domains t =
   let m = metrics t in
   Metrics.incr m "engine.drains";
   Metrics.time m "drain" (fun () ->
@@ -1096,12 +1091,6 @@ let drain ?mode t =
                              List.concat_map (serve_segment m user s) segs))
                      groups))
           in
-          let domains =
-            match mode with
-            | Some `Sequential -> 1
-            | Some (`Parallel n) -> max 1 n
-            | None -> Domain_pool.recommended_domains ()
-          in
           Metrics.incr ~by:(Array.length tasks) m "engine.user_batches";
           let replies =
             Trace.span "drain.execute"
@@ -1127,68 +1116,5 @@ let drain ?mode t =
               evict_over_cap_locked t);
           replies))
 
-let metrics_json t =
-  let all = sessions t in
-  let sum f =
-    List.fold_left (fun acc (_, s) -> acc + f (Session.stats s)) 0 all
-  in
-  let sessions_json =
-    Json.Object
-      [
-        ("count", Json.Number (float_of_int (List.length all)));
-        ( "solver_runs",
-          Json.Number
-            (float_of_int (sum (fun s -> s.Incremental.solver_runs))) );
-        ( "free_hits",
-          Json.Number (float_of_int (sum (fun s -> s.Incremental.free_hits)))
-        );
-        ( "full_resolves",
-          Json.Number
-            (float_of_int (sum (fun s -> s.Incremental.full_resolves))) );
-      ]
-  in
-  let tier_json =
-    match tier_stats t with
-    | None -> []
-    | Some (st : Tier.stats) ->
-        let n k v = (k, Json.Number (float_of_int v)) in
-        [
-          ( "tier",
-            Json.Object
-              [
-                n "cap_bytes" st.cap_bytes;
-                n "session_bytes" st.session_bytes;
-                n "resident" st.resident;
-                n "parked" st.parked;
-                n "sessions_resident_peak" st.resident_peak;
-                n "resident_bytes" st.resident_bytes;
-                n "resident_bytes_peak" st.resident_bytes_peak;
-                n "evictions" st.evictions;
-                n "hydrations" st.hydrations;
-              ] );
-        ]
-  in
-  let refine_json =
-    match refine_stats t with
-    | None -> []
-    | Some rs ->
-        let n k v = (k, Json.Number (float_of_int v)) in
-        [
-          ( "refine",
-            Json.Object
-              [
-                n "pending" rs.rs_pending;
-                n "staged" rs.rs_staged;
-                n "computed" rs.rs_computed;
-                n "improved" rs.rs_improved;
-                n "refinements" rs.rs_installed;
-                n "discarded" rs.rs_discarded;
-                ("utility_reclaimed", Json.Number rs.rs_utility_reclaimed);
-              ] );
-        ]
-  in
-  match Metrics.to_json (metrics t) with
-  | Json.Object fields ->
-      Json.Object
-        (fields @ (("sessions", sessions_json) :: (tier_json @ refine_json)))
-  | other -> other
+let drain t = drain_on ~domains:1 t
+let drain_fanout t = drain_on ~domains:(Domain_pool.recommended_domains ()) t

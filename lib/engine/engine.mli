@@ -14,16 +14,19 @@
     ]}
 
     {!drain} groups the pending requests by user — preserving each
-    user's submission order — and solves different users' groups in
-    parallel on an OCaml 5 domain pool (sessions mutate only their own
-    state plus the thread-safe shared caches, so user groups are
+    user's submission order — and solves the users' groups on the
+    calling domain; {!drain_fanout} solves them in parallel on an
+    OCaml 5 domain pool instead (sessions mutate only their own state
+    plus the thread-safe shared caches, so user groups are
     embarrassingly parallel). Results are deterministic: a session's
     randomness is seeded from the engine seed and the user id alone, so
-    [`Parallel n] and [`Sequential] drains produce identical replies and
-    identical final session states (tested in [test_engine.ml]).
+    both drains produce identical replies and identical final session
+    states (tested in [test_engine.ml]).
 
     [submit]/[drain] themselves are meant to be driven from one serving
-    thread; only the solving fan-out is parallel. *)
+    thread; only the solving fan-out is parallel. Front ends serve
+    through [Cdw_shard.Serving], which owns the choice between the two
+    drains. *)
 
 type request =
   | Add of (int * int) list  (** accept constraints (user, purpose) *)
@@ -128,9 +131,6 @@ val create :
 val index : t -> Shared_index.t
 
 val metrics : t -> Metrics.t
-
-val prometheus : t -> string
-(** {!Metrics.prometheus} over this engine's registry. *)
 
 val base : t -> Cdw_core.Workflow.t
 (** The engine's frozen base workflow ({!Shared_index.base}). *)
@@ -261,11 +261,11 @@ val submit : ?submitted_ms:float -> t -> user:string -> request -> unit
 
 val pending : t -> int
 
-val drain : ?mode:[ `Sequential | `Parallel of int ] -> t -> reply list
-(** Serve every pending request and empty the queue. Replies come back
-    grouped by user in first-submission order, each user's requests in
-    submission order. [mode] defaults to
-    [`Parallel (Domain_pool.recommended_domains ())].
+val drain : t -> reply list
+(** Serve every pending request on the calling domain and empty the
+    queue. Replies come back grouped by user in first-submission order,
+    each user's requests in submission order. WAL replay and the shards
+    of a multi-shard group drain this way.
 
     Within one drain, a user's run of consecutive valid [Add]s and
     [Withdraw]s is *coalesced* into a single solver call over its net
@@ -277,6 +277,12 @@ val drain : ?mode:[ `Sequential | `Parallel of int ] -> t -> reply list
     an [Add] with a malformed pair, a [Withdraw] of a never-accepted
     pair — is answered individually with its error and leaves both the
     session and the rest of its batch untouched. *)
+
+val drain_fanout : t -> reply list
+(** {!drain}, with the users' groups solved in parallel across
+    {!Domain_pool.recommended_domains} domains. Replies and final
+    states are identical to {!drain}'s. A one-shard serving group
+    drains its engine this way. *)
 
 val set_refine : ?budget_ms:float -> ?node_budget:int -> t -> bool -> unit
 (** Turn anytime refinement on or off (default off). When on, every
@@ -322,14 +328,3 @@ val apply_refined : t -> string -> cuts:int list -> (unit, string) result
     records: it reproduces exactly the state mutation the live install
     performed. Errors if the user has no session or an id is out of
     range. Idempotent. *)
-
-val metrics_json : t -> Cdw_util.Json.t
-(** {!Metrics.to_json} extended with a ["sessions"] object: session
-    count plus the pool-wide sums of the per-session
-    {!Cdw_core.Incremental.stats} (solver runs, free hits, full
-    resolves); under refinement, a ["refine"] object with the
-    {!refine_stats} counters ([refinements] = installed). *)
-
-val domain_stats : t -> Domain_acct.stats list
-(** Always [[]]: a single engine has no pinned drain domains to
-    account for ({!Serving.S.domain_stats}). *)

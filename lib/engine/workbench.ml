@@ -18,7 +18,6 @@ type config = {
   withdrawals : bool;
   seed : int;
   algorithm : Algorithms.name;
-  domains : int;
 }
 
 let default =
@@ -32,7 +31,6 @@ let default =
     withdrawals = true;
     seed = 42;
     algorithm = Algorithms.Remove_first_edge;
-    domains = Domain_pool.recommended_domains ();
   }
 
 let quick =
@@ -135,7 +133,7 @@ let run_engine ?attach config wf requests =
   (* Attach before any submit so journaling hooks see every event. *)
   (match attach with Some f -> f engine | None -> ());
   List.iter (fun (user, request) -> Engine.submit engine ~user request) requests;
-  let replies = Engine.drain ~mode:(`Parallel config.domains) engine in
+  let replies = Engine.drain engine in
   (engine, replies)
 
 (* Marginal per-session resident bytes over a shared frozen base:
@@ -221,7 +219,7 @@ let run ?(trials = 3) ?attach config =
       (if view_session_bytes > 0 then
          float_of_int copy_session_bytes /. float_of_int view_session_bytes
        else infinity);
-    metrics = Engine.metrics_json engine;
+    metrics = Metrics.to_json (Engine.metrics engine);
   }
 
 let config_json c =
@@ -236,7 +234,6 @@ let config_json c =
       ("withdrawals", Json.Bool c.withdrawals);
       ("seed", Json.Number (float_of_int c.seed));
       ("algorithm", Json.String (Algorithms.to_string c.algorithm));
-      ("domains", Json.Number (float_of_int c.domains));
     ]
 
 let result_json r =
@@ -267,7 +264,7 @@ let pp ppf r =
      (k=%d, d=%.2f), algorithm %s@,\
      requests        %d@,\
      naive  (scratch)  %10.1f ms  %8.0f req/s@,\
-     engine (%d domains) %8.1f ms  %8.0f req/s@,\
+     engine (drain)    %10.1f ms  %8.0f req/s@,\
      speedup         %.2fx@,\
      path cache hits %d@,\
      session memory  %d B/view vs %d B/copy (%.1fx less)@]"
@@ -275,6 +272,6 @@ let pp ppf r =
     (if c.withdrawals then "1 withdrawal" else "no withdrawals")
     c.n_vertices c.stages c.density
     (Algorithms.to_string c.algorithm)
-    r.n_requests r.naive_ms r.naive_rps c.domains r.engine_ms r.engine_rps
+    r.n_requests r.naive_ms r.naive_rps r.engine_ms r.engine_rps
     r.speedup r.path_cache_hits r.view_session_bytes r.copy_session_bytes
     r.memory_ratio

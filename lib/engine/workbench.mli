@@ -15,7 +15,7 @@
       does today).
     - {b engine}: requests are submitted to an {!Engine.t} and served by
       one batched {!Engine.drain} — shared indexes, incremental
-      sessions, parallel user groups. Engine construction (index
+      sessions, coalesced batches. Engine construction (index
       precomputation included) is counted inside the engine time.
 
     The reported speedup is naive time over engine time; the acceptance
@@ -34,13 +34,11 @@ type config = {
           the full-resolve path *)
   seed : int;
   algorithm : Cdw_core.Algorithms.name;
-  domains : int;  (** parallelism of the engine drain *)
 }
 
 val default : config
 (** The acceptance workload: 100 vertices, k = 5, 50 sessions, 4×2
-    constraint adds plus one withdrawal each, [Remove_first_edge],
-    recommended domain count. *)
+    constraint adds plus one withdrawal each, [Remove_first_edge]. *)
 
 val quick : config
 (** A seconds-scale smoke version (60 vertices, 12 sessions) for CI. *)
@@ -62,7 +60,8 @@ type result = {
       (** marginal resident bytes per session as a deep workflow copy —
           what every session cost before the frozen/view split *)
   memory_ratio : float;  (** [copy_session_bytes /. view_session_bytes] *)
-  metrics : Cdw_util.Json.t;  (** {!Engine.metrics_json} after the drain *)
+  metrics : Cdw_util.Json.t;
+      (** {!Metrics.to_json} of the engine's registry after the drain *)
 }
 
 val connected_pairs : Cdw_core.Workflow.t -> (int * int) array

@@ -333,6 +333,13 @@ let topo_hint_of g =
 
 let freeze ?epoch g =
   match g with
+  | View v
+    when (epoch = None || epoch = Some v.frozen.Frozen.epoch)
+         && (not v.base_restored)
+         && Bytes.equal v.vremoved v.frozen.Frozen.base_removed ->
+      (* A view still on its base's mask rebases to a record equal to
+         that base field for field: share the base itself. *)
+      v.frozen
   | View v ->
       (* Rebase: same CSR structure, the view's current mask becomes the
          new base. O(E/8). The epoch carries over unless the caller is

@@ -141,8 +141,10 @@ end
 val freeze : ?epoch:int -> t -> Frozen.t
 (** Compile the graph's current state (structure and removal mask) into
     an immutable snapshot. Freezing a view is O(E/8): the CSR arrays are
-    reused and only the mask is re-based. Also records a topological
-    order of the freeze-time live graph (when acyclic) that views reuse.
+    reused and only the mask is re-based; a view whose mask still equals
+    its base's (at the same epoch) returns that base itself. Also
+    records a topological order of the freeze-time live graph (when
+    acyclic) that views reuse.
     [epoch] stamps the snapshot's position in its evolution chain
     (default: the view's current epoch, or 0 for a builder). *)
 

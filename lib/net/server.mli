@@ -3,9 +3,8 @@
     One listening socket (Unix-domain or TCP), one accept thread, one
     thread per connection, all speaking the {!Wire} protocol over one
     shared {!Cdw_shard.Serving.t}. Submits land on the serving value's
-    lock-free path, so connection threads never serialize against each
-    other on the hot path; drains and the rest delegate to the packed
-    implementation, whose own locking applies.
+    submit path (lock-free with N shards, the engine lock with one);
+    drains and the rest use the serving value's own locking.
 
     Error containment, per connection:
     - a {e torn or corrupt frame} gets a best-effort framed [Error_r]

@@ -1,177 +1,9 @@
-module Engine = Cdw_engine.Engine
-module Store = Cdw_store.Store
-module Wal = Cdw_store.Wal
-
-(* The compile-time proof that the sharded group implements the
-   serving interface — the twin of [Cdw_engine.Serving.Of_engine].
-   (It lives here, not in shard_group.ml, so the proof obligation is
-   stated next to the packings that rely on it.) *)
-module _ : Cdw_engine.Serving.S with type t = Shard_group.t = Shard_group
-
-module type LEDGERED = sig
-  include Cdw_engine.Serving.S
-
-  val shards : t -> int
-
-  val journal :
-    ?fsync:Wal.fsync_policy ->
-    ?snapshot_every_bytes:int ->
-    dir:string ->
-    t ->
-    unit
-
-  val snapshot : t -> unit
-  val compact : t -> unit
-  val close : t -> unit
-end
-
-module Single = struct
-  type t = { engine : Engine.t; mutable store : Store.t option }
-
-  let make engine = { engine; store = None }
-  let engine t = t.engine
-  let algorithm t = Engine.algorithm t.engine
-  let seed t = Engine.seed t.engine
-  let base t = Engine.base t.engine
-  let epoch t = Engine.epoch t.engine
-  let migrate ?force_all ?epoch t wf = Engine.migrate ?force_all ?epoch t.engine wf
-
-  let submit ?submitted_ms t ~user request =
-    Engine.submit ?submitted_ms t.engine ~user request
-
-  let pending t = Engine.pending t.engine
-  let drain ?mode t = Engine.drain ?mode t.engine
-  let forget t user = Engine.forget t.engine user
-
-  let restore_session t user ~constraints ~removed_ids =
-    Engine.restore_session t.engine user ~constraints ~removed_ids
-
-  let sessions t = Engine.sessions t.engine
-
-  let set_refine ?budget_ms ?node_budget t enabled =
-    Engine.set_refine ?budget_ms ?node_budget t.engine enabled
-
-  let refine_step ?max t = Engine.refine_step ?max t.engine
-  let refine_pending t = Engine.refine_pending t.engine
-  let refine_stats t = Engine.refine_stats t.engine
-
-  let set_mem_cap ?session_bytes t cap =
-    Engine.set_mem_cap ?session_bytes t.engine cap
-
-  let mem_cap t = Engine.mem_cap t.engine
-  let tier_stats t = Engine.tier_stats t.engine
-  let session_states t = Engine.session_states t.engine
-  let metrics t = Engine.metrics t.engine
-  let metrics_json t = Engine.metrics_json t.engine
-  let prometheus t = Engine.prometheus t.engine
-  let domain_stats t = Engine.domain_stats t.engine
-  let set_journal t cb = Engine.set_journal t.engine cb
-  let shards _ = 1
-
-  let journal ?fsync ?snapshot_every_bytes ~dir t =
-    if t.store <> None then
-      invalid_arg "Serving.journal: already journaled";
-    t.store <- Some (Store.create_for ?fsync ?snapshot_every_bytes ~dir t.engine)
-
-  let snapshot t =
-    Option.iter (fun s -> Store.write_snapshot s t.engine) t.store
-
-  let compact t = Option.iter (fun s -> Store.compact s t.engine) t.store
-
-  let close t =
-    Option.iter Store.close t.store;
-    t.store <- None
-end
-
-module Group : LEDGERED with type t = Shard_group.t = Shard_group
-
-type t = Packed : (module LEDGERED with type t = 'a) * 'a -> t
-
-let of_engine engine = Packed ((module Single), Single.make engine)
-let of_group group = Packed ((module Group), group)
-
-let create ?algorithm ?options ?seed ?max_cached_pairs ?max_paths ?shards wf =
-  match shards with
-  | None | Some 1 ->
-      of_engine
-        (Engine.create ?algorithm ?options ?seed ?max_cached_pairs ?max_paths
-           wf)
-  | Some n ->
-      of_group
-        (Shard_group.create ?algorithm ?options ?seed ?max_cached_pairs
-           ?max_paths ~shards:n wf)
-
-let algorithm (Packed ((module M), v)) = M.algorithm v
-let seed (Packed ((module M), v)) = M.seed v
-let base (Packed ((module M), v)) = M.base v
-let epoch (Packed ((module M), v)) = M.epoch v
-
-let migrate ?force_all ?epoch (Packed ((module M), v)) wf =
-  M.migrate ?force_all ?epoch v wf
-
-let submit ?submitted_ms (Packed ((module M), v)) ~user request =
-  M.submit ?submitted_ms v ~user request
-
-let pending (Packed ((module M), v)) = M.pending v
-let drain ?mode (Packed ((module M), v)) = M.drain ?mode v
-let forget (Packed ((module M), v)) user = M.forget v user
-
-let restore_session (Packed ((module M), v)) user ~constraints ~removed_ids =
-  M.restore_session v user ~constraints ~removed_ids
-
-let sessions (Packed ((module M), v)) = M.sessions v
-
-let set_refine ?budget_ms ?node_budget (Packed ((module M), v)) enabled =
-  M.set_refine ?budget_ms ?node_budget v enabled
-
-let refine_step ?max (Packed ((module M), v)) = M.refine_step ?max v
-let refine_pending (Packed ((module M), v)) = M.refine_pending v
-let refine_stats (Packed ((module M), v)) = M.refine_stats v
-
-let set_mem_cap ?session_bytes (Packed ((module M), v)) cap =
-  M.set_mem_cap ?session_bytes v cap
-
-let mem_cap (Packed ((module M), v)) = M.mem_cap v
-let tier_stats (Packed ((module M), v)) = M.tier_stats v
-let session_states (Packed ((module M), v)) = M.session_states v
-let metrics (Packed ((module M), v)) = M.metrics v
-let metrics_json (Packed ((module M), v)) = M.metrics_json v
-let prometheus (Packed ((module M), v)) = M.prometheus v
-let domain_stats (Packed ((module M), v)) = M.domain_stats v
-let set_journal (Packed ((module M), v)) cb = M.set_journal v cb
-let shards (Packed ((module M), v)) = M.shards v
-
-let journal ?fsync ?snapshot_every_bytes ~dir (Packed ((module M), v)) =
-  M.journal ?fsync ?snapshot_every_bytes ~dir v
-
-let snapshot (Packed ((module M), v)) = M.snapshot v
-let compact (Packed ((module M), v)) = M.compact v
-let close (Packed ((module M), v)) = M.close v
+include Shard_group
 
 type resumed = { serving : t; replayed : int; damaged : int list }
 
-(* A ledger root is a group root iff it carries group.json — the same
-   dispatch [Ledger] uses for the offline tools. *)
 let resume ?fsync ?snapshot_every_bytes root =
-  if Sys.file_exists (Shard_group.group_manifest_path root) then
-    match Shard_group.resume ?fsync ?snapshot_every_bytes root with
-    | Error e -> Error e
-    | Ok (group, r) ->
-        Ok
-          {
-            serving = of_group group;
-            replayed = r.Shard_group.replayed;
-            damaged = r.Shard_group.damaged;
-          }
-  else
-    match Store.resume ?fsync ?snapshot_every_bytes root with
-    | Error e -> Error e
-    | Ok (store, r) ->
-        let single = Single.make r.Store.engine in
-        single.Single.store <- Some store;
-        Ok
-          {
-            serving = Packed ((module Single), single);
-            replayed = r.Store.replayed;
-            damaged = (match r.Store.tail with Wal.Clean -> [] | _ -> [ 0 ]);
-          }
+  Result.map
+    (fun (serving, (r : Shard_group.recovery)) ->
+      { serving; replayed = r.replayed; damaged = r.damaged })
+    (Shard_group.resume ?fsync ?snapshot_every_bytes root)

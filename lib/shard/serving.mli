@@ -1,166 +1,21 @@
-(** One serving value for every deployment shape.
+(** The serving value: a {!Shard_group} at every shard count, plus the
+    crash-restart entry point front ends call.
 
-    [Cdw_engine.Serving.S] names the serving surface; this module adds
-    the durability story ({!LEDGERED}: per-value ledgers, snapshot,
-    compact, close) and packs the two implementations — a single
-    {!Cdw_engine.Engine} and an N-shard {!Shard_group} — behind one
-    first-class-module existential, {!t}. Front ends (the serve-bench
-    driver, the network server) are written once against the wrapper
-    functions below; the only place the shapes differ is the
-    constructor call.
+    Front ends (the serve-bench driver, the network server, the repo
+    benchmark) are written once against this module. [create ~shards]
+    picks the shape; everything else — submit, drain, migrate,
+    refinement, tiering, metrics, ledgers — is {!Shard_group}'s, which
+    documents how one shard and N shards drain and the durability
+    contract both meet. *)
 
-    Journaling semantics follow the packed value: a single engine
-    write-ahead-logs inside {!submit} (submit returns after the fsync
-    policy is satisfied), a shard group write-behind-logs at drain
-    ingest (see {!Shard_group}, "Journaling is write-behind"). *)
-
-module type LEDGERED = sig
-  include Cdw_engine.Serving.S
-
-  val shards : t -> int
-  (** 1 for a single engine. *)
-
-  val journal :
-    ?fsync:Cdw_store.Wal.fsync_policy ->
-    ?snapshot_every_bytes:int ->
-    dir:string ->
-    t ->
-    unit
-  (** Attach a fresh durable ledger under [dir]
-      ({!Cdw_store.Store.create_for} per engine; a group writes
-      [group.json] and one ledger per shard). Raises
-      [Invalid_argument] if already journaled. *)
-
-  val snapshot : t -> unit
-  (** Drain-boundary snapshot; no-op when not journaled. *)
-
-  val compact : t -> unit
-  (** Fold the WAL(s) into fresh snapshot(s); no-op when not
-      journaled. *)
-
-  val close : t -> unit
-  (** Release everything the value owns: ledgers, and (for a group)
-      the pinned drain domains. Idempotent. *)
+include module type of struct
+  include Shard_group
 end
-
-(** A single engine with an optional attached ledger. *)
-module Single : sig
-  include LEDGERED
-
-  val make : Cdw_engine.Engine.t -> t
-  val engine : t -> Cdw_engine.Engine.t
-end
-
-module Group : LEDGERED with type t = Shard_group.t
-
-type t = Packed : (module LEDGERED with type t = 'a) * 'a -> t
-(** A serving value of either shape, packed with its implementation. *)
-
-val of_engine : Cdw_engine.Engine.t -> t
-val of_group : Shard_group.t -> t
-
-val create :
-  ?algorithm:Cdw_core.Algorithms.name ->
-  ?options:Cdw_core.Algorithms.Options.t ->
-  ?seed:int ->
-  ?max_cached_pairs:int ->
-  ?max_paths:int ->
-  ?shards:int ->
-  Cdw_core.Workflow.t ->
-  t
-(** [shards = None] (or [Some 1]) builds a single engine, [Some n] an
-    [n]-shard group — otherwise identical configuration
-    ({!Cdw_engine.Engine.create}). *)
-
-(** {1 The serving surface over a packed value}
-
-    Each function unpacks and delegates; semantics are the packed
-    implementation's. *)
-
-val algorithm : t -> Cdw_core.Algorithms.name
-val seed : t -> int
-val base : t -> Cdw_core.Workflow.t
-val epoch : t -> int
-
-val migrate :
-  ?force_all:bool ->
-  ?epoch:int ->
-  t ->
-  Cdw_core.Workflow.t ->
-  Cdw_engine.Engine.migration
-(** Install a new base epoch live ({!Cdw_engine.Engine.migrate} on a
-    single engine, {!Shard_group.migrate} on a group). *)
-
-val submit :
-  ?submitted_ms:float -> t -> user:string -> Cdw_engine.Engine.request -> unit
-
-val pending : t -> int
-
-val drain :
-  ?mode:[ `Sequential | `Parallel of int ] -> t -> Cdw_engine.Engine.reply list
-
-val forget : t -> string -> unit
-
-val restore_session :
-  t ->
-  string ->
-  constraints:(int * int) list ->
-  removed_ids:int list ->
-  (unit, string) result
-
-val sessions : t -> (string * Cdw_engine.Session.t) list
-
-val set_refine : ?budget_ms:float -> ?node_budget:int -> t -> bool -> unit
-(** Turn anytime cut refinement on or off on every underlying engine
-    ({!Cdw_engine.Engine.set_refine}). *)
-
-val refine_step : ?max:int -> t -> int
-(** Run up to [max] queued refinement solves per shard and stage the
-    improvements; returns solves run. Sharded serving values fan the
-    step out across their pinned domains. *)
-
-val refine_pending : t -> int
-(** Outstanding refinement work (queued + staged), summed across
-    shards. *)
-
-val refine_stats : t -> Cdw_engine.Engine.refine_stats option
-(** Refinement counters, summed across shards; [None] when refinement
-    is off everywhere. *)
-
-val set_mem_cap : ?session_bytes:int -> t -> int option -> unit
-val mem_cap : t -> int option
-val tier_stats : t -> Cdw_engine.Tier.stats option
-val session_states : t -> (string * (int * int) list * int list) list
-val metrics : t -> Cdw_engine.Metrics.t
-val metrics_json : t -> Cdw_util.Json.t
-val prometheus : t -> string
-
-val domain_stats : t -> Cdw_engine.Domain_acct.stats list
-(** Per-drain-domain accounting, one entry per shard. Empty for a
-    single-engine serving value (no pinned domains to account). *)
-
-val set_journal : t -> (Cdw_engine.Engine.event -> unit) option -> unit
-val shards : t -> int
-
-val journal :
-  ?fsync:Cdw_store.Wal.fsync_policy ->
-  ?snapshot_every_bytes:int ->
-  dir:string ->
-  t ->
-  unit
-
-val snapshot : t -> unit
-val compact : t -> unit
-val close : t -> unit
-
-(** {1 Crash restart} *)
 
 type resumed = {
   serving : t;  (** re-attached and serving, journal included *)
   replayed : int;  (** WAL records replayed (summed over shards) *)
-  damaged : int list;
-      (** shard ids with a torn/corrupt (now truncated) tail; [[0]]
-          for a damaged single-engine ledger *)
+  damaged : int list;  (** shard ids with a torn/corrupt (now truncated) tail *)
 }
 
 val resume :
@@ -168,8 +23,8 @@ val resume :
   ?snapshot_every_bytes:int ->
   string ->
   (resumed, string) result
-(** Resume whatever ledger lives at the root: a [group.json] marks a
-    sharded root ({!Shard_group.resume}), anything else resumes as a
-    single-engine ledger ({!Cdw_store.Store.resume}). This is how
+(** Resume whatever ledger lives at the root ({!Shard_group.resume}): a
+    [group.json] marks a group root, anything else resumes as a
+    one-shard group over one engine's ledger. This is how
     [cdw serve --journal DIR] restarts over an existing ledger without
     being told its shape. *)

@@ -19,9 +19,7 @@ let serve ?(trials = 3) ?attach ~make config =
     List.iter
       (fun (user, request) -> Serving.submit serving ~user request)
       requests;
-    let replies =
-      Serving.drain ~mode:(`Parallel config.Workbench.domains) serving
-    in
+    let replies = Serving.drain serving in
     (serving, replies)
   in
   (* Best-of-trials like Workbench.run: every trial builds a fresh
@@ -61,9 +59,8 @@ let serve ?(trials = 3) ?attach ~make config =
 let serve_group ?trials ?attach ~shards config =
   serve ?trials ?attach
     ~make:(fun wf ->
-      Serving.of_group
-        (Shard_group.create ~algorithm:config.Workbench.algorithm
-           ~seed:config.Workbench.seed ~shards wf))
+      Serving.create ~algorithm:config.Workbench.algorithm
+        ~seed:config.Workbench.seed ~shards wf)
     config
 
 (* ---------------------------------------------------------------- *)
@@ -92,7 +89,7 @@ let request_of_op = function
      parked, exactly what a consent lookup would do. *)
   | Traffic.Query -> Engine.Add []
 
-let serve_traffic ?mode ?(window_ms = 50.0) ?mem_cap_bytes ?session_bytes
+let serve_traffic ?(window_ms = 50.0) ?mem_cap_bytes ?session_bytes
     ?(evolve = []) ?(refine = false) serving spec ~pairs =
   if window_ms <= 0.0 then
     invalid_arg "Shard_bench.serve_traffic: window_ms must be > 0";
@@ -145,7 +142,7 @@ let serve_traffic ?mode ?(window_ms = 50.0) ?mem_cap_bytes ?session_bytes
       | Some { Traffic.at_ms; user; op } ->
           let window_end =
             if at_ms >= window_end then begin
-              count_errors (Serving.drain ?mode serving);
+              count_errors (Serving.drain serving);
               incr drains;
               fire_due window_end;
               if refine then ignore (Serving.refine_step ~max:4 serving);
@@ -161,7 +158,7 @@ let serve_traffic ?mode ?(window_ms = 50.0) ?mem_cap_bytes ?session_bytes
           pump window_end
     in
     pump window_ms;
-    count_errors (Serving.drain ?mode serving);
+    count_errors (Serving.drain serving);
     incr drains;
     (* Steps scheduled past the stream's end still fire — the schedule
        is a contract, and the post-run state must be on its last
@@ -172,7 +169,7 @@ let serve_traffic ?mode ?(window_ms = 50.0) ?mem_cap_bytes ?session_bytes
        drain-boundary operation). *)
     if refine then begin
       while Serving.refine_step ~max:16 serving > 0 do () done;
-      count_errors (Serving.drain ?mode serving);
+      count_errors (Serving.drain serving);
       incr drains
     end
   in

@@ -40,7 +40,7 @@ val serve_group :
   shards:int ->
   Cdw_engine.Workbench.config ->
   run * Serving.t
-(** {!serve} with [make] fixed to an [N]-shard {!Shard_group} on the
+(** {!serve} with [make] fixed to an [N]-shard {!Serving.create} on the
     config's algorithm and seed. *)
 
 (** {1 Open-loop traffic serving} *)
@@ -66,7 +66,6 @@ val request_of_op : Cdw_workload.Traffic.op -> Cdw_engine.Engine.request
     like a consent lookup would. *)
 
 val serve_traffic :
-  ?mode:[ `Sequential | `Parallel of int ] ->
   ?window_ms:float ->
   ?mem_cap_bytes:int ->
   ?session_bytes:int ->

@@ -102,10 +102,11 @@ let group_of_engines engines =
     tickets = 0;
   }
 
-let create ?algorithm ?options ?seed ?max_cached_pairs ?max_paths ~shards wf =
+let create ?algorithm ?options ?seed ?max_cached_pairs ?max_paths
+    ?(shards = 1) wf =
   if shards < 1 then invalid_arg "Shard_group.create: shards must be >= 1";
-  (* Freeze once; each engine's internal copy of a frozen workflow is a
-     view sharing the CSR arrays, so N shards pay for one base. *)
+  (* Freeze once: re-freezing a frozen workflow shares its snapshot and
+     metadata, so every shard engine's base is this one base. *)
   let frozen = Workflow.freeze wf in
   group_of_engines
     (Array.init shards (fun _ ->
@@ -119,17 +120,27 @@ let algorithm t = Engine.algorithm t.members.(0).engine
 let seed t = Engine.seed t.members.(0).engine
 let base t = Engine.base t.members.(0).engine
 
+(* One shard serves on the caller: submits go straight into its engine
+   (journaled there, write-ahead), drains and refine steps run on the
+   calling domain with the engine's own per-user fan-out, and no pinned
+   domain is ever spawned. The shard count alone picks the path. *)
+let direct t = t.shards = 1
+
 (* ---------------------------------------------------------------- *)
-(* The lock-free submit path                                         *)
+(* Submit: straight into the engine, or the lock-free inbox path      *)
 
 let submit ?submitted_ms t ~user request =
-  let s = t.members.(route t user) in
-  let seq = Atomic.fetch_and_add t.seq 1 in
-  let at_ms =
-    match submitted_ms with Some ms -> ms | None -> Timing.now_ms ()
-  in
-  Mpsc.push s.inbox { seq; i_user = user; i_request = request; at_ms };
-  Atomic.incr s.depth
+  if direct t then
+    Engine.submit ?submitted_ms t.members.(0).engine ~user request
+  else begin
+    let s = t.members.(route t user) in
+    let seq = Atomic.fetch_and_add t.seq 1 in
+    let at_ms =
+      match submitted_ms with Some ms -> ms | None -> Timing.now_ms ()
+    in
+    Mpsc.push s.inbox { seq; i_user = user; i_request = request; at_ms };
+    Atomic.incr s.depth
+  end
 
 let pending t =
   Array.fold_left
@@ -137,8 +148,7 @@ let pending t =
     0 t.members
 
 (* ---------------------------------------------------------------- *)
-(* Per-shard drain (runs on the shard's pinned domain, or on the
-   caller in [`Sequential] mode)                                     *)
+(* Per-shard drain (runs on the shard's pinned domain)               *)
 
 (* One drain phase: a child trace span, a flight-recorder entry, and a
    [Domain_acct] counter bump — the three observability surfaces record
@@ -245,7 +255,7 @@ let drain_shard shard ~parent =
             (int_of_float (!lag_peak *. 1000.0)));
       let replies =
         phase shard acct.Domain_acct.execute_us "shard.execute" (fun () ->
-            Engine.drain ~mode:`Sequential shard.engine)
+            Engine.drain shard.engine)
       in
       phase shard acct.Domain_acct.gather_us "shard.gather" (fun () ->
           (* Engine replies come back grouped by user: cut them into
@@ -405,28 +415,20 @@ let observed name f =
         ~dur_us:((Unix.gettimeofday () -. t0) *. 1e6))
     (fun () -> Trace.span name f)
 
-let drain ?mode t =
+let drain t =
   with_lock t.drain_lock (fun () ->
-      let t0 = Unix.gettimeofday () in
-      Fun.protect
-        ~finally:(fun () ->
-          Flight.record "group.drain" ~t0_us:(t0 *. 1e6)
-            ~dur_us:((Unix.gettimeofday () -. t0) *. 1e6))
-        (fun () ->
-      Trace.span "group.drain"
-        ~args:[ ("shards", string_of_int t.shards) ]
-        (fun () ->
-          let parent = Trace.current_span () in
-          let gathers =
-            match mode with
-            | Some `Sequential ->
-                (* Shard 0, 1, … on the calling domain — the replies
-                   are identical (test_shard's determinism property),
-                   and nothing is spawned. No barrier: the shards never
-                   wait on each other. *)
-                Array.to_list
-                  (Array.map (fun s -> drain_shard s ~parent) t.members)
-            | Some (`Parallel _) | None ->
+      if direct t then Engine.drain_fanout t.members.(0).engine
+      else
+        let t0 = Unix.gettimeofday () in
+        Fun.protect
+          ~finally:(fun () ->
+            Flight.record "group.drain" ~t0_us:(t0 *. 1e6)
+              ~dur_us:((Unix.gettimeofday () -. t0) *. 1e6))
+          (fun () ->
+            Trace.span "group.drain"
+              ~args:[ ("shards", string_of_int t.shards) ]
+              (fun () ->
+                let parent = Trace.current_span () in
                 ensure_workers t;
                 let ticket = t.tickets in
                 t.tickets <- ticket + 1;
@@ -443,19 +445,17 @@ let drain ?mode t =
                 in
                 Array.iteri
                   (fun i (_, fin) ->
-                    Domain_acct.bump
-                      t.members.(i).acct.Domain_acct.barrier_us
+                    Domain_acct.bump t.members.(i).acct.Domain_acct.barrier_us
                       (slowest -. fin))
                   results;
-                Array.to_list
-                  (Array.map
-                     (fun (p, _) ->
-                       match p with
-                       | Gathers g -> g
-                       | Refined _ -> assert false)
-                     results)
-          in
-          observed "group.merge" (fun () -> merge (List.concat gathers)))))
+                let gathers =
+                  Array.to_list results
+                  |> List.concat_map (fun (p, _) ->
+                         match p with
+                         | Gathers g -> g
+                         | Refined _ -> assert false)
+                in
+                observed "group.merge" (fun () -> merge gathers))))
 
 (* ---------------------------------------------------------------- *)
 (* Anytime refinement: each shard refines its own users, on its own
@@ -475,17 +475,19 @@ let refine_pending t =
 
 let refine_step ?(max = 1) t =
   with_lock t.drain_lock (fun () ->
-      observed "group.refine" (fun () ->
-          ensure_workers t;
-          let ticket = t.tickets in
-          t.tickets <- ticket + 1;
-          Array.iter (fun s -> send s (Refine (ticket, max))) t.members;
-          Array.fold_left
-            (fun acc s ->
-              match await s ticket with
-              | Refined n, _ -> acc + n
-              | Gathers _, _ -> assert false)
-            0 t.members))
+      if direct t then Engine.refine_step ~max t.members.(0).engine
+      else
+        observed "group.refine" (fun () ->
+            ensure_workers t;
+            let ticket = t.tickets in
+            t.tickets <- ticket + 1;
+            Array.iter (fun s -> send s (Refine (ticket, max))) t.members;
+            Array.fold_left
+              (fun acc s ->
+                match await s ticket with
+                | Refined n, _ -> acc + n
+                | Gathers _, _ -> assert false)
+              0 t.members))
 
 let refine_stats t =
   let per =
@@ -680,8 +682,10 @@ let metrics t =
   merged
 
 let domain_stats t =
-  Array.to_list
-    (Array.mapi (fun i s -> Domain_acct.stats ~shard:i s.acct) t.members)
+  if direct t then []
+  else
+    Array.to_list
+      (Array.mapi (fun i s -> Domain_acct.stats ~shard:i s.acct) t.members)
 
 let metrics_json t =
   let all = sessions t in
@@ -881,8 +885,7 @@ let recover ?(domains = Domain_pool.recommended_domains ()) root =
     (summarize
        (Array.map (function Ok r -> r | Error _ -> assert false) results))
 
-let resume ?fsync ?snapshot_every_bytes
-    ?(domains = Domain_pool.recommended_domains ()) root =
+let resume_shards ?fsync ?snapshot_every_bytes ~domains root =
   let ( let* ) = Result.bind in
   let* shards = read_group_manifest root in
   let results =
@@ -904,15 +907,28 @@ let resume ?fsync ?snapshot_every_bytes
         (function Ok (store, _) -> Store.close store | Error _ -> ())
         results;
       Error e
-  | None ->
-      let pairs =
-        Array.map (function Ok p -> p | Error _ -> assert false) results
-      in
+  | None -> Ok (Array.map (function Ok p -> p | Error _ -> assert false) results)
+
+let resume ?fsync ?snapshot_every_bytes
+    ?(domains = Domain_pool.recommended_domains ()) root =
+  let pairs =
+    if Sys.file_exists (group_manifest_path root) then
+      resume_shards ?fsync ?snapshot_every_bytes ~domains root
+    else
+      (* No group.json: one engine's ledger at the root, resumed as a
+         one-shard group that keeps journaling into that root. *)
+      Result.map
+        (fun pair -> [| pair |])
+        (Store.resume ?fsync ?snapshot_every_bytes root)
+  in
+  Result.map
+    (fun pairs ->
       let group =
         group_of_engines (Array.map (fun (_, r) -> r.Store.engine) pairs)
       in
       group.stores <- Array.map fst pairs;
-      Ok (group, summarize (Array.map snd pairs))
+      (group, summarize (Array.map snd pairs)))
+    pairs
 
 let verify root =
   let ( let* ) = Result.bind in

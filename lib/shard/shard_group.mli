@@ -1,6 +1,7 @@
-(** Sharded consent serving: N independent {!Cdw_engine.Engine}s over
-    one shared frozen base, observably identical to a single engine —
-    with a lock-free submit path and a pinned drain domain per shard.
+(** Consent serving at every shard count: N independent
+    {!Cdw_engine.Engine}s over one shared frozen base, observably
+    identical to a single engine. This is the one serving value;
+    {!Serving} re-exports it with the crash-restart entry point.
 
     The serving scenario (paper §8, "many users, one workflow") is
     embarrassingly parallel {e across users}: sessions never share
@@ -11,58 +12,64 @@
     exactly that:
 
     - {b one base}: the workflow is frozen once ({!Cdw_core.Workflow}
-      CSR form) and every shard engine's copy of it is a view sharing
-      the frozen arrays — N shards cost one base, not N;
+      CSR form) and every shard engine holds that same base — N shards
+      cost one base, not N;
     - {b stable routing}: {!Router.shard_of} (SplitMix modulo — see
       {!Router} for why not rendezvous) fixes each user's shard as a
       pure function of the id and the shard count;
-    - {b lock-free submit}: {!submit} draws a global sequence number
-      from one atomic counter and pushes onto the target shard's
-      {!Mpsc} inbox — no mutex anywhere on the path, so concurrent
-      submitters (the network server's connection threads) never
-      serialize against each other or against a running drain;
-    - {b pinned drain domains}: each shard owns one long-lived domain
-      (spawned lazily on the first parallel {!drain}, joined by
-      {!close}). A drain scatters one ticket per shard; each pinned
-      domain takes its whole inbox, {e sorts it by sequence number}
-      (the MPSC linearization order can differ from seq-draw order
-      under racing producers), feeds its engine, and drains it
-      sequentially — the parallelism {e is} the shard fan-out;
-    - {b gather by sequence number}: per-user reply groups come back
-      tagged with the user's first-submission seq; the gather sorts
-      the groups by that tag, which reconstructs exactly the global
-      first-submission order a single engine's queue would have
-      produced. No order log, no submit-side lock;
     - {b determinism}: every shard engine is created with the {e same}
       seed, and an engine derives per-session randomness from
       (seed, user id) alone — so a user's session solves identically
-      whether it lives in a 1-shard, 7-shard, or unsharded deployment
-      (the differential property [test_shard.ml] enforces this).
+      whatever the shard count (the differential property
+      [test_shard.ml] enforces this).
 
-    A ["group.drain"] trace span wraps the gather and each shard
-    contributes a ["shard.drain"] span parented to it (across domains);
-    each shard records its inbox batch size in the ["queue_depth"]
-    distribution of its own metrics registry.
+    The shard count alone picks how the group drains:
 
-    {b Durability} is per shard: {!journal} gives every shard its own
+    - {b one shard} serves on the caller. {!submit} goes straight into
+      the engine, and {!drain} solves the users of a batch in parallel
+      on the engine's {!Cdw_engine.Domain_pool}
+      ({!Cdw_engine.Engine.drain_fanout}). No pinned domain is ever
+      spawned, so {!domain_stats} stays empty.
+    - {b N shards} serve through a lock-free submit path and a pinned
+      drain domain per shard. {!submit} draws a global sequence number
+      from one atomic counter and pushes onto the target shard's
+      {!Mpsc} inbox, so concurrent submitters never serialize. A drain
+      scatters one ticket per shard; each pinned domain takes its whole
+      inbox, {e sorts it by sequence number} (the MPSC linearization
+      order can differ from seq-draw order under racing producers),
+      feeds its engine and drains it on that domain
+      ({!Cdw_engine.Engine.drain}) — the parallelism {e is} the shard
+      fan-out. Per-user reply groups come back tagged with the user's
+      first-submission seq; sorting the groups by that tag rebuilds the
+      global first-submission order a single engine's queue would have
+      produced. A ["group.drain"] trace span wraps the gather, each
+      shard contributes a ["shard.drain"] span parented to it, and each
+      shard records its inbox batch size in the ["queue_depth"]
+      distribution of its own registry.
+
+    {b Durability} is per shard: {!journal} writes a [group.json]
+    manifest pinning the shard count and gives every shard its own
     {!Cdw_store.Store} ledger in [shard-<i>/] under one root (its own
-    WAL, snapshots and generation numbers), plus a [group.json]
-    manifest pinning the shard count. Users are disjoint across
-    shards, so {e any} combination of per-shard durable prefixes is a
-    consistent group state — a torn WAL tail on one shard shortens
-    that shard's history and that shard's only.
+    WAL, snapshots and generation numbers). A ledger written by a lone
+    engine ({!Cdw_store.Store.create_for} at the root, no [group.json])
+    resumes as a one-shard group that keeps its store at the root.
+    Users are disjoint across shards, so {e any} combination of
+    per-shard durable prefixes is a consistent group state — a torn
+    WAL tail on one shard shortens that shard's history and that
+    shard's only.
 
-    {b Journaling is write-behind at the group boundary}: the
-    lock-free {!submit} cannot block on an fsync, so a request is
-    WAL-logged when its shard's drain {e ingests} it (on the pinned
-    domain, in sequence order), not when [submit] returns. A crash
-    can therefore lose inbox items that were submitted but never
-    drained — exactly the items no drain ever acknowledged. Within a
-    shard the log is still an exact prefix of the serving history, so
-    recovery semantics are unchanged. A request the journal {e rejects}
-    at ingest (e.g. oversized, {!Cdw_engine.Engine.submit}'s
-    [Invalid_argument]) is answered with an [Error] reply rather than
-    killing the shard domain.
+    Both shapes meet one durability contract: a request's WAL record
+    is written no later than the drain that answers it returns, and
+    each shard's WAL is an exact prefix of what that shard served. One
+    shard logs inside {!submit} (write-ahead); N shards log when a
+    shard's drain {e ingests} the request, on the pinned domain in
+    sequence order (the lock-free submit cannot block on an fsync). A
+    crash can therefore lose inbox items that were submitted but never
+    drained — exactly the items no drain ever acknowledged. A request
+    the journal {e rejects} (e.g. oversized,
+    {!Cdw_engine.Engine.submit}'s [Invalid_argument]) raises out of
+    {!submit} on one shard, and is answered with an [Error] reply on N
+    shards rather than killing the shard domain.
 
     {!submit} is safe from any thread/domain; {!drain} may be called
     from one serving thread at a time (an internal lock serializes
@@ -76,15 +83,16 @@ val create :
   ?seed:int ->
   ?max_cached_pairs:int ->
   ?max_paths:int ->
-  shards:int ->
+  ?shards:int ->
   Cdw_core.Workflow.t ->
   t
-(** [create ~shards wf] builds [shards] engines over one frozen copy
-    of [wf], every engine configured identically (options as in
-    {!Cdw_engine.Engine.create}, same [seed] for all — that sameness
-    is what makes the group bit-identical to a single engine). No
-    domains are spawned until the first parallel {!drain}. Raises
-    [Invalid_argument] if [shards < 1]. *)
+(** [create ~shards wf] builds [shards] (default 1) engines over one
+    frozen copy of [wf], every engine configured identically (options
+    as in {!Cdw_engine.Engine.create}, same [seed] for all — that
+    sameness is what makes the group bit-identical to a single
+    engine). A multi-shard group spawns its pinned domains at its first
+    {!drain} or {!refine_step}. Raises [Invalid_argument] if
+    [shards < 1]. *)
 
 val shards : t -> int
 
@@ -127,28 +135,26 @@ val migrate :
 
 val submit :
   ?submitted_ms:float -> t -> user:string -> Cdw_engine.Engine.request -> unit
-(** Route and enqueue one request: one atomic fetch-add (the global
-    sequence number), one atomic push onto the shard's inbox. No lock,
-    no journal I/O — with journaling attached the WAL record is
-    written when the request is ingested by its shard's next drain
-    (see the module preamble). [submitted_ms] (default: now) backdates
-    the queue timestamp as in {!Cdw_engine.Engine.submit}. *)
+(** Route and enqueue one request. One shard: {!Cdw_engine.Engine.submit}
+    on its engine, journaled before it returns. N shards: one atomic
+    fetch-add (the global sequence number), one atomic push onto the
+    shard's inbox — no lock, no journal I/O; the WAL record is written
+    when the shard's next drain ingests the request (see the module
+    preamble). [submitted_ms] (default: now) backdates the queue
+    timestamp as in {!Cdw_engine.Engine.submit}. *)
 
 val pending : t -> int
 (** Requests waiting across all shards (inbox depths plus engine
     queues). Racy under concurrent submitters, exact when quiescent. *)
 
-val drain :
-  ?mode:[ `Sequential | `Parallel of int ] -> t -> Cdw_engine.Engine.reply list
+val drain : t -> Cdw_engine.Engine.reply list
 (** Serve every pending request on every shard and merge the replies:
     users in global first-submission order, each user's replies in
     submission order — the exact order a single engine's
-    {!Cdw_engine.Engine.drain} returns. The default (and any
-    [`Parallel _]) scatters tickets to the pinned per-shard domains,
-    spawning them on first use; [`Sequential] drains shard 0, 1, … on
-    the calling domain and never spawns. The replies are identical
-    either way: shards share no session state, so drain interleaving
-    is unobservable. *)
+    {!Cdw_engine.Engine.drain} returns. One shard drains on the caller
+    ({!Cdw_engine.Engine.drain_fanout}); N shards scatter tickets to
+    their pinned domains, spawning them on first use. Shards share no
+    session state, so the replies do not depend on the shard count. *)
 
 val session : t -> string -> Cdw_engine.Session.t
 (** Get-or-create the user's session on its shard. *)
@@ -170,8 +176,8 @@ val restore_session :
 
 val set_journal : t -> (Cdw_engine.Engine.event -> unit) option -> unit
 (** Install (or remove) one journal callback on {e every} shard
-    engine. During a parallel drain the callback runs concurrently on
-    several pinned domains — users are disjoint across shards, so
+    engine. During a multi-shard drain the callback runs concurrently
+    on several pinned domains — users are disjoint across shards, so
     events of one user never race, but the callback itself must be
     thread-safe. (The per-shard {!journal} ledgers do not go through
     this hook; they attach store callbacks per engine.) *)
@@ -184,11 +190,12 @@ val set_refine : ?budget_ms:float -> ?node_budget:int -> t -> bool -> unit
     ({!Cdw_engine.Engine.set_refine}). *)
 
 val refine_step : ?max:int -> t -> int
-(** One scattered refinement step: every shard runs up to [max]
-    background exact solves over its own users, on its own pinned
-    domain, concurrently — serialized against group drains by the
-    drain lock. Returns the total solves run. Spawns the pinned
-    domains on first use, like a parallel {!drain}. *)
+(** One refinement step: every shard runs up to [max] background exact
+    solves over its own users ({!Cdw_engine.Engine.refine_step}),
+    serialized against drains by the drain lock. One shard runs it on
+    the caller; N shards each run it on their own pinned domain,
+    concurrently, spawning the domains on first use like {!drain}.
+    Returns the total solves run. *)
 
 val refine_pending : t -> int
 (** Outstanding refinement work (queued + staged) summed across
@@ -226,9 +233,13 @@ val metrics : t -> Cdw_engine.Metrics.t
     A snapshot — it does not track the shards afterwards. *)
 
 val metrics_json : t -> Cdw_util.Json.t
-(** {!Cdw_engine.Engine.metrics_json} shape over the merged registry:
-    merged counters and latencies plus the pool-wide ["sessions"]
-    totals, extended with a ["shards"] count. *)
+(** {!Cdw_engine.Metrics.to_json} of the merged registry, extended
+    with a ["sessions"] object (session count plus the pool-wide sums
+    of the per-session {!Cdw_core.Incremental.stats}: solver runs, free
+    hits, full resolves), the ["shards"] count, the ["domains"] array
+    ({!domain_stats}), and, when on, ["tier"] ({!tier_stats}) and
+    ["refine"] ({!refine_stats}; [refinements] = installed)
+    objects. *)
 
 val prometheus : t -> string
 (** All shards in one Prometheus exposition, each shard's series
@@ -237,9 +248,10 @@ val prometheus : t -> string
     ({!Cdw_engine.Domain_acct.prometheus}). *)
 
 val domain_stats : t -> Cdw_engine.Domain_acct.stats list
-(** One {!Cdw_engine.Domain_acct.stats} per shard (index = shard id):
-    busy/idle/barrier/phase µs, write-behind journal lag, inbox depth
-    gauges. Single-writer atomics — safe to read from any thread while
+(** One {!Cdw_engine.Domain_acct.stats} per pinned shard domain (index
+    = shard id): busy/idle/barrier/phase µs, write-behind journal lag,
+    inbox depth gauges. Empty for one shard, which has no pinned
+    domain. Single-writer atomics — safe to read from any thread while
     serving. Also embedded in {!metrics_json} as the ["domains"]
     array. *)
 
@@ -257,10 +269,10 @@ val journal :
   unit
 (** Attach a fresh per-shard ledger under [dir]: writes [group.json]
     (pinning the shard count), then {!Cdw_store.Store.create_for} on
-    every shard engine in its {!shard_dir}. Any previous ledger files
-    in those directories are dropped. Records are written at drain
-    ingest, in global sequence order per shard (see the module
-    preamble on write-behind journaling). Raises [Invalid_argument]
+    every shard engine in its {!shard_dir} — one shard included. Any
+    previous ledger files in those directories are dropped. Records
+    are written in global sequence order per shard (see the module
+    preamble on the durability contract). Raises [Invalid_argument]
     if the group is already journaled. *)
 
 val snapshot : t -> unit
@@ -269,9 +281,9 @@ val snapshot : t -> unit
     disjoint across shards, so the per-shard boundaries jointly
     describe one consistent group state. Same precondition as the
     store call: no pending requests in the {e engines} (drain first).
-    Inbox items not yet drained are not captured — they are not yet
-    journaled either, so ledger and snapshot agree. A no-op when not
-    journaled. *)
+    Inbox items of a multi-shard group not yet drained are not
+    captured — they are not yet journaled either, so ledger and
+    snapshot agree. A no-op when not journaled. *)
 
 val compact : t -> unit
 (** {!Cdw_store.Store.compact} every shard (snapshot into the next WAL
@@ -281,7 +293,8 @@ val compact : t -> unit
 val close : t -> unit
 (** Stop and join the pinned drain domains (if any were spawned), then
     close every shard's ledger. Idempotent. Call this on every group —
-    leaked domains are a finite resource under OCaml 5. *)
+    leaked domains are a finite resource under OCaml 5, and a ledger
+    flushes on close. *)
 
 type recovery = {
   shard_recoveries : Cdw_store.Store.recovery array;
@@ -314,7 +327,9 @@ val resume :
     in parallel (recover, truncate each WAL to its valid prefix,
     re-attach), and assemble the recovered engines into a serving
     group. On a per-shard failure every already-opened store is
-    closed before the error returns. *)
+    closed before the error returns. A root without [group.json] is
+    one engine's ledger: it resumes as a one-shard group whose store
+    stays at the root ([damaged = [0]] for a damaged tail). *)
 
 val verify : string -> (Cdw_store.Store.report array, string) result
 (** {!Cdw_store.Store.verify} every shard, index = shard id. [Error]

@@ -543,7 +543,7 @@ let scan_wal dir ~generation ~from =
     Ok { Wal.entries = []; valid_end = from; tail = Wal.Clean }
   else Wal.scan ~from path
 
-let drain_now engine = ignore (Engine.drain ~mode:`Sequential engine)
+let drain_now engine = ignore (Engine.drain engine)
 
 (* Resolve a cut's (src, dst) names back to the base edge id. Cut edges
    are removed only in session views, never in the base, so a live-edge

@@ -237,7 +237,7 @@ let test_coalescing_net_change () =
 
 let strip (r : Engine.reply) = (r.Engine.user, r.Engine.request, r.Engine.result)
 
-let run_drain mode =
+let run_drain drain =
   let i = instance ~n_vertices:40 19 in
   let wf = i.Generator.workflow in
   let pairs = Array.of_list (connected_pairs wf 8) in
@@ -251,7 +251,7 @@ let run_drain mode =
         (if round = 2 && u mod 2 = 0 then Engine.Resolve else Engine.Add [ pair ])
     done
   done;
-  let replies = Engine.drain ~mode engine in
+  let replies = drain engine in
   let states =
     List.map
       (fun (user, s) -> (user, live_ids (Session.workflow s), Session.utility s))
@@ -260,8 +260,8 @@ let run_drain mode =
   (List.map strip replies, states)
 
 let test_parallel_equals_sequential () =
-  let seq_replies, seq_states = run_drain `Sequential in
-  let par_replies, par_states = run_drain (`Parallel 4) in
+  let seq_replies, seq_states = run_drain Engine.drain in
+  let par_replies, par_states = run_drain Engine.drain_fanout in
   Alcotest.(check bool) "same replies" true (seq_replies = par_replies);
   Alcotest.(check bool) "same final session states" true
     (seq_states = par_states)
@@ -325,7 +325,7 @@ let test_withdraw_unknown_pair () =
   let never_accepted = List.nth pairs 1 in
   Engine.submit engine ~user:"alice" (Engine.Withdraw [ (n + 5, n + 9) ]);
   Engine.submit engine ~user:"bob" (Engine.Withdraw [ never_accepted ]);
-  (match Engine.drain ~mode:`Sequential engine with
+  (match Engine.drain engine with
   | [ garbage; valid_ids ] ->
       List.iter
         (fun (r : Engine.reply) ->
@@ -341,7 +341,7 @@ let test_withdraw_unknown_pair () =
   | replies -> Alcotest.failf "expected 2 replies, got %d" (List.length replies));
   (* The engine is still serviceable: a normal accept round succeeds. *)
   Engine.submit engine ~user:"alice" (Engine.Add [ List.hd pairs ]);
-  match Engine.drain ~mode:`Sequential engine with
+  match Engine.drain engine with
   | [ r ] -> ok_or_fail r.Engine.result
   | replies -> Alcotest.failf "expected 1 reply, got %d" (List.length replies)
 

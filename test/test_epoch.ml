@@ -57,7 +57,7 @@ let submit_script serving script =
   List.iter
     (fun (user, batch) -> Serving.submit serving ~user (Engine.Add batch))
     script;
-  ignore (Serving.drain ~mode:`Sequential serving)
+  ignore (Serving.drain serving)
 
 let normalize wf =
   match Serialize.parse (Serialize.to_string wf) with
@@ -72,7 +72,7 @@ let fresh_reference ~algorithm ~seed new_base states =
   List.iter
     (fun (user, pairs, _) -> Serving.submit serving ~user (Engine.Add pairs))
     states;
-  ignore (Serving.drain ~mode:`Sequential serving);
+  ignore (Serving.drain serving);
   let reference = Serving.session_states serving in
   Serving.close serving;
   reference
@@ -249,7 +249,7 @@ let test_branch_isolation_remaps () =
   in
   Serving.submit serving ~user:"alice" (Engine.Add [ (ua, p) ]);
   Serving.submit serving ~user:"bob" (Engine.Add [ (ub, q) ]);
-  ignore (Serving.drain ~mode:`Sequential serving);
+  ignore (Serving.drain serving);
   let mutant = normalize next in
   let m = Serving.migrate serving mutant in
   Alcotest.(check int) "alice (untouched branch) is remapped" 1
@@ -412,7 +412,7 @@ let test_queued_submits_remap () =
      be remapped to the new base, not applied verbatim. *)
   Serving.submit serving ~user:"alice" (Engine.Add [ (u1, p1) ]);
   ignore (Serving.migrate serving new_wf);
-  let replies = Serving.drain ~mode:`Sequential serving in
+  let replies = Serving.drain serving in
   List.iter
     (fun (r : Engine.reply) ->
       match r.Engine.result with
@@ -441,7 +441,7 @@ let test_queued_submit_vanished_endpoint () =
   in
   Serving.submit serving ~user:"bob" (Engine.Add [ (u2, p2) ]);
   ignore (Serving.migrate serving new_wf);
-  (match Serving.drain ~mode:`Sequential serving with
+  (match Serving.drain serving with
   | [ { Engine.result = Error _; _ } ] -> ()
   | [ { Engine.result = Ok (); _ } ] ->
       Alcotest.fail "submit naming a vanished purpose was accepted"
@@ -456,7 +456,7 @@ let test_accepted_pairs_drop_on_vanish () =
   in
   Serving.submit serving ~user:"alice" (Engine.Add [ (u1, p1) ]);
   Serving.submit serving ~user:"bob" (Engine.Add [ (u2, p2); (u2, p1) ]);
-  ignore (Serving.drain ~mode:`Sequential serving);
+  ignore (Serving.drain serving);
   let m = Serving.migrate serving new_wf in
   Alcotest.(check int) "one pair dropped (bob's p2)" 1
     m.Engine.m_dropped_pairs;
@@ -691,7 +691,7 @@ let journaled_run ?migrate dir seed =
   List.iter
     (fun (user, batch) -> Engine.submit engine ~user (Engine.Add batch))
     (one_round_script ~seed ~users:8 pairs);
-  ignore (Engine.drain ~mode:`Sequential engine);
+  ignore (Engine.drain engine);
   (match migrate with
   | Some step ->
       let mutant = normalize (Evolve.mutate step wf) in

@@ -286,7 +286,7 @@ let test_snapshot_replays_view_state () =
         ~user:(Printf.sprintf "user-%d" (n mod 2))
         (Engine.Add [ pair ]))
     pairs;
-  ignore (Engine.drain ~mode:`Sequential engine);
+  ignore (Engine.drain engine);
   Store.write_snapshot store engine;
   Store.close store;
   let live = session_state engine in

@@ -74,7 +74,7 @@ let run_refined ~dir ~shards ~seed ~mem_cap spec wf pairs =
   let serving = Serving.create ~algorithm ~seed ~shards wf in
   Serving.journal ~dir serving;
   let run =
-    Shard_bench.serve_traffic ~mode:`Sequential
+    Shard_bench.serve_traffic
       ?mem_cap_bytes:mem_cap ~session_bytes ~refine:true serving spec ~pairs
   in
   let states = Serving.session_states serving in
@@ -144,7 +144,7 @@ let engine_with_session ?(pairs_for = 6) seed =
     List.init pairs_for (fun i -> pairs.(i * 3 mod Array.length pairs))
   in
   Engine.submit engine ~user:"u" (Engine.Add chosen);
-  ignore (Engine.drain ~mode:`Sequential engine);
+  ignore (Engine.drain engine);
   (wf, engine)
 
 let session_cuts engine user =
@@ -171,7 +171,7 @@ let test_install_at_drain_boundary () =
        | Engine.Cut_refined { user; cuts } -> refined := (user, cuts) :: !refined
        | _ -> ()));
   (* An empty drain is still an install boundary. *)
-  ignore (Engine.drain ~mode:`Sequential engine);
+  ignore (Engine.drain engine);
   Alcotest.(check int) "installed at the boundary" 1
     (stats ()).Engine.rs_installed;
   Alcotest.(check bool) "reclaimed utility is positive" true
@@ -189,7 +189,7 @@ let test_forget_clears_staged () =
   let _, engine = engine_with_session 32 in
   ignore (Engine.refine_step engine);
   Engine.forget engine "u";
-  ignore (Engine.drain ~mode:`Sequential engine);
+  ignore (Engine.drain engine);
   let s = Option.get (Engine.refine_stats engine) in
   Alcotest.(check int) "nothing installed after forget" 0 s.Engine.rs_installed;
   Alcotest.(check bool) "no state resurrected" true
@@ -205,7 +205,7 @@ let test_migration_discards_staged () =
   let s = Option.get (Engine.refine_stats engine) in
   Alcotest.(check int) "staged work discarded by the epoch" 0 s.Engine.rs_staged;
   Alcotest.(check bool) "discard counted" true (s.Engine.rs_discarded > 0);
-  ignore (Engine.drain ~mode:`Sequential engine);
+  ignore (Engine.drain engine);
   Alcotest.(check int) "nothing installed cross-epoch" 0
     (Option.get (Engine.refine_stats engine)).Engine.rs_installed
 
@@ -219,7 +219,7 @@ let test_parked_user_refined_in_place () =
   Alcotest.(check bool) "session is parked" true
     (Engine.sessions engine = []);
   let before = session_cuts engine "u" in
-  ignore (Engine.drain ~mode:`Sequential engine);
+  ignore (Engine.drain engine);
   let s = Option.get (Engine.refine_stats engine) in
   Alcotest.(check int) "installed while parked" 1 s.Engine.rs_installed;
   Alcotest.(check bool) "still parked" true (Engine.sessions engine = []);

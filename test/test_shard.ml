@@ -1,17 +1,22 @@
 (* The sharded serving layer's correctness obligation: a shard group is
    observably identical to a single engine. Differential property suite
    (dataset presets + seeded random instances, shard counts {1,2,4,7},
-   parallel vs sequential group drains, routing stability) plus a
-   crash-recovery sweep — tear one shard's WAL tail at a random byte,
-   recover the group, and require the damaged shard to rebuild exactly
-   the state of its surviving record prefix while the other shards are
-   untouched and verify/compact leave the whole group strict-clean. *)
+   routing stability) plus a crash-recovery sweep — tear one shard's
+   WAL tail at a random byte, recover the group, and require the
+   damaged shard to rebuild exactly the state of its surviving record
+   prefix while the other shards are untouched and verify/compact leave
+   the whole group strict-clean. The one-shard shape has its own cases:
+   one shared base, no pinned domains, and both ledger layouts. *)
 
 open Cdw_core
 module Engine = Cdw_engine.Engine
 module Session = Cdw_engine.Session
 module Router = Cdw_shard.Router
+module Serving = Cdw_shard.Serving
 module Shard_group = Cdw_shard.Shard_group
+module Ledger = Cdw_shard.Ledger
+module Evolve = Cdw_workload.Evolve
+module Digraph = Cdw_graph.Digraph
 module Store = Cdw_store.Store
 module Record = Cdw_store.Record
 module Wal = Cdw_store.Wal
@@ -91,19 +96,19 @@ let run_single ~algorithm ~seed wf rounds =
     List.map
       (fun round ->
         List.iter (fun (user, rq) -> Engine.submit engine ~user rq) round;
-        List.map reply_key (Engine.drain ~mode:`Sequential engine))
+        List.map reply_key (Engine.drain engine))
       rounds
   in
   (replies, session_state (Engine.sessions engine))
 
-let run_sharded ?attach ~algorithm ~seed ~shards ~mode wf rounds =
+let run_sharded ?attach ~algorithm ~seed ~shards wf rounds =
   let group = Shard_group.create ~algorithm ~seed ~shards wf in
   (match attach with Some f -> f group | None -> ());
   let replies =
     List.map
       (fun round ->
         List.iter (fun (user, rq) -> Shard_group.submit group ~user rq) round;
-        List.map reply_key (Shard_group.drain ~mode group))
+        List.map reply_key (Shard_group.drain group))
       rounds
   in
   let state = session_state (Shard_group.sessions group) in
@@ -129,7 +134,7 @@ let differential_holds ~algorithm ~seed params =
   List.for_all
     (fun shards ->
       let _, replies, state =
-        run_sharded ~algorithm ~seed ~shards ~mode:(`Parallel 2) wf rounds
+        run_sharded ~algorithm ~seed ~shards wf rounds
       in
       (replies, state) = single)
     shard_counts
@@ -173,32 +178,6 @@ let test_differential_random () =
     (fun ~seed params ->
       differential_holds ~algorithm:Algorithms.Remove_first_edge ~seed params)
 
-(* `Parallel and `Sequential group drains are indistinguishable. *)
-let test_parallel_vs_sequential () =
-  Test_helpers.check_seeded
-    ~params:{ Gen_params.default with Gen_params.n_constraints = 0 }
-    ~seeds:[ 3; 5; 8 ]
-    "group drain mode determinism"
-    (fun ~seed params ->
-      let instance = Generator.generate ~seed params in
-      let wf = instance.Generator.workflow in
-      let pairs = connected_pairs wf in
-      pairs = [||]
-      ||
-      let rounds =
-        script ~seed ~users:9 ~rounds:2
-          ~n_vertices:(Workflow.n_vertices wf)
-          pairs
-      in
-      let run mode =
-        let _, replies, state =
-          run_sharded ~algorithm:Algorithms.Remove_first_edge ~seed ~shards:4
-            ~mode wf rounds
-        in
-        (replies, state)
-      in
-      run `Sequential = run (`Parallel 4))
-
 (* A user's shard is a pure function of (id, shard count): stable
    across drains, group instances and processes — and after a run,
    every session sits exactly on its routed shard. *)
@@ -216,7 +195,7 @@ let test_routing_stability () =
     (fun shards ->
       let group, _, _ =
         run_sharded ~algorithm:Algorithms.Remove_first_edge ~seed:29 ~shards
-          ~mode:`Sequential wf rounds
+          wf rounds
       in
       Array.iteri
         (fun i engine ->
@@ -240,7 +219,7 @@ let test_routing_stability () =
      collapse the group to one hot shard). *)
   let group, _, _ =
     run_sharded ~algorithm:Algorithms.Remove_first_edge ~seed:29 ~shards:4
-      ~mode:`Sequential wf rounds
+      wf rounds
   in
   let sizes =
     Array.map
@@ -304,7 +283,7 @@ let apply_records ~algorithm ~seed wf records =
       | Record.Resolve { user } -> Engine.submit engine ~user Engine.Resolve
       | Record.Session_open { user } -> ignore (Engine.session engine user)
       | Record.Session_close { user } -> Engine.forget engine user
-      | Record.Drain _ -> ignore (Engine.drain ~mode:`Sequential engine)
+      | Record.Drain _ -> ignore (Engine.drain engine)
       | Record.Cut_refined _ ->
           (* These hand-replay suites never enable refinement. *)
           Alcotest.fail "hand replay: unexpected Cut_refined record"
@@ -314,7 +293,7 @@ let apply_records ~algorithm ~seed wf records =
           | Error e -> Alcotest.fail e))
     records;
   if Engine.pending engine > 0 then
-    ignore (Engine.drain ~mode:`Sequential engine);
+    ignore (Engine.drain engine);
   engine
 
 (* The decodable entry prefix of a WAL, with byte offsets — replay
@@ -375,7 +354,7 @@ let crash_case ~seed params =
   List.iteri
     (fun i round ->
       List.iter (fun (user, rq) -> Shard_group.submit group ~user rq) round;
-      ignore (Shard_group.drain ~mode:`Sequential group);
+      ignore (Shard_group.drain group);
       (* Half the sweep snapshots mid-history, so recovery exercises
          the snapshot-plus-tail path too. *)
       if i = 0 && seed mod 2 = 0 then Shard_group.snapshot group)
@@ -497,7 +476,7 @@ let test_merged_metrics_and_prometheus () =
   in
   let group, _, _ =
     run_sharded ~algorithm:Algorithms.Remove_first_edge ~seed:31 ~shards:4
-      ~mode:`Sequential wf rounds
+      wf rounds
   in
   let module Metrics = Cdw_engine.Metrics in
   let merged = Shard_group.metrics group in
@@ -532,13 +511,131 @@ let test_merged_metrics_and_prometheus () =
         "every shard exposes its own engine.submitted series"
         [ "0"; "1"; "2"; "3" ] shard_labels
 
+(* ---------------------------------------------------------------- *)
+(* One base, and the one-shard shape                                  *)
+
+let dataset2 () =
+  (Generator.generate ~seed:29 Gen_params.dataset2_base).Generator.workflow
+
+(* The group freezes the workflow once and every shard engine holds
+   that base: the same frozen snapshot, and no second copy of the
+   metadata (the second base adds only its own view mask). *)
+let test_shards_share_one_base () =
+  let group = Shard_group.create ~shards:2 (dataset2 ()) in
+  let bases = Array.map Engine.base (Shard_group.engines group) in
+  let frozen b = Digraph.frozen_base (Workflow.graph b) in
+  Alcotest.(check bool) "one frozen snapshot" true
+    (match (frozen bases.(0), frozen bases.(1)) with
+    | Some f0, Some f1 -> f0 == f1
+    | _ -> false);
+  let words x = Obj.reachable_words (Obj.repr x) in
+  let one = words bases.(0) in
+  let extra = words (bases.(0), bases.(1)) - one in
+  Alcotest.(check bool)
+    (Printf.sprintf "second base adds %d words to %d" extra one)
+    true
+    (extra * 20 < one);
+  Shard_group.close group
+
+let one_shard_rounds () =
+  let wf = dataset2 () in
+  let n_vertices = Workflow.n_vertices wf in
+  (wf, script ~seed:29 ~users:8 ~rounds:2 ~n_vertices (connected_pairs wf))
+
+let serve_round serving round =
+  List.iter (fun (user, rq) -> Serving.submit serving ~user rq) round;
+  ignore (Serving.drain serving)
+
+(* One shard serves on the caller: a drain, a refine step and a live
+   migration spawn no pinned domain, so there is none to account. *)
+let test_one_shard_spawns_no_domain () =
+  let wf, rounds = one_shard_rounds () in
+  let serving =
+    Serving.create ~algorithm:Algorithms.Remove_last_edge ~seed:29 wf
+  in
+  Serving.set_refine serving true;
+  List.iter (serve_round serving) rounds;
+  ignore (Serving.refine_step ~max:4 serving);
+  let next = Evolve.mutate Evolve.default_step (Serving.base serving) in
+  ignore (Serving.migrate serving next);
+  Alcotest.(check int) "one shard" 1 (Serving.shards serving);
+  Alcotest.(check int) "no pinned domain accounted" 0
+    (List.length (Serving.domain_stats serving));
+  Serving.close serving
+
+(* A fresh journaled one-shard value uses the group layout. *)
+let test_one_shard_group_layout () =
+  with_root @@ fun root ->
+  let wf, rounds = one_shard_rounds () in
+  let serving =
+    Serving.create ~algorithm:Algorithms.Remove_first_edge ~seed:29 wf
+  in
+  Serving.journal ~fsync:Wal.Never ~dir:root serving;
+  List.iter (serve_round serving) rounds;
+  let served = Serving.session_states serving in
+  Serving.close serving;
+  Alcotest.(check bool) "group.json written" true
+    (Sys.file_exists (Shard_group.group_manifest_path root));
+  Alcotest.(check bool) "shard-0/ holds the store" true
+    (Sys.file_exists (Store.manifest_path (Shard_group.shard_dir root 0)));
+  match Serving.resume root with
+  | Error e -> Alcotest.failf "resume failed: %s" e
+  | Ok { Serving.serving; _ } ->
+      Alcotest.(check int) "resumes as one shard" 1 (Serving.shards serving);
+      Alcotest.(check bool) "resumed = served" true
+        (Serving.session_states serving = served);
+      Serving.close serving
+
+(* A root ledger one engine wrote ([Store.create_for], no group.json)
+   resumes as a one-shard group that keeps serving and journals into
+   the same root. *)
+let test_root_ledger_resumes_as_one_shard () =
+  with_root @@ fun root ->
+  let wf, rounds = one_shard_rounds () in
+  let engine =
+    Engine.create ~algorithm:Algorithms.Remove_first_edge ~seed:29 wf
+  in
+  let store = Store.create_for ~fsync:Wal.Never ~dir:root engine in
+  List.iter (fun (user, rq) -> Engine.submit engine ~user rq) (List.hd rounds);
+  ignore (Engine.drain engine);
+  Store.close store;
+  let served =
+    match Serving.resume root with
+    | Error e -> Alcotest.failf "resume of a root ledger failed: %s" e
+    | Ok { Serving.serving; damaged; _ } ->
+        Alcotest.(check int) "resumes as one shard" 1 (Serving.shards serving);
+        Alcotest.(check (list int)) "no damage" [] damaged;
+        List.iter (serve_round serving) (List.tl rounds);
+        let served = Serving.session_states serving in
+        Serving.close serving;
+        served
+  in
+  Alcotest.(check bool) "no group.json written" false
+    (Sys.file_exists (Shard_group.group_manifest_path root));
+  Alcotest.(check bool) "no shard-0/ written" false
+    (Sys.file_exists (Shard_group.shard_dir root 0));
+  (match Serving.resume root with
+  | Error e -> Alcotest.failf "second resume failed: %s" e
+  | Ok { Serving.serving; _ } ->
+      Alcotest.(check bool) "second resume = served state" true
+        (Serving.session_states serving = served);
+      Serving.close serving);
+  match Ledger.verify root with
+  | Error e -> Alcotest.failf "verify failed: %s" e
+  | Ok entries ->
+      Alcotest.(check int) "one root ledger" 1 (List.length entries);
+      Alcotest.(check bool) "strict-clean" true (Ledger.clean entries)
+
 let suite =
   [
     ("differential: dataset presets x {1,2,4,7} shards", `Slow, test_differential_datasets);
     ("differential: random instances (20 seeds)", `Slow, test_differential_random);
-    ("group drain: parallel = sequential", `Quick, test_parallel_vs_sequential);
     ("routing: stable and spread", `Quick, test_routing_stability);
     ("crash recovery: torn-shard sweep (50 seeds)", `Slow, test_crash_recovery_sweep);
     ("group manifest: errors are clean", `Quick, test_group_manifest_errors);
     ("observability: merged metrics + labelled exposition", `Quick, test_merged_metrics_and_prometheus);
+    ("one base: shard engines share the group's frozen base", `Quick, test_shards_share_one_base);
+    ("one shard: drain, refine and migrate spawn no domain", `Quick, test_one_shard_spawns_no_domain);
+    ("one shard: a journaled value writes group.json + shard-0/", `Quick, test_one_shard_group_layout);
+    ("one shard: a root ledger resumes and journals in place", `Quick, test_root_ledger_resumes_as_one_shard);
   ]

@@ -216,14 +216,14 @@ let drive engine pairs =
   Engine.submit engine ~user:"alice" (Engine.Add [ p.(0); p.(1) ]);
   Engine.submit engine ~user:"bob" (Engine.Add [ p.(2) ]);
   Engine.submit engine ~user:"carol" (Engine.Add [ p.(3) ]);
-  ignore (Engine.drain ~mode:`Sequential engine);
+  ignore (Engine.drain engine);
   Engine.submit engine ~user:"alice" (Engine.Withdraw [ p.(1) ]);
   Engine.submit engine ~user:"bob" (Engine.Add [ (9999, 0) ]);
   Engine.submit engine ~user:"bob" Engine.Resolve;
-  ignore (Engine.drain ~mode:`Sequential engine);
+  ignore (Engine.drain engine);
   Engine.forget engine "carol";
   Engine.submit engine ~user:"alice" (Engine.Add [ p.(4) ]);
-  ignore (Engine.drain ~mode:`Sequential engine)
+  ignore (Engine.drain engine)
 
 let journaled_workload ?fsync ?snapshot_every_bytes dir seed =
   let i = instance seed in
@@ -269,7 +269,7 @@ let apply_records wf records =
       | Record.Resolve { user } -> Engine.submit engine ~user Engine.Resolve
       | Record.Session_open { user } -> ignore (Engine.session engine user)
       | Record.Session_close { user } -> Engine.forget engine user
-      | Record.Drain _ -> ignore (Engine.drain ~mode:`Sequential engine)
+      | Record.Drain _ -> ignore (Engine.drain engine)
       | Record.Cut_refined _ ->
           (* These hand-replay suites never enable refinement. *)
           Alcotest.fail "hand replay: unexpected Cut_refined record"
@@ -278,7 +278,7 @@ let apply_records wf records =
           | Ok (ewf, _) -> ignore (Engine.migrate ~epoch engine ewf)
           | Error e -> Alcotest.fail e))
     records;
-  if Engine.pending engine > 0 then ignore (Engine.drain ~mode:`Sequential engine);
+  if Engine.pending engine > 0 then ignore (Engine.drain engine);
   engine
 
 (* The decodable record prefix of a (possibly damaged) WAL. *)
@@ -327,7 +327,7 @@ let check_prefix_consistent ~what dir =
                 (fun (user, _) -> Engine.submit engine ~user Engine.Resolve)
                 (Engine.sessions engine);
               if Engine.pending engine > 0 then
-                ignore (Engine.drain ~mode:`Sequential engine))
+                ignore (Engine.drain engine))
             [ reference; r.Store.engine ];
           List.iter2
             (fun (user, ref_session) (user', rec_session) ->
@@ -378,12 +378,12 @@ let test_snapshot_mid_stream () =
       let p = Array.of_list pairs in
       Engine.submit engine ~user:"alice" (Engine.Add [ p.(0); p.(1) ]);
       Engine.submit engine ~user:"bob" (Engine.Add [ p.(2) ]);
-      ignore (Engine.drain ~mode:`Sequential engine);
+      ignore (Engine.drain engine);
       Store.write_snapshot store engine;
       (* Events after the snapshot replay from the WAL tail. *)
       Engine.submit engine ~user:"alice" (Engine.Withdraw [ p.(0) ]);
       Engine.submit engine ~user:"carol" (Engine.Add [ p.(3) ]);
-      ignore (Engine.drain ~mode:`Sequential engine);
+      ignore (Engine.drain engine);
       Store.close store;
       match Store.recover dir with
       | Error e -> Alcotest.fail e
@@ -410,7 +410,7 @@ let test_snapshot_requires_drained () =
       (match Store.write_snapshot store engine with
       | exception Invalid_argument _ -> ()
       | () -> Alcotest.fail "snapshot accepted with requests pending");
-      ignore (Engine.drain ~mode:`Sequential engine);
+      ignore (Engine.drain engine);
       Store.write_snapshot store engine;
       Store.close store)
 
@@ -477,10 +477,10 @@ let test_concurrent_submit_drain () =
         Domain.cpu_relax ()
       done;
       for _ = 1 to 40 do
-        ignore (Engine.drain ~mode:`Sequential engine)
+        ignore (Engine.drain engine)
       done;
       List.iter Domain.join doms;
-      ignore (Engine.drain ~mode:`Sequential engine);
+      ignore (Engine.drain engine);
       Store.close store;
       Alcotest.(check bool) "auto-snapshot happened" true
         (Sys.file_exists (Store.snapshot_path dir));
@@ -611,7 +611,7 @@ let test_resume_after_torn_tail () =
           let p = Array.of_list pairs in
           ignore wf;
           Engine.submit r.Store.engine ~user:"dave" (Engine.Add [ p.(0) ]);
-          ignore (Engine.drain ~mode:`Sequential r.Store.engine);
+          ignore (Engine.drain r.Store.engine);
           Store.close store;
           let r2 = check_prefix_consistent ~what:"post-resume" dir in
           Alcotest.(check bool) "clean after resume" true

@@ -61,7 +61,7 @@ let run ?mem_cap ~shards ~algorithm ~seed spec wf pairs =
   let drain () =
     replies :=
       List.rev_append
-        (List.map reply_key (Serving.drain ~mode:`Sequential serving))
+        (List.map reply_key (Serving.drain serving))
         !replies
   in
   let window = 50.0 in
@@ -196,11 +196,11 @@ let test_restore_race () =
       rs
   in
   while Atomic.get running > 0 do
-    count (Engine.drain ~mode:(`Parallel 2) engine)
+    count (Engine.drain engine)
   done;
   List.iter Domain.join doms;
   let restore_failures = Domain.join restore_domain in
-  count (Engine.drain ~mode:(`Parallel 2) engine);
+  count (Engine.drain engine);
   Alcotest.(check int) "every submit answered"
     (submitters * per_domain_users * rounds)
     !replies;
@@ -216,7 +216,7 @@ let test_restore_race () =
         (Engine.Add [])
     done
   done;
-  count (Engine.drain ~mode:(`Parallel 2) engine);
+  count (Engine.drain engine);
   Alcotest.(check int) "epilogue replies are clean" 0 !errors;
   (match Engine.tier_stats engine with
   | None -> Alcotest.fail "tiering off?"
@@ -284,7 +284,7 @@ let test_snapshot_covers_parked () =
           ~user:(Printf.sprintf "u-%02d" u)
           (Engine.Add [ pairs.(u mod Array.length pairs) ])
       done;
-      ignore (Engine.drain ~mode:`Sequential engine);
+      ignore (Engine.drain engine);
       Engine.set_mem_cap ~session_bytes engine (Some (4 * session_bytes));
       (match Engine.tier_stats engine with
       | Some s ->
@@ -321,7 +321,7 @@ let test_forget_erases_parked () =
       ~user:(Printf.sprintf "u-%02d" u)
       (Engine.Add [ pairs.(u mod Array.length pairs) ])
   done;
-  ignore (Engine.drain ~mode:`Sequential engine);
+  ignore (Engine.drain engine);
   Engine.set_mem_cap ~session_bytes engine (Some (2 * session_bytes));
   (* u-00 is among the coldest, hence parked, not resident. *)
   Alcotest.(check bool) "u-00 is not resident" true
@@ -347,7 +347,7 @@ let test_uncap_rehydrates () =
       ~user:(Printf.sprintf "u-%02d" u)
       (Engine.Add [ pairs.(u mod Array.length pairs) ])
   done;
-  ignore (Engine.drain ~mode:`Sequential engine);
+  ignore (Engine.drain engine);
   let before = Engine.session_states engine in
   Engine.set_mem_cap ~session_bytes engine (Some (3 * session_bytes));
   Alcotest.(check int) "capped residency" 3

@@ -273,7 +273,7 @@ let test_stream_valid_through_engine () =
         match r.Engine.result with
         | Ok () -> ()
         | Error e -> Alcotest.failf "request for %s rejected: %s" r.Engine.user e)
-      (Engine.drain ~mode:`Sequential engine)
+      (Engine.drain engine)
   in
   let rec pump i =
     match Traffic.next gen with
