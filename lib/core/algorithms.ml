@@ -51,6 +51,7 @@ type outcome = {
   candidates : int;
   tier : string option;
   bound : float option;
+  budget_fallback : bool;
 }
 
 let utility_percent o =
@@ -94,6 +95,7 @@ let on_copy ?(utility = fun wf -> Utility.total wf) ?utility_before wf solve =
     candidates;
     tier = None;
     bound = None;
+    budget_fallback = false;
   }
 
 (* Paths of one constraint on the current live graph. The caps apply
@@ -186,20 +188,30 @@ let min_mc_impl (o : Options.t) wf cs =
   let deadline =
     if o.Options.deadline = infinity then None else Some o.Options.deadline
   in
-  on_copy ?utility_before:o.Options.utility_before wf (fun copy ->
-      let g = Workflow.graph copy in
-      let w =
-        Trace.span "solve.weights" (fun () -> Utility.cut_weights ?scheme copy)
-      in
-      let result =
-        Trace.span "solve.multicut" (fun () ->
-            Multicut.solve ~backend:o.Options.backend ?deadline g
-              ~weight:(fun e -> w.(Digraph.edge_id e))
-              ~pairs:(Constraint_set.pairs cs))
-      in
-      Trace.span "solve.enforce" (fun () ->
-          ignore (Valuation.remove_with_cascade copy result.Multicut.edges));
-      1)
+  let fell_back = ref false in
+  let outcome =
+    on_copy ?utility_before:o.Options.utility_before wf (fun copy ->
+        let g = Workflow.graph copy in
+        let w =
+          Trace.span "solve.weights" (fun () ->
+              Utility.cut_weights ?scheme copy)
+        in
+        let result =
+          Trace.span "solve.multicut" (fun () ->
+              Multicut.solve ~backend:o.Options.backend ?deadline g
+                ~weight:(fun e -> w.(Digraph.edge_id e))
+                ~pairs:(Constraint_set.pairs cs))
+        in
+        (* [Auto]'s exact ILP ran out of budget and greedy answered. *)
+        (fell_back :=
+           match o.Options.backend with
+           | Multicut.Auto _ -> not result.Multicut.exact
+           | Multicut.Ilp | Bnb | Greedy | Lp_rounding -> false);
+        Trace.span "solve.enforce" (fun () ->
+            ignore (Valuation.remove_with_cascade copy result.Multicut.edges));
+        1)
+  in
+  { outcome with budget_fallback = !fell_back }
 
 (* The oracle tier: exact ILP multicut (or its LP-rounding
    approximation) with lazily generated path constraints, budgeted per
@@ -251,7 +263,12 @@ let oracle_impl ~approx (o : Options.t) wf cs =
          answer from the heuristic ladder. A caller-deadline Timeout
          re-raises. *)
       let outcome = min_mc_impl o wf cs in
-      { outcome with tier = Some "fallback:remove-min-mc"; bound = None }
+      {
+        outcome with
+        tier = Some "fallback:remove-min-mc";
+        bound = None;
+        budget_fallback = true;
+      }
 
 (* All constraint paths that must be broken, over the initial graph. *)
 let all_constraint_paths ?max_paths ?deadline ?paths_for wf cs =

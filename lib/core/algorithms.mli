@@ -105,6 +105,12 @@ type outcome = {
       (** proven lower bound on the optimal cut weight obtained by the
           solver tier (tight for ["exact-ilp"]); [None] on fallback and
           for the other algorithms *)
+  budget_fallback : bool;
+      (** a budget ran out and a fallback answered: [tier] is
+          ["fallback:remove-min-mc"], or RemoveMinMC's [Auto] backend
+          fell back from the exact ILP to greedy. Such an answer depends
+          on the wall clock (the same inputs may solve exactly on a
+          rerun), so it must not stand in for another solve. *)
 }
 
 val utility_percent : outcome -> float

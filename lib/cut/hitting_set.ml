@@ -76,51 +76,70 @@ let presolve p =
         changed := true
       end
     done;
-    (* Row dominance: drop live supersets of other live sets. *)
+    (* Row dominance: drop live supersets of other live sets. The
+       element mask is fixed throughout this rule, so each live set's
+       cardinality is counted once per pass, and the cardinality test
+       (implied by the subset relation) runs before the subset scan. *)
+    let set_card =
+      Array.init m (fun i ->
+          if Bitset.mem set_mask i then
+            Bitset.masked_cardinal set_elems.(i) ~mask:elem_mask
+          else 0)
+    in
     for i = 0 to m - 1 do
-      if Bitset.mem set_mask i then
-        for j = 0 to m - 1 do
-          if
-            i <> j
-            && Bitset.mem set_mask i
-            && Bitset.mem set_mask j
-            && Bitset.masked_subset set_elems.(j) set_elems.(i) ~mask:elem_mask
-            && (Bitset.masked_cardinal set_elems.(j) ~mask:elem_mask
-                < Bitset.masked_cardinal set_elems.(i) ~mask:elem_mask
-               || j < i)
-          then begin
-            drop_set i;
-            changed := true
-          end
-        done
+      let ci = set_card.(i) in
+      let j = ref 0 in
+      while !j < m && Bitset.mem set_mask i do
+        let cj = set_card.(!j) in
+        if
+          !j <> i
+          && Bitset.mem set_mask !j
+          && (cj < ci || (cj = ci && !j < i))
+          && Bitset.masked_subset set_elems.(!j) set_elems.(i) ~mask:elem_mask
+        then begin
+          drop_set i;
+          changed := true
+        end;
+        incr j
+      done
     done;
     (* Column dominance: drop an element whose live membership is
-       covered by a cheaper-or-equal element's. *)
+       covered by a cheaper-or-equal element's. The set mask is fixed
+       throughout this rule; as above, cardinalities are counted once
+       and the weight/cardinality test runs before the subset scan. *)
+    let elem_card =
+      Array.init n (fun e ->
+          if Bitset.mem elem_mask e then
+            Bitset.masked_cardinal elem_sets.(e) ~mask:set_mask
+          else 0)
+    in
     for f = 0 to n - 1 do
       if Bitset.mem elem_mask f then begin
-        if Bitset.masked_cardinal elem_sets.(f) ~mask:set_mask = 0 then begin
+        let cf = elem_card.(f) in
+        if cf = 0 then begin
           drop_elem f;
           changed := true
         end
-        else
-          for e = 0 to n - 1 do
+        else begin
+          let wf = p.weights.(f) in
+          let e = ref 0 in
+          while !e < n && Bitset.mem elem_mask f do
+            let ce = elem_card.(!e) in
+            let we = p.weights.(!e) in
             if
-              e <> f
-              && Bitset.mem elem_mask e
-              && Bitset.mem elem_mask f
-              && Bitset.masked_subset elem_sets.(f) elem_sets.(e) ~mask:set_mask
+              !e <> f
+              && Bitset.mem elem_mask !e
+              && cf <= ce
+              && (we < wf || (we = wf && (cf < ce || !e < f)))
+              && Bitset.masked_subset elem_sets.(f) elem_sets.(!e)
+                   ~mask:set_mask
             then begin
-              let cf = Bitset.masked_cardinal elem_sets.(f) ~mask:set_mask in
-              let ce = Bitset.masked_cardinal elem_sets.(e) ~mask:set_mask in
-              if
-                p.weights.(e) < p.weights.(f)
-                || (p.weights.(e) = p.weights.(f) && (cf < ce || e < f))
-              then begin
-                drop_elem f;
-                changed := true
-              end
-            end
+              drop_elem f;
+              changed := true
+            end;
+            incr e
           done
+        end
       end
     done
   done;

@@ -18,27 +18,28 @@ let create ~index ~algorithm ~(options : Algorithms.Options.t) ~rng_seed id =
   let base = Shared_index.base index in
   let solver wf cs =
     Metrics.incr metrics ("solve." ^ Algorithms.to_string algorithm);
-    (* Solves from the pristine base (the common case: every first add
-       and every full re-solve) reuse the index's memoized base
-       utility instead of re-sweeping the workflow. *)
-    let options =
-      if wf == base && options.Algorithms.Options.utility = None then
-        {
-          options with
-          Algorithms.Options.utility_before =
-            Some (Shared_index.base_utility index);
-        }
-      else options
-    in
-    Metrics.time metrics "solve" (fun () ->
-        Trace.span "solve"
-          ~args:
-            [
-              ("algorithm", Algorithms.to_string algorithm);
-              ("user", id);
-              ("constraints", string_of_int (List.length cs));
-            ]
-          (fun () -> Algorithms.solve ~options algorithm wf cs))
+    Shared_index.memoized index ~base ~algorithm wf cs (fun () ->
+        (* Solves from the pristine base (the common case: every first
+           add and every full re-solve) reuse the index's memoized base
+           utility instead of re-sweeping the workflow. *)
+        let options =
+          if wf == base && options.Algorithms.Options.utility = None then
+            {
+              options with
+              Algorithms.Options.utility_before =
+                Some (Shared_index.base_utility index);
+            }
+          else options
+        in
+        Metrics.time metrics "solve" (fun () ->
+            Trace.span "solve"
+              ~args:
+                [
+                  ("algorithm", Algorithms.to_string algorithm);
+                  ("user", id);
+                  ("constraints", string_of_int (List.length cs));
+                ]
+              (fun () -> Algorithms.solve ~options algorithm wf cs)))
   in
   let oracle =
     {

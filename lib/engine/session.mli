@@ -9,8 +9,16 @@
       snapshot (O(1) instead of BFS),
     - the solving algorithm pulls constraint paths from the shared
       per-(user, purpose) cache,
-    - every solve is counted and timed in the engine's {!Metrics.t}
-      ([solve.<algorithm>] counters, [solve] latency key).
+    - every solve first asks the index's per-epoch solve memo
+      ({!Shared_index.memoized}): a session whose (cuts, ordered
+      constraint list) input another session already solved takes that
+      outcome, sharing its workflow, instead of running the solver,
+    - every solve is counted in the engine's {!Metrics.t}
+      ([solve.<algorithm>] counts every solve a session asks for, memo
+      hits included; [solve.memo.hit]/[solve.memo.miss] count memo
+      lookups) and real solver runs alone are timed under the [solve]
+      latency key. The session's {!stats} [solver_runs] likewise counts
+      asks, memo hits included.
 
     Randomized solves draw from a per-session generator seeded
     deterministically from the engine seed and the session id, so batch

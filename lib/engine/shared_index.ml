@@ -1,3 +1,5 @@
+module Algorithms = Cdw_core.Algorithms
+module Constraint_set = Cdw_core.Constraint_set
 module Digraph = Cdw_graph.Digraph
 module Evolution = Cdw_core.Evolution
 module Paths = Cdw_graph.Paths
@@ -10,6 +12,26 @@ type path_entry =
   | Cached of int list list  (* edge ids, in base DFS order *)
   | Overflow  (* more than [max_paths] paths: never cache, enumerate *)
 
+(* A solve's full input within one epoch: the algorithm, the input
+   workflow as its cut ids relative to the base (packed, see
+   [cuts_key]), and the constraint pairs in the order the solver
+   receives them. Order is part of the key because solvers iterate
+   constraints in list order: [p; q] and [q; p] can cut differently. *)
+type memo_key = {
+  algorithm : Algorithms.name;
+  cuts : string;
+  pairs : Constraint_set.t;
+}
+
+(* The default hash stops after ten values, which would chain every
+   list sharing a short prefix into one bucket. *)
+module Memo = Hashtbl.Make (struct
+  type t = memo_key
+
+  let equal = ( = )
+  let hash = Hashtbl.hash_param 64 128
+end)
+
 (* The epoch-dependent slice of the index: everything derived from one
    frozen base. Installing a new epoch swaps the whole record at once,
    so a reader holding a [derived] value sees one consistent epoch. *)
@@ -19,6 +41,8 @@ type derived = {
   snapshot : Reach.Snapshot.t;
   mutable base_utility : float option;  (* lazy; guarded by [lock] *)
   paths : (int * int, path_entry) Hashtbl.t;
+  mutable memo : Algorithms.outcome Memo.t option;
+      (* allocated on first insert; guarded by [lock] *)
 }
 
 type t = {
@@ -47,6 +71,7 @@ let derive wf =
         (fun () -> Reach.Snapshot.create g);
     base_utility = None;
     paths = Hashtbl.create 256;
+    memo = None;
   }
 
 let create ?(max_cached_pairs = 4096) ?(max_paths = 200_000) ?metrics wf =
@@ -155,3 +180,81 @@ let live_paths t wf ~source ~target =
         ids
 
 let path_provider t = fun wf ~source ~target -> live_paths t wf ~source ~target
+
+(* Memoized solves per epoch. Fixed, like the path cache's bound: once
+   full the memo stops inserting and later inputs simply solve. *)
+let memo_capacity = 4096
+
+(* The workflow's cut ids relative to the base ("" when [wf == base]),
+   packed as the LEB128 varints of the gaps between ascending ids: a
+   memoized key outlives the solve, and on a dense base an int list
+   of the cuts would be most of an entry's size. [None] if the
+   workflow restored an edge the base had removed, which cut ids
+   cannot name. *)
+let cuts_key base wf =
+  if wf == base then Some ""
+  else
+    let gb = Workflow.graph base and g = Workflow.graph wf in
+    let buf = Buffer.create 16 in
+    let rec varint x =
+      if x < 0x80 then Buffer.add_char buf (Char.chr x)
+      else begin
+        Buffer.add_char buf (Char.chr (0x80 lor (x land 0x7f)));
+        varint (x lsr 7)
+      end
+    in
+    let rec scan id prev =
+      if id >= Digraph.n_edges_total g then Some (Buffer.contents buf)
+      else
+        let removed_in_base = Digraph.edge_removed gb (Digraph.edge gb id) in
+        let removed = Digraph.edge_removed g (Digraph.edge g id) in
+        if removed_in_base && not removed then None
+        else if removed && not removed_in_base then begin
+          varint (id - prev);
+          scan (id + 1) id
+        end
+        else scan (id + 1) prev
+    in
+    scan 0 (-1)
+
+(* Look up, compute outside the lock, insert — the [base_entry]
+   protocol: two domains racing on one cold key both solve, and the
+   first insert wins; both results are identical, so the race costs
+   work, never answers. The derived record is captured once, so a
+   solve is memoized against the epoch it ran in, and a session still
+   holding an older base bypasses the memo. *)
+let memoized t ~base ~algorithm wf cs solve =
+  let d = t.d in
+  let key =
+    if algorithm = Algorithms.Remove_random_edge || d.base != base then None
+    else
+      Option.map
+        (fun cuts -> { algorithm; cuts; pairs = cs })
+        (cuts_key base wf)
+  in
+  match key with
+  | None -> solve ()
+  | Some key -> (
+      match
+        with_lock t (fun () ->
+            Option.bind d.memo (fun m -> Memo.find_opt m key))
+      with
+      | Some outcome ->
+          Metrics.incr t.metrics "solve.memo.hit";
+          outcome
+      | None ->
+          Metrics.incr t.metrics "solve.memo.miss";
+          let outcome = solve () in
+          if not outcome.Algorithms.budget_fallback then
+            with_lock t (fun () ->
+                let m =
+                  match d.memo with
+                  | Some m -> m
+                  | None ->
+                      let m = Memo.create 256 in
+                      d.memo <- Some m;
+                      m
+                in
+                if Memo.length m < memo_capacity && not (Memo.mem m key) then
+                  Memo.add m key outcome);
+          outcome)

@@ -10,7 +10,10 @@
     - an all-pairs reachability snapshot ({!Cdw_graph.Reach.Snapshot}) —
       O(1) [connected] queries,
     - a memoized per-(user, purpose) path cache with a bounded number of
-      cached pairs and a per-pair enumeration cap.
+      cached pairs and a per-pair enumeration cap,
+    - a per-epoch solve memo ({!memoized}): users hold few distinct
+      preference types, so each distinct solve input is solved once
+      and its outcome shared by every session that asks again.
 
     The base is *frozen* ({!Cdw_core.Workflow.freeze}): its graph is an
     immutable CSR snapshot, and sessions work on copy-free *views* of it
@@ -57,12 +60,12 @@ val chain : t -> (int * Cdw_core.Evolution.t) list
 
 val install : ?epoch:int -> t -> Cdw_core.Workflow.t -> Cdw_core.Evolution.t
 (** Swap in a new base: freeze the workflow as epoch [epoch] (default:
-    current epoch + 1), recompute topo order, reachability snapshot and
-    an empty path cache, and return the name-space structural diff
-    against the previous base. Must only be called at a drain boundary
-    with no solver running — the engine's migrate owns that argument;
-    sessions created before the install keep referencing the old base
-    and must be migrated by the caller. *)
+    current epoch + 1), recompute topo order and reachability snapshot,
+    start an empty path cache and solve memo, and return the name-space
+    structural diff against the previous base. Must only be called at a
+    drain boundary with no solver running — the engine's migrate owns
+    that argument; sessions created before the install keep referencing
+    the old base and must be migrated by the caller. *)
 
 val metrics : t -> Metrics.t
 
@@ -91,3 +94,38 @@ val base_utility : t -> float
 (** [Cdw_core.Utility.total] of the base, computed once and memoized —
     the before-solve utility of every solve that starts from the
     pristine base. *)
+
+val memoized :
+  t ->
+  base:Cdw_core.Workflow.t ->
+  algorithm:Cdw_core.Algorithms.name ->
+  Cdw_core.Workflow.t ->
+  Cdw_core.Constraint_set.t ->
+  (unit -> Cdw_core.Algorithms.outcome) ->
+  Cdw_core.Algorithms.outcome
+(** [memoized t ~base ~algorithm wf cs solve]: the outcome of solving
+    [cs] on [wf] — [solve ()] the first time an input is seen in this
+    epoch, the memoized outcome after that. [base] is the base the
+    caller's sessions were created on; [solve] must run [algorithm]
+    under the index-wide options template, so that the outcome is a
+    function of the key alone.
+
+    The key is the algorithm, [wf]'s cut ids relative to the base
+    ([[]] when [wf == base]) and [cs] in its given order: solvers
+    iterate constraints in list order, so [[p; q]] and [[q; p]] are
+    separate entries. A hit returns the very outcome of the first
+    solve, whose workflow is then shared by every session holding it;
+    this is sound because solvers only ever work on a copy of their
+    input, so a served workflow is never mutated.
+
+    Never memoized, always solved: [Remove_random_edge] (it draws from
+    the session generator, whose state must keep advancing), an
+    outcome with [budget_fallback] set (it depends on the wall clock),
+    a [base] that is no longer the current epoch's, and a [wf] that
+    restored an edge the base had removed. The memo lives in the
+    epoch's derived state, so {!install} drops it; it is allocated on
+    first insert and stops inserting at a fixed capacity of 4096
+    entries. Lookup and insert take the index lock, the solve runs
+    outside it: racing domains may both solve one cold key, with
+    identical results. Counts [solve.memo.hit]/[solve.memo.miss]
+    (bypasses count neither). *)

@@ -24,10 +24,26 @@ let pivot t ~row ~col =
   let r = t.rows.(row) in
   let p = r.(col) in
   for j = 0 to t.total do r.(j) <- r.(j) /. p done;
+  (* Covering tableaux are sparse: eliminate only over the pivot row's
+     non-zero columns. At a zero column [x -. f *. 0.] is [x] (up to the
+     sign of a zero, which no comparison sees), so skipping it leaves
+     every value — and so the pivot sequence — unchanged. *)
+  let nz = Array.make (t.total + 1) 0 in
+  let n_nz = ref 0 in
+  for j = 0 to t.total do
+    if r.(j) <> 0.0 then begin
+      nz.(!n_nz) <- j;
+      incr n_nz
+    end
+  done;
+  let n_nz = !n_nz in
   let eliminate target =
     let f = target.(col) in
     if Float.abs f > eps then
-      for j = 0 to t.total do target.(j) <- target.(j) -. (f *. r.(j)) done
+      for k = 0 to n_nz - 1 do
+        let j = nz.(k) in
+        target.(j) <- target.(j) -. (f *. r.(j))
+      done
   in
   Array.iteri (fun i row_i -> if i <> row then eliminate row_i) t.rows;
   eliminate t.obj;

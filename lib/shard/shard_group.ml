@@ -746,16 +746,33 @@ let metrics_json t =
               ] );
         ]
   in
+  let merged = metrics t in
+  (* Solve memo traffic, summed over the shards' per-epoch memos. *)
+  let memo_json =
+    let hits = Metrics.counter merged "solve.memo.hit" in
+    let misses = Metrics.counter merged "solve.memo.miss" in
+    let n v = Json.Number (float_of_int v) in
+    Json.Object
+      [
+        ("hits", n hits);
+        ("misses", n misses);
+        ( "hit_frac",
+          Json.Number
+            (if hits + misses = 0 then 0.0
+             else float_of_int hits /. float_of_int (hits + misses)) );
+      ]
+  in
   let extra =
     [
       ("sessions", sessions_json);
+      ("solve_memo", memo_json);
       ("shards", Json.Number (float_of_int t.shards));
       ( "domains",
         Json.Array (List.map Domain_acct.stats_json (domain_stats t)) );
     ]
     @ tier_json @ refine_json
   in
-  match Metrics.to_json (metrics t) with
+  match Metrics.to_json merged with
   | Json.Object fields -> Json.Object (fields @ extra)
   | other -> other
 

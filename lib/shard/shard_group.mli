@@ -236,7 +236,10 @@ val metrics_json : t -> Cdw_util.Json.t
 (** {!Cdw_engine.Metrics.to_json} of the merged registry, extended
     with a ["sessions"] object (session count plus the pool-wide sums
     of the per-session {!Cdw_core.Incremental.stats}: solver runs, free
-    hits, full resolves), the ["shards"] count, the ["domains"] array
+    hits, full resolves), a ["solve_memo"] object (the shards' summed
+    [solve.memo.hit]/[solve.memo.miss] counters as [hits]/[misses],
+    and [hit_frac] = hits / (hits + misses), 0 before any lookup), the
+    ["shards"] count, the ["domains"] array
     ({!domain_stats}), and, when on, ["tier"] ({!tier_stats}) and
     ["refine"] ({!refine_stats}; [refinements] = installed)
     objects. *)

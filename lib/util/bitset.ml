@@ -38,8 +38,10 @@ let equal a b = a.cap = b.cap && a.words = b.words
 let check_same_cap a b =
   if a.cap <> b.cap then invalid_arg "Bitset: capacity mismatch"
 
+(* Kernighan's loop: [w land (w - 1)] clears the lowest set bit, so
+   this iterates once per set bit rather than once per bit position. *)
 let rec popcount_word w acc =
-  if w = 0 then acc else popcount_word (w lsr 1) (acc + (w land 1))
+  if w = 0 then acc else popcount_word (w land (w - 1)) (acc + 1)
 
 let masked_subset a b ~mask =
   check_same_cap a b;

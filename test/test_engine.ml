@@ -384,6 +384,176 @@ let test_merge_preserves_error_counters () =
   Alcotest.(check bool) "error counters in json" true
     (contains json "drain.user.error")
 
+(* ---------------------------------------------------------------- *)
+(* Solve memo                                                         *)
+
+let drain_ok engine =
+  List.iter
+    (fun (r : Engine.reply) -> ok_or_fail r.Engine.result)
+    (Engine.drain engine)
+
+let solve_runs engine =
+  match Metrics.summary (Engine.metrics engine) "solve" with
+  | Some s -> s.Cdw_util.Stats.n
+  | None -> 0
+
+let memo_counter engine which =
+  Metrics.counter (Engine.metrics engine) ("solve.memo." ^ which)
+
+(* The session's cuts, solved directly: an [Incremental] session on a
+   private copy of the base, no engine, no memo. *)
+let direct_cuts ~algorithm base batches =
+  let inc =
+    Incremental.create
+      ~algorithm:(fun wf cs -> Algorithms.solve algorithm wf cs)
+      base
+  in
+  List.iter (fun batch -> ok_or_fail (Incremental.add inc batch)) batches;
+  ( Incremental.delta_removed_ids inc,
+    (Incremental.stats inc).Incremental.solver_runs )
+
+(* Two preference types, 12 users each, two rounds of adds: the solver
+   runs once per distinct (cuts, pairs) input — the reference session's
+   solver runs per type — and every user lands on the cuts of a direct
+   solve. *)
+let test_memo_one_solve_per_type () =
+  let i = instance ~n_vertices:40 23 in
+  let wf = i.Generator.workflow in
+  let pairs = connected_pairs wf 6 in
+  let nth k = List.nth pairs k in
+  let types =
+    [
+      ([ nth 0; nth 1 ], [ nth 4 ]);
+      ([ nth 2; nth 3 ], [ nth 5 ]);
+    ]
+  in
+  let algorithm = Algorithms.Remove_min_mc in
+  let engine = Engine.create ~algorithm wf in
+  let users =
+    List.init 24 (fun u ->
+        (Printf.sprintf "user-%02d" u, List.nth types (u mod 2)))
+  in
+  List.iter
+    (fun (user, (first, _)) -> Engine.submit engine ~user (Engine.Add first))
+    users;
+  drain_ok engine;
+  List.iter
+    (fun (user, (_, second)) -> Engine.submit engine ~user (Engine.Add second))
+    users;
+  drain_ok engine;
+  let base = Engine.base engine in
+  let references =
+    List.map
+      (fun (first, second) -> direct_cuts ~algorithm base [ first; second ])
+      types
+  in
+  let distinct =
+    List.fold_left (fun acc (_, runs) -> acc + runs) 0 references
+  in
+  let asked =
+    List.fold_left
+      (fun acc (_, s) -> acc + (Session.stats s).Incremental.solver_runs)
+      0 (Engine.sessions engine)
+  in
+  Alcotest.(check int) "one solver run per distinct input" distinct
+    (solve_runs engine);
+  Alcotest.(check int) "every first ask misses" distinct
+    (memo_counter engine "miss");
+  Alcotest.(check int) "every other ask hits" (asked - distinct)
+    (memo_counter engine "hit");
+  List.iter
+    (fun (user, ty) ->
+      let cuts, _ = List.assoc ty (List.combine types references) in
+      Alcotest.(check (list int)) (user ^ ": cuts of a direct solve") cuts
+        (Session.cut_ids (Engine.session engine user)))
+    users
+
+(* The key keeps list order: solvers iterate constraints in order, so
+   [p; q] and [q; p] are two entries, each solved once. *)
+let test_memo_key_keeps_order () =
+  let i = instance 29 in
+  let index = Shared_index.create i.Generator.workflow in
+  let base = Shared_index.base index in
+  let p, q =
+    match connected_pairs base 2 with
+    | [ p; q ] -> (p, q)
+    | _ -> Alcotest.fail "instance has fewer than two connected pairs"
+  in
+  let algorithm = Algorithms.Remove_first_edge in
+  let runs = ref 0 in
+  let solve pairs =
+    let cs = Constraint_set.make_exn base pairs in
+    Shared_index.memoized index ~base ~algorithm base cs (fun () ->
+        incr runs;
+        Algorithms.solve algorithm base cs)
+  in
+  let pq = solve [ p; q ] in
+  let qp = solve [ q; p ] in
+  Alcotest.(check int) "both orders solved" 2 !runs;
+  Alcotest.(check bool) "separate outcomes" true (pq != qp);
+  Alcotest.(check bool) "[p; q] again is the memoized outcome" true
+    (solve [ p; q ] == pq);
+  Alcotest.(check bool) "[q; p] again is the memoized outcome" true
+    (solve [ q; p ] == qp);
+  Alcotest.(check int) "no further solves" 2 !runs
+
+(* The randomized solver draws from the session generator: it must
+   never be memoized, and stays a function of the engine seed. *)
+let test_memo_skips_random () =
+  let i = instance ~n_vertices:40 31 in
+  let wf = i.Generator.workflow in
+  let pairs = connected_pairs wf 3 in
+  let algorithm = Algorithms.Remove_random_edge in
+  let run () =
+    let engine = Engine.create ~algorithm ~seed:41 wf in
+    for u = 0 to 9 do
+      Engine.submit engine ~user:(Printf.sprintf "user-%d" u) (Engine.Add pairs)
+    done;
+    drain_ok engine;
+    engine
+  in
+  let a = run () and b = run () in
+  Alcotest.(check int) "no memo hits" 0 (memo_counter a "hit");
+  Alcotest.(check int) "no memo lookups" 0 (memo_counter a "miss");
+  Alcotest.(check int) "one solver run per user" 10 (solve_runs a);
+  let cs = Constraint_set.make_exn wf (List.sort_uniq compare pairs) in
+  List.iter
+    (fun (user, s) ->
+      let rng = Splitmix.create (Engine.session_seed a user) in
+      let options =
+        { Algorithms.Options.default with Algorithms.Options.rng = Some rng }
+      in
+      let direct = Algorithms.solve ~options algorithm wf cs in
+      Alcotest.(check (list int)) (user ^ ": seeded direct solve")
+        (live_ids direct.Algorithms.workflow) (live_ids (Session.workflow s));
+      Alcotest.(check int64) (user ^ ": generator advanced as a direct solve's")
+        (Splitmix.state rng) (Session.rng_state s);
+      Alcotest.(check (list int)) (user ^ ": same cuts on a rerun")
+        (Session.cut_ids s) (Session.cut_ids (Engine.session b user)))
+    (Engine.sessions a)
+
+(* Two users share one memoized outcome; one withdrawing a constraint
+   re-solves that user alone and leaves the other's cuts untouched. *)
+let test_memo_withdraw_isolated () =
+  let i = instance ~n_vertices:40 37 in
+  let wf = i.Generator.workflow in
+  let pairs = connected_pairs wf 3 in
+  let engine = Engine.create ~algorithm:Algorithms.Remove_min_mc wf in
+  Engine.submit engine ~user:"a" (Engine.Add pairs);
+  Engine.submit engine ~user:"b" (Engine.Add pairs);
+  drain_ok engine;
+  let a = Engine.session engine "a" and b = Engine.session engine "b" in
+  Alcotest.(check bool) "the outcome's workflow is shared" true
+    (Session.workflow a == Session.workflow b);
+  let b_cuts = Session.cut_ids b and b_live = live_ids (Session.workflow b) in
+  Engine.submit engine ~user:"a" (Engine.Withdraw [ List.hd pairs ]);
+  drain_ok engine;
+  Alcotest.(check bool) "a moved off the shared outcome" true
+    (Session.workflow a != Session.workflow b);
+  Alcotest.(check (list int)) "b's cuts unchanged" b_cuts (Session.cut_ids b);
+  Alcotest.(check (list int)) "b's workflow unchanged" b_live
+    (live_ids (Session.workflow b))
+
 let suite =
   [
     test_snapshot_matches_bfs;
@@ -399,4 +569,8 @@ let suite =
     ( "metrics merge preserves .error counters",
       `Quick,
       test_merge_preserves_error_counters );
+    ("solve memo: one solver run per preference type", `Quick, test_memo_one_solve_per_type);
+    ("solve memo: [p; q] and [q; p] are separate entries", `Quick, test_memo_key_keeps_order);
+    ("solve memo: remove-random-edge bypasses it", `Quick, test_memo_skips_random);
+    ("solve memo: a withdrawal leaves sharers untouched", `Quick, test_memo_withdraw_isolated);
   ]

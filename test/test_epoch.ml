@@ -18,6 +18,7 @@ module Metrics = Cdw_engine.Metrics
 module Prom = Cdw_obs.Prom
 module Reach = Cdw_graph.Reach
 module Server = Cdw_net.Server
+module Session = Cdw_engine.Session
 module Serving = Cdw_shard.Serving
 module Splitmix = Cdw_util.Splitmix
 module Store = Cdw_store.Store
@@ -643,6 +644,69 @@ let test_migration_telemetry () =
       | None -> Alcotest.fail "exposition has no cdw_epoch sample"));
   Serving.close serving
 
+(* The solve memo belongs to one epoch: after a migration every user
+   holds the cuts of a direct solve on the new base, and the new epoch
+   runs the solver once per distinct constraint list. *)
+let test_memo_across_migration () =
+  let seed = 1600 in
+  let params =
+    { Gen_params.default with Gen_params.n_vertices = 40; n_constraints = 0 }
+  in
+  let wf = (Generator.generate ~seed params).Generator.workflow in
+  let pairs = connected_pairs wf in
+  Alcotest.(check bool) "instance has four connected pairs" true
+    (Array.length pairs >= 4);
+  let types = [| [ pairs.(0); pairs.(1) ]; [ pairs.(2); pairs.(3) ] |] in
+  let algorithm = Algorithms.Remove_min_mc in
+  let engine = Engine.create ~algorithm ~seed wf in
+  for u = 0 to 15 do
+    Engine.submit engine ~user:(user_name u) (Engine.Add types.(u mod 2))
+  done;
+  ignore (Engine.drain engine);
+  let solves () =
+    match Metrics.summary (Engine.metrics engine) "solve" with
+    | Some s -> s.Cdw_util.Stats.n
+    | None -> 0
+  in
+  let before = solves () in
+  let mutant = normalize (Evolve.mutate (evolve_step seed) wf) in
+  let m = Engine.migrate ~force_all:true engine mutant in
+  Alcotest.(check int) "every user re-solved" 16 m.Engine.m_recomputed;
+  let new_base = Engine.base engine in
+  let direct batch =
+    let inc =
+      Incremental.create
+        ~algorithm:(fun wf cs -> Algorithms.solve algorithm wf cs)
+        new_base
+    in
+    (match Incremental.add inc batch with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail e);
+    inc
+  in
+  let lists =
+    List.sort_uniq compare
+      (List.map
+         (fun (_, s) -> Constraint_set.pairs (Session.constraints s))
+         (Engine.sessions engine))
+  in
+  let distinct =
+    List.fold_left
+      (fun acc l ->
+        acc + (Incremental.stats (direct l)).Incremental.solver_runs)
+      0 lists
+  in
+  Alcotest.(check int) "one solve per distinct list in the new epoch"
+    distinct (solves () - before);
+  List.iter
+    (fun (user, s) ->
+      Alcotest.(check (list int))
+        (user ^ ": cuts of a direct solve on the new base")
+        (Incremental.delta_removed_ids
+           (direct (Constraint_set.pairs (Session.constraints s))))
+        (Session.cut_ids s))
+    (Engine.sessions engine)
+
 (* ---------------------------------------------------------------- *)
 (* Snapshot formats: 3.0 round-trip, 1.x/2.0 compatibility           *)
 
@@ -820,6 +884,7 @@ let suite =
     ("evolve: spec parsing", `Quick, test_evolve_spec_parsing);
     ("evolve: mutations stay installable (5 seeds)", `Quick, test_evolve_mutation_wellformed);
     ("telemetry: counters, gauge, exposition lint", `Quick, test_migration_telemetry);
+    ("solve memo: migrated users get the new-base answer", `Quick, test_memo_across_migration);
     ("snapshot: 3.0 epoch round-trip", `Quick, test_snapshot_v3_roundtrip);
     ("snapshot: 2.0 recovers as epoch 0", `Quick, test_snapshot_v2_compat);
     ("snapshot: 1.x recovers as epoch 0", `Quick, test_snapshot_v1_compat);

@@ -118,6 +118,51 @@ let prop_solvers_agree =
       && Float.abs (Hs.cost p ilp -. Hs.cost p bnb) < 1e-6
       && Hs.cost p ilp <= Hs.cost p greedy +. 1e-6)
 
+(* Problems for the presolve differential: from a handful of elements up
+   to more than two bitset words (63 bits each) of elements or sets,
+   with weights drawn from {1, 2} (heavy ties), from a continuum, or all
+   equal, and sets that often extend an earlier set (row dominance) or
+   copy another set's elements (column dominance). *)
+let presolve_problem seed =
+  let module Sm = Cdw_util.Splitmix in
+  let rng = Sm.create seed in
+  let size () =
+    if Sm.int rng 3 = 0 then 64 + Sm.int rng 80 else 1 + Sm.int rng 12
+  in
+  let n = size () in
+  let m = size () in
+  let weights =
+    match Sm.int rng 3 with
+    | 0 -> Array.init n (fun _ -> float_of_int (1 + Sm.int rng 2))
+    | 1 -> Array.init n (fun _ -> Sm.float rng 10.0)
+    | _ -> Array.make n 1.0
+  in
+  let random_set () =
+    let k = 1 + Sm.int rng (min n 6) in
+    Array.init k (fun _ -> Sm.int rng n)
+  in
+  let sets = Array.make m [||] in
+  for i = 0 to m - 1 do
+    sets.(i) <-
+      (if i > 0 && Sm.int rng 3 = 0 then
+         Array.append sets.(Sm.int rng i) (random_set ())
+       else random_set ())
+  done;
+  let sets =
+    Array.map
+      (fun s -> Array.of_list (List.sort_uniq compare (Array.to_list s)))
+      sets
+  in
+  problem ~weights ~sets
+
+let prop_presolve_matches_reference =
+  Test_helpers.qcheck ~count:600
+    "presolve = reference presolve (same reduced problem, kept, forced)"
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let p = presolve_problem seed in
+      Hs.presolve p = Presolve_reference.presolve p)
+
 let suite =
   [
     Alcotest.test_case "single set: cheapest element" `Quick test_single_set;
@@ -135,4 +180,5 @@ let suite =
     Alcotest.test_case "presolve: column dominance" `Quick
       test_presolve_column_dominance;
     prop_presolve_preserves_optimum;
+    prop_presolve_matches_reference;
   ]
