@@ -30,7 +30,7 @@ dune exec test/main.exe -- test 'graph/frozen-view' > /dev/null
 # recording sustained rps, p999, and the eviction/hydration counters
 # (sessions_resident_peak, resident_bytes_peak included). --evolve
 # appends the epoch-migration row: one mid-life base mutation at 100k
-# sessions, affected-only migration vs re-solving every session.
+# sessions, its migrate_ms and the number of sessions re-solved.
 # --oracle appends the utility-retained table: RemoveMinMC vs the exact
 # ILP on the paper datasets 1a/1b/1c/2/3, with the reclaimable gap.
 # Direct binary (dune build above already produced it): running under

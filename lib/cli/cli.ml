@@ -1026,10 +1026,9 @@ let serve_cmd =
                       | Ok m ->
                           Printf.printf
                             "cdw serve: installed epoch %d from %s (%d \
-                             recomputed, %d remapped, %d pair(s) dropped)\n%!"
+                             recomputed, %d pair(s) dropped)\n%!"
                             m.Cdw_engine.Engine.m_epoch path
                             m.Cdw_engine.Engine.m_recomputed
-                            m.Cdw_engine.Engine.m_remapped
                             m.Cdw_engine.Engine.m_dropped_pairs
                       | Error msg ->
                           Printf.eprintf "cdw serve: reload %s rejected: %s\n%!"

@@ -3,7 +3,6 @@ module Paths = Cdw_graph.Paths
 module Reach = Cdw_graph.Reach
 module Mincut = Cdw_flow.Mincut
 module Multicut = Cdw_cut.Multicut
-module Ilp_multicut = Cdw_cut.Ilp_multicut
 module Splitmix = Cdw_util.Splitmix
 module Timing = Cdw_util.Timing
 module Trace = Cdw_obs.Trace
@@ -213,11 +212,11 @@ let min_mc_impl (o : Options.t) wf cs =
   in
   { outcome with budget_fallback = !fell_back }
 
-(* The oracle tier: exact ILP multicut (or its LP-rounding
-   approximation) with lazily generated path constraints, budgeted per
-   request. Exhausting the node/time budget while the caller's own
-   deadline still has slack falls back to RemoveMinMC so serving always
-   answers; [tier]/[bound] on the outcome record which tier did. *)
+(* The oracle tier: the lazy multicut loop with the exact ILP hitting
+   set (or LP threshold rounding), budgeted per request. Exhausting the
+   node/time budget while the caller's own deadline still has slack
+   falls back to RemoveMinMC so serving always answers; [tier]/[bound]
+   on the outcome record which tier did. *)
 let oracle_impl ~approx (o : Options.t) wf cs =
   let scheme = o.Options.scheme in
   let deadline =
@@ -233,19 +232,17 @@ let oracle_impl ~approx (o : Options.t) wf cs =
           Trace.span "solve.weights" (fun () ->
               Utility.cut_weights ?scheme copy)
         in
-        let weight e = w.(Digraph.edge_id e) in
-        let pairs = Constraint_set.pairs cs in
         let r =
-          Trace.span "solve.ilp_multicut" (fun () ->
-              if approx then Ilp_multicut.solve_approx ~deadline g ~weight ~pairs
-              else
-                Ilp_multicut.solve_exact ~deadline
-                  ?node_limit:o.Options.node_budget g ~weight ~pairs)
+          Trace.span "solve.multicut" (fun () ->
+              Multicut.solve
+                ~backend:(if approx then Multicut.Lp_rounding else Multicut.Ilp)
+                ~deadline ?node_limit:o.Options.node_budget g
+                ~weight:(fun e -> w.(Digraph.edge_id e))
+                ~pairs:(Constraint_set.pairs cs))
         in
-        bound := Some r.Ilp_multicut.lower_bound;
+        bound := Some r.Multicut.lower_bound;
         Trace.span "solve.enforce" (fun () ->
-            ignore
-              (Valuation.remove_with_cascade copy r.Ilp_multicut.edges));
+            ignore (Valuation.remove_with_cascade copy r.Multicut.edges));
         1)
   in
   match attempt () with

@@ -170,13 +170,16 @@ type name =
   | Brute_force
   | Brute_force_bnb
   | Exact_ilp
-      (** exact minimum multicut via {!Cdw_cut.Ilp_multicut} — the
-          ground-truth oracle. Budgeted by [Options.node_budget] /
+      (** exact minimum multicut, {!Cdw_cut.Multicut.solve} with the
+          [Ilp] backend — the ground-truth oracle; [outcome.bound] is
+          the optimal cut weight. Budgeted by [Options.node_budget] /
           [Options.solver_budget_ms]; on exhaustion answers from
           RemoveMinMC ([outcome.tier] says which tier did). *)
   | Approx_lp
-      (** LP-relaxation threshold rounding with a guaranteed ratio
-          (longest discovered path length); same budget/fallback. *)
+      (** {!Cdw_cut.Multicut.solve} with the [Lp_rounding] backend: LP
+          threshold rounding with a guaranteed ratio (the longest
+          discovered path length), [outcome.bound] the pool LP value;
+          same budget/fallback. *)
 
 val all_names : name list
 

@@ -5,10 +5,10 @@
     so the diff is computed in {e name space}: a vertex's identity is
     its (name, kind) pair and an edge's identity the (src-name,
     dst-name) pair — the same representation-independent identities
-    snapshot format 2.0 uses for portable session state. Migration
-    consults the diff to decide which sessions a new epoch can leave
-    untouched (cut ids remapped by edge identity) and which must be
-    re-solved. *)
+    snapshot format 2.0 uses for portable session state. The diff is
+    the record of what an epoch changed ([Cdw_engine.Engine.migrate]
+    reports it); migration itself re-solves every session, remapping
+    constraint endpoints with {!counterpart}. *)
 
 type t = {
   added_vertices : string list;
@@ -27,15 +27,13 @@ val empty : t
 
 val is_empty : t -> bool
 (** True iff the two bases are structurally identical (same vertices,
-    edges, valuations and weights, by name) — migration with an empty
-    diff remaps every session for free. *)
+    edges, valuations and weights, by name). *)
 
 val counterpart : of_:Workflow.t -> Workflow.t -> int -> int option
 (** [counterpart ~of_:wf other v] is the vertex of [wf] that is the
     {e same entity} as vertex [v] of [other]: same name, same kind.
     [None] when the name is absent from [wf] or changed kind — the
-    id-remapping primitive migration uses for constraint endpoints and
-    cut edges. *)
+    id-remapping primitive migration uses for constraint endpoints. *)
 
 val compute : old_base:Workflow.t -> new_base:Workflow.t -> t
 (** Both workflows may be builder- or view-backed; only names, kinds,

@@ -11,6 +11,9 @@ type result = {
   weight : float;
   exact : bool;
   rounds : int;
+  lower_bound : float;
+  violated : int list;
+  ratio : float;
 }
 
 let with_removed g edges f =
@@ -57,13 +60,15 @@ let find_path g s t =
   end
 
 (* Variable pool: dense indices for the edge ids mentioned by discovered
-   paths. *)
+   paths — the program never materialises a column for an edge no path
+   uses. *)
 type pool = {
   mutable var_of_edge : (int, int) Hashtbl.t;
   mutable edge_of_var : Digraph.edge list; (* reversed *)
   mutable n_vars : int;
   mutable sets : int array list; (* reversed; each array = one path *)
   mutable n_sets : int;
+  mutable max_len : int; (* longest pooled path, ≥ 1 *)
 }
 
 let fresh_pool () =
@@ -73,6 +78,7 @@ let fresh_pool () =
     n_vars = 0;
     sets = [];
     n_sets = 0;
+    max_len = 1;
   }
 
 let var_for pool e =
@@ -89,7 +95,8 @@ let var_for pool e =
 let add_path pool path =
   let set = Array.of_list (List.map (var_for pool) path) in
   pool.sets <- set :: pool.sets;
-  pool.n_sets <- pool.n_sets + 1
+  pool.n_sets <- pool.n_sets + 1;
+  pool.max_len <- max pool.max_len (Array.length set)
 
 let pool_problem pool ~weight =
   let edges = Array.of_list (List.rev pool.edge_of_var) in
@@ -108,8 +115,9 @@ let chosen_edges pool chosen =
 
 (* LP relaxation + threshold rounding: every pool path has ≤ L edges, so
    some variable on it is ≥ 1/L; keeping all x ≥ 1/L hits every pool
-   path and costs ≤ L · OPT_LP. *)
-let lp_round ~deadline problem =
+   path and costs ≤ L · OPT_LP. Also returns OPT_LP, a lower bound on
+   the pool optimum and hence on the true one. *)
+let lp_round ~deadline ~max_len problem =
   let constraints =
     Array.to_list
       (Array.map
@@ -123,14 +131,9 @@ let lp_round ~deadline problem =
     { Simplex.objective = Array.copy problem.Hitting_set.weights; constraints }
   in
   match Simplex.solve ~deadline lp with
-  | Simplex.Optimal { x; _ } ->
-      let max_len =
-        Array.fold_left
-          (fun m s -> max m (Array.length s))
-          1 problem.Hitting_set.sets
-      in
+  | Simplex.Optimal { x; objective_value } ->
       let threshold = (1.0 /. float_of_int max_len) -. 1e-9 in
-      Array.map (fun xe -> xe >= threshold) x
+      (Array.map (fun xe -> xe >= threshold) x, objective_value)
   | Simplex.Infeasible | Simplex.Unbounded ->
       (* Covering LPs with non-empty sets are always feasible/bounded. *)
       assert false
@@ -159,7 +162,17 @@ let minimalize g edges ~weight ~pairs =
   List.iter (fun e -> Digraph.restore_edge g e) kept;
   kept
 
-let rec solve ?(backend = Ilp) ?(deadline = infinity) g ~weight ~pairs =
+(* H(n) = 1 + 1/2 + … + 1/n, clamped at H(1): Chvátal's greedy ratio
+   when no element hits more than n sets. *)
+let harmonic n =
+  let h = ref 1.0 in
+  for i = 2 to n do
+    h := !h +. (1.0 /. float_of_int i)
+  done;
+  !h
+
+let rec solve ?(backend = Ilp) ?(deadline = infinity) ?node_limit g ~weight
+    ~pairs =
   List.iter
     (fun (s, t) ->
       if s = t then invalid_arg "Multicut.solve: pair with s = t")
@@ -172,6 +185,8 @@ let rec solve ?(backend = Ilp) ?(deadline = infinity) g ~weight ~pairs =
   let scale = if !max_weight > 0.0 then 1.0 /. !max_weight else 1.0 in
   let scaled_weight e = weight e *. scale in
   let pool = fresh_pool () in
+  (* The last pool LP optimum ([Lp_rounding] only), scaled. *)
+  let lp_value = ref 0.0 in
   let backend_name = function
     | Ilp -> "ilp"
     | Bnb -> "bnb"
@@ -190,15 +205,20 @@ let rec solve ?(backend = Ilp) ?(deadline = infinity) g ~weight ~pairs =
         let problem = pool_problem pool ~weight:scaled_weight in
         let chosen =
           match backend with
-          | Ilp -> Hitting_set.solve_ilp ~deadline problem
+          | Ilp -> Hitting_set.solve_ilp ~deadline ?node_limit problem
           | Bnb -> Hitting_set.solve_bnb ~deadline problem
           | Greedy -> Hitting_set.solve_greedy problem
-          | Lp_rounding -> lp_round ~deadline problem
+          | Lp_rounding ->
+              let chosen, value =
+                lp_round ~deadline ~max_len:pool.max_len problem
+              in
+              lp_value := value;
+              chosen
           | Auto _ -> assert false (* dispatched before the loop *)
         in
         chosen_edges pool chosen)
   in
-  let finish rounds candidate =
+  let finish rounds violated candidate =
     (* The approximate backends can leave redundant edges in the cut;
        dropping them only lowers the weight. *)
     let candidate =
@@ -211,38 +231,58 @@ let rec solve ?(backend = Ilp) ?(deadline = infinity) g ~weight ~pairs =
     let weight_total =
       List.fold_left (fun acc e -> acc +. weight e) 0.0 candidate
     in
+    (* The final cut hits every path while the pool is a relaxation of
+       the full path set, so each backend's pool guarantee holds against
+       the true optimum: exact, L-approximate (LP threshold rounding),
+       or H(pooled paths)-approximate (greedy). *)
+    let ratio =
+      match backend with
+      | Ilp | Bnb | Auto _ -> 1.0
+      | Lp_rounding -> float_of_int pool.max_len
+      | Greedy -> harmonic pool.n_sets
+    in
+    let lower_bound =
+      match backend with
+      | Lp_rounding -> !lp_value /. scale
+      | Ilp | Bnb | Greedy | Auto _ -> weight_total /. ratio
+    in
     {
       edges = candidate;
       weight = weight_total;
       exact = (match backend with Ilp | Bnb -> true | _ -> false);
       rounds;
+      lower_bound;
+      violated = List.rev violated;
+      ratio;
     }
   in
-  let rec loop rounds candidate =
+  let rec loop rounds violated candidate =
     Timing.check_deadline deadline;
-    let violated =
+    let paths =
       Trace.span "multicut.find_paths" (fun () ->
           with_removed g candidate (fun () ->
               List.filter_map (fun (s, t) -> find_path g s t) pairs))
     in
-    match violated with
-    | [] -> finish rounds candidate
+    let violated = List.length paths :: violated in
+    match paths with
+    | [] -> finish rounds violated candidate
     | paths ->
         List.iter (add_path pool) paths;
-        loop (rounds + 1) (solve_pool ())
+        loop (rounds + 1) violated (solve_pool ())
   in
   match backend with
-  | Auto budget_ms ->
+  | Auto budget_ms -> (
       let ilp_deadline =
         Float.min deadline (Timing.deadline_after_ms budget_ms)
       in
-      (try solve ~backend:Ilp ~deadline:ilp_deadline g ~weight ~pairs with
+      try solve ~backend:Ilp ~deadline:ilp_deadline ?node_limit g ~weight ~pairs
+      with
       | (Timing.Timeout | Failure _)
-        when deadline = infinity || Timing.now_ms () < deadline ->
+        when deadline = infinity || Timing.now_ms () < deadline
+        ->
           (* Budget exhausted (or the simplex got numerically stuck):
              fall back to the greedy approximation under the caller's
              own deadline. *)
           Timing.check_deadline deadline;
-          let r = solve ~backend:Greedy ~deadline g ~weight ~pairs in
-          { r with exact = false })
-  | Ilp | Bnb | Greedy | Lp_rounding -> loop 0 []
+          solve ~backend:Greedy ~deadline g ~weight ~pairs)
+  | Ilp | Bnb | Greedy | Lp_rounding -> loop 0 [] []

@@ -4,12 +4,18 @@
     removal leaves no directed s→t path. NP-hard for ≥ 2 pairs (Bentz
     2011), which is exactly what makes CDW hard.
 
-    Exact solvers avoid enumerating all paths via lazy constraint
-    generation: solve a hitting set over the paths discovered so far,
-    test whether the chosen edges already disconnect every pair, and if
-    not add a surviving path and repeat. The final answer is both
-    feasible and optimal for the full (implicit) path set, matching what
-    GLPK computes for the paper on the explicit formulation. *)
+    Every backend runs the same lazy constraint-generation loop instead
+    of enumerating all paths: solve a hitting set over the paths
+    discovered so far, test whether the chosen edges already disconnect
+    every pair, and if not add a surviving path per pair and repeat.
+    Each round strictly grows the pool (the incumbent hits every pooled
+    path, so any survivor is new). On exit the cut is feasible for the
+    full (implicit) path set while the pool is a relaxation of it, so
+    the exact backends are exactly optimal — matching what GLPK computes
+    for the paper on the explicit formulation — and the approximate
+    ones keep their pool guarantee against the true optimum. This one
+    loop serves RemoveMinMC and the [exact-ilp] / [approx-lp] oracle
+    tiers of {!Cdw_core.Algorithms}. *)
 
 type backend =
   | Ilp  (** hitting set via LP-based branch-and-bound (paper's setup) *)
@@ -28,19 +34,35 @@ type result = {
   weight : float;
   exact : bool;  (** true for [Ilp]/[Bnb] backends *)
   rounds : int;  (** lazy-generation iterations used *)
+  lower_bound : float;
+      (** proven lower bound on the optimum: [weight] when [exact]; the
+          final pool LP value for [Lp_rounding]; [weight /. ratio] for
+          [Greedy] *)
+  violated : int list;
+      (** surviving (violated) pairs found at each round's start, in
+          round order — [rounds + 1] entries, the final one 0: how the
+          loop terminated *)
+  ratio : float;
+      (** guaranteed ratio of [weight] to the optimum: 1.0 when [exact];
+          the longest pooled path length L for [Lp_rounding] (threshold
+          rounding at 1/L); H(pooled paths) for [Greedy] (Chvátal) *)
 }
 
 val solve :
   ?backend:backend ->
   ?deadline:float ->
+  ?node_limit:int ->
   Cdw_graph.Digraph.t ->
   weight:(Cdw_graph.Digraph.edge -> float) ->
   pairs:(int * int) list ->
   result
-(** [backend] defaults to [Ilp]. The graph is not modified (edges are
+(** [backend] defaults to [Ilp]. [node_limit] bounds each round's
+    branch-and-bound tree under [Ilp] (and [Auto]'s ILP attempt; see
+    {!Cdw_lp.Ilp.solve}). The graph is not modified (edges are
     soft-removed and restored internally). Raises
-    [Cdw_util.Timing.Timeout] when the cooperative deadline fires and
-    [Invalid_argument] when some pair shares a vertex. *)
+    [Cdw_util.Timing.Timeout] when the cooperative deadline fires or
+    the node limit is exhausted, and [Invalid_argument] when some pair
+    shares a vertex. *)
 
 val is_multicut :
   Cdw_graph.Digraph.t ->

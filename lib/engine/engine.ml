@@ -2,7 +2,6 @@ module Algorithms = Cdw_core.Algorithms
 module Constraint_set = Cdw_core.Constraint_set
 module Digraph = Cdw_graph.Digraph
 module Evolution = Cdw_core.Evolution
-module Reach = Cdw_graph.Reach
 module Serialize = Cdw_core.Serialize
 module Timing = Cdw_util.Timing
 module Trace = Cdw_obs.Trace
@@ -33,7 +32,6 @@ type event =
 type migration = {
   m_epoch : int;
   m_recomputed : int;
-  m_remapped : int;
   m_dropped_pairs : int;
   m_diff : Evolution.t;
 }
@@ -630,14 +628,12 @@ let refine_step ?(max = 1) t =
    (the caller guarantees no drain is in flight; everything else runs
    under the engine lock, so submitters simply block for the duration).
 
-   Only users whose cut-relevant region intersects the structural diff
-   are re-solved; the classification is conservative (a superset is
-   always safe — re-solving an untouched user from a fresh rng is
-   exactly what a fresh serving on the new base would do). Untouched
-   users keep their cuts with ids remapped by (src-name, dst-name)
-   edge identity and their rng stream carried over, which costs zero
-   solver runs. *)
-let migrate ?(force_all = false) ?epoch:e t wf =
+   Every user is re-solved: its constraint pairs are remapped by vertex
+   name and solved as one coalesced batch on a freshly seeded session —
+   bit-identical to what a fresh serving of this user on the new base
+   produces. The new epoch's solve memo makes that cheap: users sharing
+   a constraint list cost one solver run between them. *)
+let migrate ?epoch:e t wf =
   let next = match e with Some e -> e | None -> Shared_index.epoch t.index + 1 in
   let m = metrics t in
   Trace.span "epoch.migrate"
@@ -646,12 +642,11 @@ let migrate ?(force_all = false) ?epoch:e t wf =
       Metrics.time m "epoch.migrate" (fun () ->
           with_lock t (fun () ->
               let old_base = Shared_index.base t.index in
-              let old_snap = Shared_index.snapshot t.index in
               (* Normalized through the text form: the journaled
                  [Epoch_installed] record carries exactly this text and
                  the live install freezes its parse, so crash replay
                  re-freezes a bit-identical base — same vertex and edge
-                 id assignment, hence identical remapped cut ids. The
+                 id assignment, hence identical re-solved cut ids. The
                  emit comes first, like [Submitted]: if the journal
                  rejects the record, the engine is untouched. *)
               let text = Serialize.to_string wf in
@@ -659,114 +654,27 @@ let migrate ?(force_all = false) ?epoch:e t wf =
               emit t (Epoch_installed { epoch = next; workflow = text });
               let diff = Shared_index.install ~epoch:next t.index wf' in
               let new_base = Shared_index.base t.index in
-              let new_snap = Shared_index.snapshot t.index in
               let to_new v = Evolution.counterpart ~of_:new_base old_base v in
-              (* The diff, lowered from name space into vertex ids. *)
-              let edge_ids vid (su, sv) =
-                match (vid su, vid sv) with
-                | Some u, Some v -> Some (u, v)
-                | _ -> None
-              in
-              let changed_old =
-                List.filter_map
-                  (edge_ids (Workflow.vertex_of_name old_base))
-                  (diff.Evolution.removed_edges @ diff.Evolution.repriced_edges)
-              in
-              let added_new =
-                List.filter_map
-                  (edge_ids (Workflow.vertex_of_name new_base))
-                  diff.Evolution.added_edges
-              in
-              let reweighted_old =
-                List.filter_map
-                  (Workflow.vertex_of_name old_base)
-                  diff.Evolution.reweighted_purposes
-              in
-              let reweighted_new =
-                List.filter_map
-                  (Workflow.vertex_of_name new_base)
-                  diff.Evolution.reweighted_purposes
-              in
-              let reaches_old = Reach.Snapshot.reaches old_snap in
-              let reaches_new = Reach.Snapshot.reaches new_snap in
-              (* Does the diff intersect one constraint's cut-relevant
-                 region? Candidate edges live on s→t paths, but what a
-                 solve *chooses* is a function of everything downstream
-                 of the source's cone: valuations are linearly additive
-                 (out = Σ in), cutting an edge can starve an algorithm
-                 and cascade away its out-edges, and both effects hinge
-                 on edges that need not lie on any s→t path. A changed
-                 edge (u, v) perturbs valuations and in-degrees exactly
-                 within closure(v), so the pair is touched when
-                 closure(v) meets closure(s) — in the old base for
-                 removed/repriced edges, the new base for added ones.
-                 (Path membership implies the intersection, so this is
-                 strictly more conservative.) A reweighted purpose
-                 steers any solve whose cone can see it, old or new. *)
-              let cones_meet snap s v =
-                Cdw_util.Bitset.masked_choose
-                  (Reach.Snapshot.descendants snap s)
-                  ~mask:(Reach.Snapshot.descendants snap v)
-                <> None
-              in
-              let pair_touched (s, _tg) (s', _tg') =
-                List.exists (fun (_, v) -> cones_meet old_snap s v) changed_old
-                || List.exists
-                     (fun (_, v) -> cones_meet new_snap s' v)
-                     added_new
-                || List.exists (fun p -> reaches_old s p) reweighted_old
-                || List.exists (fun p -> reaches_new s' p) reweighted_new
-              in
-              (* Remap a constraint set; a pair whose endpoint vanished
-                 is dropped — an implicit withdrawal, which forces a
-                 re-solve of the survivors. *)
+              let recomputed = ref 0 and dropped = ref 0 in
+              (* Remap a constraint set by name; a pair whose endpoint
+                 vanished is dropped — an implicit withdrawal. *)
               let remap_pairs pairs =
-                let kept, dropped, touched =
-                  List.fold_left
-                    (fun (kept, dropped, touched) (s, tg) ->
+                let kept =
+                  List.filter_map
+                    (fun (s, tg) ->
                       match (to_new s, to_new tg) with
-                      | Some s', Some tg' ->
-                          ( (s', tg') :: kept,
-                            dropped,
-                            touched || pair_touched (s, tg) (s', tg') )
-                      | _ -> (kept, dropped + 1, true))
-                    ([], 0, false) pairs
+                      | Some s', Some tg' -> Some (s', tg')
+                      | _ -> None)
+                    pairs
                 in
-                (List.rev kept, dropped, touched)
+                dropped := !dropped + List.length pairs - List.length kept;
+                kept
               in
-              let g_old = Workflow.graph old_base in
-              let g_new = Workflow.graph new_base in
-              let remap_cut id =
-                let e = Digraph.edge g_old id in
-                match
-                  (to_new (Digraph.edge_src e), to_new (Digraph.edge_dst e))
-                with
-                | Some u', Some v' ->
-                    Option.map Digraph.edge_id (Digraph.find_edge g_new u' v')
-                | _ -> None
-              in
-              let remap_cuts cuts =
-                let rec go acc = function
-                  | [] -> Some (List.sort compare acc)
-                  | id :: rest -> (
-                      match remap_cut id with
-                      | Some id' -> go (id' :: acc) rest
-                      | None -> None)
-                in
-                go [] cuts
-              in
-              let recomputed = ref 0
-              and remapped = ref 0
-              and dropped = ref 0 in
-              let fresh_session user =
-                Session.create ~index:t.index ~algorithm:t.algorithm
-                  ~options:t.options ~rng_seed:(session_seed t user) user
-              in
-              (* Affected: one coalesced solve of the full remapped set
-                 on a freshly seeded session — bit-identical to what a
-                 fresh serving of this user on the new base produces. *)
               let recompute user pairs =
-                let s = fresh_session user in
+                let s =
+                  Session.create ~index:t.index ~algorithm:t.algorithm
+                    ~options:t.options ~rng_seed:(session_seed t user) user
+                in
                 (match pairs with
                 | [] -> ()
                 | ps -> (
@@ -779,38 +687,17 @@ let migrate ?(force_all = false) ?epoch:e t wf =
                 Stdlib.incr recomputed;
                 s
               in
-              (* Warm sessions: every one is rebuilt (a session's solver
-                 closure captures the old base), but untouched users go
-                 through the zero-solver-run restore path with their rng
-                 stream carried over. *)
+              (* Warm sessions are rebuilt (a session's solver closure
+                 captures the old base). *)
               let warm = Hashtbl.fold (fun u s acc -> (u, s) :: acc) t.sessions [] in
               List.iter
                 (fun (user, s) ->
                   let pairs = Constraint_set.pairs (Session.constraints s) in
-                  let new_pairs, dropped_here, touched = remap_pairs pairs in
-                  dropped := !dropped + dropped_here;
-                  let replacement =
-                    if force_all || touched then recompute user new_pairs
-                    else
-                      match remap_cuts (Session.cut_ids s) with
-                      | None -> recompute user new_pairs
-                      | Some cuts -> (
-                          let fresh = fresh_session user in
-                          match
-                            Session.restore fresh ~constraints:new_pairs
-                              ~removed_ids:cuts
-                          with
-                          | Ok () ->
-                              Session.set_rng_state fresh (Session.rng_state s);
-                              Stdlib.incr remapped;
-                              fresh
-                          | Error _ -> recompute user new_pairs)
-                  in
-                  Hashtbl.replace t.sessions user replacement)
+                  Hashtbl.replace t.sessions user
+                    (recompute user (remap_pairs pairs)))
                 warm;
-              (* Parked cold-tier records migrate in place: affected
-                 users are re-solved through a throwaway session and
-                 re-parked — they stay cold. *)
+              (* Parked cold-tier records are re-solved through a
+                 throwaway session and re-parked — they stay cold. *)
               (match t.tier with
               | None -> ()
               | Some tier ->
@@ -820,36 +707,14 @@ let migrate ?(force_all = false) ?epoch:e t wf =
                   in
                   List.iter
                     (fun (user, (p : Tier.parked)) ->
-                      let new_pairs, dropped_here, touched =
-                        remap_pairs p.Tier.p_pairs
-                      in
-                      dropped := !dropped + dropped_here;
-                      let record =
-                        if force_all || touched then None
-                        else
-                          Option.map
-                            (fun cuts ->
-                              {
-                                Tier.p_pairs = new_pairs;
-                                p_cuts = cuts;
-                                p_rng = p.Tier.p_rng;
-                              })
-                            (remap_cuts p.Tier.p_cuts)
-                      in
-                      let record =
-                        match record with
-                        | Some r ->
-                            Stdlib.incr remapped;
-                            r
-                        | None ->
-                            let s = recompute user new_pairs in
-                            {
-                              Tier.p_pairs = new_pairs;
-                              p_cuts = Session.cut_ids s;
-                              p_rng = Session.rng_state s;
-                            }
-                      in
-                      Tier.repark tier user record)
+                      let new_pairs = remap_pairs p.Tier.p_pairs in
+                      let s = recompute user new_pairs in
+                      Tier.repark tier user
+                        {
+                          Tier.p_pairs = new_pairs;
+                          p_cuts = Session.cut_ids s;
+                          p_rng = Session.rng_state s;
+                        })
                     parked);
               (* Queued submits carry old-base ids; remap them by name.
                  A dangling endpoint maps to an id no base contains, so
@@ -889,14 +754,12 @@ let migrate ?(force_all = false) ?epoch:e t wf =
               | None -> ());
               Metrics.incr m "epoch.migrations";
               Metrics.incr ~by:!recomputed m "epoch.users_recomputed";
-              Metrics.incr ~by:!remapped m "epoch.users_remapped";
               if !dropped > 0 then
                 Metrics.incr ~by:!dropped m "epoch.pairs_dropped";
               Metrics.set_gauge m "epoch" (float_of_int next);
               {
                 m_epoch = next;
                 m_recomputed = !recomputed;
-                m_remapped = !remapped;
                 m_dropped_pairs = !dropped;
                 m_diff = diff;
               })))

@@ -98,11 +98,8 @@ type refine_stats = {
 type migration = {
   m_epoch : int;  (** the epoch just installed *)
   m_recomputed : int;
-      (** users whose cut-relevant region intersected the diff:
-          re-solved from a freshly seeded session *)
-  m_remapped : int;
-      (** untouched users: cut ids remapped by edge identity, rng
-          stream carried over, zero solver runs *)
+      (** users re-solved from a freshly seeded session — every warm
+          and parked session *)
   m_dropped_pairs : int;
       (** constraint pairs dropped because an endpoint vanished from
           the new base (an implicit withdrawal) *)
@@ -139,8 +136,7 @@ val epoch : t -> int
 (** The current base's epoch: 0 at creation, bumped by each
     {!migrate}. *)
 
-val migrate :
-  ?force_all:bool -> ?epoch:int -> t -> Cdw_core.Workflow.t -> migration
+val migrate : ?epoch:int -> t -> Cdw_core.Workflow.t -> migration
 (** Install [wf] as the next base epoch and migrate every session —
     warm, parked, and queued — onto it, live. Must be called at a drain
     boundary (no {!drain} in flight); submitters block for the
@@ -149,26 +145,20 @@ val migrate :
     carries), so live migration and crash replay freeze bit-identical
     bases.
 
-    Only users whose cut-relevant region intersects the structural
-    diff are re-solved — from a freshly seeded session, producing
-    exactly the state a fresh serving of their constraint set on the
-    new base would. The touch test is downstream-closure intersection
-    (a changed edge [(u, v)] perturbs valuations, in-degrees and
-    starvation cascades throughout [closure(v)], so a constraint
-    source whose cone meets that closure cannot keep its cuts), which
-    is conservative: path membership implies it, never the reverse. Untouched users keep their cuts (ids
-    remapped by (src-name, dst-name) edge identity) and their rng
-    stream, at zero solver runs. Queued requests are remapped by name;
-    a request pair whose endpoint vanished fails validation at its
-    drain with a clean error reply. [force_all] disables the
-    affected-only optimisation (every user re-solves — the naive
-    migration, kept for benchmarking and differential testing);
-    [epoch] pins the installed epoch number (replay), default current
-    + 1.
+    Every user's constraint pairs are remapped by vertex name (a pair
+    whose endpoint vanished is dropped) and re-solved as one batch on a
+    freshly seeded session, producing exactly the state a fresh serving
+    of that constraint set on the new base would; the new epoch's solve
+    memo runs the solver once per distinct constraint list. Parked
+    sessions are re-solved and re-parked. Queued requests are remapped
+    by name; a request pair whose endpoint vanished fails validation at
+    its drain with a clean error reply. Staged refinements are
+    discarded. [epoch] pins the installed epoch number (replay),
+    default current + 1.
 
     Counters: [epoch.migrations], [epoch.users_recomputed],
-    [epoch.users_remapped], [epoch.pairs_dropped]; gauge [epoch];
-    latency key + trace span [epoch.migrate]. *)
+    [epoch.pairs_dropped]; gauge [epoch]; latency key + trace span
+    [epoch.migrate]. *)
 
 val algorithm : t -> Cdw_core.Algorithms.name
 (** The solver every session of this engine runs. *)

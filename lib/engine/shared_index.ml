@@ -88,7 +88,6 @@ let create ?(max_cached_pairs = 4096) ?(max_paths = 200_000) ?metrics wf =
 let base t = t.d.base
 let metrics t = t.metrics
 let topo_order t = t.d.topo
-let snapshot t = t.d.snapshot
 let epoch t = Workflow.epoch t.d.base
 let chain t = t.chain
 

@@ -71,8 +71,6 @@ val metrics : t -> Metrics.t
 
 val topo_order : t -> int array
 
-val snapshot : t -> Cdw_graph.Reach.Snapshot.t
-
 val connected : t -> source:int -> target:int -> bool
 (** O(1): was [target] reachable from [source] in the base? *)
 

@@ -67,7 +67,6 @@ module Snapshot = struct
 
   let n_vertices t = t.n
   let reaches t u v = Bitset.mem t.desc.(u) v
-  let descendants t u = t.desc.(u)
 end
 
 let reachability_subgraph_edges g t =

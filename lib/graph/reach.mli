@@ -50,8 +50,4 @@ module Snapshot : sig
   val reaches : t -> int -> int -> bool
   (** [reaches s u v] iff a directed (possibly empty) path [u → … → v]
       existed when the snapshot was taken; [reaches s v v] is [true]. *)
-
-  val descendants : t -> int -> Cdw_util.Bitset.t
-  (** The full reachable set of a vertex (self included). Treat as
-      read-only: the bitset is the snapshot's internal storage. *)
 end

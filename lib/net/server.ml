@@ -142,7 +142,7 @@ let serve_one t fd ~trace request =
                        {
                          Wire.e_epoch = m.Engine.m_epoch;
                          e_recomputed = m.Engine.m_recomputed;
-                         e_remapped = m.Engine.m_remapped;
+                         e_remapped = 0;
                          e_dropped = m.Engine.m_dropped_pairs;
                        })
               | Error msg -> Wire.send_reply fd (Wire.Error_r msg)))

@@ -75,8 +75,12 @@ type request =
 
 type epoch_installed = {
   e_epoch : int;  (** the epoch now serving *)
-  e_recomputed : int;  (** sessions re-solved (diff-affected) *)
-  e_remapped : int;  (** sessions kept, cut ids remapped *)
+  e_recomputed : int;  (** sessions re-solved — every session *)
+  e_remapped : int;
+      (** always 0 from this server: migration re-solves every session.
+          The field stays so the frame layout matches clients of
+          earlier builds, which reported sessions kept with remapped
+          cut ids here. *)
   e_dropped : int;  (** constraint pairs dropped (vanished endpoints) *)
 }
 

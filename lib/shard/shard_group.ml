@@ -557,7 +557,7 @@ let ingest_inbox shard =
             :: shard.pre_rejected)
     items
 
-let migrate ?force_all ?epoch:e t wf =
+let migrate ?epoch:e t wf =
   with_lock t.drain_lock (fun () ->
       let next = match e with Some e -> e | None -> epoch t + 1 in
       observed "group.migrate" (fun () ->
@@ -569,7 +569,7 @@ let migrate ?force_all ?epoch:e t wf =
           let total =
             Array.fold_left
               (fun acc s ->
-                let m = Engine.migrate ?force_all ~epoch:next s.engine wf in
+                let m = Engine.migrate ~epoch:next s.engine wf in
                 match acc with
                 | None -> Some m
                 | Some (a : Engine.migration) ->
@@ -577,7 +577,6 @@ let migrate ?force_all ?epoch:e t wf =
                       {
                         a with
                         Engine.m_recomputed = a.m_recomputed + m.m_recomputed;
-                        m_remapped = a.m_remapped + m.m_remapped;
                         m_dropped_pairs = a.m_dropped_pairs + m.m_dropped_pairs;
                       })
               None t.members

@@ -116,22 +116,20 @@ val epoch : t -> int
 (** The shards' common base epoch ({!Cdw_engine.Engine.epoch}). *)
 
 val migrate :
-  ?force_all:bool ->
-  ?epoch:int ->
-  t ->
-  Cdw_core.Workflow.t ->
-  Cdw_engine.Engine.migration
+  ?epoch:int -> t -> Cdw_core.Workflow.t -> Cdw_engine.Engine.migration
 (** Install a new base epoch on every shard and migrate every session
-    onto it, live ({!Cdw_engine.Engine.migrate} semantics, summed
-    across shards; [m_diff] is the common structural diff). Takes the
-    drain lock — callers may race {!drain} and {!submit} freely. Each
-    shard's inbox is first ingested (journaled and enqueued, without
-    executing), so the per-shard WALs order every outstanding submit
-    before their [Epoch_installed] record, and the queued old-base
-    pairs are remapped with the rest of the engine queue. Seqs of
-    ingested items carry over to the next drain's gather, so the merged
-    reply order is still the single-engine order. Every shard installs
-    the same epoch number (default: current + 1, or [epoch]). *)
+    onto it, live ({!Cdw_engine.Engine.migrate} semantics: each shard
+    re-solves all of its sessions; [m_recomputed] and [m_dropped_pairs]
+    are summed across shards, [m_diff] is the common structural diff).
+    Takes the drain lock — callers may race {!drain} and {!submit}
+    freely. Each shard's inbox is first ingested (journaled and
+    enqueued, without executing), so the per-shard WALs order every
+    outstanding submit before their [Epoch_installed] record, and the
+    queued old-base pairs are remapped with the rest of the engine
+    queue. Seqs of ingested items carry over to the next drain's
+    gather, so the merged reply order is still the single-engine order.
+    Every shard installs the same epoch number (default: current + 1,
+    or [epoch]). *)
 
 val submit :
   ?submitted_ms:float -> t -> user:string -> Cdw_engine.Engine.request -> unit

@@ -117,7 +117,7 @@ let differential_case ~algorithm ~seed ~shards ~cold params =
   Alcotest.(check int) "epoch advanced" 1 epoch;
   Alcotest.(check int) "migration reports the epoch" 1 m.Engine.m_epoch;
   Alcotest.(check int) "every session accounted for" (List.length script)
-    (m.Engine.m_recomputed + m.Engine.m_remapped);
+    m.Engine.m_recomputed;
   let reference =
     fresh_reference ~algorithm ~seed:(seed lxor 0xBEEF) mutant migrated
   in
@@ -156,8 +156,7 @@ let test_differential_sweep () =
 
 (* Same gate under the seeded-randomized solver: equality certifies the
    recompute path reseeds each session from (engine seed, user) alone,
-   and that untouched sessions' carried-over rng streams never leak
-   into the comparison. *)
+   so no pre-migration rng state leaks into the comparison. *)
 let test_differential_randomized_solver () =
   let params =
     {
@@ -183,48 +182,10 @@ let test_differential_randomized_solver () =
         shard_counts)
     [ 901; 932; 963; 994; 1025 ]
 
-(* force_all recomputes every session from scratch; the default remaps
-   the untouched ones. Indistinguishable results are exactly the claim
-   that remapping is a sound optimisation, never a semantic choice. *)
-let test_force_all_equivalence () =
-  let params =
-    { Gen_params.default with Gen_params.n_vertices = 40; n_constraints = 0 }
-  in
-  List.iter
-    (fun seed ->
-      let instance = Generator.generate ~seed params in
-      let wf = instance.Generator.workflow in
-      let pairs = connected_pairs wf in
-      if pairs <> [||] then begin
-        let script = one_round_script ~seed ~users:10 pairs in
-        let run force_all =
-          let serving =
-            Serving.create ~algorithm:Algorithms.Remove_first_edge ~seed wf
-          in
-          submit_script serving script;
-          let mutant = normalize (Evolve.mutate (evolve_step seed) wf) in
-          let m = Serving.migrate ~force_all serving mutant in
-          let states = Serving.session_states serving in
-          Serving.close serving;
-          (m, states)
-        in
-        let _m_fast, fast = run false in
-        let m_full, full = run true in
-        Alcotest.(check int) "force_all remaps nothing" 0
-          m_full.Engine.m_remapped;
-        if fast <> full then
-          Alcotest.failf "seed %d: affected-only migration diverges from \
-                          force_all"
-            seed
-      end)
-    [ 1100; 1131; 1162; 1193 ]
-
-(* The remap path itself, pinned: two structurally disjoint branches,
-   an epoch that only grows one of them. The user on the untouched
-   branch must ride the zero-solver-run remap path (the touch test is
-   conservative, not vacuous), the other must be re-solved — and the
-   result still equals a fresh serve on the new base. *)
-let test_branch_isolation_remaps () =
+(* Pinned: two structurally disjoint branches, an epoch that only grows
+   one of them. Both users are re-solved — the one on the untouched
+   branch too — and the result equals a fresh serve on the new base. *)
+let test_branch_isolation_recomputes () =
   let build extra =
     let wf = Workflow.create () in
     let ua = Workflow.add_user ~name:"ua" wf in
@@ -253,9 +214,7 @@ let test_branch_isolation_remaps () =
   ignore (Serving.drain serving);
   let mutant = normalize next in
   let m = Serving.migrate serving mutant in
-  Alcotest.(check int) "alice (untouched branch) is remapped" 1
-    m.Engine.m_remapped;
-  Alcotest.(check int) "bob (grown branch) is re-solved" 1
+  Alcotest.(check int) "alice and bob are both re-solved" 2
     m.Engine.m_recomputed;
   let migrated = Serving.session_states serving in
   Serving.close serving;
@@ -339,9 +298,10 @@ let test_differential_wire () =
       let mutant = normalize (Evolve.mutate (evolve_step seed) wf) in
       let e = Client.install_epoch client (Serialize.to_string mutant) in
       Alcotest.(check int) "install reports epoch 1" 1 e.Wire.e_epoch;
-      Alcotest.(check int) "every wire session accounted for"
-        (List.length script)
-        (e.Wire.e_recomputed + e.Wire.e_remapped);
+      Alcotest.(check int) "every wire session re-solved"
+        (List.length script) e.Wire.e_recomputed;
+      Alcotest.(check int) "the server reports no remapped sessions" 0
+        e.Wire.e_remapped;
       Alcotest.(check int) "epoch 1 after the install" 1 (Client.epoch client);
       Client.close client;
       let migrated = Serving.session_states serving in
@@ -610,9 +570,6 @@ let test_migration_telemetry () =
   Alcotest.(check int) "epoch.users_recomputed matches the report"
     m.Engine.m_recomputed
     (Metrics.counter merged "epoch.users_recomputed");
-  Alcotest.(check int) "epoch.users_remapped matches the report"
-    m.Engine.m_remapped
-    (Metrics.counter merged "epoch.users_remapped");
   (match Metrics.gauge merged "epoch" with
   | Some v -> Alcotest.(check (float 0.0)) "epoch gauge" 1.0 v
   | None -> Alcotest.fail "epoch gauge never set");
@@ -624,8 +581,7 @@ let test_migration_telemetry () =
           match Json.member name counters with
           | Some (Json.Number _) -> ()
           | _ -> Alcotest.failf "stats JSON lacks %s" name)
-        [ "epoch.migrations"; "epoch.users_recomputed";
-          "epoch.users_remapped" ]
+        [ "epoch.migrations"; "epoch.users_recomputed" ]
   | None -> Alcotest.fail "metrics JSON has no counters object");
   (* And the exposition: cdw_epoch is a linted gauge. *)
   let exposition = Serving.prometheus serving in
@@ -670,7 +626,7 @@ let test_memo_across_migration () =
   in
   let before = solves () in
   let mutant = normalize (Evolve.mutate (evolve_step seed) wf) in
-  let m = Engine.migrate ~force_all:true engine mutant in
+  let m = Engine.migrate engine mutant in
   Alcotest.(check int) "every user re-solved" 16 m.Engine.m_recomputed;
   let new_base = Engine.base engine in
   let direct batch =
@@ -872,8 +828,7 @@ let suite =
       `Slow, test_differential_sweep );
     ( "differential: randomized solver (5 seeds)",
       `Slow, test_differential_randomized_solver );
-    ("differential: affected-only = force_all", `Quick, test_force_all_equivalence);
-    ("differential: disjoint branch rides the remap path", `Quick, test_branch_isolation_remaps);
+    ("differential: two-branch epoch re-solves both users", `Quick, test_branch_isolation_recomputes);
     ("differential: chained epochs", `Quick, test_chained_migrations);
     ("differential: wire-served sessions", `Quick, test_differential_wire);
     ("wire: v1 client interop", `Quick, test_wire_v1_interop);

@@ -96,6 +96,43 @@ let prop_backends =
       && (not greedy.Multicut.exact)
       && not lp.Multicut.exact)
 
+(* The audit trail every backend reports, held against the exact
+   optimum: the lower bound never exceeds it and the weight never
+   exceeds the claimed ratio times it; an exact cut's ratio is 1 and its
+   bound is its own weight; and the lazy loop records one violated
+   count per round plus a final 0. *)
+let prop_audit_trail =
+  Test_helpers.qcheck ~count:60 "every backend's audit trail holds"
+    QCheck2.Gen.(int_range 0 100000)
+    (fun seed ->
+      let rng = Cdw_util.Splitmix.create seed in
+      let n = 5 + Cdw_util.Splitmix.int rng 10 in
+      let g = Test_helpers.random_dag ~seed ~n ~density:0.3 in
+      let pairs = random_pairs rng g (1 + Cdw_util.Splitmix.int rng 3) in
+      let weight = weight_of_seed seed in
+      let solve backend = Multicut.solve ~backend g ~weight ~pairs in
+      let optimum = (solve Multicut.Ilp).Multicut.weight in
+      let eps = 1e-6 in
+      List.for_all
+        (fun backend ->
+          let r = solve backend in
+          let violated = r.Multicut.violated in
+          let rec counts_ok = function
+            | [] -> false
+            | [ last ] -> last = 0
+            | v :: rest -> v >= 1 && counts_ok rest
+          in
+          r.Multicut.lower_bound <= optimum +. eps
+          && r.Multicut.weight <= (r.Multicut.ratio *. optimum) +. eps
+          && r.Multicut.ratio >= 1.0
+          && List.length violated = r.Multicut.rounds + 1
+          && counts_ok violated
+          && ((not r.Multicut.exact)
+             || r.Multicut.ratio = 1.0
+                && Float.abs (r.Multicut.lower_bound -. r.Multicut.weight)
+                   < eps))
+        [ Multicut.Ilp; Multicut.Bnb; Multicut.Greedy; Multicut.Lp_rounding ])
+
 (* Exactness cross-check against explicit enumeration of all edge
    subsets on tiny graphs. *)
 let prop_exact_vs_enumeration =
@@ -138,5 +175,6 @@ let suite =
     Alcotest.test_case "input graph not mutated" `Quick test_graph_not_mutated;
     Alcotest.test_case "invalid pair rejected" `Quick test_invalid_pair;
     prop_backends;
+    prop_audit_trail;
     prop_exact_vs_enumeration;
   ]

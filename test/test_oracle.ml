@@ -1,5 +1,5 @@
 (* The oracle differential gate: every heuristic in the ladder is held
-   against the exact ILP multicut (lib/cut/ilp_multicut.ml) — its cut
+   against the exact ILP multicut (lib/cut/multicut.ml, [Ilp]) — its cut
    must be valid (no surviving s→t path) and its utility can never beat
    the proven optimum. The gate sweeps the paper datasets 1a/1b/1c/2/3
    and a randomized generator sweep, pins the worst observed RemoveMinMC
@@ -11,7 +11,7 @@ module Dataset2 = Cdw_workload.Dataset2
 module Digraph = Cdw_graph.Digraph
 module Gen_params = Cdw_workload.Gen_params
 module Generator = Cdw_workload.Generator
-module Ilp_multicut = Cdw_cut.Ilp_multicut
+module Multicut = Cdw_cut.Multicut
 
 let heuristics =
   [
@@ -86,8 +86,12 @@ let check_instance label (wf : Workflow.t) (cs : Constraint_set.t) =
         end
       end)
     heuristics;
-  (* approx-lp: valid, within its claimed ratio of the optimum, and its
-     LP lower bound never exceeds the true optimum. *)
+  (* The audit trail of every multicut backend the tiers run — exact
+     ILP, LP rounding, and the serving default [Auto]: an exact cut's
+     lower bound is its own weight and that weight is the optimum; an
+     approximate cut stays within its claimed ratio of the optimum and
+     its lower bound never exceeds it; and the lazy loop ends because it
+     ran out of violated pairs. *)
   (* Work on a copy: the solvers remove and restore edges on the live
      graph, and the original [wf] should stay pristine for the caller. *)
   let wfc = Workflow.copy wf in
@@ -96,43 +100,55 @@ let check_instance label (wf : Workflow.t) (cs : Constraint_set.t) =
   let pairs = Constraint_set.pairs cs in
   if pairs <> [] then begin
     let g = Workflow.graph wfc in
-    let r_exact = Ilp_multicut.solve_exact g ~weight ~pairs in
-    let r_approx = Ilp_multicut.solve_approx g ~weight ~pairs in
-    Alcotest.(check (float 1e-6))
-      (label ^ ": exact lower bound is its own weight")
-      r_exact.Ilp_multicut.weight r_exact.Ilp_multicut.lower_bound;
+    let mc backend = Multicut.solve ~backend g ~weight ~pairs in
+    let r_exact = mc Multicut.Ilp in
     (* The bound the Algorithms tier reported is exactly the optimal
        multicut weight we just recomputed on an identical copy. *)
     Alcotest.(check (float 1e-6))
       (label ^ ": outcome bound is the optimal cut weight")
-      r_exact.Ilp_multicut.weight exact_bound;
-    if
-      r_approx.Ilp_multicut.weight
-      > (r_approx.Ilp_multicut.ratio *. r_exact.Ilp_multicut.weight) +. 1e-6
-    then
-      Alcotest.failf "%s: approx-lp weight %.3f breaks its %.0f-ratio vs %.3f"
-        label r_approx.Ilp_multicut.weight r_approx.Ilp_multicut.ratio
-        r_exact.Ilp_multicut.weight;
-    if r_approx.Ilp_multicut.lower_bound > r_exact.Ilp_multicut.weight +. 1e-6
-    then
-      Alcotest.failf "%s: approx-lp lower bound %.3f exceeds the optimum %.3f"
-        label r_approx.Ilp_multicut.lower_bound r_exact.Ilp_multicut.weight;
-    (* Lazy constraint generation terminates because it runs out of
-       violated pairs — one survivor count per round plus the final
-       sweep: every round found at least one, the final sweep none. *)
-    let violated = r_exact.Ilp_multicut.violated in
-    Alcotest.(check int)
-      (label ^ ": one violated count per round + final sweep")
-      (r_exact.Ilp_multicut.rounds + 1)
-      (List.length violated);
-    List.iteri
-      (fun i v ->
-        let last = i = List.length violated - 1 in
-        if last && v <> 0 then
-          Alcotest.failf "%s: lazy loop ended with %d violated pairs" label v;
-        if (not last) && v < 1 then
-          Alcotest.failf "%s: lazy round %d added no path" label i)
-      violated
+      r_exact.Multicut.weight exact_bound;
+    let optimum = r_exact.Multicut.weight in
+    List.iter
+      (fun (name, (r : Multicut.result)) ->
+        if r.Multicut.exact then begin
+          Alcotest.(check (float 1e-6))
+            (Printf.sprintf "%s: %s lower bound is its own weight" label name)
+            r.Multicut.weight r.Multicut.lower_bound;
+          Alcotest.(check (float 1e-6))
+            (Printf.sprintf "%s: %s weight is the optimum" label name)
+            optimum r.Multicut.weight
+        end
+        else begin
+          if r.Multicut.weight > (r.Multicut.ratio *. optimum) +. 1e-6 then
+            Alcotest.failf "%s: %s weight %.3f breaks its %.0f-ratio vs %.3f"
+              label name r.Multicut.weight r.Multicut.ratio optimum;
+          if r.Multicut.lower_bound > optimum +. 1e-6 then
+            Alcotest.failf "%s: %s lower bound %.3f exceeds the optimum %.3f"
+              label name r.Multicut.lower_bound optimum
+        end;
+        (* Lazy constraint generation terminates because it runs out of
+           violated pairs — one survivor count per round plus the final
+           sweep: every round found at least one, the final sweep none. *)
+        let violated = r.Multicut.violated in
+        Alcotest.(check int)
+          (Printf.sprintf "%s: %s has one violated count per round + final \
+                           sweep" label name)
+          (r.Multicut.rounds + 1)
+          (List.length violated);
+        List.iteri
+          (fun i v ->
+            let last = i = List.length violated - 1 in
+            if last && v <> 0 then
+              Alcotest.failf "%s: %s lazy loop ended with %d violated pairs"
+                label name v;
+            if (not last) && v < 1 then
+              Alcotest.failf "%s: %s lazy round %d added no path" label name i)
+          violated)
+      [
+        ("exact-ilp", r_exact);
+        ("approx-lp", mc Multicut.Lp_rounding);
+        ("auto", mc Algorithms.Options.default.Algorithms.Options.backend);
+      ]
   end
 
 (* ---------------------------------------------------------------- *)
