@@ -236,12 +236,20 @@ let fsync_conv =
 (* ---------------------------------------------------------------- *)
 (* serve-bench                                                        *)
 
+(* The server's serving and net registries, as its Metrics op returns
+   them. *)
+let write_server_metrics client file =
+  match Json.parse (Cdw_net.Client.metrics client) with
+  | Ok json -> write_json file json
+  | Error msg -> failwith ("server metrics: " ^ msg)
+
 (* Drive a remote `cdw serve` over the wire protocol: fetch the
    server's base workflow via Hello, build the config's request script
    against it, then per trial forget our sessions, pipeline every
    submit and drain. Replies for foreign users (another client sharing
    the server) are passed over; ours must all succeed. *)
-let serve_bench_connect config ~addr ~prefix ~trials ~out ~trace_out =
+let serve_bench_connect config ~addr ~prefix ~trials ~out ~metrics_out
+    ~trace_out =
   let module Client = Cdw_net.Client in
   let module Wire = Cdw_net.Wire in
   let module Engine = Cdw_engine.Engine in
@@ -327,6 +335,7 @@ let serve_bench_connect config ~addr ~prefix ~trials ~out ~trace_out =
                          | Ok tj -> Trace.merge_exports ours tj
                          | Error _ -> ours)
               in
+              Option.iter (write_server_metrics client) metrics_out;
               (h.Wire.h_shards, n_requests, !best, trace_json))
         with
         | shards, n_requests, ms, trace_json ->
@@ -365,7 +374,8 @@ let serve_bench_connect config ~addr ~prefix ~trials ~out ~trace_out =
    pipelined, and drains happen at synthetic-time window boundaries —
    the same cadence the in-process driver uses, so the two transports
    serve the identical stream. *)
-let serve_bench_connect_traffic spec ~addr ~prefix ~window_ms ~evolve ~out =
+let serve_bench_connect_traffic spec ~addr ~prefix ~window_ms ~evolve ~out
+    ~metrics_out =
   let module Client = Cdw_net.Client in
   let module Wire = Cdw_net.Wire in
   let module Engine = Cdw_engine.Engine in
@@ -467,6 +477,7 @@ let serve_bench_connect_traffic spec ~addr ~prefix ~window_ms ~evolve ~out =
                   let a = Array.of_list sorted in
                   a.(int_of_float (0.999 *. float_of_int (Array.length a - 1)))
             in
+            Option.iter (write_server_metrics client) metrics_out;
             (h.Wire.h_shards, n, users, !errors, ms, p999, !installs))
       with
       | shards, n_requests, users, errors, ms, p999, epochs ->
@@ -551,7 +562,7 @@ let serve_bench_cmd =
     Arg.(value & opt (some string) None & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Write the full result (config, timings, engine metrics) as JSON.")
   in
   let metrics_out =
-    Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc:"Write just the engine's metrics registry (counters and latency summaries) as JSON.")
+    Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc:"Write just the engine's metrics registry (counters and latency summaries) as JSON. With --connect, the server's serving and net registries, fetched over the wire after the run.")
   in
   let journal =
     Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"DIR" ~doc:"Journal the serving run into a durable consent ledger at $(docv), measuring the durability overhead. Use --trials 1: each trial re-creates the ledger.")
@@ -633,10 +644,10 @@ let serve_bench_cmd =
         match traffic_spec with
         | Some spec ->
             serve_bench_connect_traffic spec ~addr ~prefix:user_prefix
-              ~window_ms:50.0 ~evolve:evolve_steps ~out
+              ~window_ms:50.0 ~evolve:evolve_steps ~out ~metrics_out
         | None ->
             serve_bench_connect config ~addr ~prefix:user_prefix ~trials ~out
-              ~trace_out)
+              ~metrics_out ~trace_out)
     | None ->
         (* One code path for every shard count: [Serving.create] takes
            --shards, and everything below is written against the one

@@ -4,6 +4,8 @@ module Trace = Cdw_obs.Trace
 type t = {
   fd : Unix.file_descr;
   version : int;  (* the payload version this client speaks *)
+  r : Wire.reader;
+  w : Wire.writer;  (* requests not yet sent *)
   mutable outstanding : int;  (* pipelined submits awaiting their ack *)
 }
 
@@ -35,12 +37,20 @@ let connect ?(retries = 100) ?(version = Wire.version) addr =
      SIGPIPE. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
-  { fd = connect_retry addr retries; version; outstanding = 0 }
+  let fd = connect_retry addr retries in
+  { fd; version; r = Wire.reader fd; w = Wire.writer fd; outstanding = 0 }
 
-let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
+(* Submits still buffered leave first, so a submit followed by [close]
+   reaches the server. *)
+let close t =
+  (try Wire.flush t.w with Unix.Unix_error _ -> ());
+  try Unix.close t.fd with Unix.Unix_error _ -> ()
 
+(* Every read first sends whatever is buffered: the reply being waited
+   for may answer one of those requests. *)
 let read_reply t =
-  match Wire.read_reply t.fd with
+  Wire.flush t.w;
+  match Wire.read_reply t.r with
   | Ok (Ok reply) -> reply
   | Ok (Error msg) -> failwith ("malformed reply: " ^ msg)
   | Error `Eof -> failwith "server closed the connection"
@@ -66,20 +76,23 @@ let flush t =
    together. *)
 let send t request =
   let trace = if t.version >= 0x02 then Trace.current_span () else 0 in
-  Wire.send_request ~version:t.version ~trace t.fd request
+  Wire.write_request t.w ~version:t.version ~trace request
 
 let rpc t request =
   flush t;
   send t request;
   read_reply t
 
-(* Pipelining must be bounded. Every unread ack occupies a whole skb
-   (~768 B of socket buffer accounting, not 10 B of payload), so a few
-   hundred unsettled acks fill the server's send buffer; the server
-   then blocks writing acks, stops reading submits, and the two peers
-   deadlock writing at each other. Settling well below that threshold
-   keeps the server's ack stream always drainable, which is what makes
-   an arbitrarily long submit burst safe. *)
+(* Pipelining must be bounded. Acks now share segments — the server
+   answers every submit one read brought in with one write — but an
+   unread ack stream still fills the server's send buffer eventually:
+   the server then blocks writing acks, stops reading submits, and the
+   two peers deadlock writing at each other. Coalescing only moves that
+   point further out (a few thousand acks instead of a few hundred), so
+   the bound stays: settling every 128 submits keeps the server's ack
+   stream always drainable, which is what makes an arbitrarily long
+   submit burst safe. It is also the client's flush point in a burst —
+   128 submits leave in one write. *)
 let max_outstanding = 128
 
 let submit t ~user request =

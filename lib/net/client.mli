@@ -2,11 +2,13 @@
 
     One connection, one thread: requests go out in order and replies
     come back in order, so the client never needs request ids. Submits
-    are {e pipelined} — {!submit} sends the frame and returns without
+    are {e pipelined} — {!submit} buffers the frame and returns without
     waiting for its ack; the acks are collected (in order) by the next
-    {!drain}/{!hello}/… call, or explicitly by {!flush}. That keeps a
-    load-generating client's submit loop at socket bandwidth instead
-    of one round-trip per request.
+    {!drain}/{!hello}/… call, or explicitly by {!flush}. Buffered
+    requests leave in one write at the first of: a reply-bearing call,
+    128 unsettled acks, 64 KiB buffered, or {!close}. That keeps a
+    load-generating client's submit loop at memory speed, with one
+    write and one round trip per 128 submits.
 
     Every protocol-level failure — a rejected submit, a torn or
     corrupt reply frame, a server-side [Error_r] — raises [Failure]
@@ -29,17 +31,20 @@ val connect : ?retries:int -> ?version:int -> Unix.sockaddr -> t
     timeline (see {!server_trace}). *)
 
 val submit : t -> user:string -> Cdw_engine.Engine.request -> unit
-(** Pipeline one submit. The ack (or rejection) is read later — see
-    {!flush}. Pipelining is {e bounded}: past 128 unsettled acks the
-    call settles them first (each unread ack pins a whole kernel skb,
-    so unbounded pipelining mutual-write-deadlocks the connection once
-    the socket buffers fill — a burst of thousands of submits between
-    drains, e.g. a [--traffic] window, would otherwise hang). *)
+(** Pipeline one submit: its frame goes into the client's buffer. The
+    ack (or rejection) is read later — see {!flush}. Pipelining is
+    {e bounded}: past 128 unsettled acks the call sends the buffer and
+    settles them first (unread acks fill the server's send buffer, so
+    unbounded pipelining mutual-write-deadlocks the connection — a
+    burst of thousands of submits between drains, e.g. a [--traffic]
+    window, would otherwise hang). A server that has gone away shows
+    as [Unix.Unix_error] from the call that sends the buffer. *)
 
 val flush : t -> unit
-(** Read the acks for every pipelined submit. Raises [Failure
-    "submit rejected: …"] on the first rejection. Called implicitly by
-    every reply-bearing request below. *)
+(** Send what is buffered, then read the acks for every pipelined
+    submit. Raises [Failure "submit rejected: …"] on the first
+    rejection. Called implicitly by every reply-bearing request
+    below. *)
 
 val drain : t -> Cdw_engine.Engine.reply list
 (** Flush, then drain the server: replies in the server's global
@@ -70,5 +75,7 @@ val server_trace : t -> string
     it with the local export via {!Cdw_obs.Trace.merge_exports}. *)
 
 val close : t -> unit
-(** Close the socket. Pipelined-but-unflushed submits may or may not
-    have been served — flush first if you need the acks. *)
+(** Send what is buffered (best effort: a write error is ignored), then
+    close the socket. Submits sent this way reach the server, but their
+    acks are never read — {!flush} first if you need to know they were
+    accepted. *)

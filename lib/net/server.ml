@@ -74,7 +74,7 @@ let hello_reply t =
    rejections — journal refusing an oversized record, unknown
    algorithm states — come back as framed errors; they never tear the
    connection down. *)
-let serve_one t fd ~trace request =
+let serve_one t w ~trace request =
   Metrics.incr t.metrics "net.requests";
   match request with
   | Wire.Trace_req ->
@@ -87,7 +87,7 @@ let serve_one t fd ~trace request =
           Json.to_string ~pretty:false (Trace.export ())
         else ""
       in
-      Wire.send_reply fd (Wire.Trace_r text)
+      Wire.write_reply w (Wire.Trace_r text)
   | request ->
   (* A non-zero wire trace id is the client's span: parenting this
      request's span under it stitches the two processes' traces. *)
@@ -97,24 +97,24 @@ let serve_one t fd ~trace request =
     (fun () ->
       match request with
       | Wire.Trace_req -> assert false (* handled above *)
-      | Wire.Hello -> Wire.send_reply fd (hello_reply t)
+      | Wire.Hello -> Wire.write_reply w (hello_reply t)
       | Wire.Submit { user; request } -> (
           match Serving.submit t.serving ~user request with
-          | () -> Wire.send_reply fd Wire.Ack
+          | () -> Wire.write_reply w Wire.Ack
           | exception (Invalid_argument msg | Failure msg) ->
               Metrics.incr t.metrics "net.submit.rejected";
-              Wire.send_reply fd (Wire.Error_r msg))
+              Wire.write_reply w (Wire.Error_r msg))
       | Wire.Drain ->
           Mutex.lock t.drain_m;
           Fun.protect
             ~finally:(fun () -> Mutex.unlock t.drain_m)
             (fun () ->
               let replies = Serving.drain t.serving in
-              Wire.send_reply fd (Wire.Drain_r (List.length replies));
-              List.iter (fun r -> Wire.send_reply fd (Wire.Reply_r r)) replies)
+              Wire.write_reply w (Wire.Drain_r (List.length replies));
+              List.iter (fun r -> Wire.write_reply w (Wire.Reply_r r)) replies)
       | Wire.Forget user ->
           Serving.forget t.serving user;
-          Wire.send_reply fd Wire.Ack
+          Wire.write_reply w Wire.Ack
       | Wire.Metrics ->
           let json =
             Json.Object
@@ -123,21 +123,21 @@ let serve_one t fd ~trace request =
                 ("net", Metrics.to_json t.metrics);
               ]
           in
-          Wire.send_reply fd (Wire.Metrics_r (Json.to_string json))
+          Wire.write_reply w (Wire.Metrics_r (Json.to_string json))
       | Wire.Prom ->
-          Wire.send_reply fd
+          Wire.write_reply w
             (Wire.Prom_r
                (Serving.prometheus t.serving ^ Metrics.prometheus t.metrics))
-      | Wire.Ping -> Wire.send_reply fd Wire.Pong
+      | Wire.Ping -> Wire.write_reply w Wire.Pong
       | Wire.Epoch_install text -> (
           match Serialize.parse text with
           | Error msg ->
               Metrics.incr t.metrics "net.epoch.rejected";
-              Wire.send_reply fd (Wire.Error_r msg)
+              Wire.write_reply w (Wire.Error_r msg)
           | Ok (wf, _) -> (
               match install_epoch t wf with
               | Ok m ->
-                  Wire.send_reply fd
+                  Wire.write_reply w
                     (Wire.Epoch_installed_r
                        {
                          Wire.e_epoch = m.Engine.m_epoch;
@@ -145,15 +145,42 @@ let serve_one t fd ~trace request =
                          e_remapped = 0;
                          e_dropped = m.Engine.m_dropped_pairs;
                        })
-              | Error msg -> Wire.send_reply fd (Wire.Error_r msg)))
+              | Error msg -> Wire.write_reply w (Wire.Error_r msg)))
       | Wire.Epoch_query ->
-          Wire.send_reply fd (Wire.Epoch_r (Serving.epoch t.serving)))
+          Wire.write_reply w (Wire.Epoch_r (Serving.epoch t.serving)))
+
+(* One connection's buffers, and the I/O totals last added to the
+   net.* counters. *)
+type conn = {
+  fd : Unix.file_descr;
+  r : Wire.reader;
+  w : Wire.writer;
+  mutable published : Wire.stats * Wire.stats;
+}
+
+let publish t c =
+  let r = Wire.reader_stats c.r and w = Wire.writer_stats c.w in
+  let r0, w0 = c.published in
+  let bump key now before =
+    if now > before then Metrics.incr ~by:(now - before) t.metrics key
+  in
+  bump "net.reads" r.Wire.syscalls r0.Wire.syscalls;
+  bump "net.frames.in" r.Wire.frames r0.Wire.frames;
+  bump "net.writes" w.Wire.syscalls w0.Wire.syscalls;
+  bump "net.frames.out" w.Wire.frames w0.Wire.frames;
+  c.published <- (r, w)
+
+let flush_replies t c =
+  Wire.flush c.w;
+  publish t c
 
 (* Whoever removes an fd from [t.conns] owns closing it — the conn
    thread on a normal or damaged exit, [stop] during shutdown. The
    under-lock removal makes that exclusive, so an fd is never closed
    twice (double-close could hit an unrelated reused descriptor). *)
-let drop_conn t fd =
+let drop_conn t c =
+  publish t c;
+  let fd = c.fd in
   let mine =
     with_lock t (fun () ->
         if List.memq fd t.conns then begin
@@ -164,48 +191,65 @@ let drop_conn t fd =
   in
   if mine then try Unix.close fd with Unix.Unix_error _ -> ()
 
-(* Per-connection loop. Framing damage (torn or corrupt) means the
-   stream offset is unknown: answer with a best-effort framed error,
-   then close — never resynchronize by guessing. A payload that arrived
-   in an intact frame but fails to decode leaves the stream in sync:
-   answer the error and keep serving. *)
-let rec conn_loop t fd =
-  match Wire.read_request fd with
-  | Error `Eof -> drop_conn t fd
+(* Framing damage: a best-effort framed error after whatever replies
+   are still buffered, then close. *)
+let close_with_error t c msg =
+  (try
+     Wire.write_reply c.w (Wire.Error_r msg);
+     flush_replies t c
+   with Unix.Unix_error _ | Sys_error _ -> ());
+  drop_conn t c
+
+(* Per-connection loop. Replies collect in the connection's writer and
+   leave in one write just before a read that may block (or at 64 KiB):
+   every frame one read brought in is answered together, and a drain's
+   header and reply frames share writes. Framing damage (torn or
+   corrupt) means the stream offset is unknown: answer with a
+   best-effort framed error, then close — never resynchronize by
+   guessing. A payload that arrived in an intact frame but fails to
+   decode leaves the stream in sync: answer the error and keep
+   serving. *)
+let rec conn_loop t c =
+  match
+    if not (Wire.ready c.r) then flush_replies t c;
+    Wire.read_request c.r
+  with
+  | exception (Unix.Unix_error _ | Sys_error _) ->
+      (* The peer vanished while replies were leaving. *)
+      drop_conn t c
+  | Error `Eof -> drop_conn t c
   | Error (`Torn msg) ->
       Metrics.incr t.metrics "net.frames.torn";
-      (try Wire.send_reply fd (Wire.Error_r ("torn frame: " ^ msg))
-       with Unix.Unix_error _ | Sys_error _ -> ());
-      drop_conn t fd
+      close_with_error t c ("torn frame: " ^ msg)
   | Error (`Corrupt msg) ->
       Metrics.incr t.metrics "net.frames.corrupt";
-      (try Wire.send_reply fd (Wire.Error_r ("corrupt frame: " ^ msg))
-       with Unix.Unix_error _ | Sys_error _ -> ());
-      drop_conn t fd
+      close_with_error t c ("corrupt frame: " ^ msg)
   | Ok (Error msg) ->
       Metrics.incr t.metrics "net.requests.malformed";
-      (match Wire.send_reply fd (Wire.Error_r msg) with
-      | () -> conn_loop t fd
-      | exception (Unix.Unix_error _ | Sys_error _) -> drop_conn t fd)
-  | Ok (Ok (request, trace)) -> (
-      match serve_one t fd ~trace request with
-      | () -> conn_loop t fd
-      | exception (Unix.Unix_error _ | Sys_error _) ->
-          (* The peer vanished mid-reply. *)
-          drop_conn t fd
-      | exception exn ->
-          (* A serving bug must not kill the server: report it on this
-             connection and keep the connection alive. The flight
-             recorder dumps its rings first — the post-mortem record of
-             what the domains were doing when the bug fired. *)
-          Flight.fatal_dump ();
-          Metrics.incr t.metrics "net.errors";
-          (match
-             Wire.send_reply fd
-               (Wire.Error_r ("internal error: " ^ Printexc.to_string exn))
-           with
-          | () -> conn_loop t fd
-          | exception (Unix.Unix_error _ | Sys_error _) -> drop_conn t fd))
+      answer t c (fun () -> Wire.write_reply c.w (Wire.Error_r msg))
+  | Ok (Ok (request, trace)) ->
+      answer t c (fun () -> serve_one t c.w ~trace request)
+
+and answer t c f =
+  match f () with
+  | () -> conn_loop t c
+  | exception (Unix.Unix_error _ | Sys_error _) ->
+      (* The peer vanished mid-reply. *)
+      drop_conn t c
+  | exception exn ->
+      (* A serving bug must not kill the server: report it on this
+         connection and keep the connection alive. The flight recorder
+         dumps its rings first — the post-mortem record of what the
+         domains were doing when the bug fired. *)
+      Flight.fatal_dump ();
+      Metrics.incr t.metrics "net.errors";
+      answer t c (fun () ->
+          Wire.write_reply c.w
+            (Wire.Error_r ("internal error: " ^ Printexc.to_string exn)))
+
+let serve_conn t fd =
+  let r = Wire.reader fd and w = Wire.writer fd in
+  conn_loop t { fd; r; w; published = (Wire.reader_stats r, Wire.writer_stats w) }
 
 (* The loop never blocks in [accept] outright: it selects with a short
    tick and re-checks [stopped] between ticks, so [stop]'s join is
@@ -234,7 +278,7 @@ let accept_loop t =
                     if t.stopped then false
                     else begin
                       t.conns <- fd :: t.conns;
-                      let th = Thread.create (fun () -> conn_loop t fd) () in
+                      let th = Thread.create (fun () -> serve_conn t fd) () in
                       t.threads <- th :: t.threads;
                       true
                     end)

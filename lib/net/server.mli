@@ -23,12 +23,22 @@
     suite in [test_net.ml] drives mutated frames at a live server and
     requires exactly the behaviours above.
 
+    I/O is buffered per connection ({!Wire.reader}, {!Wire.writer}):
+    one [read] takes in every frame the socket holds, and the replies
+    to them collect in the connection's writer, which is flushed once
+    just before a read that may block ({!Wire.ready} is false) or when
+    it reaches 64 KiB. A pipelined burst is therefore answered in a few
+    writes, and a [Drain]'s header and reply frames share them.
+
     The server's own counters ([net.connections], [net.requests],
     [net.frames.torn], [net.frames.corrupt], [net.requests.malformed],
-    [net.submit.rejected], [net.errors]) live in a registry separate
-    from the serving value's; the [Metrics] and [Prom] ops expose
-    both. Request handling is wrapped in ["net.request"] trace
-    spans. *)
+    [net.submit.rejected], [net.errors], and the I/O totals
+    [net.reads], [net.writes], [net.frames.in], [net.frames.out] —
+    syscalls and frames, so [net.frames.in / net.reads] is the frames
+    each read brought in) live in a registry separate from the serving
+    value's; the [Metrics] and [Prom] ops expose both. The I/O totals
+    are added at each flush and when a connection ends. Request
+    handling is wrapped in ["net.request"] trace spans. *)
 
 type t
 

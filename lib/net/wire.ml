@@ -1,4 +1,5 @@
 module Engine = Cdw_engine.Engine
+module Crc32 = Cdw_store.Crc32
 module Frame = Cdw_store.Frame
 
 let version = 0x02
@@ -155,21 +156,19 @@ let rengine_reply buf pos =
    always emitted in the 0x01 layout — which is also what keeps a
    0x01-speaking client working against a 0x02 server unchanged. *)
 
-let payload ~version:v ~trace opcode body_writer =
-  let b = Buffer.create 64 in
+let payload b ~version:v ~trace opcode body_writer =
   u8 b v;
   u8 b opcode;
   if v >= 0x02 then i64 b trace;
-  body_writer b;
-  Buffer.contents b
+  body_writer b
 
-let encode_request ?(version = version) ?(trace = 0) request =
+let request_payload b ~version ~trace request =
   if version < min_version || version > 0x02 then
     invalid_arg
       (Printf.sprintf "Wire.encode_request: unknown version 0x%02x" version);
   if trace <> 0 && version < 0x02 then
     invalid_arg "Wire.encode_request: trace ids require version 0x02";
-  let payload opcode w = payload ~version ~trace opcode w in
+  let payload opcode w = payload b ~version ~trace opcode w in
   match request with
   | Hello -> payload 0x01 ignore
   | Submit { user; request } ->
@@ -185,8 +184,8 @@ let encode_request ?(version = version) ?(trace = 0) request =
   | Epoch_install text -> payload 0x09 (fun b -> str b text)
   | Epoch_query -> payload 0x0A ignore
 
-let encode_reply reply =
-  let payload opcode w = payload ~version:0x01 ~trace:0 opcode w in
+let reply_payload b reply =
+  let payload opcode w = payload b ~version:0x01 ~trace:0 opcode w in
   match reply with
   | Hello_r h ->
       payload 0x81 (fun b ->
@@ -209,6 +208,16 @@ let encode_reply reply =
           i64 b e.e_dropped)
   | Epoch_r epoch -> payload 0x8A (fun b -> i64 b epoch)
   | Error_r msg -> payload 0xEF (fun b -> str b msg)
+
+let contents write =
+  let b = Buffer.create 64 in
+  write b;
+  Buffer.contents b
+
+let encode_request ?(version = version) ?(trace = 0) request =
+  contents (fun b -> request_payload b ~version ~trace request)
+
+let encode_reply reply = contents (fun b -> reply_payload b reply)
 
 let with_body buf pos0 f =
   let pos = ref pos0 in
@@ -296,80 +305,186 @@ let decode_reply buf =
 
 (* ---------------------------------------------------------------- *)
 (* Socket framing: the WAL's [length u32][crc32 u32][payload] frame,
-   read incrementally off a blocking fd. *)
+   moved in buffers — one [read] takes in whatever the socket holds and
+   every complete frame is decoded from it; frames written go into one
+   buffer that leaves in one [write]. *)
 
-let rec write_all fd s ofs len =
-  if len > 0 then begin
-    let n =
-      try Unix.write_substring fd s ofs len
-      with Unix.Unix_error (Unix.EINTR, _, _) -> 0
-    in
-    write_all fd s (ofs + n) (len - n)
-  end
+(* Both buffers start at this size; the writer flushes on its own once
+   it holds this much. *)
+let buffer_size = 64 * 1024
 
-let write_frame fd buf =
-  let framed = Frame.encode buf in
-  write_all fd framed 0 (String.length framed)
+let u32_at buf pos = Int32.to_int (Bytes.get_int32_le buf pos) land 0xFFFF_FFFF
 
-(* Read exactly [len] bytes unless the peer closes first; returns how
-   many bytes actually arrived. A reset connection (the peer closed
-   with data still in flight) reads as a close at the current offset —
-   the classification (clean EOF vs torn) falls out of how much had
-   arrived, same as an orderly close. *)
-let read_exact fd buf ofs len =
-  let rec go got =
-    if got >= len then got
-    else
-      match Unix.read fd buf (ofs + got) (len - got) with
-      | 0 -> got
-      | n -> go (got + n)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go got
-      | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-          got
+type writer = {
+  wfd : Unix.file_descr;
+  mutable out : Bytes.t;  (* frames not yet written, [0, len) *)
+  mutable len : int;
+  scratch : Buffer.t;  (* the payload being encoded *)
+  mutable writes : int;
+  mutable frames_out : int;
+}
+
+let writer fd =
+  { wfd = fd; out = Bytes.create buffer_size; len = 0;
+    scratch = Buffer.create 256; writes = 0; frames_out = 0 }
+
+let flush w =
+  (* Reset before writing: a failed write leaves an empty buffer, not
+     a half-sent one the next flush would send again. *)
+  let len = w.len in
+  w.len <- 0;
+  let rec go ofs =
+    if ofs < len then
+      match Unix.write w.wfd w.out ofs (len - ofs) with
+      | n ->
+          w.writes <- w.writes + 1;
+          go (ofs + n)
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ofs
   in
-  go 0
+  go 0;
+  (* One oversized reply must not pin its buffer for the connection's
+     life. *)
+  if Bytes.length w.out > 4 * buffer_size then
+    w.out <- Bytes.create buffer_size
 
-let read_frame fd =
-  let header = Bytes.create Frame.header_size in
-  match read_exact fd header 0 Frame.header_size with
-  | 0 -> Error `Eof
-  | n when n < Frame.header_size ->
-      Error (`Torn (Printf.sprintf "connection closed mid-header (%d/%d bytes)"
-                      n Frame.header_size))
-  | _ ->
-      let len = Int32.to_int (Bytes.get_int32_le header 0) land 0xFFFF_FFFF in
-      if len > Frame.max_payload then
-        (* Never trust a corrupted length enough to read (or allocate)
-           that many bytes. *)
-        Error (`Corrupt (Printf.sprintf "implausible frame length %d" len))
-      else
-        let body = Bytes.create len in
-        let got = read_exact fd body 0 len in
-        if got < len then
-          Error
-            (`Torn (Printf.sprintf "connection closed mid-frame (%d/%d bytes)"
-                      got len))
+(* The bytes {!Cdw_store.Frame.encode} would produce, appended to the
+   writer's buffer: the payload is encoded into a reused scratch buffer
+   and copied once, right after its length and CRC. *)
+let write_frame w encode =
+  let b = w.scratch in
+  Buffer.clear b;
+  encode b;
+  let len = Buffer.length b in
+  if len > Frame.max_payload then begin
+    Buffer.reset b;
+    invalid_arg "Frame.encode: payload too large"
+  end;
+  let need = w.len + Frame.header_size + len in
+  if need > Bytes.length w.out then begin
+    let out = Bytes.create (max need (2 * Bytes.length w.out)) in
+    Bytes.blit w.out 0 out 0 w.len;
+    w.out <- out
+  end;
+  let body = w.len + Frame.header_size in
+  Buffer.blit b 0 w.out body len;
+  Bytes.set_int32_le w.out w.len (Int32.of_int len);
+  Bytes.set_int32_le w.out (w.len + 4)
+    (Int32.of_int (Crc32.bytes ~pos:body ~len w.out));
+  w.len <- need;
+  w.frames_out <- w.frames_out + 1;
+  if len > buffer_size then Buffer.reset b;
+  if w.len >= buffer_size then flush w
+
+let write_request w ~version ~trace request =
+  write_frame w (fun b -> request_payload b ~version ~trace request)
+
+let write_reply w reply = write_frame w (fun b -> reply_payload b reply)
+
+type reader = {
+  rfd : Unix.file_descr;
+  mutable rbuf : Bytes.t;
+  mutable pos : int;  (* start of the next frame *)
+  mutable lim : int;  (* end of the bytes read so far *)
+  mutable reads : int;
+  mutable frames_in : int;
+}
+
+let reader fd =
+  { rfd = fd; rbuf = Bytes.create buffer_size; pos = 0; lim = 0; reads = 0;
+    frames_in = 0 }
+
+(* Make room for [need] bytes from [pos] on, then read once. Returns
+   how many bytes arrived; 0 is a close. A reset connection (the peer
+   closed with data still in flight) reads as a close at the current
+   offset — the classification (clean EOF vs torn) falls out of how
+   much had arrived, same as an orderly close. *)
+let fill r need =
+  let held = r.lim - r.pos in
+  if r.pos + need > Bytes.length r.rbuf || (held = 0 && r.pos > 0) then begin
+    (* A frame larger than the buffer grows it — [need] is at most a
+       plausible frame — and an oversized buffer is dropped as soon as
+       it is empty again. *)
+    let buf =
+      if need > Bytes.length r.rbuf then Bytes.create need
+      else if held = 0 && Bytes.length r.rbuf > buffer_size
+              && need <= buffer_size then Bytes.create buffer_size
+      else r.rbuf
+    in
+    Bytes.blit r.rbuf r.pos buf 0 held;
+    r.rbuf <- buf;
+    r.pos <- 0;
+    r.lim <- held
+  end;
+  let rec go () =
+    match Unix.read r.rfd r.rbuf r.lim (Bytes.length r.rbuf - r.lim) with
+    | n ->
+        r.reads <- r.reads + 1;
+        r.lim <- r.lim + n;
+        n
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+    | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> 0
+  in
+  go ()
+
+let ready r =
+  let held = r.lim - r.pos in
+  held >= Frame.header_size
+  &&
+  let len = u32_at r.rbuf r.pos in
+  len > Frame.max_payload || held - Frame.header_size >= len
+
+let read_frame r =
+  let rec header () =
+    let held = r.lim - r.pos in
+    if held >= Frame.header_size then body ()
+    else if fill r Frame.header_size > 0 then header ()
+    else if held = 0 then Error `Eof
+    else
+      Error
+        (`Torn
+          (Printf.sprintf "connection closed mid-header (%d/%d bytes)" held
+             Frame.header_size))
+  and body () =
+    let len = u32_at r.rbuf r.pos in
+    if len > Frame.max_payload then
+      (* Never trust a corrupted length enough to read (or allocate)
+         that many bytes. *)
+      Error (`Corrupt (Printf.sprintf "implausible frame length %d" len))
+    else
+      let rec await () =
+        let got = r.lim - r.pos - Frame.header_size in
+        if got >= len then verify len
+        else if fill r (Frame.header_size + len) > 0 then await ()
         else
-          (* Hand the complete frame back to the WAL's decoder so CRC
-             verification and corruption classification are literally
-             the ledger's. *)
-          let whole = Bytes.to_string header ^ Bytes.to_string body in
-          (match Frame.decode whole ~pos:0 with
-          | Ok (buf, _) -> Ok buf
-          | Error (`Corrupt _ as e) | Error (`Torn _ as e) -> Error e
-          | Error `Eof -> Error (`Torn "empty frame"))
+          Error
+            (`Torn
+              (Printf.sprintf "connection closed mid-frame (%d/%d bytes)" got
+                 len))
+      in
+      await ()
+  and verify len =
+    (* The same CRC check, and the same message, as the ledger's
+       scanner ({!Cdw_store.Frame.decode}). *)
+    let start = r.pos + Frame.header_size in
+    let stored = u32_at r.rbuf (r.pos + 4) in
+    let actual = Crc32.bytes ~pos:start ~len r.rbuf in
+    if actual <> stored then
+      Error
+        (`Corrupt
+          (Printf.sprintf "crc mismatch (stored %08x, computed %08x)" stored
+             actual))
+    else begin
+      r.pos <- start + len;
+      r.frames_in <- r.frames_in + 1;
+      Ok (Bytes.sub_string r.rbuf start len)
+    end
+  in
+  header ()
 
-let send_request ?version ?trace fd request =
-  write_frame fd (encode_request ?version ?trace request)
+let read_request r = Result.map decode_request (read_frame r)
+let read_reply r = Result.map decode_reply (read_frame r)
 
-let send_reply fd reply = write_frame fd (encode_reply reply)
+type stats = { syscalls : int; frames : int }
 
-let read_request fd =
-  match read_frame fd with
-  | Error _ as e -> e
-  | Ok buf -> Ok (decode_request buf)
-
-let read_reply fd =
-  match read_frame fd with
-  | Error _ as e -> e
-  | Ok buf -> Ok (decode_reply buf)
+let reader_stats r = { syscalls = r.reads; frames = r.frames_in }
+let writer_stats w = { syscalls = w.writes; frames = w.frames_out }

@@ -3,9 +3,10 @@
     Every message travels in one WAL-style frame —
     [[length u32 LE][crc32 u32 LE][payload]], {!Cdw_store.Frame} — so
     the socket reader classifies damage exactly like the ledger's
-    scanner: a short read is {e torn}, a CRC mismatch or implausible
-    length is {e corrupt}, and a read that starts on a frame boundary
-    and gets zero bytes is a clean EOF.
+    scanner: a close mid-frame is {e torn}, a CRC mismatch or
+    implausible length is {e corrupt}, and a close on a frame boundary
+    is a clean EOF. Frames are read and written in buffers, many per
+    syscall (see {!reader} and {!writer}).
 
     The payload layout depends on the leading version byte:
     - [0x01]: [[0x01][opcode u8][body]];
@@ -98,7 +99,7 @@ type reply =
   | Error_r of string
 
 (** {1 Payload codec} (exposed for tests; servers and clients use the
-    fd helpers below) *)
+    buffered reader and writer below) *)
 
 val encode_request : ?version:int -> ?trace:int -> request -> string
 (** [version] defaults to {!version} (0x02). [trace] (default 0 =
@@ -117,30 +118,63 @@ val decode_request : string -> (request * int, string) result
 
 val decode_reply : string -> (reply, string) result
 
-(** {1 Frame I/O over a blocking fd} *)
+(** {1 Buffered frame I/O over a blocking fd}
 
-val write_frame : Unix.file_descr -> string -> unit
-(** Frame ({!Cdw_store.Frame.encode}) and write the whole payload.
-    Raises [Unix.Unix_error] on I/O failure. *)
+    Bytes move in buffers, not frames. A {!reader} pulls in whatever
+    the socket holds with one [read] and decodes every complete frame
+    from it before reading again; a {!writer} collects frames and sends
+    them with one [write] when {!flush}ed — or by itself once it holds
+    64 KiB. Neither ever holds a half-encoded frame, so what the peer
+    receives is the same frame sequence a frame-at-a-time sender would
+    produce. Both are single-threaded: one per connection, per peer. *)
+
+type writer
+
+val writer : Unix.file_descr -> writer
+(** A reused per-connection output buffer (64 KiB, grown only for a
+    larger frame and shrunk back once flushed). *)
+
+val write_request :
+  writer -> version:int -> trace:int -> request -> unit
+(** Frame the request ({!encode_request}'s payload, in
+    {!Cdw_store.Frame} framing) into the buffer. Flushes by itself once
+    the buffer reaches 64 KiB, so it can raise [Unix.Unix_error]. *)
+
+val write_reply : writer -> reply -> unit
+(** Like {!write_request}, for {!encode_reply}'s payload. A payload
+    beyond {!Cdw_store.Frame.max_payload} raises [Invalid_argument] and
+    leaves the buffer as it was. *)
+
+val flush : writer -> unit
+(** Write out everything buffered, in as many [write]s as the kernel
+    takes (one, unless the socket buffer is full). The buffer is
+    emptied even if a write raises [Unix.Unix_error]. *)
+
+type reader
+
+val reader : Unix.file_descr -> reader
+(** A per-connection input buffer (64 KiB, grown only to hold one frame
+    larger than that). *)
+
+val ready : reader -> bool
+(** [read_frame] would return without a [read] syscall: the buffer
+    holds a complete frame, or a header whose length is already
+    implausible. When [false], the next read may block — the point to
+    flush replies still held in a writer. *)
 
 val read_frame :
-  Unix.file_descr ->
-  (string, [ `Eof | `Torn of string | `Corrupt of string ]) result
-(** Read one complete frame. [`Eof]: the peer closed exactly on a
-    frame boundary. [`Torn]: it closed mid-frame. [`Corrupt]: the
-    length is implausible (nothing past the header is read — a
-    corrupted length must not drive allocation) or the CRC does not
-    match. After [`Torn]/[`Corrupt] the stream offset is unknown — the
-    connection must be closed, exactly like a damaged WAL tail ends
-    replay. *)
-
-val send_request :
-  ?version:int -> ?trace:int -> Unix.file_descr -> request -> unit
-
-val send_reply : Unix.file_descr -> reply -> unit
+  reader -> (string, [ `Eof | `Torn of string | `Corrupt of string ]) result
+(** The next complete frame's payload, reading only when the buffer
+    holds no complete frame. [`Eof]: the peer closed exactly on a frame
+    boundary. [`Torn]: it closed mid-frame. [`Corrupt]: the length is
+    implausible (checked against {!Cdw_store.Frame.max_payload} from
+    the header alone — a corrupted length must not drive allocation or
+    further reads) or the CRC does not match. After
+    [`Torn]/[`Corrupt] the stream offset is unknown — the connection
+    must be closed, exactly like a damaged WAL tail ends replay. *)
 
 val read_request :
-  Unix.file_descr ->
+  reader ->
   ((request * int, string) result,
    [ `Eof | `Torn of string | `Corrupt of string ])
   result
@@ -148,6 +182,13 @@ val read_request :
     inner is payload decoding (see {!decode_request}). *)
 
 val read_reply :
-  Unix.file_descr ->
+  reader ->
   ((reply, string) result, [ `Eof | `Torn of string | `Corrupt of string ])
   result
+
+type stats = { syscalls : int; frames : int }
+(** Totals since the reader or writer was made: [read]/[write]
+    syscalls issued, and complete frames decoded or encoded. *)
+
+val reader_stats : reader -> stats
+val writer_stats : writer -> stats

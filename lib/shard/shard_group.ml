@@ -59,6 +59,7 @@ type shard = {
   mutable pre_rejected : Engine.reply list;
       (* submits a migration's ingest saw the journal reject, newest
          first; answered by the next drain so no request goes silent *)
+  mutable store : Store.t option;  (* the shard's ledger, once journaled *)
 }
 
 type t = {
@@ -66,7 +67,6 @@ type t = {
   members : shard array;
   seq : int Atomic.t;  (* global submission counter — the only shared
                           submit-path state, and it is lock-free *)
-  mutable stores : Store.t array;  (* [||] until [journal] / [resume] *)
   drain_lock : Mutex.t;  (* serializes drains, worker spawn and close *)
   mutable tickets : int;
 }
@@ -94,10 +94,10 @@ let group_of_engines engines =
             domain = None;
             pre_seq = Hashtbl.create 16;
             pre_rejected = [];
+            store = None;
           })
         engines;
     seq = Atomic.make 0;
-    stores = [||];
     drain_lock = Mutex.create ();
     tickets = 0;
   }
@@ -164,12 +164,58 @@ let phase shard counter name f =
     (fun () ->
       Trace.span name ~args:[ ("shard", string_of_int shard.position) ] f)
 
-(* Take the shard's whole inbox, restore the global submission order
-   (CAS order under racing producers can differ from seq order), feed
-   the engine — journal hooks fire inside [Engine.submit], so the WAL
-   records land in seq order — and drain. A submit the journal rejects
-   (e.g. an oversized record) answers with a framed error reply instead
-   of killing the shard domain.
+(* The shard's whole inbox in the global submission order (CAS order
+   under racing producers can differ from seq order). *)
+let take_inbox shard =
+  let items =
+    List.sort
+      (fun (a : item) (b : item) -> compare a.seq b.seq)
+      (Mpsc.take_all shard.inbox)
+  in
+  let n = List.length items in
+  if n > 0 then ignore (Atomic.fetch_and_add shard.depth (-n));
+  items
+
+(* Feed [items] to the engine — journal + enqueue, no execute —
+   recording each user's first seq in [first]. Journal hooks fire
+   inside [Engine.submit], so the WAL records land in seq order; they
+   reach the kernel as one group commit (one write when the ingest
+   ends, one fsync-policy check) rather than one flush each. A submit
+   the journal rejects (e.g. an oversized record) becomes an error
+   reply, consed onto [rejected] (newest first), instead of killing
+   the shard domain. *)
+let ingest shard items ~first ~rejected =
+  let feed () =
+    List.fold_left
+      (fun rejected it ->
+        if not (Hashtbl.mem first it.i_user) then
+          Hashtbl.add first it.i_user it.seq;
+        match
+          Engine.submit ~submitted_ms:it.at_ms shard.engine ~user:it.i_user
+            it.i_request
+        with
+        | () -> rejected
+        | exception exn ->
+            let msg =
+              match exn with
+              | Invalid_argument m | Failure m -> m
+              | e -> Printexc.to_string e
+            in
+            Metrics.incr (Engine.metrics shard.engine) "shard.submit.rejected";
+            {
+              Engine.user = it.i_user;
+              request = it.i_request;
+              result = Error msg;
+              time_ms = 0.0;
+            }
+            :: rejected)
+      rejected items
+  in
+  match shard.store with
+  | Some store when items <> [] -> Store.group_commit store feed
+  | Some _ | None -> feed ()
+
+(* Take the shard's inbox, ingest it and drain.
 
    The body is tiled by four phases — sort, journal (ingest), execute,
    gather — so `trace summarize --scaling` can attribute essentially
@@ -192,13 +238,8 @@ let drain_shard shard ~parent =
       let m = Engine.metrics shard.engine in
       let items =
         phase shard acct.Domain_acct.sort_us "shard.sort" (fun () ->
-            let items =
-              List.sort
-                (fun (a : item) (b : item) -> compare a.seq b.seq)
-                (Mpsc.take_all shard.inbox)
-            in
+            let items = take_inbox shard in
             let n = List.length items in
-            if n > 0 then ignore (Atomic.fetch_and_add shard.depth (-n));
             (* The inbox only grows between drains (a drain takes it
                whole), so the batch size *is* the inter-drain depth
                peak. *)
@@ -215,44 +256,26 @@ let drain_shard shard ~parent =
          domain — the ticket handoff through [shard.m] orders them. *)
       Hashtbl.iter (Hashtbl.replace first) shard.pre_seq;
       Hashtbl.reset shard.pre_seq;
-      let rejected = ref shard.pre_rejected in
+      let carried = shard.pre_rejected in
       shard.pre_rejected <- [];
-      phase shard acct.Domain_acct.journal_us "shard.journal" (fun () ->
-          let ingest_ms = Timing.now_ms () in
-          let lag = ref 0.0 and lag_peak = ref 0.0 in
-          List.iter
-            (fun it ->
-              let l = Float.max 0.0 (ingest_ms -. it.at_ms) in
-              lag := !lag +. l;
-              if l > !lag_peak then lag_peak := l;
-              if not (Hashtbl.mem first it.i_user) then
-                Hashtbl.add first it.i_user it.seq;
-              match
-                Engine.submit ~submitted_ms:it.at_ms shard.engine
-                  ~user:it.i_user it.i_request
-              with
-              | () -> ()
-              | exception exn ->
-                  let msg =
-                    match exn with
-                    | Invalid_argument m | Failure m -> m
-                    | e -> Printexc.to_string e
-                  in
-                  Metrics.incr m "shard.submit.rejected";
-                  rejected :=
-                    {
-                      Engine.user = it.i_user;
-                      request = it.i_request;
-                      result = Error msg;
-                      time_ms = 0.0;
-                    }
-                    :: !rejected)
-            items;
-          (* Write-behind journal lag: how far ingest (where the WAL
-             record is written) ran behind the submit stream. ms → µs. *)
-          Domain_acct.bump acct.Domain_acct.journal_lag_us (!lag *. 1000.0);
-          Domain_acct.set_max acct.Domain_acct.journal_lag_peak_us
-            (int_of_float (!lag_peak *. 1000.0)));
+      let rejected =
+        phase shard acct.Domain_acct.journal_us "shard.journal" (fun () ->
+            (* Write-behind journal lag: how far ingest (where the WAL
+               record is written) ran behind the submit stream. ms →
+               µs. *)
+            let ingest_ms = Timing.now_ms () in
+            let lag = ref 0.0 and lag_peak = ref 0.0 in
+            List.iter
+              (fun it ->
+                let l = Float.max 0.0 (ingest_ms -. it.at_ms) in
+                lag := !lag +. l;
+                if l > !lag_peak then lag_peak := l)
+              items;
+            Domain_acct.bump acct.Domain_acct.journal_lag_us (!lag *. 1000.0);
+            Domain_acct.set_max acct.Domain_acct.journal_lag_peak_us
+              (int_of_float (!lag_peak *. 1000.0));
+            ingest shard items ~first ~rejected:carried)
+      in
       let replies =
         phase shard acct.Domain_acct.execute_us "shard.execute" (fun () ->
             Engine.drain shard.engine)
@@ -280,7 +303,7 @@ let drain_shard shard ~parent =
                   | g :: rest -> g :: add rest
                 in
                 add runs)
-              runs (List.rev !rejected)
+              runs (List.rev rejected)
           in
           List.map
             (fun (u, rs) ->
@@ -524,38 +547,9 @@ let epoch t = Engine.epoch t.members.(0).engine
    old-base ids, are inside the engine when [Engine.migrate] remaps
    them. Seqs and rejections carry over to the next drain. *)
 let ingest_inbox shard =
-  let items =
-    List.sort
-      (fun (a : item) (b : item) -> compare a.seq b.seq)
-      (Mpsc.take_all shard.inbox)
-  in
-  let n = List.length items in
-  if n > 0 then ignore (Atomic.fetch_and_add shard.depth (-n));
-  List.iter
-    (fun it ->
-      if not (Hashtbl.mem shard.pre_seq it.i_user) then
-        Hashtbl.add shard.pre_seq it.i_user it.seq;
-      match
-        Engine.submit ~submitted_ms:it.at_ms shard.engine ~user:it.i_user
-          it.i_request
-      with
-      | () -> ()
-      | exception exn ->
-          let msg =
-            match exn with
-            | Invalid_argument m | Failure m -> m
-            | e -> Printexc.to_string e
-          in
-          Metrics.incr (Engine.metrics shard.engine) "shard.submit.rejected";
-          shard.pre_rejected <-
-            {
-              Engine.user = it.i_user;
-              request = it.i_request;
-              result = Error msg;
-              time_ms = 0.0;
-            }
-            :: shard.pre_rejected)
-    items
+  shard.pre_rejected <-
+    ingest shard (take_inbox shard) ~first:shard.pre_seq
+      ~rejected:shard.pre_rejected
 
 let migrate ?epoch:e t wf =
   with_lock t.drain_lock (fun () ->
@@ -819,27 +813,31 @@ let read_group_manifest root =
   | Some n when Float.is_integer n && n >= 1.0 -> Ok (int_of_float n)
   | Some _ | None -> Error "group.json: missing or malformed \"shards\""
 
+let stores t =
+  Array.of_list (List.filter_map (fun s -> s.store) (Array.to_list t.members))
+
 let journal ?fsync ?snapshot_every_bytes ~dir t =
-  if Array.length t.stores > 0 then
+  if t.members.(0).store <> None then
     invalid_arg "Shard_group.journal: group already journaled";
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
   write_group_manifest dir ~shards:t.shards;
-  t.stores <-
-    Array.mapi
-      (fun i s ->
-        Store.create_for ?fsync ?snapshot_every_bytes ~dir:(shard_dir dir i)
-          s.engine)
-      t.members
+  Array.iteri
+    (fun i s ->
+      s.store <-
+        Some
+          (Store.create_for ?fsync ?snapshot_every_bytes ~dir:(shard_dir dir i)
+             s.engine))
+    t.members
 
 let snapshot t =
-  Array.iteri
-    (fun i store -> Store.write_snapshot store t.members.(i).engine)
-    t.stores
+  Array.iter
+    (fun s -> Option.iter (fun st -> Store.write_snapshot st s.engine) s.store)
+    t.members
 
 let compact t =
-  Array.iteri
-    (fun i store -> Store.compact store t.members.(i).engine)
-    t.stores
+  Array.iter
+    (fun s -> Option.iter (fun st -> Store.compact st s.engine) s.store)
+    t.members
 
 let close t =
   with_lock t.drain_lock (fun () ->
@@ -852,8 +850,11 @@ let close t =
               s.domain <- None
           | None -> ())
         t.members;
-      Array.iter Store.close t.stores;
-      t.stores <- [||])
+      Array.iter
+        (fun s ->
+          Option.iter Store.close s.store;
+          s.store <- None)
+        t.members)
 
 type recovery = {
   shard_recoveries : Store.recovery array;
@@ -942,7 +943,7 @@ let resume ?fsync ?snapshot_every_bytes
       let group =
         group_of_engines (Array.map (fun (_, r) -> r.Store.engine) pairs)
       in
-      group.stores <- Array.map fst pairs;
+      Array.iteri (fun i (store, _) -> group.members.(i).store <- Some store) pairs;
       (group, summarize (Array.map snd pairs)))
     pairs
 

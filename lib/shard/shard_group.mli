@@ -63,9 +63,14 @@
     each shard's WAL is an exact prefix of what that shard served. One
     shard logs inside {!submit} (write-ahead); N shards log when a
     shard's drain {e ingests} the request, on the pinned domain in
-    sequence order (the lock-free submit cannot block on an fsync). A
-    crash can therefore lose inbox items that were submitted but never
-    drained — exactly the items no drain ever acknowledged. A request
+    sequence order (the lock-free submit cannot block on an fsync), as
+    one group commit ({!Cdw_store.Store.group_commit}): the records one
+    ingest writes reach the kernel together when the ingest ends, and
+    the fsync policy is checked once there — so when a drain returns,
+    its records are in the kernel and under the policy's bound, as on
+    one shard. A crash can therefore lose inbox items that were
+    submitted but never drained — exactly the items no drain ever
+    acknowledged. A request
     the journal {e rejects} (e.g. oversized,
     {!Cdw_engine.Engine.submit}'s [Invalid_argument]) raises out of
     {!submit} on one shard, and is answered with an [Error] reply on N
@@ -275,6 +280,9 @@ val journal :
     are written in global sequence order per shard (see the module
     preamble on the durability contract). Raises [Invalid_argument]
     if the group is already journaled. *)
+
+val stores : t -> Cdw_store.Store.t array
+(** The per-shard ledgers in shard order; [[||]] when not journaled. *)
 
 val snapshot : t -> unit
 (** Coordinated drain-boundary snapshot: {!Cdw_store.Store.write_snapshot}

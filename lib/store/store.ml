@@ -303,6 +303,11 @@ let with_lock t f =
 
 let log t record = with_lock t (fun () -> Wal.append t.wal (Record.encode record))
 
+(* The log is captured once: a compaction inside [f] (a caller bug —
+   compaction wants quiescence) closes it, and the commit then finds
+   it closed and does nothing. *)
+let group_commit t f = Wal.group_commit (with_lock t (fun () -> t.wal)) f
+
 (* Mirror WAL activity into the attached engine's metrics. The observer
    fires under the WAL lock, and Metrics' own mutex is a leaf lock, so
    this respects the engine → store → wal lock order. *)

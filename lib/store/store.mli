@@ -125,6 +125,11 @@ val create_for :
 val log : t -> Record.t -> unit
 (** Append one record (done automatically by {!attach} hooks). *)
 
+val group_commit : t -> (unit -> 'a) -> 'a
+(** {!Wal.group_commit} on the current WAL: the records the calling
+    thread logs during [f] reach the kernel together when [f] ends,
+    with one fsync-policy check. *)
+
 val wal_length : t -> int
 
 val generation : t -> int

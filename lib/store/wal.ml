@@ -34,6 +34,9 @@ type t = {
   mutable unsynced : int;  (* appends since the last fsync *)
   mutable closed : bool;
   mutable observer : observer;
+  mutable committer : int option;
+      (* the thread inside [group_commit]: its appends stay in the
+         channel until the group ends *)
   lock : Mutex.t;
 }
 
@@ -54,6 +57,7 @@ let make ?(fsync = Every 32) ~truncate path =
     unsynced = 0;
     closed = false;
     observer = no_observer;
+    committer = None;
     lock = Mutex.create ();
   }
 
@@ -73,14 +77,44 @@ let append t payload =
       with_lock t (fun () ->
           if t.closed then invalid_arg "Wal.append: log is closed";
           output_string t.oc frame;
-          flush t.oc;
+          let grouped = t.committer = Some (Thread.id (Thread.self ())) in
+          if not grouped then flush t.oc;
           t.len <- t.len + String.length frame;
           t.unsynced <- t.unsynced + 1;
           t.observer.on_append ~bytes:(String.length frame);
-          match t.fsync with
-          | Always -> fsync_now t
-          | Every n when t.unsynced >= n -> fsync_now t
-          | Every _ | Never -> ()))
+          if not grouped then
+            match t.fsync with
+            | Always -> fsync_now t
+            | Every n when t.unsynced >= n -> fsync_now t
+            | Every _ | Never -> ()))
+
+(* The group's one write, and its one policy check. Timed as a
+   [wal.append] span: it is the appends' path to the kernel. *)
+let commit t =
+  Trace.span "wal.append" (fun () ->
+      with_lock t (fun () ->
+          t.committer <- None;
+          if not t.closed then begin
+            flush t.oc;
+            match t.fsync with
+            | Always when t.unsynced > 0 -> fsync_now t
+            | Every n when t.unsynced >= n -> fsync_now t
+            | Always | Every _ | Never -> ()
+          end))
+
+let group_commit t f =
+  with_lock t (fun () ->
+      if t.committer <> None then
+        invalid_arg "Wal.group_commit: a group commit is already open";
+      t.committer <- Some (Thread.id (Thread.self ())));
+  match f () with
+  | v ->
+      commit t;
+      v
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      commit t;
+      Printexc.raise_with_backtrace e bt
 
 let length t = with_lock t (fun () -> t.len)
 

@@ -13,6 +13,11 @@
       append, so only an OS/power failure loses data, not a process
       crash).
 
+    A {!group_commit} applies the same policy to a batch of appends
+    instead of to each one: they reach the kernel together when the
+    group ends (one write per 64 KiB of channel buffer), and the policy
+    is checked once then.
+
     Reading never goes through a {!t}: {!scan} works on the file, so
     recovery can inspect a log the crashed process still nominally
     owns. *)
@@ -34,7 +39,19 @@ val open_append : ?fsync:fsync_policy -> string -> t
 
 val append : t -> string -> unit
 (** Frame the payload and append it, flushing to the OS and fsyncing
-    per policy before returning. *)
+    per policy before returning — unless the calling thread is inside
+    {!group_commit}, which does both for it when the group ends. *)
+
+val group_commit : t -> (unit -> 'a) -> 'a
+(** [group_commit t f] runs [f] with the calling thread's appends to
+    [t] left in the channel buffer: no per-append flush or fsync. When
+    [f] returns or raises, everything buffered is written to the kernel
+    together and the policy is checked once — [Always]: fsync if any
+    append is unsynced; [Every n]: fsync if at least [n] are; [Never]:
+    no fsync. Appends by other threads during [f] keep their own flush
+    (which also writes the group's frames so far — the order on disk
+    is the append order either way). Raises [Invalid_argument] if a
+    group is already open on [t]. *)
 
 type observer = { on_append : bytes:int -> unit; on_fsync : unit -> unit }
 (** Callbacks fired after each framed append (with the on-disk frame

@@ -16,12 +16,8 @@ module Workbench = Cdw_engine.Workbench
 (* ---------------------------------------------------------------- *)
 (* harness *)
 
-let with_server ?shards ?(config = Workbench.quick) f =
-  let wf, script = Workbench.workload config in
-  let serving =
-    Serving.create ~algorithm:config.Workbench.algorithm
-      ~seed:config.Workbench.seed ?shards wf
-  in
+(* Serve [serving] on a fresh Unix socket for the duration of [f]. *)
+let serve serving f =
   let path = Filename.temp_file "cdw_net" ".sock" in
   Sys.remove path;
   let server = Server.start serving (Unix.ADDR_UNIX path) in
@@ -30,7 +26,15 @@ let with_server ?shards ?(config = Workbench.quick) f =
       Server.stop server;
       Serving.close serving;
       if Sys.file_exists path then Sys.remove path)
-    (fun () -> f server script)
+    (fun () -> f server)
+
+let with_server ?shards ?(config = Workbench.quick) f =
+  let wf, script = Workbench.workload config in
+  let serving =
+    Serving.create ~algorithm:config.Workbench.algorithm
+      ~seed:config.Workbench.seed ?shards wf
+  in
+  serve serving (fun server -> f server script)
 
 let raw_connect server =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -46,8 +50,8 @@ let write_raw fd s =
   in
   go 0 (String.length s)
 
-let expect_error_reply name fd =
-  match Wire.read_reply fd with
+let expect_error_reply name r =
+  match Wire.read_reply r with
   | Ok (Ok (Wire.Error_r _)) -> ()
   | other ->
       Alcotest.failf "%s: expected a framed Error_r, got %s" name
@@ -58,8 +62,8 @@ let expect_error_reply name fd =
         | Error (`Torn msg) -> "torn: " ^ msg
         | Error (`Corrupt msg) -> "corrupt: " ^ msg)
 
-let expect_eof name fd =
-  match Wire.read_reply fd with
+let expect_eof name r =
+  match Wire.read_reply r with
   | Error `Eof -> ()
   | _ -> Alcotest.failf "%s: expected the server to close the connection" name
 
@@ -473,8 +477,9 @@ let test_torn_frame () =
          that dies mid-frame — torn, exactly like a torn WAL append. *)
       write_raw fd (String.sub frame 0 (String.length frame - 3));
       Unix.shutdown fd Unix.SHUTDOWN_SEND;
-      expect_error_reply "torn" fd;
-      expect_eof "torn closes" fd;
+      let r = Wire.reader fd in
+      expect_error_reply "torn" r;
+      expect_eof "torn closes" r;
       Unix.close fd;
       check_alive server;
       Alcotest.(check bool) "torn counted" true
@@ -489,8 +494,9 @@ let test_bit_flipped_frame () =
       let pos = Frame.header_size in
       Bytes.set frame pos (Char.chr (Char.code (Bytes.get frame pos) lxor 0x10));
       write_raw fd (Bytes.to_string frame);
-      expect_error_reply "bit flip" fd;
-      expect_eof "corrupt closes" fd;
+      let r = Wire.reader fd in
+      expect_error_reply "bit flip" r;
+      expect_eof "corrupt closes" r;
       Unix.close fd;
       check_alive server;
       Alcotest.(check bool) "corrupt counted" true
@@ -506,8 +512,9 @@ let test_oversized_frame () =
       Bytes.set_int32_le header 0 (Int32.of_int (Frame.max_payload + 1));
       Bytes.set_int32_le header 4 0xDEAD_BEEFl;
       write_raw fd (Bytes.to_string header);
-      expect_error_reply "oversized" fd;
-      expect_eof "oversized closes" fd;
+      let r = Wire.reader fd in
+      expect_error_reply "oversized" r;
+      expect_eof "oversized closes" r;
       Unix.close fd;
       check_alive server)
 
@@ -518,9 +525,10 @@ let test_malformed_body_keeps_connection () =
          sync, so the server answers the error and keeps serving on the
          same connection. *)
       write_raw fd (Frame.encode "\x01\xaa");
-      expect_error_reply "unknown opcode" fd;
-      Wire.send_request fd Wire.Ping;
-      (match Wire.read_reply fd with
+      let r = Wire.reader fd in
+      expect_error_reply "unknown opcode" r;
+      write_raw fd (Frame.encode (Wire.encode_request Wire.Ping));
+      (match Wire.read_reply r with
       | Ok (Ok Wire.Pong) -> ()
       | _ -> Alcotest.fail "connection should survive a malformed body");
       Unix.close fd;
@@ -573,15 +581,111 @@ let test_fuzz_mutations () =
         (* Whatever happened, the server must answer with framed
            replies (possibly none before closing) — reading to EOF must
            terminate, and nothing may crash the process. *)
+        let r = Wire.reader fd in
         let rec settle guard =
           if guard > 0 then
-            match Wire.read_reply fd with
+            match Wire.read_reply r with
             | Ok _ -> settle (guard - 1)
             | Error _ -> ()
         in
         settle 4;
         Unix.close fd
       done;
+      check_alive server)
+
+(* ---------------------------------------------------------------- *)
+(* the buffered reader: several frames, or part of one, per segment *)
+
+(* A read that would wait forever for bytes the server never sends
+   fails the test instead of hanging it. *)
+let raw_connect_timed server =
+  let fd = raw_connect server in
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+  fd
+
+let ping_frame = Frame.encode (Wire.encode_request Wire.Ping)
+
+let expect_pong name r =
+  match Wire.read_reply r with
+  | Ok (Ok Wire.Pong) -> ()
+  | _ -> Alcotest.failf "%s: expected a Pong" name
+
+let expect_error_prefix name prefix r =
+  match Wire.read_reply r with
+  | Ok (Ok (Wire.Error_r msg))
+    when String.length msg >= String.length prefix
+         && String.sub msg 0 (String.length prefix) = prefix ->
+      ()
+  | Ok (Ok (Wire.Error_r msg)) ->
+      Alcotest.failf "%s: expected an error starting %S, got %S" name prefix
+        msg
+  | _ -> Alcotest.failf "%s: expected a framed Error_r" name
+
+let test_frame_then_torn_in_one_segment () =
+  with_server (fun server _ ->
+      let fd = raw_connect_timed server in
+      write_raw fd (ping_frame ^ String.sub ping_frame 0 5);
+      Unix.shutdown fd Unix.SHUTDOWN_SEND;
+      let r = Wire.reader fd in
+      expect_pong "whole frame before the torn one" r;
+      expect_error_prefix "torn second frame" "torn frame: connection closed mid-header" r;
+      expect_eof "torn closes" r;
+      Unix.close fd;
+      check_alive server)
+
+let test_frame_then_corrupt_in_one_segment () =
+  with_server (fun server _ ->
+      let fd = raw_connect_timed server in
+      let flipped = Bytes.of_string ping_frame in
+      let pos = Frame.header_size + 1 in
+      Bytes.set flipped pos (Char.chr (Char.code (Bytes.get flipped pos) lxor 0x01));
+      write_raw fd (ping_frame ^ Bytes.to_string flipped);
+      let r = Wire.reader fd in
+      expect_pong "intact frame before the corrupt one" r;
+      expect_error_prefix "bit-flipped second frame" "corrupt frame: crc mismatch" r;
+      expect_eof "corrupt closes" r;
+      Unix.close fd;
+      check_alive server;
+      Alcotest.(check bool) "corrupt counted" true
+        (Metrics.counter (Server.metrics server) "net.frames.corrupt" >= 1))
+
+(* One frame in three segments, cut inside the length field and inside
+   the body: the reader keeps what it has and waits for the rest. *)
+let test_frame_split_across_segments () =
+  with_server (fun server _ ->
+      let fd = raw_connect_timed server in
+      let frame = Frame.encode (Wire.encode_request (Wire.Forget "split-user")) in
+      let body_cut = Frame.header_size + 5 in
+      Alcotest.(check bool) "the second cut is inside the body" true
+        (body_cut < String.length frame);
+      write_raw fd (String.sub frame 0 2);
+      Unix.sleepf 0.05;
+      write_raw fd (String.sub frame 2 (body_cut - 2));
+      Unix.sleepf 0.05;
+      write_raw fd (String.sub frame body_cut (String.length frame - body_cut));
+      let r = Wire.reader fd in
+      (match Wire.read_reply r with
+      | Ok (Ok Wire.Ack) -> ()
+      | _ -> Alcotest.fail "a frame split across segments is served");
+      write_raw fd ping_frame;
+      expect_pong "the stream stays in sync" r;
+      Unix.close fd)
+
+(* The implausible length sits in the second frame of a segment, and
+   the client keeps its write side open: only a check on the header
+   alone answers before the read timeout. *)
+let test_implausible_length_mid_segment () =
+  with_server (fun server _ ->
+      let fd = raw_connect_timed server in
+      let header = Bytes.create Frame.header_size in
+      Bytes.set_int32_le header 0 (Int32.of_int (Frame.max_payload + 1));
+      Bytes.set_int32_le header 4 0x0BAD_F00Dl;
+      write_raw fd (ping_frame ^ Bytes.to_string header ^ "abc");
+      let r = Wire.reader fd in
+      expect_pong "frame before the implausible one" r;
+      expect_error_prefix "implausible length" "corrupt frame: implausible frame length" r;
+      expect_eof "implausible length closes" r;
+      Unix.close fd;
       check_alive server)
 
 (* A client killed mid-pipeline (socket torn down with submits and a
@@ -591,9 +695,10 @@ let test_client_vanishes_mid_stream () =
       let fd = raw_connect server in
       List.iter
         (fun (user, request) ->
-          Wire.send_request fd (Wire.Submit { user; request }))
+          write_raw fd
+            (Frame.encode (Wire.encode_request (Wire.Submit { user; request }))))
         script;
-      Wire.send_request fd Wire.Drain;
+      write_raw fd (Frame.encode (Wire.encode_request Wire.Drain));
       (* Vanish without reading a single reply. *)
       Unix.close fd;
       check_alive server;
@@ -629,6 +734,118 @@ let test_submit_burst_does_not_deadlock () =
         replies;
       Client.close client)
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+(* Syscalls per frame: a pipelined burst and a drain on one connection
+   move many frames per read and per write, and the net.* I/O totals
+   say so — in the Prometheus exposition too, which still lints. *)
+let test_syscall_accounting () =
+  with_server (fun server _script ->
+      let client = Client.connect (Server.sockaddr server) in
+      let n = 1_000 in
+      for i = 1 to n do
+        Client.submit client
+          ~user:(Printf.sprintf "acct-%02d" (i mod 40))
+          (Engine.Add [])
+      done;
+      let replies = Client.drain client in
+      Alcotest.(check int) "every submit answered" n (List.length replies);
+      (* The server adds its I/O totals at each flush: the Pong is
+         written after the drain's replies were flushed and counted. *)
+      Client.ping client;
+      let m = Server.metrics server in
+      let c key = Metrics.counter m key in
+      let ratio a b =
+        if c b = 0 then Alcotest.failf "%s is 0" b
+        else float_of_int (c a) /. float_of_int (c b)
+      in
+      Alcotest.(check bool) "frames in >= the burst" true
+        (c "net.frames.in" >= n + 1);
+      Alcotest.(check bool) "frames out >= acks + drain replies" true
+        (c "net.frames.out" >= (2 * n) + 1);
+      Alcotest.(check bool)
+        (Printf.sprintf "frames out per write >= 8 (%d / %d)"
+           (c "net.frames.out") (c "net.writes"))
+        true
+        (ratio "net.frames.out" "net.writes" >= 8.0);
+      Alcotest.(check bool)
+        (Printf.sprintf "frames in per read >= 8 (%d / %d)"
+           (c "net.frames.in") (c "net.reads"))
+        true
+        (ratio "net.frames.in" "net.reads" >= 8.0);
+      let prom = Client.prometheus client in
+      Client.close client;
+      List.iter
+        (fun name ->
+          Alcotest.(check bool) (name ^ " exposed") true
+            (contains prom name))
+        [ "cdw_net_reads"; "cdw_net_writes"; "cdw_net_frames_in"; "cdw_net_frames_out" ];
+      match Result.bind (Cdw_obs.Prom.parse prom) Cdw_obs.Prom.lint with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "exposition does not lint: %s" msg)
+
+(* Submits still buffered in the client when it closes are sent by the
+   close: another client's drain answers every one of them. *)
+let test_close_delivers_buffered_submits () =
+  with_server (fun server _script ->
+      let addr = Server.sockaddr server in
+      let first = Client.connect addr in
+      let n = 50 in
+      for i = 1 to n do
+        Client.submit first ~user:(Printf.sprintf "closer-%02d" (i mod 7))
+          (Engine.Add [])
+      done;
+      Client.close first;
+      (* The first connection's thread may not have read them yet:
+         drain until all are answered, within a deadline. *)
+      let second = Client.connect addr in
+      let deadline = Unix.gettimeofday () +. 10.0 in
+      let rec gather got =
+        if got >= n || Unix.gettimeofday () > deadline then got
+        else begin
+          let replies = Client.drain second in
+          List.iter
+            (fun (r : Engine.reply) ->
+              if r.Engine.result <> Ok () then
+                Alcotest.failf "reply for %s rejected" r.Engine.user)
+            replies;
+          if replies = [] then Unix.sleepf 0.01;
+          gather (got + List.length replies)
+        end
+      in
+      let got = gather 0 in
+      Client.close second;
+      Alcotest.(check int) "every submit sent before close is answered" n got)
+
+(* A submit the server rejects is still reported — by the next call that
+   settles acks, even though it left in a segment with its neighbours. *)
+let test_rejected_submit_raises_on_settle () =
+  let wf, _ = Workbench.workload Workbench.quick in
+  let serving = Serving.create ~seed:Workbench.quick.Workbench.seed wf in
+  Serving.set_journal serving
+    (Some
+       (function
+       | Engine.Submitted { user = "mallory"; _ } -> failwith "refused"
+       | _ -> ()));
+  serve serving (fun server ->
+      let client = Client.connect (Server.sockaddr server) in
+      List.iter
+        (fun user -> Client.submit client ~user (Engine.Add []))
+        [ "alice"; "mallory"; "bob" ];
+      (match Client.drain client with
+      | _ -> Alcotest.fail "the rejected submit went unreported"
+      | exception Failure msg ->
+          Alcotest.(check string) "rejection surfaces on settle"
+            "submit rejected: refused" msg);
+      Client.close client;
+      Alcotest.(check int) "rejection counted" 1
+        (Metrics.counter (Server.metrics server) "net.submit.rejected"))
+
 let suite =
   [
     Alcotest.test_case "request codec round-trips" `Quick test_request_roundtrip;
@@ -661,4 +878,18 @@ let suite =
       `Quick test_client_vanishes_mid_stream;
     Alcotest.test_case "4k-submit burst does not deadlock the connection"
       `Quick test_submit_burst_does_not_deadlock;
+    Alcotest.test_case "one segment: a frame, then a torn one" `Quick
+      test_frame_then_torn_in_one_segment;
+    Alcotest.test_case "one segment: a frame, then a bit-flipped one" `Quick
+      test_frame_then_corrupt_in_one_segment;
+    Alcotest.test_case "one frame split across three segments" `Quick
+      test_frame_split_across_segments;
+    Alcotest.test_case "implausible length mid-segment: rejected from the header"
+      `Quick test_implausible_length_mid_segment;
+    Alcotest.test_case "syscall accounting: >= 8 frames per read and per write"
+      `Quick test_syscall_accounting;
+    Alcotest.test_case "close sends the submits still buffered" `Quick
+      test_close_delivers_buffered_submits;
+    Alcotest.test_case "a rejected submit raises on the next settle" `Quick
+      test_rejected_submit_raises_on_settle;
   ]

@@ -10,6 +10,7 @@
 
 open Cdw_core
 module Engine = Cdw_engine.Engine
+module Metrics = Cdw_engine.Metrics
 module Session = Cdw_engine.Session
 module Router = Cdw_shard.Router
 module Serving = Cdw_shard.Serving
@@ -626,6 +627,75 @@ let test_root_ledger_resumes_as_one_shard () =
       Alcotest.(check int) "one root ledger" 1 (List.length entries);
       Alcotest.(check bool) "strict-clean" true (Ledger.clean entries)
 
+(* ---------------------------------------------------------------- *)
+(* Group commit: a shard's ingest reaches the kernel in one write      *)
+
+(* Serve [sizes] as one drain each on a journaled 2-shard group. After
+   every drain each shard's WAL file is exactly as long as the store
+   says (nothing left in a user-space buffer), and [per_drain] sees the
+   drain's appends and fsyncs for each shard. *)
+let group_commit_case fsync sizes per_drain =
+  let wf = (Generator.generate ~seed:31 Gen_params.dataset2_base).Generator.workflow in
+  with_root @@ fun root ->
+  let group =
+    Shard_group.create ~algorithm:Algorithms.Remove_first_edge ~seed:7
+      ~shards:2 wf
+  in
+  Fun.protect ~finally:(fun () -> Shard_group.close group) @@ fun () ->
+  Shard_group.journal ~fsync ~dir:root group;
+  let stores = Shard_group.stores group in
+  Alcotest.(check int) "one store per shard" 2 (Array.length stores);
+  let counter i key =
+    Metrics.counter (Engine.metrics (Shard_group.engines group).(i)) key
+  in
+  let counts i = (counter i "store.wal.appends", counter i "store.wal.fsyncs") in
+  List.iteri
+    (fun round size ->
+      let before = Array.init 2 counts in
+      for k = 0 to size - 1 do
+        Shard_group.submit group
+          ~user:(Printf.sprintf "gc-%03d" ((k + round) mod 100))
+          (Engine.Add [])
+      done;
+      ignore (Shard_group.drain group);
+      Array.iteri
+        (fun i store ->
+          let wal =
+            match Store.current_wal_path (Shard_group.shard_dir root i) with
+            | Ok p -> p
+            | Error e -> Alcotest.fail e
+          in
+          Alcotest.(check int)
+            (Printf.sprintf "round %d shard %d: WAL on disk = wal_length" round i)
+            (Store.wal_length store) (Unix.stat wal).Unix.st_size;
+          let a0, f0 = before.(i) in
+          let a1, f1 = counts i in
+          per_drain ~round ~shard:i ~appends:(a1 - a0) ~fsyncs:(f1 - f0))
+        stores)
+    sizes
+
+let test_group_commit_on_disk () =
+  group_commit_case (Wal.Every 32) [ 1; 10; 333; 0; 2_000; 37 ]
+    (fun ~round:_ ~shard:_ ~appends:_ ~fsyncs:_ -> ())
+
+let test_group_commit_every () =
+  group_commit_case (Wal.Every 32) [ 2_000 ]
+    (fun ~round:_ ~shard ~appends ~fsyncs ->
+      Alcotest.(check bool)
+        (Printf.sprintf "shard %d ingested about 1,000 records (%d)" shard appends)
+        true (appends >= 500);
+      Alcotest.(check bool)
+        (Printf.sprintf "shard %d: at most 2 fsyncs for the drain (%d)" shard fsyncs)
+        true (fsyncs <= 2))
+
+let test_group_commit_always () =
+  group_commit_case Wal.Always [ 1; 10; 100; 3 ]
+    (fun ~round ~shard ~appends ~fsyncs ->
+      if appends > 0 then
+        Alcotest.(check bool)
+          (Printf.sprintf "round %d shard %d: a non-empty drain fsyncs" round shard)
+          true (fsyncs >= 1))
+
 let suite =
   [
     ("differential: dataset presets x {1,2,4,7} shards", `Slow, test_differential_datasets);
@@ -638,4 +708,7 @@ let suite =
     ("one shard: drain, refine and migrate spawn no domain", `Quick, test_one_shard_spawns_no_domain);
     ("one shard: a journaled value writes group.json + shard-0/", `Quick, test_one_shard_group_layout);
     ("one shard: a root ledger resumes and journals in place", `Quick, test_root_ledger_resumes_as_one_shard);
+    ("group commit: WAL on disk = wal_length after every drain", `Quick, test_group_commit_on_disk);
+    ("group commit: every:32 fsyncs at most twice per shard drain", `Quick, test_group_commit_every);
+    ("group commit: always fsyncs every non-empty shard drain", `Quick, test_group_commit_always);
   ]

@@ -182,6 +182,58 @@ let test_wal_roundtrip () =
                 (s3.Wal.entries = [] && s3.Wal.tail = Wal.Clean)
           | Error e -> Alcotest.fail e)
 
+(* A group commit leaves its appends in user space until it ends, then
+   writes them and checks the policy once: [Always] fsyncs if anything
+   is unsynced, [Every n] once n appends are, [Never] never. Another
+   thread's append inside the group still flushes (the group's frames
+   so far included). *)
+let test_wal_group_commit () =
+  with_dir (fun dir ->
+      let size path = (Unix.stat path).Unix.st_size in
+      let case name fsync groups expected =
+        let path = Filename.concat dir (name ^ ".log") in
+        let wal = Wal.create ~fsync path in
+        let fsyncs = ref 0 in
+        Wal.set_observer wal
+          { Wal.on_append = (fun ~bytes:_ -> ()); on_fsync = (fun () -> incr fsyncs) };
+        List.iteri
+          (fun g n ->
+            let before = size path in
+            Wal.group_commit wal (fun () ->
+                for i = 1 to n do
+                  Wal.append wal (Printf.sprintf "%s-%d-%d" name g i)
+                done;
+                Alcotest.(check int)
+                  (Printf.sprintf "%s group %d: nothing written inside" name g)
+                  before (size path));
+            Alcotest.(check int)
+              (Printf.sprintf "%s group %d: all written at its end" name g)
+              (Wal.length wal) (size path))
+          groups;
+        Alcotest.(check int) (name ^ ": fsyncs") expected !fsyncs;
+        Wal.close wal
+      in
+      case "always" Wal.Always [ 3; 0; 2 ] 2;
+      case "every" (Wal.Every 4) [ 3; 2; 4 ] 2;
+      case "never" Wal.Never [ 5; 5 ] 0;
+      let path = Filename.concat dir "threads.log" in
+      let wal = Wal.create ~fsync:Wal.Never path in
+      Wal.group_commit wal (fun () ->
+          Wal.append wal "mine";
+          Thread.join (Thread.create (fun () -> Wal.append wal "theirs") ());
+          Alcotest.(check int) "another thread's append flushes" (Wal.length wal)
+            (size path);
+          Wal.append wal "mine again";
+          Alcotest.(check bool) "the group's own append stays buffered" true
+            (size path < Wal.length wal));
+      Wal.close wal;
+      match Wal.scan path with
+      | Error e -> Alcotest.fail e
+      | Ok scan ->
+          Alcotest.(check (list string)) "append order on disk"
+            [ "mine"; "theirs"; "mine again" ]
+            (List.map snd scan.Wal.entries))
+
 (* ---------------------------------------------------------------- *)
 (* An engine workload to journal                                      *)
 
@@ -709,6 +761,7 @@ let suite =
     ("record roundtrip", `Quick, test_record_roundtrip);
     ("fsync policy strings", `Quick, test_fsync_policy_strings);
     ("wal roundtrip + incremental scan", `Quick, test_wal_roundtrip);
+    ("wal group commit: one write, one policy check", `Quick, test_wal_group_commit);
     ("journal and recover", `Quick, test_journal_and_recover);
     ("snapshot mid-stream", `Quick, test_snapshot_mid_stream);
     ("snapshot requires drained engine", `Quick, test_snapshot_requires_drained);
