@@ -243,279 +243,6 @@ let write_server_metrics client file =
   | Ok json -> write_json file json
   | Error msg -> failwith ("server metrics: " ^ msg)
 
-(* Drive a remote `cdw serve` over the wire protocol: fetch the
-   server's base workflow via Hello, build the config's request script
-   against it, then per trial forget our sessions, pipeline every
-   submit and drain. Replies for foreign users (another client sharing
-   the server) are passed over; ours must all succeed. *)
-let serve_bench_connect config ~addr ~prefix ~trials ~out ~metrics_out
-    ~trace_out =
-  let module Client = Cdw_net.Client in
-  let module Wire = Cdw_net.Wire in
-  let module Engine = Cdw_engine.Engine in
-  let module Workbench = Cdw_engine.Workbench in
-  let module Timing = Cdw_util.Timing in
-  let module Trace = Cdw_obs.Trace in
-  if trials < 1 then `Error (false, "trials must be >= 1")
-  else
-    match Client.connect addr with
-    | exception Unix.Unix_error (e, _, _) ->
-        `Error
-          ( false,
-            Printf.sprintf "connect %s: %s" (string_of_sockaddr addr)
-              (Unix.error_message e) )
-    | client -> (
-        match
-          Fun.protect
-            ~finally:(fun () -> Client.close client)
-            (fun () ->
-              let h = Client.hello client in
-              let wf =
-                match Serialize.parse h.Wire.h_workflow with
-                | Ok (wf, _) -> wf
-                | Error msg -> failwith ("server base workflow: " ^ msg)
-              in
-              let rename u = if prefix = "user" then u else prefix ^ "." ^ u in
-              let script =
-                List.map
-                  (fun (u, r) -> (rename u, r))
-                  (Workbench.script_for config wf)
-              in
-              let users = List.sort_uniq compare (List.map fst script) in
-              let mine = Hashtbl.create 64 in
-              List.iter (fun u -> Hashtbl.replace mine u ()) users;
-              let n_requests = List.length script in
-              let best = ref infinity in
-              if trace_out <> None then begin
-                Trace.set_process_label "serve-bench";
-                Trace.set_enabled true
-              end;
-              for _ = 1 to trials do
-                (* Keep only the last trial's client spans — the trial
-                   the timings report. *)
-                if trace_out <> None then Trace.reset ();
-                (* Reset our sessions server-side; not timed. *)
-                List.iter (Client.forget client) users;
-                let replies, ms =
-                  Timing.time_f (fun () ->
-                      List.iter
-                        (fun (user, request) ->
-                          Client.submit client ~user request)
-                        script;
-                      Client.drain client)
-                in
-                List.iter
-                  (fun (r : Engine.reply) ->
-                    if Hashtbl.mem mine r.Engine.user then
-                      match r.Engine.result with
-                      | Ok () -> ()
-                      | Error msg ->
-                          failwith
-                            (Printf.sprintf "request for %s failed: %s"
-                               r.Engine.user msg))
-                  replies;
-                if ms < !best then best := ms
-              done;
-              (* One timeline across both processes: the server's own
-                 export (its spans parent under our wire-carried span
-                 ids) merged into ours, timestamps aligned via the
-                 exports' epochs. Empty when the server runs without
-                 --trace — then the local half still stands alone. *)
-              let trace_json =
-                match trace_out with
-                | None -> None
-                | Some _ ->
-                    let theirs = Client.server_trace client in
-                    Trace.set_enabled false;
-                    let ours = Trace.export () in
-                    Some
-                      (if theirs = "" then ours
-                       else
-                         match Json.parse theirs with
-                         | Ok tj -> Trace.merge_exports ours tj
-                         | Error _ -> ours)
-              in
-              Option.iter (write_server_metrics client) metrics_out;
-              (h.Wire.h_shards, n_requests, !best, trace_json))
-        with
-        | shards, n_requests, ms, trace_json ->
-            (match (trace_out, trace_json) with
-            | Some file, Some json -> write_json file json
-            | _ -> ());
-            let rps =
-              if ms > 0.0 then float_of_int n_requests /. (ms /. 1000.0)
-              else infinity
-            in
-            Printf.printf
-              "networked serve-bench: %s (%d shard(s) server-side), %d \
-               requests, %.1f ms, %.0f req/s\n"
-              (string_of_sockaddr addr) shards n_requests ms rps;
-            (match out with
-            | None -> ()
-            | Some file ->
-                write_json file
-                  (Json.Object
-                     [
-                       ("transport", Json.String "socket");
-                       ("addr", Json.String (string_of_sockaddr addr));
-                       ("shards", Json.Number (float_of_int shards));
-                       ("n_requests", Json.Number (float_of_int n_requests));
-                       ("engine_ms", Json.Number ms);
-                       ("engine_rps", Json.Number rps);
-                     ]));
-            `Ok ()
-        | exception Failure msg -> `Error (false, msg)
-        | exception Unix.Unix_error (e, fn, _) ->
-            `Error
-              (false, Printf.sprintf "%s: %s" fn (Unix.error_message e)))
-
-(* Drive a remote `cdw serve` with an open-loop Traffic stream: the
-   pairs pool comes from the server's own base (via Hello), submits are
-   pipelined, and drains happen at synthetic-time window boundaries —
-   the same cadence the in-process driver uses, so the two transports
-   serve the identical stream. *)
-let serve_bench_connect_traffic spec ~addr ~prefix ~window_ms ~evolve ~out
-    ~metrics_out =
-  let module Client = Cdw_net.Client in
-  let module Wire = Cdw_net.Wire in
-  let module Engine = Cdw_engine.Engine in
-  let module Workbench = Cdw_engine.Workbench in
-  let module Shard_bench = Cdw_shard.Shard_bench in
-  let module Traffic = Cdw_workload.Traffic in
-  let module Timing = Cdw_util.Timing in
-  match Client.connect addr with
-  | exception Unix.Unix_error (e, _, _) ->
-      `Error
-        ( false,
-          Printf.sprintf "connect %s: %s" (string_of_sockaddr addr)
-            (Unix.error_message e) )
-  | client -> (
-      match
-        Fun.protect
-          ~finally:(fun () -> Client.close client)
-          (fun () ->
-            let h = Client.hello client in
-            let wf =
-              match Serialize.parse h.Wire.h_workflow with
-              | Ok (wf, _) -> wf
-              | Error msg -> failwith ("server base workflow: " ^ msg)
-            in
-            let pairs = Workbench.connected_pairs wf in
-            let gen = Traffic.create spec ~pairs in
-            (* The evolve schedule over the wire: same synthetic clock
-               as the drain cadence, each step mutating the base the
-               previous install shipped — the client is the keeper of
-               the chain, the server just installs what it is sent. *)
-            let cur_wf = ref wf in
-            let steps = ref evolve in
-            let installs = ref 0 in
-            let fire_due now =
-              let rec go () =
-                match !steps with
-                | (s : Cdw_workload.Evolve.step) :: rest
-                  when s.Cdw_workload.Evolve.at_ms <= now ->
-                    steps := rest;
-                    let next = Cdw_workload.Evolve.mutate s !cur_wf in
-                    ignore
-                      (Client.install_epoch client (Serialize.to_string next));
-                    cur_wf := next;
-                    incr installs;
-                    go ()
-                | _ -> ()
-              in
-              go ()
-            in
-            let rename u = if prefix = "user" then u else prefix ^ "." ^ u in
-            let ours u =
-              prefix = "user" || String.starts_with ~prefix:(prefix ^ ".") u
-            in
-            let lat = ref [] in
-            let errors = ref 0 in
-            let count replies =
-              List.iter
-                (fun (r : Engine.reply) ->
-                  if ours r.Engine.user then begin
-                    lat := r.Engine.time_ms :: !lat;
-                    match r.Engine.result with
-                    | Ok () -> ()
-                    | Error _ -> incr errors
-                  end)
-                replies
-            in
-            let run () =
-              let rec pump window_end =
-                match Traffic.next gen with
-                | None -> ()
-                | Some { Traffic.at_ms; user; op } ->
-                    let window_end =
-                      if at_ms >= window_end then begin
-                        count (Client.drain client);
-                        fire_due window_end;
-                        let skipped =
-                          float_of_int
-                            (int_of_float ((at_ms -. window_end) /. window_ms))
-                        in
-                        window_end +. ((skipped +. 1.0) *. window_ms)
-                      end
-                      else window_end
-                    in
-                    Client.submit client ~user:(rename user)
-                      (Shard_bench.request_of_op op);
-                    pump window_end
-              in
-              pump window_ms;
-              count (Client.drain client);
-              fire_due infinity
-            in
-            let (), ms = Timing.time_f run in
-            let n = Traffic.generated gen in
-            let users = Traffic.distinct_users gen in
-            let p999 =
-              match List.sort compare !lat with
-              | [] -> 0.0
-              | sorted ->
-                  let a = Array.of_list sorted in
-                  a.(int_of_float (0.999 *. float_of_int (Array.length a - 1)))
-            in
-            Option.iter (write_server_metrics client) metrics_out;
-            (h.Wire.h_shards, n, users, !errors, ms, p999, !installs))
-      with
-      | shards, n_requests, users, errors, ms, p999, epochs ->
-          let rps =
-            if ms > 0.0 then float_of_int n_requests /. (ms /. 1000.0)
-            else infinity
-          in
-          Printf.printf
-            "networked traffic: %s (%d shard(s) server-side), %d requests, %d \
-             users, %.1f ms, %.0f req/s, p999 %.3f ms, %d error(s)%s\n"
-            (string_of_sockaddr addr) shards n_requests users ms rps p999
-            errors
-            (if epochs > 0 then Printf.sprintf ", %d epoch install(s)" epochs
-             else "");
-          (match out with
-          | None -> ()
-          | Some file ->
-              write_json file
-                (Json.Object
-                   [
-                     ("transport", Json.String "socket");
-                     ("addr", Json.String (string_of_sockaddr addr));
-                     ( "traffic",
-                       Json.String (Cdw_workload.Traffic.spec_to_string spec) );
-                     ("shards", Json.Number (float_of_int shards));
-                     ("n_requests", Json.Number (float_of_int n_requests));
-                     ("distinct_users", Json.Number (float_of_int users));
-                     ("errors", Json.Number (float_of_int errors));
-                     ("engine_ms", Json.Number ms);
-                     ("engine_rps", Json.Number rps);
-                     ("p999_ms", Json.Number p999);
-                     ("epochs_installed", Json.Number (float_of_int epochs));
-                   ]));
-          `Ok ()
-      | exception Failure msg -> `Error (false, msg)
-      | exception Unix.Unix_error (e, fn, _) ->
-          `Error (false, Printf.sprintf "%s: %s" fn (Unix.error_message e)))
-
 let serve_bench_cmd =
   let module Workbench = Cdw_engine.Workbench in
   let quick =
@@ -600,6 +327,7 @@ let serve_bench_cmd =
       evolve refine =
     let module Serving = Cdw_shard.Serving in
     let module Shard_bench = Cdw_shard.Shard_bench in
+    let module Client = Cdw_net.Client in
     let module Trace = Cdw_obs.Trace in
     let module Telemetry = Cdw_obs.Telemetry in
     let base = if quick then Workbench.quick else Workbench.default in
@@ -629,6 +357,42 @@ let serve_bench_cmd =
       | None -> Ok []
       | Some s -> Cdw_workload.Evolve.spec_of_string s
     in
+    (* One driver per workload, whatever the transport: the printed
+       summary and the result's JSON fields. *)
+    let bench traffic_spec evolve_steps target =
+      let fields = function Json.Object f -> f | _ -> [] in
+      match traffic_spec with
+      | Some spec ->
+          let r =
+            Shard_bench.serve_traffic ~evolve:evolve_steps ~refine target
+              spec
+          in
+          ( Format.asprintf "%a" Shard_bench.pp_traffic r,
+            ( "traffic",
+              Json.String (Cdw_workload.Traffic.spec_to_string spec) )
+            :: fields (Shard_bench.traffic_run_json r) )
+      | None ->
+          let r = Shard_bench.serve ~trials target config in
+          ( Printf.sprintf
+              "serve-bench: %d shard(s), %d requests, %.1f ms, %.0f \
+               req/s, p999 %.3f ms"
+              r.Shard_bench.shards r.Shard_bench.n_requests
+              r.Shard_bench.ms r.Shard_bench.rps r.Shard_bench.p999_ms,
+            fields (Shard_bench.run_json r) )
+    in
+    (* Restart the trace after each trial's set-up, so it holds the
+       timed part of the last trial. *)
+    let traced (target : Shard_bench.target) =
+      if trace_out = None then target
+      else
+        {
+          target with
+          reset =
+            (fun users ->
+              target.reset users;
+              Trace.reset ());
+        }
+    in
     match (traffic_spec, evolve_steps) with
     | Error msg, _ -> `Error (false, "--traffic: " ^ msg)
     | _, Error msg -> `Error (false, "--evolve: " ^ msg)
@@ -636,35 +400,85 @@ let serve_bench_cmd =
         `Error (false, "--evolve requires --traffic (the schedule runs on the stream's synthetic clock)")
     | Ok None, Ok _ when refine ->
         `Error (false, "--refine requires --traffic (the refiner steps between drain windows)")
-    | Ok traffic_spec, Ok evolve_steps -> (
-    match connect with
-    | Some _ when refine ->
+    | Ok _, Ok _ when refine && connect <> None ->
         `Error (false, "--refine is in-process only; with --connect, refinement is a server-side concern")
+    | Ok traffic_spec, Ok evolve_steps -> (
+    let bench = bench traffic_spec evolve_steps in
+    match connect with
     | Some addr -> (
-        match traffic_spec with
-        | Some spec ->
-            serve_bench_connect_traffic spec ~addr ~prefix:user_prefix
-              ~window_ms:50.0 ~evolve:evolve_steps ~out ~metrics_out
-        | None ->
-            serve_bench_connect config ~addr ~prefix:user_prefix ~trials ~out
-              ~metrics_out ~trace_out)
-    | None ->
-        (* One code path for every shard count: [Serving.create] takes
-           --shards, and everything below is written against the one
-           serving value. *)
+        match Client.connect addr with
+        | exception Unix.Unix_error (e, _, _) ->
+            `Error
+              ( false,
+                Printf.sprintf "connect %s: %s" (string_of_sockaddr addr)
+                  (Unix.error_message e) )
+        | client -> (
+            match
+              Fun.protect
+                ~finally:(fun () -> Client.close client)
+                (fun () ->
+                  if trace_out <> None then begin
+                    Trace.set_process_label "serve-bench";
+                    Trace.set_enabled true
+                  end;
+                  let result =
+                    bench
+                      (traced
+                         (Client.bench_target ~prefix:user_prefix client))
+                  in
+                  (* One timeline across both processes: the
+                     server's own export (its spans parent under our
+                     wire-carried span ids) merged into ours,
+                     timestamps aligned via the exports' epochs.
+                     Empty when the server runs without --trace —
+                     then the local half still stands alone. *)
+                  Option.iter
+                    (fun file ->
+                      let theirs = Client.server_trace client in
+                      Trace.set_enabled false;
+                      let ours = Trace.export () in
+                      write_json file
+                        (match Json.parse theirs with
+                        | Ok tj when theirs <> "" ->
+                            Trace.merge_exports ours tj
+                        | _ -> ours))
+                    trace_out;
+                  Option.iter (write_server_metrics client) metrics_out;
+                  result)
+            with
+            | summary, fields ->
+                Printf.printf "networked serve-bench: %s\n%s\n"
+                  (string_of_sockaddr addr) summary;
+                Option.iter
+                  (fun file ->
+                    write_json file
+                      (Json.Object
+                         (("transport", Json.String "socket")
+                         :: ("addr", Json.String (string_of_sockaddr addr))
+                         :: fields)))
+                  out;
+                `Ok ()
+            | exception (Failure msg | Invalid_argument msg) ->
+                `Error (false, msg)
+            | exception Unix.Unix_error (e, fn, _) ->
+                `Error
+                  (false, Printf.sprintf "%s: %s" fn (Unix.error_message e))
+            ))
+    | None -> (
         (* Telemetry thunks of whatever serving value is live in the
            trial currently running: (prometheus exposition, metrics
            JSON). The SIGINT flush reads the same pair. *)
         let live = ref None in
         (* The live trial's serving value, for the SIGINT close (which
-           flushes its ledger). Losing trials' values are closed by
-           Shard_bench.serve; the winner is closed at the end. *)
+           flushes its ledger) and the final report. Earlier trials'
+           values are closed as the next trial starts. *)
         let latest = ref None in
-        let attach serving =
-          (* Each trial gets a fresh serving value; restarting the trace
-             here keeps only the last trial, which is the trial the
-             timings report. *)
-          if trace_out <> None then Trace.reset ();
+        let wf, _ = Workbench.workload config in
+        let make () =
+          let serving =
+            Serving.create ~algorithm:config.Workbench.algorithm
+              ~seed:config.Workbench.seed ?shards wf
+          in
           latest := Some serving;
           live :=
             Some
@@ -675,7 +489,8 @@ let serve_bench_cmd =
              journal replay included — respects the cap. *)
           Option.iter
             (fun cap -> Serving.set_mem_cap serving (Some cap))
-            mem_cap
+            mem_cap;
+          serving
         in
         let emit_telemetry () =
           match !live with
@@ -743,101 +558,34 @@ let serve_bench_cmd =
                  exit 130))
         in
         let restore_sigint () = Sys.set_signal Sys.sigint previous_sigint in
-        let journal_note () =
-          Option.iter
-            (fun dir ->
-              Printf.printf "journaled to %s (fsync %s)\n" dir
-                (Cdw_store.Wal.fsync_policy_to_string
-                   (Option.value ~default:(Cdw_store.Wal.Every 32) fsync)))
-            journal;
-          Option.iter (fun file -> Printf.printf "wrote %s\n" file) trace_out
-        in
-        let make wf =
-          Serving.create ~algorithm:config.Workbench.algorithm
-            ~seed:config.Workbench.seed ?shards wf
-        in
-        (match traffic_spec with
-        | Some spec -> (
-            (* Open-loop traffic: one stream, one serving value — no
-               best-of-trials (the stream is the workload, not a probe). *)
-            match
-              let wf, _ = Workbench.workload config in
-              let serving = make wf in
-              attach serving;
-              let pairs = Workbench.connected_pairs wf in
-              let trun =
-                Shard_bench.serve_traffic ~evolve:evolve_steps ~refine serving
-                  spec ~pairs
-              in
-              (trun, serving)
-            with
-            | trun, serving ->
-                restore_sigint ();
-                finish ();
-                write_trace ();
-                Format.printf "%a@." Shard_bench.pp_traffic trun;
-                let metrics_json = Serving.metrics_json serving in
-                print_endline (Json.to_string metrics_json);
-                journal_note ();
-                (match out with
-                | None -> ()
-                | Some file ->
-                    write_json file
-                      (Json.Object
-                         [
-                           ( "traffic",
-                             Json.String
-                               (Cdw_workload.Traffic.spec_to_string spec) );
-                           ("run", Shard_bench.traffic_run_json trun);
-                           ("metrics", metrics_json);
-                         ]));
-                (match metrics_out with
-                | None -> ()
-                | Some file -> write_json file metrics_json);
-                Serving.close serving;
-                `Ok ()
-            | exception Invalid_argument msg ->
-                restore_sigint ();
-                finish ();
-                `Error (false, msg))
-        | None -> (
-            match Shard_bench.serve ~trials ~attach ~make config with
-            | run, serving ->
-                restore_sigint ();
-                finish ();
-                write_trace ();
-                Printf.printf
-                  "serve-bench: %d shard(s), %d requests, %.1f ms, %.0f req/s\n"
-                  run.Shard_bench.shards run.Shard_bench.n_requests
-                  run.Shard_bench.ms run.Shard_bench.rps;
-                let metrics_json = Serving.metrics_json serving in
-                print_endline (Json.to_string metrics_json);
-                journal_note ();
-                (match out with
-                | None -> ()
-                | Some file ->
-                    write_json file
-                      (Json.Object
-                         [
-                           ( "shards",
-                             Json.Number (float_of_int run.Shard_bench.shards)
-                           );
-                           ( "n_requests",
-                             Json.Number
-                               (float_of_int run.Shard_bench.n_requests) );
-                           ("engine_ms", Json.Number run.Shard_bench.ms);
-                           ("engine_rps", Json.Number run.Shard_bench.rps);
-                           ("metrics", metrics_json);
-                         ]));
-                (match metrics_out with
-                | None -> ()
-                | Some file -> write_json file metrics_json);
-                Serving.close serving;
-                `Ok ()
-            | exception Invalid_argument msg ->
-                restore_sigint ();
-                finish ();
-                `Error (false, msg))))
+        match bench (traced (Shard_bench.in_process make)) with
+        | summary, fields ->
+            restore_sigint ();
+            finish ();
+            write_trace ();
+            print_endline summary;
+            let serving = Option.get !latest in
+            let metrics_json = Serving.metrics_json serving in
+            print_endline (Json.to_string metrics_json);
+            Option.iter
+              (fun dir ->
+                Printf.printf "journaled to %s (fsync %s)\n" dir
+                  (Cdw_store.Wal.fsync_policy_to_string
+                     (Option.value ~default:(Cdw_store.Wal.Every 32) fsync)))
+              journal;
+            Option.iter (fun file -> Printf.printf "wrote %s\n" file) trace_out;
+            Option.iter
+              (fun file ->
+                write_json file
+                  (Json.Object (fields @ [ ("metrics", metrics_json) ])))
+              out;
+            Option.iter (fun file -> write_json file metrics_json) metrics_out;
+            Serving.close serving;
+            `Ok ()
+        | exception Invalid_argument msg ->
+            restore_sigint ();
+            finish ();
+            `Error (false, msg)))
   in
   Cmd.v
     (Cmd.info "serve-bench"

@@ -46,9 +46,10 @@ type staged = {
   sg_gain : float;  (* utility reclaimed by installing it *)
 }
 
+(* Wall-clock budget of each background refine solve. *)
+let refine_budget_ms = 250.0
+
 type refine = {
-  rf_budget_ms : float;
-  rf_node_budget : int option;
   rf_queue : string Queue.t;
   rf_queued : (string, unit) Hashtbl.t;  (* membership of [rf_queue] *)
   rf_staged : (string, staged) Hashtbl.t;
@@ -91,9 +92,8 @@ type t = {
 }
 
 let create ?(algorithm = Algorithms.Remove_min_mc)
-    ?(options = Algorithms.Options.default) ?(seed = 0x5EED) ?max_cached_pairs
-    ?max_paths wf =
-  let index = Shared_index.create ?max_cached_pairs ?max_paths wf in
+    ?(options = Algorithms.Options.default) ?(seed = 0x5EED) ?max_paths wf =
+  let index = Shared_index.create ?max_paths wf in
   (* The epoch gauge exists from birth: a scrape of a never-migrated
      engine reports epoch 0 rather than an absent series. *)
   Metrics.set_gauge (Shared_index.metrics index)
@@ -475,7 +475,7 @@ let enqueue_refine_locked t users =
             | _ -> ())
         users
 
-let set_refine ?(budget_ms = 250.0) ?node_budget t enabled =
+let set_refine t enabled =
   with_lock t (fun () ->
       if not enabled then t.refine <- None
       else
@@ -485,8 +485,6 @@ let set_refine ?(budget_ms = 250.0) ?node_budget t enabled =
             t.refine <-
               Some
                 {
-                  rf_budget_ms = budget_ms;
-                  rf_node_budget = node_budget;
                   rf_queue = Queue.create ();
                   rf_queued = Hashtbl.create 64;
                   rf_staged = Hashtbl.create 16;
@@ -550,17 +548,17 @@ let refine_step ?(max = 1) t =
                         pop (n - 1) ((user, pairs, cuts) :: acc)
                     | Some _ | None -> pop n acc)
             in
-            Some (rf.rf_budget_ms, rf.rf_node_budget, pop max []))
+            Some (pop max []))
   in
   match work with
-  | None | Some (_, _, []) -> 0
-  | Some (budget_ms, node_budget, picks) ->
+  | None | Some [] -> 0
+  | Some picks ->
       let base = Shared_index.base t.index in
       let options =
         {
           t.options with
-          Algorithms.Options.solver_budget_ms = Some budget_ms;
-          node_budget;
+          Algorithms.Options.solver_budget_ms = Some refine_budget_ms;
+          node_budget = None;
           utility_before = None;
         }
       in

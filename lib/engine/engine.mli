@@ -113,7 +113,6 @@ val create :
   ?algorithm:Cdw_core.Algorithms.name ->
   ?options:Cdw_core.Algorithms.Options.t ->
   ?seed:int ->
-  ?max_cached_pairs:int ->
   ?max_paths:int ->
   Cdw_core.Workflow.t ->
   t
@@ -121,8 +120,8 @@ val create :
     {!Cdw_core.Algorithms.Options.default}) configure every session's
     solver; the options' [rng] and [paths_for] fields are overridden per
     session (see {!Session.create}). [seed] (default [0x5EED]) drives
-    the per-session generators. [max_cached_pairs]/[max_paths] configure
-    the {!Shared_index}. The workflow is copied once; the input is never
+    the per-session generators. [max_paths] configures the
+    {!Shared_index}. The workflow is copied once; the input is never
     modified. *)
 
 val index : t -> Shared_index.t
@@ -274,7 +273,7 @@ val drain_fanout : t -> reply list
     states are identical to {!drain}'s. A one-shard serving group
     drains its engine this way. *)
 
-val set_refine : ?budget_ms:float -> ?node_budget:int -> t -> bool -> unit
+val set_refine : t -> bool -> unit
 (** Turn anytime refinement on or off (default off). When on, every
     user a drain serves whose cut is non-empty enters a background
     refine queue; {!refine_step} — driven from spare domains or idle
@@ -285,8 +284,7 @@ val set_refine : ?budget_ms:float -> ?node_budget:int -> t -> bool -> unit
     untouched: requests are always answered immediately from the
     heuristic tier, refinement runs entirely off the hot path.
 
-    [budget_ms] (default 250) bounds each background solve's wall
-    clock; [node_budget] bounds its branch-and-bound tree. A solve
+    Each background solve is bounded to 250 ms of wall clock; a solve
     that exhausts its budget simply stages nothing. Turning refinement
     off drops the queue and any staged cuts.
 

@@ -51,7 +51,6 @@ type t = {
       (* (epoch, diff vs the previous epoch), newest first; epoch 0 has
          no diff and no entry *)
   lock : Mutex.t;
-  max_cached_pairs : int;
   max_paths : int;
   metrics : Metrics.t;
 }
@@ -74,15 +73,16 @@ let derive wf =
     memo = None;
   }
 
-let create ?(max_cached_pairs = 4096) ?(max_paths = 200_000) ?metrics wf =
-  let metrics = match metrics with Some m -> m | None -> Metrics.create () in
+(* Bound on the (source, target) pairs whose path sets are memoized. *)
+let max_cached_pairs = 4096
+
+let create ?(max_paths = 200_000) wf =
   {
     d = derive wf;
     chain = [];
     lock = Mutex.create ();
-    max_cached_pairs;
     max_paths;
-    metrics;
+    metrics = Metrics.create ();
   }
 
 let base t = t.d.base
@@ -159,7 +159,7 @@ let base_entry t ~source ~target =
       in
       with_lock t (fun () ->
           if
-            Hashtbl.length d.paths < t.max_cached_pairs
+            Hashtbl.length d.paths < max_cached_pairs
             && not (Hashtbl.mem d.paths key)
           then Hashtbl.add d.paths key entry);
       entry

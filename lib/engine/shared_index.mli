@@ -31,21 +31,15 @@
 
 type t
 
-val create :
-  ?max_cached_pairs:int ->
-  ?max_paths:int ->
-  ?metrics:Metrics.t ->
-  Cdw_core.Workflow.t ->
-  t
+val create : ?max_paths:int -> Cdw_core.Workflow.t -> t
 (** Freezes the given workflow (a private immutable CSR base; the input
     is never modified) and precomputes topo order and the reachability
-    snapshot.
-    [max_cached_pairs] (default 4096) bounds the number of
-    (source, target) pairs whose path sets are memoized; beyond it, path
-    queries fall through to plain enumeration. [max_paths] (default
-    200_000) caps enumeration per pair; pairs that overflow are
-    remembered as such and always answered by direct (capped)
-    enumeration on the live workflow. *)
+    snapshot, with a fresh metrics registry. The path sets of at most
+    4096 (source, target) pairs are memoized; beyond that, path queries
+    fall through to plain enumeration. [max_paths] (default 200_000)
+    caps enumeration per pair; pairs that overflow are remembered as
+    such and always answered by direct (capped) enumeration on the live
+    workflow. *)
 
 val base : t -> Cdw_core.Workflow.t
 (** The immutable base of the {e current} epoch. Never mutate it —

@@ -49,6 +49,7 @@ type result = {
   speedup : float;
   naive_rps : float;
   engine_rps : float;
+  engine_rps_median : float;
   path_cache_hits : int;
   view_session_bytes : int;
   copy_session_bytes : int;
@@ -128,10 +129,8 @@ let run_naive config wf requests =
       solve_from_scratch user)
     requests
 
-let run_engine ?attach config wf requests =
+let run_engine config wf requests =
   let engine = Engine.create ~algorithm:config.algorithm ~seed:config.seed wf in
-  (* Attach before any submit so journaling hooks see every event. *)
-  (match attach with Some f -> f engine | None -> ());
   List.iter (fun (user, request) -> Engine.submit engine ~user request) requests;
   let replies = Engine.drain engine in
   (engine, replies)
@@ -156,22 +155,22 @@ let session_bytes wf =
   let copy_bytes = marginal (fun () -> Workflow.thaw base) in
   (view_bytes, copy_bytes)
 
-(* Best-of-[trials] wall time. Both servers are stateless across trials
-   (fresh tables / fresh engine per call), so the minimum is the run
-   least disturbed by the rest of the machine. *)
+(* Best-of-[trials] wall time, plus every trial's. Both servers are
+   stateless across trials (fresh tables / fresh engine per call), so
+   the minimum is the run least disturbed by the rest of the machine. *)
 let best_of trials f =
-  let rec go best i =
-    if i >= trials then best
+  let rec go best times i =
+    if i >= trials then (best, times)
     else
       let r, ms = Timing.time_f f in
       let best =
         match best with Some (_, b) when b <= ms -> best | _ -> Some (r, ms)
       in
-      go best (i + 1)
+      go best (ms :: times) (i + 1)
   in
-  match go None 0 with
-  | Some x -> x
-  | None -> invalid_arg "Workbench: trials must be >= 1"
+  match go None [] 0 with
+  | Some x, times -> (x, times)
+  | None, _ -> invalid_arg "Workbench: trials must be >= 1"
 
 (* The benchmark inputs alone — base workflow plus request script —
    for harnesses that serve the identical workload through a different
@@ -187,12 +186,20 @@ let workload config =
   let wf = instance.Generator.workflow in
   (wf, script_for config wf)
 
-let run ?(trials = 3) ?attach config =
+let run ?(trials = 3) config =
   let wf, requests = workload config in
   let n_requests = List.length requests in
-  let (), naive_ms = best_of trials (fun () -> run_naive config wf requests) in
-  let (engine, replies), engine_ms =
-    best_of trials (fun () -> run_engine ?attach config wf requests)
+  let ((), naive_ms), _ =
+    best_of trials (fun () -> run_naive config wf requests)
+  in
+  let ((engine, replies), engine_ms), engine_trials_ms =
+    best_of trials (fun () -> run_engine config wf requests)
+  in
+  let median_ms =
+    let a = Array.of_list engine_trials_ms in
+    Array.sort Float.compare a;
+    let n = Array.length a in
+    if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
   in
   List.iter
     (fun (r : Engine.reply) ->
@@ -211,6 +218,7 @@ let run ?(trials = 3) ?attach config =
     speedup = (if engine_ms > 0.0 then naive_ms /. engine_ms else infinity);
     naive_rps = rps naive_ms;
     engine_rps = rps engine_ms;
+    engine_rps_median = rps median_ms;
     path_cache_hits =
       Metrics.counter (Engine.metrics engine) "index.paths.hit";
     view_session_bytes;
@@ -246,6 +254,7 @@ let result_json r =
       ("speedup", Json.Number r.speedup);
       ("naive_rps", Json.Number r.naive_rps);
       ("engine_rps", Json.Number r.engine_rps);
+      ("engine_rps_median", Json.Number r.engine_rps_median);
       ("path_cache_hits", Json.Number (float_of_int r.path_cache_hits));
       ( "session_bytes",
         Json.Object
@@ -264,7 +273,7 @@ let pp ppf r =
      (k=%d, d=%.2f), algorithm %s@,\
      requests        %d@,\
      naive  (scratch)  %10.1f ms  %8.0f req/s@,\
-     engine (drain)    %10.1f ms  %8.0f req/s@,\
+     engine (drain)    %10.1f ms  %8.0f req/s  (median trial %.0f req/s)@,\
      speedup         %.2fx@,\
      path cache hits %d@,\
      session memory  %d B/view vs %d B/copy (%.1fx less)@]"
@@ -273,5 +282,5 @@ let pp ppf r =
     c.n_vertices c.stages c.density
     (Algorithms.to_string c.algorithm)
     r.n_requests r.naive_ms r.naive_rps r.engine_ms r.engine_rps
-    r.speedup r.path_cache_hits r.view_session_bytes r.copy_session_bytes
-    r.memory_ratio
+    r.engine_rps_median r.speedup r.path_cache_hits r.view_session_bytes
+    r.copy_session_bytes r.memory_ratio

@@ -51,6 +51,9 @@ type result = {
   speedup : float;  (** [naive_ms /. engine_ms] *)
   naive_rps : float;  (** requests per second *)
   engine_rps : float;
+  engine_rps_median : float;
+      (** requests per second at the median engine trial's wall time —
+          the figure [bench/engine.exe --baseline] gates on *)
   path_cache_hits : int;  (** shared-index path-cache hits during the run *)
   view_session_bytes : int;
       (** marginal resident bytes per session as a copy-free view of the
@@ -87,18 +90,12 @@ val workload : config -> Cdw_core.Workflow.t * (string * Engine.request) list
     [Invalid_argument] if the generated workflow has no connected
     (user, purpose) pair. *)
 
-val run : ?trials:int -> ?attach:(Engine.t -> unit) -> config -> result
+val run : ?trials:int -> config -> result
 (** Runs both servers on the identical script and reports the best of
     [trials] (default 3) wall times for each — both are stateless across
     trials, so the minimum is the measurement least disturbed by the
-    rest of the machine. Raises [Invalid_argument] if any engine reply
-    is an error or [trials < 1].
-
-    [attach] is called on each freshly created engine before any
-    request is submitted — the hook [cdw serve-bench --journal] uses to
-    wire a {!Cdw_store.Store} journal onto the engine under test (its
-    cost is charged to the engine's time, which is the point: it
-    measures the durability overhead of the chosen fsync policy). *)
+    rest of the machine — plus the engine's median trial. Raises
+    [Invalid_argument] if any engine reply is an error or [trials < 1]. *)
 
 val result_json : result -> Cdw_util.Json.t
 (** Everything in {!result} (config included) as one JSON object —

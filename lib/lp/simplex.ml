@@ -185,13 +185,9 @@ let set_objective t c =
         for j = 0 to t.total do t.obj.(j) <- t.obj.(j) -. (cb *. r.(j)) done)
     t.rows
 
-let solve ?max_pivots ?(deadline = infinity) problem =
+let solve ?(deadline = infinity) problem =
   let t = build problem in
-  let max_pivots =
-    match max_pivots with
-    | Some k -> k
-    | None -> 100_000 + (200 * (t.total + Array.length t.rows))
-  in
+  let max_pivots = 100_000 + (200 * (t.total + Array.length t.rows)) in
   let has_art = t.art_start < t.total in
   let phase1_ok =
     if not has_art then true

@@ -24,8 +24,8 @@ type solution = { x : float array; objective_value : float }
 
 type outcome = Optimal of solution | Infeasible | Unbounded
 
-val solve : ?max_pivots:int -> ?deadline:float -> problem -> outcome
-(** [max_pivots] defaults to [100_000 + 200 * (vars + constraints)].
+val solve : ?deadline:float -> problem -> outcome
+(** Pivots are capped at [100_000 + 200 * (vars + constraints)].
     Raises [Failure] when the cap is hit (numerically stuck) and
     [Cdw_util.Timing.Timeout] when the cooperative [deadline] (checked
     every few dozen pivots) has passed. *)

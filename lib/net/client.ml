@@ -29,7 +29,7 @@ let rec connect_retry addr tries =
       (try Unix.close fd with Unix.Unix_error _ -> ());
       raise e
 
-let connect ?(retries = 100) ?(version = Wire.version) addr =
+let connect ?(version = Wire.version) addr =
   if version < Wire.min_version || version > Wire.version then
     invalid_arg (Printf.sprintf "Client.connect: unknown version 0x%02x" version);
   (* A submit written to a server that died must surface as EPIPE (an
@@ -37,7 +37,7 @@ let connect ?(retries = 100) ?(version = Wire.version) addr =
      SIGPIPE. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
-  let fd = connect_retry addr retries in
+  let fd = connect_retry addr 100 in
   { fd; version; r = Wire.reader fd; w = Wire.writer fd; outstanding = 0 }
 
 (* Submits still buffered leave first, so a submit followed by [close]
@@ -164,3 +164,28 @@ let server_trace t =
   | Wire.Trace_r s -> s
   | Wire.Error_r msg -> failwith msg
   | _ -> failwith "protocol desync: expected a trace dump"
+
+(* The default prefix leaves names as the script has them, and every
+   reply counts as ours; any other prefix renames [u] to [prefix.u] and
+   passes over the replies of users outside that namespace. *)
+let bench_target ~prefix t =
+  let h = hello t in
+  let base =
+    match Cdw_core.Serialize.parse h.Wire.h_workflow with
+    | Ok (wf, _) -> wf
+    | Error msg -> failwith ("server base workflow: " ^ msg)
+  in
+  let rename u = if prefix = "user" then u else prefix ^ "." ^ u in
+  let ours (r : Engine.reply) =
+    prefix = "user" || String.starts_with ~prefix:(prefix ^ ".") r.Engine.user
+  in
+  {
+    Cdw_shard.Shard_bench.shards = h.Wire.h_shards;
+    base;
+    reset = List.iter (fun u -> forget t (rename u));
+    submit = (fun ~user request -> submit t ~user:(rename user) request);
+    drain = (fun () -> List.filter ours (drain t));
+    install =
+      (fun wf -> ignore (install_epoch t (Cdw_core.Serialize.to_string wf)));
+    serving = (fun () -> None);
+  }

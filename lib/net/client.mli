@@ -16,11 +16,11 @@
 
 type t
 
-val connect : ?retries:int -> ?version:int -> Unix.sockaddr -> t
+val connect : ?version:int -> Unix.sockaddr -> t
 (** Connect, retrying [ECONNREFUSED]/[ENOENT]/[ECONNRESET] every 50 ms
-    up to [retries] (default 100) times — enough to race a server that
-    is still binding its socket. Raises the last [Unix.Unix_error] if
-    the server never appears.
+    up to 100 times — enough to race a server that is still binding
+    its socket. Raises the last [Unix.Unix_error] if the server never
+    appears.
 
     [version] (default {!Wire.version}, 0x02) selects the payload
     layout this client speaks; pass [0x01] to act as a legacy client.
@@ -79,3 +79,13 @@ val close : t -> unit
     close the socket. Submits sent this way reach the server, but their
     acks are never read — {!flush} first if you need to know they were
     accepted. *)
+
+val bench_target : prefix:string -> t -> Cdw_shard.Shard_bench.target
+(** The serve-bench drivers' target over this connection (see
+    {!Cdw_shard.Shard_bench}): the base is the server's, fetched with
+    {!hello}; [reset] {!forget}s the given users; [install] ships the
+    workflow as an epoch install. With [prefix] other than ["user"],
+    every user [u] is submitted as [prefix.u] and drains return only
+    replies for users in that namespace, so clients with distinct
+    prefixes share one server without touching each other's sessions.
+    Raises [Failure] if the server's base does not parse. *)

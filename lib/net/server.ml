@@ -296,7 +296,7 @@ let accept_loop t =
   in
   go ()
 
-let start ?(backlog = 16) serving addr =
+let start serving addr =
   (* A reply written to a peer that vanished must surface as EPIPE —
      handled per-connection in [conn_loop] — not as a process-killing
      SIGPIPE. *)
@@ -313,7 +313,7 @@ let start ?(backlog = 16) serving addr =
   | _ -> ());
   (try
      Unix.bind listen_fd addr;
-     Unix.listen listen_fd backlog
+     Unix.listen listen_fd 16
    with e ->
      (try Unix.close listen_fd with Unix.Unix_error _ -> ());
      raise e);

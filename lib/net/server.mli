@@ -42,7 +42,7 @@
 
 type t
 
-val start : ?backlog:int -> Cdw_shard.Serving.t -> Unix.sockaddr -> t
+val start : Cdw_shard.Serving.t -> Unix.sockaddr -> t
 (** Bind, listen and spawn the accept thread. An existing socket file
     at an [ADDR_UNIX] path is unlinked first; [ADDR_INET] with port 0
     binds a kernel-assigned port (read it back with {!sockaddr}).

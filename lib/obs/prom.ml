@@ -39,9 +39,9 @@ let label_str labels extra =
    Prometheus requires all series of one metric name under a single
    TYPE block, so samples are grouped by metric name first, label set
    second. *)
-let render_sets ?(namespace = "cdw") sets =
+let render_sets sets =
   let buf = Buffer.create 4096 in
-  let full name = namespace ^ "_" ^ sanitize name in
+  let full name = "cdw_" ^ sanitize name in
   let names project =
     List.sort_uniq compare
       (List.concat_map (fun set -> List.map fst (project set)) sets)
@@ -116,8 +116,8 @@ let render_sets ?(namespace = "cdw") sets =
     (names (fun s -> s.s_histograms));
   Buffer.contents buf
 
-let render ?namespace ?(gauges = []) ~counters ~histograms () =
-  render_sets ?namespace
+let render ?(gauges = []) ~counters ~histograms () =
+  render_sets
     [
       {
         s_labels = [];

@@ -3,7 +3,7 @@
 
     Rendering maps a counter set and a histogram set into one exposition
     body. Metric names are sanitized ([[a-zA-Z0-9_:]], everything else
-    becomes ['_']) and prefixed with a namespace (default ["cdw"]).
+    becomes ['_']) and prefixed with [cdw_].
     Histograms render the standard cumulative [_bucket{le="..."}] series
     over their non-empty buckets plus [_sum] and [_count].
 
@@ -25,7 +25,7 @@ type series_set = {
   s_histograms : (string * Histogram.t) list;
 }
 
-val render_sets : ?namespace:string -> series_set list -> string
+val render_sets : series_set list -> string
 (** Render several label sets of the same registry shape into one
     exposition — the sharded serving group's view, where each shard
     contributes the same metric names under its own [shard] label.
@@ -36,7 +36,6 @@ val render_sets : ?namespace:string -> series_set list -> string
     backslashes. *)
 
 val render :
-  ?namespace:string ->
   ?gauges:(string * float) list ->
   counters:(string * int) list ->
   histograms:(string * Histogram.t) list ->

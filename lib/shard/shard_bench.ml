@@ -1,71 +1,119 @@
 module Engine = Cdw_engine.Engine
 module Json = Cdw_util.Json
-module Metrics = Cdw_engine.Metrics
 module Tier = Cdw_engine.Tier
 module Timing = Cdw_util.Timing
 module Traffic = Cdw_workload.Traffic
 module Evolve = Cdw_workload.Evolve
 module Workbench = Cdw_engine.Workbench
 
-type run = { shards : int; n_requests : int; ms : float; rps : float }
+type target = {
+  shards : int;
+  base : Cdw_core.Workflow.t;
+  reset : string list -> unit;
+  submit : user:string -> Engine.request -> unit;
+  drain : unit -> Engine.reply list;
+  install : Cdw_core.Workflow.t -> unit;
+  serving : unit -> Serving.t option;
+}
 
-let serve ?(trials = 3) ?attach ~make config =
+let in_process make =
+  let cur = ref (make ()) in
+  (* A value nothing was submitted to is still fresh: the first trial
+     serves on the value built here rather than on a second one. *)
+  let used = ref false in
+  {
+    shards = Serving.shards !cur;
+    base = Serving.base !cur;
+    reset =
+      (fun _ ->
+        if !used then begin
+          Serving.close !cur;
+          cur := make ();
+          used := false
+        end);
+    submit =
+      (fun ~user request ->
+        used := true;
+        Serving.submit !cur ~user request);
+    drain = (fun () -> Serving.drain !cur);
+    install = (fun wf -> ignore (Serving.migrate !cur wf));
+    serving = (fun () -> Some !cur);
+  }
+
+let rate n ms = if ms > 0.0 then float_of_int n /. (ms /. 1000.0) else infinity
+
+(* Nearest-rank p999 over every sample, exact (no histogram buckets). *)
+let p999 = function
+  | [] -> 0.0
+  | samples ->
+      let a = Array.of_list samples in
+      Array.sort Float.compare a;
+      a.(int_of_float (0.999 *. float_of_int (Array.length a - 1)))
+
+type run = {
+  shards : int;
+  n_requests : int;
+  ms : float;
+  rps : float;
+  p999_ms : float;
+}
+
+let serve ?(trials = 3) (target : target) config =
   if trials < 1 then invalid_arg "Shard_bench.serve: trials must be >= 1";
-  let wf, requests = Workbench.workload config in
-  let n_requests = List.length requests in
-  let run_once () =
-    let serving = make wf in
-    (match attach with Some f -> f serving | None -> ());
+  let script = Workbench.script_for config target.base in
+  let users = List.sort_uniq compare (List.map fst script) in
+  let trial () =
+    target.reset users;
+    let replies, ms =
+      Timing.time_f (fun () ->
+          List.iter
+            (fun (user, request) -> target.submit ~user request)
+            script;
+          target.drain ())
+    in
     List.iter
-      (fun (user, request) -> Serving.submit serving ~user request)
-      requests;
-    let replies = Serving.drain serving in
-    (serving, replies)
+      (fun (r : Engine.reply) ->
+        match r.Engine.result with
+        | Ok () -> ()
+        | Error msg ->
+            invalid_arg
+              (Printf.sprintf "Shard_bench.serve: request for %s failed: %s"
+                 r.Engine.user msg))
+      replies;
+    (ms, replies)
   in
-  (* Best-of-trials like Workbench.run: every trial builds a fresh
-     serving value, so the minimum is the least-disturbed measurement.
-     Non-best trials are closed (ledgers and pinned domains released)
-     as they lose. *)
-  let rec go best i =
+  (* Best-of-trials like Workbench.run: the minimum is the
+     least-disturbed measurement. *)
+  let rec go i ((best_ms, _) as best) =
     if i >= trials then best
     else
-      let (serving, replies), ms = Timing.time_f run_once in
-      match best with
-      | Some (_, _, best_ms) when best_ms <= ms ->
-          Serving.close serving;
-          go best (i + 1)
-      | Some (prev, _, _) ->
-          Serving.close prev;
-          go (Some (serving, replies, ms)) (i + 1)
-      | None -> go (Some (serving, replies, ms)) (i + 1)
+      let ((ms, _) as t) = trial () in
+      go (i + 1) (if best_ms <= ms then best else t)
   in
-  match go None 0 with
-  | None -> assert false
-  | Some (serving, replies, ms) ->
-      List.iter
-        (fun (r : Engine.reply) ->
-          match r.Engine.result with
-          | Ok () -> ()
-          | Error msg ->
-              invalid_arg
-                (Printf.sprintf "Shard_bench.serve: request failed: %s" msg))
-        replies;
-      let rps =
-        if ms > 0.0 then float_of_int n_requests /. (ms /. 1000.0)
-        else infinity
-      in
-      ({ shards = Serving.shards serving; n_requests; ms; rps }, serving)
+  let ms, replies = go 1 (trial ()) in
+  let n_requests = List.length script in
+  {
+    shards = target.shards;
+    n_requests;
+    ms;
+    rps = rate n_requests ms;
+    p999_ms =
+      p999 (List.map (fun (r : Engine.reply) -> r.Engine.time_ms) replies);
+  }
 
-let serve_group ?trials ?attach ~shards config =
-  serve ?trials ?attach
-    ~make:(fun wf ->
-      Serving.create ~algorithm:config.Workbench.algorithm
-        ~seed:config.Workbench.seed ~shards wf)
-    config
+let run_json (r : run) =
+  Json.Object
+    [
+      ("shards", Json.Number (float_of_int r.shards));
+      ("n_requests", Json.Number (float_of_int r.n_requests));
+      ("engine_ms", Json.Number r.ms);
+      ("engine_rps", Json.Number r.rps);
+      ("p999_ms", Json.Number r.p999_ms);
+    ]
 
 (* ---------------------------------------------------------------- *)
-(* Open-loop traffic serving: pump a Traffic stream through a serving
-   value, draining at synthetic-time window boundaries.               *)
+(* Open-loop traffic serving: pump a Traffic stream through a target,
+   draining at synthetic-time window boundaries.                      *)
 
 type traffic_run = {
   t_shards : int;
@@ -89,27 +137,35 @@ let request_of_op = function
      parked, exactly what a consent lookup would do. *)
   | Traffic.Query -> Engine.Add []
 
-let serve_traffic ?(window_ms = 50.0) ?mem_cap_bytes ?session_bytes
-    ?(evolve = []) ?(refine = false) serving spec ~pairs =
-  if window_ms <= 0.0 then
-    invalid_arg "Shard_bench.serve_traffic: window_ms must be > 0";
-  (match mem_cap_bytes with
-  | Some cap -> Serving.set_mem_cap ?session_bytes serving (Some cap)
-  | None -> ());
+let window_ms = 50.0
+
+let serve_traffic ?(evolve = []) ?(refine = false) (target : target) spec =
   (* [refine] rides the drain cadence: the windows below play the role
      of the production idle loop, stepping the background refiner
-     between drains. Callers that pre-configured budgets via
-     {!Serving.set_refine} keep them — we only flip the default on. *)
-  if refine && Serving.refine_stats serving = None then
-    Serving.set_refine serving true;
-  let gen = Traffic.create spec ~pairs in
+     between drains. *)
+  let refiner =
+    match (refine, target.serving ()) with
+    | false, _ -> None
+    | true, None ->
+        invalid_arg "Shard_bench.serve_traffic: refinement is in-process only"
+    | true, Some serving ->
+        if Serving.refine_stats serving = None then
+          Serving.set_refine serving true;
+        Some serving
+  in
+  let gen =
+    Traffic.create spec ~pairs:(Workbench.connected_pairs target.base)
+  in
   let errors = ref 0 in
+  let latencies = ref [] in
   let drains = ref 0 in
   (* The evolve schedule runs on the stream's synthetic clock, like the
      drain cadence: a step fires at the first drain boundary at or past
      its at_ms, i.e. always between windows — a migration is a
      drain-boundary operation. Steps chain: each mutates the base the
-     previous one installed. *)
+     previous one installed, kept here so both transports install the
+     same mutants. *)
+  let base = ref target.base in
   let steps = ref evolve in
   let epochs = ref 0 in
   let fire_due now =
@@ -117,19 +173,21 @@ let serve_traffic ?(window_ms = 50.0) ?mem_cap_bytes ?session_bytes
       match !steps with
       | (s : Evolve.step) :: rest when s.Evolve.at_ms <= now ->
           steps := rest;
-          let next = Evolve.mutate s (Serving.base serving) in
-          ignore (Serving.migrate serving next);
+          base := Evolve.mutate s !base;
+          target.install !base;
           incr epochs;
           go ()
       | _ -> ()
     in
     go ()
   in
-  let count_errors replies =
+  let drain () =
     List.iter
       (fun (r : Engine.reply) ->
+        latencies := r.Engine.time_ms :: !latencies;
         match r.Engine.result with Ok () -> () | Error _ -> incr errors)
-      replies
+      (target.drain ());
+    incr drains
   in
   let run () =
     (* Open-loop pump: submit every event of the current synthetic-time
@@ -142,10 +200,11 @@ let serve_traffic ?(window_ms = 50.0) ?mem_cap_bytes ?session_bytes
       | Some { Traffic.at_ms; user; op } ->
           let window_end =
             if at_ms >= window_end then begin
-              count_errors (Serving.drain serving);
-              incr drains;
+              drain ();
               fire_due window_end;
-              if refine then ignore (Serving.refine_step ~max:4 serving);
+              Option.iter
+                (fun s -> ignore (Serving.refine_step ~max:4 s))
+                refiner;
               let skipped =
                 Float.of_int
                   (int_of_float ((at_ms -. window_end) /. window_ms))
@@ -154,12 +213,11 @@ let serve_traffic ?(window_ms = 50.0) ?mem_cap_bytes ?session_bytes
             end
             else window_end
           in
-          Serving.submit serving ~user (request_of_op op);
+          target.submit ~user (request_of_op op);
           pump window_end
     in
     pump window_ms;
-    count_errors (Serving.drain serving);
-    incr drains;
+    drain ();
     (* Steps scheduled past the stream's end still fire — the schedule
        is a contract, and the post-run state must be on its last
        epoch. *)
@@ -167,30 +225,27 @@ let serve_traffic ?(window_ms = 50.0) ?mem_cap_bytes ?session_bytes
     (* Flush the refiner: solve everything still queued, then one last
        drain so the staged improvements install (installation is a
        drain-boundary operation). *)
-    if refine then begin
-      while Serving.refine_step ~max:16 serving > 0 do () done;
-      count_errors (Serving.drain serving);
-      incr drains
-    end
+    Option.iter
+      (fun s ->
+        while Serving.refine_step ~max:16 s > 0 do () done;
+        drain ())
+      refiner
   in
   let (), ms = Timing.time_f run in
   let n = Traffic.generated gen in
-  let m = Serving.metrics serving in
+  let serving = target.serving () in
   {
-    t_shards = Serving.shards serving;
+    t_shards = target.shards;
     t_requests = n;
     t_users = Traffic.distinct_users gen;
     t_errors = !errors;
     t_ms = ms;
-    t_rps = (if ms > 0.0 then float_of_int n /. (ms /. 1000.0) else infinity);
-    t_p999_ms =
-      (match Metrics.percentile m "request" 0.999 with
-      | Some p -> p
-      | None -> 0.0);
+    t_rps = rate n ms;
+    t_p999_ms = p999 !latencies;
     t_drains = !drains;
     t_epochs = !epochs;
-    t_tier = Serving.tier_stats serving;
-    t_refine = Serving.refine_stats serving;
+    t_tier = Option.bind serving Serving.tier_stats;
+    t_refine = Option.bind serving Serving.refine_stats;
   }
 
 let traffic_run_json r =
@@ -245,7 +300,7 @@ let pp_traffic ppf r =
     "@[<v>traffic: %d requests, %d users, %d shards@,\
      \  %10.1f ms  %8.0f req/s  p999 %.3f ms  (%d drains%s)@]" r.t_requests
     r.t_users r.t_shards r.t_ms r.t_rps r.t_p999_ms r.t_drains
-    (if r.t_epochs > 0 then Printf.sprintf ", %d epoch installs" r.t_epochs
+    (if r.t_epochs > 0 then Printf.sprintf ", %d epoch install(s)" r.t_epochs
      else "");
   (match r.t_tier with
   | None -> ()
@@ -268,20 +323,26 @@ let pp_traffic ppf r =
 
 type row = { r_shards : int; r_ms : float; r_rps : float; r_speedup : float }
 
-let scaling ?trials ?(shard_counts = [ 1; 2; 4 ]) config =
+let scaling config =
+  let wf, _ = Workbench.workload config in
   let runs =
     List.map
       (fun shards ->
-        let run, serving = serve_group ?trials ~shards config in
-        Serving.close serving;
+        let target =
+          in_process (fun () ->
+              Serving.create ~algorithm:config.Workbench.algorithm
+                ~seed:config.Workbench.seed ~shards wf)
+        in
+        let run = serve target config in
+        Option.iter Serving.close (target.serving ());
         run)
-      shard_counts
+      [ 1; 2; 4 ]
   in
   match runs with
   | [] -> []
   | first :: _ ->
       List.map
-        (fun r ->
+        (fun (r : run) ->
           {
             r_shards = r.shards;
             r_ms = r.ms;

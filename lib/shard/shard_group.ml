@@ -102,16 +102,14 @@ let group_of_engines engines =
     tickets = 0;
   }
 
-let create ?algorithm ?options ?seed ?max_cached_pairs ?max_paths
-    ?(shards = 1) wf =
+let create ?algorithm ?options ?seed ?max_paths ?(shards = 1) wf =
   if shards < 1 then invalid_arg "Shard_group.create: shards must be >= 1";
   (* Freeze once: re-freezing a frozen workflow shares its snapshot and
      metadata, so every shard engine's base is this one base. *)
   let frozen = Workflow.freeze wf in
   group_of_engines
     (Array.init shards (fun _ ->
-         Engine.create ?algorithm ?options ?seed ?max_cached_pairs ?max_paths
-           frozen))
+         Engine.create ?algorithm ?options ?seed ?max_paths frozen))
 
 let shards t = t.shards
 let engines t = Array.map (fun s -> s.engine) t.members
@@ -129,15 +127,12 @@ let direct t = t.shards = 1
 (* ---------------------------------------------------------------- *)
 (* Submit: straight into the engine, or the lock-free inbox path      *)
 
-let submit ?submitted_ms t ~user request =
-  if direct t then
-    Engine.submit ?submitted_ms t.members.(0).engine ~user request
+let submit t ~user request =
+  if direct t then Engine.submit t.members.(0).engine ~user request
   else begin
     let s = t.members.(route t user) in
     let seq = Atomic.fetch_and_add t.seq 1 in
-    let at_ms =
-      match submitted_ms with Some ms -> ms | None -> Timing.now_ms ()
-    in
+    let at_ms = Timing.now_ms () in
     Mpsc.push s.inbox { seq; i_user = user; i_request = request; at_ms };
     Atomic.incr s.depth
   end
@@ -486,10 +481,8 @@ let drain t =
    serialized against drains by the same lock, so installs only ever
    race the drain boundary inside one engine's own lock). *)
 
-let set_refine ?budget_ms ?node_budget t enabled =
-  Array.iter
-    (fun s -> Engine.set_refine ?budget_ms ?node_budget s.engine enabled)
-    t.members
+let set_refine t enabled =
+  Array.iter (fun s -> Engine.set_refine s.engine enabled) t.members
 
 let refine_pending t =
   Array.fold_left
@@ -880,7 +873,8 @@ let summarize shard_recoveries =
    failed shard (lowest index), tagging the error with the shard. The
    pool (not the pinned serving domains) is the right tool here:
    recovery happens before any serving domain exists. *)
-let per_shard_results ~domains ~shards task =
+let per_shard_results ~shards task =
+  let domains = Domain_pool.recommended_domains () in
   let results = Domain_pool.run ~domains (Array.init shards task) in
   let rec collect i =
     if i >= shards then Ok results
@@ -891,22 +885,22 @@ let per_shard_results ~domains ~shards task =
   in
   collect 0
 
-let recover ?(domains = Domain_pool.recommended_domains ()) root =
+let recover root =
   let ( let* ) = Result.bind in
   let* shards = read_group_manifest root in
   let* results =
-    per_shard_results ~domains ~shards (fun i () ->
+    per_shard_results ~shards (fun i () ->
         Store.recover (shard_dir root i))
   in
   Ok
     (summarize
        (Array.map (function Ok r -> r | Error _ -> assert false) results))
 
-let resume_shards ?fsync ?snapshot_every_bytes ~domains root =
+let resume_shards ?fsync ?snapshot_every_bytes root =
   let ( let* ) = Result.bind in
   let* shards = read_group_manifest root in
   let results =
-    Domain_pool.run ~domains
+    Domain_pool.run ~domains:(Domain_pool.recommended_domains ())
       (Array.init shards (fun i () ->
            Store.resume ?fsync ?snapshot_every_bytes (shard_dir root i)))
   in
@@ -926,11 +920,10 @@ let resume_shards ?fsync ?snapshot_every_bytes ~domains root =
       Error e
   | None -> Ok (Array.map (function Ok p -> p | Error _ -> assert false) results)
 
-let resume ?fsync ?snapshot_every_bytes
-    ?(domains = Domain_pool.recommended_domains ()) root =
+let resume ?fsync ?snapshot_every_bytes root =
   let pairs =
     if Sys.file_exists (group_manifest_path root) then
-      resume_shards ?fsync ?snapshot_every_bytes ~domains root
+      resume_shards ?fsync ?snapshot_every_bytes root
     else
       (* No group.json: one engine's ledger at the root, resumed as a
          one-shard group that keeps journaling into that root. *)

@@ -86,7 +86,6 @@ val create :
   ?algorithm:Cdw_core.Algorithms.name ->
   ?options:Cdw_core.Algorithms.Options.t ->
   ?seed:int ->
-  ?max_cached_pairs:int ->
   ?max_paths:int ->
   ?shards:int ->
   Cdw_core.Workflow.t ->
@@ -136,15 +135,13 @@ val migrate :
     Every shard installs the same epoch number (default: current + 1,
     or [epoch]). *)
 
-val submit :
-  ?submitted_ms:float -> t -> user:string -> Cdw_engine.Engine.request -> unit
+val submit : t -> user:string -> Cdw_engine.Engine.request -> unit
 (** Route and enqueue one request. One shard: {!Cdw_engine.Engine.submit}
     on its engine, journaled before it returns. N shards: one atomic
     fetch-add (the global sequence number), one atomic push onto the
     shard's inbox — no lock, no journal I/O; the WAL record is written
     when the shard's next drain ingests the request (see the module
-    preamble). [submitted_ms] (default: now) backdates the queue
-    timestamp as in {!Cdw_engine.Engine.submit}. *)
+    preamble). *)
 
 val pending : t -> int
 (** Requests waiting across all shards (inbox depths plus engine
@@ -188,7 +185,7 @@ val set_journal : t -> (Cdw_engine.Engine.event -> unit) option -> unit
 val sessions : t -> (string * Cdw_engine.Session.t) list
 (** All {e resident} sessions of all shards, sorted by user id. *)
 
-val set_refine : ?budget_ms:float -> ?node_budget:int -> t -> bool -> unit
+val set_refine : t -> bool -> unit
 (** Turn anytime cut refinement on or off on every shard engine
     ({!Cdw_engine.Engine.set_refine}). *)
 
@@ -314,10 +311,10 @@ type recovery = {
           tail discarded) *)
 }
 
-val recover : ?domains:int -> string -> (recovery, string) result
+val recover : string -> (recovery, string) result
 (** Read-only group recovery: load [group.json], then
-    {!Cdw_store.Store.recover} every shard in parallel on [domains]
-    (default {!Cdw_engine.Domain_pool.recommended_domains}) domains.
+    {!Cdw_store.Store.recover} every shard in parallel on
+    {!Cdw_engine.Domain_pool.recommended_domains} domains.
     Recovery fans out on the {!Cdw_engine.Domain_pool} — the pinned
     serving domains don't exist yet at recovery time. Each recovered
     shard engine owns its base parsed from its own manifest (recovery
@@ -329,7 +326,6 @@ val recover : ?domains:int -> string -> (recovery, string) result
 val resume :
   ?fsync:Cdw_store.Wal.fsync_policy ->
   ?snapshot_every_bytes:int ->
-  ?domains:int ->
   string ->
   (t * recovery, string) result
 (** Crash-restart entry point: {!Cdw_store.Store.resume} every shard

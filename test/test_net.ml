@@ -846,6 +846,121 @@ let test_rejected_submit_raises_on_settle () =
       Alcotest.(check int) "rejection counted" 1
         (Metrics.counter (Server.metrics server) "net.submit.rejected"))
 
+(* ---------------------------------------------------------------- *)
+(* the serve-bench drivers over both transports *)
+
+module Shard_bench = Cdw_shard.Shard_bench
+
+(* The target, with every reply its drains return collected in order. *)
+let recording (target : Shard_bench.target) =
+  let replies = ref [] in
+  ( {
+      target with
+      drain =
+        (fun () ->
+          let r = target.drain () in
+          replies := !replies @ r;
+          r);
+    },
+    replies )
+
+let bench_serving ?shards config =
+  let wf, _ = Workbench.workload config in
+  Serving.create ~algorithm:config.Workbench.algorithm
+    ~seed:config.Workbench.seed ?shards wf
+
+(* Script mode: best-of-2 through an in-process target and through a
+   wire target on a 2-shard server answer the same (user, request,
+   result) stream. A second, prefixed client shares the server: its
+   submits are queued when the first trial drains, so their replies
+   reach the first client, whose target must pass them over. *)
+let test_bench_script_transports () =
+  let config = Workbench.quick in
+  let local, local_replies =
+    recording (Shard_bench.in_process (fun () -> bench_serving config))
+  in
+  let local_run = Shard_bench.serve ~trials:2 local config in
+  Option.iter Serving.close (local.serving ());
+  serve (bench_serving ~shards:2 config) (fun server ->
+      let other = Client.connect (Server.sockaddr server) in
+      let b = Client.bench_target ~prefix:"b" other in
+      List.iter
+        (fun (user, request) -> b.submit ~user request)
+        (Workbench.script_for config b.base);
+      Client.flush other;
+      let client = Client.connect (Server.sockaddr server) in
+      let wire, wire_replies =
+        recording (Client.bench_target ~prefix:"a" client)
+      in
+      let wire_run = Shard_bench.serve ~trials:2 wire config in
+      Client.close client;
+      Client.close other;
+      Alcotest.(check int) "server shards" 2 wire_run.Shard_bench.shards;
+      Alcotest.(check int) "requests" local_run.Shard_bench.n_requests
+        wire_run.Shard_bench.n_requests;
+      let unprefixed =
+        List.map
+          (fun (r : Engine.reply) ->
+            let u = r.Engine.user in
+            if not (String.starts_with ~prefix:"a." u) then
+              Alcotest.failf "foreign reply for %s" u;
+            { r with Engine.user = String.sub u 2 (String.length u - 2) })
+          !wire_replies
+      in
+      Alcotest.(check bool) "wire replies == in-process replies" true
+        (replies_signature unprefixed = replies_signature !local_replies))
+
+(* Traffic mode: one stream with a two-step evolve schedule through an
+   in-process target and through a wire target on a 2-shard server
+   lands both on the same session states, with the same request and
+   user counts and no errors. *)
+let test_bench_traffic_transports () =
+  let config = Workbench.quick in
+  let spec =
+    {
+      Cdw_workload.Traffic.default with
+      Cdw_workload.Traffic.requests = 10_000;
+      users = 1000;
+      seed = 5;
+    }
+  in
+  let evolve =
+    match
+      Cdw_workload.Evolve.spec_of_string
+        "at:60,drop:1,add:2,reprice:2,seed:7;at:150,purposes:1,seed:8"
+    with
+    | Ok steps -> steps
+    | Error e -> Alcotest.fail e
+  in
+  let serving = bench_serving config in
+  let local =
+    Shard_bench.serve_traffic ~evolve
+      (Shard_bench.in_process (fun () -> serving))
+      spec
+  in
+  let local_states = Serving.session_states serving in
+  Serving.close serving;
+  let remote = bench_serving ~shards:2 config in
+  serve remote (fun server ->
+      let client = Client.connect (Server.sockaddr server) in
+      let wire =
+        Shard_bench.serve_traffic ~evolve
+          (Client.bench_target ~prefix:"user" client)
+          spec
+      in
+      Client.close client;
+      let check_int what f =
+        Alcotest.(check int) what (f local) (f wire)
+      in
+      check_int "requests" (fun r -> r.Shard_bench.t_requests);
+      check_int "users" (fun r -> r.Shard_bench.t_users);
+      check_int "epochs" (fun r -> r.Shard_bench.t_epochs);
+      Alcotest.(check int) "two installs" 2 wire.Shard_bench.t_epochs;
+      Alcotest.(check int) "in-process errors" 0 local.Shard_bench.t_errors;
+      Alcotest.(check int) "wire errors" 0 wire.Shard_bench.t_errors;
+      Alcotest.(check bool) "session states identical" true
+        (Serving.session_states remote = local_states))
+
 let suite =
   [
     Alcotest.test_case "request codec round-trips" `Quick test_request_roundtrip;
@@ -892,4 +1007,8 @@ let suite =
       test_close_delivers_buffered_submits;
     Alcotest.test_case "a rejected submit raises on the next settle" `Quick
       test_rejected_submit_raises_on_settle;
+    Alcotest.test_case "serve-bench script: wire target == in-process target"
+      `Quick test_bench_script_transports;
+    Alcotest.test_case "serve-bench traffic: wire target == in-process target"
+      `Quick test_bench_traffic_transports;
   ]

@@ -587,16 +587,17 @@ let with_dir f =
 
 let test_store_counters () =
   with_dir (fun dir ->
-      let store = ref None in
-      let metrics = ref None in
-      let attach engine =
-        (match !store with Some s -> Store.close s | None -> ());
-        metrics := Some (Engine.metrics engine);
-        store := Some (Store.create_for ~dir engine)
+      let config = Workbench.quick in
+      let wf, script = Workbench.workload config in
+      let engine =
+        Engine.create ~algorithm:config.Workbench.algorithm
+          ~seed:config.Workbench.seed wf
       in
-      let _result = Workbench.run ~trials:1 ~attach Workbench.quick in
-      (match !store with Some s -> Store.close s | None -> ());
-      let m = Option.get !metrics in
+      let store = Store.create_for ~dir engine in
+      List.iter (fun (user, request) -> Engine.submit engine ~user request) script;
+      ignore (Engine.drain engine);
+      Store.close store;
+      let m = Engine.metrics engine in
       Alcotest.(check bool) "wal appends counted" true
         (Metrics.counter m "store.wal.appends" > 0);
       Alcotest.(check bool) "wal bytes counted" true

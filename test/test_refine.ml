@@ -70,12 +70,16 @@ let with_dir f =
 (* ---------------------------------------------------------------- *)
 (* The differential gate                                              *)
 
-let run_refined ~dir ~shards ~seed ~mem_cap spec wf pairs =
+let run_refined ~dir ~shards ~seed ~mem_cap spec wf =
   let serving = Serving.create ~algorithm ~seed ~shards wf in
   Serving.journal ~dir serving;
+  Option.iter
+    (fun cap -> Serving.set_mem_cap ~session_bytes serving (Some cap))
+    mem_cap;
   let run =
-    Shard_bench.serve_traffic
-      ?mem_cap_bytes:mem_cap ~session_bytes ~refine:true serving spec ~pairs
+    Shard_bench.serve_traffic ~refine:true
+      (Shard_bench.in_process (fun () -> serving))
+      spec
   in
   let states = Serving.session_states serving in
   let stats = Serving.refine_stats serving in
@@ -86,7 +90,6 @@ let test_recovery_differential () =
   List.iter
     (fun seed ->
       let wf = workflow (2000 + seed) in
-      let pairs = Workbench.connected_pairs wf in
       let spec = spec_for seed in
       List.iter
         (fun shards ->
@@ -101,7 +104,7 @@ let test_recovery_differential () =
               in
               with_dir (fun dir ->
                   let run, served_states, stats =
-                    run_refined ~dir ~shards ~seed ~mem_cap spec wf pairs
+                    run_refined ~dir ~shards ~seed ~mem_cap spec wf
                   in
                   if run.Shard_bench.t_errors > 0 then
                     Alcotest.failf "%s: %d request errors" (tag "serve")
