@@ -8,7 +8,8 @@
      against a FILE written before the median was recorded).
    - shard_scaling: the same script at 200 sessions through 1/2/4-shard
      groups.
-   - networked: the same script over a Unix socket.
+   - networked: the same script over a Unix socket, against the same
+     script served in-process by the same driver.
    - utility_retained: RemoveMinMC vs the exact ILP per paper dataset.
 
    Usage:
@@ -79,6 +80,20 @@ let networked config =
       !stop ();
       if Sys.file_exists path then Sys.remove path)
     (fun () -> Shard_bench.serve target config)
+
+(* The denominator of the networked row: the same script, trial count
+   and driver ([Shard_bench.serve], untimed set-up, a one-shard value's
+   drain) on an in-process value, so the ratio holds only the wire. *)
+let in_process config =
+  let wf, _ = Workbench.workload config in
+  let target =
+    Shard_bench.in_process (fun () ->
+        Serving.create ~algorithm:config.Workbench.algorithm
+          ~seed:config.Workbench.seed wf)
+  in
+  let run = Shard_bench.serve target config in
+  Option.iter Serving.close (target.Shard_bench.serving ());
+  run
 
 (* Oracle row: utility retained by the serving heuristic (RemoveMinMC)
    vs the exact ILP multicut, one instance per paper dataset. The
@@ -232,19 +247,20 @@ let () =
   in
   Format.printf "%a@." Shard_bench.pp_scaling scaling;
   (* Networked row: the identical workload through the wire protocol,
-     against the in-process engine_rps above. The gap is protocol +
-     syscall overhead, honestly recorded. *)
+     against the same driver in-process. The gap is protocol + syscall
+     overhead, honestly recorded. *)
   let net = networked !config in
+  let local = in_process !config in
   let vs_inprocess =
-    if result.Workbench.engine_rps > 0.0 then
-      net.Shard_bench.rps /. result.Workbench.engine_rps
+    if local.Shard_bench.rps > 0.0 then
+      net.Shard_bench.rps /. local.Shard_bench.rps
     else infinity
   in
   Printf.printf
     "networked (unix socket): %d requests, %.1f ms, %.0f req/s (in-process \
      %.0f req/s, %.2fx of it)\n"
     net.Shard_bench.n_requests net.Shard_bench.ms net.Shard_bench.rps
-    result.Workbench.engine_rps vs_inprocess;
+    local.Shard_bench.rps vs_inprocess;
   let fields = function Json.Object f -> f | _ -> [] in
   let result_json =
     Json.Object
@@ -261,7 +277,7 @@ let () =
               ((("transport", Json.String "unix-socket")
                :: fields (Shard_bench.run_json net))
               @ [
-                  ("inprocess_rps", Json.Number result.Workbench.engine_rps);
+                  ("inprocess_rps", Json.Number local.Shard_bench.rps);
                   ("rps_vs_inprocess", Json.Number vs_inprocess);
                 ]) );
           (* RemoveMinMC vs the exact ILP, per paper dataset — the

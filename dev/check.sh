@@ -12,6 +12,15 @@ trap cleanup EXIT
 dune build
 dune runtest
 
+# Export lint: every top-level val in lib/*/*.mli has a caller outside
+# its module (lib/, bin/, bench/, perfbench/, examples/, dev/), or is
+# reached only from test/ and says why with a "Test-only:" doc line.
+LINT=$(./_build/default/dev/export_lint.exe) || { echo "$LINT"; exit 1; }
+
+# The examples must run, not only build.
+./_build/default/examples/quickstart.exe > /dev/null
+./_build/default/examples/consent_service.exe > /dev/null
+
 # Representation-differential gate: the five solving algorithms must be
 # bit-identical on the mutable builder vs the frozen copy-free view
 # (also part of `dune runtest`; named here so a failure is unmissable).

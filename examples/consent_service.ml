@@ -1,16 +1,19 @@
-(* A day in the life of a consent service: constraints arrive
-   incrementally from user cohorts, the consented workflow is maintained
-   without recomputing from scratch, richer "do not combine" rules are
-   honoured, and a runtime guard enforces the result at processing time.
-   Exercises the §8 extensions: Incremental, Cohorts, Policy, Enforce.
+(* A day in the life of a consent service, served by [Cdw_shard.Serving]
+   — the value the CLI, the network server and the benchmark serve
+   through. Users submit refusals, a drain answers them, users who share
+   a preference type share one solve (the per-epoch solve memo, the
+   paper's §8 "many users, few preference types"), and a withdrawal
+   gives a user their consented utility back.
 
    Run with: dune exec examples/consent_service.exe *)
 
 open Cdw_core
 module Generator = Cdw_workload.Generator
 module Gen_params = Cdw_workload.Gen_params
-
-let ok = function Ok x -> x | Error e -> failwith e
+module Engine = Cdw_engine.Engine
+module Metrics = Cdw_engine.Metrics
+module Session = Cdw_engine.Session
+module Serving = Cdw_shard.Serving
 
 let () =
   (* The provider's workflow: 60 vertices over 4 stages. *)
@@ -28,109 +31,69 @@ let () =
   Format.printf "Provider workflow: %a@." Workflow.pp wf;
   Format.printf "Baseline utility: %.1f@.@." (Utility.total wf);
 
-  (* --- Morning: three user types register their refusals (batched). --- *)
+  (* Refusals a user can state: (user, purpose) pairs with a path. *)
   let g = Workflow.graph wf in
-  let users = Array.of_list (Workflow.users wf) in
-  let purposes = Array.of_list (Workflow.purposes wf) in
   let connected k offset =
-    let acc = ref [] in
-    let n = ref 0 in
-    Array.iteri
-      (fun i s ->
-        Array.iter
-          (fun t ->
-            if !n < k && (i + offset) mod 3 = 0 && Cdw_graph.Reach.exists_path g s t
-            then begin
-              acc := (s, t) :: !acc;
-              incr n
-            end)
-          purposes)
-      users;
-    !acc
+    List.concat_map
+      (fun s -> List.map (fun t -> (s, t)) (Workflow.purposes wf))
+      (List.filteri (fun i _ -> (i + offset) mod 3 = 0) (Workflow.users wf))
+    |> List.filter (fun (s, t) -> Cdw_graph.Reach.exists_path g s t)
+    |> List.filteri (fun i _ -> i < k)
   in
-  let requests =
-    [
-      { Cohorts.user_id = "alice"; pairs = connected 2 0 };
-      { Cohorts.user_id = "bob"; pairs = connected 2 0 };
-      { Cohorts.user_id = "carol"; pairs = connected 4 1 };
-      { Cohorts.user_id = "dave"; pairs = connected 2 0 };
-    ]
+  let serving = Serving.create wf in
+  let drain () =
+    List.iter
+      (fun (r : Engine.reply) ->
+        match r.Engine.result with
+        | Ok () -> ()
+        | Error e -> failwith (r.Engine.user ^ ": " ^ e))
+      (Serving.drain serving)
   in
-  let groups = ok (Cohorts.solve_grouped wf requests) in
-  Format.printf "Cohort solve: %d users -> %d solver calls@."
-    (List.length requests) (Cohorts.solver_calls groups);
-  List.iter
-    (fun group ->
-      Format.printf "  type shared by {%s}: %.1f%% utility kept@."
-        (String.concat ", " group.Cohorts.members)
-        (Algorithms.utility_percent group.Cohorts.outcome))
-    groups;
+  let memo () =
+    let m = Serving.metrics serving in
+    (Metrics.counter m "solve.memo.miss", Metrics.counter m "solve.memo.hit")
+  in
+  let utility user = Session.utility (Serving.session serving user) in
 
-  (* --- Afternoon: one user keeps tightening their preferences. --- *)
-  Format.printf "@.Incremental session for carol:@.";
-  let session = Incremental.create wf in
+  (* --- Morning: alice registers first; then three more users, two of
+     them of alice's preference type. Drains solve users in parallel, so
+     two users of one type in one cold drain may both solve it. --- *)
+  let type_a = connected 2 0 and type_b = connected 4 1 in
+  let morning =
+    [ ("alice", type_a); ("bob", type_a); ("carol", type_b); ("dave", type_a) ]
+  in
+  List.iteri
+    (fun i (user, pairs) ->
+      Serving.submit serving ~user (Engine.Add pairs);
+      if i = 0 then drain ())
+    morning;
+  drain ();
+  let misses, hits = memo () in
+  Format.printf "Morning drains: %d users -> %d solves, %d memo hits@."
+    (List.length morning) misses hits;
+  List.iter
+    (fun (user, _) -> Format.printf "  %s keeps utility %.1f@." user (utility user))
+    morning;
+
+  (* --- Afternoon: erin tightens their preferences one refusal at a time. --- *)
+  Format.printf "@.erin, one refusal per drain:@.";
+  let erin = connected 5 2 in
   List.iteri
     (fun step pair ->
-      ok (Incremental.add session [ pair ]);
-      let stats = Incremental.stats session in
-      Format.printf
-        "  step %d: %d constraints, utility %.1f, solver runs %d, free hits %d@."
-        (step + 1)
-        (Constraint_set.size (Incremental.constraints session))
-        (Incremental.utility session)
-        stats.Incremental.solver_runs stats.Incremental.free_hits)
-    (connected 5 1);
-  ok (Incremental.withdraw session [ List.hd (connected 5 1) ]);
-  Format.printf "  withdrawal -> full resolves: %d, utility %.1f@."
-    (Incremental.stats session).Incremental.full_resolves
-    (Incremental.utility session);
+      Serving.submit serving ~user:"erin" (Engine.Add [ pair ]);
+      drain ();
+      Format.printf "  step %d: utility %.1f, cuts %d@." (step + 1)
+        (utility "erin")
+        (List.length (Session.cut_ids (Serving.session serving "erin"))))
+    erin;
 
-  (* --- A richer rule: "don't combine two inputs for one purpose". --- *)
-  (* Find two users that feed a common purpose. *)
-  let s1, s2, target =
-    let found = ref None in
-    Array.iter
-      (fun a ->
-        Array.iter
-          (fun b ->
-            if a < b && !found = None then
-              Array.iter
-                (fun t ->
-                  if
-                    !found = None
-                    && Cdw_graph.Reach.exists_path g a t
-                    && Cdw_graph.Reach.exists_path g b t
-                  then found := Some (a, b, t))
-                purposes)
-          users)
-      users;
-    match !found with
-    | Some x -> x
-    | None -> failwith "no combinable user pair in this instance"
-  in
-  let rules =
-    [ Policy.No_combination { sources = [ s1; s2 ]; target } ]
-  in
-  let combo = Policy.solve wf rules in
-  Format.printf "@.No-combination rule (%s + %s for %s):@."
-    (Workflow.name wf s1) (Workflow.name wf s2) (Workflow.name wf target);
-  Format.printf "  satisfied: %b, utility kept %.1f%%@."
-    (Policy.satisfied combo.Algorithms.workflow rules)
-    (Algorithms.utility_percent combo);
+  (* --- Evening: erin withdraws the first refusal. --- *)
+  Serving.submit serving ~user:"erin" (Engine.Withdraw [ List.hd erin ]);
+  drain ();
+  Format.printf "  withdrawal: utility %.1f@." (utility "erin");
 
-  (* --- Evening: the processing engine runs behind the guard. --- *)
-  let final = Incremental.workflow session in
-  let accepted = Incremental.constraints session in
-  let guard = ok (Enforce.create final accepted) in
-  let sample_edges =
-    Cdw_graph.Digraph.fold_edges (fun acc e -> e :: acc) [] (Workflow.graph wf)
-    |> List.filteri (fun i _ -> i mod 17 = 0)
-  in
-  List.iter
-    (fun e ->
-      ignore
-        (Enforce.check guard
-           ~src:(Cdw_graph.Digraph.edge_src e)
-           ~dst:(Cdw_graph.Digraph.edge_dst e)))
-    sample_edges;
-  Format.printf "@.@[<v>%a@]@." (Enforce.pp_report final) guard
+  let misses, hits = memo () in
+  Format.printf "@.Solve memo over the day: %d misses, %d hits, %d users served@."
+    misses hits
+    (List.length (Serving.session_states serving));
+  Serving.close serving

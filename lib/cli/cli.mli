@@ -2,8 +2,6 @@
     point). Exposed as a library so the test suite can exercise the
     commands in-process. *)
 
-val main : unit Cmdliner.Cmd.t
-
 val eval : ?argv:string array -> unit -> int
 (** Evaluate the command line (defaults to [Sys.argv]) and return the
     exit code. *)

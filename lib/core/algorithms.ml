@@ -56,18 +56,6 @@ type outcome = {
 let utility_percent o =
   Utility.percent ~original:o.utility_before o.utility_after
 
-let pp_outcome wf ppf o =
-  let pp_edge ppf e =
-    Format.fprintf ppf "%s→%s"
-      (Workflow.name wf (Digraph.edge_src e))
-      (Workflow.name wf (Digraph.edge_dst e))
-  in
-  Format.fprintf ppf "removed {%a}, utility %.2f → %.2f (%.1f%%)"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-       pp_edge)
-    o.removed o.utility_before o.utility_after (utility_percent o)
-
 (* Run [solve] on a private copy and package the result. [solve] returns
    the number of candidates it evaluated. [utility] is the system
    utility evaluator — Eq. 1 over the linear model unless a caller
@@ -455,15 +443,7 @@ let brute_force_bnb_impl (o : Options.t) wf cs =
 (* Thin per-algorithm wrappers over the [Options]-taking implementations,
    kept because most call sites tune one knob at most. *)
 
-let remove_random_edge ?rng wf cs =
-  random_impl { Options.default with Options.rng } wf cs
-
 let remove_first_edge wf cs = first_impl Options.default wf cs
-let remove_last_edge wf cs = last_impl Options.default wf cs
-
-let remove_min_cuts ?scheme wf cs =
-  min_cuts_impl { Options.default with Options.scheme } wf cs
-
 let remove_min_mc ?backend ?scheme ?deadline wf cs =
   min_mc_impl
     {
@@ -477,11 +457,6 @@ let remove_min_mc ?backend ?scheme ?deadline wf cs =
 
 let brute_force ?(deadline = infinity) ?max_paths ?utility wf cs =
   brute_force_impl
-    { Options.default with Options.deadline; max_paths; utility }
-    wf cs
-
-let brute_force_bnb ?(deadline = infinity) ?max_paths ?utility wf cs =
-  brute_force_bnb_impl
     { Options.default with Options.deadline; max_paths; utility }
     wf cs
 

@@ -5,18 +5,18 @@
     solutions — no constrained user→purpose path survives — and differ
     in utility and cost:
 
-    - {!remove_random_edge} (Alg. 1): random edge per path; baseline.
-    - {!remove_first_edge} (Alg. 2): first edge per path ("do not even
-      collect the data type"); {!remove_last_edge} is the variant
+    - [Remove_random_edge] (Alg. 1): random edge per path; baseline.
+    - [Remove_first_edge] (Alg. 2): first edge per path ("do not even
+      collect the data type"); [Remove_last_edge] is the variant
       discussed in §6.
-    - {!remove_min_cuts} (Alg. 3): greedy per-constraint minimum s–t
+    - [Remove_min_cuts] (Alg. 3): greedy per-constraint minimum s–t
       cut, weights refreshed between constraints.
-    - {!remove_min_mc} (Alg. 4): one global minimum multicut with
+    - [Remove_min_mc] (Alg. 4): one global minimum multicut with
       valuation-derived weights; exact for MINMC but not always for
       CDW-LA (§6), near-optimal in practice (Table 3).
-    - {!brute_force} (Alg. 5): exhaustive search over one-edge-per-path
+    - [Brute_force] (Alg. 5): exhaustive search over one-edge-per-path
       choices; optimal, exponential.
-    - {!brute_force_bnb} (extension): same optimum via branch-and-bound
+    - [Brute_force_bnb] (extension): same optimum via branch-and-bound
       with the monotone-utility upper bound; usually far fewer
       candidates.
 
@@ -27,8 +27,9 @@
 (** {1 Options}
 
     Every tuning knob of every algorithm, gathered in one record. The
-    per-algorithm functions below remain as thin wrappers for the common
-    cases; {!solve} is the single entry point the CLI, the experiment
+    functions {!remove_first_edge}, {!remove_min_mc} and {!brute_force}
+    remain as thin wrappers for their callers; {!solve} is the single
+    entry point the CLI, the experiment
     harness, {!Incremental} and the serving engine go through. *)
 module Options : sig
   type path_provider =
@@ -116,17 +117,7 @@ type outcome = {
 val utility_percent : outcome -> float
 (** [100 · after / before]. *)
 
-val pp_outcome : Workflow.t -> Format.formatter -> outcome -> unit
-
-val remove_random_edge :
-  ?rng:Cdw_util.Splitmix.t -> Workflow.t -> Constraint_set.t -> outcome
-
 val remove_first_edge : Workflow.t -> Constraint_set.t -> outcome
-
-val remove_last_edge : Workflow.t -> Constraint_set.t -> outcome
-
-val remove_min_cuts :
-  ?scheme:Utility.weight_scheme -> Workflow.t -> Constraint_set.t -> outcome
 
 val remove_min_mc :
   ?backend:Cdw_cut.Multicut.backend ->
@@ -149,17 +140,6 @@ val brute_force :
 (** [utility] generalises the objective to arbitrary CDW models
     (§5: the exhaustive search works for any valuation/utility
     functions); see {!Models}. Defaults to CDW-LA's Eq. 1. *)
-
-val brute_force_bnb :
-  ?deadline:float ->
-  ?max_paths:int ->
-  ?utility:(Workflow.t -> float) ->
-  Workflow.t ->
-  Constraint_set.t ->
-  outcome
-(** The monotone-pruning bound requires [utility] to be monotone
-    non-increasing under edge removal (true for every model in
-    {!Models}). *)
 
 type name =
   | Remove_random_edge

@@ -23,16 +23,6 @@ type t = {
       (* purposes present in both bases with a different weight *)
 }
 
-let empty =
-  {
-    added_vertices = [];
-    removed_vertices = [];
-    added_edges = [];
-    removed_edges = [];
-    repriced_edges = [];
-    reweighted_purposes = [];
-  }
-
 let is_empty d =
   d.added_vertices = [] && d.removed_vertices = [] && d.added_edges = []
   && d.removed_edges = [] && d.repriced_edges = [] && d.reweighted_purposes = []
@@ -112,27 +102,3 @@ let compute ~old_base ~new_base =
     repriced_edges = List.rev !repriced_edges;
     reweighted_purposes;
   }
-
-let pp ppf d =
-  let pairs ps =
-    String.concat ", " (List.map (fun (s, t) -> s ^ "->" ^ t) ps)
-  in
-  Format.fprintf ppf
-    "@[<v>diff: +%d/-%d vertices, +%d/-%d edges, %d repriced, %d reweighted@,\
-     %s@]"
-    (List.length d.added_vertices)
-    (List.length d.removed_vertices)
-    (List.length d.added_edges)
-    (List.length d.removed_edges)
-    (List.length d.repriced_edges)
-    (List.length d.reweighted_purposes)
-    (String.concat "; "
-       (List.filter
-          (fun s -> s <> "")
-          [
-            (if d.added_edges = [] then "" else "added " ^ pairs d.added_edges);
-            (if d.removed_edges = [] then ""
-             else "removed " ^ pairs d.removed_edges);
-            (if d.repriced_edges = [] then ""
-             else "repriced " ^ pairs d.repriced_edges);
-          ]))

@@ -23,10 +23,10 @@ type t = {
       (** purposes present in both bases with a different weight *)
 }
 
-val empty : t
-
 val is_empty : t -> bool
-(** True iff the two bases are structurally identical (same vertices,
+(** Test-only: the diff tests assert a self-diff is empty.
+
+    True iff the two bases are structurally identical (same vertices,
     edges, valuations and weights, by name). *)
 
 val counterpart : of_:Workflow.t -> Workflow.t -> int -> int option
@@ -38,5 +38,3 @@ val counterpart : of_:Workflow.t -> Workflow.t -> int -> int option
 val compute : old_base:Workflow.t -> new_base:Workflow.t -> t
 (** Both workflows may be builder- or view-backed; only names, kinds,
     live edges, initial valuations and purpose weights are compared. *)
-
-val pp : Format.formatter -> t -> unit

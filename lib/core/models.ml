@@ -4,9 +4,6 @@ module Bitset = Cdw_util.Bitset
 
 type t = Workflow.t -> float
 
-let linear_additive wf = Utility.total wf
-let subadditive ~cap wf = Utility.total ~model:(Valuation.Subadditive cap) wf
-
 (* U(G) = Σ_p w_p Σ_{e ∈ E_p} π(e) with π(e) = w(e)/|r(head e)| over the
    *original* graph's reachability? No — the construction defines π once
    from the instance being reduced; but removals change |r|. Lemma 3.1

@@ -1,29 +1,21 @@
-(** Utility models beyond CDW-LA.
+(** The §3 NP-hardness construction as a utility model.
 
     The general CDW problem (§2) lets every purpose carry an arbitrary
-    black-box utility over its reachability subgraph; only the
-    linearly-additive instance CDW-LA is evaluated. Algorithms 1, 2 and
-    5 work for arbitrary models (§5), which {!Algorithms.brute_force}
-    honours through its [utility] parameter. This module packages the
-    models used in the paper:
-
-    - {!linear_additive} — Eq. 13/14, the default everywhere;
-    - {!subadditive} — the §8 redundancy-aware variant;
-    - {!reduction} — the §3 NP-hardness construction: fixed per-edge
-      valuations [π(e) = w(e) / |r(head e)|] summed over entire
-      reachability subgraphs, so that [U(G) = Σ_e w(e)] (Eq. 4).
-      With this model, solving CDW by exhaustive search *is* solving
-      minimum multicut — Lemma 3.1 run as code (see
-      [test_reduction.ml]). *)
+    black-box utility over its reachability subgraph, which
+    {!Algorithms.brute_force} honours through its [utility] parameter.
+    {!reduction} is the model Lemma 3.1 builds: fixed per-edge
+    valuations [π(e) = w(e) / |r(head e)|] summed over entire
+    reachability subgraphs, so that [U(G) = Σ_e w(e)] (Eq. 4). With
+    this model, solving CDW by exhaustive search *is* solving minimum
+    multicut (see [test_reduction.ml]). *)
 
 type t = Workflow.t -> float
 (** A system-utility evaluator over the live graph. *)
 
-val linear_additive : t
-
-val subadditive : cap:float -> t
-
 val reduction : edge_weight:(Cdw_graph.Digraph.edge -> float) -> t
-(** The §3 construction for the given MINMC edge weights. The weight
+(** Test-only: Lemma 3.1 run as code, the oracle that ties exhaustive
+    CDW search to minimum multicut.
+
+    The §3 construction for the given MINMC edge weights. The weight
     function is consulted for live edges only; reachability sets are
     recomputed per call, reflecting removals. *)

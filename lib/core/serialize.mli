@@ -22,12 +22,17 @@ val parse : string -> (Workflow.t * Constraint_set.t, string) result
 val parse_exn : string -> Workflow.t * Constraint_set.t
 
 val to_json : ?constraints:Constraint_set.t -> Workflow.t -> string
-(** JSON interchange form:
+(** Test-only: the JSON round-trip tests call the codec directly;
+    {!save}/{!load} dispatch to it.
+
+    JSON interchange form:
     {v { "vertices":    [{"name", "kind", "weight"?}],
      "edges":       [{"src", "dst", "value"?}],
      "constraints": [{"source", "target"}] } v} *)
 
 val of_json : string -> (Workflow.t * Constraint_set.t, string) result
+(** Test-only: the JSON round-trip tests call the codec directly;
+    {!save}/{!load} dispatch to it. *)
 
 val load : string -> (Workflow.t * Constraint_set.t, string) result
 (** Read and parse a file; a [.json] extension selects the JSON

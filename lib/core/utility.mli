@@ -17,11 +17,15 @@ val percent : original:float -> float -> float
 (** Utility as a percentage of [original] (100.0 when original is 0). *)
 
 val purpose_mass : Workflow.t -> float array
-(** Per vertex [v]: [Σ_{p ∈ r(v)} w_p] with [r(v)] the set of purposes
+(** Test-only: pins Eq. 13 per purpose in the utility tests.
+
+    Per vertex [v]: [Σ_{p ∈ r(v)} w_p] with [r(v)] the set of purposes
     reachable from [v] (a purpose reaches itself). *)
 
 val path_mass : Workflow.t -> float array
-(** Per vertex [v]: [Σ_p w_p · #paths(v → p)] — the purpose-weighted
+(** Test-only: pins Eq. 14 per path in the utility tests.
+
+    Per vertex [v]: [Σ_p w_p · #paths(v → p)] — the purpose-weighted
     number of distinct paths from [v] to each purpose. In the linear
     model, [π(e) · path_mass(head e)] is the *exact* utility loss of
     removing edge [e] alone, because every surviving path contributes

@@ -65,9 +65,3 @@ let remove_with_cascade wf edges =
 let restore wf edges =
   let g = Workflow.graph wf in
   List.iter (fun e -> Digraph.restore_edge g e) edges
-
-let cascade_only wf =
-  let g = Workflow.graph wf in
-  let seeds = ref [] in
-  Digraph.iter_vertices (fun v -> seeds := v :: !seeds) g;
-  cascade wf !seeds

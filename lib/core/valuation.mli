@@ -27,7 +27,3 @@ val remove_with_cascade :
     order, so the operation can be undone with {!restore}. *)
 
 val restore : Workflow.t -> Cdw_graph.Digraph.edge list -> unit
-
-val cascade_only : Workflow.t -> Cdw_graph.Digraph.edge list
-(** Run only the cascade step on the current graph (used after bulk
-    edits such as deserialisation). *)

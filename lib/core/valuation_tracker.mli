@@ -33,4 +33,6 @@ val undo : t -> undo -> unit
     reverse order of creation; misuse raises [Invalid_argument]. *)
 
 val removed_of_undo : undo -> Cdw_graph.Digraph.edge list
-(** The edges (cascade included) the corresponding {!remove} took out. *)
+(** Test-only: lets the cascade test count what a removal took.
+
+    The edges (cascade included) the corresponding {!remove} took out. *)

@@ -122,8 +122,6 @@ let copy t =
       init_values = Vec.copy t.init_values;
     }
 
-let is_frozen t = Digraph.is_view t.graph
-
 (* Freezing a builder deep-copies the metadata: the result is the
    private base of a shared index, and must not alias vectors the
    caller might keep growing through the original builder workflow. A

@@ -87,8 +87,6 @@ val thaw : t -> t
 (** Materialise an independent mutable (builder-backed) workflow with
     the same ids and removal state; inverse boundary of {!freeze}. *)
 
-val is_frozen : t -> bool
-
 val validate : t -> (unit, string list) result
 (** Checks the model invariants: the live graph is a DAG; every
     algorithm vertex has at least one in- and one out-edge; every user

@@ -20,7 +20,9 @@ type presolve_info = {
 }
 
 val presolve : problem -> presolve_info
-(** Classic set-cover reductions, applied to fixpoint:
+(** Test-only: checked against the reference presolve in the tests.
+
+    Classic set-cover reductions, applied to fixpoint:
     - a set that is a superset of another set is dropped (row dominance);
     - an element whose set membership is a subset of a cheaper-or-equal
       element's membership is dropped (column dominance);
@@ -28,9 +30,6 @@ val presolve : problem -> presolve_info
       containing it.
     Any optimal solution of [reduced], translated through [kept_elems]
     and extended with [forced], is optimal for the original problem. *)
-
-val expand : problem -> presolve_info -> bool array -> bool array
-(** Lift a solution of [reduced] back to the original element space. *)
 
 val solve_ilp : ?deadline:float -> ?node_limit:int -> problem -> bool array
 (** Exact, via {!Cdw_lp.Ilp} on the presolved problem. Raises
@@ -48,5 +47,7 @@ val solve_greedy : problem -> bool array
     weight / (number of uncovered sets hit). ln(n)-approximate. *)
 
 val cost : problem -> bool array -> float
+(** Test-only: checker for the hitting-set tests. *)
 
 val covers : problem -> bool array -> bool
+(** Test-only: checker for the hitting-set tests. *)

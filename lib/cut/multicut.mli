@@ -69,7 +69,9 @@ val is_multicut :
   Cdw_graph.Digraph.edge list ->
   pairs:(int * int) list ->
   bool
-(** Does removing [edges] disconnect every pair? (Non-destructive.) *)
+(** Test-only: checker for the multicut and oracle tests.
+
+    Does removing [edges] disconnect every pair? (Non-destructive.) *)
 
 val minimalize :
   Cdw_graph.Digraph.t ->
@@ -77,7 +79,9 @@ val minimalize :
   weight:(Cdw_graph.Digraph.edge -> float) ->
   pairs:(int * int) list ->
   Cdw_graph.Digraph.edge list
-(** Drop redundant edges from a multicut: try to re-admit edges in
+(** Test-only: unit-tested on its own; {!solve} runs it on every answer.
+
+    Drop redundant edges from a multicut: try to re-admit edges in
     decreasing weight order, keeping the cut property. Applied to the
     approximate backends' results, where it only ever lowers the
     weight. *)

@@ -325,9 +325,6 @@ let set_mem_cap ?session_bytes t cap =
               t.tier <- Some tier);
           evict_over_cap_locked t)
 
-let mem_cap t =
-  with_lock t (fun () -> Option.map Tier.cap_bytes t.tier)
-
 let tier_stats t = with_lock t (fun () -> Option.map Tier.stats t.tier)
 
 let session_states t =
@@ -911,27 +908,33 @@ let drain_on ~domains t =
              leave no mark. *)
           let requests, seq =
             Trace.span "drain.dequeue" (fun () ->
-                with_lock t (fun () ->
-                    (* Refinements install first, in the same lock
-                       section as the queue swap — even when the queue
-                       is empty: the drain boundary is the install
-                       boundary whether or not requests arrived. *)
-                    install_staged_locked t;
-                    match List.rev t.queue with
-                    | [] -> ([], None)
-                    | q ->
-                        t.queue <- [];
-                        let seq = t.drains in
-                        t.drains <- seq + 1;
-                        emit t (Drained { seq; requests = List.length q });
-                        (q, Some seq)))
+                let requests, seq =
+                  with_lock t (fun () ->
+                      (* Refinements install first, in the same lock
+                         section as the queue swap — even when the
+                         queue is empty: the drain boundary is the
+                         install boundary whether or not requests
+                         arrived. *)
+                      install_staged_locked t;
+                      match List.rev t.queue with
+                      | [] -> ([], None)
+                      | q ->
+                          t.queue <- [];
+                          let seq = t.drains in
+                          t.drains <- seq + 1;
+                          emit t (Drained { seq; requests = List.length q });
+                          (q, Some seq))
+                in
+                (* Inside the phase, so the phases tile the drain: one
+                   sample per request is about a tenth of a small
+                   drain's wall time. *)
+                let now = Timing.now_ms () in
+                List.iter
+                  (fun (_, _, submitted) ->
+                    Metrics.record_ms m "queue_wait" (now -. submitted))
+                  requests;
+                (List.map (fun (user, r, _) -> (user, r)) requests, seq))
           in
-          let now = Timing.now_ms () in
-          List.iter
-            (fun (_, _, submitted) ->
-              Metrics.record_ms m "queue_wait" (now -. submitted))
-            requests;
-          let requests = List.map (fun (user, r, _) -> (user, r)) requests in
           (* Sessions are created on the calling domain: the table is
              then only read inside the tasks. Each task opens its own
              span, explicitly parented to this drain so the fan-out

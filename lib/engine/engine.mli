@@ -217,9 +217,6 @@ val set_mem_cap : ?session_bytes:int -> t -> int option -> unit
     rehydrates every parked session. Counters: [tier.evictions],
     [tier.hydrations]; trace spans [tier.evict], [tier.hydrate]. *)
 
-val mem_cap : t -> int option
-(** The active memory cap in bytes, if tiering is on. *)
-
 val tier_stats : t -> Tier.stats option
 (** Tiering counters (resident/parked/peaks/evictions/hydrations), if
     tiering is on. *)
@@ -231,7 +228,9 @@ val session_states : t -> (string * (int * int) list * int list) list
     is identical for capped and uncapped runs of the same workload. *)
 
 val session_seed : t -> string -> int
-(** The rng seed the session of this user id gets — exposed so external
+(** Test-only: lets the memo tests replay a session solve outside the engine.
+
+    The rng seed the session of this user id gets — exposed so external
     verification can replay a session's solves exactly. *)
 
 val submit : ?submitted_ms:float -> t -> user:string -> request -> unit
@@ -304,7 +303,9 @@ val refine_step : ?max:int -> t -> int
     hydrating them. *)
 
 val refine_pending : t -> int
-(** Queued-plus-staged refinement work outstanding; 0 when off. *)
+(** Test-only: lets the refinement tests see the queue.
+
+    Queued-plus-staged refinement work outstanding; 0 when off. *)
 
 val refine_stats : t -> refine_stats option
 (** Refinement counters, if refinement is on. *)

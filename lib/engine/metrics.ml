@@ -167,16 +167,6 @@ let summary t key =
   with_lock t (fun () ->
       Option.bind (Hashtbl.find_opt t.samples key) summary_of_series)
 
-let summaries t =
-  with_lock t (fun () ->
-      Hashtbl.fold
-        (fun key s acc ->
-          match summary_of_series s with
-          | Some summary -> (key, summary) :: acc
-          | None -> acc)
-        t.samples [])
-  |> List.sort compare
-
 (* Percentiles come from the histogram: bucket-exact at any stream
    length, where the reservoir could only estimate. *)
 let percentile t key q =

@@ -27,6 +27,7 @@ val create : ?max_samples:int -> unit -> t
     reservoir. *)
 
 val max_samples : t -> int
+(** Test-only: lets the tests check the sample-store bound. *)
 
 (** {1 Counters} *)
 
@@ -35,9 +36,6 @@ val incr : ?by:int -> t -> string -> unit
 val counter : t -> string -> int
 (** 0 for never-touched counters. *)
 
-val counters : t -> (string * int) list
-(** All counters, sorted by name. *)
-
 (** {1 Gauges} *)
 
 val set_gauge : t -> string -> float -> unit
@@ -45,10 +43,9 @@ val set_gauge : t -> string -> float -> unit
     unlike {!incr}ed counters, a gauge may move in either direction. *)
 
 val gauge : t -> string -> float option
-(** [None] for never-set gauges. *)
+(** Test-only: lets the epoch tests read a gauge.
 
-val gauges : t -> (string * float) list
-(** All gauges, sorted by name. *)
+    [None] for never-set gauges. *)
 
 (** {1 Latencies} *)
 
@@ -58,7 +55,9 @@ val record_ms : t -> string -> float -> unit
     with probability [cap/count]. *)
 
 val stored_samples : t -> string -> int
-(** Samples currently retained for the key — at most
+(** Test-only: lets the tests check the sample-store bound.
+
+    Samples currently retained for the key — at most
     {!max_samples}. *)
 
 val time : t -> string -> (unit -> 'a) -> 'a
@@ -74,16 +73,15 @@ val percentile : t -> string -> float -> float option
     relative) of the true order statistic, at any stream length. *)
 
 val histogram_buckets : t -> string -> (float * float * int) list
-(** Non-empty histogram buckets of a key as [(lo, hi, count)], in value
+(** Test-only: lets the tests check bucket placement.
+
+    Non-empty histogram buckets of a key as [(lo, hi, count)], in value
     order. *)
 
 val summary : t -> string -> Cdw_util.Stats.summary option
 (** [None] when no sample was recorded under the key. [n], [mean],
     [min] and [max] are exact over the full stream; [std]/[se] are
     estimated from the reservoir. *)
-
-val summaries : t -> (string * Cdw_util.Stats.summary) list
-(** All latency summaries, sorted by key. *)
 
 (** {1 Merging} *)
 

@@ -53,7 +53,6 @@ let create ~index ~algorithm ~(options : Algorithms.Options.t) ~rng_seed id =
   in
   { id; inner; rng }
 
-let id t = t.id
 let workflow t = Incremental.workflow t.inner
 let constraints t = Incremental.constraints t.inner
 let utility t = Incremental.utility t.inner

@@ -41,10 +41,10 @@ val create :
     [Splitmix.create rng_seed] and its [paths_for] by the shared
     index's path provider. *)
 
-val id : t -> string
-
 val workflow : t -> Cdw_core.Workflow.t
-(** The session's current consented workflow. Read-only: it aliases the
+(** Test-only: the consent checks in the tests read the session workflow.
+
+    The session's current consented workflow. Read-only: it aliases the
     shared base until the first cut. *)
 
 val constraints : t -> Cdw_core.Constraint_set.t

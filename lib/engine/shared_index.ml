@@ -87,10 +87,7 @@ let create ?(max_paths = 200_000) wf =
 
 let base t = t.d.base
 let metrics t = t.metrics
-let topo_order t = t.d.topo
 let epoch t = Workflow.epoch t.d.base
-let chain t = t.chain
-
 (* Swap in a new base at a drain boundary. The caller (the engine's
    migrate, under its own lock, with no drain in flight) owns the
    quiescence argument; the index lock only protects its own cache
@@ -115,8 +112,6 @@ let connected t ~source ~target =
 let with_lock t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
-let cached_pairs t = with_lock t (fun () -> Hashtbl.length t.d.paths)
 
 (* The base never changes within an epoch, so its utility is a constant
    of the derived record: sessions solving from the pristine base reuse

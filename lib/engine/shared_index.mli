@@ -48,10 +48,6 @@ val base : t -> Cdw_core.Workflow.t
 val epoch : t -> int
 (** The current base's epoch (0 until an {!install}). *)
 
-val chain : t -> (int * Cdw_core.Evolution.t) list
-(** The epoch chain: (epoch, structural diff vs the previous epoch),
-    newest first. Empty until the first {!install}. *)
-
 val install : ?epoch:int -> t -> Cdw_core.Workflow.t -> Cdw_core.Evolution.t
 (** Swap in a new base: freeze the workflow as epoch [epoch] (default:
     current epoch + 1), recompute topo order and reachability snapshot,
@@ -63,24 +59,21 @@ val install : ?epoch:int -> t -> Cdw_core.Workflow.t -> Cdw_core.Evolution.t
 
 val metrics : t -> Metrics.t
 
-val topo_order : t -> int array
-
 val connected : t -> source:int -> target:int -> bool
 (** O(1): was [target] reachable from [source] in the base? *)
 
 val live_paths :
   t -> Cdw_core.Workflow.t -> source:int -> target:int ->
   Cdw_graph.Digraph.edge list list
-(** The live source→target paths of the given workflow, which must be
+(** Test-only: the path-cache tests compare it with fresh enumeration.
+
+    The live source→target paths of the given workflow, which must be
     the base itself or a (possibly cut) copy of it. Served by filtering
     the cached base path set by edge liveness; counts
     [index.paths.hit]/[.miss]/[.overflow]. *)
 
 val path_provider : t -> Cdw_core.Algorithms.Options.path_provider
 (** {!live_paths} packaged for {!Cdw_core.Algorithms.Options}. *)
-
-val cached_pairs : t -> int
-(** Number of (source, target) path sets currently memoized. *)
 
 val base_utility : t -> float
 (** [Cdw_core.Utility.total] of the base, computed once and memoized —

@@ -55,12 +55,10 @@ let create ~cap_bytes ~session_bytes =
     n_hydrations = 0;
   }
 
-let cap_bytes t = t.cap
 let set_cap_bytes t cap =
   if cap <= 0 then invalid_arg "Tier.set_cap_bytes: cap must be > 0";
   t.cap <- cap
 
-let session_bytes t = t.s_bytes
 let resident t = Hashtbl.length t.nodes
 let resident_bytes t = resident t * t.s_bytes
 let over_cap t = resident_bytes t > t.cap

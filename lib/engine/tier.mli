@@ -43,9 +43,7 @@ val create : cap_bytes:int -> session_bytes:int -> t
     a [cap_bytes] budget. Raises [Invalid_argument] unless both are
     positive. *)
 
-val cap_bytes : t -> int
 val set_cap_bytes : t -> int -> unit
-val session_bytes : t -> int
 
 val touch : t -> string -> unit
 (** Mark the user's session most-recently-used, inserting it if the
@@ -55,7 +53,6 @@ val remove : t -> string -> unit
 (** Forget the user entirely: LRU node and parked record both dropped
     (GDPR erasure reaches the cold tier too). O(1). *)
 
-val resident : t -> int
 val over_cap : t -> bool
 
 val pop_coldest : t -> pinned:(string -> bool) -> string option

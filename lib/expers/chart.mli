@@ -19,7 +19,9 @@ val render :
   title:string ->
   series list ->
   string
-(** Render series as polylines with markers, axes with ticks, and a
+(** Test-only: the chart test renders a series directly.
+
+    Render series as polylines with markers, axes with ticks, and a
     legend. Empty series are skipped; [log_y] uses a log₁₀ axis and
     drops non-positive values. Raises [Invalid_argument] when nothing
     is plottable. *)

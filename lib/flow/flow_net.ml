@@ -41,7 +41,6 @@ let of_digraph g ~capacity =
   { n; dst; res; cap0 = Array.copy res; adj; edge_arc; arc_edge; graph = g }
 
 let n_vertices t = t.n
-let n_arcs t = Array.length t.dst
 let arc_dst t a = t.dst.(a)
 let residual t a = t.res.(a)
 
@@ -50,21 +49,3 @@ let push t a f =
   t.res.(a lxor 1) <- t.res.(a lxor 1) +. f
 
 let arcs_from t v = t.adj.(v)
-
-let arc_of_edge t e =
-  let id = Digraph.edge_id e in
-  if id < Array.length t.edge_arc && t.edge_arc.(id) >= 0 then
-    Some t.edge_arc.(id)
-  else None
-
-let edge_of_arc t a =
-  if t.arc_edge.(a) >= 0 then Some (Digraph.edge t.graph t.arc_edge.(a))
-  else None
-
-let flow_value t ~src =
-  List.fold_left
-    (fun acc a ->
-      if a land 1 = 0 then acc +. (t.cap0.(a) -. t.res.(a)) else acc)
-    0.0 t.adj.(src)
-
-let reset t = Array.blit t.cap0 0 t.res 0 (Array.length t.res)

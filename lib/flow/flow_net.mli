@@ -17,8 +17,6 @@ val of_digraph : Cdw_graph.Digraph.t -> capacity:(Cdw_graph.Digraph.edge -> floa
 
 val n_vertices : t -> int
 
-val n_arcs : t -> int
-
 val arc_dst : t -> int -> int
 
 val residual : t -> int -> float
@@ -28,15 +26,3 @@ val push : t -> int -> float -> unit
 
 val arcs_from : t -> int -> int list
 (** Arc indices leaving a vertex (both directions' stubs live here). *)
-
-val arc_of_edge : t -> Cdw_graph.Digraph.edge -> int option
-(** Forward arc corresponding to an original live edge. *)
-
-val edge_of_arc : t -> int -> Cdw_graph.Digraph.edge option
-(** Original edge of a forward arc ([None] for reverse arcs). *)
-
-val flow_value : t -> src:int -> float
-(** Net flow currently leaving [src]. *)
-
-val reset : t -> unit
-(** Restore all residuals to the original capacities. *)

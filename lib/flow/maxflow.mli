@@ -8,3 +8,4 @@
 val dinic : Flow_net.t -> src:int -> dst:int -> float
 
 val edmonds_karp : Flow_net.t -> src:int -> dst:int -> float
+(** Test-only: reference max-flow the tests compare {!dinic} against. *)

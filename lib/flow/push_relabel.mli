@@ -6,4 +6,6 @@
     dataset 1c. *)
 
 val max_flow : Flow_net.t -> src:int -> dst:int -> float
-(** Mutates the network's residuals like the other algorithms. *)
+(** Test-only: reference max-flow the tests compare {!Maxflow.dinic} against.
+
+    Mutates the network's residuals like the other algorithms. *)

@@ -9,8 +9,6 @@ type edge = { id : int; src : int; dst : int }
 let edge_id e = e.id
 let edge_src e = e.src
 let edge_dst e = e.dst
-let pp_edge ppf e = Format.fprintf ppf "%d->%d#%d" e.src e.dst e.id
-
 (* ---------------------------------------------------------------- *)
 (* Removed-edge bitsets (one bit per edge id).                        *)
 

@@ -44,9 +44,6 @@ val edge_removed : t -> edge -> bool
     graph's mask, not the edge descriptor, so the same descriptor can be
     live in one view and removed in another. *)
 
-val pp_edge : Format.formatter -> edge -> unit
-(** Prints ["src->dst#id"]. *)
-
 val create : unit -> t
 (** Fresh empty builder. *)
 
@@ -54,7 +51,9 @@ val add_vertex : t -> int
 (** Fresh vertex id. Raises [Invalid_argument] on views. *)
 
 val add_vertices : t -> int -> int
-(** [add_vertices g k] adds [k] vertices and returns the id of the first. *)
+(** Test-only: builds the small graphs of the graph tests.
+
+    [add_vertices g k] adds [k] vertices and returns the id of the first. *)
 
 val n_vertices : t -> int
 
@@ -83,10 +82,13 @@ val n_edges : t -> int
 (** Number of live edges; O(1). *)
 
 val out_edges : t -> int -> edge list
-(** Live out-edges of a vertex, in insertion order. Allocates a list;
+(** Test-only: the builder-vs-view differential compares adjacency lists.
+
+    Live out-edges of a vertex, in insertion order. Allocates a list;
     prefer {!iter_out} in hot paths. *)
 
 val in_edges : t -> int -> edge list
+(** Test-only: the builder-vs-view differential compares adjacency lists. *)
 
 val out_degree : t -> int -> int
 
@@ -99,8 +101,6 @@ val iter_out : t -> int -> (edge -> unit) -> unit
     pattern) without disturbing the traversal. *)
 
 val iter_in : t -> int -> (edge -> unit) -> unit
-
-val fold_out : t -> int -> ('acc -> edge -> 'acc) -> 'acc -> 'acc
 
 val fold_in : t -> int -> ('acc -> edge -> 'acc) -> 'acc -> 'acc
 

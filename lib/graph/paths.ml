@@ -22,42 +22,3 @@ let all_paths ?(max_paths = 1_000_000) ?(deadline = infinity) g ~src ~dst =
   in
   if reaches_dst.(src) then dfs src [];
   List.rev !acc
-
-let count_paths g ~src ~dst =
-  if src = dst then invalid_arg "Paths.count_paths: src = dst";
-  let order = Topo.sort g in
-  let n = Digraph.n_vertices g in
-  let counts = Array.make n 0.0 in
-  counts.(src) <- 1.0;
-  Array.iter
-    (fun v ->
-      if counts.(v) > 0.0 && v <> dst then
-        Digraph.iter_out g v (fun e ->
-            let u = Digraph.edge_dst e in
-            counts.(u) <- counts.(u) +. counts.(v)))
-    order;
-  counts.(dst)
-
-let dedup_edges edges =
-  let seen = Hashtbl.create 16 in
-  List.filter
-    (fun e ->
-      let id = Digraph.edge_id e in
-      if Hashtbl.mem seen id then false
-      else begin
-        Hashtbl.add seen id ();
-        true
-      end)
-    edges
-
-let first_edges paths =
-  dedup_edges
-    (List.filter_map (function [] -> None | e :: _ -> Some e) paths)
-
-let last_edges paths =
-  let rec last = function
-    | [] -> None
-    | [ e ] -> Some e
-    | _ :: rest -> last rest
-  in
-  dedup_edges (List.filter_map last paths)

@@ -19,15 +19,3 @@ val all_paths :
     order. Only vertices that still reach [dst] are explored, so on DAGs
     the cost is output-sensitive. [max_paths] defaults to 1_000_000.
     May raise [Too_many_paths] or [Cdw_util.Timing.Timeout]. *)
-
-val count_paths : Digraph.t -> src:int -> dst:int -> float
-(** Number of distinct s→t paths, computed by DP over the DAG in
-    O(V + E). Returned as float: dense workflows overflow 63-bit
-    integers long before they overflow doubles' exact-integer range in
-    any regime we can enumerate. *)
-
-val first_edges : Digraph.edge list list -> Digraph.edge list
-(** Deduplicated (by id) first edges of the given paths, order
-    preserved. *)
-
-val last_edges : Digraph.edge list list -> Digraph.edge list

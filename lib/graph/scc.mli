@@ -5,7 +5,10 @@
     cycle somewhere". *)
 
 val tarjan : Digraph.t -> int list list
-(** All SCCs; within each component vertices are ascending, and
+(** Test-only: the SCC tests check components directly;
+    {!cyclic_components} builds on it.
+
+    All SCCs; within each component vertices are ascending, and
     components appear in reverse topological order of the condensation
     (standard Tarjan emission order). *)
 

@@ -41,7 +41,9 @@ val submit : t -> user:string -> Cdw_engine.Engine.request -> unit
     as [Unix.Unix_error] from the call that sends the buffer. *)
 
 val flush : t -> unit
-(** Send what is buffered, then read the acks for every pipelined
+(** Test-only: the wire tests drive the client call by call.
+
+    Send what is buffered, then read the acks for every pipelined
     submit. Raises [Failure "submit rejected: …"] on the first
     rejection. Called implicitly by every reply-bearing request
     below. *)
@@ -51,23 +53,33 @@ val drain : t -> Cdw_engine.Engine.reply list
     first-submission order, streamed one frame each. *)
 
 val hello : t -> Wire.hello
+(** Test-only: the wire tests drive the client call by call. *)
+
 val forget : t -> string -> unit
+(** Test-only: the wire tests drive the client call by call. *)
 
 val metrics : t -> string
 (** JSON object with ["serving"] and ["net"] registries. *)
 
 val prometheus : t -> string
+(** Test-only: the wire tests read the server exposition. *)
+
 val ping : t -> unit
+(** Test-only: the wire tests exercise the ping frame. *)
 
 val install_epoch : t -> string -> Wire.epoch_installed
-(** Flush, then install a new base epoch from its
+(** Test-only: the wire tests drive the client call by call.
+
+    Flush, then install a new base epoch from its
     {!Cdw_core.Serialize.to_string} text — the server migrates every
     session live ({!Cdw_shard.Serving.migrate}) and reports what the
     migration did. Raises [Failure] with the server's message if the
     text does not parse or the install is rejected. *)
 
 val epoch : t -> int
-(** The server's current base epoch. *)
+(** Test-only: the wire tests read the server epoch.
+
+    The server's current base epoch. *)
 
 val server_trace : t -> string
 (** The server's own {!Cdw_obs.Trace.export} JSON text, [""] when

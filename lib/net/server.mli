@@ -54,7 +54,9 @@ val sockaddr : t -> Unix.sockaddr
 (** The actually-bound address. *)
 
 val metrics : t -> Cdw_engine.Metrics.t
-(** The live net.* registry (thread-safe, shared with the serving
+(** Test-only: the wire tests read the server counters.
+
+    The live net.* registry (thread-safe, shared with the serving
     threads). *)
 
 val install_epoch :

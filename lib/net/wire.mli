@@ -108,6 +108,7 @@ val encode_request : ?version:int -> ?trace:int -> request -> string
     to carry it. *)
 
 val encode_reply : reply -> string
+(** Test-only: the codec round-trip tests encode replies to a string. *)
 
 val decode_request : string -> (request * int, string) result
 (** The decoded request and its trace id (0 for untraced or version
@@ -117,6 +118,7 @@ val decode_request : string -> (request * int, string) result
     {e frame} was intact, so the stream is still in sync. *)
 
 val decode_reply : string -> (reply, string) result
+(** Test-only: the codec round-trip tests decode replies from a string. *)
 
 (** {1 Buffered frame I/O over a blocking fd}
 
@@ -157,29 +159,26 @@ val reader : Unix.file_descr -> reader
     larger than that). *)
 
 val ready : reader -> bool
-(** [read_frame] would return without a [read] syscall: the buffer
-    holds a complete frame, or a header whose length is already
-    implausible. When [false], the next read may block — the point to
-    flush replies still held in a writer. *)
-
-val read_frame :
-  reader -> (string, [ `Eof | `Torn of string | `Corrupt of string ]) result
-(** The next complete frame's payload, reading only when the buffer
-    holds no complete frame. [`Eof]: the peer closed exactly on a frame
-    boundary. [`Torn]: it closed mid-frame. [`Corrupt]: the length is
-    implausible (checked against {!Cdw_store.Frame.max_payload} from
-    the header alone — a corrupted length must not drive allocation or
-    further reads) or the CRC does not match. After
-    [`Torn]/[`Corrupt] the stream offset is unknown — the connection
-    must be closed, exactly like a damaged WAL tail ends replay. *)
+(** The next {!read_request}/{!read_reply} would return without a
+    [read] syscall: the buffer holds a complete frame, or a header
+    whose length is already implausible. When [false], the next read
+    may block — the point to flush replies still held in a writer. *)
 
 val read_request :
   reader ->
   ((request * int, string) result,
    [ `Eof | `Torn of string | `Corrupt of string ])
   result
-(** The outer [result] is frame transport (see {!read_frame}); the
-    inner is payload decoding (see {!decode_request}). *)
+(** The outer [result] is frame transport, reading only when the
+    buffer holds no complete frame. [`Eof]: the peer closed exactly on
+    a frame boundary. [`Torn]: it closed mid-frame. [`Corrupt]: the
+    length is implausible (checked against
+    {!Cdw_store.Frame.max_payload} from the header alone — a corrupted
+    length must not drive allocation or further reads) or the CRC does
+    not match. After [`Torn]/[`Corrupt] the stream offset is unknown —
+    the connection must be closed, exactly like a damaged WAL tail ends
+    replay. The inner [result] is payload decoding (see
+    {!decode_request}). *)
 
 val read_reply :
   reader ->

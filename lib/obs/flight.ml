@@ -24,7 +24,6 @@ type ring = {
 }
 
 let capacity = Atomic.make 4096
-let set_capacity n = Atomic.set capacity (max 16 n)
 let registry : ring list ref = ref []
 let registry_lock = Mutex.create ()
 
@@ -57,14 +56,6 @@ let record ?(shard = -1) name ~t0_us ~dur_us =
   e.e_dur <- dur_us;
   r.next <- (r.next + 1) mod Array.length r.slots;
   r.total <- r.total + 1
-
-let time ?shard name f =
-  let t0 = Unix.gettimeofday () in
-  Fun.protect
-    ~finally:(fun () ->
-      record ?shard name ~t0_us:(t0 *. 1e6)
-        ~dur_us:((Unix.gettimeofday () -. t0) *. 1e6))
-    f
 
 let rings () =
   Mutex.lock registry_lock;

@@ -20,10 +20,6 @@
     instant may be torn. That is the deliberate trade: zero
     synchronization on the record path, best-effort snapshots out. *)
 
-val set_capacity : int -> unit
-(** Slots per domain ring (default 4096; min 16). Applies to rings not
-    yet created — set it before the first {!record} on a domain. *)
-
 val prewarm : unit -> unit
 (** Allocate the calling domain's ring now instead of lazily on its
     first {!record}. Long-lived worker domains call this at spawn so
@@ -34,12 +30,10 @@ val record : ?shard:int -> string -> t0_us:float -> dur_us:float -> unit
     oldest entry once full. [t0_us] is absolute (µs since the Unix
     epoch); [shard] tags the entry's Perfetto [args]. *)
 
-val time : ?shard:int -> string -> (unit -> 'a) -> 'a
-(** Run the thunk and {!record} its wall time. The result or exception
-    passes through; the entry is recorded either way. *)
-
 val recorded : unit -> int
-(** Entries ever recorded, across all domains (not bounded by ring
+(** Test-only: lets the flight-recorder tests count entries.
+
+    Entries ever recorded, across all domains (not bounded by ring
     capacity). *)
 
 val set_context : (unit -> Cdw_util.Json.t) option -> unit
@@ -50,7 +44,9 @@ val set_context : (unit -> Cdw_util.Json.t) option -> unit
     from that dump. *)
 
 val export : unit -> Cdw_util.Json.t
-(** The rings as a trace-event JSON object: ["X"] events with [dur],
+(** Test-only: lets the flight-recorder tests read the dump.
+
+    The rings as a trace-event JSON object: ["X"] events with [dur],
     timestamps rebased so the oldest retained entry is [ts = 0], with
     the absolute anchor in ["traceEpochUs"] and recorder stats (+
     context) under ["flight"]. *)
@@ -62,9 +58,6 @@ val install : path:string -> unit
 (** Arm post-mortem dumping: installs a [SIGUSR1] handler that writes
     {!export} to [path], and registers [path] as the {!fatal_dump}
     target. *)
-
-val installed : unit -> string option
-(** The dump path registered by {!install}, if any. *)
 
 val fatal_dump : unit -> unit
 (** Write a dump to the {!install}ed path (no-op when none): called by

@@ -100,18 +100,3 @@ let merge_into ~into t =
   if t.minv < into.minv then into.minv <- t.minv;
   if t.maxv > into.maxv then into.maxv <- t.maxv;
   Array.iteri (fun i c -> into.counts.(i) <- into.counts.(i) + c) t.counts
-
-let to_json t =
-  (* Empty histograms print zeros: NaN/infinity are not JSON. *)
-  let p q = if t.count = 0 then 0.0 else percentile t q in
-  Json.Object
-    [
-      ("count", Json.Number (float_of_int t.count));
-      ("sum", Json.Number t.sum);
-      ("min", Json.Number (if t.count = 0 then 0.0 else t.minv));
-      ("max", Json.Number (if t.count = 0 then 0.0 else t.maxv));
-      ("p50", Json.Number (p 0.5));
-      ("p90", Json.Number (p 0.9));
-      ("p99", Json.Number (p 0.99));
-      ("p999", Json.Number (p 0.999));
-    ]

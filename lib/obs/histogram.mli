@@ -20,10 +20,14 @@
 type t
 
 val sub_buckets : int
-(** Linear sub-buckets per power of two (16). *)
+(** Test-only: the histogram tests check the bucket layout.
+
+    Linear sub-buckets per power of two (16). *)
 
 val n_buckets : int
-(** Total bucket count, underflow and overflow included. *)
+(** Test-only: the histogram tests check the bucket layout.
+
+    Total bucket count, underflow and overflow included. *)
 
 val create : unit -> t
 
@@ -34,15 +38,21 @@ val count : t -> int
 
 val sum : t -> float
 val min_value : t -> float
-(** [infinity] when empty. *)
+(** Test-only: the histogram tests check the extremes.
+
+    [infinity] when empty. *)
 
 val max_value : t -> float
-(** [neg_infinity] when empty. *)
+(** Test-only: the histogram tests check the extremes.
+
+    [neg_infinity] when empty. *)
 
 (** {1 Bucket geometry} *)
 
 val bucket_index : float -> int
-(** Total function: every float (NaN, infinities and negatives
+(** Test-only: the histogram tests check the bucket layout.
+
+    Total function: every float (NaN, infinities and negatives
     included) maps to exactly one bucket in [0, n_buckets). *)
 
 val bucket_bounds : int -> float * float
@@ -66,6 +76,3 @@ val percentile : t -> float -> float
 val merge_into : into:t -> t -> unit
 (** Add every bucket count (and the exact aggregates) of the second
     histogram into [into]. *)
-
-val to_json : t -> Cdw_util.Json.t
-(** [{ "count", "sum", "min", "max", "p50", "p90", "p99", "p999" }]. *)

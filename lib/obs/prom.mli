@@ -12,10 +12,6 @@
     which is all the observability smoke test needs to prove the output
     round-trips. *)
 
-val sanitize : string -> string
-(** Replace every character outside [[a-zA-Z0-9_:]] with ['_']; prefix
-    ['_'] if the first character is a digit. *)
-
 type series_set = {
   s_labels : (string * string) list;
       (** labels attached to every sample of the set (e.g.

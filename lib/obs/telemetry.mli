@@ -19,4 +19,6 @@ val stop : t -> unit
 (** Signal, join, then emit once more. Idempotent. *)
 
 val errors : t -> int
-(** Callback invocations that raised. *)
+(** Test-only: the tests check that a failing sampler is counted.
+
+    Callback invocations that raised. *)

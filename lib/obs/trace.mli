@@ -57,7 +57,9 @@ val set_process_label : string -> unit
 (** {1 Introspection} *)
 
 val recorded_events : unit -> int
-(** Events currently buffered, across all domains. *)
+(** Test-only: the trace tests check that nothing is recorded while off.
+
+    Events currently buffered, across all domains. *)
 
 val dropped : unit -> int
 (** Spans not recorded because their domain's buffer was full. *)

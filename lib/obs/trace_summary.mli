@@ -80,7 +80,9 @@ type scaling = {
 }
 
 val scaling_of_json : Cdw_util.Json.t -> (scaling, string) result
-(** [Error] when the trace has no ["group.drain"] span (single-engine
+(** Test-only: the trace tests round-trip the scaling table.
+
+    [Error] when the trace has no ["group.drain"] span (single-engine
     trace). Works on both live-trace B/E exports and flight-recorder
     X-event dumps. *)
 

@@ -7,9 +7,6 @@
     [cdw shard] drive one implementation: entries are tagged
     [Some shard_id] under a group root and [None] for a plain store. *)
 
-val is_group : string -> bool
-(** The root carries a [group.json] manifest. *)
-
 val verify :
   string -> ((int option * Cdw_store.Store.report) list, string) result
 (** {!Cdw_store.Store.verify} every ledger under the root (one for a

@@ -14,4 +14,3 @@ let rec push t x =
   if not (Atomic.compare_and_set t cur (x :: cur)) then push t x
 
 let take_all t = List.rev (Atomic.exchange t [])
-let is_empty t = Atomic.get t == []

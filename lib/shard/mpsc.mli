@@ -35,7 +35,3 @@ val take_all : 'a t -> 'a list
 (** Atomically take every item currently in the queue, in push
     (linearization) order. Items pushed concurrently with the exchange
     land in the next batch. *)
-
-val is_empty : 'a t -> bool
-(** A racy snapshot — true means the queue was empty at some point
-    during the call. *)

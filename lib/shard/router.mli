@@ -16,9 +16,6 @@
     architectures — a user observes the same shard today, after a
     crash-recovery, and in the differential test's re-run. *)
 
-val digest : string -> int
-(** Deterministic non-negative 62-bit digest of the id's bytes. *)
-
 val shard_of : shards:int -> string -> int
 (** [shard_of ~shards user] in [0, shards). Raises [Invalid_argument]
     if [shards <= 0]. *)

@@ -56,6 +56,8 @@ type run = {
   ms : float;
   rps : float;
   p999_ms : float;
+  first_ms : float;
+  first_p999_ms : float;
 }
 
 let serve ?(trials = 3) (target : target) config =
@@ -90,15 +92,20 @@ let serve ?(trials = 3) (target : target) config =
       let ((ms, _) as t) = trial () in
       go (i + 1) (if best_ms <= ms then best else t)
   in
-  let ms, replies = go 1 (trial ()) in
+  let ((first_ms, first_replies) as first) = trial () in
+  let ms, replies = go 1 first in
   let n_requests = List.length script in
+  let p999_of replies =
+    p999 (List.map (fun (r : Engine.reply) -> r.Engine.time_ms) replies)
+  in
   {
     shards = target.shards;
     n_requests;
     ms;
     rps = rate n_requests ms;
-    p999_ms =
-      p999 (List.map (fun (r : Engine.reply) -> r.Engine.time_ms) replies);
+    p999_ms = p999_of replies;
+    first_ms;
+    first_p999_ms = p999_of first_replies;
   }
 
 let run_json (r : run) =
@@ -109,6 +116,8 @@ let run_json (r : run) =
       ("engine_ms", Json.Number r.ms);
       ("engine_rps", Json.Number r.rps);
       ("p999_ms", Json.Number r.p999_ms);
+      ("first_engine_ms", Json.Number r.first_ms);
+      ("first_p999_ms", Json.Number r.first_p999_ms);
     ]
 
 (* ---------------------------------------------------------------- *)

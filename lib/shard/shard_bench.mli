@@ -48,12 +48,17 @@ type run = {
   ms : float;  (** best-of-trials wall time: submit + drain *)
   rps : float;  (** requests per second at [ms] *)
   p999_ms : float;  (** p999 of the best trial's reply [time_ms] *)
+  first_ms : float;
+      (** the first trial's wall time. Over the wire it is the only
+          trial the server's solve memo does not answer warm: a [reset]
+          forgets the users but leaves the server's memo in place. *)
+  first_p999_ms : float;  (** p999 of the first trial's reply [time_ms] *)
 }
 
 val serve : ?trials:int -> target -> Cdw_engine.Workbench.config -> run
 (** Serve the config's script, drawn against the target's base, once per
     trial (default 3), each after an untimed [reset] of the script's
-    users, and report the best trial. Journaled in-process runs should
+    users, and report the best trial and the first. Journaled in-process runs should
     use [~trials:1]: each fresh value re-creates the ledger. Raises
     [Invalid_argument] if any reply is an error or [trials < 1]. *)
 
@@ -78,7 +83,9 @@ type traffic_run = {
 }
 
 val request_of_op : Cdw_workload.Traffic.op -> Cdw_engine.Engine.request
-(** [Install]/[Withdraw] map directly; [Query] is the engine's free
+(** Test-only: the tier tests replay a script by hand.
+
+    [Install]/[Withdraw] map directly; [Query] is the engine's free
     [Add []] — a session touch that hydrates a parked session exactly
     like a consent lookup would. *)
 

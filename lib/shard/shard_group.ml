@@ -137,11 +137,6 @@ let submit t ~user request =
     Atomic.incr s.depth
   end
 
-let pending t =
-  Array.fold_left
-    (fun acc s -> acc + Atomic.get s.depth + Engine.pending s.engine)
-    0 t.members
-
 (* ---------------------------------------------------------------- *)
 (* Per-shard drain (runs on the shard's pinned domain)               *)
 
@@ -484,11 +479,6 @@ let drain t =
 let set_refine t enabled =
   Array.iter (fun s -> Engine.set_refine s.engine enabled) t.members
 
-let refine_pending t =
-  Array.fold_left
-    (fun acc s -> acc + Engine.refine_pending s.engine)
-    0 t.members
-
 let refine_step ?(max = 1) t =
   with_lock t.drain_lock (fun () ->
       if direct t then Engine.refine_step ~max t.members.(0).engine
@@ -573,11 +563,6 @@ let migrate ?epoch:e t wf =
 let session t user = Engine.session t.members.(route t user).engine user
 let forget t user = Engine.forget t.members.(route t user).engine user
 
-let restore_session t user ~constraints ~removed_ids =
-  Engine.restore_session
-    t.members.(route t user).engine
-    user ~constraints ~removed_ids
-
 let set_journal t cb =
   Array.iter (fun s -> Engine.set_journal s.engine cb) t.members
 
@@ -612,17 +597,6 @@ let set_mem_cap ?session_bytes t cap =
         (fun i s ->
           if i > 0 then Engine.set_mem_cap ?session_bytes s.engine (Some per))
         t.members
-
-let mem_cap t =
-  Array.fold_left
-    (fun acc s ->
-      match (acc, Engine.mem_cap s.engine) with
-      | Some total, Some cap -> Some (total + cap)
-      | _ -> None)
-    (Some 0) t.members
-  |> function
-  | Some 0 -> None
-  | other -> other
 
 let tier_stats t =
   let per_shard =

@@ -101,11 +101,15 @@ val create :
 val shards : t -> int
 
 val engines : t -> Cdw_engine.Engine.t array
-(** The shard engines, index = shard id. Callers must not submit to or
+(** Test-only: the shard differential tests inspect each shard.
+
+    The shard engines, index = shard id. Callers must not submit to or
     drain an engine directly while the group is serving. *)
 
 val route : t -> string -> int
-(** The shard serving this user id ({!Router.shard_of}). *)
+(** Test-only: the shard differential tests inspect each shard.
+
+    The shard serving this user id ({!Router.shard_of}). *)
 
 val algorithm : t -> Cdw_core.Algorithms.name
 (** The solver every session runs (identical across shards). *)
@@ -143,10 +147,6 @@ val submit : t -> user:string -> Cdw_engine.Engine.request -> unit
     when the shard's next drain ingests the request (see the module
     preamble). *)
 
-val pending : t -> int
-(** Requests waiting across all shards (inbox depths plus engine
-    queues). Racy under concurrent submitters, exact when quiescent. *)
-
 val drain : t -> Cdw_engine.Engine.reply list
 (** Serve every pending request on every shard and merge the replies:
     users in global first-submission order, each user's replies in
@@ -165,17 +165,10 @@ val forget : t -> string -> unit
     Requests of that user still in flight are kept and will re-create
     a fresh session at the next drain. *)
 
-val restore_session :
-  t ->
-  string ->
-  constraints:(int * int) list ->
-  removed_ids:int list ->
-  (unit, string) result
-(** Install previously captured session state on the user's shard
-    without running the solver ({!Cdw_engine.Engine.restore_session}). *)
-
 val set_journal : t -> (Cdw_engine.Engine.event -> unit) option -> unit
-(** Install (or remove) one journal callback on {e every} shard
+(** Test-only: the tests journal into memory.
+
+    Install (or remove) one journal callback on {e every} shard
     engine. During a multi-shard drain the callback runs concurrently
     on several pinned domains — users are disjoint across shards, so
     events of one user never race, but the callback itself must be
@@ -183,7 +176,9 @@ val set_journal : t -> (Cdw_engine.Engine.event -> unit) option -> unit
     this hook; they attach store callbacks per engine.) *)
 
 val sessions : t -> (string * Cdw_engine.Session.t) list
-(** All {e resident} sessions of all shards, sorted by user id. *)
+(** Test-only: the shard differential tests compare sessions.
+
+    All {e resident} sessions of all shards, sorted by user id. *)
 
 val set_refine : t -> bool -> unit
 (** Turn anytime cut refinement on or off on every shard engine
@@ -197,10 +192,6 @@ val refine_step : ?max:int -> t -> int
     concurrently, spawning the domains on first use like {!drain}.
     Returns the total solves run. *)
 
-val refine_pending : t -> int
-(** Outstanding refinement work (queued + staged) summed across
-    shards. *)
-
 val refine_stats : t -> Cdw_engine.Engine.refine_stats option
 (** Refinement counters summed across shards; [None] when refinement
     is off. *)
@@ -212,9 +203,6 @@ val set_mem_cap : ?session_bytes:int -> t -> int option -> unit
     ({!Cdw_engine.Engine.set_mem_cap}). The per-session byte estimate
     is measured once on shard 0 and shared, so every shard gets the
     same resident budget. [None] turns tiering off everywhere. *)
-
-val mem_cap : t -> int option
-(** The summed active cap across shards, if tiering is on. *)
 
 val tier_stats : t -> Cdw_engine.Tier.stats option
 (** Tiering counters summed across shards. The peak fields are sums of
@@ -261,7 +249,9 @@ val domain_stats : t -> Cdw_engine.Domain_acct.stats list
 (** {1 Durability} *)
 
 val shard_dir : string -> int -> string
-(** [shard_dir root i] is [root/shard-<i>] — where shard [i]'s ledger
+(** Test-only: the tests locate one shard's ledger.
+
+    [shard_dir root i] is [root/shard-<i>] — where shard [i]'s ledger
     lives. *)
 
 val journal :
@@ -279,7 +269,9 @@ val journal :
     if the group is already journaled. *)
 
 val stores : t -> Cdw_store.Store.t array
-(** The per-shard ledgers in shard order; [[||]] when not journaled. *)
+(** Test-only: the shard tests inspect each ledger.
+
+    The per-shard ledgers in shard order; [[||]] when not journaled. *)
 
 val snapshot : t -> unit
 (** Coordinated drain-boundary snapshot: {!Cdw_store.Store.write_snapshot}

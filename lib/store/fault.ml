@@ -25,16 +25,6 @@ let flip_bit path ~byte ~bit =
       ignore (Unix.lseek fd byte Unix.SEEK_SET);
       if Unix.write fd buf 0 1 <> 1 then failwith "Fault.flip_bit: short write")
 
-let stomp path ~pos s =
-  let size = file_size path in
-  if pos < 0 || pos + String.length s > size then
-    invalid_arg "Fault.stomp: range outside file";
-  with_rw path (fun fd ->
-      ignore (Unix.lseek fd pos Unix.SEEK_SET);
-      let b = Bytes.of_string s in
-      if Unix.write fd b 0 (Bytes.length b) <> Bytes.length b then
-        failwith "Fault.stomp: short write")
-
 let copy_file src dst =
   let ic = open_in_bin src in
   let oc = open_out_bin dst in

@@ -1,12 +1,11 @@
 (** Fault injection for the ledger's crash-recovery tests and drills.
 
-    All faults are byte-level edits of a WAL file, modelling the three
+    All faults are byte-level edits of a WAL file, modelling two
     classic failure shapes:
 
     - {b torn write} / crash mid-append — {!truncate_to} or
       {!truncate_tail} chops the file mid-frame;
-    - {b bit rot} — {!flip_bit} inverts one bit in place;
-    - {b overwrite} — {!stomp} replaces a byte range.
+    - {b bit rot} — {!flip_bit} inverts one bit in place.
 
     [test_store.ml] drives these over every byte boundary of a log's
     last record and asserts recovery always reconstructs exactly the
@@ -14,7 +13,9 @@
     them for recovery drills on real ledgers. *)
 
 val truncate_to : string -> int -> unit
-(** Keep the first [n] bytes of the file. *)
+(** Test-only: fault injection for the crash tests.
+
+    Keep the first [n] bytes of the file. *)
 
 val truncate_tail : string -> int -> unit
 (** Remove the last [n] bytes (clamped at emptying the file). *)
@@ -23,11 +24,9 @@ val flip_bit : string -> byte:int -> bit:int -> unit
 (** Invert bit [bit] (0–7) of byte [byte]. Raises [Invalid_argument]
     outside the file. *)
 
-val stomp : string -> pos:int -> string -> unit
-(** Overwrite the bytes at [pos] (within the existing file) with the
-    given string. *)
-
 val copy_ledger : src:string -> dst:string -> unit
-(** Copy a ledger directory's files (manifest, snapshot, WALs) into
+(** Test-only: fault injection for the crash tests.
+
+    Copy a ledger directory's files (manifest, snapshot, WALs) into
     [dst], creating it if needed — tests corrupt the copy, never the
     original. *)

@@ -41,3 +41,4 @@ val encode : t -> string
 val decode : string -> (t, string) result
 
 val pp : Format.formatter -> t -> unit
+(** Test-only: printer for the record tests. *)

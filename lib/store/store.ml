@@ -293,7 +293,6 @@ type t = {
    snapshot_state_json, …) while holding [lock] — capture engine state
    first, lock second. *)
 
-let dir t = t.t_dir
 let generation t = t.gen
 let wal_length t = Wal.length t.wal
 

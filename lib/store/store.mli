@@ -59,20 +59,13 @@ val create :
   seed:int ->
   Cdw_core.Workflow.t ->
   t
-(** A fresh ledger: creates [dir] if needed, removes any previous
+(** Test-only: the tests journal a bare engine.
+
+    A fresh ledger: creates [dir] if needed, removes any previous
     ledger files in it, writes the manifest and an empty
     generation-0 WAL. [fsync] defaults to [Every 32];
     [snapshot_every_bytes] (default 1 MiB) is the auto-snapshot
     threshold used by {!attach} ([max_int] disables). *)
-
-val open_existing :
-  ?fsync:Wal.fsync_policy ->
-  ?snapshot_every_bytes:int ->
-  string ->
-  (t, string) result
-(** Open an existing ledger directory for appending. Does {e not}
-    replay state and does {e not} truncate a torn tail — use {!resume}
-    to continue serving after a crash. *)
 
 type recovery = {
   engine : Cdw_engine.Engine.t;  (** fresh engine holding the recovered state *)
@@ -102,7 +95,9 @@ val resume :
     to the recovered engine. *)
 
 val attach : t -> Cdw_engine.Engine.t -> unit
-(** Journal every engine event into the WAL and auto-snapshot at drain
+(** Test-only: the tests journal a bare engine.
+
+    Journal every engine event into the WAL and auto-snapshot at drain
     boundaries. The auto-snapshot keys to the journaled boundary
     offset, so it tolerates submitters racing the drain (their records
     sit after the boundary and replay on recovery) and never raises.
@@ -122,19 +117,15 @@ val create_for :
 (** {!create} with workflow, algorithm and seed taken from the engine,
     followed by {!attach}. *)
 
-val log : t -> Record.t -> unit
-(** Append one record (done automatically by {!attach} hooks). *)
-
 val group_commit : t -> (unit -> 'a) -> 'a
 (** {!Wal.group_commit} on the current WAL: the records the calling
     thread logs during [f] reach the kernel together when [f] ends,
     with one fsync-policy check. *)
 
 val wal_length : t -> int
+(** Test-only: lets the tests see what was appended. *)
 
 val generation : t -> int
-
-val dir : t -> string
 
 val write_snapshot : t -> Cdw_engine.Engine.t -> unit
 (** Snapshot the engine's current per-session constraint state, keyed
@@ -182,10 +173,13 @@ val pp_report : Format.formatter -> report -> unit
 (** {1 Paths} (for tooling and fault injection) *)
 
 val manifest_path : string -> string
+(** Test-only: the fault tests locate ledger files. *)
 
 val snapshot_path : string -> string
+(** Test-only: the fault tests locate ledger files. *)
 
 val wal_path : string -> generation:int -> string
+(** Test-only: the fault tests locate ledger files. *)
 
 val current_wal_path : string -> (string, string) result
 (** The generation the snapshot (or, absent one, generation 0) points

@@ -7,8 +7,6 @@ let create cap =
   if cap < 0 then invalid_arg "Bitset.create: negative capacity";
   { words = Array.make ((cap + bits_per_word - 1) / bits_per_word + 1) 0; cap }
 
-let capacity t = t.cap
-
 let check t i =
   if i < 0 || i >= t.cap then
     invalid_arg (Printf.sprintf "Bitset: %d out of [0,%d)" i t.cap)
@@ -32,8 +30,6 @@ let union_into dst src =
   for w = 0 to Array.length dst.words - 1 do
     dst.words.(w) <- dst.words.(w) lor src.words.(w)
   done
-
-let equal a b = a.cap = b.cap && a.words = b.words
 
 let check_same_cap a b =
   if a.cap <> b.cap then invalid_arg "Bitset: capacity mismatch"
@@ -75,8 +71,6 @@ let masked_choose a ~mask =
      done
    with Exit -> ());
   !found
-let is_empty t = Array.for_all (fun w -> w = 0) t.words
-
 let cardinal t = Array.fold_left (fun acc w -> popcount_word w acc) 0 t.words
 
 let iter f t =
@@ -92,6 +86,3 @@ let to_list t =
   let acc = ref [] in
   iter (fun i -> acc := i :: !acc) t;
   List.rev !acc
-
-let copy t = { words = Array.copy t.words; cap = t.cap }
-let clear t = Array.fill t.words 0 (Array.length t.words) 0

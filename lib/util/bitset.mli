@@ -9,8 +9,6 @@ type t
 val create : int -> t
 (** [create capacity] is the empty set over universe [0, capacity). *)
 
-val capacity : t -> int
-
 val mem : t -> int -> bool
 
 val add : t -> int -> unit
@@ -20,8 +18,6 @@ val remove : t -> int -> unit
 val union_into : t -> t -> unit
 (** [union_into dst src] sets [dst := dst ∪ src]. The two sets must have
     the same capacity. *)
-
-val equal : t -> t -> bool
 
 val masked_subset : t -> t -> mask:t -> bool
 (** [masked_subset a b ~mask]: is [a ∩ mask ⊆ b ∩ mask]? All three must
@@ -33,15 +29,9 @@ val masked_cardinal : t -> mask:t -> int
 val masked_choose : t -> mask:t -> int option
 (** Smallest member of [a ∩ mask]. *)
 
-val is_empty : t -> bool
-
 val cardinal : t -> int
 
 val iter : (int -> unit) -> t -> unit
 (** Iterate set members in increasing order. *)
 
 val to_list : t -> int list
-
-val copy : t -> t
-
-val clear : t -> unit

@@ -30,9 +30,7 @@ let float t bound =
 
 let bool t = Int64.logand (next_int64 t) 1L = 1L
 
-let split t = { state = next_int64 t }
 let state t = t.state
-let of_state state = { state }
 let set_state t state = t.state <- state
 
 let shuffle t a =

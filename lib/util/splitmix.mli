@@ -22,19 +22,13 @@ val float : t -> float -> float
 (** [float t bound] is uniform in [0, bound). *)
 
 val bool : t -> bool
-
-val split : t -> t
-(** An independent generator derived from the current state. *)
+(** Test-only: draws the property tests' random instances. *)
 
 val state : t -> int64
-(** The full internal state — one word. With {!of_state} this lets a
+(** The full internal state — one word. With {!set_state} this lets a
     generator be captured and resumed exactly (session eviction parks
     the rng alongside the constraint state, so rehydration is
     observably transparent even for randomized solvers). *)
-
-val of_state : int64 -> t
-(** A generator resuming from a {!state} capture. [of_state (state t)]
-    produces the same stream as [t] from this point on. *)
 
 val set_state : t -> int64 -> unit
 (** Rewind (or fast-forward) an existing generator to a {!state}
@@ -48,4 +42,6 @@ val pick : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
 
 val pick_list : t -> 'a list -> 'a
-(** Uniform element of a non-empty list. *)
+(** Test-only: draws the shard tests' random scripts.
+
+    Uniform element of a non-empty list. *)

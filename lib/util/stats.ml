@@ -34,19 +34,3 @@ let summarize xs =
         min = List.fold_left min infinity xs;
         max = List.fold_left max neg_infinity xs;
       }
-
-let run_until ?(min_runs = 30) ?(max_runs = 100) ?(rel_se = 0.05) f =
-  let rec loop i acc =
-    let acc = f i :: acc in
-    if i + 1 >= max_runs then summarize acc
-    else if i + 1 < min_runs then loop (i + 1) acc
-    else
-      let s = summarize acc in
-      if s.mean = 0.0 || s.se /. Float.abs s.mean <= rel_se then s
-      else loop (i + 1) acc
-  in
-  loop 0 []
-
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.4g se=%.2g [%.4g, %.4g]" s.n s.mean s.se
-    s.min s.max

@@ -1,8 +1,6 @@
 (** Summary statistics for experiment measurements.
 
-    The paper reports means with standard errors over ≥30 runs, repeating
-    until the SE is "sufficiently low"; [run_until] reproduces that
-    protocol. *)
+    The paper reports means with standard errors over ≥30 runs. *)
 
 type summary = {
   n : int;
@@ -15,19 +13,3 @@ type summary = {
 
 val summarize : float list -> summary
 (** Raises [Invalid_argument] on the empty list. *)
-
-val mean : float list -> float
-
-val run_until :
-  ?min_runs:int ->
-  ?max_runs:int ->
-  ?rel_se:float ->
-  (int -> float) ->
-  summary
-(** [run_until f] calls [f run_index] repeatedly and stops once at least
-    [min_runs] (default 30) samples were collected and the relative
-    standard error [se /. |mean|] is below [rel_se] (default 0.05), or
-    after [max_runs] (default 100) samples. A zero mean counts as
-    converged. *)
-
-val pp_summary : Format.formatter -> summary -> unit

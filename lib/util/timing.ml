@@ -11,5 +11,3 @@ let deadline_after_ms budget = now_ms () +. budget
 
 let check_deadline deadline =
   if deadline < infinity && now_ms () > deadline then raise Timeout
-
-let catch_timeout f = try Some (f ()) with Timeout -> None

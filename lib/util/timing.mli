@@ -1,8 +1,7 @@
 (** Wall-clock timing helpers for the experiment harness.
 
     Timeouts are cooperative: long-running algorithms receive an absolute
-    deadline and call [check_deadline] at safe points; [catch_timeout]
-    turns the resulting exception into an option at the call site. *)
+    deadline and call [check_deadline] at safe points. *)
 
 exception Timeout
 
@@ -17,6 +16,3 @@ val deadline_after_ms : float -> float
 
 val check_deadline : float -> unit
 (** Raise [Timeout] if the absolute deadline has passed. *)
-
-val catch_timeout : (unit -> 'a) -> 'a option
-(** [Some (f ())], or [None] when [f] raised [Timeout]. *)

@@ -9,10 +9,7 @@ let create ?(capacity = 16) () =
   ignore capacity;
   { data = [||]; len = 0; dummy = None }
 
-let make n x = { data = Array.make (max n 1) x; len = n; dummy = Some x }
 let length v = v.len
-let is_empty v = v.len = 0
-
 let check v i =
   if i < 0 || i >= v.len then
     invalid_arg (Printf.sprintf "Vec: index %d out of bounds [0,%d)" i v.len)
@@ -38,35 +35,7 @@ let push v x =
   v.data.(v.len) <- x;
   v.len <- v.len + 1
 
-let pop v =
-  if v.len = 0 then invalid_arg "Vec.pop: empty";
-  v.len <- v.len - 1;
-  v.data.(v.len)
-
-let clear v = v.len <- 0
 let iter f v = for i = 0 to v.len - 1 do f v.data.(i) done
-let iteri f v = for i = 0 to v.len - 1 do f i v.data.(i) done
-
-let fold_left f acc v =
-  let acc = ref acc in
-  for i = 0 to v.len - 1 do acc := f !acc v.data.(i) done;
-  !acc
-
-let exists p v =
-  let rec loop i = i < v.len && (p v.data.(i) || loop (i + 1)) in
-  loop 0
-
-let to_list v =
-  let rec loop i acc = if i < 0 then acc else loop (i - 1) (v.data.(i) :: acc) in
-  loop (v.len - 1) []
-
-let of_list l =
-  match l with
-  | [] -> create ()
-  | x :: _ ->
-      let v = { data = Array.of_list l; len = List.length l; dummy = Some x } in
-      v
-
 let to_array v = Array.sub v.data 0 v.len
 
 let copy v = { data = Array.copy v.data; len = v.len; dummy = v.dummy }

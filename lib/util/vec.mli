@@ -9,12 +9,7 @@ type 'a t
 val create : ?capacity:int -> unit -> 'a t
 (** Fresh empty vector. [capacity] pre-allocates backing storage. *)
 
-val make : int -> 'a -> 'a t
-(** [make n x] is a vector of [n] copies of [x]. *)
-
 val length : 'a t -> int
-
-val is_empty : 'a t -> bool
 
 val get : 'a t -> int -> 'a
 
@@ -23,24 +18,7 @@ val set : 'a t -> int -> 'a -> unit
 val push : 'a t -> 'a -> unit
 (** Append one element at the end. *)
 
-val pop : 'a t -> 'a
-(** Remove and return the last element. Raises [Invalid_argument] if
-    empty. *)
-
-val clear : 'a t -> unit
-(** Remove all elements (keeps capacity). *)
-
 val iter : ('a -> unit) -> 'a t -> unit
-
-val iteri : (int -> 'a -> unit) -> 'a t -> unit
-
-val fold_left : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
-
-val exists : ('a -> bool) -> 'a t -> bool
-
-val to_list : 'a t -> 'a list
-
-val of_list : 'a list -> 'a t
 
 val to_array : 'a t -> 'a array
 

@@ -37,9 +37,9 @@ val default_step : step
 (** [at:0,add:2,drop:1,reprice:2,purposes:0,seed:42] — the fields a
     step's items don't mention. *)
 
-val step_of_string : string -> (step, string) result
 val spec_of_string : string -> (step list, string) result
 val spec_to_string : step list -> string
+(** Test-only: the spec parser's round-trip tests. *)
 
 val mutate : step -> Cdw_core.Workflow.t -> Cdw_core.Workflow.t
 (** [mutate step wf] is the next base: a fresh builder workflow with

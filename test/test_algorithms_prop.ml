@@ -56,7 +56,7 @@ let prop_bnb_matches_brute_force =
       let i = small_instance seed in
       let wf = i.Generator.workflow and cs = i.Generator.constraints in
       let bf = Algorithms.brute_force wf cs in
-      let bnb = Algorithms.brute_force_bnb wf cs in
+      let bnb = Algorithms.solve Algorithms.Brute_force_bnb wf cs in
       Float.abs (bf.Algorithms.utility_after -. bnb.Algorithms.utility_after)
       < 1e-6
       && bnb.Algorithms.candidates <= max 1 bf.Algorithms.candidates)

@@ -3,7 +3,7 @@ module ISet = Set.Make (Int)
 
 let test_add_mem_remove () =
   let s = Bitset.create 200 in
-  Alcotest.(check bool) "initially empty" true (Bitset.is_empty s);
+  Alcotest.(check bool) "initially empty" true (Bitset.cardinal s = 0);
   Bitset.add s 0;
   Bitset.add s 63;
   Bitset.add s 64;
@@ -35,16 +35,31 @@ let test_union_mismatch () =
     (Invalid_argument "Bitset.union_into: capacity mismatch") (fun () ->
       Bitset.union_into (Bitset.create 10) (Bitset.create 20))
 
-let test_copy_clear_equal () =
-  let a = Bitset.create 50 in
-  Bitset.add a 3;
-  let b = Bitset.copy a in
-  Alcotest.(check bool) "copies equal" true (Bitset.equal a b);
-  Bitset.add b 4;
-  Alcotest.(check bool) "diverged" false (Bitset.equal a b);
-  Bitset.clear b;
-  Alcotest.(check bool) "cleared" true (Bitset.is_empty b);
-  Alcotest.(check bool) "original intact" true (Bitset.mem a 3)
+let test_iter_ascending () =
+  let s = Bitset.create 300 in
+  List.iter (Bitset.add s) [ 250; 7; 64; 128; 0; 63 ];
+  let seen = ref [] in
+  Bitset.iter (fun i -> seen := i :: !seen) s;
+  Alcotest.(check (list int)) "increasing order" [ 0; 7; 63; 64; 128; 250 ]
+    (List.rev !seen)
+
+(* The masked operations against the same Set.Make(Int) model. *)
+let prop_masked_model =
+  let subset = QCheck2.Gen.(list_size (int_bound 40) (int_bound 129)) in
+  Test_helpers.qcheck "masked ops vs Set.Make(Int)"
+    QCheck2.Gen.(triple subset subset subset)
+    (fun (la, lb, lm) ->
+      let of_list l =
+        let s = Bitset.create 130 in
+        List.iter (Bitset.add s) l;
+        s
+      in
+      let a = of_list la and b = of_list lb and mask = of_list lm in
+      let sa = ISet.of_list la and sb = ISet.of_list lb and sm = ISet.of_list lm in
+      let am = ISet.inter sa sm in
+      Bitset.masked_subset a b ~mask = ISet.subset am (ISet.inter sb sm)
+      && Bitset.masked_cardinal a ~mask = ISet.cardinal am
+      && Bitset.masked_choose a ~mask = ISet.min_elt_opt am)
 
 (* Model-based property: a Bitset behaves like Set.Make(Int) under a
    random operation sequence. *)
@@ -76,6 +91,7 @@ let suite =
     Alcotest.test_case "bounds checking" `Quick test_bounds;
     Alcotest.test_case "union_into" `Quick test_union;
     Alcotest.test_case "union capacity mismatch" `Quick test_union_mismatch;
-    Alcotest.test_case "copy/clear/equal" `Quick test_copy_clear_equal;
+    Alcotest.test_case "iter in increasing order" `Quick test_iter_ascending;
     prop_model;
+    prop_masked_model;
   ]

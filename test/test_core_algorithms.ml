@@ -74,7 +74,7 @@ let fig4 a b =
 let test_remove_min_cuts_suboptimal () =
   let wf, s1, _, _, t1, t2 = fig4 10.0 4.0 in
   let cs = Constraint_set.make_exn wf [ (s1, t1); (s1, t2) ] in
-  let greedy = Algorithms.remove_min_cuts wf cs in
+  let greedy = Algorithms.solve Algorithms.Remove_min_cuts wf cs in
   Alcotest.(check bool)
     "greedy feasible" true
     (Constraint_set.satisfied greedy.Algorithms.workflow cs);
@@ -105,7 +105,7 @@ let test_fig4_three_constraints_optimum () =
     "feasible" true
     (Constraint_set.satisfied o.Algorithms.workflow cs);
   check_float "optimum utility b" 4.0 o.Algorithms.utility_after;
-  let bnb = Algorithms.brute_force_bnb wf cs in
+  let bnb = Algorithms.solve Algorithms.Brute_force_bnb wf cs in
   check_float "bnb matches brute force" 4.0 bnb.Algorithms.utility_after
 
 let test_all_algorithms_feasible_fig4 () =

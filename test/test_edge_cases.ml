@@ -1,7 +1,6 @@
 (* Edge-case coverage for APIs exercised only indirectly elsewhere. *)
 
 module Bitset = Cdw_util.Bitset
-module Vec = Cdw_util.Vec
 module Digraph = Cdw_graph.Digraph
 module Multicut = Cdw_cut.Multicut
 open Cdw_core
@@ -30,17 +29,19 @@ let test_masked_cardinal_choose () =
   Alcotest.(check int) "cardinal" 2 (Bitset.masked_cardinal a ~mask:m);
   Alcotest.(check (option int)) "choose smallest" (Some 50)
     (Bitset.masked_choose a ~mask:m);
-  Bitset.clear m;
+  List.iter (Bitset.remove m) [ 50; 70; 99 ];
   Alcotest.(check (option int)) "empty mask" None (Bitset.masked_choose a ~mask:m)
 
-(* ------------------------------- vec ------------------------------- *)
-
-let test_vec_make_and_empty () =
-  let v = Vec.make 3 9 in
-  Alcotest.(check (list int)) "make" [ 9; 9; 9 ] (Vec.to_list v);
-  let e : int Vec.t = Vec.of_list [] in
-  Alcotest.(check bool) "empty of_list" true (Vec.is_empty e);
-  Alcotest.(check (list int)) "empty to_list" [] (Vec.to_list e)
+let test_empty_universe () =
+  let s = Bitset.create 0 in
+  Alcotest.(check int) "cardinal" 0 (Bitset.cardinal s);
+  Alcotest.(check (list int)) "to_list" [] (Bitset.to_list s);
+  Alcotest.(check (option int)) "choose" None (Bitset.masked_choose s ~mask:s);
+  Alcotest.check_raises "no member fits" (Invalid_argument "Bitset: 0 out of [0,0)")
+    (fun () -> Bitset.add s 0);
+  Alcotest.check_raises "negative capacity"
+    (Invalid_argument "Bitset.create: negative capacity") (fun () ->
+      ignore (Bitset.create (-1)))
 
 (* ----------------------------- digraph ----------------------------- *)
 
@@ -49,6 +50,24 @@ let test_add_vertices_guard () =
   Alcotest.check_raises "non-positive k"
     (Invalid_argument "Digraph.add_vertices: k must be positive") (fun () ->
       ignore (Digraph.add_vertices g 0))
+
+let test_paths_src_is_dst () =
+  let g = Digraph.create () in
+  ignore (Digraph.add_vertices g 2);
+  ignore (Digraph.add_edge g 0 1);
+  Alcotest.check_raises "src = dst" (Invalid_argument "Paths.all_paths: src = dst")
+    (fun () -> ignore (Cdw_graph.Paths.all_paths g ~src:1 ~dst:1))
+
+(* ----------------------------- serving ----------------------------- *)
+
+let test_serving_zero_shards () =
+  let wf = Workflow.create () in
+  let u = Workflow.add_user ~name:"u" wf in
+  let p = Workflow.add_purpose ~name:"p" wf in
+  ignore (Workflow.connect wf u p);
+  Alcotest.check_raises "shards < 1"
+    (Invalid_argument "Shard_group.create: shards must be >= 1") (fun () ->
+      ignore (Cdw_shard.Serving.create ~shards:0 wf))
 
 (* --------------------------- multicut misc ------------------------- *)
 
@@ -78,18 +97,6 @@ let test_minimalize_drops_redundant () =
   (* Graph left intact. *)
   Alcotest.(check int) "all edges live again" 4 (Digraph.n_edges g)
 
-(* ------------------------------ policy ----------------------------- *)
-
-let test_policy_no_rules () =
-  let wf = Workflow.create () in
-  let u = Workflow.add_user ~name:"u" wf in
-  let p = Workflow.add_purpose ~name:"p" wf in
-  ignore (Workflow.connect wf u p);
-  let o = Policy.solve wf [] in
-  Alcotest.(check (float 1e-9)) "nothing removed"
-    o.Algorithms.utility_before o.Algorithms.utility_after;
-  Alcotest.(check bool) "trivially satisfied" true (Policy.satisfied wf [])
-
 (* ---------------------------- serialize ---------------------------- *)
 
 (* Fuzz: the parser never raises; it returns Ok or Error. *)
@@ -116,24 +123,16 @@ let prop_parse_token_soup =
       in
       match Serialize.parse text with Ok _ | Error _ -> true)
 
-(* ------------------------------ stats ------------------------------ *)
-
-let test_run_until_zero_mean () =
-  let s =
-    Cdw_util.Stats.run_until ~min_runs:3 ~max_runs:50 ~rel_se:0.01 (fun _ -> 0.0)
-  in
-  Alcotest.(check int) "zero mean converges at min_runs" 3 s.Cdw_util.Stats.n
-
 let suite =
   [
     Alcotest.test_case "bitset masked_subset" `Quick test_masked_subset;
     Alcotest.test_case "bitset masked_cardinal/choose" `Quick
       test_masked_cardinal_choose;
-    Alcotest.test_case "vec make / empty" `Quick test_vec_make_and_empty;
+    Alcotest.test_case "bitset over an empty universe" `Quick test_empty_universe;
     Alcotest.test_case "digraph add_vertices guard" `Quick test_add_vertices_guard;
+    Alcotest.test_case "paths from a vertex to itself" `Quick test_paths_src_is_dst;
+    Alcotest.test_case "serving with zero shards" `Quick test_serving_zero_shards;
     Alcotest.test_case "multicut minimalize" `Quick test_minimalize_drops_redundant;
-    Alcotest.test_case "policy with no rules" `Quick test_policy_no_rules;
     prop_parse_total;
     prop_parse_token_soup;
-    Alcotest.test_case "run_until with zero mean" `Quick test_run_until_zero_mean;
   ]

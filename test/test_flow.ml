@@ -29,20 +29,65 @@ let clrs () =
 let test_dinic_clrs () =
   let g, cap = clrs () in
   let net = Flow_net.of_digraph g ~capacity:cap in
-  check_float "max flow 23" 23.0 (Maxflow.dinic net ~src:0 ~dst:5);
-  check_float "flow_value agrees" 23.0 (Flow_net.flow_value net ~src:0)
+  check_float "max flow 23" 23.0 (Maxflow.dinic net ~src:0 ~dst:5)
 
 let test_edmonds_karp_clrs () =
   let g, cap = clrs () in
   let net = Flow_net.of_digraph g ~capacity:cap in
   check_float "max flow 23" 23.0 (Maxflow.edmonds_karp net ~src:0 ~dst:5)
 
-let test_reset () =
+(* Per-vertex inflow and outflow read off a network's residuals: a
+   forward arc's flow is its pair's residual, since reverse arcs start
+   at zero capacity. *)
+let flow_balance net =
+  let n = Flow_net.n_vertices net in
+  let inflow = Array.make n 0.0 and outflow = Array.make n 0.0 in
+  for v = 0 to n - 1 do
+    List.iter
+      (fun a ->
+        if a land 1 = 0 then begin
+          let f = Flow_net.residual net (a lxor 1) in
+          outflow.(v) <- outflow.(v) +. f;
+          let w = Flow_net.arc_dst net a in
+          inflow.(w) <- inflow.(w) +. f
+        end)
+      (Flow_net.arcs_from net v)
+  done;
+  (inflow, outflow)
+
+let test_residual_flow_value () =
+  let g, cap = clrs () in
+  let net = Flow_net.of_digraph g ~capacity:cap in
+  let value = Maxflow.dinic net ~src:0 ~dst:5 in
+  let inflow, outflow = flow_balance net in
+  check_float "net flow out of the source" value (outflow.(0) -. inflow.(0));
+  check_float "net flow into the sink" value (inflow.(5) -. outflow.(5))
+
+let test_saturated_rerun () =
   let g, cap = clrs () in
   let net = Flow_net.of_digraph g ~capacity:cap in
   ignore (Maxflow.dinic net ~src:0 ~dst:5);
-  Flow_net.reset net;
-  check_float "rerun after reset" 23.0 (Maxflow.dinic net ~src:0 ~dst:5)
+  check_float "no augmenting path left" 0.0 (Maxflow.dinic net ~src:0 ~dst:5);
+  check_float "edmonds-karp agrees" 0.0 (Maxflow.edmonds_karp net ~src:0 ~dst:5)
+
+let test_push_pairs () =
+  let g = Digraph.create () in
+  ignore (Digraph.add_vertices g 2);
+  ignore (Digraph.add_edge g 0 1);
+  let net = Flow_net.of_digraph g ~capacity:(fun _ -> 5.0) in
+  Alcotest.(check int) "vertices" 2 (Flow_net.n_vertices net);
+  Alcotest.(check (list int)) "forward arc leaves the tail" [ 0 ]
+    (Flow_net.arcs_from net 0);
+  Alcotest.(check (list int)) "reverse stub at the head" [ 1 ]
+    (Flow_net.arcs_from net 1);
+  Alcotest.(check int) "forward head" 1 (Flow_net.arc_dst net 0);
+  Alcotest.(check int) "reverse head" 0 (Flow_net.arc_dst net 1);
+  Flow_net.push net 0 2.0;
+  check_float "forward residual drops" 3.0 (Flow_net.residual net 0);
+  check_float "reverse residual rises" 2.0 (Flow_net.residual net 1);
+  Flow_net.push net 1 2.0;
+  check_float "cancelled forward" 5.0 (Flow_net.residual net 0);
+  check_float "cancelled reverse" 0.0 (Flow_net.residual net 1)
 
 let test_disconnected () =
   let g = Digraph.create () in
@@ -107,15 +152,42 @@ let prop_mincut_duality =
       && Float.abs (cut_weight -. flow) < 1e-6
       && disconnected)
 
+let prop_conservation =
+  Test_helpers.qcheck "dinic flow: conserved, within capacity"
+    QCheck2.Gen.(pair (int_range 0 100000) (int_range 3 20))
+    (fun (seed, n) ->
+      let g = Test_helpers.random_dag ~seed ~n ~density:0.35 in
+      let net = Flow_net.of_digraph g ~capacity:(cap_of_seed seed) in
+      let value = Maxflow.dinic net ~src:0 ~dst:(n - 1) in
+      let inflow, outflow = flow_balance net in
+      let close a b = Float.abs (a -. b) < 1e-6 in
+      let within = ref true in
+      for v = 0 to n - 1 do
+        List.iter
+          (fun a -> if Flow_net.residual net a < -.Flow_net.eps then within := false)
+          (Flow_net.arcs_from net v)
+      done;
+      !within
+      && close value (outflow.(0) -. inflow.(0))
+      && List.for_all
+           (fun v -> close inflow.(v) outflow.(v))
+           (List.init (n - 2) (fun i -> i + 1)))
+
 let suite =
   [
     Alcotest.test_case "dinic on CLRS network" `Quick test_dinic_clrs;
     Alcotest.test_case "edmonds-karp on CLRS network" `Quick test_edmonds_karp_clrs;
-    Alcotest.test_case "reset restores capacities" `Quick test_reset;
+    Alcotest.test_case "residuals carry the flow value" `Quick
+      test_residual_flow_value;
+    Alcotest.test_case "saturated network admits no more flow" `Quick
+      test_saturated_rerun;
+    Alcotest.test_case "push moves residual to the paired arc" `Quick
+      test_push_pairs;
     Alcotest.test_case "disconnected network" `Quick test_disconnected;
     Alcotest.test_case "min cut on CLRS network" `Quick test_mincut_clrs;
     Alcotest.test_case "negative capacity rejected" `Quick
       test_negative_capacity_rejected;
     prop_dinic_equals_edmonds_karp;
     prop_mincut_duality;
+    prop_conservation;
   ]

@@ -28,7 +28,9 @@ let prop_audit_consistency =
       let wf = instance.Generator.workflow in
       let cs = instance.Generator.constraints in
       let before = Audit.report wf cs in
-      let solved = (Algorithms.remove_min_cuts wf cs).Algorithms.workflow in
+      let solved =
+        (Algorithms.solve Algorithms.Remove_min_cuts wf cs).Algorithms.workflow
+      in
       let after = Audit.report solved cs in
       List.length before.Audit.statuses = Constraint_set.size cs
       && (before.Audit.consented = Constraint_set.satisfied wf cs)
@@ -38,34 +40,35 @@ let prop_audit_consistency =
              s.Audit.satisfied = (s.Audit.witness = []))
            (before.Audit.statuses @ after.Audit.statuses))
 
-let prop_cohorts_partition =
-  Test_helpers.qcheck ~count:25 "cohort groups partition the requests"
+let prop_cohorts_one_solve_per_type =
+  Test_helpers.qcheck ~count:25 "serving solves each preference type once"
     QCheck2.Gen.(int_range 0 100000)
     (fun seed ->
       let instance = Test_helpers.random_instance ~seed in
       let wf = instance.Generator.workflow in
       let pairs = Constraint_set.pairs instance.Generator.constraints in
       let rng = Cdw_util.Splitmix.create seed in
-      let requests =
+      let users =
         List.init 8 (fun i ->
-            {
-              Cohorts.user_id = Printf.sprintf "user%d" i;
-              pairs =
-                List.filter (fun _ -> Cdw_util.Splitmix.bool rng) pairs;
-            })
+            ( Printf.sprintf "user%d" i,
+              List.filter (fun _ -> Cdw_util.Splitmix.bool rng) pairs ))
       in
-      match Cohorts.solve_grouped wf requests with
-      | Error _ -> false
-      | Ok groups ->
-          let members = List.concat_map (fun g -> g.Cohorts.members) groups in
-          List.length members = List.length requests
-          && List.sort_uniq compare members
-             = List.sort compare (List.map (fun r -> r.Cohorts.user_id) requests)
-          && List.for_all
-               (fun g ->
-                 Constraint_set.satisfied g.Cohorts.outcome.Algorithms.workflow
-                   g.Cohorts.constraints)
-               groups)
+      let serving, types = Test_cohorts.serve_types wf users in
+      let session user = Cdw_shard.Serving.session serving user in
+      let cuts user = Cdw_engine.Session.cut_ids (session user) in
+      let ok =
+        Test_cohorts.memo serving "miss" <= types
+        && List.for_all
+             (fun (user, ps) ->
+               let s = session user in
+               let first, _ = List.find (fun (_, qs) -> qs = ps) users in
+               cuts user = cuts first
+               && Constraint_set.satisfied (Cdw_engine.Session.workflow s)
+                    (Cdw_engine.Session.constraints s))
+             users
+      in
+      Cdw_shard.Serving.close serving;
+      ok)
 
 let prop_incremental_always_consented =
   Test_helpers.qcheck ~count:25 "incremental session stays consented"
@@ -89,6 +92,6 @@ let suite =
   [
     prop_cross_format_equivalence;
     prop_audit_consistency;
-    prop_cohorts_partition;
+    prop_cohorts_one_solve_per_type;
     prop_incremental_always_consented;
   ]

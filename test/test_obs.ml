@@ -143,18 +143,29 @@ let test_metrics_percentiles () =
 
 let json_field ev key conv = Option.get (Option.bind (Json.member key ev) conv)
 
-(* One traced bench run: asserts every structural invariant (valid
-   JSON, monotone timestamps, balanced spans) and returns the drain
-   coverage, which is the only load-sensitive number. *)
+(* One traced drain of the acceptance workload's whole script (100
+   vertices, 50 sessions, submitted untraced): asserts every structural
+   invariant (valid JSON, monotone timestamps, balanced spans) and
+   returns the drain coverage, which is the only load-sensitive number.
+   The drain runs for milliseconds, so the fixed per-span cost between
+   phases is a small share of it. *)
 let trace_wellformed_attempt () =
+  let config = Workbench.default in
+  let wf, script = Workbench.workload config in
+  let engine =
+    Engine.create ~algorithm:config.Workbench.algorithm
+      ~seed:config.Workbench.seed wf
+  in
+  List.iter (fun (user, request) -> Engine.submit engine ~user request) script;
   Trace.reset ();
   Trace.set_enabled true;
-  let result =
+  let replies =
     Fun.protect
       ~finally:(fun () -> Trace.set_enabled false)
-      (fun () -> Workbench.run ~trials:1 Workbench.quick)
+      (fun () -> Engine.drain engine)
   in
-  Alcotest.(check bool) "bench ran" true (result.Workbench.n_requests > 0);
+  Alcotest.(check int) "every request answered" (List.length script)
+    (List.length replies);
   (* Round-trip through text: the export must be valid JSON. *)
   let text = Json.to_string (Trace.export ()) in
   let json =
@@ -226,10 +237,9 @@ let trace_wellformed_attempt () =
   coverage
 
 (* Coverage measures how much of the drain wall time the named phases
-   explain. The quick-config drain is sub-millisecond, so on a busy
-   (or single-core) host one unlucky scheduler preemption between
-   spans sinks the ratio — retry a few times and require the invariant
-   to hold on at least one quiet run. *)
+   explain. On a busy (or single-core) host one unlucky scheduler
+   preemption between spans can still sink the ratio — retry a few
+   times and require the invariant to hold on at least one quiet run. *)
 let test_trace_wellformed () =
   let attempts = 5 in
   let rec go n best =
@@ -385,8 +395,7 @@ let test_telemetry_final_flush_on_stop () =
 let test_flight_record_and_export () =
   let before = Flight.recorded () in
   Flight.record ~shard:0 "flight.test" ~t0_us:1_000.0 ~dur_us:250.0;
-  let v = Flight.time "flight.test.timed" (fun () -> 42) in
-  Alcotest.(check int) "time passes the value through" 42 v;
+  Flight.record ~shard:0 "flight.test.timed" ~t0_us:1_250.0 ~dur_us:100.0;
   Alcotest.(check bool) "entries recorded" true
     (Flight.recorded () >= before + 2);
   Flight.set_context

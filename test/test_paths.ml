@@ -51,38 +51,68 @@ let test_deadline () =
   Alcotest.check_raises "expired deadline" Timing.Timeout (fun () ->
       ignore (Paths.all_paths ~deadline:(Timing.now_ms () -. 1.0) g ~src:0 ~dst:19))
 
-let test_count_paths_diamond () =
-  let g = diamond () in
-  Alcotest.(check (float 0.0)) "count 2" 2.0 (Paths.count_paths g ~src:0 ~dst:3)
+(* [k] diamonds in a row: 2^k paths from the first vertex to the last. *)
+let diamond_chain k =
+  let g = Digraph.create () in
+  ignore (Digraph.add_vertices g ((3 * k) + 1));
+  for i = 0 to k - 1 do
+    let a = 3 * i in
+    ignore (Digraph.add_edge g a (a + 1));
+    ignore (Digraph.add_edge g a (a + 2));
+    ignore (Digraph.add_edge g (a + 1) (a + 3));
+    ignore (Digraph.add_edge g (a + 2) (a + 3))
+  done;
+  (g, 3 * k)
 
-let test_first_last_edges () =
-  let g = diamond () in
-  let paths = Paths.all_paths g ~src:0 ~dst:3 in
-  Alcotest.(check int) "two distinct first edges" 2
-    (List.length (Paths.first_edges paths));
-  Alcotest.(check int) "two distinct last edges" 2
-    (List.length (Paths.last_edges paths));
-  (* A fan: 0→1, 1→2, 1→3 shares its first edge across both paths. *)
-  let h = Digraph.create () in
-  ignore (Digraph.add_vertices h 4);
-  ignore (Digraph.add_edge h 0 1);
-  ignore (Digraph.add_edge h 1 2);
-  ignore (Digraph.add_edge h 1 3);
-  let p2 = Paths.all_paths h ~src:0 ~dst:2 in
-  let p3 = Paths.all_paths h ~src:0 ~dst:3 in
-  Alcotest.(check int) "shared first edge deduplicated" 1
-    (List.length (Paths.first_edges (p2 @ p3)));
-  Alcotest.(check int) "distinct last edges" 2
-    (List.length (Paths.last_edges (p2 @ p3)))
+let test_diamond_chain () =
+  let g, dst = diamond_chain 5 in
+  Alcotest.(check int) "2^5 paths" 32
+    (List.length (Paths.all_paths g ~src:0 ~dst));
+  Alcotest.(check int) "cap at the exact count" 32
+    (List.length (Paths.all_paths ~max_paths:32 g ~src:0 ~dst));
+  Alcotest.check_raises "one under the count" (Paths.Too_many_paths 31) (fun () ->
+      ignore (Paths.all_paths ~max_paths:31 g ~src:0 ~dst))
 
-(* Property: DP count equals enumeration count on random DAGs. *)
+(* Path count by dynamic programming over the live out-edges; an
+   oracle independent of the enumeration. *)
+let count_paths g ~src ~dst =
+  let memo = Hashtbl.create 16 in
+  let rec count v =
+    if v = dst then 1
+    else
+      match Hashtbl.find_opt memo v with
+      | Some c -> c
+      | None ->
+          let c =
+            List.fold_left
+              (fun acc e -> acc + count (Digraph.edge_dst e))
+              0 (Digraph.out_edges g v)
+          in
+          Hashtbl.add memo v c;
+          c
+  in
+  count src
+
 let prop_count_matches_enumeration =
-  Test_helpers.qcheck "count_paths = |all_paths|"
+  Test_helpers.qcheck "|all_paths| = DP path count"
     QCheck2.Gen.(pair (int_range 0 100000) (int_range 3 14))
     (fun (seed, n) ->
       let g = Test_helpers.random_dag ~seed ~n ~density:0.35 in
       let paths = Paths.all_paths ~max_paths:100_000 g ~src:0 ~dst:(n - 1) in
-      Paths.count_paths g ~src:0 ~dst:(n - 1) = float_of_int (List.length paths))
+      count_paths g ~src:0 ~dst:(n - 1) = List.length paths)
+
+(* Property: no path is listed twice. *)
+let prop_paths_distinct =
+  Test_helpers.qcheck "enumerated paths are distinct"
+    QCheck2.Gen.(pair (int_range 0 100000) (int_range 3 12))
+    (fun (seed, n) ->
+      let g = Test_helpers.random_dag ~seed ~n ~density:0.5 in
+      let ids =
+        List.map
+          (List.map Digraph.edge_id)
+          (Paths.all_paths ~max_paths:100_000 g ~src:0 ~dst:(n - 1))
+      in
+      List.length (List.sort_uniq compare ids) = List.length ids)
 
 (* Property: every enumerated path is simple, consecutive, and s→t. *)
 let prop_paths_well_formed =
@@ -112,8 +142,9 @@ let suite =
     Alcotest.test_case "removed edges excluded" `Quick test_removal_respected;
     Alcotest.test_case "max_paths cap" `Quick test_max_paths_cap;
     Alcotest.test_case "cooperative deadline" `Quick test_deadline;
-    Alcotest.test_case "count_paths diamond" `Quick test_count_paths_diamond;
-    Alcotest.test_case "first/last edge extraction" `Quick test_first_last_edges;
+    Alcotest.test_case "chained diamonds and the exact cap" `Quick
+      test_diamond_chain;
     prop_count_matches_enumeration;
+    prop_paths_distinct;
     prop_paths_well_formed;
   ]

@@ -45,12 +45,30 @@ let test_shuffle_is_permutation () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "permutation" (Array.init 50 (fun i -> i)) sorted
 
-let test_split_independent () =
+let test_state_replay () =
   let rng = Splitmix.create 5 in
-  let child = Splitmix.split rng in
-  let a = List.init 10 (fun _ -> Splitmix.next_int64 rng) in
-  let b = List.init 10 (fun _ -> Splitmix.next_int64 child) in
-  Alcotest.(check bool) "parent and child streams differ" true (a <> b)
+  ignore (Splitmix.next_int64 rng);
+  let saved = Splitmix.state rng in
+  let first = List.init 10 (fun _ -> Splitmix.int rng 1000) in
+  Splitmix.set_state rng saved;
+  let again = List.init 10 (fun _ -> Splitmix.int rng 1000) in
+  Alcotest.(check (list int)) "set_state replays the stream" first again;
+  let fresh = Splitmix.create 0 in
+  Splitmix.set_state fresh saved;
+  Alcotest.(check (list int)) "state carries over to another generator" first
+    (List.init 10 (fun _ -> Splitmix.int fresh 1000))
+
+let test_bool_and_pick_list () =
+  let rng = Splitmix.create 8 in
+  let trues = ref 0 in
+  for _ = 1 to 1000 do if Splitmix.bool rng then incr trues done;
+  Alcotest.(check bool) "bool draws both values" true (!trues > 0 && !trues < 1000);
+  let l = [ 'a'; 'b'; 'c' ] in
+  let seen = Hashtbl.create 3 in
+  for _ = 1 to 200 do Hashtbl.replace seen (Splitmix.pick_list rng l) () done;
+  Alcotest.(check int) "pick_list reaches every element" 3 (Hashtbl.length seen);
+  Alcotest.(check bool) "pick_list on a singleton" true
+    (Splitmix.pick_list rng [ 'z' ] = 'z')
 
 let test_pick () =
   let rng = Splitmix.create 6 in
@@ -88,7 +106,8 @@ let suite =
     Alcotest.test_case "int_in inclusive range" `Quick test_int_in;
     Alcotest.test_case "float bounds" `Quick test_float_bounds;
     Alcotest.test_case "shuffle is a permutation" `Quick test_shuffle_is_permutation;
-    Alcotest.test_case "split gives independent stream" `Quick test_split_independent;
+    Alcotest.test_case "state/set_state replay" `Quick test_state_replay;
+    Alcotest.test_case "bool and pick_list" `Quick test_bool_and_pick_list;
     Alcotest.test_case "pick" `Quick test_pick;
     Alcotest.test_case "rough uniformity" `Quick test_rough_uniformity;
   ]

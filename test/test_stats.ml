@@ -21,31 +21,6 @@ let test_empty_raises () =
   Alcotest.check_raises "empty" (Invalid_argument "Stats.summarize: empty")
     (fun () -> ignore (Stats.summarize []))
 
-let test_run_until_stops_at_max () =
-  let calls = ref 0 in
-  (* Alternating values never converge; max_runs must stop the loop. *)
-  let s =
-    Stats.run_until ~min_runs:2 ~max_runs:7 ~rel_se:0.0001 (fun _ ->
-        incr calls;
-        if !calls mod 2 = 0 then 100.0 else 1.0)
-  in
-  Alcotest.(check int) "stopped at max_runs" 7 s.Stats.n;
-  Alcotest.(check int) "calls" 7 !calls
-
-let test_run_until_converges_early () =
-  let s =
-    Stats.run_until ~min_runs:5 ~max_runs:100 ~rel_se:0.5 (fun _ -> 10.0)
-  in
-  Alcotest.(check int) "constant samples converge at min_runs" 5 s.Stats.n
-
-let test_run_until_respects_min () =
-  let calls = ref 0 in
-  ignore
-    (Stats.run_until ~min_runs:30 ~max_runs:100 ~rel_se:1.0 (fun _ ->
-         incr calls;
-         1.0));
-  Alcotest.(check int) "at least min_runs" 30 !calls
-
 let prop_mean_bounds =
   Test_helpers.qcheck "min ≤ mean ≤ max"
     QCheck2.Gen.(list_size (int_range 1 50) (float_range (-1000.0) 1000.0))
@@ -53,13 +28,44 @@ let prop_mean_bounds =
       let s = Stats.summarize xs in
       s.Stats.min <= s.Stats.mean +. 1e-9 && s.Stats.mean <= s.Stats.max +. 1e-9)
 
+let sample_gen =
+  QCheck2.Gen.(list_size (int_range 2 40) (float_range (-1000.0) 1000.0))
+
+let prop_se_is_std_over_sqrt_n =
+  Test_helpers.qcheck "se = std / sqrt n" sample_gen (fun xs ->
+      let s = Stats.summarize xs in
+      Float.abs (s.Stats.se -. (s.Stats.std /. sqrt (float_of_int s.Stats.n)))
+      <= 1e-9 *. (1.0 +. s.Stats.std))
+
+let prop_order_independent =
+  Test_helpers.qcheck "summary ignores sample order" sample_gen (fun xs ->
+      let a = Stats.summarize xs and b = Stats.summarize (List.rev xs) in
+      let close x y = Float.abs (x -. y) <= 1e-9 *. (1.0 +. Float.abs x) in
+      a.Stats.n = b.Stats.n
+      && close a.Stats.mean b.Stats.mean
+      && close a.Stats.std b.Stats.std
+      && a.Stats.min = b.Stats.min
+      && a.Stats.max = b.Stats.max)
+
+let prop_constant_sample =
+  Test_helpers.qcheck "constant sample: zero spread"
+    QCheck2.Gen.(pair (int_range 1 30) (float_range (-100.0) 100.0))
+    (fun (n, x) ->
+      let s = Stats.summarize (List.init n (fun _ -> x)) in
+      s.Stats.n = n
+      && Float.abs (s.Stats.mean -. x) <= 1e-9
+      && s.Stats.std <= 1e-9
+      && s.Stats.se <= 1e-9
+      && s.Stats.min = x
+      && s.Stats.max = x)
+
 let suite =
   [
     Alcotest.test_case "summarize known dataset" `Quick test_summarize_known;
     Alcotest.test_case "singleton" `Quick test_singleton;
     Alcotest.test_case "empty raises" `Quick test_empty_raises;
-    Alcotest.test_case "run_until stops at max_runs" `Quick test_run_until_stops_at_max;
-    Alcotest.test_case "run_until converges early" `Quick test_run_until_converges_early;
-    Alcotest.test_case "run_until respects min_runs" `Quick test_run_until_respects_min;
     prop_mean_bounds;
+    prop_se_is_std_over_sqrt_n;
+    prop_order_independent;
+    prop_constant_sample;
   ]
