@@ -63,9 +63,9 @@ CLEANUP_DIRS="$CLEANUP_DIRS $SHARD_DIR"
 dune exec bin/cdw.exe -- serve-bench --quick --trials 1 --shards 4 \
   --journal "$SHARD_DIR" --fsync never > /dev/null
 dune exec bin/cdw.exe -- store fault "$SHARD_DIR/shard-2" --truncate-tail 7
-dune exec bin/cdw.exe -- shard replay "$SHARD_DIR"              # damage confined to shard-2
-dune exec bin/cdw.exe -- shard compact "$SHARD_DIR"
-dune exec bin/cdw.exe -- shard verify "$SHARD_DIR" --strict     # clean after compaction
+dune exec bin/cdw.exe -- store replay "$SHARD_DIR"              # damage confined to shard-2
+dune exec bin/cdw.exe -- store compact "$SHARD_DIR"
+dune exec bin/cdw.exe -- store verify "$SHARD_DIR" --strict     # clean after compaction
 
 # Observability smoke: trace a serving run, prove the trace decomposes
 # the drain into named phases and the Prometheus exposition round-trips
@@ -195,9 +195,9 @@ sleep 0.3
 kill -9 "$EPOCH_SERVER"
 wait "$EPOCH_CLIENT" || true                 # fails fast on EPIPE; must not hang
 wait "$EPOCH_SERVER" 2> /dev/null || true
-"$CDW" shard replay "$EPOCH_DIR/ledger"      # torn tail confined + replayed
-"$CDW" shard compact "$EPOCH_DIR/ledger"
-test "$("$CDW" shard verify "$EPOCH_DIR/ledger" --strict \
+"$CDW" store replay "$EPOCH_DIR/ledger"      # torn tail confined + replayed
+"$CDW" store compact "$EPOCH_DIR/ledger"
+test "$("$CDW" store verify "$EPOCH_DIR/ledger" --strict \
   | grep -c '^epoch  *2$')" -eq 2            # both shards on epoch 2
 
 # Oracle smoke: the exact ILP tier solves the default generated

@@ -7,13 +7,16 @@ module Timing = Cdw_util.Timing
 let () =
   let n = int_of_string Sys.argv.(1) in
   let seed = int_of_string Sys.argv.(2) in
-  let backend =
+  (* A named backend runs without a budget (a stuck simplex still
+     falls back, and the output says so); anything else is the
+     default budgeted exact solve. *)
+  let backend, solver_budget_ms =
     match Sys.argv.(3) with
-    | "ilp" -> Cdw_cut.Multicut.Ilp
-    | "bnb" -> Cdw_cut.Multicut.Bnb
-    | "greedy" -> Cdw_cut.Multicut.Greedy
-    | "lp" -> Cdw_cut.Multicut.Lp_rounding
-    | _ -> Cdw_cut.Multicut.Auto 5_000.0
+    | "ilp" -> (Cdw_cut.Multicut.Ilp, Some infinity)
+    | "bnb" -> (Cdw_cut.Multicut.Bnb, Some infinity)
+    | "greedy" -> (Cdw_cut.Multicut.Greedy, Some infinity)
+    | "lp" -> (Cdw_cut.Multicut.Lp_rounding, Some infinity)
+    | _ -> (Cdw_cut.Multicut.Ilp, None)
   in
   let instance =
     Generator.generate ~seed (Gen_params.dataset1c ~n_constraints:n)
@@ -24,10 +27,18 @@ let () =
     n;
   let (o, ms) =
     Timing.time_f (fun () ->
-        Algorithms.remove_min_mc ~backend
-          ~deadline:(Timing.deadline_after_ms 60_000.0)
-          instance.Generator.workflow instance.Generator.constraints)
+        Algorithms.solve
+          ~options:
+            {
+              Algorithms.Options.default with
+              backend;
+              solver_budget_ms;
+              deadline = Timing.deadline_after_ms 60_000.0;
+            }
+          Algorithms.Remove_min_mc instance.Generator.workflow
+          instance.Generator.constraints)
   in
-  Printf.printf "done in %.1f ms, utility %.2f%%, removed %d\n" ms
+  Printf.printf "done in %.1f ms, utility %.2f%%, removed %d%s\n" ms
     (Algorithms.utility_percent o)
     (List.length o.Algorithms.removed)
+    (if o.Algorithms.budget_fallback then ", greedy fallback" else "")

@@ -839,12 +839,11 @@ let serve_cmd =
        $ shards $ journal $ fsync $ mem_cap $ trace $ flight_out))
 
 (* ---------------------------------------------------------------- *)
-(* store / shard — one ledger-shape-dispatching implementation        *)
+(* store — one ledger-shape-dispatching implementation                *)
 
 (* [Cdw_shard.Ledger] detects the on-disk shape (plain store directory
-   vs sharded group root) and fans out, so `cdw store` and `cdw shard`
-   drive the same three functions; entries are labelled with their
-   shard id under a group root. *)
+   vs sharded group root) and fans out, so `cdw store` serves both;
+   entries are labelled with their shard id under a group root. *)
 
 let ledger_label = function
   | None -> ""
@@ -990,43 +989,6 @@ let store_cmd =
          "Inspect, replay, compact and fault-test a durable consent ledger \
           (plain or sharded — the shape is detected from the directory).")
     [ verify_cmd; replay_cmd; compact_cmd; fault_cmd ]
-
-(* `cdw shard` survives as the sharded-root spelling of the same
-   Ledger-backed tools (minus fault injection, which targets one WAL —
-   point `cdw store fault` at ROOT/shard-<i>). *)
-let shard_cmd =
-  let root_arg =
-    ledger_dir_arg ~docv:"DIR"
-      ~doc:"Sharded ledger root (holds group.json and shard-<i>/ directories); a plain store directory also works."
-  in
-  let verify_cmd =
-    let strict =
-      strict_flag
-        ~doc:"Fail unless every shard's ledger is clean (no torn or corrupt tail)."
-    in
-    Cmd.v
-      (Cmd.info "verify"
-         ~doc:"Scan every shard's WAL, checking every frame CRC and record.")
-      Term.(ret (const ledger_verify_run $ root_arg $ strict))
-  in
-  let replay_cmd =
-    Cmd.v
-      (Cmd.info "replay"
-         ~doc:"Rebuild every shard's engine state from its ledger and report it.")
-      Term.(ret (const ledger_replay_run $ root_arg $ state_flag))
-  in
-  let compact_cmd =
-    Cmd.v
-      (Cmd.info "compact"
-         ~doc:"Fold every shard's WAL into a fresh snapshot and start empty next-generation logs.")
-      Term.(ret (const ledger_compact_run $ root_arg))
-  in
-  Cmd.group
-    (Cmd.info "shard"
-       ~doc:
-         "Inspect, replay and compact a sharded consent ledger (an alias of \
-          `cdw store' — both detect the root's shape).")
-    [ verify_cmd; replay_cmd; compact_cmd ]
 
 (* ---------------------------------------------------------------- *)
 (* trace                                                              *)
@@ -1220,7 +1182,7 @@ let main =
   Cmd.group (Cmd.info "cdw" ~version:"1.0.0" ~doc)
     [
       generate_cmd; show_cmd; solve_cmd; serve_bench_cmd; serve_cmd; store_cmd;
-      shard_cmd; trace_cmd; experiment_cmd;
+      trace_cmd; experiment_cmd;
     ]
 
 let eval ?argv () = Cmd.eval ?argv main

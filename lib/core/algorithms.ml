@@ -23,7 +23,6 @@ module Options = struct
     utility : (Workflow.t -> float) option;
     utility_before : float option;
     paths_for : path_provider option;
-    node_budget : int option;
     solver_budget_ms : float option;
   }
 
@@ -33,11 +32,10 @@ module Options = struct
       deadline = infinity;
       max_paths = None;
       scheme = None;
-      backend = Multicut.Auto 5_000.0;
+      backend = Multicut.Ilp;
       utility = None;
       utility_before = None;
       paths_for = None;
-      node_budget = None;
       solver_budget_ms = None;
     }
 end
@@ -170,50 +168,21 @@ let min_cuts_impl (o : Options.t) wf cs =
         cs;
       1)
 
-let min_mc_impl (o : Options.t) wf cs =
-  let scheme = o.Options.scheme in
-  let deadline =
-    if o.Options.deadline = infinity then None else Some o.Options.deadline
-  in
-  let fell_back = ref false in
-  let outcome =
-    on_copy ?utility_before:o.Options.utility_before wf (fun copy ->
-        let g = Workflow.graph copy in
-        let w =
-          Trace.span "solve.weights" (fun () ->
-              Utility.cut_weights ?scheme copy)
-        in
-        let result =
-          Trace.span "solve.multicut" (fun () ->
-              Multicut.solve ~backend:o.Options.backend ?deadline g
-                ~weight:(fun e -> w.(Digraph.edge_id e))
-                ~pairs:(Constraint_set.pairs cs))
-        in
-        (* [Auto]'s exact ILP ran out of budget and greedy answered. *)
-        (fell_back :=
-           match o.Options.backend with
-           | Multicut.Auto _ -> not result.Multicut.exact
-           | Multicut.Ilp | Bnb | Greedy | Lp_rounding -> false);
-        Trace.span "solve.enforce" (fun () ->
-            ignore (Valuation.remove_with_cascade copy result.Multicut.edges));
-        1)
-  in
-  { outcome with budget_fallback = !fell_back }
+(* RemoveMinMC's default solver budget: past it, dense instances
+   answer from the greedy multicut (DESIGN.md §2.7). The oracle tiers
+   default to none. *)
+let remove_min_mc_budget_ms = 5_000.0
 
-(* The oracle tier: the lazy multicut loop with the exact ILP hitting
-   set (or LP threshold rounding), budgeted per request. Exhausting the
-   node/time budget while the caller's own deadline still has slack
-   falls back to RemoveMinMC so serving always answers; [tier]/[bound]
-   on the outcome record which tier did. *)
-let oracle_impl ~approx (o : Options.t) wf cs =
+(* Algorithm 4 and the oracle tiers: one global multicut on the
+   valuation-derived weights, through [Multicut.solve]'s one
+   budget-then-greedy path. They differ only in backend and default
+   budget. [tier] names an oracle tier: its outcome records which tier
+   answered, and the proven [bound] unless greedy did. *)
+let min_mc_impl ?tier ~backend ~budget_ms (o : Options.t) wf cs =
   let scheme = o.Options.scheme in
-  let deadline =
-    match o.Options.solver_budget_ms with
-    | Some ms -> Float.min o.Options.deadline (Timing.deadline_after_ms ms)
-    | None -> o.Options.deadline
-  in
-  let bound = ref None in
-  let attempt () =
+  let budget_ms = Option.value o.Options.solver_budget_ms ~default:budget_ms in
+  let result = ref None in
+  let outcome =
     on_copy ?utility_before:o.Options.utility_before wf (fun copy ->
         let g = Workflow.graph copy in
         let w =
@@ -222,38 +191,28 @@ let oracle_impl ~approx (o : Options.t) wf cs =
         in
         let r =
           Trace.span "solve.multicut" (fun () ->
-              Multicut.solve
-                ~backend:(if approx then Multicut.Lp_rounding else Multicut.Ilp)
-                ~deadline ?node_limit:o.Options.node_budget g
+              Multicut.solve ~backend ~budget_ms ~deadline:o.Options.deadline
+                g
                 ~weight:(fun e -> w.(Digraph.edge_id e))
                 ~pairs:(Constraint_set.pairs cs))
         in
-        bound := Some r.Multicut.lower_bound;
+        result := Some r;
         Trace.span "solve.enforce" (fun () ->
             ignore (Valuation.remove_with_cascade copy r.Multicut.edges));
         1)
   in
-  match attempt () with
-  | outcome ->
-      {
-        outcome with
-        tier = Some (if approx then "approx-lp" else "exact-ilp");
-        bound = !bound;
-      }
-  | exception (Timing.Timeout | Failure _)
-    when o.Options.deadline = infinity || Timing.now_ms () < o.Options.deadline
-    ->
-      (* The solver budget (node limit / solver_budget_ms / a numerically
-         stuck simplex) ran out, but the caller's own deadline has slack:
-         answer from the heuristic ladder. A caller-deadline Timeout
-         re-raises. *)
-      let outcome = min_mc_impl o wf cs in
-      {
-        outcome with
-        tier = Some "fallback:remove-min-mc";
-        bound = None;
-        budget_fallback = true;
-      }
+  let r = Option.get !result in
+  let fell_back = r.Multicut.fell_back in
+  {
+    outcome with
+    tier =
+      Option.map
+        (fun t -> if fell_back then "fallback:remove-min-mc" else t)
+        tier;
+    bound =
+      (if tier = None || fell_back then None else Some r.Multicut.lower_bound);
+    budget_fallback = fell_back;
+  }
 
 (* All constraint paths that must be broken, over the initial graph. *)
 let all_constraint_paths ?max_paths ?deadline ?paths_for wf cs =
@@ -444,13 +403,11 @@ let brute_force_bnb_impl (o : Options.t) wf cs =
    kept because most call sites tune one knob at most. *)
 
 let remove_first_edge wf cs = first_impl Options.default wf cs
-let remove_min_mc ?backend ?scheme ?deadline wf cs =
-  min_mc_impl
+let remove_min_mc ?scheme ?deadline wf cs =
+  min_mc_impl ~backend:Multicut.Ilp ~budget_ms:remove_min_mc_budget_ms
     {
       Options.default with
-      Options.backend =
-        Option.value backend ~default:Options.default.Options.backend;
-      scheme;
+      Options.scheme;
       deadline = Option.value deadline ~default:infinity;
     }
     wf cs
@@ -504,11 +461,17 @@ let solve ?(options = Options.default) name wf cs =
   | Remove_first_edge -> first_impl options wf cs
   | Remove_last_edge -> last_impl options wf cs
   | Remove_min_cuts -> min_cuts_impl options wf cs
-  | Remove_min_mc -> min_mc_impl options wf cs
+  | Remove_min_mc ->
+      min_mc_impl ~backend:options.Options.backend
+        ~budget_ms:remove_min_mc_budget_ms options wf cs
   | Brute_force -> brute_force_impl options wf cs
   | Brute_force_bnb -> brute_force_bnb_impl options wf cs
-  | Exact_ilp -> oracle_impl ~approx:false options wf cs
-  | Approx_lp -> oracle_impl ~approx:true options wf cs
+  | Exact_ilp ->
+      min_mc_impl ~tier:"exact-ilp" ~backend:Multicut.Ilp ~budget_ms:infinity
+        options wf cs
+  | Approx_lp ->
+      min_mc_impl ~tier:"approx-lp" ~backend:Multicut.Lp_rounding
+        ~budget_ms:infinity options wf cs
 
 let run ?rng ?deadline ?max_paths name wf cs =
   let options =

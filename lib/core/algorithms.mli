@@ -59,9 +59,8 @@ module Options : sig
         (** cut-weight scheme of Algorithms 3/4 (default
             [Path_count_mass], see DESIGN.md §2) *)
     backend : Cdw_cut.Multicut.backend;
-        (** multicut backend of Algorithm 4. Default [Auto 5000.0]:
-            exact ILP with a 5 s budget, greedy fallback on dense
-            instances where exact multicut blows up. *)
+        (** multicut backend of [Remove_min_mc] (Algorithm 4). Default
+            [Ilp]; [Exact_ilp] and [Approx_lp] fix their own. *)
     utility : (Workflow.t -> float) option;
         (** objective for the exhaustive searches; generalises to
             arbitrary CDW models (must be monotone non-increasing under
@@ -73,20 +72,20 @@ module Options : sig
             passes the shared base's utility here when solving from the
             pristine base. *)
     paths_for : path_provider option;
-    node_budget : int option;
-        (** per-round branch-and-bound node cap of [Exact_ilp]
-            ({!Cdw_lp.Ilp.solve}'s [node_limit]); exhausting it falls
-            back to RemoveMinMC *)
     solver_budget_ms : float option;
-        (** per-request wall-clock budget of [Exact_ilp]/[Approx_lp],
-            *tighter* than [deadline]: exhausting it falls back to
-            RemoveMinMC instead of raising, so serving always answers *)
+        (** wall-clock budget of the multicut backend of
+            [Remove_min_mc], [Exact_ilp] and [Approx_lp], *tighter*
+            than [deadline]: exhausting it answers at once from the
+            greedy multicut instead of raising, so serving always
+            answers ({!Cdw_cut.Multicut.solve}'s [budget_ms]). [None]
+            is the algorithm's default: 5 s for [Remove_min_mc],
+            unbounded for the oracle tiers, which then fall back only
+            when the ILP's node limit is hit or the simplex gets stuck. *)
   }
 
   val default : t
-  (** [None]/[infinity] everywhere, [Auto 5000.0] backend — the
-      behaviour of each wrapper function called with no optional
-      arguments. *)
+  (** [None]/[infinity] everywhere, [Ilp] backend — the behaviour of
+      each wrapper function called with no optional arguments. *)
 end
 
 type outcome = {
@@ -100,18 +99,19 @@ type outcome = {
   tier : string option;
       (** which tier answered, for [Exact_ilp]/[Approx_lp]:
           ["exact-ilp"], ["approx-lp"], or ["fallback:remove-min-mc"]
-          when the solver budget ran out. [None] for the other
-          algorithms. *)
+          when the solver budget ran out and the greedy multicut —
+          RemoveMinMC's own answer past its budget — answered. [None]
+          for the other algorithms. *)
   bound : float option;
       (** proven lower bound on the optimal cut weight obtained by the
           solver tier (tight for ["exact-ilp"]); [None] on fallback and
           for the other algorithms *)
   budget_fallback : bool;
-      (** a budget ran out and a fallback answered: [tier] is
-          ["fallback:remove-min-mc"], or RemoveMinMC's [Auto] backend
-          fell back from the exact ILP to greedy. Such an answer depends
-          on the wall clock (the same inputs may solve exactly on a
-          rerun), so it must not stand in for another solve. *)
+      (** a solver budget ran out and the greedy multicut answered
+          ([Remove_min_mc], or [tier] is ["fallback:remove-min-mc"]).
+          Such an answer depends on the wall clock (the same inputs may
+          solve exactly on a rerun), so it must not stand in for another
+          solve. *)
 }
 
 val utility_percent : outcome -> float
@@ -120,15 +120,14 @@ val utility_percent : outcome -> float
 val remove_first_edge : Workflow.t -> Constraint_set.t -> outcome
 
 val remove_min_mc :
-  ?backend:Cdw_cut.Multicut.backend ->
   ?scheme:Utility.weight_scheme ->
   ?deadline:float ->
   Workflow.t ->
   Constraint_set.t ->
   outcome
-(** [backend] defaults to [Auto 5000.0]: exact ILP with a 5 s budget,
-    greedy fallback on dense instances where exact multicut blows up
-    (cf. the paper's dataset 1c discussion). *)
+(** The exact ILP multicut under a 5 s budget, the greedy multicut past
+    it on dense instances where exact multicut blows up (cf. the
+    paper's dataset 1c discussion). *)
 
 val brute_force :
   ?deadline:float ->
@@ -152,9 +151,10 @@ type name =
   | Exact_ilp
       (** exact minimum multicut, {!Cdw_cut.Multicut.solve} with the
           [Ilp] backend — the ground-truth oracle; [outcome.bound] is
-          the optimal cut weight. Budgeted by [Options.node_budget] /
-          [Options.solver_budget_ms]; on exhaustion answers from
-          RemoveMinMC ([outcome.tier] says which tier did). *)
+          the optimal cut weight. The same solve as [Remove_min_mc]
+          with another default budget ([Options.solver_budget_ms]); on
+          exhaustion the greedy multicut answers ([outcome.tier] says
+          which tier did). *)
   | Approx_lp
       (** {!Cdw_cut.Multicut.solve} with the [Lp_rounding] backend: LP
           threshold rounding with a guaranteed ratio (the longest

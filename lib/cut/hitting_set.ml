@@ -172,7 +172,7 @@ let expand p info chosen_reduced =
     info.kept_elems;
   chosen
 
-let solve_ilp ?(deadline = infinity) ?node_limit p =
+let solve_ilp ?(deadline = infinity) p =
   let info = presolve p in
   let q = info.reduced in
   if Array.length q.sets = 0 then expand p info (Array.make q.n_elems false)
@@ -187,7 +187,7 @@ let solve_ilp ?(deadline = infinity) ?node_limit p =
            q.sets)
     in
     match
-      Cdw_lp.Ilp.solve ~deadline ?node_limit
+      Cdw_lp.Ilp.solve ~deadline
         { objective = Array.copy q.weights; constraints }
     with
     | Cdw_lp.Ilp.Optimal { x; _ } -> expand p info x

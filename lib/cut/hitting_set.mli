@@ -31,11 +31,11 @@ val presolve : problem -> presolve_info
     Any optimal solution of [reduced], translated through [kept_elems]
     and extended with [forced], is optimal for the original problem. *)
 
-val solve_ilp : ?deadline:float -> ?node_limit:int -> problem -> bool array
+val solve_ilp : ?deadline:float -> problem -> bool array
 (** Exact, via {!Cdw_lp.Ilp} on the presolved problem. Raises
     [Invalid_argument] on an empty set (unhittable); raises
     [Cdw_util.Timing.Timeout] when [deadline] passes or the
-    branch-and-bound tree outgrows [node_limit] ({!Cdw_lp.Ilp.solve}). *)
+    branch-and-bound tree outgrows {!Cdw_lp.Ilp.solve}'s node limit. *)
 
 val solve_bnb : ?deadline:float -> problem -> bool array
 (** Exact, combinatorial branch-and-bound: branches on the elements of a

@@ -4,7 +4,7 @@ module Timing = Cdw_util.Timing
 module Trace = Cdw_obs.Trace
 module Simplex = Cdw_lp.Simplex
 
-type backend = Ilp | Bnb | Greedy | Lp_rounding | Auto of float
+type backend = Ilp | Bnb | Greedy | Lp_rounding
 
 type result = {
   edges : Digraph.edge list;
@@ -14,6 +14,7 @@ type result = {
   lower_bound : float;
   violated : int list;
   ratio : float;
+  fell_back : bool;
 }
 
 let with_removed g edges f =
@@ -171,7 +172,7 @@ let harmonic n =
   done;
   !h
 
-let rec solve ?(backend = Ilp) ?(deadline = infinity) ?node_limit g ~weight
+let rec solve ?(backend = Ilp) ?budget_ms ?(deadline = infinity) g ~weight
     ~pairs =
   List.iter
     (fun (s, t) ->
@@ -192,7 +193,6 @@ let rec solve ?(backend = Ilp) ?(deadline = infinity) ?node_limit g ~weight
     | Bnb -> "bnb"
     | Greedy -> "greedy"
     | Lp_rounding -> "lp-rounding"
-    | Auto _ -> "auto"
   in
   let solve_pool () =
     Trace.span "multicut.hitting_set"
@@ -205,7 +205,7 @@ let rec solve ?(backend = Ilp) ?(deadline = infinity) ?node_limit g ~weight
         let problem = pool_problem pool ~weight:scaled_weight in
         let chosen =
           match backend with
-          | Ilp -> Hitting_set.solve_ilp ~deadline ?node_limit problem
+          | Ilp -> Hitting_set.solve_ilp ~deadline problem
           | Bnb -> Hitting_set.solve_bnb ~deadline problem
           | Greedy -> Hitting_set.solve_greedy problem
           | Lp_rounding ->
@@ -214,7 +214,6 @@ let rec solve ?(backend = Ilp) ?(deadline = infinity) ?node_limit g ~weight
               in
               lp_value := value;
               chosen
-          | Auto _ -> assert false (* dispatched before the loop *)
         in
         chosen_edges pool chosen)
   in
@@ -224,7 +223,7 @@ let rec solve ?(backend = Ilp) ?(deadline = infinity) ?node_limit g ~weight
     let candidate =
       match backend with
       | Ilp | Bnb -> candidate
-      | Greedy | Lp_rounding | Auto _ ->
+      | Greedy | Lp_rounding ->
           Trace.span "multicut.minimalize" (fun () ->
               minimalize g candidate ~weight ~pairs)
     in
@@ -237,14 +236,14 @@ let rec solve ?(backend = Ilp) ?(deadline = infinity) ?node_limit g ~weight
        or H(pooled paths)-approximate (greedy). *)
     let ratio =
       match backend with
-      | Ilp | Bnb | Auto _ -> 1.0
+      | Ilp | Bnb -> 1.0
       | Lp_rounding -> float_of_int pool.max_len
       | Greedy -> harmonic pool.n_sets
     in
     let lower_bound =
       match backend with
       | Lp_rounding -> !lp_value /. scale
-      | Ilp | Bnb | Greedy | Auto _ -> weight_total /. ratio
+      | Ilp | Bnb | Greedy -> weight_total /. ratio
     in
     {
       edges = candidate;
@@ -254,6 +253,7 @@ let rec solve ?(backend = Ilp) ?(deadline = infinity) ?node_limit g ~weight
       lower_bound;
       violated = List.rev violated;
       ratio;
+      fell_back = false;
     }
   in
   let rec loop rounds violated candidate =
@@ -270,12 +270,13 @@ let rec solve ?(backend = Ilp) ?(deadline = infinity) ?node_limit g ~weight
         List.iter (add_path pool) paths;
         loop (rounds + 1) violated (solve_pool ())
   in
-  match backend with
-  | Auto budget_ms -> (
-      let ilp_deadline =
+  match budget_ms with
+  | None -> loop 0 [] []
+  | Some budget_ms -> (
+      let budget_deadline =
         Float.min deadline (Timing.deadline_after_ms budget_ms)
       in
-      try solve ~backend:Ilp ~deadline:ilp_deadline ?node_limit g ~weight ~pairs
+      try solve ~backend ~deadline:budget_deadline g ~weight ~pairs
       with
       | (Timing.Timeout | Failure _)
         when deadline = infinity || Timing.now_ms () < deadline
@@ -284,5 +285,5 @@ let rec solve ?(backend = Ilp) ?(deadline = infinity) ?node_limit g ~weight
              fall back to the greedy approximation under the caller's
              own deadline. *)
           Timing.check_deadline deadline;
-          solve ~backend:Greedy ~deadline g ~weight ~pairs)
-  | Ilp | Bnb | Greedy | Lp_rounding -> loop 0 [] []
+          { (solve ~backend:Greedy ~deadline g ~weight ~pairs) with
+            fell_back = true })

@@ -22,12 +22,6 @@ type backend =
   | Bnb  (** combinatorial branch-and-bound *)
   | Greedy  (** Chvátal greedy on the lazily grown pool; approximate *)
   | Lp_rounding  (** LP relaxation + threshold rounding; approximate *)
-  | Auto of float
-      (** [Auto budget_ms]: run the exact ILP under the given time
-          budget and fall back to [Greedy] if it expires — dense graphs
-          put exact multicut out of reach exactly as they defeat the
-          paper's BruteForce. The result's [exact] flag reports which
-          branch produced it. *)
 
 type result = {
   edges : Cdw_graph.Digraph.edge list;  (** the multicut, by edge *)
@@ -46,23 +40,31 @@ type result = {
       (** guaranteed ratio of [weight] to the optimum: 1.0 when [exact];
           the longest pooled path length L for [Lp_rounding] (threshold
           rounding at 1/L); H(pooled paths) for [Greedy] (Chvátal) *)
+  fell_back : bool;
+      (** the [budget_ms] of {!solve} ran out and [Greedy] answered in
+          place of the requested backend *)
 }
 
 val solve :
   ?backend:backend ->
+  ?budget_ms:float ->
   ?deadline:float ->
-  ?node_limit:int ->
   Cdw_graph.Digraph.t ->
   weight:(Cdw_graph.Digraph.edge -> float) ->
   pairs:(int * int) list ->
   result
-(** [backend] defaults to [Ilp]. [node_limit] bounds each round's
-    branch-and-bound tree under [Ilp] (and [Auto]'s ILP attempt; see
-    {!Cdw_lp.Ilp.solve}). The graph is not modified (edges are
+(** [backend] defaults to [Ilp]. [budget_ms] bounds the backend's wall
+    clock inside [deadline]. When the budget runs out, the ILP's node
+    limit is hit or the simplex gets numerically stuck, and [deadline]
+    still has slack, [Greedy] answers under [deadline] and the result
+    says [fell_back]. Dense graphs put exact multicut out of reach just
+    as they defeat the paper's BruteForce; this is the solver stack's
+    one budget-then-greedy path. The graph is not modified (edges are
     soft-removed and restored internally). Raises
-    [Cdw_util.Timing.Timeout] when the cooperative deadline fires or
-    the node limit is exhausted, and [Invalid_argument] when some pair
-    shares a vertex. *)
+    [Cdw_util.Timing.Timeout] when [deadline] fires or, without
+    [budget_ms], the node limit is hit; [Failure] from a stuck simplex
+    without [budget_ms]; [Invalid_argument] when some pair shares a
+    vertex. *)
 
 val is_multicut :
   Cdw_graph.Digraph.t ->

@@ -555,7 +555,6 @@ let refine_step ?(max = 1) t =
         {
           t.options with
           Algorithms.Options.solver_budget_ms = Some refine_budget_ms;
-          node_budget = None;
           utility_before = None;
         }
       in
@@ -925,14 +924,13 @@ let drain_on ~domains t =
                           emit t (Drained { seq; requests = List.length q });
                           (q, Some seq))
                 in
-                (* Inside the phase, so the phases tile the drain: one
-                   sample per request is about a tenth of a small
-                   drain's wall time. *)
+                (* Inside the phase, so the phases tile the drain: the
+                   waits are computed first and recorded under one
+                   metrics lock section. *)
                 let now = Timing.now_ms () in
-                List.iter
-                  (fun (_, _, submitted) ->
-                    Metrics.record_ms m "queue_wait" (now -. submitted))
-                  requests;
+                Metrics.record_all_ms m "queue_wait"
+                  (List.map (fun (_, _, submitted) -> now -. submitted)
+                     requests);
                 (List.map (fun (user, r, _) -> (user, r)) requests, seq))
           in
           (* Sessions are created on the calling domain: the table is

@@ -283,8 +283,10 @@ val set_refine : t -> bool -> unit
     untouched: requests are always answered immediately from the
     heuristic tier, refinement runs entirely off the hot path.
 
-    Each background solve is bounded to 250 ms of wall clock; a solve
-    that exhausts its budget simply stages nothing. Turning refinement
+    Each background solve runs under a 250 ms solver budget, so it
+    takes about 250 ms of wall clock at most plus one greedy multicut:
+    past the budget the greedy multicut answers at once, and such an
+    answer stages nothing. Turning refinement
     off drops the queue and any staged cuts.
 
     Counters: [refine.computed], [refine.improved], [refine.installed],

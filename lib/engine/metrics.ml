@@ -1,33 +1,26 @@
 module Histogram = Cdw_obs.Histogram
 module Json = Cdw_util.Json
 module Prom = Cdw_obs.Prom
-module Splitmix = Cdw_util.Splitmix
 module Stats = Cdw_util.Stats
 module Timing = Cdw_util.Timing
 
-(* One latency key: exact running aggregates (count, sum, min, max),
-   a bounded reservoir of samples (Vitter's algorithm R) that the
-   std/se estimate is computed from, and a log-linear histogram that
-   yields bucket-exact percentiles. A long-running engine records
-   millions of samples; storing them all would grow without limit, so
-   beyond [max_samples] each new sample replaces a uniformly random
-   slot with probability cap/count — the reservoir stays a uniform
-   sample of the whole stream — while the histogram counts every sample
-   in O(buckets) memory. *)
+(* One latency key: exact running moments (count, sum, Welford's M2 —
+   the sum of squared deviations from the mean), min and max, and a
+   log-linear histogram that yields bucket-exact percentiles. A
+   long-running engine records millions of samples in O(buckets)
+   memory, and std/se stay exact over the whole stream, across
+   [merge_into] too (Chan et al.'s pairwise update). *)
 type series = {
   mutable count : int;
   mutable sum : float;
+  mutable m2 : float;
   mutable minv : float;
   mutable maxv : float;
-  mutable filled : int;
-  buf : float array;
-  rng : Splitmix.t;  (* deterministic per key: replacement is seeded *)
   hist : Histogram.t;
 }
 
 type t = {
   lock : Mutex.t;
-  max_samples : int;
   counters : (string, int ref) Hashtbl.t;
   gauges : (string, float ref) Hashtbl.t;
       (* last-value-wins instruments (e.g. the current base epoch), as
@@ -35,19 +28,13 @@ type t = {
   samples : (string, series) Hashtbl.t;
 }
 
-let default_max_samples = 4096
-
-let create ?(max_samples = default_max_samples) () =
-  if max_samples < 2 then invalid_arg "Metrics.create: max_samples < 2";
+let create () =
   {
     lock = Mutex.create ();
-    max_samples;
     counters = Hashtbl.create 32;
     gauges = Hashtbl.create 8;
     samples = Hashtbl.create 16;
   }
-
-let max_samples t = t.max_samples
 
 let with_lock t f =
   Mutex.lock t.lock;
@@ -90,33 +77,36 @@ let gauges t =
       Hashtbl.fold (fun name c acc -> (name, !c) :: acc) t.gauges [])
   |> List.sort compare
 
-let fresh_series t key () =
+let fresh_series () =
   {
     count = 0;
     sum = 0.0;
+    m2 = 0.0;
     minv = infinity;
     maxv = neg_infinity;
-    filled = 0;
-    buf = Array.make t.max_samples 0.0;
-    rng = Splitmix.create (Hashtbl.hash key lxor 0x5A17);
     hist = Histogram.create ();
   }
 
+(* Welford's update, with the running mean read off [sum]. *)
+let record_series s ms =
+  let mean_before =
+    if s.count = 0 then 0.0 else s.sum /. float_of_int s.count
+  in
+  s.count <- s.count + 1;
+  s.sum <- s.sum +. ms;
+  s.m2 <-
+    s.m2 +. ((ms -. mean_before) *. (ms -. (s.sum /. float_of_int s.count)));
+  if ms < s.minv then s.minv <- ms;
+  if ms > s.maxv then s.maxv <- ms;
+  Histogram.record s.hist ms
+
 let record_ms t key ms =
-  with_lock t (fun () ->
-      let s = cell t.samples key (fresh_series t key) in
-      s.count <- s.count + 1;
-      s.sum <- s.sum +. ms;
-      if ms < s.minv then s.minv <- ms;
-      if ms > s.maxv then s.maxv <- ms;
-      Histogram.record s.hist ms;
-      if s.filled < Array.length s.buf then begin
-        s.buf.(s.filled) <- ms;
-        s.filled <- s.filled + 1
-      end
-      else
-        let j = Splitmix.int s.rng s.count in
-        if j < Array.length s.buf then s.buf.(j) <- ms)
+  with_lock t (fun () -> record_series (cell t.samples key fresh_series) ms)
+
+let record_all_ms t key samples =
+  if samples <> [] then
+    with_lock t (fun () ->
+        List.iter (record_series (cell t.samples key fresh_series)) samples)
 
 (* A raising thunk still gets its duration recorded, plus an error
    counter — failure latency matters as much as success latency, and a
@@ -134,31 +124,17 @@ let time t key f =
       incr t (key ^ ".error");
       Printexc.raise_with_backtrace exn bt
 
-let stored_samples t key =
-  with_lock t (fun () ->
-      match Hashtbl.find_opt t.samples key with
-      | Some s -> s.filled
-      | None -> 0)
-
-(* The summary blends exact aggregates (n, mean, min, max — tracked for
-   the whole stream) with the spread estimated from the reservoir, so
-   quantile-style fields stay stable however far [count] outruns the
-   cap. *)
 let summary_of_series s =
   if s.count = 0 then None
   else
-    let std =
-      if s.filled < 2 then 0.0
-      else
-        (Stats.summarize (Array.to_list (Array.sub s.buf 0 s.filled)))
-          .Stats.std
-    in
+    let n = float_of_int s.count in
+    let std = if s.count < 2 then 0.0 else sqrt (s.m2 /. (n -. 1.0)) in
     Some
       {
         Stats.n = s.count;
-        mean = s.sum /. float_of_int s.count;
+        mean = s.sum /. n;
         std;
-        se = std /. sqrt (float_of_int s.count);
+        se = std /. sqrt n;
         min = s.minv;
         max = s.maxv;
       }
@@ -168,7 +144,7 @@ let summary t key =
       Option.bind (Hashtbl.find_opt t.samples key) summary_of_series)
 
 (* Percentiles come from the histogram: bucket-exact at any stream
-   length, where the reservoir could only estimate. *)
+   length. *)
 let percentile t key q =
   with_lock t (fun () ->
       match Hashtbl.find_opt t.samples key with
@@ -251,23 +227,18 @@ let snapshot t =
           (fun key s acc ->
             let hist = Histogram.create () in
             Histogram.merge_into ~into:hist s.hist;
-            ( key,
-              (s.count, s.sum, s.minv, s.maxv, Array.sub s.buf 0 s.filled, hist)
-            )
-            :: acc)
+            (key, ({ s with hist } : series)) :: acc)
           t.samples []
         |> List.sort (fun (a, _) (b, _) -> compare a b)
       in
       (counters, gauges, series))
 
-(* Fold [src] into [into]: counters add; per-key count/sum/min/max stay
-   exact and the histograms merge bucket-exactly, so merged percentiles
-   keep the single-registry error bound. The reservoir of [into] only
-   absorbs the source's retained samples up to its spare capacity —
-   std/se estimates of a merged registry lean toward [into]'s stream,
-   which is fine for the group view (they are estimates either way).
-   Locks are taken one at a time (snapshot src, then update into), so
-   any merge order between live registries is deadlock-free. *)
+(* Fold [src] into [into]: counters add; per-key count/sum/min/max
+   and the M2 moment stay exact (Chan et al.'s pairwise combination),
+   and the histograms merge bucket-exactly, so merged percentiles keep
+   the single-registry error bound. Locks are taken one at a time
+   (snapshot src, then update into), so any merge order between live
+   registries is deadlock-free. *)
 let merge_into ~into src =
   let counters, gauges, series = snapshot src in
   List.iter (fun (name, n) -> incr ~by:n into name) counters;
@@ -281,21 +252,23 @@ let merge_into ~into src =
       | _ -> set_gauge into name v)
     gauges;
   List.iter
-    (fun (key, (count, sum, minv, maxv, samples, hist)) ->
+    (fun (key, (b : series)) ->
       with_lock into (fun () ->
-          let s = cell into.samples key (fresh_series into key) in
-          s.count <- s.count + count;
-          s.sum <- s.sum +. sum;
-          if minv < s.minv then s.minv <- minv;
-          if maxv > s.maxv then s.maxv <- maxv;
-          Histogram.merge_into ~into:s.hist hist;
-          Array.iter
-            (fun ms ->
-              if s.filled < Array.length s.buf then begin
-                s.buf.(s.filled) <- ms;
-                s.filled <- s.filled + 1
-              end)
-            samples))
+          let a = cell into.samples key fresh_series in
+          if a.count = 0 then begin
+            a.sum <- b.sum;
+            a.m2 <- b.m2
+          end
+          else if b.count > 0 then begin
+            let na = float_of_int a.count and nb = float_of_int b.count in
+            let delta = (b.sum /. nb) -. (a.sum /. na) in
+            a.m2 <- a.m2 +. b.m2 +. (delta *. delta *. na *. nb /. (na +. nb));
+            a.sum <- a.sum +. b.sum
+          end;
+          a.count <- a.count + b.count;
+          if b.minv < a.minv then a.minv <- b.minv;
+          if b.maxv > a.maxv then a.maxv <- b.maxv;
+          Histogram.merge_into ~into:a.hist b.hist))
     series
 
 (* Prometheus text exposition of the whole registry. The histograms are
@@ -329,6 +302,6 @@ let prometheus_sets sets =
            Prom.s_labels = labels;
            s_counters = counters;
            s_gauges = gauges;
-           s_histograms = List.map (fun (k, (_, _, _, _, _, h)) -> (k, h)) series;
+           s_histograms = List.map (fun (k, (s : series)) -> (k, s.hist)) series;
          })
        sets)

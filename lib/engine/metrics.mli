@@ -11,23 +11,16 @@
     exports as {!Cdw_util.Json} for the [cdw serve-bench] subcommand and
     the engine benchmark.
 
-    Latency storage is bounded: each key keeps exact running aggregates
-    (count, mean, min, max), a fixed-size uniform {e reservoir} of
-    samples (Vitter's algorithm R, deterministic per key) that the
-    std/se estimate comes from, and a log-linear
-    {!Cdw_obs.Histogram} giving bucket-exact p50/p90/p99/p999 — a
-    long-running engine records millions of samples in O([max_samples]
-    + buckets) memory, and {!summary}/{!percentile} stay stable however
-    far the count outruns the cap. *)
+    Latency storage is bounded: each key keeps exact running moments
+    (count, mean, Welford's sum of squared deviations, min, max) and a
+    log-linear {!Cdw_obs.Histogram} giving bucket-exact
+    p50/p90/p99/p999 — a long-running engine records millions of
+    samples in O(buckets) memory, and {!summary}/{!percentile} stay
+    stable however long the stream. *)
 
 type t
 
-val create : ?max_samples:int -> unit -> t
-(** [max_samples] (default 4096, minimum 2) caps the per-key sample
-    reservoir. *)
-
-val max_samples : t -> int
-(** Test-only: lets the tests check the sample-store bound. *)
+val create : unit -> t
 
 (** {1 Counters} *)
 
@@ -50,15 +43,10 @@ val gauge : t -> string -> float option
 (** {1 Latencies} *)
 
 val record_ms : t -> string -> float -> unit
-(** Record one latency sample (milliseconds) under the given key. Past
-    the reservoir cap it replaces a uniformly random retained sample
-    with probability [cap/count]. *)
+(** Record one latency sample (milliseconds) under the given key. *)
 
-val stored_samples : t -> string -> int
-(** Test-only: lets the tests check the sample-store bound.
-
-    Samples currently retained for the key — at most
-    {!max_samples}. *)
+val record_all_ms : t -> string -> float list -> unit
+(** {!record_ms} of each sample in order, under one lock section. *)
 
 val time : t -> string -> (unit -> 'a) -> 'a
 (** Run the thunk, record its wall-clock duration under the key, return
@@ -79,9 +67,8 @@ val histogram_buckets : t -> string -> (float * float * int) list
     order. *)
 
 val summary : t -> string -> Cdw_util.Stats.summary option
-(** [None] when no sample was recorded under the key. [n], [mean],
-    [min] and [max] are exact over the full stream; [std]/[se] are
-    estimated from the reservoir. *)
+(** [None] when no sample was recorded under the key. Every field is
+    exact over the full stream, up to float rounding. *)
 
 (** {1 Merging} *)
 
@@ -90,13 +77,11 @@ val merge_into : into:t -> t -> unit
     sharded serving group's merged view. Counters add; gauges keep the
     maximum of the two sides (the group view of a level instrument like
     the epoch gauge is "the newest any shard reports"); per-key [n],
-    [mean], [min], [max] stay exact and histograms merge bucket-exactly
-    (so merged percentiles keep the single-registry error bound);
-    [into]'s reservoir absorbs [src]'s retained samples only up to its
-    spare capacity, so [std]/[se] of a merged registry are biased toward
-    whichever stream filled it first. [src] is read under its own lock
-    and left untouched; locks are never nested, so concurrent merges in
-    any order cannot deadlock. *)
+    [mean], [min], [max], [std] and [se] stay exact (the moments
+    combine pairwise) and histograms merge bucket-exactly (so merged
+    percentiles keep the single-registry error bound). [src] is read
+    under its own lock and left untouched; locks are never nested, so
+    concurrent merges in any order cannot deadlock. *)
 
 (** {1 Export} *)
 

@@ -399,13 +399,15 @@ let ablation_bnb profile =
   }
 
 let ablation_minmc_backends profile =
+  (* One RemoveMinMC solve per backend: unbounded, or the exact ILP
+     under a 2 s budget with the greedy multicut past it. *)
   let backends =
     [
-      ("ilp", Cdw_cut.Multicut.Ilp);
-      ("bnb", Cdw_cut.Multicut.Bnb);
-      ("greedy", Cdw_cut.Multicut.Greedy);
-      ("lp-round", Cdw_cut.Multicut.Lp_rounding);
-      ("auto", Cdw_cut.Multicut.Auto 2_000.0);
+      ("ilp", Cdw_cut.Multicut.Ilp, infinity);
+      ("bnb", Cdw_cut.Multicut.Bnb, infinity);
+      ("greedy", Cdw_cut.Multicut.Greedy, infinity);
+      ("lp-round", Cdw_cut.Multicut.Lp_rounding, infinity);
+      ("auto", Cdw_cut.Multicut.Ilp, 2_000.0);
     ]
   in
   let counts = [ 5; 10; 20 ] in
@@ -417,10 +419,18 @@ let ablation_minmc_backends profile =
           Generator.generate ~seed:(seed ~exp:8 ~point:n ~attempt:0) params
         in
         List.map
-          (fun (label, backend) ->
+          (fun (label, backend, budget_ms) ->
             let solver ~deadline (i : Generator.t) =
-              Cdw_core.Algorithms.remove_min_mc ~backend ~deadline
-                i.Generator.workflow i.Generator.constraints
+              Cdw_core.Algorithms.solve
+                ~options:
+                  {
+                    Cdw_core.Algorithms.Options.default with
+                    backend;
+                    solver_budget_ms = Some budget_ms;
+                    deadline;
+                  }
+                Cdw_core.Algorithms.Remove_min_mc i.Generator.workflow
+                i.Generator.constraints
             in
             match Runner.once_custom ~profile solver instance with
             | Some s ->

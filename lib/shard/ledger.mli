@@ -3,9 +3,9 @@
     A consent ledger on disk is either a plain single-engine store
     directory or a sharded root ([group.json] plus [shard-<i>/]
     directories). Every function here detects the shape from the
-    filesystem and fans out accordingly, so [cdw store] and
-    [cdw shard] drive one implementation: entries are tagged
-    [Some shard_id] under a group root and [None] for a plain store. *)
+    filesystem and fans out accordingly, so [cdw store] serves both
+    shapes: entries are tagged [Some shard_id] under a group root and
+    [None] for a plain store. *)
 
 val verify :
   string -> ((int option * Cdw_store.Store.report) list, string) result

@@ -10,4 +10,4 @@ let time_f f =
 let deadline_after_ms budget = now_ms () +. budget
 
 let check_deadline deadline =
-  if deadline < infinity && now_ms () > deadline then raise Timeout
+  if deadline < infinity && now_ms () >= deadline then raise Timeout

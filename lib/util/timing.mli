@@ -15,4 +15,5 @@ val deadline_after_ms : float -> float
 (** Absolute deadline [now + budget] (in ms). [infinity] never fires. *)
 
 val check_deadline : float -> unit
-(** Raise [Timeout] if the absolute deadline has passed. *)
+(** Raise [Timeout] once the absolute deadline is reached, so a zero
+    budget is spent before the first check. *)

@@ -274,42 +274,54 @@ let contains s sub =
   let rec loop i = i + m <= n && (String.sub s i m = sub || loop (i + 1)) in
   m = 0 || loop 0
 
-(* Reservoir-sampled latency storage: memory stays bounded however many
-   samples stream in, while n/mean/min/max stay exact. *)
-let test_metrics_reservoir () =
-  let m = Metrics.create ~max_samples:64 () in
-  Alcotest.(check int) "cap recorded" 64 (Metrics.max_samples m);
+(* Latency moments are exact: every field of a key's summary equals
+   [Stats.summarize] of the whole stream — past any sample count, and
+   for a registry merged from two others. *)
+let test_metrics_exact_moments () =
+  let module Stats = Cdw_util.Stats in
+  (* A trending stream far from zero: a naive sum-of-squares variance
+     would lose digits here, and the two halves merged below have
+     different means. *)
+  let sample i =
+    1000.0 +. float_of_int (i / 1000) +. (float_of_int ((i * 7919) mod 1009) /. 97.0)
+  in
+  let check what expected m key =
+    match Metrics.summary m key with
+    | None -> Alcotest.failf "%s: no summary" what
+    | Some (s : Stats.summary) ->
+        let e = Stats.summarize expected in
+        let close name a b =
+          Alcotest.(check (float (1e-9 *. Float.max 1.0 (Float.abs b))))
+            (what ^ ": " ^ name) b a
+        in
+        Alcotest.(check int) (what ^ ": n") e.Stats.n s.Stats.n;
+        close "mean" s.Stats.mean e.Stats.mean;
+        close "std" s.Stats.std e.Stats.std;
+        close "se" s.Stats.se e.Stats.se;
+        close "min" s.Stats.min e.Stats.min;
+        close "max" s.Stats.max e.Stats.max
+  in
   let n = 10_000 in
-  for i = 1 to n do
-    Metrics.record_ms m "drain" (float_of_int i)
-  done;
-  Alcotest.(check int) "storage bounded by the cap" 64
-    (Metrics.stored_samples m "drain");
-  (match Metrics.summary m "drain" with
-  | None -> Alcotest.fail "no summary"
-  | Some s ->
-      Alcotest.(check int) "n is the full stream" n s.Cdw_util.Stats.n;
-      Alcotest.(check (float 1e-9)) "exact min" 1.0 s.Cdw_util.Stats.min;
-      Alcotest.(check (float 1e-9)) "exact max" (float_of_int n) s.Cdw_util.Stats.max;
-      Alcotest.(check (float 1e-6)) "exact mean"
-        (float_of_int (n + 1) /. 2.0)
-        s.Cdw_util.Stats.mean;
-      (* The reservoir is a uniform sample of [1, n]: its std estimate
-         must be in the right ballpark of the true n/sqrt(12). *)
-      let true_std = float_of_int n /. sqrt 12.0 in
-      Alcotest.(check bool) "std estimated from the reservoir" true
-        (s.Cdw_util.Stats.std > 0.3 *. true_std
-        && s.Cdw_util.Stats.std < 3.0 *. true_std));
-  (* Below the cap nothing is sampled away. *)
-  let small = Metrics.create ~max_samples:64 () in
-  for i = 1 to 10 do
-    Metrics.record_ms small "k" (float_of_int i)
-  done;
-  Alcotest.(check int) "under the cap everything is stored" 10
-    (Metrics.stored_samples small "k");
-  match Metrics.create ~max_samples:1 () with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "cap of 1 accepted"
+  let stream = List.init n sample in
+  let m = Metrics.create () in
+  List.iter (Metrics.record_ms m "drain") stream;
+  check "one registry" stream m "drain";
+  (* Split unevenly across two registries, recorded two ways, merged. *)
+  let head = List.filteri (fun i _ -> i < 3_000) stream in
+  let tail = List.filteri (fun i _ -> i >= 3_000) stream in
+  let a = Metrics.create () and b = Metrics.create () in
+  Metrics.record_all_ms a "drain" head;
+  List.iter (Metrics.record_ms b "drain") tail;
+  Metrics.merge_into ~into:a b;
+  check "merged registry" stream a "drain";
+  (* Merging into an empty key copies the source's moments. *)
+  let c = Metrics.create () in
+  Metrics.merge_into ~into:c b;
+  check "merged into empty" tail c "drain";
+  (* One sample: no spread. *)
+  let one = Metrics.create () in
+  Metrics.record_ms one "k" 3.0;
+  check "one sample" [ 3.0 ] one "k"
 
 (* Regression: withdrawing a pair that was never accepted — whether its
    ids are valid vertices or garbage outside the vertex range — must
@@ -564,7 +576,7 @@ let suite =
     ("coalesced net change", `Quick, test_coalescing_net_change);
     ("parallel == sequential drain", `Quick, test_parallel_equals_sequential);
     ("withdraw of never-accepted pair is a clean error", `Quick, test_withdraw_unknown_pair);
-    ("metrics reservoir sampling", `Quick, test_metrics_reservoir);
+    ("metrics exact moments (stream and merge)", `Quick, test_metrics_exact_moments);
     ("metrics json", `Quick, test_metrics_json);
     ( "metrics merge preserves .error counters",
       `Quick,

@@ -147,7 +147,9 @@ let check_instance label (wf : Workflow.t) (cs : Constraint_set.t) =
       [
         ("exact-ilp", r_exact);
         ("approx-lp", mc Multicut.Lp_rounding);
-        ("auto", mc Algorithms.Options.default.Algorithms.Options.backend);
+        (* RemoveMinMC's serving default: the ILP under its 5 s budget. *)
+        ("auto", Multicut.solve ~backend:Multicut.Ilp ~budget_ms:5_000.0 g
+                   ~weight ~pairs);
       ]
   end
 
@@ -241,20 +243,6 @@ let test_budget_fallback () =
     (Constraint_set.satisfied o.Algorithms.workflow cs);
   Alcotest.(check bool) "no bound claimed on fallback" true
     (o.Algorithms.bound = None);
-  (* Same exhaustion through the node budget. *)
-  let options =
-    {
-      Algorithms.Options.default with
-      Algorithms.Options.node_budget = Some 0;
-    }
-  in
-  let o = solve ~options Algorithms.Exact_ilp wf cs in
-  Alcotest.(check (option string))
-    "node-budget fallback tier recorded"
-    (Some "fallback:remove-min-mc")
-    o.Algorithms.tier;
-  Alcotest.(check bool) "node-budget fallback cut is valid" true
-    (Constraint_set.satisfied o.Algorithms.workflow cs);
   (* An ample budget answers on the exact tier. *)
   let options =
     {
@@ -266,6 +254,60 @@ let test_budget_fallback () =
   Alcotest.(check (option string))
     "ample budget stays exact" (Some "exact-ilp") o.Algorithms.tier
 
+(* An exhausted exact-tier budget answers at once from the greedy
+   multicut: no second ILP round runs after it. The trace counts every
+   hitting-set solve by backend. *)
+let test_exhausted_budget_runs_no_ilp () =
+  let module Json = Cdw_util.Json in
+  let module Trace = Cdw_obs.Trace in
+  let inst = Generator.generate ~seed:9 (Gen_params.dataset1a ~n_constraints:6) in
+  let options =
+    {
+      Algorithms.Options.default with
+      Algorithms.Options.solver_budget_ms = Some 0.0;
+    }
+  in
+  Trace.reset ();
+  Trace.set_enabled true;
+  let o, export =
+    Fun.protect
+      ~finally:(fun () -> Trace.set_enabled false)
+      (fun () ->
+        let o =
+          solve ~options Algorithms.Exact_ilp inst.Generator.workflow
+            inst.Generator.constraints
+        in
+        Trace.set_enabled false;
+        (o, Trace.export ()))
+  in
+  Trace.reset ();
+  let hitting_sets backend =
+    match Option.bind (Json.member "traceEvents" export) Json.to_list with
+    | None -> Alcotest.fail "export has no traceEvents"
+    | Some events ->
+        List.length
+          (List.filter
+             (fun e ->
+               let text k = Option.bind (Json.member k e) Json.to_text in
+               let arg k =
+                 Option.bind
+                   (Option.bind (Json.member "args" e) (Json.member k))
+                   Json.to_text
+               in
+               text "ph" = Some "B"
+               && text "name" = Some "multicut.hitting_set"
+               && arg "backend" = Some backend)
+             events)
+  in
+  Alcotest.(check (option string))
+    "fallback tier recorded" (Some "fallback:remove-min-mc") o.Algorithms.tier;
+  Alcotest.(check bool) "budget fallback flagged" true
+    o.Algorithms.budget_fallback;
+  Alcotest.(check int) "no ILP round after the budget ran out" 0
+    (hitting_sets "ilp");
+  Alcotest.(check bool) "the greedy multicut answered" true
+    (hitting_sets "greedy" > 0)
+
 let suite =
   [
     Alcotest.test_case "paper datasets 1a/1b/1c/2/3 vs the oracle" `Quick
@@ -276,4 +318,6 @@ let suite =
       test_exact_matches_brute_force;
     Alcotest.test_case "budget exhaustion falls back to RemoveMinMC" `Quick
       test_budget_fallback;
+    Alcotest.test_case "exhausted budget runs no second ILP round" `Quick
+      test_exhausted_budget_runs_no_ilp;
   ]
