@@ -97,8 +97,9 @@ let in_process config =
 
 (* Oracle row: utility retained by the serving heuristic (RemoveMinMC)
    vs the exact ILP multicut, one instance per paper dataset. The
-   interesting number is the gap the anytime refiner can reclaim —
-   exact minus heuristic, as a fraction of the base utility. The exact
+   interesting number is the gap between them (the JSON's
+   [reclaimable]) — exact minus heuristic, as a fraction of the base
+   utility: what an exact solve would win over the heuristic. The exact
    side runs under a generous budget; if it still falls back, the row
    records the tier honestly instead of passing the heuristic's own
    answer off as an optimum. *)
@@ -281,7 +282,7 @@ let () =
                   ("rps_vs_inprocess", Json.Number vs_inprocess);
                 ]) );
           (* RemoveMinMC vs the exact ILP, per paper dataset — the
-             refiner's reclaimable headroom (see [oracle]). *)
+             heuristic's gap to the optimum (see [oracle]). *)
           ("utility_retained", oracle !config);
         ])
   in

@@ -280,7 +280,7 @@ let serve_bench_cmd =
     Arg.(value & opt int 3 & info [ "trials" ] ~doc:"Timing trials per server (best-of).")
   in
   let connect =
-    Arg.(value & opt (some sockaddr_conv) None & info [ "connect" ] ~docv:"ADDR" ~doc:"Drive a remote `cdw serve' at $(docv) (Unix socket path or HOST:PORT) over the wire protocol instead of serving in-process. The script is built against the server's own base workflow (fetched via Hello); journaling and telemetry flags do not apply — they live server-side.")
+    Arg.(value & opt (some sockaddr_conv) None & info [ "connect" ] ~docv:"ADDR" ~doc:"Drive a remote `cdw serve' at $(docv) (Unix socket path or HOST:PORT) over the wire protocol instead of serving in-process. The script is built against the server's own base workflow (fetched via Hello). --journal, --mem-cap-bytes, --prom-out and --stats-out are in-process only and rejected here: set the ledger and the cap on `cdw serve', and fetch its metrics with --metrics-out.")
   in
   let user_prefix =
     Arg.(value & opt string "user" & info [ "user-prefix" ] ~docv:"NAME" ~doc:"Session-name prefix for --connect clients. Concurrent clients with distinct prefixes share one server without touching each other's sessions.")
@@ -318,13 +318,10 @@ let serve_bench_cmd =
   let evolve =
     Arg.(value & opt (some string) None & info [ "evolve" ] ~docv:"SPEC" ~doc:"Mutate the base workflow mid-run (live epoch installs, DESIGN.md \\$(b,16)): a semicolon-separated schedule of steps, each comma-separated key:value items — at:MS (synthetic-stream milliseconds, non-decreasing), add:N/drop:N (structural edge churn), reprice:N (user-edge revaluations), purposes:N (new purpose vertices), seed:N. E.g. --evolve 'at:200,drop:2,seed:7;at:600,add:3,purposes:1,seed:8'. Steps fire at drain boundaries of the synthetic clock; each mutates the base the previous step installed. Requires --traffic; with --connect the mutants ship over the wire as epoch installs.")
   in
-  let refine =
-    Arg.(value & flag & info [ "refine" ] ~doc:"Run the anytime cut refiner between drain windows (DESIGN.md §17): requests are still answered by the session's heuristic solver, and a background exact ILP pass re-solves served users on spare time, installing strictly-better cuts at drain boundaries as journaled $(b,Cut_refined) events. Prints the refine counters (solves, improvements, installs, utility reclaimed). Requires --traffic; in-process only — with --connect, refinement lives server-side.")
-  in
   let run quick vertices stages density sessions batches pairs no_withdrawals
       seed shards algo trials connect user_prefix out metrics_out
       journal fsync trace_out prom_out stats_out stats_interval traffic mem_cap
-      evolve refine =
+      evolve =
     let module Serving = Cdw_shard.Serving in
     let module Shard_bench = Cdw_shard.Shard_bench in
     let module Client = Cdw_net.Client in
@@ -364,8 +361,7 @@ let serve_bench_cmd =
       match traffic_spec with
       | Some spec ->
           let r =
-            Shard_bench.serve_traffic ~evolve:evolve_steps ~refine target
-              spec
+            Shard_bench.serve_traffic ~evolve:evolve_steps target spec
           in
           ( Format.asprintf "%a" Shard_bench.pp_traffic r,
             ( "traffic",
@@ -412,10 +408,12 @@ let serve_bench_cmd =
     | _, Error msg -> `Error (false, "--evolve: " ^ msg)
     | Ok None, Ok (_ :: _) ->
         `Error (false, "--evolve requires --traffic (the schedule runs on the stream's synthetic clock)")
-    | Ok None, Ok _ when refine ->
-        `Error (false, "--refine requires --traffic (the refiner steps between drain windows)")
-    | Ok _, Ok _ when refine && connect <> None ->
-        `Error (false, "--refine is in-process only; with --connect, refinement is a server-side concern")
+    | _ when fsync <> None && journal = None ->
+        `Error (false, "--fsync requires --journal (without a ledger there is nothing to fsync)")
+    | _ when connect <> None && (journal <> None || mem_cap <> None) ->
+        `Error (false, "--journal and --mem-cap-bytes are in-process only; with --connect, set them on `cdw serve'")
+    | _ when connect <> None && (prom_out <> None || stats_out <> None) ->
+        `Error (false, "--prom-out and --stats-out are in-process only; with --connect, use --metrics-out")
     | Ok traffic_spec, Ok evolve_steps -> (
     let bench = bench traffic_spec evolve_steps in
     match connect with
@@ -615,7 +613,7 @@ let serve_bench_cmd =
        $ pairs $ no_withdrawals $ seed $ shards $ algo $ trials
        $ connect $ user_prefix $ out $ metrics_out $ journal $ fsync
        $ trace_out $ prom_out $ stats_out $ stats_interval $ traffic
-       $ mem_cap $ evolve $ refine))
+       $ mem_cap $ evolve))
 
 (* ---------------------------------------------------------------- *)
 (* serve                                                              *)
@@ -665,6 +663,9 @@ let serve_cmd =
   in
   let run listen file vertices stages density seed algo shards journal fsync
       mem_cap trace flight_out =
+    if fsync <> None && journal = None then
+      `Error (false, "--fsync requires --journal (without a ledger there is nothing to fsync)")
+    else
     let fresh () =
       let workflow =
         match file with

@@ -1,12 +1,9 @@
 module Algorithms = Cdw_core.Algorithms
 module Constraint_set = Cdw_core.Constraint_set
-module Digraph = Cdw_graph.Digraph
 module Evolution = Cdw_core.Evolution
 module Serialize = Cdw_core.Serialize
 module Timing = Cdw_util.Timing
 module Trace = Cdw_obs.Trace
-module Utility = Cdw_core.Utility
-module Workflow = Cdw_core.Workflow
 
 type request =
   | Add of (int * int) list
@@ -27,47 +24,12 @@ type event =
   | Drained of { seq : int; requests : int }
   | Drain_settled of { seq : int }
   | Epoch_installed of { epoch : int; workflow : string }
-  | Cut_refined of { user : string; cuts : int list }
 
 type migration = {
   m_epoch : int;
   m_recomputed : int;
   m_dropped_pairs : int;
   m_diff : Evolution.t;
-}
-
-(* Anytime refinement. A computed-but-not-yet-installed better cut: the
-   base state it improves on (for the freshness check at install time)
-   plus the improvement itself. *)
-type staged = {
-  sg_pairs : (int * int) list;  (* constraint pairs the solve saw *)
-  sg_base_cuts : int list;  (* sorted cut it improves on *)
-  sg_cuts : int list;  (* sorted refined cut *)
-  sg_gain : float;  (* utility reclaimed by installing it *)
-}
-
-(* Wall-clock budget of each background refine solve. *)
-let refine_budget_ms = 250.0
-
-type refine = {
-  rf_queue : string Queue.t;
-  rf_queued : (string, unit) Hashtbl.t;  (* membership of [rf_queue] *)
-  rf_staged : (string, staged) Hashtbl.t;
-  mutable rf_computed : int;
-  mutable rf_improved : int;
-  mutable rf_installed : int;
-  mutable rf_discarded : int;
-  mutable rf_reclaimed : float;
-}
-
-type refine_stats = {
-  rs_pending : int;
-  rs_staged : int;
-  rs_computed : int;
-  rs_improved : int;
-  rs_installed : int;
-  rs_discarded : int;
-  rs_utility_reclaimed : float;
 }
 
 type t = {
@@ -83,12 +45,7 @@ type t = {
   mutable drains : int;  (* sequence number of the next drain *)
   mutable tier : Tier.t option;
       (* session tiering under a memory cap; None = everything resident *)
-  mutable refine : refine option;
-      (* anytime refinement; None = off (the default) *)
-  lock : Mutex.t;
-      (* guards [sessions], [queue], [journal], [drains], [tier],
-         [refine] — refinement *solves* run outside the lock on a
-         snapshot, only queue/stage/install bookkeeping holds it *)
+  lock : Mutex.t;  (* guards [sessions], [queue], [journal], [drains], [tier] *)
 }
 
 let create ?(algorithm = Algorithms.Remove_min_mc)
@@ -109,7 +66,6 @@ let create ?(algorithm = Algorithms.Remove_min_mc)
     journal = None;
     drains = 0;
     tier = None;
-    refine = None;
     lock = Mutex.create ();
   }
 
@@ -205,15 +161,6 @@ let forget t user =
       if resident then Hashtbl.remove t.sessions user;
       (* erasure reaches the cold tier: LRU node and parked state both *)
       (match t.tier with Some tier -> Tier.remove tier user | None -> ());
-      (* …and the refine pipeline: a forgotten user's staged cut must
-         never install, and their queue membership must not block a
-         future session under the same name. (A stale entry may linger
-         in the FIFO itself; [refine_step] skips unknown users.) *)
-      (match t.refine with
-      | Some rf ->
-          Hashtbl.remove rf.rf_queued user;
-          Hashtbl.remove rf.rf_staged user
-      | None -> ());
       if resident || parked then begin
         Metrics.incr (metrics t) "engine.sessions.forgotten";
         emit t (Session_closed { user })
@@ -346,273 +293,40 @@ let session_states t =
   |> List.sort compare
 
 (* ---------------------------------------------------------------- *)
-(* Anytime refinement                                                 *)
+(* Replaying a replaced cut (older builds' anytime refiner)           *)
 
-(* Tier-transparent read of a user's (pairs, cuts) — resident sessions
-   and parked records alike, never hydrating (refining a cold user must
-   not perturb the LRU or the hydration count). *)
-let refine_snapshot_locked t user =
-  match Hashtbl.find_opt t.sessions user with
-  | Some s ->
-      Some (Constraint_set.pairs (Session.constraints s), Session.cut_ids s)
-  | None -> (
-      match t.tier with
-      | Some tier ->
-          Option.map
-            (fun (p : Tier.parked) -> (p.Tier.p_pairs, p.Tier.p_cuts))
-            (Tier.peek_parked tier user)
-      | None -> None)
-
-(* Under the lock: prepare installing [cuts] as [user]'s cut with the
-   rng stream carried over, returning an infallible commit thunk — so
-   the journal emit can sit between validation and the state mutation
-   (emit-before-mutate, like [submit]: a rejected record leaves the
-   engine untouched, a validation error leaves the WAL untouched).
-   This is the shared tail of the live install and WAL replay. *)
-let prepare_install_locked t user ~cuts =
-  match Hashtbl.find_opt t.sessions user with
-  | Some s -> (
-      let pairs = Constraint_set.pairs (Session.constraints s) in
-      let rng = Session.rng_state s in
-      let fresh =
-        Session.create ~index:t.index ~algorithm:t.algorithm
-          ~options:t.options ~rng_seed:(session_seed t user) user
-      in
-      match Session.restore fresh ~constraints:pairs ~removed_ids:cuts with
-      | Ok () ->
-          Session.set_rng_state fresh rng;
-          Ok (fun () -> Hashtbl.replace t.sessions user fresh)
-      | Error _ as e -> e)
-  | None -> (
-      match t.tier with
-      | Some tier -> (
-          match Tier.peek_parked tier user with
-          | Some p ->
-              Ok
-                (fun () ->
-                  Tier.repark tier user { p with Tier.p_cuts = cuts })
-          | None ->
-              Error (Printf.sprintf "Engine: refining unknown session %S" user))
-      | None ->
-          Error (Printf.sprintf "Engine: refining unknown session %S" user))
-
+(* Install [cuts] as [user]'s cut with the rng stream carried over. A
+   resident session is rebuilt on the new cut; a parked record is
+   re-parked with it, never hydrated — the user stays cold, exactly as
+   the live install left it. *)
 let apply_refined t user ~cuts =
   with_lock t (fun () ->
-      match prepare_install_locked t user ~cuts with
-      | Ok commit ->
-          commit ();
-          Ok ()
-      | Error _ as e -> e)
-
-(* Drain boundary: install every staged refinement that is still fresh —
-   the user's state is exactly the one the refine solve improved on.
-   Runs at the *start* of the drain's dequeue lock section, so the WAL
-   order per drain is [submits][Cut_refined…][Drained mark] and replay
-   (which applies [Cut_refined] on sight) installs before serving the
-   same requests the live run did. Stale stagings (the user's state
-   moved since the solve) are discarded, not retried — the user
-   re-enters the queue at their next served drain anyway. *)
-let install_staged_locked t =
-  match t.refine with
-  | None -> ()
-  | Some rf when Hashtbl.length rf.rf_staged = 0 -> ()
-  | Some rf ->
-      let staged =
-        Hashtbl.fold (fun u st acc -> (u, st) :: acc) rf.rf_staged []
-        |> List.sort compare
-      in
-      Hashtbl.reset rf.rf_staged;
-      let m = metrics t in
-      Trace.span "refine.install" (fun () ->
-          List.iter
-            (fun (user, st) ->
-              let fresh =
-                match refine_snapshot_locked t user with
-                | Some (pairs, cuts) ->
-                    pairs = st.sg_pairs
-                    && List.sort compare cuts = st.sg_base_cuts
-                | None -> false
-              in
-              let install () =
-                match prepare_install_locked t user ~cuts:st.sg_cuts with
-                | Error _ -> false
-                | Ok commit ->
-                    emit t (Cut_refined { user; cuts = st.sg_cuts });
-                    commit ();
-                    true
-              in
-              if fresh && install () then begin
-                rf.rf_installed <- rf.rf_installed + 1;
-                rf.rf_reclaimed <- rf.rf_reclaimed +. st.sg_gain;
-                Metrics.incr m "refine.installed"
-              end
-              else begin
-                rf.rf_discarded <- rf.rf_discarded + 1;
-                Metrics.incr m "refine.discarded"
-              end)
-            staged;
-          Metrics.set_gauge m "refine.utility_reclaimed" rf.rf_reclaimed)
-
-(* After a drain: queue every user it served whose cut is non-empty for
-   a background exact solve, once (no duplicates across drains). *)
-let enqueue_refine_locked t users =
-  match t.refine with
-  | None -> ()
-  | Some rf ->
-      List.iter
-        (fun user ->
-          if
-            (not (Hashtbl.mem rf.rf_queued user))
-            && not (Hashtbl.mem rf.rf_staged user)
-          then
-            match Hashtbl.find_opt t.sessions user with
-            | Some s when Session.cut_ids s <> [] ->
-                Hashtbl.add rf.rf_queued user ();
-                Queue.add user rf.rf_queue
-            | _ -> ())
-        users
-
-let set_refine t enabled =
-  with_lock t (fun () ->
-      if not enabled then t.refine <- None
-      else
-        match t.refine with
-        | Some _ -> ()
-        | None ->
-            t.refine <-
-              Some
-                {
-                  rf_queue = Queue.create ();
-                  rf_queued = Hashtbl.create 64;
-                  rf_staged = Hashtbl.create 16;
-                  rf_computed = 0;
-                  rf_improved = 0;
-                  rf_installed = 0;
-                  rf_discarded = 0;
-                  rf_reclaimed = 0.0;
-                })
-
-let refine_pending t =
-  with_lock t (fun () ->
-      match t.refine with
-      | None -> 0
-      | Some rf -> Queue.length rf.rf_queue + Hashtbl.length rf.rf_staged)
-
-let refine_stats t =
-  with_lock t (fun () ->
-      Option.map
-        (fun rf ->
-          {
-            rs_pending = Queue.length rf.rf_queue;
-            rs_staged = Hashtbl.length rf.rf_staged;
-            rs_computed = rf.rf_computed;
-            rs_improved = rf.rf_improved;
-            rs_installed = rf.rf_installed;
-            rs_discarded = rf.rf_discarded;
-            rs_utility_reclaimed = rf.rf_reclaimed;
-          })
-        t.refine)
-
-(* Utility of the base with exactly [cuts] removed — what the user's
-   current (or refined) state is worth. *)
-let utility_of_cuts base cuts =
-  let copy = Workflow.copy base in
-  let g = Workflow.graph copy in
-  List.iter (fun id -> Digraph.remove_edge g (Digraph.edge g id)) cuts;
-  Utility.total copy
-
-(* One background refinement step, intended for spare domains / idle
-   windows: pop up to [max] queued users, run the budgeted exact solver
-   on each *outside* the lock against a snapshot of their state, and
-   stage the strictly-better cuts for the next drain boundary. Returns
-   the number of solves run. *)
-let refine_step ?(max = 1) t =
-  let m = metrics t in
-  let work =
-    with_lock t (fun () ->
-        match t.refine with
-        | None -> None
-        | Some rf ->
-            let rec pop n acc =
-              if n <= 0 then List.rev acc
-              else
-                match Queue.take_opt rf.rf_queue with
-                | None -> List.rev acc
-                | Some user -> (
-                    Hashtbl.remove rf.rf_queued user;
-                    match refine_snapshot_locked t user with
-                    | Some (pairs, (_ :: _ as cuts)) ->
-                        pop (n - 1) ((user, pairs, cuts) :: acc)
-                    | Some _ | None -> pop n acc)
-            in
-            Some (pop max []))
-  in
-  match work with
-  | None | Some [] -> 0
-  | Some picks ->
-      let base = Shared_index.base t.index in
-      let options =
-        {
-          t.options with
-          Algorithms.Options.solver_budget_ms = Some refine_budget_ms;
-          utility_before = None;
-        }
-      in
-      let improvements =
-        List.filter_map
-          (fun (user, pairs, cuts) ->
-            Trace.span "refine.solve"
-              ~args:[ ("user", user) ]
-              (fun () ->
-                match Constraint_set.make base pairs with
-                | Error _ -> None
-                | Ok cs ->
-                    let before = utility_of_cuts base cuts in
-                    let outcome, dt =
-                      Timing.time_f (fun () ->
-                          Algorithms.solve ~options Algorithms.Exact_ilp base
-                            cs)
-                    in
-                    Metrics.record_ms m "refine.solve" dt;
-                    (* Only a *proven* optimum may displace the serving
-                       cut (a budget fallback answers from the same
-                       heuristic ladder that produced it), and only when
-                       strictly better — ties keep the incumbent, so
-                       refinement is idempotent. *)
-                    if
-                      outcome.Algorithms.tier = Some "exact-ilp"
-                      && outcome.Algorithms.utility_after > before +. 1e-9
-                    then
-                      let refined =
-                        List.sort compare
-                          (Digraph.removed_edge_ids
-                             (Workflow.graph outcome.Algorithms.workflow))
-                      in
-                      Some
-                        ( user,
-                          {
-                            sg_pairs = pairs;
-                            sg_base_cuts = List.sort compare cuts;
-                            sg_cuts = refined;
-                            sg_gain =
-                              outcome.Algorithms.utility_after -. before;
-                          } )
-                    else None))
-          picks
-      in
-      with_lock t (fun () ->
-          match t.refine with
-          | None -> ()
-          | Some rf ->
-              rf.rf_computed <- rf.rf_computed + List.length picks;
-              rf.rf_improved <- rf.rf_improved + List.length improvements;
-              List.iter
-                (fun (user, st) -> Hashtbl.replace rf.rf_staged user st)
-                improvements);
-      Metrics.incr ~by:(List.length picks) m "refine.computed";
-      if improvements <> [] then
-        Metrics.incr ~by:(List.length improvements) m "refine.improved";
-      List.length picks
+      match Hashtbl.find_opt t.sessions user with
+      | Some s -> (
+          let pairs = Constraint_set.pairs (Session.constraints s) in
+          let rng = Session.rng_state s in
+          let fresh =
+            Session.create ~index:t.index ~algorithm:t.algorithm
+              ~options:t.options ~rng_seed:(session_seed t user) user
+          in
+          match Session.restore fresh ~constraints:pairs ~removed_ids:cuts with
+          | Ok () ->
+              Session.set_rng_state fresh rng;
+              Hashtbl.replace t.sessions user fresh;
+              Ok ()
+          | Error _ as e -> e)
+      | None -> (
+          let unknown () =
+            Error (Printf.sprintf "Engine: refining unknown session %S" user)
+          in
+          match t.tier with
+          | None -> unknown ()
+          | Some tier -> (
+              match Tier.peek_parked tier user with
+              | Some p ->
+                  Tier.repark tier user { p with Tier.p_cuts = cuts };
+                  Ok ()
+              | None -> unknown ())))
 
 (* ---------------------------------------------------------------- *)
 (* Epoch migration                                                    *)
@@ -731,21 +445,6 @@ let migrate ?epoch:e t wf =
                     in
                     (user, request, at))
                   t.queue;
-              (* Staged refinements were computed against the old base:
-                 their edge ids (and the state they claim to improve on)
-                 are meaningless in the new epoch — even ones whose ids
-                 happen to coincide. Drop them all; migrated users simply
-                 re-enter the refine queue at their next served drain. *)
-              (match t.refine with
-              | Some rf ->
-                  if Hashtbl.length rf.rf_staged > 0 then begin
-                    rf.rf_discarded <-
-                      rf.rf_discarded + Hashtbl.length rf.rf_staged;
-                    Metrics.incr ~by:(Hashtbl.length rf.rf_staged) m
-                      "refine.discarded"
-                  end;
-                  Hashtbl.reset rf.rf_staged
-              | None -> ());
               Metrics.incr m "epoch.migrations";
               Metrics.incr ~by:!recomputed m "epoch.users_recomputed";
               if !dropped > 0 then
@@ -909,12 +608,6 @@ let drain_on ~domains t =
             Trace.span "drain.dequeue" (fun () ->
                 let requests, seq =
                   with_lock t (fun () ->
-                      (* Refinements install first, in the same lock
-                         section as the queue swap — even when the
-                         queue is empty: the drain boundary is the
-                         install boundary whether or not requests
-                         arrived. *)
-                      install_staged_locked t;
                       match List.rev t.queue with
                       | [] -> ([], None)
                       | q ->
@@ -969,13 +662,8 @@ let drain_on ~domains t =
               | Some seq -> emit t (Drain_settled { seq })
               | None -> ());
           (* Drain boundary = eviction boundary: the batch is applied
-             and settled, so every evictable session is quiescent. The
-             users this drain served enter the refine queue first, while
-             still resident. *)
-          with_lock t (fun () ->
-              enqueue_refine_locked t
-                (List.sort_uniq compare (List.map fst requests));
-              evict_over_cap_locked t);
+             and settled, so every evictable session is quiescent. *)
+          with_lock t (fun () -> evict_over_cap_locked t);
           replies))
 
 let drain t = drain_on ~domains:1 t

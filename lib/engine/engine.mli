@@ -65,35 +65,9 @@ type event =
           base. Emitted under the engine lock, before any state
           changes: a journal that rejects it leaves the engine on the
           old epoch. *)
-  | Cut_refined of { user : string; cuts : int list }
-      (** the anytime refiner ({!set_refine}) replaced the user's cut
-          with the strictly-better [cuts] (base-graph edge ids, sorted).
-          Emitted under the engine lock at a drain boundary, in the same
-          lock section as (and before) the queue swap — so in a journal
-          the refinements a drain installed sit between that drain's
-          consumed requests and its [Drained] mark, and replay
-          ({!apply_refined}) installs them at exactly the point the
-          live run did. Emitted before the state mutation: a journal
-          that rejects the record leaves the cut unreplaced. *)
 (** The journaled lifecycle of an engine — what a durable consent
     ledger ({!Cdw_store.Store}) persists to reconstruct the engine
     after a crash. *)
-
-type refine_stats = {
-  rs_pending : int;  (** users queued for a background solve *)
-  rs_staged : int;  (** better cuts awaiting the next drain boundary *)
-  rs_computed : int;  (** background exact solves run *)
-  rs_improved : int;  (** …that found a strictly better cut *)
-  rs_installed : int;  (** refinements installed (journaled) *)
-  rs_discarded : int;
-      (** stagings dropped — the user's state moved before the install
-          boundary, an epoch migrated under them, or they were
-          forgotten *)
-  rs_utility_reclaimed : float;
-      (** total utility regained by installed refinements — the gap the
-          heuristic tier left on the table and the exact tier won back *)
-}
-(** Counters of the anytime-refinement pipeline ({!set_refine}). *)
 
 type migration = {
   m_epoch : int;  (** the epoch just installed *)
@@ -151,8 +125,7 @@ val migrate : ?epoch:int -> t -> Cdw_core.Workflow.t -> migration
     memo runs the solver once per distinct constraint list. Parked
     sessions are re-solved and re-parked. Queued requests are remapped
     by name; a request pair whose endpoint vanished fails validation at
-    its drain with a clean error reply. Staged refinements are
-    discarded. [epoch] pins the installed epoch number (replay),
+    its drain with a clean error reply. [epoch] pins the installed epoch number (replay),
     default current + 1.
 
     Counters: [epoch.migrations], [epoch.users_recomputed],
@@ -272,50 +245,13 @@ val drain_fanout : t -> reply list
     states are identical to {!drain}'s. A one-shard serving group
     drains its engine this way. *)
 
-val set_refine : t -> bool -> unit
-(** Turn anytime refinement on or off (default off). When on, every
-    user a drain serves whose cut is non-empty enters a background
-    refine queue; {!refine_step} — driven from spare domains or idle
-    windows — runs the budgeted exact ILP solver
-    ({!Cdw_core.Algorithms.Exact_ilp}) on their state, and cuts the
-    solver {e proves} strictly better install at the next drain
-    boundary as journaled [Cut_refined] events. Serving latency is
-    untouched: requests are always answered immediately from the
-    heuristic tier, refinement runs entirely off the hot path.
-
-    Each background solve runs under a 250 ms solver budget, so it
-    takes about 250 ms of wall clock at most plus one greedy multicut:
-    past the budget the greedy multicut answers at once, and such an
-    answer stages nothing. Turning refinement
-    off drops the queue and any staged cuts.
-
-    Counters: [refine.computed], [refine.improved], [refine.installed],
-    [refine.discarded]; latency key [refine.solve]; gauge
-    [refine.utility_reclaimed]; trace spans [refine.solve],
-    [refine.install]. *)
-
-val refine_step : ?max:int -> t -> int
-(** Run up to [max] (default 1) queued background refinement solves,
-    outside the engine lock, and stage any strictly-better cuts found.
-    Returns the number of solves actually run (0 when refinement is
-    off or the queue is empty). Safe to call from any domain; the
-    solve runs against a snapshot of the user's state, and a staging
-    whose snapshot went stale by install time is discarded, never
-    installed. Parked (cold-tier) users are refined in place without
-    hydrating them. *)
-
-val refine_pending : t -> int
-(** Test-only: lets the refinement tests see the queue.
-
-    Queued-plus-staged refinement work outstanding; 0 when off. *)
-
-val refine_stats : t -> refine_stats option
-(** Refinement counters, if refinement is on. *)
-
 val apply_refined : t -> string -> cuts:int list -> (unit, string) result
 (** Install [cuts] (base-graph edge ids) as the user's cut directly —
     resident or parked — preserving the session's rng stream, without
-    emitting any event. This is WAL replay's handler for [Cut_refined]
-    records: it reproduces exactly the state mutation the live install
-    performed. Errors if the user has no session or an id is out of
-    range. Idempotent. *)
+    emitting any event. A parked user is re-parked with the new cut,
+    never hydrated. This is WAL replay's handler for the
+    [Cut_refined] records that builds with the anytime refiner wrote
+    ({!Cdw_store.Record.t}): it reproduces exactly the state mutation
+    the live install performed, so old ledgers still recover to the
+    state they served. Errors if the user has no session or an id is
+    out of range. Idempotent. *)

@@ -4,7 +4,7 @@
     Front ends (the serve-bench driver, the network server, the repo
     benchmark) are written once against this module. [create ~shards]
     picks the shape; everything else — submit, drain, migrate,
-    refinement, tiering, metrics, ledgers — is {!Shard_group}'s, which
+    tiering, metrics, ledgers — is {!Shard_group}'s, which
     documents how one shard and N shards drain and the durability
     contract both meet. *)
 

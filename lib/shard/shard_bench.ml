@@ -135,7 +135,6 @@ type traffic_run = {
   t_drains : int;
   t_epochs : int;  (* --evolve steps that fired (base migrations) *)
   t_tier : Tier.stats option;
-  t_refine : Engine.refine_stats option;
 }
 
 let request_of_op = function
@@ -148,20 +147,7 @@ let request_of_op = function
 
 let window_ms = 50.0
 
-let serve_traffic ?(evolve = []) ?(refine = false) (target : target) spec =
-  (* [refine] rides the drain cadence: the windows below play the role
-     of the production idle loop, stepping the background refiner
-     between drains. *)
-  let refiner =
-    match (refine, target.serving ()) with
-    | false, _ -> None
-    | true, None ->
-        invalid_arg "Shard_bench.serve_traffic: refinement is in-process only"
-    | true, Some serving ->
-        if Serving.refine_stats serving = None then
-          Serving.set_refine serving true;
-        Some serving
-  in
+let serve_traffic ?(evolve = []) (target : target) spec =
   let gen =
     Traffic.create spec ~pairs:(Workbench.connected_pairs target.base)
   in
@@ -211,9 +197,6 @@ let serve_traffic ?(evolve = []) ?(refine = false) (target : target) spec =
             if at_ms >= window_end then begin
               drain ();
               fire_due window_end;
-              Option.iter
-                (fun s -> ignore (Serving.refine_step ~max:4 s))
-                refiner;
               let skipped =
                 Float.of_int
                   (int_of_float ((at_ms -. window_end) /. window_ms))
@@ -230,15 +213,7 @@ let serve_traffic ?(evolve = []) ?(refine = false) (target : target) spec =
     (* Steps scheduled past the stream's end still fire — the schedule
        is a contract, and the post-run state must be on its last
        epoch. *)
-    fire_due infinity;
-    (* Flush the refiner: solve everything still queued, then one last
-       drain so the staged improvements install (installation is a
-       drain-boundary operation). *)
-    Option.iter
-      (fun s ->
-        while Serving.refine_step ~max:16 s > 0 do () done;
-        drain ())
-      refiner
+    fire_due infinity
   in
   let (), ms = Timing.time_f run in
   let n = Traffic.generated gen in
@@ -254,7 +229,6 @@ let serve_traffic ?(evolve = []) ?(refine = false) (target : target) spec =
     t_drains = !drains;
     t_epochs = !epochs;
     t_tier = Option.bind serving Serving.tier_stats;
-    t_refine = Option.bind serving Serving.refine_stats;
   }
 
 let traffic_run_json r =
@@ -273,23 +247,6 @@ let traffic_run_json r =
           n "parked" st.Tier.parked;
         ]
   in
-  let refine =
-    match r.t_refine with
-    | None -> []
-    | Some (rs : Engine.refine_stats) ->
-        [
-          ( "refine",
-            Json.Object
-              [
-                n "computed" rs.Engine.rs_computed;
-                n "improved" rs.Engine.rs_improved;
-                n "refinements" rs.Engine.rs_installed;
-                n "discarded" rs.Engine.rs_discarded;
-                ( "utility_reclaimed",
-                  Json.Number rs.Engine.rs_utility_reclaimed );
-              ] );
-        ]
-  in
   Json.Object
     ([
        n "shards" r.t_shards;
@@ -302,7 +259,7 @@ let traffic_run_json r =
        n "drains" r.t_drains;
      ]
     @ (if r.t_epochs > 0 then [ n "epochs_installed" r.t_epochs ] else [])
-    @ tier @ refine)
+    @ tier)
 
 let pp_traffic ppf r =
   Format.fprintf ppf
@@ -311,7 +268,7 @@ let pp_traffic ppf r =
     r.t_users r.t_shards r.t_ms r.t_rps r.t_p999_ms r.t_drains
     (if r.t_epochs > 0 then Printf.sprintf ", %d epoch install(s)" r.t_epochs
      else "");
-  (match r.t_tier with
+  match r.t_tier with
   | None -> ()
   | Some (st : Tier.stats) ->
       Format.fprintf ppf
@@ -319,16 +276,7 @@ let pp_traffic ppf r =
          @[<v>  tier: cap %d B, %d B/session, peak %d resident (%d B), %d \
          evictions, %d hydrations@]"
         st.Tier.cap_bytes st.Tier.session_bytes st.Tier.resident_peak
-        st.Tier.resident_bytes_peak st.Tier.evictions st.Tier.hydrations);
-  match r.t_refine with
-  | None -> ()
-  | Some (rs : Engine.refine_stats) ->
-      Format.fprintf ppf
-        "@,\
-         @[<v>  refine: %d solves, %d improved, %d installed, %d discarded, \
-         %.3f utility reclaimed@]"
-        rs.Engine.rs_computed rs.Engine.rs_improved rs.Engine.rs_installed
-        rs.Engine.rs_discarded rs.Engine.rs_utility_reclaimed
+        st.Tier.resident_bytes_peak st.Tier.evictions st.Tier.hydrations
 
 type row = { r_shards : int; r_ms : float; r_rps : float; r_speedup : float }
 

@@ -78,8 +78,6 @@ type traffic_run = {
   t_drains : int;
   t_epochs : int;  (** [evolve] steps that fired (base migrations) *)
   t_tier : Cdw_engine.Tier.stats option;  (** in-process, under a memory cap *)
-  t_refine : Cdw_engine.Engine.refine_stats option;
-      (** in-process, with refinement on — the anytime refiner's counters *)
 }
 
 val request_of_op : Cdw_workload.Traffic.op -> Cdw_engine.Engine.request
@@ -91,7 +89,6 @@ val request_of_op : Cdw_workload.Traffic.op -> Cdw_engine.Engine.request
 
 val serve_traffic :
   ?evolve:Cdw_workload.Evolve.step list ->
-  ?refine:bool ->
   target ->
   Cdw_workload.Traffic.spec ->
   traffic_run
@@ -104,19 +101,14 @@ val serve_traffic :
     [at_ms], mutating the base the previous step installed (the
     target's base first) and installing the mutant; steps left when the
     stream ends fire at the final drain, so the run always lands on the
-    schedule's last epoch. [refine] (default off; in-process only,
-    [Invalid_argument] otherwise) turns the anytime refiner on
-    ({!Serving.set_refine}, unless already on) and steps it between
-    windows — up to 4 background solves per boundary, playing the
-    production idle loop; after the stream ends the queue is flushed
-    and one extra drain installs the last staged improvements. Memory
-    caps are the caller's to set on the serving value beforehand. *)
+    schedule's last epoch. Memory caps are the caller's to set on the
+    serving value beforehand. *)
 
 val traffic_run_json : traffic_run -> Cdw_util.Json.t
 (** Request/user counts, wall time, sustained rps, p999, drains, plus
     the tier counters ([mem_cap_bytes], [session_bytes],
     [sessions_resident_peak], [resident_bytes_peak], [hydrations],
-    [evictions]) when capped and the refiner's when refining. *)
+    [evictions]) when capped. *)
 
 val pp_traffic : Format.formatter -> traffic_run -> unit
 

@@ -29,15 +29,9 @@ type item = {
    first-submission sequence number: the unit the gather sorts. *)
 type gather = { g_seq : int; g_replies : Engine.reply list }
 
-type command = Drain of int * int | Refine of int * int | Stop
+type command = Drain of int * int | Stop
 (* Drain (ticket, trace parent): the ticket matches a result to the
-   group drain that asked for it. Refine (ticket, max): run up to [max]
-   background refinement solves ({!Engine.refine_step}) on this shard's
-   pinned domain. *)
-
-(* What a worker hands back for a ticket: a drain's gathers, or a
-   refine step's solve count. *)
-type payload = Gathers of gather list | Refined of int
+   group drain that asked for it. *)
 
 type shard = {
   position : int;
@@ -48,7 +42,7 @@ type shard = {
   m : Mutex.t;  (* guards [cmd], [outcome] *)
   cv : Condition.t;
   mutable cmd : command option;
-  mutable outcome : (int * (payload, exn) result * float) option;
+  mutable outcome : (int * (gather list, exn) result * float) option;
       (* (ticket, result, finish time µs) — the finish time is what the
          gather uses to charge each shard's barrier wait *)
   mutable domain : unit Domain.t option;  (* the pinned drain domain *)
@@ -119,9 +113,9 @@ let seed t = Engine.seed t.members.(0).engine
 let base t = Engine.base t.members.(0).engine
 
 (* One shard serves on the caller: submits go straight into its engine
-   (journaled there, write-ahead), drains and refine steps run on the
-   calling domain with the engine's own per-user fan-out, and no pinned
-   domain is ever spawned. The shard count alone picks the path. *)
+   (journaled there, write-ahead), drains run on the calling domain
+   with the engine's own per-user fan-out, and no pinned domain is ever
+   spawned. The shard count alone picks the path. *)
 let direct t = t.shards = 1
 
 (* ---------------------------------------------------------------- *)
@@ -347,34 +341,12 @@ let rec worker shard =
   | Drain (ticket, parent) ->
       let outcome =
         match drain_shard shard ~parent with
-        | g -> Ok (Gathers g)
+        | g -> Ok g
         | exception e -> Error e
       in
       let finished_us = Unix.gettimeofday () *. 1e6 in
       Mutex.lock shard.m;
       shard.outcome <- Some (ticket, outcome, finished_us);
-      Condition.broadcast shard.cv;
-      Mutex.unlock shard.m;
-      worker shard
-  | Refine (ticket, max) ->
-      (* Background refinement rides the same pinned domain as the
-         shard's drains — between drains it is otherwise idle — with
-         the same busy/flight accounting, so `trace summarize` and the
-         domain stats attribute refine wall time to the shard that
-         spent it. *)
-      let t0 = Unix.gettimeofday () in
-      let outcome =
-        match Engine.refine_step ~max shard.engine with
-        | n -> Ok (Refined n)
-        | exception e -> Error e
-      in
-      let finished = Unix.gettimeofday () in
-      let dur_us = (finished -. t0) *. 1e6 in
-      Domain_acct.bump shard.acct.Domain_acct.busy_us dur_us;
-      Flight.record ~shard:shard.position "shard.refine" ~t0_us:(t0 *. 1e6)
-        ~dur_us;
-      Mutex.lock shard.m;
-      shard.outcome <- Some (ticket, outcome, finished *. 1e6);
       Condition.broadcast shard.cv;
       Mutex.unlock shard.m;
       worker shard
@@ -461,62 +433,8 @@ let drain t =
                     Domain_acct.bump t.members.(i).acct.Domain_acct.barrier_us
                       (slowest -. fin))
                   results;
-                let gathers =
-                  Array.to_list results
-                  |> List.concat_map (fun (p, _) ->
-                         match p with
-                         | Gathers g -> g
-                         | Refined _ -> assert false)
-                in
+                let gathers = Array.to_list results |> List.concat_map fst in
                 observed "group.merge" (fun () -> merge gathers))))
-
-(* ---------------------------------------------------------------- *)
-(* Anytime refinement: each shard refines its own users, on its own
-   pinned domain — the step is scattered/gathered like a drain (and
-   serialized against drains by the same lock, so installs only ever
-   race the drain boundary inside one engine's own lock). *)
-
-let set_refine t enabled =
-  Array.iter (fun s -> Engine.set_refine s.engine enabled) t.members
-
-let refine_step ?(max = 1) t =
-  with_lock t.drain_lock (fun () ->
-      if direct t then Engine.refine_step ~max t.members.(0).engine
-      else
-        observed "group.refine" (fun () ->
-            ensure_workers t;
-            let ticket = t.tickets in
-            t.tickets <- ticket + 1;
-            Array.iter (fun s -> send s (Refine (ticket, max))) t.members;
-            Array.fold_left
-              (fun acc s ->
-                match await s ticket with
-                | Refined n, _ -> acc + n
-                | Gathers _, _ -> assert false)
-              0 t.members))
-
-let refine_stats t =
-  let per =
-    Array.to_list t.members
-    |> List.filter_map (fun s -> Engine.refine_stats s.engine)
-  in
-  match per with
-  | [] -> None
-  | hd :: tl ->
-      Some
-        (List.fold_left
-           (fun (a : Engine.refine_stats) (b : Engine.refine_stats) ->
-             {
-               Engine.rs_pending = a.rs_pending + b.rs_pending;
-               rs_staged = a.rs_staged + b.rs_staged;
-               rs_computed = a.rs_computed + b.rs_computed;
-               rs_improved = a.rs_improved + b.rs_improved;
-               rs_installed = a.rs_installed + b.rs_installed;
-               rs_discarded = a.rs_discarded + b.rs_discarded;
-               rs_utility_reclaimed =
-                 a.rs_utility_reclaimed +. b.rs_utility_reclaimed;
-             })
-           hd tl)
 
 (* ---------------------------------------------------------------- *)
 (* Epoch migration                                                   *)
@@ -687,25 +605,6 @@ let metrics_json t =
               ] );
         ]
   in
-  let refine_json =
-    match refine_stats t with
-    | None -> []
-    | Some (rs : Engine.refine_stats) ->
-        let n k v = (k, Json.Number (float_of_int v)) in
-        [
-          ( "refine",
-            Json.Object
-              [
-                n "pending" rs.Engine.rs_pending;
-                n "staged" rs.rs_staged;
-                n "computed" rs.rs_computed;
-                n "improved" rs.rs_improved;
-                n "refinements" rs.rs_installed;
-                n "discarded" rs.rs_discarded;
-                ("utility_reclaimed", Json.Number rs.rs_utility_reclaimed);
-              ] );
-        ]
-  in
   let merged = metrics t in
   (* Solve memo traffic, summed over the shards' per-epoch memos. *)
   let memo_json =
@@ -730,7 +629,7 @@ let metrics_json t =
       ( "domains",
         Json.Array (List.map Domain_acct.stats_json (domain_stats t)) );
     ]
-    @ tier_json @ refine_json
+    @ tier_json
   in
   match Metrics.to_json merged with
   | Json.Object fields -> Json.Object (fields @ extra)

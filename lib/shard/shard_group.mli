@@ -95,7 +95,7 @@ val create :
     as in {!Cdw_engine.Engine.create}, same [seed] for all — that
     sameness is what makes the group bit-identical to a single
     engine). A multi-shard group spawns its pinned domains at its first
-    {!drain} or {!refine_step}. Raises [Invalid_argument] if
+    {!drain}. Raises [Invalid_argument] if
     [shards < 1]. *)
 
 val shards : t -> int
@@ -180,22 +180,6 @@ val sessions : t -> (string * Cdw_engine.Session.t) list
 
     All {e resident} sessions of all shards, sorted by user id. *)
 
-val set_refine : t -> bool -> unit
-(** Turn anytime cut refinement on or off on every shard engine
-    ({!Cdw_engine.Engine.set_refine}). *)
-
-val refine_step : ?max:int -> t -> int
-(** One refinement step: every shard runs up to [max] background exact
-    solves over its own users ({!Cdw_engine.Engine.refine_step}),
-    serialized against drains by the drain lock. One shard runs it on
-    the caller; N shards each run it on their own pinned domain,
-    concurrently, spawning the domains on first use like {!drain}.
-    Returns the total solves run. *)
-
-val refine_stats : t -> Cdw_engine.Engine.refine_stats option
-(** Refinement counters summed across shards; [None] when refinement
-    is off. *)
-
 val set_mem_cap : ?session_bytes:int -> t -> int option -> unit
 (** Bound resident-session memory across the group: the cap is split
     evenly across shards (the router spreads users near-uniformly) and
@@ -228,9 +212,8 @@ val metrics_json : t -> Cdw_util.Json.t
     [solve.memo.hit]/[solve.memo.miss] counters as [hits]/[misses],
     and [hit_frac] = hits / (hits + misses), 0 before any lookup), the
     ["shards"] count, the ["domains"] array
-    ({!domain_stats}), and, when on, ["tier"] ({!tier_stats}) and
-    ["refine"] ({!refine_stats}; [refinements] = installed)
-    objects. *)
+    ({!domain_stats}), and, when tiering is on, a ["tier"] object
+    ({!tier_stats}). *)
 
 val prometheus : t -> string
 (** All shards in one Prometheus exposition, each shard's series

@@ -28,12 +28,14 @@ type t =
           JSON string escaping flattens to the one-frame-per-line WAL
           discipline. *)
   | Cut_refined of { user : string; cuts : (string * string) list }
-      (** the anytime refiner replaced the user's cut with [cuts] —
-          edge (src name, dst name) pairs, like snapshot cuts: each
-          names an edge live in the base. Sits between a drain's
-          consumed requests and its [Drain] mark; replay applies it on
-          sight ({!Cdw_engine.Engine.apply_refined}), reproducing the
-          live install point. *)
+      (** written by older builds, which ran an anytime refiner; this
+          build never writes it, but still replays it. The refiner
+          replaced the user's cut with [cuts] — edge (src name, dst
+          name) pairs, like snapshot cuts: each names an edge live in
+          the base. Sits between a drain's consumed requests and its
+          [Drain] mark; replay applies it on sight
+          ({!Cdw_engine.Engine.apply_refined}), reproducing the live
+          install point. *)
 
 val encode : t -> string
 (** Compact (non-pretty) JSON, newline-free. *)

@@ -502,19 +502,6 @@ let attach t engine =
     | Engine.Drain_settled _ -> maybe_auto_snapshot t engine
     | Engine.Epoch_installed { epoch; workflow } ->
         log t (Record.Epoch_installed { epoch; workflow })
-    | Engine.Cut_refined { user; cuts } ->
-        (* Like snapshot cuts: each id names an edge live in the base,
-           identified across reloads by its (src, dst) names. *)
-        let g = Workflow.graph wf in
-        let cuts =
-          List.map
-            (fun id ->
-              let e = Cdw_graph.Digraph.edge g id in
-              ( encode_vertex wf (Cdw_graph.Digraph.edge_src e),
-                encode_vertex wf (Cdw_graph.Digraph.edge_dst e) ))
-            cuts
-        in
-        log t (Record.Cut_refined { user; cuts })
   in
   Engine.set_journal engine (Some hook)
 
@@ -658,7 +645,8 @@ let replay engine entries ~valid_end ~tail =
               ignore (Engine.migrate ~epoch engine ewf);
               Ok ()
           | Record.Cut_refined { user; cuts } ->
-              (* Applied on sight, not at the next [Drain] record: the
+              (* Only ledgers written by older builds hold these.
+                 Applied on sight, not at the next [Drain] record: the
                  live install ran inside the drain's dequeue lock
                  section, i.e. after the requests preceding it in the
                  WAL were queued and before any of them was served —

@@ -109,6 +109,39 @@ let test_unknown_experiment () =
   Alcotest.(check bool) "unknown experiment errors" true
     (eval [ "experiment"; "fig99" ] <> 0)
 
+(* Exit code and stderr of one in-process run. *)
+let eval_stderr args =
+  let path = temp_path ".err" in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let saved = Unix.dup Unix.stderr in
+  let flush_all () =
+    Format.pp_print_flush Format.err_formatter ();
+    flush stderr
+  in
+  flush_all ();
+  Unix.dup2 fd Unix.stderr;
+  let code =
+    Fun.protect
+      ~finally:(fun () ->
+        flush_all ();
+        Unix.dup2 saved Unix.stderr;
+        Unix.close saved;
+        Unix.close fd)
+      (fun () -> eval args)
+  in
+  let err = read path in
+  Sys.remove path;
+  (code, err)
+
+(* A flag the chosen mode would ignore is a usage error, not a run. *)
+let rejects args ~says () =
+  let code, err = eval_stderr args in
+  Alcotest.(check bool) "nonzero exit" true (code <> 0);
+  if not (contains err says) then
+    Alcotest.failf "stderr lacks %S:\n%s" says err
+
+let no_server = Filename.concat (Filename.get_temp_dir_name ()) "cdw-no-server.sock"
+
 let suite =
   [
     Alcotest.test_case "generate writes a parseable file" `Quick
@@ -127,4 +160,24 @@ let suite =
       test_json_pipeline;
     Alcotest.test_case "missing file errors" `Quick test_missing_file;
     Alcotest.test_case "unknown experiment errors" `Quick test_unknown_experiment;
+    Alcotest.test_case "serve-bench --fsync needs --journal" `Quick
+      (rejects
+         [ "serve-bench"; "--quick"; "--fsync"; "always" ]
+         ~says:"--fsync requires --journal");
+    Alcotest.test_case "serve --fsync needs --journal" `Quick
+      (rejects
+         [ "serve"; "--listen"; no_server; "--fsync"; "always" ]
+         ~says:"--fsync requires --journal");
+    Alcotest.test_case "serve-bench --connect rejects --journal" `Quick
+      (rejects
+         [ "serve-bench"; "--connect"; no_server; "--journal"; no_server ^ ".d" ]
+         ~says:"in-process only");
+    Alcotest.test_case "serve-bench --connect rejects --mem-cap-bytes" `Quick
+      (rejects
+         [ "serve-bench"; "--connect"; no_server; "--mem-cap-bytes"; "4096" ]
+         ~says:"in-process only");
+    Alcotest.test_case "serve-bench --connect rejects --prom-out" `Quick
+      (rejects
+         [ "serve-bench"; "--connect"; no_server; "--prom-out"; no_server ^ ".prom" ]
+         ~says:"in-process only");
   ]

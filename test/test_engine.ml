@@ -566,6 +566,83 @@ let test_memo_withdraw_isolated () =
   Alcotest.(check (list int)) "b's workflow unchanged" b_live
     (live_ids (Session.workflow b))
 
+(* Incremental sessions can differ from batch (DESIGN.md §17): a user
+   whose pairs arrive one drain at a time gets an order-greedy cut —
+   [Incremental.update] solves only the pairs the current cut leaves
+   connected — which can be strictly worse than one exact solve of the
+   whole set. Seed 16 is such an instance for remove-min-mc. *)
+let dense_instance seed =
+  (Generator.generate ~seed
+     {
+       Cdw_workload.Gen_params.default with
+       Cdw_workload.Gen_params.n_vertices = 40;
+       n_constraints = 0;
+       stages = 4;
+       density = 0.15;
+     })
+    .Generator.workflow
+
+let test_incremental_is_order_greedy () =
+  let wf = dense_instance 16 in
+  let pairs = [ (3, 38); (6, 38) ] in
+  let exact =
+    match Constraint_set.make wf pairs with
+    | Ok cs -> (Algorithms.solve Algorithms.Exact_ilp wf cs).Algorithms.utility_after
+    | Error e -> Alcotest.failf "constraint set: %s" e
+  in
+  let engine = Engine.create ~algorithm:Algorithms.Remove_min_mc ~seed:16 wf in
+  List.iter
+    (fun p ->
+      Engine.submit engine ~user:"u" (Engine.Add [ p ]);
+      ignore (Engine.drain engine))
+    pairs;
+  let incremental = Session.utility (Engine.session engine "u") in
+  if incremental >= exact -. 1e-9 then
+    Alcotest.failf "incremental cut (%.1f) is not worse than batch (%.1f)"
+      incremental exact
+
+(* Replay's handler for old ledgers' [Cut_refined] records: the cut is
+   installed on a resident session in place, and on a parked record
+   without hydrating it. *)
+let test_apply_refined_resident_and_parked () =
+  let wf = dense_instance 31 in
+  let pairs = connected_pairs wf 3 in
+  let better =
+    match Constraint_set.make wf pairs with
+    | Ok cs ->
+        (Algorithms.solve Algorithms.Exact_ilp wf cs).Algorithms.workflow
+        |> Workflow.graph |> Digraph.removed_edge_ids |> List.sort compare
+    | Error e -> Alcotest.failf "constraint set: %s" e
+  in
+  let engine = Engine.create ~algorithm:Algorithms.Remove_last_edge wf in
+  let cuts user =
+    match
+      List.find_opt (fun (u, _, _) -> u = user) (Engine.session_states engine)
+    with
+    | Some (_, _, cuts) -> cuts
+    | None -> Alcotest.failf "user %s has no state" user
+  in
+  List.iter
+    (fun user -> Engine.submit engine ~user (Engine.Add pairs))
+    [ "hot"; "cold" ];
+  ignore (Engine.drain engine);
+  Alcotest.(check bool) "the heuristic cut differs" true (cuts "hot" <> better);
+  (match Engine.apply_refined engine "hot" ~cuts:better with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check (list int)) "resident cut replaced" better (cuts "hot");
+  (* A 1-byte cap parks every session at once. *)
+  Engine.set_mem_cap ~session_bytes:1024 engine (Some 1);
+  (match Engine.apply_refined engine "cold" ~cuts:better with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check (list int)) "parked cut replaced" better (cuts "cold");
+  Alcotest.(check bool) "still parked" true (Engine.sessions engine = []);
+  Alcotest.(check int) "never hydrated" 0
+    (Option.get (Engine.tier_stats engine)).Cdw_engine.Tier.hydrations;
+  Alcotest.(check bool) "an unknown user is an error" true
+    (Result.is_error (Engine.apply_refined engine "nobody" ~cuts:better))
+
 let suite =
   [
     test_snapshot_matches_bfs;
@@ -585,4 +662,10 @@ let suite =
     ("solve memo: [p; q] and [q; p] are separate entries", `Quick, test_memo_key_keeps_order);
     ("solve memo: remove-random-edge bypasses it", `Quick, test_memo_skips_random);
     ("solve memo: a withdrawal leaves sharers untouched", `Quick, test_memo_withdraw_isolated);
+    ( "remove-min-mc: an incremental cut can be worse than batch",
+      `Quick,
+      test_incremental_is_order_greedy );
+    ( "apply_refined: resident in place, parked without hydrating",
+      `Quick,
+      test_apply_refined_resident_and_parked );
   ]

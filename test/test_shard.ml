@@ -286,7 +286,7 @@ let apply_records ~algorithm ~seed wf records =
       | Record.Session_close { user } -> Engine.forget engine user
       | Record.Drain _ -> ignore (Engine.drain engine)
       | Record.Cut_refined _ ->
-          (* These hand-replay suites never enable refinement. *)
+          (* Only ledgers of older builds hold these. *)
           Alcotest.fail "hand replay: unexpected Cut_refined record"
       | Record.Epoch_installed { epoch; workflow } -> (
           match Serialize.parse workflow with
@@ -547,16 +547,14 @@ let serve_round serving round =
   List.iter (fun (user, rq) -> Serving.submit serving ~user rq) round;
   ignore (Serving.drain serving)
 
-(* One shard serves on the caller: a drain, a refine step and a live
-   migration spawn no pinned domain, so there is none to account. *)
+(* One shard serves on the caller: a drain and a live migration spawn
+   no pinned domain, so there is none to account. *)
 let test_one_shard_spawns_no_domain () =
   let wf, rounds = one_shard_rounds () in
   let serving =
     Serving.create ~algorithm:Algorithms.Remove_last_edge ~seed:29 wf
   in
-  Serving.set_refine serving true;
   List.iter (serve_round serving) rounds;
-  ignore (Serving.refine_step ~max:4 serving);
   let next = Evolve.mutate Evolve.default_step (Serving.base serving) in
   ignore (Serving.migrate serving next);
   Alcotest.(check int) "one shard" 1 (Serving.shards serving);
@@ -705,7 +703,7 @@ let suite =
     ("group manifest: errors are clean", `Quick, test_group_manifest_errors);
     ("observability: merged metrics + labelled exposition", `Quick, test_merged_metrics_and_prometheus);
     ("one base: shard engines share the group's frozen base", `Quick, test_shards_share_one_base);
-    ("one shard: drain, refine and migrate spawn no domain", `Quick, test_one_shard_spawns_no_domain);
+    ("one shard: drain and migrate spawn no domain", `Quick, test_one_shard_spawns_no_domain);
     ("one shard: a journaled value writes group.json + shard-0/", `Quick, test_one_shard_group_layout);
     ("one shard: a root ledger resumes and journals in place", `Quick, test_root_ledger_resumes_as_one_shard);
     ("group commit: WAL on disk = wal_length after every drain", `Quick, test_group_commit_on_disk);

@@ -39,11 +39,13 @@ let temp_dir =
     else Unix.mkdir dir 0o755;
     dir
 
-let rm_rf dir =
-  if Sys.file_exists dir then begin
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Unix.rmdir dir
-  end
+let rec rm_rf path =
+  match Sys.is_directory path with
+  | true ->
+      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+      Unix.rmdir path
+  | false -> Sys.remove path
+  | exception Sys_error _ -> ()
 
 let with_dir f =
   let dir = temp_dir () in
@@ -323,7 +325,7 @@ let apply_records wf records =
       | Record.Session_close { user } -> Engine.forget engine user
       | Record.Drain _ -> ignore (Engine.drain engine)
       | Record.Cut_refined _ ->
-          (* These hand-replay suites never enable refinement. *)
+          (* Only ledgers of older builds hold these. *)
           Alcotest.fail "hand replay: unexpected Cut_refined record"
       | Record.Epoch_installed { epoch; workflow } -> (
           match Serialize.parse workflow with
@@ -753,6 +755,56 @@ let test_verify_report () =
           Alcotest.(check bool) "damage detected" false
             (Store.report_clean report))
 
+(* ---------------------------------------------------------------- *)
+(* A ledger written by an older build                                 *)
+
+(* [fixtures/refined-ledger] was journaled by a build that still ran
+   the anytime refiner (remove-last-edge, 2 shards, under a memory cap
+   that parked most refined users); [fixtures/refined-ledger.state] is
+   that build's [cdw store replay --state] output for it. Its
+   [Cut_refined] records must still replay to exactly that state. *)
+let test_old_ledger_replays () =
+  let module Serving = Cdw_shard.Serving in
+  let fixture = "fixtures/refined-ledger" in
+  let expected =
+    In_channel.with_open_bin "fixtures/refined-ledger.state"
+      In_channel.input_all
+  in
+  let shards = [ "shard-0"; "shard-1" ] in
+  let refined =
+    List.concat_map
+      (fun d ->
+        surviving_records (Filename.concat fixture (d ^ "/wal-000000.log")))
+      shards
+    |> List.filter (function Record.Cut_refined _ -> true | _ -> false)
+  in
+  Alcotest.(check int) "the fixture holds Cut_refined records" 78
+    (List.length refined);
+  let root = temp_dir () in
+  Fault.copy_ledger ~src:fixture ~dst:root;
+  List.iter
+    (fun d ->
+      Fault.copy_ledger ~src:(Filename.concat fixture d)
+        ~dst:(Filename.concat root d))
+    shards;
+  Fun.protect ~finally:(fun () -> rm_rf root) @@ fun () ->
+  match Serving.resume root with
+  | Error e -> Alcotest.failf "resume: %s" e
+  | Ok r ->
+      let state =
+        Serving.engines r.Serving.serving
+        |> Array.to_list
+        |> List.map (fun e ->
+               Json.to_string (Store.snapshot_state_json e) ^ "\n")
+        |> String.concat ""
+      in
+      let shards = Serving.shards r.Serving.serving in
+      Serving.close r.Serving.serving;
+      Alcotest.(check int) "two shards" 2 shards;
+      Alcotest.(check (list int)) "no damaged shard" [] r.Serving.damaged;
+      Alcotest.(check string) "recovered state is the recorded one" expected
+        state
+
 let suite =
   [
     ("crc32 vectors", `Quick, test_crc_vectors);
@@ -774,4 +826,5 @@ let suite =
     ("compaction preserves state", `Quick, test_compact_preserves_state);
     ("compaction crash window", `Quick, test_compact_crash_window);
     ("verify report", `Quick, test_verify_report);
+    ("a ledger with Cut_refined records replays", `Quick, test_old_ledger_replays);
   ]
