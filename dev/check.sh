@@ -21,6 +21,11 @@ LINT=$(./_build/default/dev/export_lint.exe) || { echo "$LINT"; exit 1; }
 ./_build/default/examples/quickstart.exe > /dev/null
 ./_build/default/examples/consent_service.exe > /dev/null
 
+# Repository benchmark smoke: every BENCHMARK.json workload at 1% size,
+# untraced and traced, with repeated-run digest equality and the
+# recovered state equal to the served one (about 2 s).
+./_build/default/perfbench/cdw_bench.exe --smoke BENCHMARK.json
+
 # Representation-differential gate: the five solving algorithms must be
 # bit-identical on the mutable builder vs the frozen copy-free view
 # (also part of `dune runtest`; named here so a failure is unmissable).

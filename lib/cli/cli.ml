@@ -280,7 +280,7 @@ let serve_bench_cmd =
     Arg.(value & opt int 3 & info [ "trials" ] ~doc:"Timing trials per server (best-of).")
   in
   let connect =
-    Arg.(value & opt (some sockaddr_conv) None & info [ "connect" ] ~docv:"ADDR" ~doc:"Drive a remote `cdw serve' at $(docv) (Unix socket path or HOST:PORT) over the wire protocol instead of serving in-process. The script is built against the server's own base workflow (fetched via Hello). --journal, --mem-cap-bytes, --prom-out and --stats-out are in-process only and rejected here: set the ledger and the cap on `cdw serve', and fetch its metrics with --metrics-out.")
+    Arg.(value & opt (some sockaddr_conv) None & info [ "connect" ] ~docv:"ADDR" ~doc:"Drive a remote `cdw serve' at $(docv) (Unix socket path or HOST:PORT) over the wire protocol instead of serving in-process. The script is built against the server's own base workflow (fetched via Hello). --journal, --mem-cap-bytes, --shards, --vertices, --stages, --density, --prom-out and --stats-out are in-process only and rejected here: set the ledger, the cap, the shard count and the workflow's shape on `cdw serve', and fetch its metrics with --metrics-out.")
   in
   let user_prefix =
     Arg.(value & opt string "user" & info [ "user-prefix" ] ~docv:"NAME" ~doc:"Session-name prefix for --connect clients. Concurrent clients with distinct prefixes share one server without touching each other's sessions.")
@@ -414,6 +414,10 @@ let serve_bench_cmd =
         `Error (false, "--journal and --mem-cap-bytes are in-process only; with --connect, set them on `cdw serve'")
     | _ when connect <> None && (prom_out <> None || stats_out <> None) ->
         `Error (false, "--prom-out and --stats-out are in-process only; with --connect, use --metrics-out")
+    | _ when connect <> None && shards <> None ->
+        `Error (false, "--shards is in-process only; with --connect, set it on `cdw serve'")
+    | _ when connect <> None && (vertices <> None || stages <> None || density <> None) ->
+        `Error (false, "--vertices, --stages and --density are in-process only; with --connect, the script runs on the server's base (shape it on `cdw serve')")
     | Ok traffic_spec, Ok evolve_steps -> (
     let bench = bench traffic_spec evolve_steps in
     match connect with

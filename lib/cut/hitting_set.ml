@@ -172,7 +172,9 @@ let expand p info chosen_reduced =
     info.kept_elems;
   chosen
 
-let solve_ilp ?(deadline = infinity) p =
+(* The general exact path: presolve, then branch-and-bound over LP
+   relaxations. *)
+let solve_presolved_ilp ~deadline p =
   let info = presolve p in
   let q = info.reduced in
   if Array.length q.sets = 0 then expand p info (Array.make q.n_elems false)
@@ -195,6 +197,14 @@ let solve_ilp ?(deadline = infinity) p =
         (* Cannot happen: choosing every element hits every non-empty set. *)
         assert false
   end
+
+(* The certified dual simplex first: when it answers, its set is the
+   unique optimum, which the presolved path would return as well. *)
+let solve_ilp ?(deadline = infinity) p =
+  validate p;
+  match Cdw_lp.Simplex.solve_cover_unique ~deadline ~weights:p.weights p.sets with
+  | Some x -> x
+  | None -> solve_presolved_ilp ~deadline p
 
 let solve_greedy p =
   validate p;

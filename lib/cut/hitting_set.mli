@@ -32,7 +32,11 @@ val presolve : problem -> presolve_info
     and extended with [forced], is optimal for the original problem. *)
 
 val solve_ilp : ?deadline:float -> problem -> bool array
-(** Exact, via {!Cdw_lp.Ilp} on the presolved problem. Raises
+(** Exact. First {!Cdw_lp.Simplex.solve_cover_unique} on the problem as
+    given, with no presolve: when it certifies a unique 0/1 optimum,
+    that set is the answer. Otherwise (a tied or fractional optimum, or
+    its pivot cap) {!Cdw_lp.Ilp} on the presolved problem, which would
+    return the same set had the certificate held. Raises
     [Invalid_argument] on an empty set (unhittable); raises
     [Cdw_util.Timing.Timeout] when [deadline] passes or the
     branch-and-bound tree outgrows {!Cdw_lp.Ilp.solve}'s node limit. *)

@@ -256,3 +256,170 @@ let feasible_value problem x =
       | Eq -> Float.abs (!lhs -. b) <= feas_eps)
     problem.constraints
   && Array.for_all (fun xj -> xj >= -.feas_eps) x
+
+(* Dual simplex for the covering LP [min w·x, Σ_{e∈S} x_e ≥ 1, x ≥ 0],
+   certified for a unique 0/1 optimum; see the interface for the proof.
+   The tableau is one flat array: m constraint rows then the reduced-cost
+   row, each [n + m + 1] wide (structural columns, surplus columns, the
+   right-hand side last). Row i starts as [-a_i · x + s_i = -1] with the
+   surplus s_i basic at -1; the reduced costs start at [w ≥ 0], so the
+   start is dual-feasible and the dual simplex needs neither artificials
+   nor a phase 1. *)
+
+let cover_margin = 1e-7
+let cover_int_eps = 1e-9
+
+(* Scratch tableaux, shared by every domain: the tableau is major-heap
+   sized, and allocating one per call costs peak RSS. Per-domain buffers
+   would cost it too, since every fan-out drain spawns fresh domains. A
+   call pops one (or starts an empty one), grows it if needed and pushes
+   it back, so the pool holds one per concurrent caller. *)
+type cover_scratch = { mutable cells : float array; mutable idx : int array }
+
+let cover_pool : cover_scratch list Atomic.t = Atomic.make []
+
+let rec take_scratch () =
+  match Atomic.get cover_pool with
+  | [] -> { cells = [||]; idx = [||] }
+  | s :: rest as l ->
+      if Atomic.compare_and_set cover_pool l rest then s else take_scratch ()
+
+let rec give_scratch s =
+  let l = Atomic.get cover_pool in
+  if not (Atomic.compare_and_set cover_pool l (s :: l)) then give_scratch s
+
+let cover_pivot cells idx ~m ~width ~row ~col =
+  let base = row * width in
+  let p = cells.(base + col) in
+  for j = 0 to width - 1 do
+    cells.(base + j) <- cells.(base + j) /. p
+  done;
+  (* Eliminate over the pivot row's non-zero columns only; idx's tail
+     past the basis holds their list. *)
+  let n_nz = ref 0 in
+  for j = 0 to width - 1 do
+    if cells.(base + j) <> 0.0 then begin
+      idx.(m + !n_nz) <- j;
+      incr n_nz
+    end
+  done;
+  for i = 0 to m do
+    if i <> row then begin
+      let off = i * width in
+      let f = cells.(off + col) in
+      if f <> 0.0 then
+        for k = m to m + !n_nz - 1 do
+          let j = idx.(k) in
+          cells.(off + j) <- cells.(off + j) -. (f *. cells.(base + j))
+        done
+    end
+  done;
+  idx.(row) <- col
+
+let cover_run ~deadline ~weights ~sets s =
+  let n = Array.length weights in
+  let m = Array.length sets in
+  let width = n + m + 1 in
+  let rhs = n + m in
+  let obj = m * width in
+  let n_cells = (m + 1) * width in
+  if Array.length s.cells < n_cells then s.cells <- Array.make n_cells 0.0
+  else Array.fill s.cells 0 n_cells 0.0;
+  if Array.length s.idx < m + width then s.idx <- Array.make (m + width) 0;
+  let cells = s.cells and idx = s.idx in
+  Array.iteri
+    (fun i set ->
+      let off = i * width in
+      Array.iter (fun e -> cells.(off + e) <- -1.0) set;
+      cells.(off + n + i) <- 1.0;
+      cells.(off + rhs) <- -1.0;
+      idx.(i) <- n + i)
+    sets;
+  Array.blit weights 0 cells obj n;
+  let max_pivots = 4 * (n + m) + 64 in
+  (* Optimal: every basic value is non-negative. Certify a unique 0/1
+     optimum or decline. *)
+  let certify () =
+    (* idx's tail marks each column: 1 basic, 2 nonbasic with a reduced
+       cost within the margin ("flat"), 0 the rest. *)
+    Array.fill idx m width 0;
+    for i = 0 to m - 1 do idx.(m + idx.(i)) <- 1 done;
+    let n_flat = ref 0 in
+    for j = 0 to rhs - 1 do
+      if idx.(m + j) = 0 && cells.(obj + j) <= cover_margin then begin
+        idx.(m + j) <- 2;
+        incr n_flat
+      end
+    done;
+    (* Row i blocks the flat columns: its basic value is 0 and each flat
+       column has a positive entry in it. *)
+    let blocks i =
+      let off = i * width in
+      let rec positive j =
+        j >= rhs || ((idx.(m + j) <> 2 || cells.(off + j) > eps) && positive (j + 1))
+      in
+      Float.abs cells.(off + rhs) <= cover_int_eps && positive 0
+    in
+    let rec blocked i = i < m && (blocks i || blocked (i + 1)) in
+    if !n_flat > 0 && not (blocked 0) then None
+    else begin
+      let x = Array.make n false in
+      let integral = ref true in
+      for i = 0 to m - 1 do
+        let j = idx.(i) in
+        if j < n then begin
+          let v = cells.((i * width) + rhs) in
+          if Float.abs (v -. 1.0) <= cover_int_eps then x.(j) <- true
+          else if Float.abs v > cover_int_eps then integral := false
+        end
+      done;
+      if !integral && Array.for_all (Array.exists (fun e -> x.(e))) sets then
+        Some x
+      else None
+    end
+  in
+  let rec loop k =
+    if k land 63 = 0 then Cdw_util.Timing.check_deadline deadline;
+    if k > max_pivots then None
+    else begin
+      (* Leaving row: the most negative basic value. *)
+      let row = ref (-1) in
+      let worst = ref (-.eps) in
+      for i = 0 to m - 1 do
+        let v = cells.((i * width) + rhs) in
+        if v < !worst then begin
+          worst := v;
+          row := i
+        end
+      done;
+      if !row < 0 then certify ()
+      else begin
+        (* Entering column: the dual ratio test, smallest index on ties. *)
+        let base = !row * width in
+        let col = ref (-1) in
+        let best = ref infinity in
+        for j = 0 to rhs - 1 do
+          let a = cells.(base + j) in
+          if a < -.eps then begin
+            let ratio = cells.(obj + j) /. -.a in
+            if ratio < !best then begin
+              best := ratio;
+              col := j
+            end
+          end
+        done;
+        if !col < 0 then None
+        else begin
+          cover_pivot cells idx ~m ~width ~row:!row ~col:!col;
+          loop (k + 1)
+        end
+      end
+    end
+  in
+  loop 0
+
+let solve_cover_unique ?(deadline = infinity) ~weights sets =
+  let s = take_scratch () in
+  Fun.protect
+    ~finally:(fun () -> give_scratch s)
+    (fun () -> cover_run ~deadline ~weights ~sets s)

@@ -11,7 +11,11 @@
     back to Bland's rule on degenerate plateaus, so it is both fast and
     cycle-free; a step cap still guards against numerical stalling.
     Problem sizes here are the multicut LPs (edges on constraint paths ×
-    path constraints), well within dense-tableau territory. *)
+    path constraints), well within dense-tableau territory.
+
+    {!solve_cover_unique} is a separate dual simplex for the covering
+    LPs of the exact hitting set: it answers only when its optimum is
+    the unique 0/1 one, and declines otherwise. *)
 
 type relation = Le | Ge | Eq
 
@@ -29,6 +33,53 @@ val solve : ?deadline:float -> problem -> outcome
     Raises [Failure] when the cap is hit (numerically stuck) and
     [Cdw_util.Timing.Timeout] when the cooperative [deadline] (checked
     every few dozen pivots) has passed. *)
+
+val solve_cover_unique :
+  ?deadline:float -> weights:float array -> int array array -> bool array option
+(** [solve_cover_unique ~weights sets] is [Some x] only when [x] is
+    the unique optimum of the 0/1 covering program
+    [min w·x, Σ_{e∈S} x_e ≥ 1 for every S in sets, x ∈ {0,1}^n], and
+    [None] when it cannot certify that. Weights must be non-negative
+    and every set non-empty, with elements in [0, n).
+
+    It runs a dense dual simplex on the LP relaxation
+    [min w·x, A x − s = 1, x, s ≥ 0], starting from the all-surplus
+    basis. That basis is dual-feasible because [w ≥ 0], so there are
+    no artificials, no phase 1 and no [x ≤ 1] rows. At the LP optimum
+    it answers [Some x] only when every basic value is 0 or 1 (within
+    1e-9), [x] covers every set, and every nonbasic column is either
+    steep or blocked. A steep column has a reduced cost [d_j] above
+    1e-7, a hundred times the primal's pivot tolerance. The other,
+    flat, columns are blocked when one tableau row has basic value 0
+    and a positive entry in every flat column.
+
+    Why [x] is then the unique 0/1 optimum. Write [v_j] for a point's
+    value of nonbasic column [j]; the nonbasic values fix the basic
+    ones, and [x] has them all 0. For any feasible point [(y, s)],
+    [w·y = w·x + Σ_j d_j v_j], and the blocking row reads
+    [0 − Σ_j T_ij v_j ≥ 0]. If [y] moves only flat columns, that row
+    has every [T_ij > 0] on them, so [v = 0] and [y = x]. Otherwise
+    [y] moves a steep column. For a 0/1 point its value is an integer
+    ≥ 1: a structural [y_j] is 0 or 1, and a surplus [a_i·y − 1] is a
+    non-negative integer. So [w·y ≥ w·x + 1e-7] for every 0/1 point
+    [y ≠ x]. The same two cases show that [x] is the only optimum of
+    the LP, since an LP optimum moves no column with [d_j > 0].
+    {!Ilp.solve} after the set-cover presolve
+    therefore returns exactly [x]. Each presolve rule maps every LP
+    optimum of its reduced problem, extended with 0 for a dropped
+    element and 1 for a forced one, to an LP optimum of the problem
+    before it; so the presolved LP's only optimum is [x] restricted to
+    the kept elements. Adding [x ≤ 1] rows keeps that point the only
+    optimum, so the root relaxation is integral and the search stops
+    there. The margin keeps that optimum unique beyond the primal's
+    1e-9 tolerances, so its simplex lands on the same vertex.
+
+    It declines on tied optima (a flat column no row blocks), on a
+    fractional optimum, and after [4 (n + m) + 64] pivots. Tableaux
+    come from a pool shared by every domain: a call takes one for its
+    duration and returns it, grown if it had to be. Raises
+    [Cdw_util.Timing.Timeout] when [deadline], checked every 64 pivots
+    starting with the first, has passed. *)
 
 val feasible_value : problem -> float array -> bool
 (** Check a point against all constraints (tolerance 1e-6); used by the

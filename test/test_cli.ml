@@ -180,4 +180,20 @@ let suite =
       (rejects
          [ "serve-bench"; "--connect"; no_server; "--prom-out"; no_server ^ ".prom" ]
          ~says:"in-process only");
+    Alcotest.test_case "serve-bench --connect rejects --shards" `Quick
+      (rejects
+         [ "serve-bench"; "--connect"; no_server; "--shards"; "4" ]
+         ~says:"--shards is in-process only");
+    Alcotest.test_case "serve-bench --connect rejects -v" `Quick
+      (rejects
+         [ "serve-bench"; "--connect"; no_server; "-v"; "10" ]
+         ~says:"in-process only");
+    Alcotest.test_case "serve-bench --connect rejects -k" `Quick
+      (rejects
+         [ "serve-bench"; "--connect"; no_server; "-k"; "3" ]
+         ~says:"in-process only");
+    Alcotest.test_case "serve-bench --connect rejects -d" `Quick
+      (rejects
+         [ "serve-bench"; "--connect"; no_server; "-d"; "0.2" ]
+         ~says:"in-process only");
   ]

@@ -5,6 +5,9 @@ let check_float = Alcotest.(check (float 1e-9))
 let problem ~weights ~sets =
   { Hs.n_elems = Array.length weights; weights; sets }
 
+(* The certified dual simplex behind [solve_ilp]. *)
+let fast p = Cdw_lp.Simplex.solve_cover_unique ~weights:p.Hs.weights p.Hs.sets
+
 let test_single_set () =
   let p = problem ~weights:[| 5.0; 2.0; 7.0 |] ~sets:[| [| 0; 1; 2 |] |] in
   let chosen = Hs.solve_ilp p in
@@ -20,7 +23,9 @@ let test_overlap_beats_singletons () =
   Alcotest.(check (array bool)) "ilp picks the hub" [| false; false; true |]
     (Hs.solve_ilp p);
   Alcotest.(check (array bool)) "bnb picks the hub" [| false; false; true |]
-    (Hs.solve_bnb p)
+    (Hs.solve_bnb p);
+  Alcotest.(check (option (array bool))) "fast path certifies the hub"
+    (Some [| false; false; true |]) (fast p)
 
 let test_greedy_can_be_suboptimal_but_covers () =
   (* The classic greedy trap: hub element slightly worse per-set. *)
@@ -163,6 +168,72 @@ let prop_presolve_matches_reference =
       let p = presolve_problem seed in
       Hs.presolve p = Presolve_reference.presolve p)
 
+(* Covering instances where ties are common: weights from {1, 2, 3}, a
+   continuum, or {0, 1}, and sets of one to four random elements. *)
+let tie_problem seed =
+  let module Sm = Cdw_util.Splitmix in
+  let rng = Sm.create seed in
+  let n = 1 + Sm.int rng 10 in
+  let m = 1 + Sm.int rng 10 in
+  let weights =
+    match Sm.int rng 3 with
+    | 0 -> Array.init n (fun _ -> float_of_int (1 + Sm.int rng 3))
+    | 1 -> Array.init n (fun _ -> Sm.float rng 10.0)
+    | _ -> Array.init n (fun _ -> float_of_int (Sm.int rng 2))
+  in
+  let sets =
+    Array.init m (fun _ ->
+        Array.init (1 + Sm.int rng (min n 4)) (fun _ -> Sm.int rng n)
+        |> Array.to_list |> List.sort_uniq compare |> Array.of_list)
+  in
+  problem ~weights ~sets
+
+let prop_certificate_is_the_optimum =
+  Test_helpers.qcheck ~count:400
+    "fast path: a certified set is B&B's; solve_ilp's cost is B&B's"
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let p = tie_problem seed in
+      let bnb = Hs.solve_bnb p in
+      (match fast p with Some x -> x = bnb | None -> true)
+      && Float.abs (Hs.cost p (Hs.solve_ilp p) -. Hs.cost p bnb) < 1e-9)
+
+(* The property above would hold vacuously if the fast path always
+   declined, or never did: on the same family it must do both. *)
+let test_certificate_answers_and_declines () =
+  let answers = ref 0 in
+  for seed = 0 to 199 do
+    if fast (tie_problem seed) <> None then incr answers
+  done;
+  if !answers = 0 || !answers = 200 then
+    Alcotest.failf "fast path answered %d of 200 instances" !answers
+
+let test_certificate_declines_duplicate_columns () =
+  let p = problem ~weights:[| 2.0; 2.0 |] ~sets:[| [| 0; 1 |] |] in
+  Alcotest.(check (option (array bool))) "tie declined" None (fast p);
+  check_float "solve_ilp still optimal" 2.0 (Hs.cost p (Hs.solve_ilp p))
+
+let test_certificate_declines_fractional_root () =
+  (* The LP optimum is x = 1/2 everywhere (cost 1.5); every cover needs
+     two elements. *)
+  let p =
+    problem ~weights:[| 1.0; 1.0; 1.0 |]
+      ~sets:[| [| 0; 1 |]; [| 1; 2 |]; [| 0; 2 |] |]
+  in
+  Alcotest.(check (option (array bool))) "fractional root declined" None
+    (fast p);
+  let x = Hs.solve_ilp p in
+  Alcotest.(check bool) "solve_ilp covers" true (Hs.covers p x);
+  check_float "solve_ilp exact" 2.0 (Hs.cost p x)
+
+let test_certificate_past_deadline () =
+  let p = problem ~weights:[| 1.0; 2.0 |] ~sets:[| [| 0; 1 |] |] in
+  Alcotest.check_raises "timeout" Cdw_util.Timing.Timeout (fun () ->
+      ignore
+        (Cdw_lp.Simplex.solve_cover_unique
+           ~deadline:(Cdw_util.Timing.now_ms () -. 1.0)
+           ~weights:p.Hs.weights p.Hs.sets))
+
 let suite =
   [
     Alcotest.test_case "single set: cheapest element" `Quick test_single_set;
@@ -181,4 +252,13 @@ let suite =
       test_presolve_column_dominance;
     prop_presolve_preserves_optimum;
     prop_presolve_matches_reference;
+    prop_certificate_is_the_optimum;
+    Alcotest.test_case "fast path answers and declines on ties" `Quick
+      test_certificate_answers_and_declines;
+    Alcotest.test_case "fast path: duplicate columns decline" `Quick
+      test_certificate_declines_duplicate_columns;
+    Alcotest.test_case "fast path: fractional root declines" `Quick
+      test_certificate_declines_fractional_root;
+    Alcotest.test_case "fast path: past deadline raises Timeout" `Quick
+      test_certificate_past_deadline;
   ]

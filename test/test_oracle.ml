@@ -163,6 +163,10 @@ let test_paper_datasets () =
       ("1a", Generator.generate ~seed (Gen_params.dataset1a ~n_constraints:6));
       ("1b", Generator.generate ~seed (Gen_params.dataset1b ~n_constraints:6));
       ("1c", Generator.generate ~seed (Gen_params.dataset1c ~n_constraints:6));
+      (* Dense 1c at a larger |N|: `cdw generate --uniform -d 0.2 --seed 7
+         -n 30`, the instance the exact stack's cliff was measured on. *)
+      ( "1c |N|=30",
+        Generator.generate ~seed:7 (Gen_params.dataset1c ~n_constraints:30) );
       ("2", Dataset2.base ~seed ());
       ("3", Generator.generate ~seed (Gen_params.dataset3 ~n_vertices:300));
     ]
