@@ -55,21 +55,19 @@ let () =
   in
   let utility user = Session.utility (Serving.session serving user) in
 
-  (* --- Morning: alice registers first; then three more users, two of
-     them of alice's preference type. Drains solve users in parallel, so
-     two users of one type in one cold drain may both solve it. --- *)
+  (* --- Morning: four users arrive together, three of them of one
+     preference type. The drain solves users in parallel, and users of
+     one type wait for the first one's solve instead of repeating it. --- *)
   let type_a = connected 2 0 and type_b = connected 4 1 in
   let morning =
     [ ("alice", type_a); ("bob", type_a); ("carol", type_b); ("dave", type_a) ]
   in
-  List.iteri
-    (fun i (user, pairs) ->
-      Serving.submit serving ~user (Engine.Add pairs);
-      if i = 0 then drain ())
+  List.iter
+    (fun (user, pairs) -> Serving.submit serving ~user (Engine.Add pairs))
     morning;
   drain ();
   let misses, hits = memo () in
-  Format.printf "Morning drains: %d users -> %d solves, %d memo hits@."
+  Format.printf "Morning drain: %d users -> %d solves, %d memo hits@."
     (List.length morning) misses hits;
   List.iter
     (fun (user, _) -> Format.printf "  %s keeps utility %.1f@." user (utility user))

@@ -21,7 +21,6 @@ module Options = struct
     scheme : Utility.weight_scheme option;
     backend : Multicut.backend;
     utility : (Workflow.t -> float) option;
-    utility_before : float option;
     paths_for : path_provider option;
     solver_budget_ms : float option;
   }
@@ -34,11 +33,18 @@ module Options = struct
       scheme = None;
       backend = Multicut.Ilp;
       utility = None;
-      utility_before = None;
       paths_for = None;
       solver_budget_ms = None;
     }
 end
+
+type cut = {
+  workflow : Workflow.t;
+  candidates : int;
+  tier : string option;
+  bound : float option;
+  budget_fallback : bool;
+}
 
 type outcome = {
   workflow : Workflow.t;
@@ -54,18 +60,26 @@ type outcome = {
 let utility_percent o =
   Utility.percent ~original:o.utility_before o.utility_after
 
-(* Run [solve] on a private copy and package the result. [solve] returns
-   the number of candidates it evaluated. [utility] is the system
-   utility evaluator — Eq. 1 over the linear model unless a caller
-   supplies a general CDW model. *)
-let on_copy ?(utility = fun wf -> Utility.total wf) ?utility_before wf solve =
-  let utility_before =
-    match utility_before with Some u -> u | None -> utility wf
-  in
+(* Run [solve] on a private copy. [solve] returns the number of
+   candidates it evaluated. *)
+let on_copy wf solve : cut =
   let copy = Workflow.copy wf in
-  let before_ids = Digraph.removed_edge_ids (Workflow.graph copy) in
   let candidates = solve copy in
-  let g = Workflow.graph copy in
+  {
+    workflow = copy;
+    candidates;
+    tier = None;
+    bound = None;
+    budget_fallback = false;
+  }
+
+(* The one-shot report on a cut of [wf]: the removed edges and the
+   utility before and after. [utility] is the system utility evaluator
+   — Eq. 1 over the linear model unless a caller supplies a general CDW
+   model. *)
+let report ?(utility = fun wf -> Utility.total wf) wf (c : cut) =
+  let before_ids = Digraph.removed_edge_ids (Workflow.graph wf) in
+  let g = Workflow.graph c.workflow in
   let removed =
     List.filter
       (fun id -> not (List.mem id before_ids))
@@ -73,14 +87,14 @@ let on_copy ?(utility = fun wf -> Utility.total wf) ?utility_before wf solve =
     |> List.map (Digraph.edge g)
   in
   {
-    workflow = copy;
+    workflow = c.workflow;
     removed;
-    utility_before;
-    utility_after = utility copy;
-    candidates;
-    tier = None;
-    bound = None;
-    budget_fallback = false;
+    utility_before = utility wf;
+    utility_after = utility c.workflow;
+    candidates = c.candidates;
+    tier = c.tier;
+    bound = c.bound;
+    budget_fallback = c.budget_fallback;
   }
 
 (* Paths of one constraint on the current live graph. The caps apply
@@ -100,8 +114,8 @@ let constraint_paths ?max_paths ?deadline ?paths_for wf
 (* Algorithms 1 and 2 share their structure: pick one edge of each path
    of each constraint and remove it (dependencies cascade), skipping
    edges a previous step already removed. *)
-let per_path_removal ?paths_for ?utility_before pick wf cs =
-  on_copy ?utility_before wf (fun copy ->
+let per_path_removal ?paths_for pick wf cs =
+  on_copy wf (fun copy ->
       List.iter
         (fun pair ->
           let paths = constraint_paths ?paths_for copy pair in
@@ -122,7 +136,6 @@ let random_impl (o : Options.t) wf cs =
     | None -> Splitmix.create 0xC0FFEE
   in
   per_path_removal ?paths_for:o.Options.paths_for
-    ?utility_before:o.Options.utility_before
     (fun path -> Splitmix.pick rng (Array.of_list path))
     wf cs
 
@@ -136,16 +149,14 @@ let rec last_of_path = function
   | [] -> invalid_arg "Algorithms: empty path"
 
 let first_impl (o : Options.t) wf cs =
-  per_path_removal ?paths_for:o.Options.paths_for
-    ?utility_before:o.Options.utility_before first_of_path wf cs
+  per_path_removal ?paths_for:o.Options.paths_for first_of_path wf cs
 
 let last_impl (o : Options.t) wf cs =
-  per_path_removal ?paths_for:o.Options.paths_for
-    ?utility_before:o.Options.utility_before last_of_path wf cs
+  per_path_removal ?paths_for:o.Options.paths_for last_of_path wf cs
 
 let min_cuts_impl (o : Options.t) wf cs =
   let scheme = o.Options.scheme in
-  on_copy ?utility_before:o.Options.utility_before wf (fun copy ->
+  on_copy wf (fun copy ->
       let g = Workflow.graph copy in
       List.iter
         (fun { Constraint_set.source; target } ->
@@ -176,14 +187,14 @@ let remove_min_mc_budget_ms = 5_000.0
 (* Algorithm 4 and the oracle tiers: one global multicut on the
    valuation-derived weights, through [Multicut.solve]'s one
    budget-then-greedy path. They differ only in backend and default
-   budget. [tier] names an oracle tier: its outcome records which tier
+   budget. [tier] names an oracle tier: its cut records which tier
    answered, and the proven [bound] unless greedy did. *)
 let min_mc_impl ?tier ~backend ~budget_ms (o : Options.t) wf cs =
   let scheme = o.Options.scheme in
   let budget_ms = Option.value o.Options.solver_budget_ms ~default:budget_ms in
   let result = ref None in
-  let outcome =
-    on_copy ?utility_before:o.Options.utility_before wf (fun copy ->
+  let c =
+    on_copy wf (fun copy ->
         let g = Workflow.graph copy in
         let w =
           Trace.span "solve.weights" (fun () ->
@@ -204,7 +215,7 @@ let min_mc_impl ?tier ~backend ~budget_ms (o : Options.t) wf cs =
   let r = Option.get !result in
   let fell_back = r.Multicut.fell_back in
   {
-    outcome with
+    c with
     tier =
       Option.map
         (fun t -> if fell_back then "fallback:remove-min-mc" else t)
@@ -241,8 +252,8 @@ let dedup_candidate edges =
    edges). Candidates are deduplicated, evaluated by soft-removal +
    utility recomputation, and the best kept. *)
 let brute_force_impl (o : Options.t) wf cs =
-  let { Options.deadline; max_paths; utility; utility_before; paths_for; _ } = o in
-  on_copy ?utility ?utility_before wf (fun copy ->
+  let { Options.deadline; max_paths; utility; paths_for; _ } = o in
+  on_copy wf (fun copy ->
       let paths =
         Array.of_list
           (List.map Array.of_list
@@ -316,8 +327,8 @@ let brute_force_impl (o : Options.t) wf cs =
    can only lower the (non-negative, additive) utility, so the current
    utility is an admissible upper bound for the subtree. *)
 let brute_force_bnb_impl (o : Options.t) wf cs =
-  let { Options.deadline; max_paths; utility; utility_before; paths_for; _ } = o in
-  on_copy ?utility ?utility_before wf (fun copy ->
+  let { Options.deadline; max_paths; utility; paths_for; _ } = o in
+  on_copy wf (fun copy ->
       let g = Workflow.graph copy in
       let paths =
         List.map Array.of_list
@@ -402,20 +413,22 @@ let brute_force_bnb_impl (o : Options.t) wf cs =
 (* Thin per-algorithm wrappers over the [Options]-taking implementations,
    kept because most call sites tune one knob at most. *)
 
-let remove_first_edge wf cs = first_impl Options.default wf cs
+let remove_first_edge wf cs = report wf (first_impl Options.default wf cs)
 let remove_min_mc ?scheme ?deadline wf cs =
-  min_mc_impl ~backend:Multicut.Ilp ~budget_ms:remove_min_mc_budget_ms
-    {
-      Options.default with
-      Options.scheme;
-      deadline = Option.value deadline ~default:infinity;
-    }
-    wf cs
+  report wf
+    (min_mc_impl ~backend:Multicut.Ilp ~budget_ms:remove_min_mc_budget_ms
+       {
+         Options.default with
+         Options.scheme;
+         deadline = Option.value deadline ~default:infinity;
+       }
+       wf cs)
 
 let brute_force ?(deadline = infinity) ?max_paths ?utility wf cs =
-  brute_force_impl
-    { Options.default with Options.deadline; max_paths; utility }
-    wf cs
+  report ?utility wf
+    (brute_force_impl
+       { Options.default with Options.deadline; max_paths; utility }
+       wf cs)
 
 type name =
   | Remove_random_edge
@@ -455,7 +468,7 @@ let to_string = function
 let of_string s =
   List.find_opt (fun n -> to_string n = s) all_names
 
-let solve ?(options = Options.default) name wf cs =
+let cut ?(options = Options.default) name wf cs =
   match name with
   | Remove_random_edge -> random_impl options wf cs
   | Remove_first_edge -> first_impl options wf cs
@@ -472,6 +485,16 @@ let solve ?(options = Options.default) name wf cs =
   | Approx_lp ->
       min_mc_impl ~tier:"approx-lp" ~backend:Multicut.Lp_rounding
         ~budget_ms:infinity options wf cs
+
+(* Only the exhaustive searches take the caller's utility evaluator;
+   every other algorithm reports Eq. 1. *)
+let solve ?(options = Options.default) name wf cs =
+  let utility =
+    match name with
+    | Brute_force | Brute_force_bnb -> options.Options.utility
+    | _ -> None
+  in
+  report ?utility wf (cut ~options name wf cs)
 
 let run ?rng ?deadline ?max_paths name wf cs =
   let options =

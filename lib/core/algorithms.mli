@@ -1,7 +1,8 @@
 (** The CDW-LA solving algorithms (§5 of the paper) and two extensions.
 
-    Every function leaves its input workflow untouched and returns an
-    {!outcome} holding a solved copy. All algorithms return *feasible*
+    Every function leaves its input workflow untouched and returns a
+    solved copy: {!cut} returns only what the algorithm computes, and
+    {!solve} adds the report one-shot callers print ({!outcome}). All algorithms return *feasible*
     solutions — no constrained user→purpose path survives — and differ
     in utility and cost:
 
@@ -28,9 +29,10 @@
 
     Every tuning knob of every algorithm, gathered in one record. The
     functions {!remove_first_edge}, {!remove_min_mc} and {!brute_force}
-    remain as thin wrappers for their callers; {!solve} is the single
-    entry point the CLI, the experiment
-    harness, {!Incremental} and the serving engine go through. *)
+    remain as thin wrappers for their callers; {!cut} and {!solve} are
+    the two entry points: {!Incremental} and the serving engine go
+    through {!cut}, the CLI and the experiment harness through
+    {!solve}. *)
 module Options : sig
   type path_provider =
     Workflow.t ->
@@ -65,12 +67,6 @@ module Options : sig
         (** objective for the exhaustive searches; generalises to
             arbitrary CDW models (must be monotone non-increasing under
             edge removal for [Brute_force_bnb]) *)
-    utility_before : float option;
-        (** memoized utility of the *input* workflow, skipping the
-            before-solve evaluation. Must equal what the utility
-            evaluator would return on the input; the serving engine
-            passes the shared base's utility here when solving from the
-            pristine base. *)
     paths_for : path_provider option;
     solver_budget_ms : float option;
         (** wall-clock budget of the multicut backend of
@@ -87,6 +83,18 @@ module Options : sig
   (** [None]/[infinity] everywhere, [Ilp] backend — the behaviour of
       each wrapper function called with no optional arguments. *)
 end
+
+type cut = {
+  workflow : Workflow.t;  (** solved copy of the input *)
+  candidates : int;
+      (** candidates evaluated (brute-force searches; 1 otherwise) *)
+  tier : string option;  (** as in {!outcome} *)
+  bound : float option;  (** as in {!outcome} *)
+  budget_fallback : bool;  (** as in {!outcome} *)
+}
+(** What an algorithm computes: the solved copy and how it was found.
+    Serving reads nothing else, so a served solve pays for no utility
+    sweep and no removed-edge diff. *)
 
 type outcome = {
   workflow : Workflow.t;  (** solved copy of the input *)
@@ -113,6 +121,8 @@ type outcome = {
           solve exactly on a rerun), so it must not stand in for another
           solve. *)
 }
+(** A {!cut} plus the report one-shot callers print: the removed edges
+    and the utility before and after. *)
 
 val utility_percent : outcome -> float
 (** [100 · after / before]. *)
@@ -167,12 +177,16 @@ val to_string : name -> string
 
 val of_string : string -> name option
 
+val cut :
+  ?options:Options.t -> name -> Workflow.t -> Constraint_set.t -> cut
+(** Dispatch by name under the given {!Options.t} (default
+    {!Options.default}). Each algorithm reads only the options that
+    concern it, exactly as the wrapper functions above document. *)
+
 val solve :
   ?options:Options.t -> name -> Workflow.t -> Constraint_set.t -> outcome
-(** Dispatch by name under the given {!Options.t} (default
-    {!Options.default}) — the unified entry point. Each algorithm reads
-    only the options that concern it, exactly as the wrapper functions
-    above document. *)
+(** {!cut} and its report. The utility is [options.utility] for the
+    exhaustive searches and Eq. 1 for every other algorithm. *)
 
 val run :
   ?rng:Cdw_util.Splitmix.t ->

@@ -6,7 +6,7 @@ type base_oracle = { connected : source:int -> target:int -> bool }
 
 type t = {
   base : Workflow.t;
-  algorithm : Workflow.t -> Constraint_set.t -> Algorithms.outcome;
+  algorithm : Workflow.t -> Constraint_set.t -> Algorithms.cut;
   oracle : base_oracle option;
   shares_base : bool;
   mutable current : Workflow.t;
@@ -21,7 +21,7 @@ let create ?algorithm ?oracle ?(copy_base = true) wf =
   let algorithm =
     match algorithm with
     | Some f -> f
-    | None -> fun wf cs -> Algorithms.solve Algorithms.Remove_min_mc wf cs
+    | None -> fun wf cs -> Algorithms.cut Algorithms.Remove_min_mc wf cs
   in
   let base = if copy_base then Workflow.copy wf else wf in
   {
@@ -60,9 +60,9 @@ let violated_on_current t cs =
   else Constraint_set.violated t.current cs
 
 let solve_on t wf cs =
-  let outcome = t.algorithm wf cs in
+  let (c : Algorithms.cut) = t.algorithm wf cs in
   t.stats <- { t.stats with solver_runs = t.stats.solver_runs + 1 };
-  outcome.Algorithms.workflow
+  c.workflow
 
 let resolve_all t =
   t.stats <- { t.stats with full_resolves = t.stats.full_resolves + 1 };

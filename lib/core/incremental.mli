@@ -33,12 +33,12 @@ type base_oracle = { connected : source:int -> target:int -> bool }
     workflow), turning those checks into O(1) lookups. *)
 
 val create :
-  ?algorithm:(Workflow.t -> Constraint_set.t -> Algorithms.outcome) ->
+  ?algorithm:(Workflow.t -> Constraint_set.t -> Algorithms.cut) ->
   ?oracle:base_oracle ->
   ?copy_base:bool ->
   Workflow.t ->
   t
-(** [algorithm] defaults to [Algorithms.solve Remove_min_mc]. The
+(** [algorithm] defaults to [Algorithms.cut Remove_min_mc]. The
     session works on private copies; the input workflow is never
     modified.
 

@@ -590,9 +590,9 @@ let serve_segment m user s segment =
       Metrics.record_ms m "request" time_ms;
       List.map (fun request -> { user; request; result; time_ms }) reqs
 
-(* [domains] is the width of the per-user fan-out: 1 solves every user
-   group on the caller. *)
-let drain_on ~domains t =
+(* [pool] runs the per-user fan-out; without one every user group is
+   solved on the caller. *)
+let drain_on ?pool t =
   let m = metrics t in
   Metrics.incr m "engine.drains";
   Metrics.time m "drain" (fun () ->
@@ -647,11 +647,15 @@ let drain_on ~domains t =
                      groups))
           in
           Metrics.incr ~by:(Array.length tasks) m "engine.user_batches";
+          let domains, run =
+            match pool with
+            | Some p -> (Domain_pool.domains p, Domain_pool.run p)
+            | None -> (1, Array.map (fun f -> f ()))
+          in
           let replies =
             Trace.span "drain.execute"
               ~args:[ ("domains", string_of_int domains) ]
-              (fun () ->
-                List.concat (Array.to_list (Domain_pool.run ~domains tasks)))
+              (fun () -> List.concat (Array.to_list (run tasks)))
           in
           (* Settlement fires outside the lock, once the whole batch is
              applied: the one point where a journal callback may safely
@@ -666,5 +670,5 @@ let drain_on ~domains t =
           with_lock t (fun () -> evict_over_cap_locked t);
           replies))
 
-let drain t = drain_on ~domains:1 t
-let drain_fanout t = drain_on ~domains:(Domain_pool.recommended_domains ()) t
+let drain t = drain_on t
+let drain_fanout pool t = drain_on ~pool t

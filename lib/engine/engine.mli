@@ -239,11 +239,11 @@ val drain : t -> reply list
     pair — is answered individually with its error and leaves both the
     session and the rest of its batch untouched. *)
 
-val drain_fanout : t -> reply list
-(** {!drain}, with the users' groups solved in parallel across
-    {!Domain_pool.recommended_domains} domains. Replies and final
-    states are identical to {!drain}'s. A one-shard serving group
-    drains its engine this way. *)
+val drain_fanout : Domain_pool.t -> t -> reply list
+(** {!drain}, with the users' groups solved in parallel on the pool's
+    parked domains and the caller ({!Domain_pool.run}). Replies and
+    final states are identical to {!drain}'s. A one-shard serving group
+    drains its engine this way, on a pool it owns. *)
 
 val apply_refined : t -> string -> cuts:int list -> (unit, string) result
 (** Install [cuts] (base-graph edge ids) as the user's cut directly —

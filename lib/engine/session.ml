@@ -19,18 +19,6 @@ let create ~index ~algorithm ~(options : Algorithms.Options.t) ~rng_seed id =
   let solver wf cs =
     Metrics.incr metrics ("solve." ^ Algorithms.to_string algorithm);
     Shared_index.memoized index ~base ~algorithm wf cs (fun () ->
-        (* Solves from the pristine base (the common case: every first
-           add and every full re-solve) reuse the index's memoized base
-           utility instead of re-sweeping the workflow. *)
-        let options =
-          if wf == base && options.Algorithms.Options.utility = None then
-            {
-              options with
-              Algorithms.Options.utility_before =
-                Some (Shared_index.base_utility index);
-            }
-          else options
-        in
         Metrics.time metrics "solve" (fun () ->
             Trace.span "solve"
               ~args:
@@ -39,7 +27,7 @@ let create ~index ~algorithm ~(options : Algorithms.Options.t) ~rng_seed id =
                   ("user", id);
                   ("constraints", string_of_int (List.length cs));
                 ]
-              (fun () -> Algorithms.solve ~options algorithm wf cs)))
+              (fun () -> Algorithms.cut ~options algorithm wf cs)))
   in
   let oracle =
     {

@@ -32,6 +32,12 @@ module Memo = Hashtbl.Make (struct
   let hash = Hashtbl.hash_param 64 128
 end)
 
+(* One solve of a key in progress. Later askers of the key park on [cv]
+   (under the index lock) until the owner lands [result]: [Some c] is
+   the owner's answer, [None] that its solve raised or fell back, so
+   each waiter solves for itself. *)
+type flight = { cv : Condition.t; mutable result : Algorithms.cut option option }
+
 (* The epoch-dependent slice of the index: everything derived from one
    frozen base. Installing a new epoch swaps the whole record at once,
    so a reader holding a [derived] value sees one consistent epoch. *)
@@ -39,10 +45,10 @@ type derived = {
   base : Workflow.t;
   topo : int array;
   snapshot : Reach.Snapshot.t;
-  mutable base_utility : float option;  (* lazy; guarded by [lock] *)
   paths : (int * int, path_entry) Hashtbl.t;
-  mutable memo : Algorithms.outcome Memo.t option;
+  mutable memo : Algorithms.cut Memo.t option;
       (* allocated on first insert; guarded by [lock] *)
+  inflight : flight Memo.t;  (* guarded by [lock] *)
 }
 
 type t = {
@@ -68,9 +74,9 @@ let derive wf =
       Trace.span "index.snapshot"
         ~args:[ ("repr", Digraph.repr_name g) ]
         (fun () -> Reach.Snapshot.create g);
-    base_utility = None;
     paths = Hashtbl.create 256;
     memo = None;
+    inflight = Memo.create 16;
   }
 
 (* Bound on the (source, target) pairs whose path sets are memoized. *)
@@ -112,20 +118,6 @@ let connected t ~source ~target =
 let with_lock t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
-(* The base never changes within an epoch, so its utility is a constant
-   of the derived record: sessions solving from the pristine base reuse
-   it instead of paying a full [Utility.total] sweep before every
-   solve. *)
-let base_utility t =
-  with_lock t (fun () ->
-      let d = t.d in
-      match d.base_utility with
-      | Some u -> u
-      | None ->
-          let u = Cdw_core.Utility.total d.base in
-          d.base_utility <- Some u;
-          u)
 
 (* The base path set of a pair, memoizing on first use. Enumeration runs
    outside the lock: two domains racing on the same cold pair duplicate
@@ -211,12 +203,27 @@ let cuts_key base wf =
     in
     scan 0 (-1)
 
-(* Look up, compute outside the lock, insert — the [base_entry]
-   protocol: two domains racing on one cold key both solve, and the
-   first insert wins; both results are identical, so the race costs
-   work, never answers. The derived record is captured once, so a
-   solve is memoized against the epoch it ran in, and a session still
-   holding an older base bypasses the memo. *)
+(* Called under [t.lock]. A wall-clock answer is never memoized. *)
+let insert d key (c : Algorithms.cut) =
+  if not c.budget_fallback then begin
+    let m =
+      match d.memo with
+      | Some m -> m
+      | None ->
+          let m = Memo.create 256 in
+          d.memo <- Some m;
+          m
+    in
+    if Memo.length m < memo_capacity && not (Memo.mem m key) then
+      Memo.add m key c
+  end
+
+(* Look up; on a miss, either wait for the key's solve in progress or
+   become its owner, solve outside the lock, insert and hand the answer
+   to the waiters — so users of one type in one cold fan-out drain
+   solve it once. The derived record is captured once, so a solve is
+   memoized against the epoch it ran in, and a session still holding an
+   older base bypasses the memo. *)
 let memoized t ~base ~algorithm wf cs solve =
   let d = t.d in
   let key =
@@ -229,26 +236,45 @@ let memoized t ~base ~algorithm wf cs solve =
   match key with
   | None -> solve ()
   | Some key -> (
-      match
+      let found =
         with_lock t (fun () ->
-            Option.bind d.memo (fun m -> Memo.find_opt m key))
-      with
-      | Some outcome ->
+            match Option.bind d.memo (fun m -> Memo.find_opt m key) with
+            | Some c -> `Hit c
+            | None -> (
+                match Memo.find_opt d.inflight key with
+                | Some f -> (
+                    while Option.is_none f.result do
+                      Condition.wait f.cv t.lock
+                    done;
+                    match f.result with Some (Some c) -> `Hit c | _ -> `Alone)
+                | None ->
+                    let f = { cv = Condition.create (); result = None } in
+                    Memo.add d.inflight key f;
+                    `Own f))
+      in
+      match found with
+      | `Hit c ->
           Metrics.incr t.metrics "solve.memo.hit";
-          outcome
-      | None ->
+          c
+      | `Alone ->
           Metrics.incr t.metrics "solve.memo.miss";
-          let outcome = solve () in
-          if not outcome.Algorithms.budget_fallback then
-            with_lock t (fun () ->
-                let m =
-                  match d.memo with
-                  | Some m -> m
-                  | None ->
-                      let m = Memo.create 256 in
-                      d.memo <- Some m;
-                      m
-                in
-                if Memo.length m < memo_capacity && not (Memo.mem m key) then
-                  Memo.add m key outcome);
-          outcome)
+          let c = solve () in
+          with_lock t (fun () -> insert d key c);
+          c
+      | `Own f ->
+          Metrics.incr t.metrics "solve.memo.miss";
+          let settle result =
+            Memo.remove d.inflight key;
+            f.result <- Some result;
+            Condition.broadcast f.cv
+          in
+          let c =
+            try solve ()
+            with e ->
+              with_lock t (fun () -> settle None);
+              raise e
+          in
+          with_lock t (fun () ->
+              insert d key c;
+              settle (if c.budget_fallback then None else Some c));
+          c)

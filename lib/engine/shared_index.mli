@@ -75,22 +75,17 @@ val live_paths :
 val path_provider : t -> Cdw_core.Algorithms.Options.path_provider
 (** {!live_paths} packaged for {!Cdw_core.Algorithms.Options}. *)
 
-val base_utility : t -> float
-(** [Cdw_core.Utility.total] of the base, computed once and memoized —
-    the before-solve utility of every solve that starts from the
-    pristine base. *)
-
 val memoized :
   t ->
   base:Cdw_core.Workflow.t ->
   algorithm:Cdw_core.Algorithms.name ->
   Cdw_core.Workflow.t ->
   Cdw_core.Constraint_set.t ->
-  (unit -> Cdw_core.Algorithms.outcome) ->
-  Cdw_core.Algorithms.outcome
-(** [memoized t ~base ~algorithm wf cs solve]: the outcome of solving
+  (unit -> Cdw_core.Algorithms.cut) ->
+  Cdw_core.Algorithms.cut
+(** [memoized t ~base ~algorithm wf cs solve]: the cut of solving
     [cs] on [wf] — [solve ()] the first time an input is seen in this
-    epoch, the memoized outcome after that. [base] is the base the
+    epoch, the memoized cut after that. [base] is the base the
     caller's sessions were created on; [solve] must run [algorithm]
     under the index-wide options template, so that the outcome is a
     function of the key alone.
@@ -98,7 +93,7 @@ val memoized :
     The key is the algorithm, [wf]'s cut ids relative to the base
     ([[]] when [wf == base]) and [cs] in its given order: solvers
     iterate constraints in list order, so [[p; q]] and [[q; p]] are
-    separate entries. A hit returns the very outcome of the first
+    separate entries. A hit returns the very cut of the first
     solve, whose workflow is then shared by every session holding it;
     this is sound because solvers only ever work on a copy of their
     input, so a served workflow is never mutated.
@@ -110,7 +105,12 @@ val memoized :
     restored an edge the base had removed. The memo lives in the
     epoch's derived state, so {!install} drops it; it is allocated on
     first insert and stops inserting at a fixed capacity of 4096
-    entries. Lookup and insert take the index lock, the solve runs
-    outside it: racing domains may both solve one cold key, with
-    identical results. Counts [solve.memo.hit]/[solve.memo.miss]
-    (bypasses count neither). *)
+    entries.
+
+    Solves are single-flight: lookup and insert take the index lock,
+    the solve runs outside it, and a domain that misses on a key
+    another domain is solving waits for that answer instead of solving
+    the key again. If that solve raises or falls back on its budget,
+    each waiter solves for itself. Counts one [solve.memo.miss] per
+    solve run and one [solve.memo.hit] per answer served from the memo
+    or from another domain's solve (bypasses count neither). *)

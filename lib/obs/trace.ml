@@ -135,6 +135,8 @@ let buffers () =
 let recorded_events () =
   List.fold_left (fun acc b -> acc + b.len) 0 (buffers ())
 
+let buffer_count () = List.length (buffers ())
+
 let dropped () = List.fold_left (fun acc b -> acc + b.dropped) 0 (buffers ())
 
 let pid = float_of_int (Unix.getpid ())

@@ -61,6 +61,14 @@ val recorded_events : unit -> int
 
     Events currently buffered, across all domains. *)
 
+val buffer_count : unit -> int
+(** Test-only: the domain-pool tests check that a traced one-shard
+    server keeps the number of buffers bounded.
+
+    Buffers registered so far: one per domain that ever traced or
+    prewarmed, running or joined. {!reset} empties them and frees
+    none. *)
+
 val dropped : unit -> int
 (** Spans not recorded because their domain's buffer was full. *)
 

@@ -29,23 +29,12 @@ type item = {
    first-submission sequence number: the unit the gather sorts. *)
 type gather = { g_seq : int; g_replies : Engine.reply list }
 
-type command = Drain of int * int | Stop
-(* Drain (ticket, trace parent): the ticket matches a result to the
-   group drain that asked for it. *)
-
 type shard = {
   position : int;
   engine : Engine.t;
   inbox : item Mpsc.t;
   depth : int Atomic.t;  (* items in [inbox], racy but convergent *)
   acct : Domain_acct.t;  (* busy/idle/barrier/phase stall accounting *)
-  m : Mutex.t;  (* guards [cmd], [outcome] *)
-  cv : Condition.t;
-  mutable cmd : command option;
-  mutable outcome : (int * (gather list, exn) result * float) option;
-      (* (ticket, result, finish time µs) — the finish time is what the
-         gather uses to charge each shard's barrier wait *)
-  mutable domain : unit Domain.t option;  (* the pinned drain domain *)
   pre_seq : (string, int) Hashtbl.t;
       (* first-submission seqs of items a migration ingested out of the
          inbox ahead of the next drain — the gather consults these so
@@ -56,44 +45,69 @@ type shard = {
   mutable store : Store.t option;  (* the shard's ledger, once journaled *)
 }
 
+(* How a group drains: the two scheduling policies over
+   [Domain_pool.Worker]. *)
+type drainer =
+  | Fanout of Domain_pool.t
+      (* one shard: the caller and the pool's parked helpers steal the
+         drain's user batches *)
+  | Pinned of (gather list * float) Domain_pool.Worker.t array
+      (* N shards: one worker per shard, spawned by its first drain; a
+         job returns the shard's gathers and its finish time (µs), which
+         the group drain uses to charge each shard's barrier wait *)
+
 type t = {
   shards : int;
   members : shard array;
   seq : int Atomic.t;  (* global submission counter — the only shared
                           submit-path state, and it is lock-free *)
   drain_lock : Mutex.t;  (* serializes drains, worker spawn and close *)
-  mutable tickets : int;
+  drainer : drainer;
 }
 
 let with_lock m f =
   Mutex.lock m;
   Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
+(* Runs once per pinned domain, before the first drain: allocating the
+   flight ring and trace buffer here keeps the (one-time, ~ms) lazy DLS
+   setup out of the first shard.drain span, which would otherwise show
+   up as unattributed wall in [trace summarize --scaling]. *)
+let worker_prewarm () =
+  Flight.prewarm ();
+  Trace.prewarm ()
+
 let group_of_engines engines =
+  let members =
+    Array.mapi
+      (fun position engine ->
+        {
+          position;
+          engine;
+          inbox = Mpsc.create ();
+          depth = Atomic.make 0;
+          acct = Domain_acct.create ();
+          pre_seq = Hashtbl.create 16;
+          pre_rejected = [];
+          store = None;
+        })
+      engines
+  in
   {
     shards = Array.length engines;
-    members =
-      Array.mapi
-        (fun position engine ->
-          {
-            position;
-            engine;
-            inbox = Mpsc.create ();
-            depth = Atomic.make 0;
-            acct = Domain_acct.create ();
-            m = Mutex.create ();
-            cv = Condition.create ();
-            cmd = None;
-            outcome = None;
-            domain = None;
-            pre_seq = Hashtbl.create 16;
-            pre_rejected = [];
-            store = None;
-          })
-        engines;
+    members;
     seq = Atomic.make 0;
     drain_lock = Mutex.create ();
-    tickets = 0;
+    drainer =
+      (if Array.length engines = 1 then Fanout (Domain_pool.create ())
+       else
+         Pinned
+           (Array.map
+              (fun s ->
+                Domain_pool.Worker.create
+                  ~on_idle:(Domain_acct.bump s.acct.Domain_acct.idle_us)
+                  ~init:worker_prewarm ())
+              members));
   }
 
 let create ?algorithm ?options ?seed ?max_paths ?(shards = 1) wf =
@@ -113,10 +127,11 @@ let seed t = Engine.seed t.members.(0).engine
 let base t = Engine.base t.members.(0).engine
 
 (* One shard serves on the caller: submits go straight into its engine
-   (journaled there, write-ahead), drains run on the calling domain
-   with the engine's own per-user fan-out, and no pinned domain is ever
-   spawned. The shard count alone picks the path. *)
-let direct t = t.shards = 1
+   (journaled there, write-ahead), and drains run on the calling domain
+   with the engine's per-user fan-out over the group's pool. No pinned
+   shard domain exists. The shard count alone picks the path (in
+   [group_of_engines]). *)
+let direct t = match t.drainer with Fanout _ -> true | Pinned _ -> false
 
 (* ---------------------------------------------------------------- *)
 (* Submit: straight into the engine, or the lock-free inbox path      *)
@@ -237,7 +252,7 @@ let drain_shard shard ~parent =
       (* Items a migration already ingested keep their original seqs
          (and their rejection replies) via the carry-over fields. Both
          are written under [drain_lock] and read here on the pinned
-         domain — the ticket handoff through [shard.m] orders them. *)
+         domain — the worker's mailbox handoff orders them. *)
       Hashtbl.iter (Hashtbl.replace first) shard.pre_seq;
       Hashtbl.reset shard.pre_seq;
       let carried = shard.pre_rejected in
@@ -301,90 +316,7 @@ let drain_shard shard ~parent =
             runs)))
 
 (* ---------------------------------------------------------------- *)
-(* Pinned drain domains                                              *)
-
-let send shard cmd =
-  Mutex.lock shard.m;
-  shard.cmd <- Some cmd;
-  Condition.broadcast shard.cv;
-  Mutex.unlock shard.m
-
-(* Runs once per pinned domain, before the first drain: allocating the
-   flight ring and trace buffer here keeps the (one-time, ~ms) lazy DLS
-   setup out of the first shard.drain span, which would otherwise show
-   up as unattributed wall in [trace summarize --scaling]. *)
-let worker_prewarm () =
-  Flight.prewarm ();
-  Trace.prewarm ()
-
-let rec worker shard =
-  let cmd =
-    let idle0 = Unix.gettimeofday () in
-    Mutex.lock shard.m;
-    let rec wait () =
-      match shard.cmd with
-      | Some c ->
-          shard.cmd <- None;
-          c
-      | None ->
-          Condition.wait shard.cv shard.m;
-          wait ()
-    in
-    let c = wait () in
-    Mutex.unlock shard.m;
-    Domain_acct.bump shard.acct.Domain_acct.idle_us
-      ((Unix.gettimeofday () -. idle0) *. 1e6);
-    c
-  in
-  match cmd with
-  | Stop -> ()
-  | Drain (ticket, parent) ->
-      let outcome =
-        match drain_shard shard ~parent with
-        | g -> Ok g
-        | exception e -> Error e
-      in
-      let finished_us = Unix.gettimeofday () *. 1e6 in
-      Mutex.lock shard.m;
-      shard.outcome <- Some (ticket, outcome, finished_us);
-      Condition.broadcast shard.cv;
-      Mutex.unlock shard.m;
-      worker shard
-
-(* Returns the gathers and the shard's drain finish time (µs): the
-   group drain charges [finish of slowest shard − finish of this one]
-   to this shard's barrier counter — the scatter/gather stall. *)
-let await shard ticket =
-  Mutex.lock shard.m;
-  let rec wait () =
-    match shard.outcome with
-    | Some (tk, outcome, finished_us) when tk = ticket ->
-        shard.outcome <- None;
-        (outcome, finished_us)
-    | _ ->
-        Condition.wait shard.cv shard.m;
-        wait ()
-  in
-  let outcome, finished_us = wait () in
-  Mutex.unlock shard.m;
-  match outcome with Ok g -> (g, finished_us) | Error e -> raise e
-
-(* Called under [drain_lock]. Domains are spawned on first need and
-   live until [close] — each shard's drains all run on its own pinned
-   domain, with no pool and no work-stealing in between. *)
-let ensure_workers t =
-  Array.iter
-    (fun s ->
-      if s.domain = None then
-        s.domain <-
-          Some
-            (Domain.spawn (fun () ->
-                 worker_prewarm ();
-                 worker s)))
-    t.members
-
-(* ---------------------------------------------------------------- *)
-(* Group drain: scatter tickets, gather by sequence number            *)
+(* Group drain: scatter to the workers, gather by sequence number      *)
 
 let merge gathers =
   List.concat_map
@@ -402,39 +334,53 @@ let observed name f =
 
 let drain t =
   with_lock t.drain_lock (fun () ->
-      if direct t then Engine.drain_fanout t.members.(0).engine
-      else
-        let t0 = Unix.gettimeofday () in
-        Fun.protect
-          ~finally:(fun () ->
-            Flight.record "group.drain" ~t0_us:(t0 *. 1e6)
-              ~dur_us:((Unix.gettimeofday () -. t0) *. 1e6))
-          (fun () ->
-            Trace.span "group.drain"
-              ~args:[ ("shards", string_of_int t.shards) ]
-              (fun () ->
-                let parent = Trace.current_span () in
-                ensure_workers t;
-                let ticket = t.tickets in
-                t.tickets <- ticket + 1;
-                Array.iter (fun s -> send s (Drain (ticket, parent))) t.members;
-                let results = Array.map (fun s -> await s ticket) t.members in
-                (* Each shard's barrier wait: the gap between its own
-                   finish and the slowest shard's. Charged here (under
-                   the drain lock — a single writer), not on the
-                   domains, which cannot know who finished last. *)
-                let slowest =
-                  Array.fold_left
-                    (fun acc (_, fin) -> Float.max acc fin)
-                    neg_infinity results
-                in
-                Array.iteri
-                  (fun i (_, fin) ->
-                    Domain_acct.bump t.members.(i).acct.Domain_acct.barrier_us
-                      (slowest -. fin))
-                  results;
-                let gathers = Array.to_list results |> List.concat_map fst in
-                observed "group.merge" (fun () -> merge gathers))))
+      match t.drainer with
+      | Fanout pool -> Engine.drain_fanout pool t.members.(0).engine
+      | Pinned workers ->
+          let t0 = Unix.gettimeofday () in
+          Fun.protect
+            ~finally:(fun () ->
+              Flight.record "group.drain" ~t0_us:(t0 *. 1e6)
+                ~dur_us:((Unix.gettimeofday () -. t0) *. 1e6))
+            (fun () ->
+              Trace.span "group.drain"
+                ~args:[ ("shards", string_of_int t.shards) ]
+                (fun () ->
+                  let parent = Trace.current_span () in
+                  (* Each shard's drain runs on its own pinned domain,
+                     spawned by the shard's first drain and kept until
+                     [close], with no work-stealing in between. *)
+                  (* Spawn first: a failed spawn leaves no job
+                     outstanding. *)
+                  Array.iter Domain_pool.Worker.start workers;
+                  Array.iteri
+                    (fun i w ->
+                      Domain_pool.Worker.send w (fun () ->
+                          let g = drain_shard t.members.(i) ~parent in
+                          (g, Unix.gettimeofday () *. 1e6)))
+                    workers;
+                  (* Every shard finishes its drain before the first
+                     failure (lowest shard) is raised. *)
+                  let results =
+                    Array.map Domain_pool.Worker.await workers
+                    |> Array.map (function Ok r -> r | Error e -> raise e)
+                  in
+                  (* Each shard's barrier wait: the gap between its own
+                     finish and the slowest shard's. Charged here (under
+                     the drain lock — a single writer), not on the
+                     domains, which cannot know who finished last. *)
+                  let slowest =
+                    Array.fold_left
+                      (fun acc (_, fin) -> Float.max acc fin)
+                      neg_infinity results
+                  in
+                  Array.iteri
+                    (fun i (_, fin) ->
+                      Domain_acct.bump t.members.(i).acct.Domain_acct.barrier_us
+                        (slowest -. fin))
+                    results;
+                  let gathers = Array.to_list results |> List.concat_map fst in
+                  observed "group.merge" (fun () -> merge gathers))))
 
 (* ---------------------------------------------------------------- *)
 (* Epoch migration                                                   *)
@@ -707,15 +653,9 @@ let compact t =
 
 let close t =
   with_lock t.drain_lock (fun () ->
-      Array.iter
-        (fun s ->
-          match s.domain with
-          | Some d ->
-              send s Stop;
-              Domain.join d;
-              s.domain <- None
-          | None -> ())
-        t.members;
+      (match t.drainer with
+      | Fanout pool -> Domain_pool.close pool
+      | Pinned workers -> Array.iter Domain_pool.Worker.stop workers);
       Array.iter
         (fun s ->
           Option.iter Store.close s.store;
@@ -742,13 +682,19 @@ let summarize shard_recoveries =
   in
   { shard_recoveries; replayed; damaged }
 
-(* Run one recovery task per shard on the pool and fail on the first
-   failed shard (lowest index), tagging the error with the shard. The
-   pool (not the pinned serving domains) is the right tool here:
-   recovery happens before any serving domain exists. *)
+(* One task per shard on a pool that lives for this call only:
+   recovery happens before any serving value (and its pool) exists, and
+   parked helpers left behind would join every later minor GC. *)
+let run_per_shard ~shards task =
+  let pool = Domain_pool.create () in
+  Fun.protect
+    ~finally:(fun () -> Domain_pool.close pool)
+    (fun () -> Domain_pool.run pool (Array.init shards task))
+
+(* Run one recovery task per shard and fail on the first failed shard
+   (lowest index), tagging the error with the shard. *)
 let per_shard_results ~shards task =
-  let domains = Domain_pool.recommended_domains () in
-  let results = Domain_pool.run ~domains (Array.init shards task) in
+  let results = run_per_shard ~shards task in
   let rec collect i =
     if i >= shards then Ok results
     else
@@ -773,9 +719,8 @@ let resume_shards ?fsync ?snapshot_every_bytes root =
   let ( let* ) = Result.bind in
   let* shards = read_group_manifest root in
   let results =
-    Domain_pool.run ~domains:(Domain_pool.recommended_domains ())
-      (Array.init shards (fun i () ->
-           Store.resume ?fsync ?snapshot_every_bytes (shard_dir root i)))
+    run_per_shard ~shards (fun i () ->
+        Store.resume ?fsync ?snapshot_every_bytes (shard_dir root i))
   in
   let failure =
     Array.to_list results

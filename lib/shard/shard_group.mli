@@ -23,18 +23,23 @@
       whatever the shard count (the differential property
       [test_shard.ml] enforces this).
 
-    The shard count alone picks how the group drains:
+    The shard count alone picks how the group drains. Both ways run on
+    one worker primitive, {!Cdw_engine.Domain_pool.Worker}: a domain
+    parked on a condition variable between drains, with a one-slot
+    mailbox. They differ only in the scheduling policy over it.
 
     - {b one shard} serves on the caller. {!submit} goes straight into
       the engine, and {!drain} solves the users of a batch in parallel
-      on the engine's {!Cdw_engine.Domain_pool}
-      ({!Cdw_engine.Engine.drain_fanout}). No pinned domain is ever
-      spawned, so {!domain_stats} stays empty.
+      ({!Cdw_engine.Engine.drain_fanout}) on a
+      {!Cdw_engine.Domain_pool} the group owns: the caller and parked
+      helpers steal user batches from one counter. The helpers are
+      spawned by the first drain that fans out and joined by {!close}.
+      They are not shard domains, so {!domain_stats} stays empty.
     - {b N shards} serve through a lock-free submit path and a pinned
-      drain domain per shard. {!submit} draws a global sequence number
+      drain worker per shard. {!submit} draws a global sequence number
       from one atomic counter and pushes onto the target shard's
       {!Mpsc} inbox, so concurrent submitters never serialize. A drain
-      scatters one ticket per shard; each pinned domain takes its whole
+      sends one job per shard; each pinned domain takes its whole
       inbox, {e sorts it by sequence number} (the MPSC linearization
       order can differ from seq-draw order under racing producers),
       feeds its engine and drains it on that domain
@@ -152,8 +157,9 @@ val drain : t -> Cdw_engine.Engine.reply list
     users in global first-submission order, each user's replies in
     submission order — the exact order a single engine's
     {!Cdw_engine.Engine.drain} returns. One shard drains on the caller
-    ({!Cdw_engine.Engine.drain_fanout}); N shards scatter tickets to
-    their pinned domains, spawning them on first use. Shards share no
+    ({!Cdw_engine.Engine.drain_fanout}); N shards send one job to each
+    pinned domain, spawning them on first use. If shards fail, the
+    lowest shard's exception is raised once every shard has finished. Shards share no
     session state, so the replies do not depend on the shard count. *)
 
 val session : t -> string -> Cdw_engine.Session.t
@@ -272,8 +278,8 @@ val compact : t -> unit
     A no-op when not journaled. *)
 
 val close : t -> unit
-(** Stop and join the pinned drain domains (if any were spawned), then
-    close every shard's ledger. Idempotent. Call this on every group —
+(** Stop and join the pinned drain domains and the one-shard fan-out
+    helpers (whichever were spawned), then close every shard's ledger. Idempotent. Call this on every group —
     leaked domains are a finite resource under OCaml 5, and a ledger
     flushes on close. *)
 
@@ -288,9 +294,8 @@ type recovery = {
 
 val recover : string -> (recovery, string) result
 (** Read-only group recovery: load [group.json], then
-    {!Cdw_store.Store.recover} every shard in parallel on
-    {!Cdw_engine.Domain_pool.recommended_domains} domains.
-    Recovery fans out on the {!Cdw_engine.Domain_pool} — the pinned
+    {!Cdw_store.Store.recover} every shard in parallel on a
+    {!Cdw_engine.Domain_pool} that is closed before this returns — the
     serving domains don't exist yet at recovery time. Each recovered
     shard engine owns its base parsed from its own manifest (recovery
     does not share the frozen base — every shard manifest embeds the

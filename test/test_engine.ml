@@ -4,6 +4,7 @@
    determinism of parallel drains. *)
 
 open Cdw_core
+module Domain_pool = Cdw_engine.Domain_pool
 module Engine = Cdw_engine.Engine
 module Metrics = Cdw_engine.Metrics
 module Session = Cdw_engine.Session
@@ -98,21 +99,13 @@ let test_live_paths_equal_fresh =
           cached = fresh)
         pairs)
 
-let test_base_utility () =
-  let i = instance 7 in
-  let index = Shared_index.create i.Generator.workflow in
-  Alcotest.(check (float 1e-9))
-    "memoized base utility"
-    (Utility.total (Shared_index.base index))
-    (Shared_index.base_utility index)
-
 (* ---------------------------------------------------------------- *)
 (* Engine vs fresh solve, per algorithm                               *)
 
 let live_ids wf = Test_helpers.live_edge_ids (Workflow.graph wf)
 
 (* One user, one Add: the engine session (shared base, cached paths,
-   memoized base utility) must land on exactly the solution a fresh
+   solve memo) must land on exactly the solution a fresh
    [Algorithms.solve] computes from scratch. *)
 let test_engine_matches_fresh () =
   let i = instance 11 in
@@ -261,7 +254,12 @@ let run_drain drain =
 
 let test_parallel_equals_sequential () =
   let seq_replies, seq_states = run_drain Engine.drain in
-  let par_replies, par_states = run_drain Engine.drain_fanout in
+  let pool = Domain_pool.create () in
+  let par_replies, par_states =
+    Fun.protect
+      ~finally:(fun () -> Domain_pool.close pool)
+      (fun () -> run_drain (Engine.drain_fanout pool))
+  in
   Alcotest.(check bool) "same replies" true (seq_replies = par_replies);
   Alcotest.(check bool) "same final session states" true
     (seq_states = par_states)
@@ -417,7 +415,7 @@ let memo_counter engine which =
 let direct_cuts ~algorithm base batches =
   let inc =
     Incremental.create
-      ~algorithm:(fun wf cs -> Algorithms.solve algorithm wf cs)
+      ~algorithm:(fun wf cs -> Algorithms.cut algorithm wf cs)
       base
   in
   List.iter (fun batch -> ok_or_fail (Incremental.add inc batch)) batches;
@@ -497,7 +495,7 @@ let test_memo_key_keeps_order () =
     let cs = Constraint_set.make_exn base pairs in
     Shared_index.memoized index ~base ~algorithm base cs (fun () ->
         incr runs;
-        Algorithms.solve algorithm base cs)
+        Algorithms.cut algorithm base cs)
   in
   let pq = solve [ p; q ] in
   let qp = solve [ q; p ] in
@@ -647,7 +645,6 @@ let suite =
   [
     test_snapshot_matches_bfs;
     test_live_paths_equal_fresh;
-    ("memoized base utility", `Quick, test_base_utility);
     ("engine matches fresh solve", `Quick, test_engine_matches_fresh);
     ("withdrawal invalidation", `Quick, test_withdrawal_invalidation);
     ("coalesced net change", `Quick, test_coalescing_net_change);

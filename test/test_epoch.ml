@@ -632,7 +632,7 @@ let test_memo_across_migration () =
   let direct batch =
     let inc =
       Incremental.create
-        ~algorithm:(fun wf cs -> Algorithms.solve algorithm wf cs)
+        ~algorithm:(fun wf cs -> Algorithms.cut algorithm wf cs)
         new_base
     in
     (match Incremental.add inc batch with

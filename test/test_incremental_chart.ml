@@ -125,7 +125,9 @@ let test_incremental_batch_no_worse () =
   let wf = i.Generator.workflow in
   (* With an exact algorithm the batch solve provably dominates any
      feasible solution, including the incrementally built one. *)
-  let session = Incremental.create ~algorithm:Algorithms.brute_force wf in
+  let session =
+    Incremental.create ~algorithm:(Algorithms.cut Algorithms.Brute_force) wf
+  in
   List.iter
     (fun pair ->
       match Incremental.add session [ pair ] with
