@@ -31,22 +31,6 @@ LINT=$(./_build/default/dev/export_lint.exe) || { echo "$LINT"; exit 1; }
 # (also part of `dune runtest`; named here so a failure is unmissable).
 dune exec test/main.exe -- test 'graph/frozen-view' > /dev/null
 
-# Bench guard on the acceptance workload (100 vertices, 50 sessions):
-# fails if the median of 11 engine trials' sessions-per-second regresses
-# >10% against the committed BENCH_engine.json's, then refreshes it so
-# the perf trajectory stays current PR over PR. The file also records
-# the rows the repository benchmark (perfbench/) cannot produce: the
-# 1/2/4-shard scaling rows (200 sessions; speedups are core-count
-# bound, so a one-core CI host records ~1x — the rows document, they
-# do not gate), the same workload served over a Unix socket (the
-# wire-protocol overhead against the in-process number), and the
-# utility-retained table (RemoveMinMC vs the exact ILP on the paper
-# datasets 1a/1b/1c/2/3, with the reclaimable gap).
-# Direct binary (dune build above already produced it): running under
-# `dune exec` adds enough scheduler noise on the 250-request guard
-# workload to trip the 10% gate on an unchanged engine.
-./_build/default/bench/engine.exe --baseline BENCH_engine.json --out BENCH_engine.json
-
 # Crash-recovery smoke: journal a serving run, tear the last append,
 # prove the ledger recovers and compacts back to a clean state.
 STORE_DIR=$(mktemp -d)
@@ -234,5 +218,23 @@ CDW=./_build/default/bin/cdw.exe
 "$CDW" store replay "$OLD_DIR/ledger" --state | sed -n '/^{/,$p' \
   | cmp - test/fixtures/refined-ledger.state     # compaction keeps it
 "$CDW" store verify "$OLD_DIR/ledger" --strict
+
+# Bench guard on the acceptance workload (100 vertices, 50 sessions),
+# last so that a guard failure (host drift can trip it; compare with a
+# parent checkout on the same host) hides none of the smokes above:
+# fails if the median of 11 engine trials' sessions-per-second regresses
+# >10% against the committed BENCH_engine.json's, then refreshes it so
+# the perf trajectory stays current PR over PR. The file also records
+# the rows the repository benchmark (perfbench/) cannot produce: the
+# 1/2/4-shard scaling rows (200 sessions; speedups are core-count
+# bound, so a one-core CI host records ~1x — the rows document, they
+# do not gate), the same workload served over a Unix socket (the
+# wire-protocol overhead against the in-process number), and the
+# utility-retained table (RemoveMinMC vs the exact ILP on the paper
+# datasets 1a/1b/1c/2/3, with the reclaimable gap).
+# Direct binary (dune build above already produced it): running under
+# `dune exec` adds enough scheduler noise on the 250-request guard
+# workload to trip the 10% gate on an unchanged engine.
+./_build/default/bench/engine.exe --baseline BENCH_engine.json --out BENCH_engine.json
 
 echo "check.sh: ok"

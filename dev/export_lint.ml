@@ -14,9 +14,21 @@
    module ([include module type of struct include M end]), so
    [Serving.drain] counts as a use of [Shard_group.drain].
 
+   Record labels: every label declared in [lib/] (a record type's, or
+   an inline record's of a constructor) must be read: a field access
+   [r.l], or a record pattern that binds it ([{ l = p }] or the pun
+   [{ l }], not [{ l = _ }]). Reads count from the same callers as
+   values; a label read only from [test/] needs a [Test-only:] reason
+   in its doc comment, and a label read nowhere is "unread". Building
+   a record, copying one with [{ r with ... }] and assigning with [<-]
+   are writes, and so is a read inside the new value of the label
+   being written ([r.l <- f r.l], [{ r with l = f r.l }]). Labels are
+   matched by name, untyped: a label whose name some other record reads
+   passes, so the check can miss a dead label but never invents one.
+
    Run from the repo root:  dune exec dev/export_lint.exe
-   Prints the dead and test-only lists; exits 1 if any value is dead or
-   test-only without a reason. *)
+   Prints the dead, test-only and unread lists; exits 1 if any value or
+   label is dead (unread) or test-only without a reason. *)
 
 let caller_dirs = [ "bin"; "bench"; "perfbench"; "examples"; "dev" ]
 let marker = "Test-only:"
@@ -178,6 +190,103 @@ let references ~self path =
       match owner m v with Some o when Some o <> self -> Some (o, v) | _ -> None)
     (!qualified @ from_opens)
 
+(* ---- record labels ---- *)
+
+type label = {
+  l_owner : string;
+  l_name : string;
+  l_file : string;
+  l_line : int;
+  l_reason : bool;
+}
+
+(* Every label one file of [lib/] declares, owner = Module.type (or
+   Module.type.Constructor for an inline record). *)
+let declared_labels path =
+  let m = module_of path in
+  let out = ref [] in
+  let add owner (ld : Parsetree.label_declaration) =
+    out :=
+      {
+        l_owner = owner;
+        l_name = ld.pld_name.txt;
+        l_file = path;
+        l_line = ld.pld_loc.loc_start.pos_lnum;
+        l_reason = contains (doc_text ld.pld_attributes) marker;
+      }
+      :: !out
+  in
+  let super = Ast_iterator.default_iterator in
+  let it =
+    {
+      super with
+      type_declaration =
+        (fun self td ->
+          let owner = m ^ "." ^ td.ptype_name.txt in
+          (match td.ptype_kind with
+          | Ptype_record lds -> List.iter (add owner) lds
+          | Ptype_variant cds ->
+              List.iter
+                (fun (cd : Parsetree.constructor_declaration) ->
+                  match cd.pcd_args with
+                  | Pcstr_record lds ->
+                      List.iter (add (owner ^ "." ^ cd.pcd_name.txt)) lds
+                  | Pcstr_tuple _ -> ())
+                cds
+          | Ptype_abstract | Ptype_open -> ());
+          super.type_declaration self td);
+    }
+  in
+  if Filename.check_suffix path ".mli" then it.signature it (parse Parse.interface path)
+  else it.structure it (parse Parse.implementation path);
+  !out
+
+(* The label names one file reads, into [tbl]. *)
+let read_labels tbl path =
+  let writing = ref [] in
+  let read lid =
+    let l = Longident.last lid in
+    if not (List.mem l !writing) then Hashtbl.replace tbl l ()
+  in
+  let super = Ast_iterator.default_iterator in
+  (* [e] is the new value of label [lid]: reads of that label in it are
+     part of the write. *)
+  let writing_into self lid e =
+    let saved = !writing in
+    writing := Longident.last lid :: saved;
+    self.Ast_iterator.expr self e;
+    writing := saved
+  in
+  let it =
+    {
+      super with
+      expr =
+        (fun self e ->
+          match e.pexp_desc with
+          | Pexp_field (r, { txt; _ }) ->
+              read txt;
+              self.expr self r
+          | Pexp_setfield (r, { txt; _ }, v) ->
+              self.expr self r;
+              writing_into self txt v
+          | Pexp_record (fields, base) ->
+              Option.iter (self.expr self) base;
+              List.iter (fun ({ Location.txt; _ }, v) -> writing_into self txt v) fields
+          | _ -> super.expr self e);
+      pat =
+        (fun self p ->
+          (match p.ppat_desc with
+          | Ppat_record (fields, _) ->
+              List.iter
+                (fun ({ Location.txt; _ }, (q : Parsetree.pattern)) ->
+                  match q.ppat_desc with Ppat_any -> () | _ -> read txt)
+                fields
+          | _ -> ());
+          super.pat self p);
+    }
+  in
+  it.structure it (parse Parse.implementation path)
+
 let () =
   let interfaces = List.concat_map (fun d -> files_in d ".mli") (lib_dirs ()) in
   if interfaces = [] then failwith "no lib/*/*.mli here: run from the repo root";
@@ -230,4 +339,44 @@ let () =
     test_only;
   Printf.printf "%d exported values in %d interfaces\n" (List.length exports)
     (List.length interfaces);
-  if dead <> [] || unreasoned <> [] then exit 1
+  (* A label an .ml and its .mli both declare is one label, with the
+     .mli's doc (listed second). *)
+  let labels =
+    List.concat_map
+      (fun d -> List.concat_map declared_labels (files_in d ".ml" @ files_in d ".mli"))
+      (lib_dirs ())
+    |> List.stable_sort (fun a b -> compare (a.l_owner, a.l_name) (b.l_owner, b.l_name))
+    |> List.fold_left
+         (fun acc l ->
+           match acc with
+           | p :: rest when p.l_owner = l.l_owner && p.l_name = l.l_name ->
+               { l with l_reason = l.l_reason || p.l_reason } :: rest
+           | _ -> l :: acc)
+         []
+    |> List.rev
+  in
+  let reads dirs =
+    let tbl = Hashtbl.create 1024 in
+    List.iter (read_labels tbl) (ml dirs);
+    fun l -> Hashtbl.mem tbl l.l_name
+  in
+  let read_in_prod = reads (lib_dirs () @ caller_dirs) and read_in_test = reads [ "test" ] in
+  let test_read, unread =
+    List.filter (fun l -> not (read_in_prod l)) labels |> List.partition read_in_test
+  in
+  let show_label l =
+    Printf.printf "  %s:%d  %s.%s\n" l.l_file l.l_line l.l_owner l.l_name
+  in
+  let unreasoned_labels = List.filter (fun l -> not l.l_reason) test_read in
+  Printf.printf "unread record labels (%d):\n" (List.length unread);
+  List.iter show_label unread;
+  Printf.printf "test-only record labels (%d, %d without a %S reason):\n"
+    (List.length test_read) (List.length unreasoned_labels) marker;
+  List.iter
+    (fun l ->
+      show_label l;
+      if not l.l_reason then print_endline "    ^ no reason")
+    test_read;
+  Printf.printf "%d record labels\n" (List.length labels);
+  if dead <> [] || unreasoned <> [] || unread <> [] || unreasoned_labels <> [] then
+    exit 1

@@ -171,6 +171,12 @@ let solve_cmd =
         | outcome ->
             Format.printf "@[<v>algorithm: %s@,"
               (Algorithms.to_string algo);
+            (* How the answer was found: the oracle tier that answered
+               and its lower bound on the cut weight, and whether a
+               solver budget ran out so the greedy multicut answered. *)
+            Option.iter (Format.printf "tier: %s@,") outcome.Algorithms.tier;
+            Option.iter (Format.printf "bound: %.2f@,") outcome.Algorithms.bound;
+            Format.printf "budget_fallback: %b@," outcome.Algorithms.budget_fallback;
             Audit.pp_solution_diff wf Format.std_formatter outcome;
             Format.printf "@]@.";
             (match output with

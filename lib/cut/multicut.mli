@@ -26,18 +26,27 @@ type backend =
 type result = {
   edges : Cdw_graph.Digraph.edge list;  (** the multicut, by edge *)
   weight : float;
-  exact : bool;  (** true for [Ilp]/[Bnb] backends *)
-  rounds : int;  (** lazy-generation iterations used *)
+      (** Test-only: the multicut tests hold it to [ratio] times the
+          optimum. The multicut's total weight. *)
+  exact : bool;
+      (** Test-only: the oracle gate holds exact answers to the
+          optimum and the others to [ratio]. True for
+          [Ilp]/[Bnb] backends. *)
+  rounds : int;
+      (** Test-only: the multicut tests check the loop's trace.
+          Lazy-generation iterations used. *)
   lower_bound : float;
       (** proven lower bound on the optimum: [weight] when [exact]; the
           final pool LP value for [Lp_rounding]; [weight /. ratio] for
           [Greedy] *)
   violated : int list;
-      (** surviving (violated) pairs found at each round's start, in
+      (** Test-only: the multicut tests check the loop's trace.
+          Surviving (violated) pairs found at each round's start, in
           round order — [rounds + 1] entries, the final one 0: how the
           loop terminated *)
   ratio : float;
-      (** guaranteed ratio of [weight] to the optimum: 1.0 when [exact];
+      (** Test-only: the multicut tests check the approximation bound.
+          Guaranteed ratio of [weight] to the optimum: 1.0 when [exact];
           the longest pooled path length L for [Lp_rounding] (threshold
           rounding at 1/L); H(pooled paths) for [Greedy] (Chvátal) *)
   fell_back : bool;

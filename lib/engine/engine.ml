@@ -19,17 +19,15 @@ type reply = {
 
 type event =
   | Submitted of { user : string; request : request }
-  | Session_opened of { user : string }
   | Session_closed of { user : string }
-  | Drained of { seq : int; requests : int }
-  | Drain_settled of { seq : int }
+  | Drained of { seq : int }
+  | Drain_settled
   | Epoch_installed of { epoch : int; workflow : string }
 
 type migration = {
   m_epoch : int;
   m_recomputed : int;
   m_dropped_pairs : int;
-  m_diff : Evolution.t;
 }
 
 type t = {
@@ -86,16 +84,18 @@ let set_journal t journal = with_lock t (fun () -> t.journal <- journal)
 
 let session_seed t user = t.seed lxor Hashtbl.hash user
 
+(* A session of [user] on the current base, registered nowhere. *)
+let fresh t user =
+  Session.create ~index:t.index ~algorithm:t.algorithm ~options:t.options
+    ~rng_seed:(session_seed t user) user
+
 (* Under the lock: revive a parked session through the zero-solver-run
    restore path, rewinding its rng to the captured state so randomized
    solves continue the exact stream an unevicted session would have.
    Hydration emits no journal event — eviction is a cache decision the
    ledger never sees (the state it re-installs is already durable). *)
 let hydrate_locked t user (p : Tier.parked) =
-  let s =
-    Session.create ~index:t.index ~algorithm:t.algorithm ~options:t.options
-      ~rng_seed:(session_seed t user) user
-  in
+  let s = fresh t user in
   (match Session.restore s ~constraints:p.Tier.p_pairs ~removed_ids:p.Tier.p_cuts
    with
   | Ok () -> ()
@@ -104,42 +104,48 @@ let hydrate_locked t user (p : Tier.parked) =
   Hashtbl.add t.sessions user s;
   s
 
-let session_locked t user =
+(* Under the lock: the session the engine holds for [user] — resident,
+   or hydrated from the cold tier — if any. *)
+let held_locked t user =
   match Hashtbl.find_opt t.sessions user with
   | Some s ->
       (match t.tier with Some tier -> Tier.touch tier user | None -> ());
-      s
+      Some s
   | None -> (
-      let hydrated =
-        match t.tier with
-        | None -> None
-        | Some tier -> (
-            match Tier.take_parked tier user with
-            | None -> None
-            | Some p ->
-                let s =
-                  Trace.span "tier.hydrate"
-                    ~args:[ ("user", user) ]
-                    (fun () -> hydrate_locked t user p)
-                in
-                Metrics.incr (metrics t) "tier.hydrations";
-                Tier.touch tier user;
-                Some s)
-      in
-      match hydrated with
-      | Some s -> s
-      | None ->
-          let s =
-            Session.create ~index:t.index ~algorithm:t.algorithm
-              ~options:t.options ~rng_seed:(session_seed t user) user
-          in
-          Hashtbl.add t.sessions user s;
-          (match t.tier with Some tier -> Tier.touch tier user | None -> ());
-          Metrics.incr (metrics t) "engine.sessions.created";
-          emit t (Session_opened { user });
-          s)
+      match t.tier with
+      | None -> None
+      | Some tier -> (
+          match Tier.take_parked tier user with
+          | None -> None
+          | Some p ->
+              let s =
+                Trace.span "tier.hydrate"
+                  ~args:[ ("user", user) ]
+                  (fun () -> hydrate_locked t user p)
+              in
+              Metrics.incr (metrics t) "tier.hydrations";
+              Tier.touch tier user;
+              Some s))
 
-let session t user = with_lock t (fun () -> session_locked t user)
+(* Under the lock: get-or-create, registering a new user. Only a drain
+   and the ledger's restore paths register users, so every session the
+   pool holds was named by a journaled request or by recovered state:
+   recovery reproduces the pool without a record of its own. *)
+let session_locked t user =
+  match held_locked t user with
+  | Some s -> s
+  | None ->
+      let s = fresh t user in
+      Hashtbl.add t.sessions user s;
+      (match t.tier with Some tier -> Tier.touch tier user | None -> ());
+      Metrics.incr (metrics t) "engine.sessions.created";
+      s
+
+let session t user =
+  with_lock t (fun () ->
+      match held_locked t user with Some s -> s | None -> fresh t user)
+
+let open_session t user = with_lock t (fun () -> ignore (session_locked t user))
 
 let restore_session t user ~constraints ~removed_ids =
   (* One lock section end to end: the get-or-create and the state
@@ -183,11 +189,7 @@ let sessions t =
 let measured_session_bytes t =
   let word = Sys.word_size / 8 in
   let k = 8 in
-  let probe i =
-    let id = Printf.sprintf "\000tier-probe-%d" i in
-    Session.create ~index:t.index ~algorithm:t.algorithm ~options:t.options
-      ~rng_seed:(session_seed t id) id
-  in
+  let probe i = fresh t (Printf.sprintf "\000tier-probe-%d" i) in
   let probes = Array.init k probe in
   let with_probes = Obj.reachable_words (Obj.repr (t.index, probes)) in
   let index_only = Obj.reachable_words (Obj.repr t.index) in
@@ -305,14 +307,11 @@ let apply_refined t user ~cuts =
       | Some s -> (
           let pairs = Constraint_set.pairs (Session.constraints s) in
           let rng = Session.rng_state s in
-          let fresh =
-            Session.create ~index:t.index ~algorithm:t.algorithm
-              ~options:t.options ~rng_seed:(session_seed t user) user
-          in
-          match Session.restore fresh ~constraints:pairs ~removed_ids:cuts with
+          let s' = fresh t user in
+          match Session.restore s' ~constraints:pairs ~removed_ids:cuts with
           | Ok () ->
-              Session.set_rng_state fresh rng;
-              Hashtbl.replace t.sessions user fresh;
+              Session.set_rng_state s' rng;
+              Hashtbl.replace t.sessions user s';
               Ok ()
           | Error _ as e -> e)
       | None -> (
@@ -360,7 +359,7 @@ let migrate ?epoch:e t wf =
               let text = Serialize.to_string wf in
               let wf', _ = Serialize.parse_exn text in
               emit t (Epoch_installed { epoch = next; workflow = text });
-              let diff = Shared_index.install ~epoch:next t.index wf' in
+              Shared_index.install ~epoch:next t.index wf';
               let new_base = Shared_index.base t.index in
               let to_new v = Evolution.counterpart ~of_:new_base old_base v in
               let recomputed = ref 0 and dropped = ref 0 in
@@ -379,10 +378,7 @@ let migrate ?epoch:e t wf =
                 kept
               in
               let recompute user pairs =
-                let s =
-                  Session.create ~index:t.index ~algorithm:t.algorithm
-                    ~options:t.options ~rng_seed:(session_seed t user) user
-                in
+                let s = fresh t user in
                 (match pairs with
                 | [] -> ()
                 | ps -> (
@@ -454,7 +450,6 @@ let migrate ?epoch:e t wf =
                 m_epoch = next;
                 m_recomputed = !recomputed;
                 m_dropped_pairs = !dropped;
-                m_diff = diff;
               })))
 
 let submit ?submitted_ms t ~user request =
@@ -604,18 +599,18 @@ let drain_on ?pool t =
              drain lands (in both the queue and the log) after the mark,
              and replay reproduces the original batching. Empty drains
              leave no mark. *)
-          let requests, seq =
+          let requests =
             Trace.span "drain.dequeue" (fun () ->
-                let requests, seq =
+                let requests =
                   with_lock t (fun () ->
                       match List.rev t.queue with
-                      | [] -> ([], None)
+                      | [] -> []
                       | q ->
                           t.queue <- [];
                           let seq = t.drains in
                           t.drains <- seq + 1;
-                          emit t (Drained { seq; requests = List.length q });
-                          (q, Some seq))
+                          emit t (Drained { seq });
+                          q)
                 in
                 (* Inside the phase, so the phases tile the drain: the
                    waits are computed first and recorded under one
@@ -624,7 +619,7 @@ let drain_on ?pool t =
                 Metrics.record_all_ms m "queue_wait"
                   (List.map (fun (_, _, submitted) -> now -. submitted)
                      requests);
-                (List.map (fun (user, r, _) -> (user, r)) requests, seq))
+                List.map (fun (user, r, _) -> (user, r)) requests)
           in
           (* Sessions are created on the calling domain: the table is
              then only read inside the tasks. Each task opens its own
@@ -637,7 +632,7 @@ let drain_on ?pool t =
                 Array.of_list
                   (List.map
                      (fun (user, reqs) ->
-                       let s = session t user in
+                       let s = with_lock t (fun () -> session_locked t user) in
                        let segs = segments t s reqs in
                        fun () ->
                          Trace.span "engine.user_batch" ~parent:drain_sid
@@ -662,9 +657,7 @@ let drain_on ?pool t =
              call back into the engine (e.g. to snapshot session
              state). *)
           Trace.span "drain.settle" (fun () ->
-              match seq with
-              | Some seq -> emit t (Drain_settled { seq })
-              | None -> ());
+              if requests <> [] then emit t Drain_settled);
           (* Drain boundary = eviction boundary: the batch is applied
              and settled, so every evictable session is quiescent. *)
           with_lock t (fun () -> evict_over_cap_locked t);

@@ -46,18 +46,18 @@ type event =
   | Submitted of { user : string; request : request }
       (** a request is entering the queue (emitted before {!submit}
           returns, and before the queue mutation — see {!submit}) *)
-  | Session_opened of { user : string }  (** a session joined the pool *)
   | Session_closed of { user : string }  (** a session was {!forget}ten *)
-  | Drained of { seq : int; requests : int }
+  | Drained of { seq : int }
       (** a non-empty {!drain} took its batch off the queue; [seq]
           counts drains from 0. Emitted atomically with the queue swap
           (under the engine lock, like [Submitted]), so in a journal
           the events preceding a [Drained] mark are exactly the
           requests that drain consumed — even with submitters racing
           the drain. *)
-  | Drain_settled of { seq : int }
-      (** drain [seq]'s batch has been fully applied to its sessions.
-          Emitted outside the engine lock, once per [Drained]. *)
+  | Drain_settled
+      (** the last [Drained] batch has been fully applied to its
+          sessions. Emitted outside the engine lock, once per
+          [Drained]. *)
   | Epoch_installed of { epoch : int; workflow : string }
       (** a new base was installed by {!migrate}; [workflow] is its
           {!Cdw_core.Serialize} text — replaying the event
@@ -77,7 +77,6 @@ type migration = {
   m_dropped_pairs : int;
       (** constraint pairs dropped because an endpoint vanished from
           the new base (an implicit withdrawal) *)
-  m_diff : Cdw_core.Evolution.t;  (** the structural diff installed *)
 }
 (** What one {!migrate} did — the serving layer's migration report. *)
 
@@ -152,7 +151,19 @@ val set_journal : t -> (event -> unit) option -> unit
     unchanged (engine and journal stay consistent). *)
 
 val session : t -> string -> Session.t
-(** Get-or-create the session of the given user id. *)
+(** The session the engine holds for this user id (hydrating a parked
+    one), or, for a user it does not hold, a fresh session on the
+    current base that it does not register: reading a user creates no
+    state. Only a {!drain} (for a user with a request) and the restore
+    calls below add a user to the pool, so every session is named by a
+    journaled request or by recovered state, and the journal needs no
+    record of its own for a session's creation. *)
+
+val open_session : t -> string -> unit
+(** Register an empty session for a user the engine does not hold; a
+    no-op for one it does. Ledger replay of the [Session_open] records
+    older builds wrote, and of the users of constraint-only (v1)
+    snapshots. *)
 
 val restore_session :
   t -> string -> constraints:(int * int) list -> removed_ids:int list ->

@@ -1,10 +1,8 @@
 module Algorithms = Cdw_core.Algorithms
 module Constraint_set = Cdw_core.Constraint_set
 module Digraph = Cdw_graph.Digraph
-module Evolution = Cdw_core.Evolution
 module Paths = Cdw_graph.Paths
 module Reach = Cdw_graph.Reach
-module Topo = Cdw_graph.Topo
 module Trace = Cdw_obs.Trace
 module Workflow = Cdw_core.Workflow
 
@@ -43,7 +41,6 @@ type flight = { cv : Condition.t; mutable result : Algorithms.cut option option 
    so a reader holding a [derived] value sees one consistent epoch. *)
 type derived = {
   base : Workflow.t;
-  topo : int array;
   snapshot : Reach.Snapshot.t;
   paths : (int * int, path_entry) Hashtbl.t;
   mutable memo : Algorithms.cut Memo.t option;
@@ -53,9 +50,6 @@ type derived = {
 
 type t = {
   mutable d : derived;
-  mutable chain : (int * Evolution.t) list;
-      (* (epoch, diff vs the previous epoch), newest first; epoch 0 has
-         no diff and no entry *)
   lock : Mutex.t;
   max_paths : int;
   metrics : Metrics.t;
@@ -69,7 +63,6 @@ let derive wf =
   let g = Workflow.graph base in
   {
     base;
-    topo = Topo.sort g;
     snapshot =
       Trace.span "index.snapshot"
         ~args:[ ("repr", Digraph.repr_name g) ]
@@ -85,7 +78,6 @@ let max_cached_pairs = 4096
 let create ?(max_paths = 200_000) wf =
   {
     d = derive wf;
-    chain = [];
     lock = Mutex.create ();
     max_paths;
     metrics = Metrics.create ();
@@ -100,16 +92,12 @@ let epoch t = Workflow.epoch t.d.base
    state. The workflow is frozen with the next epoch number unless the
    caller pins one (replay installs the journaled epoch verbatim). *)
 let install ?epoch:e t wf =
-  let old_base = t.d.base in
-  let next = match e with Some e -> e | None -> Workflow.epoch old_base + 1 in
-  let frozen = Workflow.freeze ~epoch:next wf in
-  let diff = Evolution.compute ~old_base ~new_base:frozen in
+  let next = match e with Some e -> e | None -> epoch t + 1 in
+  let d = derive (Workflow.freeze ~epoch:next wf) in
   Mutex.lock t.lock;
-  t.d <- derive frozen;
-  t.chain <- (next, diff) :: t.chain;
+  t.d <- d;
   Mutex.unlock t.lock;
-  Metrics.incr t.metrics "index.installs";
-  diff
+  Metrics.incr t.metrics "index.installs"
 
 let connected t ~source ~target =
   Metrics.incr t.metrics "index.connected";

@@ -1,12 +1,11 @@
 (** The engine's amortization core: one immutable base workflow plus the
     structure every solve would otherwise re-derive from scratch.
 
-    A naive consent service answers each request by re-running topo
-    sort, reachability BFS and per-constraint path enumeration on a
-    private copy of the workflow. Since the base workflow is the same
-    for every user, all of that is shared here instead:
+    A naive consent service answers each request by re-running
+    reachability BFS and per-constraint path enumeration on a private
+    copy of the workflow. Since the base workflow is the same for every
+    user, all of that is shared here instead:
 
-    - the topological order of the base,
     - an all-pairs reachability snapshot ({!Cdw_graph.Reach.Snapshot}) —
       O(1) [connected] queries,
     - a memoized per-(user, purpose) path cache with a bounded number of
@@ -33,8 +32,7 @@ type t
 
 val create : ?max_paths:int -> Cdw_core.Workflow.t -> t
 (** Freezes the given workflow (a private immutable CSR base; the input
-    is never modified) and precomputes topo order and the reachability
-    snapshot, with a fresh metrics registry. The path sets of at most
+    is never modified) and precomputes the reachability snapshot, with a fresh metrics registry. The path sets of at most
     4096 (source, target) pairs are memoized; beyond that, path queries
     fall through to plain enumeration. [max_paths] (default 200_000)
     caps enumeration per pair; pairs that overflow are remembered as
@@ -48,12 +46,13 @@ val base : t -> Cdw_core.Workflow.t
 val epoch : t -> int
 (** The current base's epoch (0 until an {!install}). *)
 
-val install : ?epoch:int -> t -> Cdw_core.Workflow.t -> Cdw_core.Evolution.t
+val install : ?epoch:int -> t -> Cdw_core.Workflow.t -> unit
 (** Swap in a new base: freeze the workflow as epoch [epoch] (default:
-    current epoch + 1), recompute topo order and reachability snapshot,
-    start an empty path cache and solve memo, and return the name-space
-    structural diff against the previous base. Must only be called at a
-    drain boundary with no solver running — the engine's migrate owns
+    current epoch + 1), recompute the reachability snapshot and start
+    an empty path cache and solve memo. Nothing of the old epoch is
+    kept, and no diff against it is computed: migration remaps by
+    vertex name ({!Cdw_core.Evolution.counterpart}) and re-solves.
+    Must only be called at a drain boundary with no solver running — the engine's migrate owns
     that argument; sessions created before the install keep referencing
     the old base and must be migrated by the caller. *)
 

@@ -1,5 +1,4 @@
 module Digraph = Cdw_graph.Digraph
-module Vec = Cdw_util.Vec
 
 let eps = 1e-9
 
@@ -7,11 +6,7 @@ type t = {
   n : int;
   dst : int array; (* arc -> head vertex *)
   res : float array; (* arc -> residual capacity *)
-  cap0 : float array; (* arc -> original capacity *)
   adj : int list array; (* vertex -> arc indices *)
-  edge_arc : int array; (* original edge id -> forward arc index, or -1 *)
-  arc_edge : int array; (* forward arc index -> original edge id, or -1 *)
-  graph : Digraph.t;
 }
 
 let of_digraph g ~capacity =
@@ -20,8 +15,6 @@ let of_digraph g ~capacity =
   let dst = Array.make (2 * m) 0 in
   let res = Array.make (2 * m) 0.0 in
   let adj = Array.make n [] in
-  let edge_arc = Array.make (max 1 (Digraph.n_edges_total g)) (-1) in
-  let arc_edge = Array.make (2 * m) (-1) in
   let next = ref 0 in
   Digraph.iter_edges
     (fun e ->
@@ -34,11 +27,9 @@ let of_digraph g ~capacity =
       dst.(a + 1) <- Digraph.edge_src e;
       res.(a + 1) <- 0.0;
       adj.(Digraph.edge_src e) <- a :: adj.(Digraph.edge_src e);
-      adj.(Digraph.edge_dst e) <- (a + 1) :: adj.(Digraph.edge_dst e);
-      edge_arc.(Digraph.edge_id e) <- a;
-      arc_edge.(a) <- Digraph.edge_id e)
+      adj.(Digraph.edge_dst e) <- (a + 1) :: adj.(Digraph.edge_dst e))
     g;
-  { n; dst; res; cap0 = Array.copy res; adj; edge_arc; arc_edge; graph = g }
+  { n; dst; res; adj }
 
 let n_vertices t = t.n
 let arc_dst t a = t.dst.(a)

@@ -17,30 +17,51 @@ type entry = {
    artifact — the dump is best-effort by design, it may run from a
    signal handler while drains are in flight). *)
 type ring = {
-  r_tid : int;
+  mutable r_tid : int;  (* the owning domain, or the last one *)
+  mutable r_live : bool;  (* false once the owner exited *)
   slots : entry array;
   mutable next : int;  (* next slot to overwrite *)
-  mutable total : int;  (* entries ever recorded by this domain *)
+  mutable total : int;  (* entries ever recorded into this ring *)
 }
 
 let capacity = Atomic.make 4096
 let registry : ring list ref = ref []
 let registry_lock = Mutex.create ()
 
+(* A domain takes over the ring of one that exited, discarding the old
+   owner's entries, before it allocates a new one: the registry holds
+   one ring per domain alive at once, not one per domain ever spawned.
+   An exited domain's entries stay in dumps until then. *)
 let fresh_ring () =
-  let r =
-    {
-      r_tid = (Domain.self () :> int);
-      slots =
-        Array.init (Atomic.get capacity) (fun _ ->
-            { e_name = ""; e_shard = -1; e_t0 = 0.0; e_dur = 0.0 });
-      next = 0;
-      total = 0;
-    }
-  in
+  let tid = (Domain.self () :> int) in
   Mutex.lock registry_lock;
-  registry := r :: !registry;
+  let r =
+    match List.find_opt (fun r -> not r.r_live) !registry with
+    | Some r ->
+        Array.iter (fun e -> e.e_name <- "") r.slots;
+        r.r_tid <- tid;
+        r.r_live <- true;
+        r
+    | None ->
+        let r =
+          {
+            r_tid = tid;
+            r_live = true;
+            slots =
+              Array.init (Atomic.get capacity) (fun _ ->
+                  { e_name = ""; e_shard = -1; e_t0 = 0.0; e_dur = 0.0 });
+            next = 0;
+            total = 0;
+          }
+        in
+        registry := r :: !registry;
+        r
+  in
   Mutex.unlock registry_lock;
+  Domain.at_exit (fun () ->
+      Mutex.lock registry_lock;
+      r.r_live <- false;
+      Mutex.unlock registry_lock);
   r
 
 let key : ring Domain.DLS.key = Domain.DLS.new_key fresh_ring
@@ -64,6 +85,7 @@ let rings () =
   rs
 
 let recorded () = List.fold_left (fun acc r -> acc + r.total) 0 (rings ())
+let ring_count () = List.length (rings ())
 
 (* A context thunk dumped alongside the rings — the serving front end
    hangs its counters here (inbox depths, per-domain accounting), so a

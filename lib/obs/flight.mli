@@ -23,7 +23,10 @@
 val prewarm : unit -> unit
 (** Allocate the calling domain's ring now instead of lazily on its
     first {!record}. Long-lived worker domains call this at spawn so
-    the one-time allocation cost never lands inside a measured span. *)
+    the one-time allocation cost never lands inside a measured span.
+    A domain that exited hands its ring to the next domain that needs
+    one, whose first use clears the old owner's entries: the rings
+    held are bounded by the domains alive at once. *)
 
 val record : ?shard:int -> string -> t0_us:float -> dur_us:float -> unit
 (** Record one completed span into this domain's ring, overwriting the
@@ -35,6 +38,13 @@ val recorded : unit -> int
 
     Entries ever recorded, across all domains (not bounded by ring
     capacity). *)
+
+val ring_count : unit -> int
+(** Test-only: the shard tests check that creating and closing groups
+    keeps the number of rings bounded.
+
+    Rings registered so far: one per domain alive at once — a new
+    domain takes over the ring of one that exited. *)
 
 val set_context : (unit -> Cdw_util.Json.t) option -> unit
 (** Attach a thunk whose JSON is embedded in every dump (under

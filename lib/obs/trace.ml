@@ -15,7 +15,8 @@ type event = {
    domain records its first span, and by [reset]/[export] — which the
    contract restricts to quiescent moments. *)
 type buffer = {
-  tid : int;  (* Domain.self of the owner *)
+  mutable tid : int;  (* Domain.self of the owner, or of the last one *)
+  mutable live : bool;  (* false once the owner exited *)
   mutable events : event array;
   mutable len : int;
   mutable dropped : int;
@@ -36,20 +37,39 @@ let next_sid = Atomic.make (((Unix.getpid () land 0xFFFF) lsl 40) lor 1)
 let registry : buffer list ref = ref []
 let registry_lock = Mutex.create ()
 
+(* A domain takes over the buffer of one that exited, once that holds
+   no events (never traced, or emptied by [reset]), before it allocates
+   a new one: joined pool helpers and shard workers leave no buffer
+   behind unless it holds events an export still needs. *)
 let fresh_buffer () =
-  let b =
-    {
-      tid = (Domain.self () :> int);
-      events = Array.make 1024 { name = ""; ph = 'B'; ts = 0.0; sid = 0; parent = 0; args = [] };
-      len = 0;
-      dropped = 0;
-      last_ts = 0.0;
-      stack = [];
-    }
-  in
+  let tid = (Domain.self () :> int) in
   Mutex.lock registry_lock;
-  registry := b :: !registry;
+  let b =
+    match List.find_opt (fun b -> (not b.live) && b.len = 0) !registry with
+    | Some b ->
+        b.tid <- tid;
+        b.live <- true;
+        b
+    | None ->
+        let b =
+          {
+            tid;
+            live = true;
+            events = Array.make 1024 { name = ""; ph = 'B'; ts = 0.0; sid = 0; parent = 0; args = [] };
+            len = 0;
+            dropped = 0;
+            last_ts = 0.0;
+            stack = [];
+          }
+        in
+        registry := b :: !registry;
+        b
+  in
   Mutex.unlock registry_lock;
+  Domain.at_exit (fun () ->
+      Mutex.lock registry_lock;
+      b.live <- false;
+      Mutex.unlock registry_lock);
   b
 
 let key : buffer Domain.DLS.key = Domain.DLS.new_key fresh_buffer

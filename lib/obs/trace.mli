@@ -65,9 +65,9 @@ val buffer_count : unit -> int
 (** Test-only: the domain-pool tests check that a traced one-shard
     server keeps the number of buffers bounded.
 
-    Buffers registered so far: one per domain that ever traced or
-    prewarmed, running or joined. {!reset} empties them and frees
-    none. *)
+    Buffers registered: one per domain alive at once, plus one per
+    exited domain whose buffer still holds events. A new domain takes
+    over an exited domain's empty buffer; {!reset} empties them all. *)
 
 val dropped : unit -> int
 (** Spans not recorded because their domain's buffer was full. *)

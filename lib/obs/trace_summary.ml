@@ -5,7 +5,6 @@ type row = {
   count : int;
   total_ms : float;
   self_ms : float;
-  min_ms : float;
   max_ms : float;
 }
 
@@ -68,7 +67,6 @@ type agg = {
   mutable a_count : int;
   mutable a_total : float;
   mutable a_self : float;
-  mutable a_min : float;
   mutable a_max : float;
 }
 
@@ -86,8 +84,7 @@ let of_events events =
     | Some a -> a
     | None ->
         let a =
-          { a_count = 0; a_total = 0.0; a_self = 0.0; a_min = infinity;
-            a_max = neg_infinity }
+          { a_count = 0; a_total = 0.0; a_self = 0.0; a_max = neg_infinity }
         in
         Hashtbl.add aggs name a;
         a
@@ -127,7 +124,6 @@ let of_events events =
               a.a_count <- a.a_count + 1;
               a.a_total <- a.a_total +. dur;
               a.a_self <- a.a_self +. self;
-              if dur < a.a_min then a.a_min <- dur;
               if dur > a.a_max then a.a_max <- dur;
               if top.o_name = "engine.drain" then begin
                 drain_wall := !drain_wall +. dur;
@@ -147,7 +143,6 @@ let of_events events =
           a.a_count <- a.a_count + 1;
           a.a_total <- a.a_total +. dur;
           a.a_self <- a.a_self +. dur;
-          if dur < a.a_min then a.a_min <- dur;
           if dur > a.a_max then a.a_max <- dur
       | _ -> ())
     events;
@@ -162,7 +157,6 @@ let of_events events =
           count = a.a_count;
           total_ms = us_to_ms a.a_total;
           self_ms = us_to_ms a.a_self;
-          min_ms = us_to_ms a.a_min;
           max_ms = us_to_ms a.a_max;
         }
         :: acc)

@@ -4,7 +4,7 @@
     The summary pairs begin/end events per process and domain
     ((pid, tid) — a merged multi-process trace reuses tids) into spans,
     aggregates them by name (count, total, self = total minus nested
-    children on the same domain, min/max) and reports how much of the
+    children on the same domain, max) and reports how much of the
     engine's drain wall time the instrumentation accounts for: the
     coverage of an ["engine.drain"] span is the fraction of its duration
     spent inside its direct same-domain children (dequeue, plan,
@@ -27,7 +27,6 @@ type row = {
   count : int;
   total_ms : float;
   self_ms : float;
-  min_ms : float;
   max_ms : float;
 }
 

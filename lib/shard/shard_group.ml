@@ -33,7 +33,6 @@ type shard = {
   position : int;
   engine : Engine.t;
   inbox : item Mpsc.t;
-  depth : int Atomic.t;  (* items in [inbox], racy but convergent *)
   acct : Domain_acct.t;  (* busy/idle/barrier/phase stall accounting *)
   pre_seq : (string, int) Hashtbl.t;
       (* first-submission seqs of items a migration ingested out of the
@@ -85,7 +84,6 @@ let group_of_engines engines =
           position;
           engine;
           inbox = Mpsc.create ();
-          depth = Atomic.make 0;
           acct = Domain_acct.create ();
           pre_seq = Hashtbl.create 16;
           pre_rejected = [];
@@ -142,8 +140,7 @@ let submit t ~user request =
     let s = t.members.(route t user) in
     let seq = Atomic.fetch_and_add t.seq 1 in
     let at_ms = Timing.now_ms () in
-    Mpsc.push s.inbox { seq; i_user = user; i_request = request; at_ms };
-    Atomic.incr s.depth
+    Mpsc.push s.inbox { seq; i_user = user; i_request = request; at_ms }
   end
 
 (* ---------------------------------------------------------------- *)
@@ -166,14 +163,9 @@ let phase shard counter name f =
 (* The shard's whole inbox in the global submission order (CAS order
    under racing producers can differ from seq order). *)
 let take_inbox shard =
-  let items =
-    List.sort
-      (fun (a : item) (b : item) -> compare a.seq b.seq)
-      (Mpsc.take_all shard.inbox)
-  in
-  let n = List.length items in
-  if n > 0 then ignore (Atomic.fetch_and_add shard.depth (-n));
-  items
+  List.sort
+    (fun (a : item) (b : item) -> compare a.seq b.seq)
+    (Mpsc.take_all shard.inbox)
 
 (* Feed [items] to the engine — journal + enqueue, no execute —
    recording each user's first seq in [first]. Journal hooks fire
@@ -602,12 +594,7 @@ let write_group_manifest root ~shards =
         ("shards", Json.Number (float_of_int shards));
       ]
   in
-  (* Atomic like the store's own manifests: tmp + rename. *)
-  let tmp = group_manifest_path root ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  output_string oc (Json.to_string json ^ "\n");
-  close_out oc;
-  Sys.rename tmp (group_manifest_path root)
+  Store.write_atomic (group_manifest_path root) (Json.to_string json ^ "\n")
 
 let read_group_manifest root =
   let ( let* ) = Result.bind in

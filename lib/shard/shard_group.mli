@@ -133,7 +133,7 @@ val migrate :
 (** Install a new base epoch on every shard and migrate every session
     onto it, live ({!Cdw_engine.Engine.migrate} semantics: each shard
     re-solves all of its sessions; [m_recomputed] and [m_dropped_pairs]
-    are summed across shards, [m_diff] is the common structural diff).
+    are summed across shards; no diff of the two bases is computed).
     Takes the drain lock — callers may race {!drain} and {!submit}
     freely. Each shard's inbox is first ingested (journaled and
     enqueued, without executing), so the per-shard WALs order every
@@ -163,7 +163,10 @@ val drain : t -> Cdw_engine.Engine.reply list
     session state, so the replies do not depend on the shard count. *)
 
 val session : t -> string -> Cdw_engine.Session.t
-(** Get-or-create the user's session on its shard. *)
+(** The user's session on its shard ({!Cdw_engine.Engine.session}): the
+    one the shard holds, or, for a user with no request served yet, a
+    fresh session the shard does not register — reading a user creates
+    no state, so the ledger never needs a record to reproduce it. *)
 
 val forget : t -> string -> unit
 (** Drop the user's session on its shard

@@ -490,16 +490,15 @@ let attach t engine =
         | Engine.Withdraw pairs ->
             log t (Record.Withdraw { user; pairs = encode_pairs wf pairs })
         | Engine.Resolve -> log t (Record.Resolve { user }))
-    | Engine.Session_opened { user } -> log t (Record.Session_open { user })
     | Engine.Session_closed { user } -> log t (Record.Session_close { user })
-    | Engine.Drained { seq; requests = _ } ->
+    | Engine.Drained { seq } ->
         (* One lock section for the mark and the boundary it defines:
            every record before it is this drain's (about-to-be-applied)
            batch, everything after is still queued. *)
         with_lock t (fun () ->
             Wal.append t.wal (Record.encode (Record.Drain { seq }));
             t.boundary <- Wal.length t.wal)
-    | Engine.Drain_settled _ -> maybe_auto_snapshot t engine
+    | Engine.Drain_settled -> maybe_auto_snapshot t engine
     | Engine.Epoch_installed { epoch; workflow } ->
         log t (Record.Epoch_installed { epoch; workflow })
   in
@@ -584,7 +583,7 @@ let restore_snapshot engine snapshot =
             | None ->
                 (* Legacy snapshot (constraints only): re-derive the cuts
                    by re-solving through the normal request path. *)
-                ignore (Engine.session engine u.u_name);
+                Engine.open_session engine u.u_name;
                 if ids <> [] then
                   Engine.submit engine ~user:u.u_name (Engine.Add ids);
                 Ok ())
@@ -629,7 +628,11 @@ let replay engine entries ~valid_end ~tail =
               Engine.submit engine ~user Engine.Resolve;
               Ok ()
           | Record.Session_open { user } ->
-              ignore (Engine.session engine user);
+              (* Only older builds wrote these. A drain that created
+                 the session has already replayed (the record followed
+                 its [Drain] mark), so only a user the engine does not
+                 hold yet gets its empty session. *)
+              Engine.open_session engine user;
               Ok ()
           | Record.Session_close { user } ->
               Engine.forget engine user;

@@ -170,6 +170,13 @@ val report_clean : report -> bool
 
 val pp_report : Format.formatter -> report -> unit
 
+val write_atomic : string -> string -> unit
+(** [write_atomic path content] publishes [content] at [path]: written
+    to [path ^ ".tmp"], fsynced, renamed over [path], and the directory
+    fsynced, so a reader sees the old file or the new one and a crash
+    after it returns keeps the new one. Every ledger manifest and
+    snapshot is written this way, and so is a group's [group.json]. *)
+
 (** {1 Paths} (for tooling and fault injection) *)
 
 val manifest_path : string -> string

@@ -109,29 +109,52 @@ let test_unknown_experiment () =
   Alcotest.(check bool) "unknown experiment errors" true
     (eval [ "experiment"; "fig99" ] <> 0)
 
-(* Exit code and stderr of one in-process run. *)
-let eval_stderr args =
-  let path = temp_path ".err" in
-  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
-  let saved = Unix.dup Unix.stderr in
+(* Exit code and one output stream of one in-process run. *)
+let eval_capturing (fd, ppf, oc) args =
+  let path = temp_path ".out" in
+  let tmp = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let saved = Unix.dup fd in
   let flush_all () =
-    Format.pp_print_flush Format.err_formatter ();
-    flush stderr
+    Format.pp_print_flush ppf ();
+    flush oc
   in
   flush_all ();
-  Unix.dup2 fd Unix.stderr;
+  Unix.dup2 tmp fd;
   let code =
     Fun.protect
       ~finally:(fun () ->
         flush_all ();
-        Unix.dup2 saved Unix.stderr;
+        Unix.dup2 saved fd;
         Unix.close saved;
-        Unix.close fd)
+        Unix.close tmp)
       (fun () -> eval args)
   in
-  let err = read path in
+  let out = read path in
   Sys.remove path;
-  (code, err)
+  (code, out)
+
+let eval_stderr = eval_capturing (Unix.stderr, Format.err_formatter, stderr)
+let eval_stdout = eval_capturing (Unix.stdout, Format.std_formatter, stdout)
+
+(* [cdw solve] says how its answer was found: the oracle tier names
+   itself and its bound; a heuristic has no tier. *)
+let test_solve_labels_exact_ilp () =
+  with_generated (fun path ->
+      let code, out = eval_stdout [ "solve"; path; "-a"; "exact-ilp" ] in
+      Alcotest.(check int) "exit 0" 0 code;
+      List.iter
+        (fun line ->
+          if not (contains out line) then Alcotest.failf "no %S in:\n%s" line out)
+        [ "tier: exact-ilp\n"; "bound: "; "budget_fallback: false\n" ])
+
+let test_solve_labels_heuristic () =
+  with_generated (fun path ->
+      let code, out = eval_stdout [ "solve"; path; "-a"; "remove-first-edge" ] in
+      Alcotest.(check int) "exit 0" 0 code;
+      Alcotest.(check bool) "no tier" false (contains out "tier:");
+      Alcotest.(check bool) "no bound" false (contains out "bound:");
+      Alcotest.(check bool) "budget_fallback shown" true
+        (contains out "budget_fallback: false\n"))
 
 (* A flag the chosen mode would ignore is a usage error, not a run. *)
 let rejects args ~says () =
@@ -156,6 +179,10 @@ let suite =
       test_solve_unknown_algorithm;
     Alcotest.test_case "solve without constraints errors" `Quick
       test_solve_without_constraints;
+    Alcotest.test_case "solve -a exact-ilp prints its tier and bound" `Quick
+      test_solve_labels_exact_ilp;
+    Alcotest.test_case "solve with a heuristic prints no tier" `Quick
+      test_solve_labels_heuristic;
     Alcotest.test_case "JSON pipeline (generate/show/solve)" `Quick
       test_json_pipeline;
     Alcotest.test_case "missing file errors" `Quick test_missing_file;

@@ -442,26 +442,30 @@ let test_accepted_pairs_drop_on_vanish () =
   Serving.close serving
 
 (* ---------------------------------------------------------------- *)
-(* Evolution diff semantics                                          *)
+(* Vertex identity across epochs                                      *)
 
-let test_evolution_diff () =
-  let (old_wf, _, _, _, _), (new_wf, _) = two_epoch_bases () in
-  let d = Evolution.compute ~old_base:old_wf ~new_base:new_wf in
-  Alcotest.(check (list string)) "added vertex" [ "p3" ]
-    d.Evolution.added_vertices;
-  Alcotest.(check (list string)) "removed vertex" [ "p2" ]
-    d.Evolution.removed_vertices;
-  Alcotest.(check (list (pair string string))) "added edge"
-    [ ("a", "p3") ]
-    d.Evolution.added_edges;
-  Alcotest.(check (list (pair string string))) "removed edge"
-    [ ("a", "p2") ]
-    d.Evolution.removed_edges;
-  Alcotest.(check bool) "no reprice, no reweight" true
-    (d.Evolution.repriced_edges = [] && d.Evolution.reweighted_purposes = []);
-  Alcotest.(check bool) "diff is not empty" false (Evolution.is_empty d);
-  let self = Evolution.compute ~old_base:old_wf ~new_base:old_wf in
-  Alcotest.(check bool) "self-diff is empty" true (Evolution.is_empty self)
+let test_evolution_counterpart () =
+  let (old_wf, u1, _, p1, p2), (new_wf, p1') = two_epoch_bases () in
+  let id wf name =
+    match Workflow.vertex_of_name wf name with
+    | Some v -> v
+    | None -> Alcotest.failf "no vertex %S" name
+  in
+  Alcotest.(check (option int)) "same name, same kind: the user"
+    (Some (id new_wf "u1"))
+    (Evolution.counterpart ~of_:new_wf old_wf u1);
+  Alcotest.(check (option int)) "same name, same kind: the purpose"
+    (Some p1') (Evolution.counterpart ~of_:new_wf old_wf p1);
+  Alcotest.(check (option int)) "a vanished name has none" None
+    (Evolution.counterpart ~of_:new_wf old_wf p2);
+  (* "a" is an algorithm in the old base and a purpose here. *)
+  let retyped = Workflow.create () in
+  ignore (Workflow.add_user ~name:"u1" retyped);
+  ignore (Workflow.add_purpose ~name:"a" ~weight:1.0 retyped);
+  Alcotest.(check (option int)) "a name that changed kind has none" None
+    (Evolution.counterpart ~of_:retyped old_wf (id old_wf "a"));
+  Alcotest.(check (option int)) "the other way round too" None
+    (Evolution.counterpart ~of_:old_wf retyped (id retyped "a"))
 
 (* ---------------------------------------------------------------- *)
 (* The Evolve mutation source                                        *)
@@ -835,7 +839,7 @@ let suite =
     ("queued submits: remapped across the boundary", `Quick, test_queued_submits_remap);
     ("queued submits: vanished endpoint is a clean error", `Quick, test_queued_submit_vanished_endpoint);
     ("accepted pairs: dropped when an endpoint vanishes", `Quick, test_accepted_pairs_drop_on_vanish);
-    ("evolution: structural diff", `Quick, test_evolution_diff);
+    ("evolution: counterpart", `Quick, test_evolution_counterpart);
     ("evolve: spec parsing", `Quick, test_evolve_spec_parsing);
     ("evolve: mutations stay installable (5 seeds)", `Quick, test_evolve_mutation_wellformed);
     ("telemetry: counters, gauge, exposition lint", `Quick, test_migration_telemetry);

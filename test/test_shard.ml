@@ -27,6 +27,9 @@ module Generator = Cdw_workload.Generator
 module Reach = Cdw_graph.Reach
 module Splitmix = Cdw_util.Splitmix
 module Json = Cdw_util.Json
+module Workbench = Cdw_engine.Workbench
+module Flight = Cdw_obs.Flight
+module Trace = Cdw_obs.Trace
 
 let shard_counts = [ 1; 2; 4; 7 ]
 
@@ -282,7 +285,7 @@ let apply_records ~algorithm ~seed wf records =
       | Record.Withdraw { user; pairs } ->
           Engine.submit engine ~user (Engine.Withdraw (decode pairs))
       | Record.Resolve { user } -> Engine.submit engine ~user Engine.Resolve
-      | Record.Session_open { user } -> ignore (Engine.session engine user)
+      | Record.Session_open { user } -> Engine.open_session engine user
       | Record.Session_close { user } -> Engine.forget engine user
       | Record.Drain _ -> ignore (Engine.drain engine)
       | Record.Cut_refined _ ->
@@ -694,6 +697,119 @@ let test_group_commit_always () =
           (Printf.sprintf "round %d shard %d: a non-empty drain fsyncs" round shard)
           true (fsyncs >= 1))
 
+(* ---------------------------------------------------------------- *)
+(* The ledger holds what replay reads                                 *)
+
+let current_wal_records dir =
+  match Store.current_wal_path dir with
+  | Error e -> Alcotest.fail e
+  | Ok path -> List.map snd (surviving_entries path)
+
+(* Every session a drain creates is named by a request journaled before
+   that drain's mark, so a ledger carries no [open] record, and
+   recovery still rebuilds exactly the served pool. *)
+let test_ledger_has_no_open_records () =
+  List.iter
+    (fun shards ->
+      with_root @@ fun root ->
+      let wf, rounds = one_shard_rounds () in
+      let serving =
+        Serving.create ~algorithm:Algorithms.Remove_first_edge ~seed:29 ~shards
+          wf
+      in
+      Serving.journal ~fsync:Wal.Never ~dir:root serving;
+      List.iter (serve_round serving) rounds;
+      let served = Serving.session_states serving in
+      Serving.close serving;
+      let records =
+        List.concat
+          (List.init shards (fun i ->
+               current_wal_records (Shard_group.shard_dir root i)))
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d shard(s): the ledger holds the run" shards)
+        true
+        (List.exists (function Record.Drain _ -> true | _ -> false) records);
+      Alcotest.(check int)
+        (Printf.sprintf "%d shard(s): no open record" shards)
+        0
+        (List.length
+           (List.filter
+              (function Record.Session_open _ -> true | _ -> false)
+              records));
+      match Serving.resume root with
+      | Error e -> Alcotest.failf "resume failed: %s" e
+      | Ok { Serving.serving; _ } ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%d shard(s): recovered = served" shards)
+            true
+            (Serving.session_states serving = served);
+          Serving.close serving)
+    [ 1; 2 ]
+
+(* Reading a user that has no request creates no served state: the
+   ledger could not reproduce it. *)
+let test_reading_unknown_user_creates_nothing () =
+  List.iter
+    (fun shards ->
+      with_root @@ fun root ->
+      let wf, rounds = one_shard_rounds () in
+      let serving =
+        Serving.create ~algorithm:Algorithms.Remove_first_edge ~seed:29 ~shards
+          wf
+      in
+      let read user =
+        Alcotest.(check (list (pair int int)))
+          (user ^ " reads as a fresh session")
+          []
+          (Constraint_set.pairs (Session.constraints (Serving.session serving user)))
+      in
+      read "before-journal";
+      Serving.journal ~fsync:Wal.Never ~dir:root serving;
+      read "journaled";
+      List.iter (serve_round serving) rounds;
+      read "after-drains";
+      let before = Serving.session_states serving in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d shard(s): only users with a request are held"
+           shards)
+        true
+        (List.for_all
+           (fun (u, _, _) ->
+             not (List.mem u [ "before-journal"; "journaled"; "after-drains" ]))
+           before);
+      Serving.close serving;
+      match Serving.resume root with
+      | Error e -> Alcotest.failf "resume failed: %s" e
+      | Ok { Serving.serving; _ } ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%d shard(s): resumed = served" shards)
+            true
+            (Serving.session_states serving = before);
+          Serving.close serving)
+    [ 1; 2 ]
+
+(* A shard worker that exits hands its flight ring and its empty trace
+   buffer to the next domain: creating and closing groups does not
+   grow either registry. *)
+let test_group_cycles_keep_registries_bounded () =
+  let wf, script = Workbench.workload Workbench.quick in
+  let cycle () =
+    let serving = Serving.create ~shards:2 wf in
+    List.iter (fun (user, rq) -> Serving.submit serving ~user rq) script;
+    ignore (Serving.drain serving);
+    Serving.close serving
+  in
+  cycle ();
+  let rings = Flight.ring_count () and buffers = Trace.buffer_count () in
+  for _ = 1 to 20 do
+    cycle ()
+  done;
+  Alcotest.(check int) "flight rings after 20 more groups" rings
+    (Flight.ring_count ());
+  Alcotest.(check int) "trace buffers after 20 more groups" buffers
+    (Trace.buffer_count ())
+
 let suite =
   [
     ("differential: dataset presets x {1,2,4,7} shards", `Slow, test_differential_datasets);
@@ -709,4 +825,7 @@ let suite =
     ("group commit: WAL on disk = wal_length after every drain", `Quick, test_group_commit_on_disk);
     ("group commit: every:32 fsyncs at most twice per shard drain", `Quick, test_group_commit_every);
     ("group commit: always fsyncs every non-empty shard drain", `Quick, test_group_commit_always);
+    ("ledger: no open record at 1 and 2 shards, recovered = served", `Quick, test_ledger_has_no_open_records);
+    ("ledger: reading an unknown user creates no state", `Quick, test_reading_unknown_user_creates_nothing);
+    ("domains: 20 group cycles keep flight rings and trace buffers bounded", `Quick, test_group_cycles_keep_registries_bounded);
   ]

@@ -321,7 +321,7 @@ let apply_records wf records =
       | Record.Withdraw { user; pairs } ->
           Engine.submit engine ~user (Engine.Withdraw (decode pairs))
       | Record.Resolve { user } -> Engine.submit engine ~user Engine.Resolve
-      | Record.Session_open { user } -> ignore (Engine.session engine user)
+      | Record.Session_open { user } -> Engine.open_session engine user
       | Record.Session_close { user } -> Engine.forget engine user
       | Record.Drain _ -> ignore (Engine.drain engine)
       | Record.Cut_refined _ ->
@@ -762,7 +762,8 @@ let test_verify_report () =
    the anytime refiner (remove-last-edge, 2 shards, under a memory cap
    that parked most refined users); [fixtures/refined-ledger.state] is
    that build's [cdw store replay --state] output for it. Its
-   [Cut_refined] records must still replay to exactly that state. *)
+   [Cut_refined] and session [open] records must still replay to
+   exactly that state. *)
 let test_old_ledger_replays () =
   let module Serving = Cdw_shard.Serving in
   let fixture = "fixtures/refined-ledger" in
@@ -771,15 +772,17 @@ let test_old_ledger_replays () =
       In_channel.input_all
   in
   let shards = [ "shard-0"; "shard-1" ] in
-  let refined =
+  let records =
     List.concat_map
       (fun d ->
         surviving_records (Filename.concat fixture (d ^ "/wal-000000.log")))
       shards
-    |> List.filter (function Record.Cut_refined _ -> true | _ -> false)
   in
+  let count p = List.length (List.filter p records) in
   Alcotest.(check int) "the fixture holds Cut_refined records" 78
-    (List.length refined);
+    (count (function Record.Cut_refined _ -> true | _ -> false));
+  Alcotest.(check int) "the fixture holds open records" 76
+    (count (function Record.Session_open _ -> true | _ -> false));
   let root = temp_dir () in
   Fault.copy_ledger ~src:fixture ~dst:root;
   List.iter
