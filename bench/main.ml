@@ -12,7 +12,8 @@
      dune exec bench/main.exe                 # micro suite + quick reproduction
      dune exec bench/main.exe -- --full       # paper-scale sweeps (hours)
      dune exec bench/main.exe -- --micro-only
-     dune exec bench/main.exe -- fig5a table3 # selected experiments only *)
+     dune exec bench/main.exe -- fig5a table3 # selected experiments only
+                                              # (names: Experiments.registry) *)
 
 open Bechamel
 open Toolkit
@@ -22,7 +23,6 @@ module Generator = Cdw_workload.Generator
 module Gen_params = Cdw_workload.Gen_params
 module Dataset2 = Cdw_workload.Dataset2
 module E = Cdw_expers.Experiments
-module T = Cdw_expers.Table
 
 (* ------------------------------------------------------------------ *)
 (* Micro-suite instances: pinned seeds, modest sizes.                   *)
@@ -37,8 +37,9 @@ let inst_d3 = lazy (Generator.generate ~seed:5 (Gen_params.dataset3 ~n_vertices:
 let run_algo name (instance : Generator.t Lazy.t) () =
   let i = Lazy.force instance in
   ignore
-    (Algorithms.run ~max_paths:100_000 name i.Generator.workflow
-       i.Generator.constraints)
+    (Algorithms.solve
+       ~options:{ Algorithms.Options.default with max_paths = Some 100_000 }
+       name i.Generator.workflow i.Generator.constraints)
 
 let micro_tests =
   [
@@ -148,38 +149,10 @@ let () =
   if not skip_micro then run_micro ();
   if micro_only then ()
   else if selected = [] then E.run_all profile
-  else begin
-    let emit name table =
-      T.print table;
-      ignore (T.write_csv ~dir:"results" ~name table)
-    in
+  else
     List.iter
       (fun name ->
-        match name with
-        | "fig5a" | "fig6a" ->
-            let t5, t6 = E.fig5_6 profile E.D1a in
-            emit "fig5a" t5;
-            emit "fig6a" t6
-        | "fig5b" | "fig6b" ->
-            let t5, t6 = E.fig5_6 profile E.D1b in
-            emit "fig5b" t5;
-            emit "fig6b" t6
-        | "fig5c" | "fig6c" ->
-            let t5, t6 = E.fig5_6 profile E.D1c in
-            emit "fig5c" t5;
-            emit "fig6c" t6
-        | "table3" -> emit "table3" (E.table3 profile)
-        | "fig7" -> emit "fig7" (E.fig7 profile)
-        | "fig8" -> emit "fig8" (E.fig8 profile)
-        | "fig9" ->
-            let t, u = E.fig9 profile in
-            emit "fig9_time" t;
-            emit "fig9_utility" u
-        | "ablation-bnb" -> emit "ablation_bnb" (E.ablation_bnb profile)
-        | "ablation-minmc" ->
-            emit "ablation_minmc_backends" (E.ablation_minmc_backends profile)
-        | "ablation-weights" ->
-            emit "ablation_weight_scheme" (E.ablation_weight_scheme profile)
-        | other -> Printf.eprintf "unknown experiment %S (skipped)\n" other)
+        match List.assoc_opt name E.registry with
+        | Some run -> run ~results_dir:"results" profile
+        | None -> Printf.eprintf "unknown experiment %S (skipped)\n" name)
       selected
-  end

@@ -10,9 +10,9 @@
    References are resolved on the parsed AST, not by grep:
    [module X = Cdw_lib.M] aliases, [open M] / [M.( ... )] /
    [let open M in] / [include M] (unqualified names count against every
-   module the file opens), and a signature that re-exports another
-   module ([include module type of struct include M end]), so
-   [Serving.drain] counts as a use of [Shard_group.drain].
+   module the file opens). A signature that re-exports another module
+   ([include module type of M]) is not followed: the values it
+   re-exports show up as dead.
 
    Record labels: every label declared in [lib/] (a record type's, or
    an inline record's of a constructor) must be read: a field access
@@ -82,28 +82,14 @@ let contains s sub =
   let rec go i = i + k <= n && (String.sub s i k = sub || go (i + 1)) in
   go 0
 
-(* [include module type of struct include M end] / [include module type of M] *)
-let reexport (incl : Parsetree.include_description) =
-  match incl.pincl_mod.pmty_desc with
-  | Pmty_typeof { pmod_desc = Pmod_ident { txt; _ }; _ } -> Some (Longident.last txt)
-  | Pmty_typeof
-      {
-        pmod_desc =
-          Pmod_structure
-            [ { pstr_desc = Pstr_include { pincl_mod = { pmod_desc = Pmod_ident { txt; _ }; _ }; _ }; _ } ];
-        _;
-      } ->
-      Some (Longident.last txt)
-  | _ -> None
-
 let read_interface path =
   let m = module_of path in
   let sg = parse Parse.interface path in
-  List.fold_left
-    (fun (vals, reexports) (item : Parsetree.signature_item) ->
+  List.filter_map
+    (fun (item : Parsetree.signature_item) ->
       match item.psig_desc with
       | Psig_value vd ->
-          let e =
+          Some
             {
               m;
               name = vd.pval_name.txt;
@@ -111,29 +97,13 @@ let read_interface path =
               line = vd.pval_loc.loc_start.pos_lnum;
               reason = contains (doc_text vd.pval_attributes) marker;
             }
-          in
-          (e :: vals, reexports)
-      | Psig_include incl -> (
-          match reexport incl with
-          | Some r -> (vals, r :: reexports)
-          | None -> (vals, reexports))
-      | _ -> (vals, reexports))
-    ([], []) sg
-  |> fun (vals, reexports) -> (m, List.rev vals, reexports)
+      | _ -> None)
+    sg
 
 (* ---- references ---- *)
 
-(* Module name -> its exported value names, and the modules it re-exports. *)
+(* Module name -> its exported value names. *)
 let exported : (string, (string, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 64
-let reexports : (string, string list) Hashtbl.t = Hashtbl.create 8
-
-let rec owner m name =
-  match Hashtbl.find_opt exported m with
-  | None -> None
-  | Some vals when Hashtbl.mem vals name -> Some m
-  | Some _ ->
-      List.find_map (fun r -> owner r name)
-        (Option.value ~default:[] (Hashtbl.find_opt reexports m))
 
 (* The (module, value) pairs one file refers to, its own module excluded. *)
 let references ~self path =
@@ -187,7 +157,9 @@ let references ~self path =
   in
   List.filter_map
     (fun (m, v) ->
-      match owner m v with Some o when Some o <> self -> Some (o, v) | _ -> None)
+      match Hashtbl.find_opt exported m with
+      | Some vals when Hashtbl.mem vals v && Some m <> self -> Some (m, v)
+      | _ -> None)
     (!qualified @ from_opens)
 
 (* ---- record labels ---- *)
@@ -293,11 +265,10 @@ let () =
   let exports =
     List.concat_map
       (fun path ->
-        let m, vals, rs = read_interface path in
+        let vals = read_interface path in
         let tbl = Hashtbl.create 16 in
         List.iter (fun e -> Hashtbl.replace tbl e.name ()) vals;
-        Hashtbl.replace exported m tbl;
-        Hashtbl.replace reexports m rs;
+        Hashtbl.replace exported (module_of path) tbl;
         vals)
       interfaces
   in

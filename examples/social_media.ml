@@ -21,7 +21,7 @@ let () =
     "edges removed";
   List.iter
     (fun name ->
-      let outcome = Algorithms.run name wf constraints in
+      let outcome = Algorithms.solve name wf constraints in
       Format.printf "%-22s %-10.1f %-10.1f %d@."
         (Algorithms.to_string name)
         outcome.Algorithms.utility_after

@@ -12,6 +12,7 @@ module Audit = Cdw_core.Audit
 module Constraint_set = Cdw_core.Constraint_set
 module Json = Cdw_util.Json
 module Serialize = Cdw_core.Serialize
+module Serving = Cdw_shard.Serving
 module Workflow = Cdw_core.Workflow
 module Generator = Cdw_workload.Generator
 module Gen_params = Cdw_workload.Gen_params
@@ -301,7 +302,7 @@ let serve_bench_cmd =
     Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"DIR" ~doc:"Journal the serving run into a durable consent ledger at $(docv), measuring the durability overhead. Use --trials 1: each trial re-creates the ledger.")
   in
   let fsync =
-    Arg.(value & opt (some fsync_conv) None & info [ "fsync" ] ~docv:"POLICY" ~doc:"Ledger fsync policy: always, never or every:N (default every:32). Requires --journal.")
+    Arg.(value & opt (some fsync_conv) None & info [ "fsync" ] ~docv:"POLICY" ~doc:"The ledger's fsync policy: always, never or every:N (default every:32). Requires --journal.")
   in
   let trace_out =
     Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc:"Record a Chrome trace of the last serving trial and write it to $(docv) (open in Perfetto, or feed to `cdw trace summarize'). With --connect, the server's own trace (if it runs with --trace) is fetched over the wire and merged into one timeline — client submit to server ingest to shard drain, stitched by the wire-carried span ids.")
@@ -328,7 +329,6 @@ let serve_bench_cmd =
       seed shards algo trials connect user_prefix out metrics_out
       journal fsync trace_out prom_out stats_out stats_interval traffic mem_cap
       evolve =
-    let module Serving = Cdw_shard.Serving in
     let module Shard_bench = Cdw_shard.Shard_bench in
     let module Client = Cdw_net.Client in
     let module Trace = Cdw_obs.Trace in
@@ -629,7 +629,6 @@ let serve_bench_cmd =
 (* serve                                                              *)
 
 let serve_cmd =
-  let module Serving = Cdw_shard.Serving in
   let module Server = Cdw_net.Server in
   let module Trace = Cdw_obs.Trace in
   let module Flight = Cdw_obs.Flight in
@@ -660,7 +659,7 @@ let serve_cmd =
     Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"DIR" ~doc:"Journal consent into a durable ledger at $(docv). A non-empty $(docv) is resumed (workflow, algorithm, seed and shard count come from the ledger; the flags above are ignored).")
   in
   let fsync =
-    Arg.(value & opt (some fsync_conv) None & info [ "fsync" ] ~docv:"POLICY" ~doc:"Ledger fsync policy: always, never or every:N (default every:32). Requires --journal.")
+    Arg.(value & opt (some fsync_conv) None & info [ "fsync" ] ~docv:"POLICY" ~doc:"The ledger's fsync policy: always, never or every:N (default every:32). Requires --journal.")
   in
   let mem_cap =
     Arg.(value & opt (some int) None & info [ "mem-cap-bytes" ] ~docv:"BYTES" ~doc:"Bound resident-session memory: beyond the cap the coldest idle sessions are evicted to a compact parked record at drain boundaries and rehydrated on demand. Served replies are identical with or without the cap. With --shards the cap is split evenly across shards.")
@@ -850,77 +849,71 @@ let serve_cmd =
        $ shards $ journal $ fsync $ mem_cap $ trace $ flight_out))
 
 (* ---------------------------------------------------------------- *)
-(* store — one ledger-shape-dispatching implementation                *)
+(* store — verify, replay and compact any ledger root                 *)
 
-(* [Cdw_shard.Ledger] detects the on-disk shape (plain store directory
-   vs sharded group root) and fans out, so `cdw store` serves both;
-   entries are labelled with their shard id under a group root. *)
-
-let ledger_label = function
-  | None -> ""
-  | Some i -> Printf.sprintf "shard %d: " i
+(* [Serving] resolves the root's layout (one engine's ledger, or a
+   group root with group.json), so `cdw store` serves both; every entry
+   is labelled with its shard id, and a plain root is shard 0. *)
 
 let ledger_verify_run root strict =
   let module Store = Cdw_store.Store in
-  let module Ledger = Cdw_shard.Ledger in
-  match Ledger.verify root with
+  match Serving.verify root with
   | Error msg -> `Error (false, msg)
-  | Ok entries ->
-      List.iter
-        (fun (id, report) ->
-          match id with
-          | None -> Format.printf "%a@." Store.pp_report report
-          | Some i ->
-              Format.printf "@[<v>shard %d:@,%a@]@." i Store.pp_report report)
-        entries;
-      if strict && not (Ledger.clean entries) then
+  | Ok reports ->
+      Array.iteri
+        (fun i report ->
+          Format.printf "@[<v>shard %d:@,%a@]@." i Store.pp_report report)
+        reports;
+      if strict && not (Array.for_all Store.report_clean reports) then
         `Error (false, "a ledger has a damaged tail (see report above)")
       else `Ok ()
 
 let ledger_replay_run root state =
   let module Store = Cdw_store.Store in
   let module Wal = Cdw_store.Wal in
-  let module Ledger = Cdw_shard.Ledger in
-  match Ledger.replay root with
+  match Serving.recover root with
   | Error msg -> `Error (false, msg)
   | Ok r ->
-      List.iter
-        (fun (id, (sr : Store.recovery)) ->
+      Array.iteri
+        (fun i (sr : Store.recovery) ->
           Format.printf
-            "%s%s (seed %d), generation %d, %d snapshot user(s), %d \
+            "shard %d: %s (seed %d), generation %d, %d snapshot user(s), %d \
              replayed, %d valid byte(s), tail %a@."
-            (ledger_label id)
+            i
             (Algorithms.to_string sr.Store.algorithm)
             sr.Store.seed sr.Store.generation sr.Store.snapshot_users
             sr.Store.replayed sr.Store.valid_end Wal.pp_tail sr.Store.tail)
-        r.Ledger.entries;
+        r.Serving.shard_recoveries;
       Printf.printf "recovered %d ledger(s) under %s: %d record(s) replayed, %s\n"
-        (List.length r.Ledger.entries)
-        root r.Ledger.replayed
-        (match r.Ledger.damaged with
+        (Array.length r.Serving.shard_recoveries)
+        root r.Serving.replayed
+        (match r.Serving.damaged with
         | [] -> "all tails clean"
         | ds ->
             Printf.sprintf "damaged tail on ledger(s) %s"
               (String.concat ", " (List.map string_of_int ds)));
       if state then
-        List.iter
-          (fun (_, (sr : Store.recovery)) ->
+        Array.iter
+          (fun (sr : Store.recovery) ->
             print_endline
               (Json.to_string (Store.snapshot_state_json sr.Store.engine)))
-          r.Ledger.entries;
+          r.Serving.shard_recoveries;
       `Ok ()
 
 let ledger_compact_run root =
-  let module Ledger = Cdw_shard.Ledger in
-  match Ledger.compact root with
+  let module Store = Cdw_store.Store in
+  match Serving.resume root with
   | Error msg -> `Error (false, msg)
-  | Ok entries ->
-      List.iter
-        (fun (id, before, after) ->
-          Printf.printf "%sgeneration %d -> %d\n" (ledger_label id) before
-            after)
-        entries;
-      Printf.printf "compacted %d ledger(s) under %s\n" (List.length entries)
+  | Ok r ->
+      Serving.compact r.Serving.serving;
+      let after = Array.map Store.generation (Serving.stores r.Serving.serving) in
+      Serving.close r.Serving.serving;
+      Array.iteri
+        (fun i (sr : Store.recovery) ->
+          Printf.printf "shard %d: generation %d -> %d\n" i sr.Store.generation
+            after.(i))
+        r.Serving.shard_recoveries;
+      Printf.printf "compacted %d ledger(s) under %s\n" (Array.length after)
         root;
       `Ok ()
 
@@ -937,7 +930,7 @@ let store_cmd =
   let module Fault = Cdw_store.Fault in
   let dir_arg =
     ledger_dir_arg ~docv:"DIR"
-      ~doc:"Ledger directory (a plain store, or a sharded root with group.json)."
+      ~doc:"A ledger root: one engine's store, or a sharded root with group.json."
   in
   let verify_cmd =
     let strict =
@@ -962,6 +955,10 @@ let store_cmd =
       Term.(ret (const ledger_compact_run $ dir_arg))
   in
   let fault_cmd =
+    let store_dir =
+      ledger_dir_arg ~docv:"DIR"
+        ~doc:"One store: a plain root, or a group root's DIR/shard-<i>."
+    in
     let truncate_tail =
       Arg.(value & opt (some int) None & info [ "truncate-tail" ] ~docv:"N" ~doc:"Cut the last $(docv) bytes off the current WAL (simulates a torn append).")
     in
@@ -992,7 +989,7 @@ let store_cmd =
     Cmd.v
       (Cmd.info "fault"
          ~doc:"Inject a fault into the current WAL, for recovery drills.")
-      Term.(ret (const run $ dir_arg $ truncate_tail $ flip_bit))
+      Term.(ret (const run $ store_dir $ truncate_tail $ flip_bit))
   in
   Cmd.group
     (Cmd.info "store"
@@ -1131,56 +1128,28 @@ let experiment_cmd =
       & info [ "profile" ] ~doc:"Sweep profile: quick (laptop) or full (paper-scale).")
   in
   let results_dir =
-    Arg.(value & opt string "results" & info [ "results-dir" ] ~doc:"CSV output directory.")
+    Arg.(value & opt string "results" & info [ "results-dir" ] ~doc:"CSV and chart output directory.")
   in
   let exp_name =
     Arg.(
       value & pos 0 string "all"
       & info [] ~docv:"EXPERIMENT"
-          ~doc:"all, fig5a, fig5b, fig5c, fig6a, fig6b, fig6c, table3, fig7, \
-                fig8, fig9, ablation-bnb, ablation-minmc, ablation-weights")
+          ~doc:
+            (String.concat ", "
+               ("all" :: List.map fst Cdw_expers.Experiments.registry)))
   in
   let run name profile results_dir =
     let module E = Cdw_expers.Experiments in
-    let module T = Cdw_expers.Table in
-    let emit csv_name table =
-      T.print table;
-      ignore (T.write_csv ~dir:results_dir ~name:csv_name table)
-    in
-    let fig56 ds pick =
-      let t5, t6 = E.fig5_6 profile ds in
-      match pick with
-      | `Five ->
-          emit (Printf.sprintf "fig5%s" (String.sub (E.dataset1_label ds) 1 1)) t5
-      | `Six ->
-          emit (Printf.sprintf "fig6%s" (String.sub (E.dataset1_label ds) 1 1)) t6
-    in
-    match name with
-    | "all" ->
-        E.run_all ~results_dir profile;
-        `Ok ()
-    | "fig5a" -> fig56 E.D1a `Five; `Ok ()
-    | "fig5b" -> fig56 E.D1b `Five; `Ok ()
-    | "fig5c" -> fig56 E.D1c `Five; `Ok ()
-    | "fig6a" -> fig56 E.D1a `Six; `Ok ()
-    | "fig6b" -> fig56 E.D1b `Six; `Ok ()
-    | "fig6c" -> fig56 E.D1c `Six; `Ok ()
-    | "table3" -> emit "table3" (E.table3 profile); `Ok ()
-    | "fig7" -> emit "fig7" (E.fig7 profile); `Ok ()
-    | "fig8" -> emit "fig8" (E.fig8 profile); `Ok ()
-    | "fig9" ->
-        let t, u = E.fig9 profile in
-        emit "fig9_time" t;
-        emit "fig9_utility" u;
-        `Ok ()
-    | "ablation-bnb" -> emit "ablation_bnb" (E.ablation_bnb profile); `Ok ()
-    | "ablation-minmc" ->
-        emit "ablation_minmc_backends" (E.ablation_minmc_backends profile);
-        `Ok ()
-    | "ablation-weights" ->
-        emit "ablation_weight_scheme" (E.ablation_weight_scheme profile);
-        `Ok ()
-    | other -> `Error (false, Printf.sprintf "unknown experiment %S" other)
+    if name = "all" then begin
+      E.run_all ~results_dir profile;
+      `Ok ()
+    end
+    else
+      match List.assoc_opt name E.registry with
+      | Some run ->
+          run ~results_dir profile;
+          `Ok ()
+      | None -> `Error (false, Printf.sprintf "unknown experiment %S" name)
   in
   Cmd.v
     (Cmd.info "experiment" ~doc:"Reproduce the paper's tables and figures.")

@@ -496,13 +496,3 @@ let solve ?(options = Options.default) name wf cs =
   in
   report ?utility wf (cut ~options name wf cs)
 
-let run ?rng ?deadline ?max_paths name wf cs =
-  let options =
-    {
-      Options.default with
-      Options.rng;
-      deadline = Option.value deadline ~default:infinity;
-      max_paths;
-    }
-  in
-  solve ~options name wf cs

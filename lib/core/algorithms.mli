@@ -188,13 +188,3 @@ val solve :
 (** {!cut} and its report. The utility is [options.utility] for the
     exhaustive searches and Eq. 1 for every other algorithm. *)
 
-val run :
-  ?rng:Cdw_util.Splitmix.t ->
-  ?deadline:float ->
-  ?max_paths:int ->
-  name ->
-  Workflow.t ->
-  Constraint_set.t ->
-  outcome
-(** [run ?rng ?deadline ?max_paths] is {!solve} with just those three
-    options set; kept for callers predating {!Options}. *)

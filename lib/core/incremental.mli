@@ -20,7 +20,12 @@
 type t
 
 type stats = {
-  solver_runs : int;  (** times the underlying algorithm executed *)
+  solver_runs : int;
+      (** Test-only: the incremental and engine tests count one
+          session's solves (served totals are the [solve.<algorithm>]
+          counter).
+
+          Times the underlying algorithm executed. *)
   free_hits : int;  (** constraints satisfied with zero solver work *)
   full_resolves : int;  (** scratch recomputations (withdrawals, batch) *)
 }

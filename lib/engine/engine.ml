@@ -177,6 +177,11 @@ let sessions t =
       Hashtbl.fold (fun user s acc -> (user, s) :: acc) t.sessions [])
   |> List.sort compare
 
+let session_count t =
+  with_lock t (fun () ->
+      Hashtbl.length t.sessions
+      + match t.tier with Some tier -> (Tier.stats tier).Tier.parked | None -> 0)
+
 (* ---------------------------------------------------------------- *)
 (* Session tiering                                                    *)
 

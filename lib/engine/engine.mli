@@ -161,7 +161,7 @@ val session : t -> string -> Session.t
 
 val open_session : t -> string -> unit
 (** Register an empty session for a user the engine does not hold; a
-    no-op for one it does. Ledger replay of the [Session_open] records
+    no-op for one it does. Replay of the [Session_open] records
     older builds wrote, and of the users of constraint-only (v1)
     snapshots. *)
 
@@ -170,7 +170,7 @@ val restore_session :
   (unit, string) result
 (** Get-or-create the user's session and install a previously captured
     (constraints, cut edge ids) state directly, without running the
-    solver ({!Session.restore}). Ledger recovery uses this to rebuild
+    solver ({!Session.restore}). Recovery uses this to rebuild
     the pool from snapshot state. *)
 
 val forget : t -> string -> unit
@@ -184,6 +184,10 @@ val sessions : t -> (string * Session.t) list
     ({!set_mem_cap}) evicted sessions are absent here; use
     {!session_states} to enumerate every user's recoverable state
     regardless of tier. *)
+
+val session_count : t -> int
+(** The sessions the engine holds in either tier, resident plus parked,
+    counted in O(1). *)
 
 val set_mem_cap : ?session_bytes:int -> t -> int option -> unit
 (** [set_mem_cap t (Some cap_bytes)] turns on session tiering: the

@@ -3,7 +3,12 @@ module Incremental = Cdw_core.Incremental
 module Splitmix = Cdw_util.Splitmix
 module Trace = Cdw_obs.Trace
 
-type t = { id : string; inner : Incremental.t; rng : Splitmix.t }
+type t = {
+  id : string;
+  inner : Incremental.t;
+  rng : Splitmix.t;
+  metrics : Metrics.t;
+}
 
 let create ~index ~algorithm ~(options : Algorithms.Options.t) ~rng_seed id =
   let metrics = Shared_index.metrics index in
@@ -39,16 +44,43 @@ let create ~index ~algorithm ~(options : Algorithms.Options.t) ~rng_seed id =
     Incremental.create ~algorithm:solver ~oracle ~copy_base:false
       (Shared_index.base index)
   in
-  { id; inner; rng }
+  { id; inner; rng; metrics }
 
 let workflow t = Incremental.workflow t.inner
 let constraints t = Incremental.constraints t.inner
 let utility t = Incremental.utility t.inner
 let stats t = Incremental.stats t.inner
-let add t pairs = Incremental.add t.inner pairs
-let withdraw t pairs = Incremental.withdraw t.inner pairs
-let update t ~add ~withdraw = Incremental.update t.inner ~add ~withdraw
-let resolve t = Incremental.resolve_batch t.inner
+
+(* Carry what a request did to the session's free hits and full
+   re-solves into the engine registry, where the lifetime totals
+   outlive eviction and [forget]. A counter is bumped only when the
+   request moved it. *)
+let counted t (before : Incremental.stats) result =
+  let after = Incremental.stats t.inner in
+  if after.free_hits <> before.free_hits then
+    Metrics.incr ~by:(after.free_hits - before.free_hits) t.metrics
+      "session.free_hits";
+  if after.full_resolves <> before.full_resolves then
+    Metrics.incr ~by:(after.full_resolves - before.full_resolves) t.metrics
+      "session.full_resolves";
+  result
+
+let update t ~add ~withdraw =
+  let before = Incremental.stats t.inner in
+  counted t before (Incremental.update t.inner ~add ~withdraw)
+
+let add t pairs =
+  let before = Incremental.stats t.inner in
+  counted t before (Incremental.add t.inner pairs)
+
+let withdraw t pairs =
+  let before = Incremental.stats t.inner in
+  counted t before (Incremental.withdraw t.inner pairs)
+
+let resolve t =
+  let before = Incremental.stats t.inner in
+  counted t before (Incremental.resolve_batch t.inner)
+
 let cut_ids t = Incremental.delta_removed_ids t.inner
 
 let restore t ~constraints ~removed_ids =

@@ -18,7 +18,12 @@
       hits included; [solve.memo.hit]/[solve.memo.miss] count memo
       lookups) and real solver runs alone are timed under the [solve]
       latency key. The session's {!stats} [solver_runs] likewise counts
-      asks, memo hits included.
+      asks, memo hits included,
+    - the free hits and full re-solves of {!stats} are also summed into
+      the engine's registry as [session.free_hits] and
+      [session.full_resolves], bumped only by a request that moves
+      them; with [solve.<algorithm>] these are the engine's lifetime
+      totals, kept when a session is evicted or forgotten.
 
     Randomized solves draw from a per-session generator seeded
     deterministically from the engine seed and the session id, so batch
@@ -52,6 +57,10 @@ val constraints : t -> Cdw_core.Constraint_set.t
 val utility : t -> float
 
 val stats : t -> Cdw_core.Incremental.stats
+(** Test-only: the engine tests count one session's solver runs.
+
+    This session's own counts since it was created or hydrated: a
+    hydrated session starts from zero. *)
 
 val add : t -> (int * int) list -> (unit, string) result
 

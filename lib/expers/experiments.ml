@@ -500,26 +500,40 @@ let ablation_weight_scheme profile =
 
 (* ------------------------------------------------------------------ *)
 
+let emit ~results_dir name table =
+  Table.print table;
+  let path = Table.write_csv ~dir:results_dir ~name table in
+  Printf.printf "  [csv: %s]\n%!" path
+
+(* One |N| sweep measures both figures of a dataset: fig5x and fig6x. *)
+let fig5_6_run ds ~results_dir profile =
+  let letter = String.sub (dataset1_label ds) 1 1 in
+  let t5, t6 = fig5_6 ~charts_dir:results_dir profile ds in
+  emit ~results_dir ("fig5" ^ letter) t5;
+  emit ~results_dir ("fig6" ^ letter) t6
+
+let one name f ~results_dir profile = emit ~results_dir name (f profile)
+
+let registry =
+  [
+    ("fig5a", fig5_6_run D1a);
+    ("fig5b", fig5_6_run D1b);
+    ("fig5c", fig5_6_run D1c);
+    ("table3", one "table3" table3);
+    ("fig7", one "fig7" fig7);
+    ( "fig8",
+      fun ~results_dir profile ->
+        emit ~results_dir "fig8" (fig8 ~charts_dir:results_dir profile) );
+    ( "fig9",
+      fun ~results_dir profile ->
+        let t, u = fig9 ~charts_dir:results_dir profile in
+        emit ~results_dir "fig9_time" t;
+        emit ~results_dir "fig9_utility" u );
+    ("ablation-bnb", one "ablation_bnb" ablation_bnb);
+    ("ablation-minmc", one "ablation_minmc_backends" ablation_minmc_backends);
+    ("ablation-weights", one "ablation_weight_scheme" ablation_weight_scheme);
+  ]
+
 let run_all ?(results_dir = "results") profile =
-  let emit name table =
-    Table.print table;
-    let path = Table.write_csv ~dir:results_dir ~name table in
-    Printf.printf "  [csv: %s]\n%!" path
-  in
   Printf.printf "Experiment profile: %s\n%!" profile.Profile.label;
-  List.iter
-    (fun ds ->
-      let letter = String.sub (dataset1_label ds) 1 1 in
-      let t5, t6 = fig5_6 ~charts_dir:results_dir profile ds in
-      emit (Printf.sprintf "fig5%s" letter) t5;
-      emit (Printf.sprintf "fig6%s" letter) t6)
-    [ D1a; D1b; D1c ];
-  emit "table3" (table3 profile);
-  emit "fig7" (fig7 profile);
-  emit "fig8" (fig8 ~charts_dir:results_dir profile);
-  let t9t, t9u = fig9 ~charts_dir:results_dir profile in
-  emit "fig9_time" t9t;
-  emit "fig9_utility" t9u;
-  emit "ablation_bnb" (ablation_bnb profile);
-  emit "ablation_minmc_backends" (ablation_minmc_backends profile);
-  emit "ablation_weight_scheme" (ablation_weight_scheme profile)
+  List.iter (fun (_, run) -> run ~results_dir profile) registry

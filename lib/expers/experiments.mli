@@ -2,46 +2,45 @@
     (§7), plus two ablations for the extensions in DESIGN.md §6.
 
     Each driver returns text tables whose rows are the series the paper
-    plots; [run_all] prints them and archives CSVs. Absolute runtimes
+    plots; {!registry} names every experiment's run, which prints the
+    tables and archives CSVs and charts. Absolute runtimes
     will differ from the paper's Iridis-4 numbers; the shapes (orderings,
     crossovers, trends) are what the reproduction tracks — see
     EXPERIMENTS.md. *)
 
 type dataset1 = D1a | D1b | D1c
 
-val dataset1_label : dataset1 -> string
-
 val fig5_6 : ?charts_dir:string -> Profile.t -> dataset1 -> Table.t * Table.t
-(** Figures 5x and 6x for x = a/b/c: |N| sweep → (runtime table,
+(** Test-only: the end-to-end experiments test checks the tables'
+    shape.
+
+    Figures 5x and 6x for x = a/b/c: |N| sweep → (runtime table,
     utility table). *)
 
 val table3 : Profile.t -> Table.t
-(** RemoveMinMC vs BruteForce utility on dataset 1a, |N| = 1..10, run on
-    identical instances. *)
+(** Test-only: the end-to-end experiments test checks the tables'
+    shape.
 
-val fig7 : Profile.t -> Table.t
-(** Paths-to-break vs runtime and utility on dataset 1c (scatter rows,
-    sorted by path count). *)
-
-val fig8 : ?charts_dir:string -> Profile.t -> Table.t
-(** Path length vs runtime on dataset 2. *)
+    RemoveMinMC vs BruteForce utility on dataset 1a, |N| = 1..10, run
+    on identical instances. *)
 
 val fig9 : ?charts_dir:string -> Profile.t -> Table.t * Table.t
-(** Graph size vs (runtime, utility) on dataset 3. *)
+(** Test-only: the end-to-end experiments test checks the tables'
+    shape.
 
-val ablation_bnb : Profile.t -> Table.t
-(** BruteForce vs the branch-and-bound exact search: candidates
-    evaluated and runtime, identical optima asserted. *)
+    Graph size vs (runtime, utility) on dataset 3. *)
 
-val ablation_minmc_backends : Profile.t -> Table.t
-(** The five multicut back-ends inside RemoveMinMC: runtime and
-    utility. *)
-
-val ablation_weight_scheme : Profile.t -> Table.t
-(** The paper-literal reachability cut weight vs the exact path-count
-    marginal-loss weight (DESIGN.md §2.1a), on sparse and dense
-    instances. *)
+val registry : (string * (results_dir:string -> Profile.t -> unit)) list
+(** Every experiment by its command-line name, in paper order: fig5a,
+    fig5b, fig5c (each sweep also writes fig6a/b/c), table3, fig7,
+    fig8, fig9 (time and utility), then the ablations ablation-bnb
+    (BruteForce vs branch-and-bound: candidates, runtime, identical
+    optima asserted), ablation-minmc (the five multicut back-ends
+    inside RemoveMinMC) and ablation-weights (the paper-literal
+    reachability cut weight vs the path-count marginal-loss weight,
+    DESIGN.md §2.1a). A run prints its tables and writes their CSVs
+    and SVG charts under [results_dir]. *)
 
 val run_all : ?results_dir:string -> Profile.t -> unit
-(** Print every table; write CSVs and SVG charts under [results_dir]
-    (default ["results"]). *)
+(** Print the profile, then run every {!registry} entry under
+    [results_dir] (default ["results"]). *)

@@ -270,10 +270,10 @@ let cover_margin = 1e-7
 let cover_int_eps = 1e-9
 
 (* Scratch tableaux, shared by every domain: the tableau is major-heap
-   sized, and allocating one per call costs peak RSS. Per-domain buffers
-   would cost it too, since every fan-out drain spawns fresh domains. A
-   call pops one (or starts an empty one), grows it if needed and pushes
-   it back, so the pool holds one per concurrent caller. *)
+   sized, and allocating one per call costs peak RSS. A call pops one
+   (or starts an empty one), grows it if needed and pushes it back, so
+   the pool holds one per concurrent caller. The shared pool is kept as
+   measured against per-domain buffers (DESIGN §17). *)
 type cover_scratch = { mutable cells : float array; mutable idx : int array }
 
 let cover_pool : cover_scratch list Atomic.t = Atomic.make []

@@ -3,8 +3,8 @@
     Routing is {b modulo over a SplitMix-mixed digest} of the user id's
     bytes. Modulo was chosen over rendezvous (highest-random-weight)
     hashing deliberately: a consent ledger pins its shard count for the
-    lifetime of the store root ([group.json]; {!Shard_group.recover}
-    refuses a mismatch), because re-routing a user mid-ledger would
+    lifetime of the store root ([group.json]; {!Serving.recover}
+    reads only the shards it pins), because re-routing a user mid-ledger would
     strand their journaled history on the old shard. With the shard
     count fixed, rendezvous hashing's only advantage — minimal movement
     under membership change — buys nothing, and modulo keeps the route

@@ -1,4 +1,4 @@
-(** Ledger records — the durable form of {!Cdw_engine.Engine.event}.
+(** The records of a ledger — the durable form of {!Cdw_engine.Engine.event}.
 
     One record per WAL frame, encoded as compact JSON. Vertices are
     identified by {e name}, not by integer id: names are the stable

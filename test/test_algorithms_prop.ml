@@ -25,7 +25,7 @@ let prop_all_feasible =
       let wf = i.Generator.workflow and cs = i.Generator.constraints in
       List.for_all
         (fun name ->
-          let o = Algorithms.run name wf cs in
+          let o = Algorithms.solve name wf cs in
           Constraint_set.satisfied o.Algorithms.workflow cs)
         Algorithms.all_names)
 
@@ -38,7 +38,7 @@ let prop_brute_force_dominates =
       let best = Algorithms.brute_force wf cs in
       List.for_all
         (fun name ->
-          let o = Algorithms.run name wf cs in
+          let o = Algorithms.solve name wf cs in
           o.Algorithms.utility_after
           <= best.Algorithms.utility_after +. 1e-6)
         [
@@ -69,7 +69,7 @@ let prop_utility_never_increases =
       let wf = i.Generator.workflow and cs = i.Generator.constraints in
       List.for_all
         (fun name ->
-          let o = Algorithms.run name wf cs in
+          let o = Algorithms.solve name wf cs in
           o.Algorithms.utility_after <= o.Algorithms.utility_before +. 1e-9
           && o.Algorithms.utility_after >= 0.0)
         Algorithms.all_names)
@@ -84,7 +84,7 @@ let prop_input_untouched =
       let before = Test_helpers.live_edge_ids g in
       List.for_all
         (fun name ->
-          ignore (Algorithms.run name wf cs);
+          ignore (Algorithms.solve name wf cs);
           Test_helpers.live_edge_ids g = before)
         Algorithms.all_names)
 

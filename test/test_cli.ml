@@ -163,6 +163,63 @@ let rejects args ~says () =
   if not (contains err says) then
     Alcotest.failf "stderr lacks %S:\n%s" says err
 
+(* A ledger one engine wrote at the root ([Store.create_for], no
+   group.json) goes through every [cdw store] subcommand as shard 0. *)
+let test_store_plain_root () =
+  let module Engine = Cdw_engine.Engine in
+  let module Store = Cdw_store.Store in
+  let wf =
+    (Cdw_workload.Generator.generate ~seed:29
+       Cdw_workload.Gen_params.dataset2_base)
+      .Cdw_workload.Generator.workflow
+  in
+  let root = Filename.temp_dir "cdw_cli" ".ledger" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat root f)) (Sys.readdir root);
+      Sys.rmdir root)
+  @@ fun () ->
+  let engine =
+    Engine.create ~algorithm:Cdw_core.Algorithms.Remove_first_edge ~seed:29 wf
+  in
+  let store = Store.create_for ~fsync:Cdw_store.Wal.Never ~dir:root engine in
+  Array.iteri
+    (fun i pair ->
+      if i < 12 then
+        Engine.submit engine ~user:(Printf.sprintf "u-%d" (i mod 4))
+          (Engine.Add [ pair ]))
+    (Cdw_engine.Workbench.connected_pairs wf);
+  ignore (Engine.drain engine);
+  Store.close store;
+  let store_ok args =
+    let code, out = eval_stdout ("store" :: args) in
+    Alcotest.(check int) (String.concat " " args ^ ": exit 0") 0 code;
+    out
+  in
+  let expect out line =
+    if not (contains out line) then Alcotest.failf "no %S in:\n%s" line out
+  in
+  (* The --state JSON follows the report lines. *)
+  let state out =
+    match String.index_opt out '{' with
+    | Some i -> String.sub out i (String.length out - i)
+    | None -> Alcotest.failf "no state in:\n%s" out
+  in
+  expect (store_ok [ "verify"; root ]) "shard 0:\n";
+  let replayed = store_ok [ "replay"; root; "--state" ] in
+  expect replayed "shard 0: remove-first-edge (seed 29), generation 0,";
+  expect replayed
+    (Printf.sprintf "recovered 1 ledger(s) under %s: 13 record(s) replayed" root);
+  let compacted = store_ok [ "compact"; root ] in
+  expect compacted "shard 0: generation 0 -> 1\n";
+  expect compacted (Printf.sprintf "compacted 1 ledger(s) under %s\n" root);
+  expect (store_ok [ "verify"; root; "--strict" ]) "shard 0:\n";
+  let after = store_ok [ "replay"; root; "--state" ] in
+  expect after "shard 0: remove-first-edge (seed 29), generation 1,";
+  Alcotest.(check string) "compaction keeps the state" (state replayed)
+    (state after);
+  expect (state after) "\"u-3\""
+
 let no_server = Filename.concat (Filename.get_temp_dir_name ()) "cdw-no-server.sock"
 
 let suite =
@@ -187,6 +244,8 @@ let suite =
       test_json_pipeline;
     Alcotest.test_case "missing file errors" `Quick test_missing_file;
     Alcotest.test_case "unknown experiment errors" `Quick test_unknown_experiment;
+    Alcotest.test_case "store verify|replay|compact label a plain root shard 0"
+      `Quick test_store_plain_root;
     Alcotest.test_case "serve-bench --fsync needs --journal" `Quick
       (rejects
          [ "serve-bench"; "--quick"; "--fsync"; "always" ]

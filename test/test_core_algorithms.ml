@@ -113,7 +113,7 @@ let test_all_algorithms_feasible_fig4 () =
   let cs = Constraint_set.make_exn wf [ (s1, t2); (s2, t1) ] in
   List.iter
     (fun name ->
-      let o = Algorithms.run name wf cs in
+      let o = Algorithms.solve name wf cs in
       Alcotest.(check bool)
         (Algorithms.to_string name ^ " feasible")
         true

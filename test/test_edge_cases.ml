@@ -66,7 +66,7 @@ let test_serving_zero_shards () =
   let p = Workflow.add_purpose ~name:"p" wf in
   ignore (Workflow.connect wf u p);
   Alcotest.check_raises "shards < 1"
-    (Invalid_argument "Shard_group.create: shards must be >= 1") (fun () ->
+    (Invalid_argument "Serving.create: shards must be >= 1") (fun () ->
       ignore (Cdw_shard.Serving.create ~shards:0 wf))
 
 (* --------------------------- multicut misc ------------------------- *)

@@ -14,8 +14,6 @@ module Metrics = Cdw_engine.Metrics
 module Session = Cdw_engine.Session
 module Router = Cdw_shard.Router
 module Serving = Cdw_shard.Serving
-module Shard_group = Cdw_shard.Shard_group
-module Ledger = Cdw_shard.Ledger
 module Evolve = Cdw_workload.Evolve
 module Digraph = Cdw_graph.Digraph
 module Store = Cdw_store.Store
@@ -106,20 +104,20 @@ let run_single ~algorithm ~seed wf rounds =
   (replies, session_state (Engine.sessions engine))
 
 let run_sharded ?attach ~algorithm ~seed ~shards wf rounds =
-  let group = Shard_group.create ~algorithm ~seed ~shards wf in
+  let group = Serving.create ~algorithm ~seed ~shards wf in
   (match attach with Some f -> f group | None -> ());
   let replies =
     List.map
       (fun round ->
-        List.iter (fun (user, rq) -> Shard_group.submit group ~user rq) round;
-        List.map reply_key (Shard_group.drain group))
+        List.iter (fun (user, rq) -> Serving.submit group ~user rq) round;
+        List.map reply_key (Serving.drain group))
       rounds
   in
-  let state = session_state (Shard_group.sessions group) in
+  let state = session_state (Serving.sessions group) in
   (* Join the pinned drain domains — domains are a finite resource, and
      this suite creates dozens of groups. Sessions and metrics stay
      readable on the closed group. *)
-  Shard_group.close group;
+  Serving.close group;
   (group, replies, state)
 
 (* ---------------------------------------------------------------- *)
@@ -212,10 +210,10 @@ let test_routing_stability () =
                 i;
               Alcotest.(check int)
                 (Printf.sprintf "%d shards: group route of %s" shards user)
-                (Shard_group.route group user)
+                (Serving.route group user)
                 i)
             (Engine.sessions engine))
-        (Shard_group.engines group))
+        (Serving.engines group))
     shard_counts;
   (* The 16 users of this script actually spread: with 4 shards no
      shard is empty and no shard holds everyone (a fixed fact of the
@@ -228,7 +226,7 @@ let test_routing_stability () =
   let sizes =
     Array.map
       (fun e -> List.length (Engine.sessions e))
-      (Shard_group.engines group)
+      (Serving.engines group)
   in
   Alcotest.(check bool) "4 shards all populated" true
     (Array.for_all (fun n -> n > 0) sizes);
@@ -350,26 +348,26 @@ let crash_case ~seed params =
   with_root @@ fun root ->
   let rng = Splitmix.create (seed lxor 0xFA17) in
   let shards = 2 + Splitmix.int rng 3 in
-  let group = Shard_group.create ~algorithm ~seed:engine_seed ~shards wf in
-  Shard_group.journal ~fsync:Wal.Never ~dir:root group;
+  let group = Serving.create ~algorithm ~seed:engine_seed ~shards wf in
+  Serving.journal ~fsync:Wal.Never ~dir:root group;
   let rounds =
     script ~seed ~users:7 ~rounds:2 ~n_vertices:(Workflow.n_vertices wf) pairs
   in
   List.iteri
     (fun i round ->
-      List.iter (fun (user, rq) -> Shard_group.submit group ~user rq) round;
-      ignore (Shard_group.drain group);
+      List.iter (fun (user, rq) -> Serving.submit group ~user rq) round;
+      ignore (Serving.drain group);
       (* Half the sweep snapshots mid-history, so recovery exercises
          the snapshot-plus-tail path too. *)
-      if i = 0 && seed mod 2 = 0 then Shard_group.snapshot group)
+      if i = 0 && seed mod 2 = 0 then Serving.snapshot group)
     rounds;
   let pre_crash =
-    Array.map state_string (Array.map Fun.id (Shard_group.engines group))
+    Array.map state_string (Array.map Fun.id (Serving.engines group))
   in
-  Shard_group.close group;
+  Serving.close group;
   let damaged = Splitmix.int rng shards in
   let wal =
-    match Store.current_wal_path (Shard_group.shard_dir root damaged) with
+    match Store.current_wal_path (Serving.shard_dir root damaged) with
     | Ok p -> p
     | Error e -> Alcotest.fail e
   in
@@ -380,7 +378,7 @@ let crash_case ~seed params =
        boundary before tearing: anything below the boundary survives
        the tear through the snapshot file, anything at or above it only
        survives as far as the decodable prefix reaches. *)
-    let boundary = snapshot_offset (Shard_group.shard_dir root damaged) in
+    let boundary = snapshot_offset (Serving.shard_dir root damaged) in
     let pre_tear = surviving_entries wal in
     Fault.truncate_tail wal (1 + Splitmix.int rng size);
     let survivors = surviving_entries wal in
@@ -392,17 +390,17 @@ let crash_case ~seed params =
           (fun (off, r) -> if off >= boundary then Some r else None)
           survivors
     in
-    (match Shard_group.recover root with
+    (match Serving.recover root with
     | Error e -> Alcotest.failf "group recovery failed: %s" e
     | Ok r ->
         Alcotest.(check int) "all shards recovered" shards
-          (Array.length r.Shard_group.shard_recoveries);
+          (Array.length r.Serving.shard_recoveries);
         (* Only the shard we damaged may report a dirty tail. *)
         List.iter
           (fun i ->
             Alcotest.(check int) "dirty tail only on the damaged shard"
               damaged i)
-          r.Shard_group.damaged;
+          r.Serving.damaged;
         Array.iteri
           (fun i (sr : Store.recovery) ->
             if i = damaged then begin
@@ -419,15 +417,15 @@ let crash_case ~seed params =
                 (Printf.sprintf "undamaged shard %d untouched" i)
                 pre_crash.(i)
                 (state_string sr.Store.engine))
-          r.Shard_group.shard_recoveries);
+          r.Serving.shard_recoveries);
     (* Resume truncates the torn tail; compaction folds every shard's
        log away; verification must then be strict-clean group-wide. *)
-    (match Shard_group.resume root with
+    (match Serving.resume root with
     | Error e -> Alcotest.failf "group resume failed: %s" e
-    | Ok (resumed, _) ->
-        Shard_group.compact resumed;
-        Shard_group.close resumed);
-    match Shard_group.verify root with
+    | Ok { Serving.serving; _ } ->
+        Serving.compact serving;
+        Serving.close serving);
+    match Serving.verify root with
     | Error e -> Alcotest.failf "group verify failed: %s" e
     | Ok reports ->
         Array.for_all Store.report_clean reports
@@ -448,17 +446,17 @@ let test_crash_recovery_sweep () =
     (fun ~seed params -> crash_case ~seed params)
 
 (* Shard count is pinned: recovery of a root whose group.json says N
-   only ever touches shard-0..N-1, and a missing/garbled group.json is
-   a clean error, not a crash. *)
+   only ever touches shard-0..N-1, and a root with no ledger at all or
+   a garbled group.json is a clean error, not a crash. *)
 let test_group_manifest_errors () =
   with_root @@ fun root ->
-  (match Shard_group.recover root with
+  (match Serving.recover root with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "recover without group.json succeeded");
-  let oc = open_out (Shard_group.group_manifest_path root) in
+  | Ok _ -> Alcotest.fail "recover of an empty root succeeded");
+  let oc = open_out (Filename.concat root "group.json") in
   output_string oc "{\"version\":1}\n";
   close_out oc;
-  match Shard_group.verify root with
+  match Serving.verify root with
   | Error msg ->
       Alcotest.(check bool) "error names group.json" true
         (String.length msg >= 10)
@@ -483,11 +481,11 @@ let test_merged_metrics_and_prometheus () =
       wf rounds
   in
   let module Metrics = Cdw_engine.Metrics in
-  let merged = Shard_group.metrics group in
+  let merged = Serving.metrics group in
   let sum name =
     Array.fold_left
       (fun acc e -> acc + Metrics.counter (Engine.metrics e) name)
-      0 (Shard_group.engines group)
+      0 (Serving.engines group)
   in
   List.iter
     (fun name ->
@@ -499,7 +497,7 @@ let test_merged_metrics_and_prometheus () =
     (Metrics.counter merged "engine.submitted" > 0);
   (* The shard-labelled exposition parses and carries one shard label
      per series sample of a counter that every shard touched. *)
-  match Cdw_obs.Prom.parse (Shard_group.prometheus group) with
+  match Cdw_obs.Prom.parse (Serving.prometheus group) with
   | Error e -> Alcotest.failf "group exposition does not parse: %s" e
   | Ok samples ->
       let shard_labels =
@@ -525,8 +523,8 @@ let dataset2 () =
    that base: the same frozen snapshot, and no second copy of the
    metadata (the second base adds only its own view mask). *)
 let test_shards_share_one_base () =
-  let group = Shard_group.create ~shards:2 (dataset2 ()) in
-  let bases = Array.map Engine.base (Shard_group.engines group) in
+  let group = Serving.create ~shards:2 (dataset2 ()) in
+  let bases = Array.map Engine.base (Serving.engines group) in
   let frozen b = Digraph.frozen_base (Workflow.graph b) in
   Alcotest.(check bool) "one frozen snapshot" true
     (match (frozen bases.(0), frozen bases.(1)) with
@@ -539,7 +537,7 @@ let test_shards_share_one_base () =
     (Printf.sprintf "second base adds %d words to %d" extra one)
     true
     (extra * 20 < one);
-  Shard_group.close group
+  Serving.close group
 
 let one_shard_rounds () =
   let wf = dataset2 () in
@@ -577,9 +575,9 @@ let test_one_shard_group_layout () =
   let served = Serving.session_states serving in
   Serving.close serving;
   Alcotest.(check bool) "group.json written" true
-    (Sys.file_exists (Shard_group.group_manifest_path root));
+    (Sys.file_exists (Filename.concat root "group.json"));
   Alcotest.(check bool) "shard-0/ holds the store" true
-    (Sys.file_exists (Store.manifest_path (Shard_group.shard_dir root 0)));
+    (Sys.file_exists (Store.manifest_path (Serving.shard_dir root 0)));
   match Serving.resume root with
   | Error e -> Alcotest.failf "resume failed: %s" e
   | Ok { Serving.serving; _ } ->
@@ -613,20 +611,80 @@ let test_root_ledger_resumes_as_one_shard () =
         served
   in
   Alcotest.(check bool) "no group.json written" false
-    (Sys.file_exists (Shard_group.group_manifest_path root));
+    (Sys.file_exists (Filename.concat root "group.json"));
   Alcotest.(check bool) "no shard-0/ written" false
-    (Sys.file_exists (Shard_group.shard_dir root 0));
+    (Sys.file_exists (Serving.shard_dir root 0));
   (match Serving.resume root with
   | Error e -> Alcotest.failf "second resume failed: %s" e
   | Ok { Serving.serving; _ } ->
       Alcotest.(check bool) "second resume = served state" true
         (Serving.session_states serving = served);
       Serving.close serving);
-  match Ledger.verify root with
+  match Serving.verify root with
   | Error e -> Alcotest.failf "verify failed: %s" e
-  | Ok entries ->
-      Alcotest.(check int) "one root ledger" 1 (List.length entries);
-      Alcotest.(check bool) "strict-clean" true (Ledger.clean entries)
+  | Ok reports ->
+      Alcotest.(check int) "one root ledger" 1 (Array.length reports);
+      Alcotest.(check bool) "strict-clean" true
+        (Array.for_all Store.report_clean reports)
+
+(* A plain root is shard 0 of a one-shard root at every entry point:
+   verify, recover and resume read it, and a compaction bumps its
+   generation and keeps its state. *)
+let test_plain_root_every_entry_point () =
+  with_root @@ fun root ->
+  let wf, rounds = one_shard_rounds () in
+  let engine =
+    Engine.create ~algorithm:Algorithms.Remove_first_edge ~seed:29 wf
+  in
+  let store = Store.create_for ~fsync:Wal.Never ~dir:root engine in
+  List.iter
+    (fun round ->
+      List.iter (fun (user, rq) -> Engine.submit engine ~user rq) round;
+      ignore (Engine.drain engine))
+    rounds;
+  let served = Engine.session_states engine in
+  Store.close store;
+  (match Serving.verify root with
+  | Error e -> Alcotest.failf "verify failed: %s" e
+  | Ok reports ->
+      Alcotest.(check int) "verify: one ledger" 1 (Array.length reports);
+      Alcotest.(check bool) "verify: clean" true
+        (Array.for_all Store.report_clean reports));
+  let generation =
+    match Serving.recover root with
+    | Error e -> Alcotest.failf "recover failed: %s" e
+    | Ok r ->
+        Alcotest.(check int) "recover: one ledger" 1
+          (Array.length r.Serving.shard_recoveries);
+        Alcotest.(check (list int)) "recover: no damage" [] r.Serving.damaged;
+        Alcotest.(check bool) "recover: records replayed" true
+          (r.Serving.replayed > 0);
+        let sr = r.Serving.shard_recoveries.(0) in
+        Alcotest.(check bool) "recovered = served" true
+          (Engine.session_states sr.Store.engine = served);
+        sr.Store.generation
+  in
+  (match Serving.resume root with
+  | Error e -> Alcotest.failf "resume failed: %s" e
+  | Ok { Serving.serving; _ } ->
+      Alcotest.(check bool) "resumed = served" true
+        (Serving.session_states serving = served);
+      Serving.compact serving;
+      Alcotest.(check (array int)) "compaction bumps the generation"
+        [| generation + 1 |]
+        (Array.map Store.generation (Serving.stores serving));
+      Serving.close serving);
+  Alcotest.(check bool) "still a plain root" false
+    (Sys.file_exists (Filename.concat root "group.json"));
+  match Serving.resume root with
+  | Error e -> Alcotest.failf "resume after compaction failed: %s" e
+  | Ok { Serving.serving; _ } ->
+      (* A snapshot stores each user's pairs sorted, not in accepted
+         order, so the state after compaction is compared as sets. *)
+      let as_sets = List.map (fun (u, ps, cs) -> (u, List.sort compare ps, cs)) in
+      Alcotest.(check bool) "compaction keeps the state" true
+        (as_sets (Serving.session_states serving) = as_sets served);
+      Serving.close serving
 
 (* ---------------------------------------------------------------- *)
 (* Group commit: a shard's ingest reaches the kernel in one write      *)
@@ -639,30 +697,30 @@ let group_commit_case fsync sizes per_drain =
   let wf = (Generator.generate ~seed:31 Gen_params.dataset2_base).Generator.workflow in
   with_root @@ fun root ->
   let group =
-    Shard_group.create ~algorithm:Algorithms.Remove_first_edge ~seed:7
+    Serving.create ~algorithm:Algorithms.Remove_first_edge ~seed:7
       ~shards:2 wf
   in
-  Fun.protect ~finally:(fun () -> Shard_group.close group) @@ fun () ->
-  Shard_group.journal ~fsync ~dir:root group;
-  let stores = Shard_group.stores group in
+  Fun.protect ~finally:(fun () -> Serving.close group) @@ fun () ->
+  Serving.journal ~fsync ~dir:root group;
+  let stores = Serving.stores group in
   Alcotest.(check int) "one store per shard" 2 (Array.length stores);
   let counter i key =
-    Metrics.counter (Engine.metrics (Shard_group.engines group).(i)) key
+    Metrics.counter (Engine.metrics (Serving.engines group).(i)) key
   in
   let counts i = (counter i "store.wal.appends", counter i "store.wal.fsyncs") in
   List.iteri
     (fun round size ->
       let before = Array.init 2 counts in
       for k = 0 to size - 1 do
-        Shard_group.submit group
+        Serving.submit group
           ~user:(Printf.sprintf "gc-%03d" ((k + round) mod 100))
           (Engine.Add [])
       done;
-      ignore (Shard_group.drain group);
+      ignore (Serving.drain group);
       Array.iteri
         (fun i store ->
           let wal =
-            match Store.current_wal_path (Shard_group.shard_dir root i) with
+            match Store.current_wal_path (Serving.shard_dir root i) with
             | Ok p -> p
             | Error e -> Alcotest.fail e
           in
@@ -724,7 +782,7 @@ let test_ledger_has_no_open_records () =
       let records =
         List.concat
           (List.init shards (fun i ->
-               current_wal_records (Shard_group.shard_dir root i)))
+               current_wal_records (Serving.shard_dir root i)))
       in
       Alcotest.(check bool)
         (Printf.sprintf "%d shard(s): the ledger holds the run" shards)
@@ -822,6 +880,7 @@ let suite =
     ("one shard: drain and migrate spawn no domain", `Quick, test_one_shard_spawns_no_domain);
     ("one shard: a journaled value writes group.json + shard-0/", `Quick, test_one_shard_group_layout);
     ("one shard: a root ledger resumes and journals in place", `Quick, test_root_ledger_resumes_as_one_shard);
+    ("plain root: verify, recover, resume and compaction read shard 0", `Quick, test_plain_root_every_entry_point);
     ("group commit: WAL on disk = wal_length after every drain", `Quick, test_group_commit_on_disk);
     ("group commit: every:32 fsyncs at most twice per shard drain", `Quick, test_group_commit_every);
     ("group commit: always fsyncs every non-empty shard drain", `Quick, test_group_commit_always);

@@ -50,7 +50,8 @@ let tight_cap = 8 * session_bytes
 
 (* Pump a whole traffic stream through a serving value with the same
    synthetic-time drain windows serve-bench uses, collecting every
-   reply key in drain order plus the final recoverable states. *)
+   reply key in drain order plus the final recoverable states, the
+   tier counters and the ["sessions"] block of the metrics. *)
 let run ?mem_cap ~shards ~algorithm ~seed spec wf pairs =
   let serving = Serving.create ~algorithm ~seed ~shards wf in
   Option.iter
@@ -86,8 +87,11 @@ let run ?mem_cap ~shards ~algorithm ~seed spec wf pairs =
   pump window;
   let states = Serving.session_states serving in
   let stats = Serving.tier_stats serving in
+  let sessions =
+    Option.get (Cdw_util.Json.member "sessions" (Serving.metrics_json serving))
+  in
   Serving.close serving;
-  (List.rev !replies, states, stats)
+  (List.rev !replies, states, stats, sessions)
 
 let differential ~algorithm ~seeds () =
   List.iter
@@ -97,10 +101,10 @@ let differential ~algorithm ~seeds () =
       let spec = spec_for seed in
       List.iter
         (fun shards ->
-          let free, free_states, _ =
+          let free, free_states, _, _ =
             run ~shards ~algorithm ~seed spec wf pairs
           in
-          let capped, capped_states, stats =
+          let capped, capped_states, stats, _ =
             run ~mem_cap:tight_cap ~shards ~algorithm ~seed spec wf pairs
           in
           let tag what =
@@ -135,6 +139,37 @@ let test_differential_deterministic =
    stay aligned. *)
 let test_differential_randomized =
   differential ~algorithm:Algorithms.Remove_random_edge ~seeds:[ 0; 1; 2 ]
+
+(* The metrics' ["sessions"] block counts lifetime totals over both
+   tiers, so a cap does not change it: a parked session keeps its
+   count and its solves, and a hydrated one does not start over. *)
+let test_sessions_block_ignores_cap () =
+  let seed = 4 in
+  let wf = workflow (1000 + seed) in
+  let pairs = Workbench.connected_pairs wf in
+  let spec = spec_for seed in
+  List.iter
+    (fun shards ->
+      let serve mem_cap =
+        let _, _, _, sessions =
+          run ?mem_cap ~shards ~algorithm:Algorithms.Remove_min_mc ~seed spec
+            wf pairs
+        in
+        sessions
+      in
+      let free = serve None and capped = serve (Some tight_cap) in
+      let field name =
+        Option.bind (Cdw_util.Json.member name free) Cdw_util.Json.to_float
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d shard(s): sessions were served and solved" shards)
+        true
+        (field "count" > Some 0.0 && field "solver_runs" > Some 0.0);
+      Alcotest.(check string)
+        (Printf.sprintf "%d shard(s): capped sessions block = uncapped" shards)
+        (Cdw_util.Json.to_string free)
+        (Cdw_util.Json.to_string capped))
+    [ 1; 2 ]
 
 (* ---------------------------------------------------------------- *)
 (* The restore-vs-evict race (regression)                             *)
@@ -241,7 +276,7 @@ let test_restore_race () =
     restore_users
 
 (* ---------------------------------------------------------------- *)
-(* Ledger interplay                                                   *)
+(* Tiering and the ledger                                             *)
 
 let temp_dir =
   let counter = ref 0 in
@@ -368,6 +403,7 @@ let suite =
       `Slow,
       test_differential_randomized );
     ("restore vs evict race (regression)", `Slow, test_restore_race);
+    ("metrics: the sessions block is the same capped and uncapped", `Quick, test_sessions_block_ignores_cap);
     ("snapshot persists parked sessions", `Quick, test_snapshot_covers_parked);
     ("forget erases across both tiers", `Quick, test_forget_erases_parked);
     ("removing the cap rehydrates", `Quick, test_uncap_rehydrates);
