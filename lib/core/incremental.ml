@@ -146,10 +146,15 @@ let resolve_batch t = resolve_all t
 let delta_removed_ids t =
   if t.pristine then []
   else
-    let base_removed = Digraph.removed_edge_ids (Workflow.graph t.base) in
-    List.filter
-      (fun id -> not (List.mem id base_removed))
-      (Digraph.removed_edge_ids (Workflow.graph t.current))
+    match
+      Digraph.removed_beyond ~base:(Workflow.graph t.base)
+        (Workflow.graph t.current)
+    with
+    | Some ids -> ids
+    | None ->
+        invalid_arg
+          "Incremental.delta_removed_ids: the session restored an edge its \
+           base removed"
 
 let restore t ~constraints ~removed_ids =
   (* Stable first-occurrence dedup: the accepted order must come back

@@ -92,7 +92,11 @@ val resolve_batch : t -> unit
 val delta_removed_ids : t -> int list
 (** Edge ids this session has cut: removed in the current consented
     workflow but not in the pristine base. Ascending. Together with
-    {!constraints} this is the session's full recoverable state. *)
+    {!constraints} this is the session's full recoverable state.
+    Computed from the two removal masks
+    ({!Cdw_graph.Digraph.removed_beyond}). Raises [Invalid_argument] if
+    the session's workflow has live an edge the base removed, which cut
+    ids cannot name; solvers only ever cut. *)
 
 val restore :
   t -> constraints:(int * int) list -> removed_ids:int list ->

@@ -29,7 +29,9 @@ val path_mass : Workflow.t -> float array
     number of distinct paths from [v] to each purpose. In the linear
     model, [π(e) · path_mass(head e)] is the *exact* utility loss of
     removing edge [e] alone, because every surviving path contributes
-    its source valuation once (cf. Thm 6.1). *)
+    its source valuation once (cf. Thm 6.1). One flat reverse
+    topological sweep over the CSR arrays, summing each vertex's live
+    out-edges in adjacency order, like {!Valuation.compute}. *)
 
 type weight_scheme =
   | Reachability_mass
@@ -42,5 +44,17 @@ type weight_scheme =
 
 val cut_weights :
   ?model:Valuation.model -> ?scheme:weight_scheme -> Workflow.t -> float array
-(** Per edge id over the live graph; [scheme] defaults to
-    [Path_count_mass]. *)
+(** Per edge id over the live graph (removed edges weigh 0); [scheme]
+    defaults to [Path_count_mass].
+
+    In the linear model the weights of an unmodified frozen base are
+    computed once per base and scheme: when the workflow's removal mask
+    equals its frozen base's, the answer is the base's memoized array
+    ({!Workflow.base_memo}), filled by the first such call and shared
+    by every copy, session, domain and shard of that base — one sweep
+    per epoch, not per solve. Any other workflow, and the [Subadditive]
+    model, gets a fresh array. Either way the values are bit-identical
+    to a fresh sweep.
+
+    The result is read-only: it may be the array every other solve of
+    the epoch reads. Copy it before writing to it. *)

@@ -3,34 +3,44 @@ module Topo = Cdw_graph.Topo
 
 type model = Linear_additive | Subadditive of float
 
-let combine model incoming =
-  match model with
-  | Linear_additive -> incoming
-  | Subadditive cap -> Float.min cap incoming
+let live mask id =
+  Char.code (Bytes.unsafe_get mask (id lsr 3)) land (1 lsl (id land 7)) = 0
 
+(* One flat sweep in topological order: a user vertex hands each live
+   out-edge its initial value; any other vertex hands every live
+   out-edge the (capped) sum over its live in-edges. *)
 let compute ?(model = Linear_additive) wf =
   let g = Workflow.graph wf in
+  let c = Digraph.csr g in
+  let { Workflow.vertex_kinds; edge_values; _ } = Workflow.flat wf in
   let pi = Array.make (max 1 (Digraph.n_edges_total g)) 0.0 in
+  (* Any topological order gives the same values, bit for bit: each
+     sum runs over a vertex's in-edges in adjacency order. *)
   let order = Topo.sort g in
-  Array.iter
-    (fun v ->
-      let value_out =
-        match Workflow.kind wf v with
-        | Workflow.User -> None (* per-edge initial values *)
-        | Workflow.Algorithm | Workflow.Purpose ->
-            let sum =
-              Digraph.fold_in g v
-                (fun acc e -> acc +. pi.(Digraph.edge_id e))
-                0.0
-            in
-            Some (combine model sum)
-      in
-      Digraph.iter_out g v (fun e ->
-          pi.(Digraph.edge_id e) <-
-            (match value_out with
-            | Some x -> x
-            | None -> Workflow.initial_value wf e)))
-    order;
+  for k = 0 to Array.length order - 1 do
+    let v = order.(k) in
+    match vertex_kinds.(v) with
+    | Workflow.User ->
+        for s = c.out_off.(v) to c.out_off.(v + 1) - 1 do
+          let id = c.out_eid.(s) in
+          if live c.mask id then pi.(id) <- edge_values.(id)
+        done
+    | Workflow.Algorithm | Workflow.Purpose ->
+        let sum = ref 0.0 in
+        for s = c.in_off.(v) to c.in_off.(v + 1) - 1 do
+          let id = c.in_eid.(s) in
+          if live c.mask id then sum := !sum +. pi.(id)
+        done;
+        let x =
+          match model with
+          | Linear_additive -> !sum
+          | Subadditive cap -> Float.min cap !sum
+        in
+        for s = c.out_off.(v) to c.out_off.(v + 1) - 1 do
+          let id = c.out_eid.(s) in
+          if live c.mask id then pi.(id) <- x
+        done
+  done;
   pi
 
 let cascade wf seeds =

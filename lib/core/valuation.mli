@@ -16,7 +16,16 @@ type model =
 
 val compute : ?model:model -> Workflow.t -> float array
 (** Valuation per edge id over the live graph; removed edges get 0.
-    Requires the live graph to be a DAG. *)
+    Requires the live graph to be a DAG (raises
+    [Cdw_graph.Topo.Cycle] otherwise).
+
+    One flat sweep in topological order over the graph's CSR arrays
+    ({!Cdw_graph.Digraph.csr}) and the workflow's flat metadata
+    ({!Workflow.flat}): no closure per edge and no boxed accumulator.
+    Each vertex sums its live in-edges in adjacency order, so the result
+    is bit-identical on a builder and on any view of it. On a view the
+    arrays are the frozen base's, uncopied; a builder is compiled to
+    them on each call. *)
 
 val remove_with_cascade :
   Workflow.t -> Cdw_graph.Digraph.edge list -> Cdw_graph.Digraph.edge list

@@ -9,6 +9,16 @@ let pp_kind ppf = function
   | Algorithm -> Format.pp_print_string ppf "algorithm"
   | Purpose -> Format.pp_print_string ppf "purpose"
 
+type flat = {
+  vertex_kinds : kind array;
+  vertex_weights : float array;
+  edge_values : float array;
+}
+
+(* One memo slot: the array last computed for a frozen base, tagged
+   with that base so no other base's graph is ever answered from it. *)
+type slot = (Digraph.Frozen.t * float array) option Atomic.t
+
 type t = {
   graph : Digraph.t;
   kinds : kind Vec.t;
@@ -16,7 +26,15 @@ type t = {
   name_index : (string, int) Hashtbl.t;
   weights : float Vec.t; (* per vertex; w_p for purposes, 1.0 elsewhere *)
   init_values : float Vec.t; (* per edge id *)
+  frozen_flat : flat option Atomic.t;
+      (* [flat] of a view-backed workflow, compiled on first use and
+         shared by every copy: its metadata can no longer change (see
+         [copy]). Unused on builders. *)
+  memo : slot array; (* [base_memo]'s slots, shared by every copy *)
 }
+
+let memo_slots = 2
+let fresh_memo () = Array.init memo_slots (fun _ -> Atomic.make None)
 
 let create () =
   {
@@ -26,6 +44,8 @@ let create () =
     name_index = Hashtbl.create 64;
     weights = Vec.create ();
     init_values = Vec.create ();
+    frozen_flat = Atomic.make None;
+    memo = [||];
   }
 
 let graph t = t.graph
@@ -109,8 +129,8 @@ let copy t =
     (* View-backed workflows are structurally immutable: [add_named] and
        [connect] both hit the underlying graph first, which raises on
        views before any metadata is touched. Sharing the metadata
-       vectors is therefore safe, and the copy reduces to an O(E/8)
-       removal-mask copy. *)
+       vectors (and the base's memo slots) is therefore safe, and the
+       copy reduces to an O(E/8) removal-mask copy. *)
     { t with graph = Digraph.copy t.graph }
   else
     {
@@ -120,7 +140,31 @@ let copy t =
       name_index = Hashtbl.copy t.name_index;
       weights = Vec.copy t.weights;
       init_values = Vec.copy t.init_values;
+      frozen_flat = Atomic.make None;
+      memo = [||];
     }
+
+let compile_flat t =
+  let m = Digraph.n_edges_total t.graph in
+  {
+    vertex_kinds = Vec.to_array t.kinds;
+    vertex_weights = Vec.to_array t.weights;
+    edge_values =
+      Array.init m (fun id ->
+          if id < Vec.length t.init_values then Vec.get t.init_values id
+          else 1.0);
+  }
+
+(* Racing first uses compile equal arrays; either may stay. *)
+let flat t =
+  if not (Digraph.is_view t.graph) then compile_flat t
+  else
+    match Atomic.get t.frozen_flat with
+    | Some f -> f
+    | None ->
+        let f = compile_flat t in
+        Atomic.set t.frozen_flat (Some f);
+        f
 
 (* Freezing a builder deep-copies the metadata: the result is the
    private base of a shared index, and must not alias vectors the
@@ -129,17 +173,46 @@ let copy t =
    re-freezing one shares it, and with it the base: N engines over one
    frozen workflow hold one copy of names, weights and CSR arrays. *)
 let freeze ?epoch t =
+  let f = Digraph.freeze ?epoch t.graph in
   if Digraph.is_view t.graph then
-    { t with graph = Digraph.view (Digraph.freeze ?epoch t.graph) }
+    {
+      t with
+      graph = Digraph.view f;
+      memo =
+        (match Digraph.frozen_base t.graph with
+        | Some f0 when f0 == f -> t.memo
+        | _ -> fresh_memo ());
+    }
   else
     {
-      graph = Digraph.view (Digraph.freeze ?epoch t.graph);
+      graph = Digraph.view f;
       kinds = Vec.copy t.kinds;
       names = Vec.copy t.names;
       name_index = Hashtbl.copy t.name_index;
       weights = Vec.copy t.weights;
       init_values = Vec.copy t.init_values;
+      frozen_flat = Atomic.make None;
+      memo = fresh_memo ();
     }
+
+(* A slot answers only for the base it was filled for: [Workflow.freeze]
+   copies the record with [{ t with ... }], and a stale slot must never
+   hand one epoch another epoch's arrays. Racing fillers compute alike;
+   the first to land wins and the others return its array. *)
+let base_memo t ~slot compute =
+  match Digraph.pristine_base t.graph with
+  | None -> None
+  | Some f -> (
+      let cell = t.memo.(slot) in
+      match Atomic.get cell with
+      | Some (f', a) when f' == f -> Some a
+      | seen -> (
+          let a = compute () in
+          if Atomic.compare_and_set cell seen (Some (f, a)) then Some a
+          else
+            match Atomic.get cell with
+            | Some (f', a') when f' == f -> Some a'
+            | _ -> Some a))
 
 let epoch t =
   match Digraph.frozen_base t.graph with
@@ -154,6 +227,8 @@ let thaw t =
     name_index = Hashtbl.copy t.name_index;
     weights = Vec.copy t.weights;
     init_values = Vec.copy t.init_values;
+    frozen_flat = Atomic.make None;
+    memo = [||];
   }
 
 let validate t =

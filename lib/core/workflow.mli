@@ -60,6 +60,38 @@ val purposes : t -> int list
 val n_vertices : t -> int
 val n_edges : t -> int
 
+(** {1 Flat metadata for sweeps} *)
+
+type flat = {
+  vertex_kinds : kind array;  (** by vertex *)
+  vertex_weights : float array;
+      (** by vertex: [w_p] for purposes, 1.0 elsewhere *)
+  edge_values : float array;
+      (** by edge id: the initial valuation ({!initial_value}) *)
+}
+
+val flat : t -> flat
+(** The metadata the valuation sweeps read, as flat arrays. A frozen
+    workflow compiles them on first use and every copy shares them:
+    read-only. A builder compiles them afresh on each call,
+    O(V + E). *)
+
+val base_memo : t -> slot:int -> (unit -> float array) -> float array option
+(** [base_memo t ~slot compute]: a per-base memo for arrays that depend
+    only on the graph's live edge set and the metadata. When [t]'s
+    graph is a view whose removal mask equals its frozen base's
+    ({!Cdw_graph.Digraph.pristine_base}), [Some a] with [a] the array
+    memoized for that base in [slot] (0 or 1), filled by [compute ()]
+    on first use; [None] for builders and for views that cut or
+    restored an edge. The slots belong to the frozen base: {!copy}
+    shares them, so every session, domain and shard over one epoch's
+    base shares one fill, and a slot is tagged with the
+    [Cdw_graph.Digraph.Frozen.t] it was computed for and checked on
+    every read, so a {!freeze} that rebases never sees another base's
+    array. Filled lazily with an atomic compare-and-set (racing fillers
+    compute alike and all return the winner's array), never at
+    {!freeze}. The array is shared: callers must not mutate it. *)
+
 val copy : t -> t
 (** Copy with preserved vertex and edge ids. On a builder-backed
     workflow this deep-copies everything; on a frozen (view-backed)
@@ -78,7 +110,8 @@ val freeze : ?epoch:int -> t -> t
     [Invalid_argument] on frozen workflows; [remove]/[restore] of edges
     still work. [epoch] stamps the snapshot's position in a base
     evolution chain (default: carried over from a view-backed input, 0
-    from a builder). *)
+    from a builder). The result gets fresh {!base_memo} slots unless
+    its base is the input's own. *)
 
 val epoch : t -> int
 (** The frozen base's epoch; 0 for builder-backed workflows. *)

@@ -32,30 +32,38 @@ let is_multicut g edges ~pairs =
   with_removed g edges (fun () ->
       List.for_all (fun (s, t) -> not (Reach.exists_path g s t)) pairs)
 
-(* One surviving s→t path (as an edge list) by BFS, or None. *)
+(* One surviving s→t path (as an edge list) by BFS, or None. The
+   parent of each reached vertex is the id of the edge that reached it
+   (-1 for none); the queue is an array, as each vertex enters once. *)
 let find_path g s t =
   let n = Digraph.n_vertices g in
-  let parent = Array.make n None in
+  let parent = Array.make n (-1) in
   let seen = Array.make n false in
+  let queue = Array.make n 0 in
+  let head = ref 0 and tail = ref 1 in
   seen.(s) <- true;
-  let queue = Queue.create () in
-  Queue.add s queue;
-  while (not (Queue.is_empty queue)) && not seen.(t) do
-    let v = Queue.pop queue in
-    Digraph.iter_out g v (fun e ->
-        let u = Digraph.edge_dst e in
-        if not seen.(u) then begin
-          seen.(u) <- true;
-          parent.(u) <- Some e;
-          Queue.add u queue
-        end)
+  queue.(0) <- s;
+  let visit e =
+    let u = Digraph.edge_dst e in
+    if not seen.(u) then begin
+      seen.(u) <- true;
+      parent.(u) <- Digraph.edge_id e;
+      queue.(!tail) <- u;
+      incr tail
+    end
+  in
+  while !head < !tail && not seen.(t) do
+    let v = queue.(!head) in
+    incr head;
+    Digraph.iter_out g v visit
   done;
   if not seen.(t) then None
   else begin
     let rec walk v acc =
-      match parent.(v) with
-      | None -> acc
-      | Some e -> walk (Digraph.edge_src e) (e :: acc)
+      if parent.(v) < 0 then acc
+      else
+        let e = Digraph.edge g parent.(v) in
+        walk (Digraph.edge_src e) (e :: acc)
     in
     Some (walk t [])
   end
@@ -172,8 +180,8 @@ let harmonic n =
   done;
   !h
 
-let rec solve ?(backend = Ilp) ?budget_ms ?(deadline = infinity) g ~weight
-    ~pairs =
+(* One run of the lazy loop under [deadline], without a budget. *)
+let run ~backend ~deadline g ~weight ~pairs =
   List.iter
     (fun (s, t) ->
       if s = t then invalid_arg "Multicut.solve: pair with s = t")
@@ -270,13 +278,19 @@ let rec solve ?(backend = Ilp) ?budget_ms ?(deadline = infinity) g ~weight
         List.iter (add_path pool) paths;
         loop (rounds + 1) violated (solve_pool ())
   in
+  loop 0 [] []
+
+(* The budget is decided before any set-up: the budgeted solve is one
+   run under the tighter deadline, and at most one greedy run after
+   it. *)
+let solve ?(backend = Ilp) ?budget_ms ?(deadline = infinity) g ~weight ~pairs =
   match budget_ms with
-  | None -> loop 0 [] []
+  | None -> run ~backend ~deadline g ~weight ~pairs
   | Some budget_ms -> (
       let budget_deadline =
         Float.min deadline (Timing.deadline_after_ms budget_ms)
       in
-      try solve ~backend ~deadline:budget_deadline g ~weight ~pairs
+      try run ~backend ~deadline:budget_deadline g ~weight ~pairs
       with
       | (Timing.Timeout | Failure _)
         when deadline = infinity || Timing.now_ms () < deadline
@@ -285,5 +299,5 @@ let rec solve ?(backend = Ilp) ?budget_ms ?(deadline = infinity) g ~weight
              fall back to the greedy approximation under the caller's
              own deadline. *)
           Timing.check_deadline deadline;
-          { (solve ~backend:Greedy ~deadline g ~weight ~pairs) with
+          { (run ~backend:Greedy ~deadline g ~weight ~pairs) with
             fell_back = true })

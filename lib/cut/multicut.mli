@@ -69,7 +69,14 @@ val solve :
     says [fell_back]. Dense graphs put exact multicut out of reach just
     as they defeat the paper's BruteForce; this is the solver stack's
     one budget-then-greedy path. The graph is not modified (edges are
-    soft-removed and restored internally). Raises
+    soft-removed and restored internally). The budget is decided before
+    any set-up: a budgeted solve is one run of the loop under the
+    tighter deadline, plus at most one greedy run after it, and each
+    run validates the pairs, scans the live edges' weights for the
+    solver scale and builds its path pool once — a budgeted solve that
+    does not run out calls [weight] exactly as often as an unbudgeted
+    one. Each round finds its surviving paths by BFS (one per violated
+    pair, the first found in adjacency order). Raises
     [Cdw_util.Timing.Timeout] when [deadline] fires or, without
     [budget_ms], the node limit is hit; [Failure] from a stuck simplex
     without [budget_ms]; [Invalid_argument] when some pair shares a

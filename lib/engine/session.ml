@@ -10,6 +10,12 @@ type t = {
   metrics : Metrics.t;
 }
 
+(* Each algorithm's solve counter name, built once for every session. *)
+let counters =
+  List.map
+    (fun a -> (a, "solve." ^ Algorithms.to_string a))
+    Algorithms.all_names
+
 let create ~index ~algorithm ~(options : Algorithms.Options.t) ~rng_seed id =
   let metrics = Shared_index.metrics index in
   let rng = Splitmix.create rng_seed in
@@ -21,8 +27,9 @@ let create ~index ~algorithm ~(options : Algorithms.Options.t) ~rng_seed id =
     }
   in
   let base = Shared_index.base index in
+  let counter = List.assoc algorithm counters in
   let solver wf cs =
-    Metrics.incr metrics ("solve." ^ Algorithms.to_string algorithm);
+    Metrics.incr metrics counter;
     Shared_index.memoized index ~base ~algorithm wf cs (fun () ->
         Metrics.time metrics "solve" (fun () ->
             Trace.span "solve"

@@ -168,28 +168,27 @@ let memo_capacity = 4096
 let cuts_key base wf =
   if wf == base then Some ""
   else
-    let gb = Workflow.graph base and g = Workflow.graph wf in
-    let buf = Buffer.create 16 in
-    let rec varint x =
-      if x < 0x80 then Buffer.add_char buf (Char.chr x)
-      else begin
-        Buffer.add_char buf (Char.chr (0x80 lor (x land 0x7f)));
-        varint (x lsr 7)
-      end
-    in
-    let rec scan id prev =
-      if id >= Digraph.n_edges_total g then Some (Buffer.contents buf)
-      else
-        let removed_in_base = Digraph.edge_removed gb (Digraph.edge gb id) in
-        let removed = Digraph.edge_removed g (Digraph.edge g id) in
-        if removed_in_base && not removed then None
-        else if removed && not removed_in_base then begin
-          varint (id - prev);
-          scan (id + 1) id
-        end
-        else scan (id + 1) prev
-    in
-    scan 0 (-1)
+    match
+      Digraph.removed_beyond ~base:(Workflow.graph base) (Workflow.graph wf)
+    with
+    | None -> None
+    | Some [] -> Some ""
+    | Some ids ->
+        let buf = Buffer.create 16 in
+        let rec varint x =
+          if x < 0x80 then Buffer.add_char buf (Char.chr x)
+          else begin
+            Buffer.add_char buf (Char.chr (0x80 lor (x land 0x7f)));
+            varint (x lsr 7)
+          end
+        in
+        ignore
+          (List.fold_left
+             (fun prev id ->
+               varint (id - prev);
+               id)
+             (-1) ids);
+        Some (Buffer.contents buf)
 
 (* Called under [t.lock]. A wall-clock answer is never memoized. *)
 let insert d key (c : Algorithms.cut) =

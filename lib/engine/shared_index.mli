@@ -74,6 +74,16 @@ val live_paths :
 val path_provider : t -> Cdw_core.Algorithms.Options.path_provider
 (** {!live_paths} packaged for {!Cdw_core.Algorithms.Options}. *)
 
+val cuts_key : Cdw_core.Workflow.t -> Cdw_core.Workflow.t -> string option
+(** Test-only: the memo-key tests compare it with a scan of every edge
+    id.
+
+    [cuts_key base wf]: the cut part of {!memoized}'s key — [wf]'s edge
+    ids removed beyond [base] ({!Cdw_graph.Digraph.removed_beyond}),
+    packed as the LEB128 varints of the gaps between ascending ids;
+    [""] when there are none. [None] when [wf] restored an edge the
+    base had removed. *)
+
 val memoized :
   t ->
   base:Cdw_core.Workflow.t ->

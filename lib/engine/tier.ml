@@ -77,11 +77,12 @@ let push_front t n =
 
 let touch t user =
   match Hashtbl.find_opt t.nodes user with
-  | Some n ->
-      if t.head != Some n then begin
-        unlink t n;
-        push_front t n
-      end
+  | Some n -> (
+      match t.head with
+      | Some h when h == n -> ()
+      | _ ->
+          unlink t n;
+          push_front t n)
   | None ->
       let n = { user; prev = None; next = None } in
       Hashtbl.add t.nodes user n;

@@ -329,6 +329,71 @@ let topo_hint_of g =
   done;
   if !filled = n then Some order else None
 
+(* ---------------------------------------------------------------- *)
+(* Flat arrays for the numeric kernels                                *)
+
+type csr = {
+  n : int;
+  out_off : int array;
+  out_eid : int array;
+  in_off : int array;
+  in_eid : int array;
+  edges : edge array;
+  mask : Bytes.t;
+}
+
+(* The CSR arrays of a builder's current structure. Edge-id order fills
+   every row in builder insertion order, so frozen traversals replay
+   builder traversals exactly. *)
+let compile (b : builder) fedges =
+  let n = b.n in
+  let m = Array.length fedges in
+  let out_off = Array.make (n + 1) 0 in
+  let in_off = Array.make (n + 1) 0 in
+  Array.iter
+    (fun e ->
+      out_off.(e.src + 1) <- out_off.(e.src + 1) + 1;
+      in_off.(e.dst + 1) <- in_off.(e.dst + 1) + 1)
+    fedges;
+  for v = 0 to n - 1 do
+    out_off.(v + 1) <- out_off.(v + 1) + out_off.(v);
+    in_off.(v + 1) <- in_off.(v + 1) + in_off.(v)
+  done;
+  let out_eid = Array.make m 0 in
+  let in_eid = Array.make m 0 in
+  let out_cursor = Array.copy out_off in
+  let in_cursor = Array.copy in_off in
+  Array.iter
+    (fun e ->
+      out_eid.(out_cursor.(e.src)) <- e.id;
+      out_cursor.(e.src) <- out_cursor.(e.src) + 1;
+      in_eid.(in_cursor.(e.dst)) <- e.id;
+      in_cursor.(e.dst) <- in_cursor.(e.dst) + 1)
+    fedges;
+  {
+    n;
+    out_off;
+    out_eid;
+    in_off;
+    in_eid;
+    edges = fedges;
+    mask = b.removed;
+  }
+
+let csr = function
+  | Builder b -> compile b (Vec.to_array b.edges)
+  | View v ->
+      let f = v.frozen in
+      {
+        n = f.Frozen.fn;
+        out_off = f.Frozen.out_off;
+        out_eid = f.Frozen.out_eid;
+        in_off = f.Frozen.in_off;
+        in_eid = f.Frozen.in_eid;
+        edges = f.Frozen.fedges;
+        mask = v.vremoved;
+      }
+
 let freeze ?epoch g =
   match g with
   | View v
@@ -351,42 +416,18 @@ let freeze ?epoch g =
           (if v.base_restored then topo_hint_of g else v.frozen.Frozen.topo_hint);
       }
   | Builder b ->
-      let n = b.n in
-      let m = Vec.length b.edges in
       let fedges = Vec.to_array b.edges in
-      let out_off = Array.make (n + 1) 0 in
-      let in_off = Array.make (n + 1) 0 in
-      Array.iter
-        (fun e ->
-          out_off.(e.src + 1) <- out_off.(e.src + 1) + 1;
-          in_off.(e.dst + 1) <- in_off.(e.dst + 1) + 1)
-        fedges;
-      for v = 0 to n - 1 do
-        out_off.(v + 1) <- out_off.(v + 1) + out_off.(v);
-        in_off.(v + 1) <- in_off.(v + 1) + in_off.(v)
-      done;
-      let out_eid = Array.make m 0 in
-      let in_eid = Array.make m 0 in
-      let out_cursor = Array.copy out_off in
-      let in_cursor = Array.copy in_off in
-      (* Edge-id order fills every CSR row in builder insertion order, so
-         frozen traversals replay builder traversals exactly. *)
-      Array.iter
-        (fun e ->
-          out_eid.(out_cursor.(e.src)) <- e.id;
-          out_cursor.(e.src) <- out_cursor.(e.src) + 1;
-          in_eid.(in_cursor.(e.dst)) <- e.id;
-          in_cursor.(e.dst) <- in_cursor.(e.dst) + 1)
-        fedges;
+      let c = compile b fedges in
+      let m = Array.length fedges in
       let base_removed = Bytes.make (mask_bytes m) '\000' in
       Bytes.blit b.removed 0 base_removed 0 (mask_bytes m);
       {
-        Frozen.fn = n;
+        Frozen.fn = c.n;
         fedges;
-        out_off;
-        out_eid;
-        in_off;
-        in_eid;
+        out_off = c.out_off;
+        out_eid = c.out_eid;
+        in_off = c.in_off;
+        in_eid = c.in_eid;
         base_removed;
         base_live = b.live;
         epoch = Option.value epoch ~default:0;
@@ -408,6 +449,38 @@ let topo_hint = function
   | Builder _ -> None
   | View v ->
       if v.base_restored then None else v.frozen.Frozen.topo_hint
+
+(* The base of a view that has not diverged from it: its mask equals
+   the freeze-time mask bit for bit. *)
+let pristine_base = function
+  | Builder _ -> None
+  | View v ->
+      if Bytes.equal v.vremoved v.frozen.Frozen.base_removed then Some v.frozen
+      else None
+
+(* Byte by byte from the top, so the ids come out ascending: a byte
+   equal in both masks costs one comparison. *)
+let removed_beyond ~base g =
+  let m = n_edges_total g in
+  if n_edges_total base <> m then
+    invalid_arg "Digraph.removed_beyond: graphs of different edge counts";
+  let mb = removed_mask base and mg = removed_mask g in
+  let rec go i acc =
+    if i < 0 then Some acc
+    else
+      let b = Char.code (Bytes.unsafe_get mb i)
+      and c = Char.code (Bytes.unsafe_get mg i) in
+      if b = c then go (i - 1) acc
+      else if b land lnot c <> 0 then None
+      else
+        let extra = c land lnot b in
+        let acc = ref acc in
+        for bit = 7 downto 0 do
+          if extra land (1 lsl bit) <> 0 then acc := ((i lsl 3) + bit) :: !acc
+        done;
+        go (i - 1) !acc
+  in
+  go (mask_bytes m - 1) []
 
 let copy g =
   match g with

@@ -31,9 +31,12 @@
 
 type t
 
-type edge
+type edge = private { id : int; src : int; dst : int }
 (** Immutable edge descriptor, shared between a builder, the snapshots
-    frozen from it, and every view of those snapshots. *)
+    frozen from it, and every view of those snapshots. Its fields are
+    readable so that the flat kernels ({!csr}) read an edge's head
+    without a call; {!edge_id}, {!edge_src} and {!edge_dst} read the
+    same. *)
 
 val edge_id : edge -> int
 val edge_src : edge -> int
@@ -119,6 +122,14 @@ val copy : t -> t
 val removed_edge_ids : t -> int list
 (** Ids of removed edges, ascending. *)
 
+val removed_beyond : base:t -> t -> int list option
+(** [removed_beyond ~base g]: the ids removed in [g] but live in
+    [base], ascending — the cuts of a view relative to the base it was
+    copied from. [None] when [g] has live an edge that [base] removed,
+    which cut ids cannot name. Compares the two removal masks byte by
+    byte, so an unmodified [g] costs O(E/8) and allocates nothing.
+    Raises [Invalid_argument] when the edge counts differ. *)
+
 (** {1 Frozen snapshots and views} *)
 
 (** Immutable CSR snapshot of a graph. All arrays are written once at
@@ -172,3 +183,38 @@ val topo_hint : t -> int array option
     has not restored an edge its base had removed. [None] for builders,
     cyclic bases, or views that restored below the base. Callers must
     not mutate the returned array. *)
+
+val pristine_base : t -> Frozen.t option
+(** The frozen base under a view whose removal mask still equals the
+    base's freeze-time mask, i.e. a view with exactly its base's live
+    edges; [None] for builders and for views that removed or restored
+    an edge. What the base knows about its own edge set (see
+    {!Cdw_core.Workflow.base_memo}) holds for such a view. O(E/8). *)
+
+(** {1 Flat arrays for numeric kernels}
+
+    The valuation and path-mass sweeps run as loops over int arrays
+    instead of closures over edge descriptors. *)
+
+type csr = private {
+  n : int;  (** vertices *)
+  out_off : int array;
+      (** vertex [v]'s out-edge ids are [out_eid.(out_off.(v))] up to
+          [out_eid.(out_off.(v + 1) - 1)], in insertion order, removed
+          ones included *)
+  out_eid : int array;
+  in_off : int array;  (** the in-edges, laid out as the out-edges *)
+  in_eid : int array;
+  edges : edge array;  (** the descriptors, by edge id *)
+  mask : Bytes.t;
+      (** the removal mask: edge [id] is removed iff bit [id land 7] of
+          byte [id lsr 3] is set *)
+}
+
+val csr : t -> csr
+(** The graph as flat arrays, rows in the order {!iter_out} and
+    {!iter_in} visit them. On a view these are the frozen base's own
+    arrays and the view's own mask, uncopied: O(1), and the caller must
+    not mutate them. On a builder they are compiled afresh, O(V + E):
+    only one-shot paths should sweep builders. *)
+

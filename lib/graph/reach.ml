@@ -25,9 +25,29 @@ let to_target g t =
   bfs g t ~step:(fun v visit ->
       Digraph.iter_in g v (fun e -> visit (Digraph.edge_src e)))
 
+(* BFS from [s] that stops as soon as [t] is discovered. *)
 let exists_path g s t =
   if s = t then invalid_arg "Reach.exists_path: s = t";
-  (from_source g s).(t)
+  let n = Digraph.n_vertices g in
+  let seen = Array.make n false in
+  let queue = Array.make n 0 in
+  let head = ref 0 and tail = ref 1 in
+  seen.(s) <- true;
+  queue.(0) <- s;
+  let visit e =
+    let u = Digraph.edge_dst e in
+    if not seen.(u) then begin
+      seen.(u) <- true;
+      queue.(!tail) <- u;
+      incr tail
+    end
+  in
+  while !head < !tail && not seen.(t) do
+    let v = queue.(!head) in
+    incr head;
+    Digraph.iter_out g v visit
+  done;
+  seen.(t)
 
 let target_bitsets g ~targets =
   let n = Digraph.n_vertices g in

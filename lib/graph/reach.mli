@@ -15,7 +15,8 @@ val to_target : Digraph.t -> int -> bool array
 
 val exists_path : Digraph.t -> int -> int -> bool
 (** True iff a non-empty directed path [s → … → t] exists ([s <> t]
-    required: workflow constraints never relate a vertex to itself). *)
+    required: workflow constraints never relate a vertex to itself).
+    The BFS stops once it reaches [t]. *)
 
 val target_bitsets : Digraph.t -> targets:int array -> Cdw_util.Bitset.t array
 (** [target_bitsets g ~targets].(v) is the set of indices [i] such that

@@ -26,11 +26,9 @@ let kahn g =
 
 let sort g =
   (* Views whose live edges are a subset of their frozen base reuse the
-     order computed at freeze time: removing edges never invalidates a
-     topological order. *)
-  match Digraph.topo_hint g with
-  | Some order -> Array.copy order
-  | None -> kahn g
+     order computed at freeze time, uncopied: removing edges never
+     invalidates a topological order. *)
+  match Digraph.topo_hint g with Some order -> order | None -> kahn g
 
 let is_dag g = match sort g with _ -> true | exception Cycle _ -> false
 

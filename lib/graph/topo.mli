@@ -5,7 +5,10 @@ exception Cycle of int list
 
 val sort : Digraph.t -> int array
 (** Kahn's algorithm. Raises [Cycle] when the live subgraph is not a
-    DAG. The result orders every vertex, isolated ones included. *)
+    DAG. The result orders every vertex, isolated ones included. On a
+    view that has only removed edges relative to its base it is the
+    base's own order ({!Digraph.topo_hint}), uncopied: callers must not
+    mutate it. *)
 
 val is_dag : Digraph.t -> bool
 

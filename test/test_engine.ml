@@ -478,6 +478,66 @@ let test_memo_one_solve_per_type () =
         (Session.cut_ids (Engine.session engine user)))
     users
 
+(* The memo key's cut part from the two masks equals the string of a
+   scan over every edge id, as the key was first built. *)
+let scan_cuts_key base wf =
+  if wf == base then Some ""
+  else
+    let gb = Workflow.graph base and g = Workflow.graph wf in
+    let buf = Buffer.create 16 in
+    let rec varint x =
+      if x < 0x80 then Buffer.add_char buf (Char.chr x)
+      else begin
+        Buffer.add_char buf (Char.chr (0x80 lor (x land 0x7f)));
+        varint (x lsr 7)
+      end
+    in
+    let rec scan id prev =
+      if id >= Digraph.n_edges_total g then Some (Buffer.contents buf)
+      else
+        let removed_in_base = Digraph.edge_removed gb (Digraph.edge gb id) in
+        let removed = Digraph.edge_removed g (Digraph.edge g id) in
+        if removed_in_base && not removed then None
+        else if removed && not removed_in_base then begin
+          varint (id - prev);
+          scan (id + 1) id
+        end
+        else scan (id + 1) prev
+    in
+    scan 0 (-1)
+
+let prop_cuts_key_matches_scan =
+  Test_helpers.qcheck ~count:60 "memo cuts key equals the id scan"
+    QCheck2.Gen.(int_bound 100000)
+    (fun seed ->
+      let i = Test_helpers.random_instance ~seed in
+      let wf = i.Generator.workflow in
+      let rng = Splitmix.create seed in
+      let g = Workflow.graph wf in
+      Digraph.iter_edges
+        (fun e -> if Splitmix.int rng 8 = 0 then Digraph.remove_edge g e)
+        g;
+      let base = Workflow.freeze wf in
+      (* Cuts spread over the whole id range, so gaps need more than one
+         varint byte, and now and then a restore below the base. *)
+      let views =
+        List.init 6 (fun k ->
+            let v = Workflow.copy base in
+            let gv = Workflow.graph v in
+            for id = 0 to Digraph.n_edges_total gv - 1 do
+              let e = Digraph.edge gv id in
+              if Digraph.edge_removed gv e then begin
+                if k = 5 && Splitmix.int rng 2 = 0 then Digraph.restore_edge gv e
+              end
+              else if Splitmix.int rng (2 + (k * 20)) = 0 then
+                Digraph.remove_edge gv e
+            done;
+            v)
+      in
+      List.for_all
+        (fun v -> Shared_index.cuts_key base v = scan_cuts_key base v)
+        (base :: Workflow.copy base :: views))
+
 (* The key keeps list order: solvers iterate constraints in order, so
    [p; q] and [q; p] are two entries, each solved once. *)
 let test_memo_key_keeps_order () =
@@ -657,6 +717,7 @@ let suite =
       test_merge_preserves_error_counters );
     ("solve memo: one solver run per preference type", `Quick, test_memo_one_solve_per_type);
     ("solve memo: [p; q] and [q; p] are separate entries", `Quick, test_memo_key_keeps_order);
+    prop_cuts_key_matches_scan;
     ("solve memo: remove-random-edge bypasses it", `Quick, test_memo_skips_random);
     ("solve memo: a withdrawal leaves sharers untouched", `Quick, test_memo_withdraw_isolated);
     ( "remove-min-mc: an incremental cut can be worse than batch",

@@ -3,16 +3,20 @@
    and utilities whether they run on the mutable builder workflow or on
    a frozen copy-free view of it, across the paper's dataset presets;
    plus view semantics (remove/restore round-trips, n_edges and
-   adjacency consistency, cheap copies) and snapshot-replay of view
-   state through the ledger. *)
+   adjacency consistency, cheap copies, mask differences), the flat
+   valuation kernels against the closure sweeps they replaced, the
+   per-base cut-weight memo, and snapshot-replay of view state through
+   the ledger. *)
 
 open Cdw_core
 module Digraph = Cdw_graph.Digraph
 module Topo = Cdw_graph.Topo
 module Gen_params = Cdw_workload.Gen_params
 module Generator = Cdw_workload.Generator
+module Domain_pool = Cdw_engine.Domain_pool
 module Engine = Cdw_engine.Engine
 module Session = Cdw_engine.Session
+module Shared_index = Cdw_engine.Shared_index
 module Store = Cdw_store.Store
 module Splitmix = Cdw_util.Splitmix
 module Json = Cdw_util.Json
@@ -229,6 +233,267 @@ let test_freeze_of_view_rebases () =
     (Digraph.n_edges v2)
 
 (* ---------------------------------------------------------------- *)
+(* Flat kernels against the closure sweeps they replaced               *)
+
+(* The valuation, path-mass and cut-weight sweeps as they were written
+   over closures on edge descriptors. The flat kernels must reproduce
+   them bit for bit on every representation. *)
+module Reference = struct
+  let compute ?(model = Valuation.Linear_additive) wf =
+    let g = Workflow.graph wf in
+    let pi = Array.make (max 1 (Digraph.n_edges_total g)) 0.0 in
+    Array.iter
+      (fun v ->
+        let value_out =
+          match Workflow.kind wf v with
+          | Workflow.User -> None
+          | Workflow.Algorithm | Workflow.Purpose ->
+              let sum =
+                Digraph.fold_in g v
+                  (fun acc e -> acc +. pi.(Digraph.edge_id e))
+                  0.0
+              in
+              Some
+                (match model with
+                | Valuation.Linear_additive -> sum
+                | Valuation.Subadditive cap -> Float.min cap sum)
+        in
+        Digraph.iter_out g v (fun e ->
+            pi.(Digraph.edge_id e) <-
+              (match value_out with
+              | Some x -> x
+              | None -> Workflow.initial_value wf e)))
+      (Topo.sort g);
+    pi
+
+  let per_purpose ?model wf =
+    let g = Workflow.graph wf in
+    let pi = compute ?model wf in
+    List.map
+      (fun p ->
+        (p, Digraph.fold_in g p (fun acc e -> acc +. pi.(Digraph.edge_id e)) 0.0))
+      (Workflow.purposes wf)
+
+  let path_mass wf =
+    let g = Workflow.graph wf in
+    let pm = Array.make (Digraph.n_vertices g) 0.0 in
+    List.iter
+      (fun p -> pm.(p) <- Workflow.purpose_weight wf p)
+      (Workflow.purposes wf);
+    let order = Topo.sort g in
+    for pos = Array.length order - 1 downto 0 do
+      let v = order.(pos) in
+      Digraph.iter_out g v (fun e ->
+          pm.(v) <- pm.(v) +. pm.(Digraph.edge_dst e))
+    done;
+    pm
+
+  let cut_weights ?model ~scheme wf =
+    let g = Workflow.graph wf in
+    let pi = compute ?model wf in
+    let mass =
+      match scheme with
+      | Utility.Reachability_mass -> Utility.purpose_mass wf
+      | Utility.Path_count_mass -> path_mass wf
+    in
+    let w = Array.make (max 1 (Digraph.n_edges_total g)) 0.0 in
+    Digraph.iter_edges
+      (fun e ->
+        let id = Digraph.edge_id e in
+        w.(id) <- pi.(id) *. mass.(Digraph.edge_dst e))
+      g;
+    w
+end
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+(* A random instance with a real base mask (some edges removed before
+   the freeze), in every representation a solve can see: the builder,
+   the frozen base, a pristine copy of it, a copy with cuts, and a copy
+   that also restores edges the base had removed. *)
+let random_representations seed =
+  let i = Test_helpers.random_instance ~seed in
+  let wf = i.Generator.workflow in
+  let rng = Splitmix.create seed in
+  let g = Workflow.graph wf in
+  Digraph.iter_edges
+    (fun e -> if Splitmix.int rng 6 = 0 then Digraph.remove_edge g e)
+    g;
+  let base = Workflow.freeze wf in
+  let cut = Workflow.copy base in
+  let restored = Workflow.copy base in
+  let gc = Workflow.graph cut and gr = Workflow.graph restored in
+  for id = 0 to Digraph.n_edges_total gc - 1 do
+    let e = Digraph.edge gc id in
+    if Digraph.edge_removed gc e then begin
+      if Splitmix.int rng 2 = 0 then Digraph.restore_edge gr e
+    end
+    else if Splitmix.int rng 5 = 0 then begin
+      Digraph.remove_edge gc e;
+      Digraph.remove_edge gr e
+    end
+  done;
+  ( base,
+    [
+      ("builder", wf);
+      ("base", base);
+      ("pristine copy", Workflow.copy base);
+      ("cut view", cut);
+      ("restored view", restored);
+    ] )
+
+let kernels_match wf =
+  let models = [ None; Some (Valuation.Subadditive 1.5) ] in
+  let schemes = [ Utility.Reachability_mass; Utility.Path_count_mass ] in
+  List.for_all
+    (fun model ->
+      same_bits (Valuation.compute ?model wf) (Reference.compute ?model wf)
+      && List.for_all2
+           (fun (p, u) (p', u') -> p = p' && same_bits [| u |] [| u' |])
+           (Utility.per_purpose ?model wf)
+           (Reference.per_purpose ?model wf)
+      && List.for_all
+           (fun scheme ->
+             same_bits
+               (Utility.cut_weights ?model ~scheme wf)
+               (Reference.cut_weights ?model ~scheme wf))
+           schemes)
+    models
+  && same_bits (Utility.path_mass wf) (Reference.path_mass wf)
+
+let prop_kernels_match_reference =
+  Test_helpers.qcheck ~count:40
+    "flat valuation kernels match the closure sweeps bit for bit"
+    QCheck2.Gen.(int_bound 100000)
+    (fun seed ->
+      let _, reps = random_representations seed in
+      List.for_all (fun (_, wf) -> kernels_match wf) reps)
+
+(* The base memo answers an unmodified view only, and always with the
+   very array of the first fill. *)
+let test_base_memo_hits_pristine_views_only () =
+  let base, reps = random_representations 23 in
+  let w = Utility.cut_weights base in
+  let lookup name = List.assoc name reps in
+  Alcotest.(check bool) "a pristine copy shares the base's array" true
+    (Utility.cut_weights (lookup "pristine copy") == w);
+  Alcotest.(check bool) "a cut view computes its own" false
+    (Utility.cut_weights (lookup "cut view") == w);
+  Alcotest.(check bool) "a restored view computes its own" false
+    (Utility.cut_weights (lookup "restored view") == w);
+  Alcotest.(check bool) "a builder computes its own" false
+    (Utility.cut_weights (lookup "builder") == w);
+  Alcotest.(check bool) "each scheme has its slot" true
+    (Utility.cut_weights ~scheme:Utility.Reachability_mass base
+    == Utility.cut_weights ~scheme:Utility.Reachability_mass
+         (Workflow.copy base));
+  Alcotest.(check bool) "the subadditive model is never memoized" false
+    (Utility.cut_weights ~model:(Valuation.Subadditive 1.5) base
+    == Utility.cut_weights ~model:(Valuation.Subadditive 1.5) base);
+  (* Cutting an edge and restoring it leaves the mask equal to the
+     base's again: the view is unmodified and hits. *)
+  let v = Workflow.copy base in
+  let g = Workflow.graph v in
+  let e = List.hd (Test_helpers.live_edge_ids g) in
+  Digraph.remove_edge g (Digraph.edge g e);
+  Digraph.restore_edge g (Digraph.edge g e);
+  Alcotest.(check bool) "cut then restored hits again" true
+    (Utility.cut_weights v == w)
+
+(* A rebased freeze gets its own slots: the cut view's freeze must not
+   answer from the base it was copied from. *)
+let test_base_memo_follows_the_base () =
+  let base, reps = random_representations 29 in
+  let w = Utility.cut_weights base in
+  let cut = List.assoc "cut view" reps in
+  let refrozen = Workflow.freeze cut in
+  let w' = Utility.cut_weights refrozen in
+  Alcotest.(check bool) "the rebased base computes its own" false (w' == w);
+  Alcotest.(check bool) "and gets the cut view's weights" true
+    (same_bits w' (Reference.cut_weights ~scheme:Utility.Path_count_mass cut));
+  Alcotest.(check bool) "then shares them with its copies" true
+    (Utility.cut_weights (Workflow.copy refrozen) == w');
+  Alcotest.(check bool) "the old base keeps its own" true
+    (Utility.cut_weights base == w)
+
+(* After an install the new epoch's weights are computed afresh, and
+   differ from the old epoch's where the base changed. *)
+let test_base_memo_after_install () =
+  let i = Test_helpers.random_instance ~seed:31 in
+  let index = Shared_index.create i.Generator.workflow in
+  let b0 = Shared_index.base index in
+  let w0 = Utility.cut_weights b0 in
+  let next = Workflow.thaw b0 in
+  let g = Workflow.graph next in
+  let id =
+    match List.filter (fun id -> w0.(id) > 0.0) (Test_helpers.live_edge_ids g) with
+    | id :: _ -> id
+    | [] -> Alcotest.fail "instance has no weighted edge"
+  in
+  Digraph.remove_edge g (Digraph.edge g id);
+  Shared_index.install index next;
+  let b1 = Shared_index.base index in
+  let w1 = Utility.cut_weights b1 in
+  Alcotest.(check bool) "recomputed for the new epoch" false (w1 == w0);
+  Alcotest.(check bool) "equal to a fresh sweep of the new base" true
+    (same_bits w1 (Reference.cut_weights ~scheme:Utility.Path_count_mass b1));
+  Alcotest.(check (float 0.0)) "the removed edge weighs 0" 0.0 w1.(id);
+  Alcotest.(check bool) "where the old base weighed it" true (w0.(id) > 0.0);
+  Alcotest.(check bool) "the new epoch's copies share it" true
+    (Utility.cut_weights (Workflow.copy b1) == w1)
+
+(* Fills raced from several domains agree: every racer returns the one
+   array that landed in the slot. *)
+let test_base_memo_raced_fills_agree () =
+  let i = Test_helpers.random_instance ~seed:37 in
+  let base = Workflow.freeze i.Generator.workflow in
+  let pool = Domain_pool.create ~domains:2 () in
+  let results =
+    Fun.protect
+      ~finally:(fun () -> Domain_pool.close pool)
+      (fun () ->
+        Domain_pool.run pool
+          (Array.init 6 (fun _ () -> Utility.cut_weights (Workflow.copy base))))
+  in
+  Array.iter
+    (fun w ->
+      Alcotest.(check bool) "one array" true (w == results.(0)))
+    results;
+  Alcotest.(check bool) "equal to a fresh sweep" true
+    (same_bits results.(0)
+       (Reference.cut_weights ~scheme:Utility.Path_count_mass base))
+
+(* The cuts of a view relative to its base, from the two masks, against
+   a scan of every edge id. *)
+let prop_removed_beyond_matches_scan =
+  Test_helpers.qcheck ~count:40 "removed_beyond matches an id scan"
+    QCheck2.Gen.(int_bound 100000)
+    (fun seed ->
+      let base, reps = random_representations seed in
+      let gb = Workflow.graph base in
+      List.for_all
+        (fun (_, wf) ->
+          let g = Workflow.graph wf in
+          let expected =
+            if
+              List.exists
+                (fun id -> not (Digraph.edge_removed g (Digraph.edge g id)))
+                (Digraph.removed_edge_ids gb)
+            then None
+            else
+              Some
+                (List.filter
+                   (fun id -> not (Digraph.edge_removed gb (Digraph.edge gb id)))
+                   (Digraph.removed_edge_ids g))
+          in
+          Digraph.removed_beyond ~base:gb g = expected)
+        reps)
+
+(* ---------------------------------------------------------------- *)
 (* Snapshot-replay of view state through the store                    *)
 
 let temp_dir =
@@ -355,5 +620,11 @@ let suite =
     ("thaw round-trip", `Quick, test_thaw_roundtrip);
     ("restore below base invalidates topo hint", `Quick, test_restore_below_base_resorts);
     ("freeze of a view rebases the mask", `Quick, test_freeze_of_view_rebases);
+    prop_kernels_match_reference;
+    prop_removed_beyond_matches_scan;
+    ("base memo: pristine views only", `Quick, test_base_memo_hits_pristine_views_only);
+    ("base memo: a rebased freeze has its own", `Quick, test_base_memo_follows_the_base);
+    ("base memo: recomputed after an install", `Quick, test_base_memo_after_install);
+    ("base memo: raced fills agree", `Quick, test_base_memo_raced_fills_agree);
     ("store snapshot replays view state", `Quick, test_snapshot_replays_view_state);
   ]

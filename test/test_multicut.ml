@@ -165,6 +165,32 @@ let prop_exact_vs_enumeration =
         Float.abs (r.Multicut.weight -. !best) < 1e-6
       end)
 
+(* The budget is decided before any set-up, so a budgeted solve that
+   does not run out reads each weight exactly as often as the
+   unbudgeted one. *)
+let test_budget_reads_weights_once () =
+  List.iter
+    (fun seed ->
+      let g = Test_helpers.random_dag ~seed ~n:14 ~density:0.35 in
+      let pairs = [ (0, 13); (1, 12); (2, 11) ] in
+      let calls = ref 0 in
+      let weight e =
+        incr calls;
+        1.0 +. float_of_int (Digraph.edge_id e mod 7)
+      in
+      let plain = Multicut.solve g ~weight ~pairs in
+      let unbudgeted = !calls in
+      calls := 0;
+      let budgeted = Multicut.solve ~budget_ms:60_000.0 g ~weight ~pairs in
+      Alcotest.(check bool) "did not fall back" false budgeted.Multicut.fell_back;
+      Alcotest.(check (list int)) "same cut"
+        (Test_helpers.edge_ids plain.Multicut.edges)
+        (Test_helpers.edge_ids budgeted.Multicut.edges);
+      Alcotest.(check int)
+        (Printf.sprintf "seed %d: weight calls" seed)
+        unbudgeted !calls)
+    [ 1; 2; 3; 4 ]
+
 let suite =
   [
     Alcotest.test_case "single pair reduces to min cut" `Quick
@@ -174,6 +200,8 @@ let suite =
     Alcotest.test_case "already disconnected pairs" `Quick test_already_disconnected;
     Alcotest.test_case "input graph not mutated" `Quick test_graph_not_mutated;
     Alcotest.test_case "invalid pair rejected" `Quick test_invalid_pair;
+    Alcotest.test_case "budgeted solve reads weights as often as unbudgeted"
+      `Quick test_budget_reads_weights_once;
     prop_backends;
     prop_audit_trail;
     prop_exact_vs_enumeration;

@@ -102,6 +102,25 @@ let prop_reach_duality =
       done;
       !ok)
 
+(* Property: the early-stopping exists_path agrees with a full BFS, on
+   graphs with removed edges too. *)
+let prop_exists_path_vs_bfs =
+  Test_helpers.qcheck "exists_path equals full forward reach"
+    QCheck2.Gen.(pair (int_range 0 100000) (int_range 3 25))
+    (fun (seed, n) ->
+      let g = Test_helpers.random_dag ~seed ~n ~density:0.25 in
+      Digraph.iter_edges
+        (fun e -> if Digraph.edge_id e mod 4 = seed mod 4 then Digraph.remove_edge g e)
+        g;
+      let ok = ref true in
+      for s = 0 to n - 1 do
+        let fwd = Reach.from_source g s in
+        for t = 0 to n - 1 do
+          if s <> t && Reach.exists_path g s t <> fwd.(t) then ok := false
+        done
+      done;
+      !ok)
+
 (* Property: target_bitsets agrees with per-target to_target. *)
 let prop_bitsets_vs_bfs =
   Test_helpers.qcheck "target_bitsets equals per-target BFS"
@@ -131,5 +150,6 @@ let suite =
       test_reachability_subgraph_edges;
     prop_topo_valid;
     prop_reach_duality;
+    prop_exists_path_vs_bfs;
     prop_bitsets_vs_bfs;
   ]
