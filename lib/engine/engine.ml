@@ -617,9 +617,7 @@ let drain_on ?pool t =
                           emit t (Drained { seq });
                           q)
                 in
-                (* Inside the phase, so the phases tile the drain: the
-                   waits are computed first and recorded under one
-                   metrics lock section. *)
+                (* Inside the phase, so the phases tile the drain. *)
                 let now = Timing.now_ms () in
                 Metrics.record_all_ms m "queue_wait"
                   (List.map (fun (_, _, submitted) -> now -. submitted)

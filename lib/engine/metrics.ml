@@ -4,13 +4,21 @@ module Prom = Cdw_obs.Prom
 module Stats = Cdw_util.Stats
 module Timing = Cdw_util.Timing
 
-(* One latency key: exact running moments (count, sum, Welford's M2 —
-   the sum of squared deviations from the mean), min and max, and a
-   log-linear histogram that yields bucket-exact percentiles. A
-   long-running engine records millions of samples in O(buckets)
-   memory, and std/se stay exact over the whole stream, across
-   [merge_into] too (Chan et al.'s pairwise update). *)
-type series = {
+(* The registry's name tables are copy-on-insert: a published table is
+   never mutated again, so a lookup reads the current one without a
+   lock, and registering a name copies the table under the registry
+   lock, adds the name and publishes the copy. Names are few and
+   registered once, so the copies cost nothing that matters. *)
+module Names = Hashtbl.Make (String)
+
+(* One domain's share of a latency key: exact running moments (count,
+   sum, Welford's M2 — the sum of squared deviations from the mean),
+   min and max, and a log-linear histogram that yields bucket-exact
+   percentiles. A long-running engine records millions of samples in
+   O(buckets) memory, and std/se stay exact over the whole stream,
+   across domains and [merge_into] too (Chan et al.'s pairwise
+   update). Only the domain holding the local's slot writes it. *)
+type local = {
   mutable count : int;
   mutable sum : float;
   mutable m2 : float;
@@ -19,65 +27,113 @@ type series = {
   hist : Histogram.t;
 }
 
+(* A latency key: one [local] per domain slot that has recorded under
+   it, indexed by slot and merged on read. The array is copy-on-write,
+   published by compare-and-set, so a domain adding its own local never
+   loses another domain's. *)
+type series = local option array Atomic.t
+
 type t = {
-  lock : Mutex.t;
-  counters : (string, int ref) Hashtbl.t;
-  gauges : (string, float ref) Hashtbl.t;
+  lock : Mutex.t;  (* taken only to register a name *)
+  lock_entries : int Atomic.t;
+  counters : int Atomic.t Names.t Atomic.t;
+  gauges : float Atomic.t Names.t Atomic.t;
       (* last-value-wins instruments (e.g. the current base epoch), as
          opposed to the monotone [counters] *)
-  samples : (string, series) Hashtbl.t;
+  samples : series Names.t Atomic.t;
 }
 
 let create () =
   {
     lock = Mutex.create ();
-    counters = Hashtbl.create 32;
-    gauges = Hashtbl.create 8;
-    samples = Hashtbl.create 16;
+    lock_entries = Atomic.make 0;
+    counters = Atomic.make (Names.create 32);
+    gauges = Atomic.make (Names.create 8);
+    samples = Atomic.make (Names.create 16);
   }
 
-let with_lock t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+let lock_entries t = Atomic.get t.lock_entries
 
-let cell tbl key fresh =
-  match Hashtbl.find_opt tbl key with
+(* The slow path: register [name] unless a racing writer already has. *)
+let register t tbl name fresh =
+  Mutex.lock t.lock;
+  Atomic.incr t.lock_entries;
+  Fun.protect
+    ~finally:(fun () -> Mutex.unlock t.lock)
+    (fun () ->
+      let current = Atomic.get tbl in
+      match Names.find_opt current name with
+      | Some c -> c
+      | None ->
+          let c = fresh () in
+          let next = Names.copy current in
+          Names.add next name c;
+          Atomic.set tbl next;
+          c)
+
+let cell t tbl name fresh =
+  match Names.find_opt (Atomic.get tbl) name with
   | Some c -> c
-  | None ->
-      let c = fresh () in
-      Hashtbl.add tbl key c;
-      c
+  | None -> register t tbl name fresh
+
+(* Name-sorted [(name, f cell)] of one table. [to_seq], not [fold]:
+   a fold marks the table as traversed in place, which is a write that
+   concurrent readers would race on. *)
+let sorted tbl f =
+  Names.to_seq (Atomic.get tbl)
+  |> Seq.map (fun (name, c) -> (name, f c))
+  |> List.of_seq
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let incr ?(by = 1) t name =
-  with_lock t (fun () ->
-      let c = cell t.counters name (fun () -> ref 0) in
-      c := !c + by)
+  let c = cell t t.counters name (fun () -> Atomic.make 0) in
+  ignore (Atomic.fetch_and_add c by)
 
 let counter t name =
-  with_lock t (fun () ->
-      match Hashtbl.find_opt t.counters name with
-      | Some c -> !c
-      | None -> 0)
-
-let counters t =
-  with_lock t (fun () ->
-      Hashtbl.fold (fun name c acc -> (name, !c) :: acc) t.counters [])
-  |> List.sort compare
+  match Names.find_opt (Atomic.get t.counters) name with
+  | Some c -> Atomic.get c
+  | None -> 0
 
 let set_gauge t name v =
-  with_lock t (fun () ->
-      let c = cell t.gauges name (fun () -> ref 0.0) in
-      c := v)
+  Atomic.set (cell t t.gauges name (fun () -> Atomic.make 0.0)) v
 
 let gauge t name =
-  with_lock t (fun () -> Option.map ( ! ) (Hashtbl.find_opt t.gauges name))
+  Option.map Atomic.get (Names.find_opt (Atomic.get t.gauges) name)
 
-let gauges t =
-  with_lock t (fun () ->
-      Hashtbl.fold (fun name c acc -> (name, !c) :: acc) t.gauges [])
-  |> List.sort compare
+(* ---------------------------------------------------------------- *)
+(* Domain slots                                                       *)
 
-let fresh_series () =
+(* Every domain that records a latency gets a small slot number, its
+   index into each series' locals. A domain hands its slot back when it
+   exits and the next new domain reuses it (the hand-over goes through
+   [slots_lock], so the new owner sees the old one's writes), so slot
+   numbers stay below the number of domains alive at once however many
+   come and go. *)
+let slots_lock = Mutex.create ()
+let free_slots = ref []
+let next_slot = ref 0
+
+let slot_key =
+  Domain.DLS.new_key (fun () ->
+      Mutex.lock slots_lock;
+      let slot =
+        match !free_slots with
+        | s :: rest ->
+            free_slots := rest;
+            s
+        | [] ->
+            let s = !next_slot in
+            next_slot := s + 1;
+            s
+      in
+      Mutex.unlock slots_lock;
+      Domain.at_exit (fun () ->
+          Mutex.lock slots_lock;
+          free_slots := slot :: !free_slots;
+          Mutex.unlock slots_lock);
+      slot)
+
+let fresh_local () =
   {
     count = 0;
     sum = 0.0;
@@ -87,26 +143,44 @@ let fresh_series () =
     hist = Histogram.create ();
   }
 
-(* Welford's update, with the running mean read off [sum]. *)
-let record_series s ms =
-  let mean_before =
-    if s.count = 0 then 0.0 else s.sum /. float_of_int s.count
+(* First record of this domain under a key: publish its local. *)
+let add_local (s : series) slot =
+  let l = fresh_local () in
+  let rec publish () =
+    let ls = Atomic.get s in
+    let grown = Array.make (max (Array.length ls) (slot + 1)) None in
+    Array.blit ls 0 grown 0 (Array.length ls);
+    grown.(slot) <- Some l;
+    if not (Atomic.compare_and_set s ls grown) then publish ()
   in
-  s.count <- s.count + 1;
-  s.sum <- s.sum +. ms;
-  s.m2 <-
-    s.m2 +. ((ms -. mean_before) *. (ms -. (s.sum /. float_of_int s.count)));
-  if ms < s.minv then s.minv <- ms;
-  if ms > s.maxv then s.maxv <- ms;
-  Histogram.record s.hist ms
+  publish ();
+  l
 
-let record_ms t key ms =
-  with_lock t (fun () -> record_series (cell t.samples key fresh_series) ms)
+let local (s : series) =
+  let slot = Domain.DLS.get slot_key in
+  let ls = Atomic.get s in
+  match if slot < Array.length ls then ls.(slot) else None with
+  | Some l -> l
+  | None -> add_local s slot
+
+(* Welford's update, with the running mean read off [sum]. *)
+let record_local l ms =
+  let mean_before =
+    if l.count = 0 then 0.0 else l.sum /. float_of_int l.count
+  in
+  l.count <- l.count + 1;
+  l.sum <- l.sum +. ms;
+  l.m2 <-
+    l.m2 +. ((ms -. mean_before) *. (ms -. (l.sum /. float_of_int l.count)));
+  if ms < l.minv then l.minv <- ms;
+  if ms > l.maxv then l.maxv <- ms;
+  Histogram.record l.hist ms
+
+let series t key = local (cell t t.samples key (fun () -> Atomic.make [||]))
+let record_ms t key ms = record_local (series t key) ms
 
 let record_all_ms t key samples =
-  if samples <> [] then
-    with_lock t (fun () ->
-        List.iter (record_series (cell t.samples key fresh_series)) samples)
+  if samples <> [] then List.iter (record_local (series t key)) samples
 
 (* A raising thunk still gets its duration recorded, plus an error
    counter — failure latency matters as much as success latency, and a
@@ -124,43 +198,77 @@ let time t key f =
       incr t (key ^ ".error");
       Printexc.raise_with_backtrace exn bt
 
-let summary_of_series s =
-  if s.count = 0 then None
-  else
-    let n = float_of_int s.count in
-    let std = if s.count < 2 then 0.0 else sqrt (s.m2 /. (n -. 1.0)) in
-    Some
-      {
-        Stats.n = s.count;
-        mean = s.sum /. n;
-        std;
-        se = std /. sqrt n;
-        min = s.minv;
-        max = s.maxv;
-      }
+(* Fold [b] into [a]: count/sum/min/max and the M2 moment stay exact
+   (Chan et al.'s pairwise combination), and the histograms merge
+   bucket-exactly, so merged percentiles keep the single-local error
+   bound. Into an empty [a] this is an exact copy. *)
+let merge_local ~into:a b =
+  if a.count = 0 then begin
+    a.sum <- b.sum;
+    a.m2 <- b.m2
+  end
+  else if b.count > 0 then begin
+    let na = float_of_int a.count and nb = float_of_int b.count in
+    let delta = (b.sum /. nb) -. (a.sum /. na) in
+    a.m2 <- a.m2 +. b.m2 +. (delta *. delta *. na *. nb /. (na +. nb));
+    a.sum <- a.sum +. b.sum
+  end;
+  a.count <- a.count + b.count;
+  if b.minv < a.minv then a.minv <- b.minv;
+  if b.maxv > a.maxv then a.maxv <- b.maxv;
+  Histogram.merge_into ~into:a.hist b.hist
 
-let summary t key =
-  with_lock t (fun () ->
-      Option.bind (Hashtbl.find_opt t.samples key) summary_of_series)
+(* A key's locals as one, read-only: the local itself when one domain
+   recorded the key, else the locals folded into a fresh one in slot
+   order. Read while other domains record, this may see a local
+   mid-update; each field is still a value that local held. *)
+let merged (s : series) =
+  match List.filter_map Fun.id (Array.to_list (Atomic.get s)) with
+  | [ l ] -> l
+  | ls ->
+      let acc = fresh_local () in
+      List.iter (merge_local ~into:acc) ls;
+      acc
+
+let find_merged t key =
+  match Names.find_opt (Atomic.get t.samples) key with
+  | Some s ->
+      let l = merged s in
+      if l.count > 0 then Some l else None
+  | None -> None
+
+(* Name-sorted merged keys with at least one sample. *)
+let merged_series t =
+  List.filter (fun (_, l) -> l.count > 0) (sorted t.samples merged)
+
+let summary_of_local l =
+  let n = float_of_int l.count in
+  let std = if l.count < 2 then 0.0 else sqrt (l.m2 /. (n -. 1.0)) in
+  {
+    Stats.n = l.count;
+    mean = l.sum /. n;
+    std;
+    se = std /. sqrt n;
+    min = l.minv;
+    max = l.maxv;
+  }
+
+let summary t key = Option.map summary_of_local (find_merged t key)
 
 (* Percentiles come from the histogram: bucket-exact at any stream
    length. *)
 let percentile t key q =
-  with_lock t (fun () ->
-      match Hashtbl.find_opt t.samples key with
-      | Some s when s.count > 0 -> Some (Histogram.percentile s.hist q)
-      | Some _ | None -> None)
+  Option.map (fun l -> Histogram.percentile l.hist q) (find_merged t key)
 
 let histogram_buckets t key =
-  with_lock t (fun () ->
-      match Hashtbl.find_opt t.samples key with
-      | None -> []
-      | Some s ->
-          List.map
-            (fun (i, c) ->
-              let lo, hi = Histogram.bucket_bounds i in
-              (lo, hi, c))
-            (Histogram.nonempty_buckets s.hist))
+  match find_merged t key with
+  | None -> []
+  | Some l ->
+      List.map
+        (fun (i, c) ->
+          let lo, hi = Histogram.bucket_bounds i in
+          (lo, hi, c))
+        (Histogram.nonempty_buckets l.hist)
 
 let quantile_fields h =
   [
@@ -170,7 +278,8 @@ let quantile_fields h =
     ("p999", Json.Number (Histogram.percentile h 0.999));
   ]
 
-let summary_json ?hist (s : Stats.summary) =
+let summary_json l =
+  let s = summary_of_local l in
   Json.Object
     ([
        ("n", Json.Number (float_of_int s.Stats.n));
@@ -180,19 +289,12 @@ let summary_json ?hist (s : Stats.summary) =
        ("min", Json.Number s.Stats.min);
        ("max", Json.Number s.Stats.max);
      ]
-    @ match hist with Some h when s.Stats.n > 0 -> quantile_fields h | _ -> [])
+    @ quantile_fields l.hist)
+
+let counters t = sorted t.counters Atomic.get
+let gauges t = sorted t.gauges Atomic.get
 
 let to_json t =
-  let latencies =
-    with_lock t (fun () ->
-        Hashtbl.fold
-          (fun key s acc ->
-            match summary_of_series s with
-            | Some summary -> (key, summary_json ~hist:s.hist summary) :: acc
-            | None -> acc)
-          t.samples [])
-    |> List.sort compare
-  in
   Json.Object
     [
       ( "counters",
@@ -203,45 +305,22 @@ let to_json t =
       ( "gauges",
         Json.Object
           (List.map (fun (name, v) -> (name, Json.Number v)) (gauges t)) );
-      ("latency_ms", Json.Object latencies);
+      ( "latency_ms",
+        Json.Object
+          (List.map (fun (key, l) -> (key, summary_json l)) (merged_series t))
+      );
     ]
 
 (* ---------------------------------------------------------------- *)
 (* Cross-registry folding — the sharded group view.                   *)
 
-(* A consistent copy of one registry's contents, taken under its lock.
-   Histograms are copied (merge into a fresh one) because the source
-   keeps mutating them after the lock drops. *)
-let snapshot t =
-  with_lock t (fun () ->
-      let counters =
-        Hashtbl.fold (fun name c acc -> (name, !c) :: acc) t.counters []
-        |> List.sort compare
-      in
-      let gauges =
-        Hashtbl.fold (fun name c acc -> (name, !c) :: acc) t.gauges []
-        |> List.sort compare
-      in
-      let series =
-        Hashtbl.fold
-          (fun key s acc ->
-            let hist = Histogram.create () in
-            Histogram.merge_into ~into:hist s.hist;
-            (key, ({ s with hist } : series)) :: acc)
-          t.samples []
-        |> List.sort (fun (a, _) (b, _) -> compare a b)
-      in
-      (counters, gauges, series))
-
-(* Fold [src] into [into]: counters add; per-key count/sum/min/max
-   and the M2 moment stay exact (Chan et al.'s pairwise combination),
-   and the histograms merge bucket-exactly, so merged percentiles keep
-   the single-registry error bound. Locks are taken one at a time
-   (snapshot src, then update into), so any merge order between live
-   registries is deadlock-free. *)
+(* Fold [src] into [into]: counters add, gauges keep the larger value,
+   and each key of [src] merges into the calling domain's local of the
+   same key in [into], exactly as {!merge_local} combines two locals.
+   [src] is only read, so merges between live registries in any order
+   never wait on each other. *)
 let merge_into ~into src =
-  let counters, gauges, series = snapshot src in
-  List.iter (fun (name, n) -> incr ~by:n into name) counters;
+  List.iter (fun (name, n) -> incr ~by:n into name) (counters src);
   (* Gauges are level instruments, not sums: the group view keeps the
      maximum (for the epoch gauge, "the newest base any shard serves" —
      shards of one group agree outside a migration window anyway). *)
@@ -250,58 +329,28 @@ let merge_into ~into src =
       match gauge into name with
       | Some v' when v' >= v -> ()
       | _ -> set_gauge into name v)
-    gauges;
+    (gauges src);
   List.iter
-    (fun (key, (b : series)) ->
-      with_lock into (fun () ->
-          let a = cell into.samples key fresh_series in
-          if a.count = 0 then begin
-            a.sum <- b.sum;
-            a.m2 <- b.m2
-          end
-          else if b.count > 0 then begin
-            let na = float_of_int a.count and nb = float_of_int b.count in
-            let delta = (b.sum /. nb) -. (a.sum /. na) in
-            a.m2 <- a.m2 +. b.m2 +. (delta *. delta *. na *. nb /. (na +. nb));
-            a.sum <- a.sum +. b.sum
-          end;
-          a.count <- a.count + b.count;
-          if b.minv < a.minv then a.minv <- b.minv;
-          if b.maxv > a.maxv then a.maxv <- b.maxv;
-          Histogram.merge_into ~into:a.hist b.hist))
-    series
+    (fun (key, b) -> merge_local ~into:(series into key) b)
+    (merged_series src)
 
-(* Prometheus text exposition of the whole registry. The histograms are
-   rendered under the metrics lock: recording mutates them in place and
-   the emitter runs on its own domain. *)
+let histograms t = List.map (fun (key, l) -> (key, l.hist)) (merged_series t)
+
+(* Prometheus text exposition of the whole registry. *)
 let prometheus t =
-  with_lock t (fun () ->
-      let counters =
-        Hashtbl.fold (fun name c acc -> (name, !c) :: acc) t.counters []
-        |> List.sort compare
-      in
-      let gauges =
-        Hashtbl.fold (fun name c acc -> (name, !c) :: acc) t.gauges []
-        |> List.sort compare
-      in
-      let histograms =
-        Hashtbl.fold (fun key s acc -> (key, s.hist) :: acc) t.samples []
-        |> List.sort (fun (a, _) (b, _) -> compare a b)
-      in
-      Prom.render ~gauges ~counters ~histograms ())
+  Prom.render ~gauges:(gauges t) ~counters:(counters t)
+    ~histograms:(histograms t) ()
 
 (* Shard-labelled exposition: one set per (labels, registry) pair, all
-   series of a metric name grouped under one TYPE block. Each registry
-   is snapshotted under its own lock, one at a time. *)
+   series of a metric name grouped under one TYPE block. *)
 let prometheus_sets sets =
   Prom.render_sets
     (List.map
        (fun (labels, t) ->
-         let counters, gauges, series = snapshot t in
          {
            Prom.s_labels = labels;
-           s_counters = counters;
-           s_gauges = gauges;
-           s_histograms = List.map (fun (k, (s : series)) -> (k, s.hist)) series;
+           s_counters = counters t;
+           s_gauges = gauges t;
+           s_histograms = histograms t;
          })
        sets)

@@ -23,11 +23,83 @@ type memo_key = {
 
 (* The default hash stops after ten values, which would chain every
    list sharing a short prefix into one bucket. *)
-module Memo = Hashtbl.Make (struct
+module Memo_key = struct
   type t = memo_key
 
   let equal = ( = )
   let hash = Hashtbl.hash_param 64 128
+end
+
+module Memo = Hashtbl.Make (Memo_key)
+
+(* A bounded insert-only table whose lookups take no lock. Each bucket
+   is an immutable association list, and an insert publishes a longer
+   one by [Atomic.compare_and_set], so a reader sees a bucket before or
+   after an insert, never during one. The bucket array is allocated by
+   the first insert (an epoch that never caches allocates nothing), and
+   an insert reserves its slot in [size] before it adds, so racing
+   inserts never take the table past [capacity]; an insert of a key
+   already present, or into a full table, leaves the table as it is. *)
+module Table (K : Hashtbl.HashedType) : sig
+  type 'a t
+
+  val create : unit -> 'a t
+  val find_opt : 'a t -> K.t -> 'a option
+  val add : 'a t -> K.t -> 'a -> unit
+  val length : 'a t -> int
+end = struct
+  type 'a t = {
+    buckets : (K.t * 'a) list Atomic.t array option Atomic.t;
+    size : int Atomic.t;
+  }
+
+  let capacity = 4096
+  (* A power of two, for [hash land (n_buckets - 1)], and small enough
+     that the bucket array is a minor-heap block: a larger one is
+     allocated in the major heap, and in a process with parked domains
+     each such allocation hastens a stop-the-world minor collection
+     (1024 buckets made the epoch tests five times slower). *)
+  let n_buckets = 256
+  let create () = { buckets = Atomic.make None; size = Atomic.make 0 }
+  let length t = Atomic.get t.size
+  let bucket buckets k = buckets.(K.hash k land (n_buckets - 1))
+
+  let rec assoc k = function
+    | [] -> None
+    | (k', v) :: rest -> if K.equal k k' then Some v else assoc k rest
+
+  let find_opt t k =
+    match Atomic.get t.buckets with
+    | None -> None
+    | Some buckets -> assoc k (Atomic.get (bucket buckets k))
+
+  let buckets t =
+    match Atomic.get t.buckets with
+    | Some b -> b
+    | None ->
+        let b = Array.init n_buckets (fun _ -> Atomic.make []) in
+        if Atomic.compare_and_set t.buckets None (Some b) then b
+        else Option.get (Atomic.get t.buckets)
+
+  let add t k v =
+    if Atomic.fetch_and_add t.size 1 >= capacity then Atomic.decr t.size
+    else
+      let b = bucket (buckets t) k in
+      let rec insert () =
+        let l = Atomic.get b in
+        if List.exists (fun (k', _) -> K.equal k k') l then Atomic.decr t.size
+        else if not (Atomic.compare_and_set b l ((k, v) :: l)) then insert ()
+      in
+      insert ()
+end
+
+module Memo_table = Table (Memo_key)
+
+module Path_table = Table (struct
+  type t = int * int
+
+  let equal (a, b) (c, d) = a = c && b = d
+  let hash = Hashtbl.hash
 end)
 
 (* One solve of a key in progress. Later askers of the key park on [cv]
@@ -42,15 +114,15 @@ type flight = { cv : Condition.t; mutable result : Algorithms.cut option option 
 type derived = {
   base : Workflow.t;
   snapshot : Reach.Snapshot.t;
-  paths : (int * int, path_entry) Hashtbl.t;
-  mutable memo : Algorithms.cut Memo.t option;
-      (* allocated on first insert; guarded by [lock] *)
+  paths : path_entry Path_table.t;
+  memo : Algorithms.cut Memo_table.t;
   inflight : flight Memo.t;  (* guarded by [lock] *)
 }
 
 type t = {
   mutable d : derived;
-  lock : Mutex.t;
+  lock : Mutex.t;  (* guards [inflight] *)
+  lock_entries : int Atomic.t;
   max_paths : int;
   metrics : Metrics.t;
 }
@@ -67,55 +139,56 @@ let derive wf =
       Trace.span "index.snapshot"
         ~args:[ ("repr", Digraph.repr_name g) ]
         (fun () -> Reach.Snapshot.create g);
-    paths = Hashtbl.create 256;
-    memo = None;
+    paths = Path_table.create ();
+    memo = Memo_table.create ();
     inflight = Memo.create 16;
   }
-
-(* Bound on the (source, target) pairs whose path sets are memoized. *)
-let max_cached_pairs = 4096
 
 let create ?(max_paths = 200_000) wf =
   {
     d = derive wf;
     lock = Mutex.create ();
+    lock_entries = Atomic.make 0;
     max_paths;
     metrics = Metrics.create ();
   }
 
+let with_lock t f =
+  Mutex.lock t.lock;
+  Atomic.incr t.lock_entries;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+
 let base t = t.d.base
 let metrics t = t.metrics
+let lock_entries t = Atomic.get t.lock_entries
+let cache_sizes t = (Path_table.length t.d.paths, Memo_table.length t.d.memo)
 let epoch t = Workflow.epoch t.d.base
 (* Swap in a new base at a drain boundary. The caller (the engine's
    migrate, under its own lock, with no drain in flight) owns the
-   quiescence argument; the index lock only protects its own cache
-   state. The workflow is frozen with the next epoch number unless the
-   caller pins one (replay installs the journaled epoch verbatim). *)
+   quiescence argument; the swap takes the index lock, like the
+   single-flight sections, only to order itself with them. The
+   workflow is frozen with the next epoch number unless the caller
+   pins one (replay installs the journaled epoch verbatim). *)
 let install ?epoch:e t wf =
   let next = match e with Some e -> e | None -> epoch t + 1 in
   let d = derive (Workflow.freeze ~epoch:next wf) in
-  Mutex.lock t.lock;
-  t.d <- d;
-  Mutex.unlock t.lock;
+  with_lock t (fun () -> t.d <- d);
   Metrics.incr t.metrics "index.installs"
 
 let connected t ~source ~target =
   Metrics.incr t.metrics "index.connected";
   Reach.Snapshot.reaches t.d.snapshot source target
 
-let with_lock t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
-(* The base path set of a pair, memoizing on first use. Enumeration runs
-   outside the lock: two domains racing on the same cold pair duplicate
-   a little work instead of serialising every other pair behind it. The
-   derived record is captured once, so a path set is always enumerated
-   and cached against one consistent epoch. *)
+(* The base path set of a pair, memoizing on first use. Lookup and
+   insert take no lock, and enumeration runs with none held: two domains
+   racing on the same cold pair duplicate a little work instead of
+   serialising every other pair behind it, and the first insert wins.
+   The derived record is captured once, so a path set is always
+   enumerated and cached against one consistent epoch. *)
 let base_entry t ~source ~target =
   let d = t.d in
   let key = (source, target) in
-  match with_lock t (fun () -> Hashtbl.find_opt d.paths key) with
+  match Path_table.find_opt d.paths key with
   | Some entry ->
       Metrics.incr t.metrics "index.paths.hit";
       entry
@@ -132,11 +205,7 @@ let base_entry t ~source ~target =
             | paths -> Cached (List.map (List.map Digraph.edge_id) paths)
             | exception Paths.Too_many_paths _ -> Overflow)
       in
-      with_lock t (fun () ->
-          if
-            Hashtbl.length d.paths < max_cached_pairs
-            && not (Hashtbl.mem d.paths key)
-          then Hashtbl.add d.paths key entry);
+      Path_table.add d.paths key entry;
       entry
 
 let live_paths t wf ~source ~target =
@@ -154,10 +223,6 @@ let live_paths t wf ~source ~target =
         ids
 
 let path_provider t = fun wf ~source ~target -> live_paths t wf ~source ~target
-
-(* Memoized solves per epoch. Fixed, like the path cache's bound: once
-   full the memo stops inserting and later inputs simply solve. *)
-let memo_capacity = 4096
 
 (* The workflow's cut ids relative to the base ("" when [wf == base]),
    packed as the LEB128 varints of the gaps between ascending ids: a
@@ -190,27 +255,19 @@ let cuts_key base wf =
              (-1) ids);
         Some (Buffer.contents buf)
 
-(* Called under [t.lock]. A wall-clock answer is never memoized. *)
+(* A wall-clock answer is never memoized. *)
 let insert d key (c : Algorithms.cut) =
-  if not c.budget_fallback then begin
-    let m =
-      match d.memo with
-      | Some m -> m
-      | None ->
-          let m = Memo.create 256 in
-          d.memo <- Some m;
-          m
-    in
-    if Memo.length m < memo_capacity && not (Memo.mem m key) then
-      Memo.add m key c
-  end
+  if not c.budget_fallback then Memo_table.add d.memo key c
 
-(* Look up; on a miss, either wait for the key's solve in progress or
-   become its owner, solve outside the lock, insert and hand the answer
-   to the waiters — so users of one type in one cold fan-out drain
-   solve it once. The derived record is captured once, so a solve is
-   memoized against the epoch it ran in, and a session still holding an
-   older base bypasses the memo. *)
+(* Look up without a lock; on a miss, take the lock to look again and
+   either wait for the key's solve in progress or become its owner,
+   solve outside the lock, insert and hand the answer to the waiters —
+   so users of one type in one cold fan-out drain solve it once. The
+   owner inserts before it settles, so an asker that misses and then
+   finds no flight under the lock finds the answer in the memo. The
+   derived record is captured once, so a solve is memoized against the
+   epoch it ran in, and a session still holding an older base bypasses
+   the memo. *)
 let memoized t ~base ~algorithm wf cs solve =
   let d = t.d in
   let key =
@@ -220,48 +277,55 @@ let memoized t ~base ~algorithm wf cs solve =
         (fun cuts -> { algorithm; cuts; pairs = cs })
         (cuts_key base wf)
   in
+  let hit c =
+    Metrics.incr t.metrics "solve.memo.hit";
+    c
+  in
   match key with
   | None -> solve ()
   | Some key -> (
-      let found =
-        with_lock t (fun () ->
-            match Option.bind d.memo (fun m -> Memo.find_opt m key) with
-            | Some c -> `Hit c
-            | None -> (
-                match Memo.find_opt d.inflight key with
-                | Some f -> (
-                    while Option.is_none f.result do
-                      Condition.wait f.cv t.lock
-                    done;
-                    match f.result with Some (Some c) -> `Hit c | _ -> `Alone)
-                | None ->
-                    let f = { cv = Condition.create (); result = None } in
-                    Memo.add d.inflight key f;
-                    `Own f))
-      in
-      match found with
-      | `Hit c ->
-          Metrics.incr t.metrics "solve.memo.hit";
-          c
-      | `Alone ->
-          Metrics.incr t.metrics "solve.memo.miss";
-          let c = solve () in
-          with_lock t (fun () -> insert d key c);
-          c
-      | `Own f ->
-          Metrics.incr t.metrics "solve.memo.miss";
-          let settle result =
-            Memo.remove d.inflight key;
-            f.result <- Some result;
-            Condition.broadcast f.cv
+      match Memo_table.find_opt d.memo key with
+      | Some c -> hit c
+      | None -> (
+          let found =
+            with_lock t (fun () ->
+                match Memo_table.find_opt d.memo key with
+                | Some c -> `Hit c
+                | None -> (
+                    match Memo.find_opt d.inflight key with
+                    | Some f -> (
+                        while Option.is_none f.result do
+                          Condition.wait f.cv t.lock
+                        done;
+                        match f.result with
+                        | Some (Some c) -> `Hit c
+                        | _ -> `Alone)
+                    | None ->
+                        let f = { cv = Condition.create (); result = None } in
+                        Memo.add d.inflight key f;
+                        `Own f))
           in
-          let c =
-            try solve ()
-            with e ->
-              with_lock t (fun () -> settle None);
-              raise e
-          in
-          with_lock t (fun () ->
+          match found with
+          | `Hit c -> hit c
+          | `Alone ->
+              Metrics.incr t.metrics "solve.memo.miss";
+              let c = solve () in
               insert d key c;
-              settle (if c.budget_fallback then None else Some c));
-          c)
+              c
+          | `Own f ->
+              Metrics.incr t.metrics "solve.memo.miss";
+              let settle result =
+                Memo.remove d.inflight key;
+                f.result <- Some result;
+                Condition.broadcast f.cv
+              in
+              let c =
+                try solve ()
+                with e ->
+                  with_lock t (fun () -> settle None);
+                  raise e
+              in
+              insert d key c;
+              with_lock t (fun () ->
+                  settle (if c.budget_fallback then None else Some c));
+              c))

@@ -25,8 +25,11 @@
     (property-tested in [test_engine.ml]).
 
     All queries are thread-safe; the underlying snapshot and the base
-    itself are immutable, the path cache takes a mutex. Cache traffic is
-    counted in the shared {!Metrics.t} under [index.*]. *)
+    itself are immutable, and the path cache and the solve memo are
+    bounded insert-only tables read without a lock. The index mutex is
+    only taken by a memo miss, for single flight ({!memoized}), and by
+    {!install}. Cache traffic is counted in the shared {!Metrics.t}
+    under [index.*]. *)
 
 type t
 
@@ -57,6 +60,17 @@ val install : ?epoch:int -> t -> Cdw_core.Workflow.t -> unit
     the old base and must be migrated by the caller. *)
 
 val metrics : t -> Metrics.t
+
+val lock_entries : t -> int
+(** Test-only: the tests check that memo and path-cache hits take no
+    lock.
+
+    How many times the index mutex was taken. *)
+
+val cache_sizes : t -> int * int
+(** Test-only: the tests check the cache bounds under racing inserts.
+
+    The current epoch's cached path pairs and memoized solves. *)
 
 val connected : t -> source:int -> target:int -> bool
 (** O(1): was [target] reachable from [source] in the base? *)
@@ -114,12 +128,13 @@ val memoized :
     restored an edge the base had removed. The memo lives in the
     epoch's derived state, so {!install} drops it; it is allocated on
     first insert and stops inserting at a fixed capacity of 4096
-    entries.
+    entries. A hit takes no lock.
 
-    Solves are single-flight: lookup and insert take the index lock,
-    the solve runs outside it, and a domain that misses on a key
-    another domain is solving waits for that answer instead of solving
-    the key again. If that solve raises or falls back on its budget,
+    Solves are single-flight: a miss takes the index lock to look
+    again and to find or register the key's solve in progress, the
+    solve runs outside it, and a domain that misses on a key another
+    domain is solving waits for that answer instead of solving the key
+    again. If that solve raises or falls back on its budget,
     each waiter solves for itself. Counts one [solve.memo.miss] per
     solve run and one [solve.memo.hit] per answer served from the memo
     or from another domain's solve (bypasses count neither). *)

@@ -81,9 +81,12 @@ let percentile t q =
   else
     let q = Float.max 0.0 (Float.min 1.0 q) in
     let target = max 1 (int_of_float (Float.ceil (q *. float_of_int t.count))) in
+    (* The last bucket stops the walk even short of [target]: a
+       histogram read while another domain records into it can count
+       a sample before its bucket does. *)
     let rec find i cum =
       let cum = cum + t.counts.(i) in
-      if cum >= target then i else find (i + 1) cum
+      if cum >= target || i = n_buckets - 1 then i else find (i + 1) cum
     in
     let i = find 0 0 in
     let lo, hi = bucket_bounds i in

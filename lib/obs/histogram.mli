@@ -14,8 +14,10 @@
     the last bucket collects overflow up to +infinity. Every float maps
     to exactly one bucket.
 
-    A histogram is not synchronized: callers (e.g. [Cdw_engine.Metrics])
-    provide their own locking. *)
+    A histogram is not synchronized: one domain records into it
+    ([Cdw_engine.Metrics] keeps one per recording domain). A read
+    racing that domain may see a sample counted in {!count} but not
+    yet in its bucket; {!percentile} stays in bounds even so. *)
 
 type t
 

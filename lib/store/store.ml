@@ -156,13 +156,19 @@ let pairs_json pairs =
   Json.Array
     (List.map (fun (s, t) -> Json.Array [ Json.String s; Json.String t ]) pairs)
 
-let snapshot_state_json engine =
+(* Users sorted and cut edges sorted; each user's pairs sorted when
+   [sort_pairs], else in accepted order. A snapshot stores accepted
+   order: solvers iterate constraints in list order, so a session
+   restored in any other order could re-solve differently from the
+   one that was served. *)
+let state_json ~sort_pairs engine =
   let wf = Shared_index.base (Engine.index engine) in
   let g = Workflow.graph wf in
   let users =
     List.map
       (fun (user, pairs, cut_ids) ->
-        let pairs = encode_pairs wf pairs |> List.sort compare in
+        let pairs = encode_pairs wf pairs in
+        let pairs = if sort_pairs then List.sort compare pairs else pairs in
         (* Cut edges are removals relative to the base, so each id names
            an edge that is live in the base: (src, dst) names identify it
            across reloads, like vertex names do for constraint pairs. *)
@@ -186,6 +192,9 @@ let snapshot_state_json engine =
       (Engine.session_states engine)
   in
   Json.Object [ ("users", Json.Array users) ]
+
+let snapshot_state_json = state_json ~sort_pairs:true
+let snapshot_body = state_json ~sort_pairs:false
 
 (* Version 2 added per-user "cuts"; version 3 adds the base epoch and
    its workflow text (live base evolution). Version-1 snapshots (no
@@ -308,8 +317,9 @@ let log t record = with_lock t (fun () -> Wal.append t.wal (Record.encode record
 let group_commit t f = Wal.group_commit (with_lock t (fun () -> t.wal)) f
 
 (* Mirror WAL activity into the attached engine's metrics. The observer
-   fires under the WAL lock, and Metrics' own mutex is a leaf lock, so
-   this respects the engine → store → wal lock order. *)
+   fires under the WAL lock; a metrics update takes no lock but a
+   name's first registration, a leaf lock, so this respects the engine
+   → store → wal lock order. *)
 let wal_observer m =
   {
     Wal.on_append =
@@ -365,7 +375,6 @@ let open_existing ?fsync ?(snapshot_every_bytes = default_snapshot_every) dir =
     | None -> (0, 0)
   in
   let wal = Wal.open_append ?fsync (wal_path dir ~generation:gen) in
-  let covered = min offset (Wal.length wal) in
   Ok
     {
       t_dir = dir;
@@ -373,8 +382,8 @@ let open_existing ?fsync ?(snapshot_every_bytes = default_snapshot_every) dir =
       snapshot_every = snapshot_every_bytes;
       gen;
       wal;
-      last_snapshot_len = covered;
-      boundary = covered;
+      last_snapshot_len = offset;
+      boundary = offset;
       metrics = None;
       lock = Mutex.create ();
     }
@@ -384,8 +393,12 @@ let open_existing ?fsync ?(snapshot_every_bytes = default_snapshot_every) dir =
 
 (* Publish a snapshot of pre-captured [state] keyed to [offset]
    (store lock held). [offset] must be a boundary: all state-bearing
-   records at or before it applied, none after. *)
+   records at or before it applied, none after. The WAL is synced
+   first, whatever the fsync policy: a durable snapshot over a log
+   whose covered tail a crash can still lose would leave {!resume}
+   appending below the snapshot's offset. *)
 let publish_snapshot_locked t ~offset ~epoch ~workflow state =
+  Wal.sync t.wal;
   Trace.span "store.snapshot" (fun () ->
       write_atomic (snapshot_path t.t_dir)
         (Json.to_string
@@ -410,7 +423,7 @@ let write_snapshot t engine =
      boundary. *)
   if Engine.pending engine > 0 then
     invalid_arg "Store.write_snapshot: requests pending (drain first)";
-  let state = snapshot_state_json engine in
+  let state = snapshot_body engine in
   let epoch, workflow = snapshot_base_info engine in
   with_lock t (fun () ->
       publish_snapshot_locked t ~offset:(Wal.length t.wal) ~epoch ~workflow
@@ -419,7 +432,7 @@ let write_snapshot t engine =
 let compact t engine =
   if Engine.pending engine > 0 then
     invalid_arg "Store.compact: requests pending (drain first)";
-  let state = snapshot_state_json engine in
+  let state = snapshot_body engine in
   let epoch, workflow = snapshot_base_info engine in
   Trace.span "store.compact" (fun () ->
   with_lock t (fun () ->
@@ -467,7 +480,7 @@ let maybe_auto_snapshot t engine =
   | Some (gen, boundary) ->
       (* Lock order engine → store: read the sessions first, lock the
          store second. *)
-      let state = snapshot_state_json engine in
+      let state = snapshot_body engine in
       let epoch, workflow = snapshot_base_info engine in
       with_lock t (fun () ->
           if t.gen = gen && t.boundary = boundary then
@@ -744,6 +757,12 @@ let resume ?fsync ?snapshot_every_bytes dir =
   end;
   let* t = open_existing ?fsync ?snapshot_every_bytes dir in
   attach t recovery.engine;
+  (* A WAL shorter than its snapshot's offset lost a tail the snapshot
+     covers (a ledger written before snapshots synced the WAL, or a
+     damaged disk). Appends there would land below the offset, where
+     the next recovery starts reading mid-record: roll to a fresh
+     generation instead, as compaction does. *)
+  if Wal.length t.wal < t.last_snapshot_len then compact t recovery.engine;
   Ok (t, recovery)
 
 (* ---------------------------------------------------------------- *)

@@ -16,11 +16,14 @@
       appended atomically with its queue swap, so the records
       preceding a mark are exactly the batch that drain consumed;
     - a {b snapshot} ([snapshot.json], format 3.0) of every session's
-      accepted constraint set and cut edges plus the base epoch and
+      accepted constraint pairs (in accepted order: solvers iterate
+      them in list order) and cut edges plus the base epoch and
       its workflow text, keyed to the log generation and the byte
       offset of a drain boundary: every state-bearing record before
       the offset is folded in, everything after is still queued and
-      replays on recovery. Written atomically (tmp + rename). Format
+      replays on recovery. Written atomically (tmp + rename), after
+      the WAL is synced, so a snapshot is never durable ahead of the
+      log it covers. Format
       1.x/2.0 snapshots (no epoch) still recover, as the implicit
       epoch 0 on the manifest's workflow;
     - {b recovery} ({!recover}): load the manifest, restore the latest
@@ -92,7 +95,9 @@ val resume :
 (** The crash-restart entry point: {!recover} the engine, truncate the
     WAL to its valid prefix (discarding any torn/corrupt tail so new
     appends extend a well-formed log), open the store and {!attach} it
-    to the recovered engine. *)
+    to the recovered engine. A WAL shorter than the snapshot's offset
+    is never extended: the store rolls to the next generation first,
+    as {!compact} does. *)
 
 val attach : t -> Cdw_engine.Engine.t -> unit
 (** Test-only: the tests journal a bare engine.
@@ -193,6 +198,8 @@ val current_wal_path : string -> (string, string) result
     at. *)
 
 val snapshot_state_json : Cdw_engine.Engine.t -> Cdw_util.Json.t
-(** The deterministic per-user state object embedded in snapshots
-    (users sorted, pairs sorted) — exposed so tests can assert
-    compaction preserves state byte-for-byte. *)
+(** The deterministic per-user state object (users sorted, pairs
+    sorted) — the snapshot body's layout, except that a snapshot keeps
+    each user's pairs in accepted order. [cdw store replay --state]
+    prints it, and tests compare it to assert that compaction
+    preserves state byte-for-byte. *)

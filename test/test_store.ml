@@ -673,6 +673,61 @@ let test_resume_after_torn_tail () =
           Alcotest.(check bool) "dave's session persisted" true
             (List.mem_assoc "dave" (Engine.sessions r2.Store.engine)))
 
+(* A snapshot syncs the WAL it covers before it is published, and a
+   WAL that still ends below its snapshot's offset (its covered tail
+   lost, as an OS crash could under a lax fsync policy) is never
+   extended: [resume] rolls to the next generation, so what it serves
+   next recovers. *)
+let test_resume_below_snapshot () =
+  with_dir (fun dir ->
+      let wf = (instance 43).Generator.workflow in
+      let p = Array.of_list (connected_pairs wf 7) in
+      Alcotest.(check int) "enough connected pairs" 7 (Array.length p);
+      let engine =
+        Engine.create ~algorithm:Algorithms.Remove_first_edge ~seed:123 wf
+      in
+      let store =
+        Store.create ~fsync:Wal.Never ~dir
+          ~algorithm:Algorithms.Remove_first_edge ~seed:123 wf
+      in
+      Store.attach store engine;
+      for u = 0 to 3 do
+        Engine.submit engine
+          ~user:(Printf.sprintf "u%d" u)
+          (Engine.Add [ p.(u) ])
+      done;
+      ignore (Engine.drain engine);
+      let fsyncs () =
+        Cdw_engine.Metrics.counter (Engine.metrics engine) "store.wal.fsyncs"
+      in
+      Alcotest.(check int) "fsync never: no fsync while serving" 0 (fsyncs ());
+      Store.write_snapshot store engine;
+      Alcotest.(check int) "the snapshot synced the WAL first" 1 (fsyncs ());
+      let gen = Store.generation store and offset = Store.wal_length store in
+      Store.close store;
+      Fault.truncate_to (Store.wal_path dir ~generation:gen) (offset - 30);
+      match Store.resume dir with
+      | Error e -> Alcotest.fail e
+      | Ok (store, r) ->
+          Alcotest.(check int) "resume rolled to the next generation" (gen + 1)
+            (Store.generation store);
+          for u = 4 to 6 do
+            Engine.submit r.Store.engine ~user:(Printf.sprintf "u%d" u)
+              (Engine.Add [ p.(u) ])
+          done;
+          ignore (Engine.drain r.Store.engine);
+          let served = state_string r.Store.engine in
+          Store.close store;
+          match Store.recover dir with
+          | Error e -> Alcotest.fail e
+          | Ok r2 ->
+              Alcotest.(check bool) "clean tail" true
+                (r2.Store.tail = Wal.Clean);
+              Alcotest.(check bool) "the new requests replayed" true
+                (r2.Store.replayed > 0);
+              Alcotest.(check string) "recovered = served" served
+                (state_string r2.Store.engine))
+
 (* ---------------------------------------------------------------- *)
 (* Compaction                                                         *)
 
@@ -826,6 +881,8 @@ let suite =
     ("truncation sweep over the last record", `Quick, test_truncation_sweep);
     ("bit-flip sweep over the last record", `Quick, test_bit_flip_sweep);
     ("resume after torn tail", `Quick, test_resume_after_torn_tail);
+    ("resume never appends below the snapshot", `Quick,
+     test_resume_below_snapshot);
     ("compaction preserves state", `Quick, test_compact_preserves_state);
     ("compaction crash window", `Quick, test_compact_crash_window);
     ("verify report", `Quick, test_verify_report);
