@@ -12,6 +12,15 @@ val make : Workflow.t -> (int * int) list -> (t, string) result
 (** Validates that every source is a user vertex, every target a purpose
     vertex, and no pair repeats. *)
 
+val compare_pair : int * int -> int * int -> int
+(** The order of polymorphic [compare] on pairs of ints, without its
+    generic traversal: by source, then target. *)
+
+val valid_pair : Workflow.t -> int * int -> bool
+(** Both ids name vertices, the source a user and the target a purpose.
+    A list whose pairs all pass is one {!make} accepts once duplicates
+    are removed. *)
+
 val make_exn : Workflow.t -> (int * int) list -> t
 
 val of_names : Workflow.t -> (string * string) list -> (t, string) result

@@ -40,9 +40,9 @@ let constraints t = t.accepted
 let utility t = Utility.total t.current
 let stats t = t.stats
 
-let mem pair cs =
+let mem s tg cs =
   List.exists
-    (fun { Constraint_set.source; target } -> (source, target) = pair)
+    (fun { Constraint_set.source; target } -> source = s && target = tg)
     cs
 
 (* Constraints of [cs] still connected on the pristine base: O(1) per
@@ -79,18 +79,21 @@ let resolve_all t =
    [withdraw], paying at most one solver run. Both halves validate
    before either mutates, so an error leaves the session untouched. *)
 let update t ~add:add_pairs ~withdraw:withdraw_pairs =
-  match Constraint_set.make t.base (List.sort_uniq compare add_pairs) with
+  match
+    Constraint_set.make t.base
+      (List.sort_uniq Constraint_set.compare_pair add_pairs)
+  with
   | Error _ as e -> Result.map ignore e
   | Ok validated -> (
       let fresh =
         List.filter
           (fun { Constraint_set.source; target } ->
-            not (mem (source, target) t.accepted))
+            not (mem source target t.accepted))
           validated
       in
       let merged = t.accepted @ fresh in
       let unknown =
-        List.filter (fun pair -> not (mem pair merged)) withdraw_pairs
+        List.filter (fun (s, tg) -> not (mem s tg merged)) withdraw_pairs
       in
       match unknown with
       | (s, tg) :: _ ->
@@ -130,7 +133,10 @@ let update t ~add:add_pairs ~withdraw:withdraw_pairs =
             t.accepted <-
               List.filter
                 (fun { Constraint_set.source; target } ->
-                  not (List.mem (source, target) withdraw_pairs))
+                  not
+                    (List.exists
+                       (fun (s, tg) -> s = source && tg = target)
+                       withdraw_pairs))
                 merged;
             resolve_all t;
             Ok ()

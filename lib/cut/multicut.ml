@@ -203,13 +203,15 @@ let run ~backend ~deadline g ~weight ~pairs =
     | Lp_rounding -> "lp-rounding"
   in
   let solve_pool () =
-    Trace.span "multicut.hitting_set"
-      ~args:
+    let args =
+      if Trace.enabled () then
         [
           ("backend", backend_name backend);
           ("paths", string_of_int pool.n_sets);
         ]
-      (fun () ->
+      else []
+    in
+    Trace.span "multicut.hitting_set" ~args (fun () ->
         let problem = pool_problem pool ~weight:scaled_weight in
         let chosen =
           match backend with

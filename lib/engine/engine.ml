@@ -76,9 +76,7 @@ let seed t = t.seed
 
 let emit t event = match t.journal with Some j -> j event | None -> ()
 
-let with_lock t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+let with_lock t f = Mutex.protect t.lock f
 
 let set_journal t journal = with_lock t (fun () -> t.journal <- journal)
 
@@ -468,7 +466,8 @@ let submit ?submitted_ms t ~user request =
      queue timestamp for front ends (the sharded MPSC handoff, the
      network server) whose requests waited upstream of this engine:
      queue_wait then measures the whole path, not the last hop. *)
-  Trace.span "engine.submit" ~args:[ ("user", user) ] (fun () ->
+  let args = if Trace.enabled () then [ ("user", user) ] else [] in
+  Trace.span "engine.submit" ~args (fun () ->
       with_lock t (fun () ->
           emit t (Submitted { user; request });
           let at = match submitted_ms with Some ms -> ms | None -> Timing.now_ms () in
@@ -507,7 +506,7 @@ let group_by_user requests =
 module Pair_set = Set.Make (struct
   type t = int * int
 
-  let compare = compare
+  let compare = Constraint_set.compare_pair
 end)
 
 type segment =
@@ -525,8 +524,7 @@ let segments t session reqs =
     ref (Pair_set.of_list (Constraint_set.pairs (Session.constraints session)))
   in
   let valid = function
-    | Add pairs ->
-        Result.is_ok (Constraint_set.make wf (List.sort_uniq compare pairs))
+    | Add pairs -> List.for_all (Constraint_set.valid_pair wf) pairs
     | Withdraw pairs -> List.for_all (fun p -> Pair_set.mem p !accepted) pairs
     | Resolve -> false
   in
@@ -582,9 +580,13 @@ let serve_segment m user s segment =
       [ { user; request; result; time_ms } ]
   | Batch (reqs, add, withdraw) ->
       let result, time_ms =
-        Trace.span "engine.batch"
-          ~args:[ ("requests", string_of_int (List.length reqs)) ]
-          (fun () -> Timing.time_f (fun () -> Session.update s ~add ~withdraw))
+        let args =
+          if Trace.enabled () then
+            [ ("requests", string_of_int (List.length reqs)) ]
+          else []
+        in
+        Trace.span "engine.batch" ~args (fun () ->
+            Timing.time_f (fun () -> Session.update s ~add ~withdraw))
       in
       Metrics.incr ~by:(List.length reqs - 1) m "engine.coalesced";
       Metrics.record_ms m "request" time_ms;
@@ -624,25 +626,34 @@ let drain_on ?pool t =
                      requests);
                 List.map (fun (user, r, _) -> (user, r)) requests)
           in
-          (* Sessions are created on the calling domain: the table is
-             then only read inside the tasks. Each task opens its own
-             span, explicitly parented to this drain so the fan-out
-             reads as one tree across domains. *)
+          (* The plan only groups the requests and looks up sessions,
+             in one lock section on the calling domain: the table is
+             then only read inside the tasks. Each task segments its own
+             user's requests — [segments] reads only that user's
+             session, which no other task touches, and the frozen base —
+             so the per-user work runs in the fan-out, not serially on
+             the caller. Each task opens its own span, explicitly
+             parented to this drain so the fan-out reads as one tree
+             across domains. *)
           let drain_sid = Trace.current_span () in
           let tasks =
             Trace.span "drain.plan" (fun () ->
                 let groups = group_by_user requests in
-                Array.of_list
-                  (List.map
-                     (fun (user, reqs) ->
-                       let s = with_lock t (fun () -> session_locked t user) in
-                       let segs = segments t s reqs in
-                       fun () ->
-                         Trace.span "engine.user_batch" ~parent:drain_sid
-                           ~args:[ ("user", user) ]
-                           (fun () ->
-                             List.concat_map (serve_segment m user s) segs))
-                     groups))
+                with_lock t (fun () ->
+                    Array.of_list
+                      (List.map
+                         (fun (user, reqs) ->
+                           let s = session_locked t user in
+                           fun () ->
+                             let args =
+                               if Trace.enabled () then [ ("user", user) ]
+                               else []
+                             in
+                             Trace.span "engine.user_batch" ~parent:drain_sid
+                               ~args (fun () ->
+                                 List.concat_map (serve_segment m user s)
+                                   (segments t s reqs)))
+                         groups)))
           in
           Metrics.incr ~by:(Array.length tasks) m "engine.user_batches";
           let domains, run =

@@ -11,21 +11,17 @@ module Timing = Cdw_util.Timing
    registered once, so the copies cost nothing that matters. *)
 module Names = Hashtbl.Make (String)
 
-(* One domain's share of a latency key: exact running moments (count,
-   sum, Welford's M2 — the sum of squared deviations from the mean),
-   min and max, and a log-linear histogram that yields bucket-exact
-   percentiles. A long-running engine records millions of samples in
-   O(buckets) memory, and std/se stay exact over the whole stream,
-   across domains and [merge_into] too (Chan et al.'s pairwise
-   update). Only the domain holding the local's slot writes it. *)
-type local = {
-  mutable count : int;
-  mutable sum : float;
-  mutable m2 : float;
-  mutable minv : float;
-  mutable maxv : float;
-  hist : Histogram.t;
-}
+(* One domain's share of a latency key: a log-linear histogram, which
+   holds the exact count, sum, min and max next to the buckets that
+   yield bucket-exact percentiles, and Welford's M2 (the sum of squared
+   deviations from the mean). A long-running engine records millions
+   of samples in O(buckets) memory, and std/se stay exact over the
+   whole stream, across domains and [merge_into] too (Chan et al.'s
+   pairwise update). Only the domain holding the local's slot writes
+   it. [m2] sits in a record of floats only, stored unboxed, so a
+   sample allocates nothing. *)
+type moment = { mutable m2 : float }
+type local = { hist : Histogram.t; moment : moment }
 
 (* A latency key: one [local] per domain slot that has recorded under
    it, indexed by slot and merged on read. The array is copy-on-write,
@@ -133,15 +129,7 @@ let slot_key =
           Mutex.unlock slots_lock);
       slot)
 
-let fresh_local () =
-  {
-    count = 0;
-    sum = 0.0;
-    m2 = 0.0;
-    minv = infinity;
-    maxv = neg_infinity;
-    hist = Histogram.create ();
-  }
+let fresh_local () = { hist = Histogram.create (); moment = { m2 = 0.0 } }
 
 (* First record of this domain under a key: publish its local. *)
 let add_local (s : series) slot =
@@ -163,18 +151,15 @@ let local (s : series) =
   | Some l -> l
   | None -> add_local s slot
 
-(* Welford's update, with the running mean read off [sum]. *)
+(* Welford's update, with the running mean read off the histogram's
+   sum. *)
 let record_local l ms =
-  let mean_before =
-    if l.count = 0 then 0.0 else l.sum /. float_of_int l.count
-  in
-  l.count <- l.count + 1;
-  l.sum <- l.sum +. ms;
-  l.m2 <-
-    l.m2 +. ((ms -. mean_before) *. (ms -. (l.sum /. float_of_int l.count)));
-  if ms < l.minv then l.minv <- ms;
-  if ms > l.maxv then l.maxv <- ms;
-  Histogram.record l.hist ms
+  let h = l.hist in
+  let n = Histogram.count h in
+  let mean_before = if n = 0 then 0.0 else Histogram.sum h /. float_of_int n in
+  Histogram.record h ms;
+  let mean_after = Histogram.sum h /. float_of_int (n + 1) in
+  l.moment.m2 <- l.moment.m2 +. ((ms -. mean_before) *. (ms -. mean_after))
 
 let series t key = local (cell t t.samples key (fun () -> Atomic.make [||]))
 let record_ms t key ms = record_local (series t key) ms
@@ -203,19 +188,16 @@ let time t key f =
    bucket-exactly, so merged percentiles keep the single-local error
    bound. Into an empty [a] this is an exact copy. *)
 let merge_local ~into:a b =
-  if a.count = 0 then begin
-    a.sum <- b.sum;
-    a.m2 <- b.m2
-  end
-  else if b.count > 0 then begin
-    let na = float_of_int a.count and nb = float_of_int b.count in
-    let delta = (b.sum /. nb) -. (a.sum /. na) in
-    a.m2 <- a.m2 +. b.m2 +. (delta *. delta *. na *. nb /. (na +. nb));
-    a.sum <- a.sum +. b.sum
+  let ca = Histogram.count a.hist and cb = Histogram.count b.hist in
+  if ca = 0 then a.moment.m2 <- b.moment.m2
+  else if cb > 0 then begin
+    let na = float_of_int ca and nb = float_of_int cb in
+    let delta =
+      (Histogram.sum b.hist /. nb) -. (Histogram.sum a.hist /. na)
+    in
+    a.moment.m2 <-
+      a.moment.m2 +. b.moment.m2 +. (delta *. delta *. na *. nb /. (na +. nb))
   end;
-  a.count <- a.count + b.count;
-  if b.minv < a.minv then a.minv <- b.minv;
-  if b.maxv > a.maxv then a.maxv <- b.maxv;
   Histogram.merge_into ~into:a.hist b.hist
 
 (* A key's locals as one, read-only: the local itself when one domain
@@ -234,23 +216,27 @@ let find_merged t key =
   match Names.find_opt (Atomic.get t.samples) key with
   | Some s ->
       let l = merged s in
-      if l.count > 0 then Some l else None
+      if Histogram.count l.hist > 0 then Some l else None
   | None -> None
 
 (* Name-sorted merged keys with at least one sample. *)
 let merged_series t =
-  List.filter (fun (_, l) -> l.count > 0) (sorted t.samples merged)
+  List.filter
+    (fun (_, l) -> Histogram.count l.hist > 0)
+    (sorted t.samples merged)
 
 let summary_of_local l =
-  let n = float_of_int l.count in
-  let std = if l.count < 2 then 0.0 else sqrt (l.m2 /. (n -. 1.0)) in
+  let h = l.hist in
+  let count = Histogram.count h in
+  let n = float_of_int count in
+  let std = if count < 2 then 0.0 else sqrt (l.moment.m2 /. (n -. 1.0)) in
   {
-    Stats.n = l.count;
-    mean = l.sum /. n;
+    Stats.n = count;
+    mean = Histogram.sum h /. n;
     std;
     se = std /. sqrt n;
-    min = l.minv;
-    max = l.maxv;
+    min = Histogram.min_value h;
+    max = Histogram.max_value h;
   }
 
 let summary t key = Option.map summary_of_local (find_merged t key)

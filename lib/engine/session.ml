@@ -32,14 +32,17 @@ let create ~index ~algorithm ~(options : Algorithms.Options.t) ~rng_seed id =
     Metrics.incr metrics counter;
     Shared_index.memoized index ~base ~algorithm wf cs (fun () ->
         Metrics.time metrics "solve" (fun () ->
-            Trace.span "solve"
-              ~args:
+            let args =
+              if Trace.enabled () then
                 [
                   ("algorithm", Algorithms.to_string algorithm);
                   ("user", id);
                   ("constraints", string_of_int (List.length cs));
                 ]
-              (fun () -> Algorithms.cut ~options algorithm wf cs)))
+              else []
+            in
+            Trace.span "solve" ~args (fun () ->
+                Algorithms.cut ~options algorithm wf cs)))
   in
   let oracle =
     {

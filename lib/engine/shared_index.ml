@@ -26,20 +26,30 @@ type memo_key = {
 module Memo_key = struct
   type t = memo_key
 
-  let equal = ( = )
+  let equal a b =
+    a.algorithm = b.algorithm
+    && String.equal a.cuts b.cuts
+    && List.equal
+         (fun (p : Constraint_set.pair) (q : Constraint_set.pair) ->
+           p.source = q.source && p.target = q.target)
+         a.pairs b.pairs
+
   let hash = Hashtbl.hash_param 64 128
 end
 
 module Memo = Hashtbl.Make (Memo_key)
 
 (* A bounded insert-only table whose lookups take no lock. Each bucket
-   is an immutable association list, and an insert publishes a longer
-   one by [Atomic.compare_and_set], so a reader sees a bucket before or
-   after an insert, never during one. The bucket array is allocated by
-   the first insert (an epoch that never caches allocates nothing), and
-   an insert reserves its slot in [size] before it adds, so racing
-   inserts never take the table past [capacity]; an insert of a key
-   already present, or into a full table, leaves the table as it is. *)
+   is an immutable chain, and an insert publishes a longer one by
+   [Atomic.compare_and_set], so a reader sees a bucket before or after
+   an insert, never during one. Each entry carries its key's full hash,
+   and a scan compares that int before it calls [K.equal]: a full table
+   chains about 16 entries to a bucket, nearly all with another hash.
+   The bucket array is allocated by the first insert (an epoch that
+   never caches allocates nothing), and an insert reserves its slot in
+   [size] before it adds, so racing inserts never take the table past
+   [capacity]; an insert of a key already present, or into a full
+   table, leaves the table as it is. *)
 module Table (K : Hashtbl.HashedType) : sig
   type 'a t
 
@@ -48,8 +58,12 @@ module Table (K : Hashtbl.HashedType) : sig
   val add : 'a t -> K.t -> 'a -> unit
   val length : 'a t -> int
 end = struct
+  type 'a chain =
+    | Nil
+    | Entry of { hash : int; key : K.t; value : 'a; next : 'a chain }
+
   type 'a t = {
-    buckets : (K.t * 'a) list Atomic.t array option Atomic.t;
+    buckets : 'a chain Atomic.t array option Atomic.t;
     size : int Atomic.t;
   }
 
@@ -62,33 +76,39 @@ end = struct
   let n_buckets = 256
   let create () = { buckets = Atomic.make None; size = Atomic.make 0 }
   let length t = Atomic.get t.size
-  let bucket buckets k = buckets.(K.hash k land (n_buckets - 1))
+  let bucket buckets h = buckets.(h land (n_buckets - 1))
 
-  let rec assoc k = function
-    | [] -> None
-    | (k', v) :: rest -> if K.equal k k' then Some v else assoc k rest
+  let rec assoc h k = function
+    | Nil -> None
+    | Entry e ->
+        if e.hash = h && K.equal k e.key then Some e.value else assoc h k e.next
 
   let find_opt t k =
     match Atomic.get t.buckets with
     | None -> None
-    | Some buckets -> assoc k (Atomic.get (bucket buckets k))
+    | Some buckets ->
+        let h = K.hash k in
+        assoc h k (Atomic.get (bucket buckets h))
 
   let buckets t =
     match Atomic.get t.buckets with
     | Some b -> b
     | None ->
-        let b = Array.init n_buckets (fun _ -> Atomic.make []) in
+        let b = Array.init n_buckets (fun _ -> Atomic.make Nil) in
         if Atomic.compare_and_set t.buckets None (Some b) then b
         else Option.get (Atomic.get t.buckets)
 
   let add t k v =
     if Atomic.fetch_and_add t.size 1 >= capacity then Atomic.decr t.size
     else
-      let b = bucket (buckets t) k in
+      let h = K.hash k in
+      let b = bucket (buckets t) h in
       let rec insert () =
         let l = Atomic.get b in
-        if List.exists (fun (k', _) -> K.equal k k') l then Atomic.decr t.size
-        else if not (Atomic.compare_and_set b l ((k, v) :: l)) then insert ()
+        if Option.is_some (assoc h k l) then Atomic.decr t.size
+        else
+          let l' = Entry { hash = h; key = k; value = v; next = l } in
+          if not (Atomic.compare_and_set b l l') then insert ()
       in
       insert ()
 end
@@ -154,9 +174,9 @@ let create ?(max_paths = 200_000) wf =
   }
 
 let with_lock t f =
-  Mutex.lock t.lock;
-  Atomic.incr t.lock_entries;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+  Mutex.protect t.lock (fun () ->
+      Atomic.incr t.lock_entries;
+      f ())
 
 let base t = t.d.base
 let metrics t = t.metrics

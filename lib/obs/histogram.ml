@@ -10,42 +10,45 @@ let e_min = -13 (* 2^-14 ms ≈ 61 ns: finer than anything we time *)
 let e_max = 35 (* 2^35 ms ≈ 397 days *)
 let n_buckets = ((e_max - e_min + 1) * sub_buckets) + 2
 
-type t = {
-  mutable count : int;
+(* The float aggregates sit in a record of floats only, which OCaml
+   stores unboxed: recording a sample allocates nothing. *)
+type aggregates = {
   mutable sum : float;
   mutable minv : float;
   mutable maxv : float;
-  counts : int array;
 }
+
+type t = { mutable count : int; agg : aggregates; counts : int array }
 
 let create () =
   {
     count = 0;
-    sum = 0.0;
-    minv = infinity;
-    maxv = neg_infinity;
+    agg = { sum = 0.0; minv = infinity; maxv = neg_infinity };
     counts = Array.make n_buckets 0;
   }
 
 let count t = t.count
-let sum t = t.sum
-let min_value t = t.minv
-let max_value t = t.maxv
+let sum t = t.agg.sum
+let min_value t = t.agg.minv
+let max_value t = t.agg.maxv
 
 let bucket_index v =
   if Float.is_nan v || v <= 0.0 then 0
   else if v = infinity then n_buckets - 1
   else
-    let m, e = Float.frexp v in
+    (* [frexp v = (m, e)] read off the IEEE bits, since [Float.frexp]'s
+       tuple would allocate per sample: with biased exponent E and
+       fraction f, v = 1.f · 2^(E-1023) = m · 2^e for e = E - 1022, and
+       the slice floor((m - 0.5) · 2 · sub_buckets) is the top
+       log2(sub_buckets) = 4 bits of f. A subnormal (E = 0) lands
+       below e_min. *)
+    let top =
+      Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float v) 48)
+    in
+    let e = (top lsr 4) - 1022 in
     if e < e_min then 0
     else if e > e_max then n_buckets - 1
-    else
-      (* m ∈ [0.5, 1) → slice ∈ [0, sub_buckets) *)
-      let slice =
-        min (sub_buckets - 1)
-          (int_of_float ((m -. 0.5) *. 2.0 *. float_of_int sub_buckets))
-      in
-      1 + ((e - e_min) * sub_buckets) + slice
+    else 1 + ((e - e_min) * sub_buckets) + (top land (sub_buckets - 1))
 
 let bucket_bounds i =
   if i < 0 || i >= n_buckets then invalid_arg "Histogram.bucket_bounds"
@@ -62,10 +65,11 @@ let bucket_bounds i =
     else (lower (i - 1), lower i)
 
 let record t v =
+  let a = t.agg in
   t.count <- t.count + 1;
-  t.sum <- t.sum +. v;
-  if v < t.minv then t.minv <- v;
-  if v > t.maxv then t.maxv <- v;
+  a.sum <- a.sum +. v;
+  if v < a.minv then a.minv <- v;
+  if v > a.maxv then a.maxv <- v;
   let i = bucket_index v in
   t.counts.(i) <- t.counts.(i) + 1
 
@@ -91,15 +95,16 @@ let percentile t q =
     let i = find 0 0 in
     let lo, hi = bucket_bounds i in
     let estimate =
-      if lo = neg_infinity then t.minv
-      else if hi = infinity then t.maxv
+      if lo = neg_infinity then t.agg.minv
+      else if hi = infinity then t.agg.maxv
       else (lo +. hi) /. 2.0
     in
-    Float.max t.minv (Float.min t.maxv estimate)
+    Float.max t.agg.minv (Float.min t.agg.maxv estimate)
 
 let merge_into ~into t =
+  let a = into.agg and b = t.agg in
   into.count <- into.count + t.count;
-  into.sum <- into.sum +. t.sum;
-  if t.minv < into.minv then into.minv <- t.minv;
-  if t.maxv > into.maxv then into.maxv <- t.maxv;
+  a.sum <- a.sum +. b.sum;
+  if b.minv < a.minv then a.minv <- b.minv;
+  if b.maxv > a.maxv then a.maxv <- b.maxv;
   Array.iteri (fun i c -> into.counts.(i) <- into.counts.(i) + c) t.counts

@@ -6,9 +6,10 @@
     relative bucket width — and therefore the worst-case quantile
     error — is bounded by [1 / sub_buckets] (~6%) across the whole
     range, from sub-microsecond up to ~400 days. Recording is O(1)
-    (a [frexp] plus two integer ops) and the footprint is a fixed
-    ~800-slot int array per histogram, so percentiles stay exact-bucket
-    stable at millions of samples where a sampling reservoir drifts.
+    (a read of the float's bits plus a few integer ops), allocates
+    nothing, and the footprint is a fixed ~800-slot int array per
+    histogram, so percentiles stay exact-bucket stable at millions of
+    samples where a sampling reservoir drifts.
 
     Bucket 0 collects everything unrepresentable (zero, negatives, NaN);
     the last bucket collects overflow up to +infinity. Every float maps
@@ -40,14 +41,10 @@ val count : t -> int
 
 val sum : t -> float
 val min_value : t -> float
-(** Test-only: the histogram tests check the extremes.
-
-    [infinity] when empty. *)
+(** [infinity] when empty. *)
 
 val max_value : t -> float
-(** Test-only: the histogram tests check the extremes.
-
-    [neg_infinity] when empty. *)
+(** [neg_infinity] when empty. *)
 
 (** {1 Bucket geometry} *)
 

@@ -62,10 +62,6 @@ type t = {
   drainer : drainer;
 }
 
-let with_lock m f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
-
 (* Runs once per pinned domain, before the first drain: allocating the
    flight ring and trace buffer here keeps the (one-time, ~ms) lazy DLS
    setup out of the first shard.drain span, which would otherwise show
@@ -323,7 +319,7 @@ let observed name f =
     (fun () -> Trace.span name f)
 
 let drain t =
-  with_lock t.drain_lock (fun () ->
+  Mutex.protect t.drain_lock (fun () ->
       match t.drainer with
       | Fanout pool -> Engine.drain_fanout pool t.members.(0).engine
       | Pinned workers ->
@@ -389,7 +385,7 @@ let ingest_inbox shard =
       ~rejected:shard.pre_rejected
 
 let migrate ?epoch:e t wf =
-  with_lock t.drain_lock (fun () ->
+  Mutex.protect t.drain_lock (fun () ->
       let next = match e with Some e -> e | None -> epoch t + 1 in
       observed "group.migrate" (fun () ->
           Array.iter ingest_inbox t.members;
@@ -621,7 +617,7 @@ let compact t =
     t.members
 
 let close t =
-  with_lock t.drain_lock (fun () ->
+  Mutex.protect t.drain_lock (fun () ->
       (match t.drainer with
       | Fanout pool -> Domain_pool.close pool
       | Pinned workers -> Array.iter Domain_pool.Worker.stop workers);

@@ -701,6 +701,61 @@ let test_apply_refined_resident_and_parked () =
   Alcotest.(check bool) "an unknown user is an error" true
     (Result.is_error (Engine.apply_refined engine "nobody" ~cuts:better))
 
+(* The drain's [Add] pre-check is a range-and-kind check over the
+   pairs, with no sort and no table; it must accept exactly the lists
+   the session's own validation (sort-unique, then [make]) accepts, so a
+   coalesced batch never fails where its requests alone would not. The
+   lists mix valid pairs with out-of-range ids, user→user and
+   purpose→purpose pairs, duplicates and [], and the shared pair
+   compare must order each one as polymorphic [compare] does. *)
+let prop_add_precheck_matches_make =
+  Test_helpers.qcheck ~count:60 "Add pre-check accepts what make accepts"
+    QCheck2.Gen.(int_bound 100000)
+    (fun seed ->
+      let wf = (Test_helpers.random_instance ~seed).Generator.workflow in
+      let rng = Splitmix.create seed in
+      let n = Workflow.n_vertices wf in
+      let pick l = List.nth l (Splitmix.int rng (List.length l)) in
+      let users = Workflow.users wf and purposes = Workflow.purposes wf in
+      let any () =
+        match Splitmix.int rng 3 with
+        | 0 -> -1 - Splitmix.int rng 3
+        | 1 -> n + Splitmix.int rng 3
+        | _ -> Splitmix.int rng n
+      in
+      let pair () =
+        match Splitmix.int rng 8 with
+        | 0 | 1 | 2 | 3 | 4 -> (pick users, pick purposes)
+        | 5 -> (pick users, pick users)
+        | 6 -> (pick purposes, pick purposes)
+        | _ -> (any (), any ())
+      in
+      let list () =
+        let rec go acc k =
+          if k = 0 then acc
+          else
+            let p =
+              if acc <> [] && Splitmix.int rng 4 = 0 then pick acc else pair ()
+            in
+            go (p :: acc) (k - 1)
+        in
+        go [] (Splitmix.int rng 6)
+      in
+      let sign x = compare x 0 in
+      List.for_all
+        (fun ps ->
+          List.for_all (Constraint_set.valid_pair wf) ps
+          = Result.is_ok (Constraint_set.make wf (List.sort_uniq compare ps))
+          && List.sort Constraint_set.compare_pair ps = List.sort compare ps
+          && List.for_all
+               (fun p ->
+                 List.for_all
+                   (fun q ->
+                     sign (Constraint_set.compare_pair p q) = sign (compare p q))
+                   ps)
+               ps)
+        (List.init 50 (fun _ -> list ())))
+
 let suite =
   [
     test_snapshot_matches_bfs;
@@ -718,6 +773,7 @@ let suite =
     ("solve memo: one solver run per preference type", `Quick, test_memo_one_solve_per_type);
     ("solve memo: [p; q] and [q; p] are separate entries", `Quick, test_memo_key_keeps_order);
     prop_cuts_key_matches_scan;
+    prop_add_precheck_matches_make;
     ("solve memo: remove-random-edge bypasses it", `Quick, test_memo_skips_random);
     ("solve memo: a withdrawal leaves sharers untouched", `Quick, test_memo_withdraw_isolated);
     ( "remove-min-mc: an incremental cut can be worse than batch",

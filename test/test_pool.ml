@@ -335,7 +335,8 @@ let test_index_racing_inserts () =
   Alcotest.(check int) "one memo entry" 1 (snd (Shared_index.cache_sizes index))
 
 (* 6320 distinct path pairs and 6000 distinct memo keys, inserted from
-   four racing domains: each table stops at exactly 4096 entries. *)
+   four racing domains: each table stops at exactly 4096 entries, and
+   then still finds every key it holds. *)
 let test_index_bounds () =
   let wf = index_instance () in
   let index = Shared_index.create wf in
@@ -368,7 +369,39 @@ let test_index_bounds () =
                      cut))
             done)));
   Alcotest.(check int) "memo entries stop at 4096" 4096
-    (snd (Shared_index.cache_sizes index))
+    (snd (Shared_index.cache_sizes index));
+  (* Full tables still answer, with every bucket at its longest chain:
+     each key is asked once more, so 4096 finds mean every admitted key
+     is found again, and every refused key misses. *)
+  let m = Shared_index.metrics index in
+  let count name = Metrics.counter m name in
+  let hits = count "index.paths.hit" and misses = count "index.paths.miss" in
+  for s = 0 to n - 1 do
+    for t = 0 to n - 1 do
+      if s <> t then
+        ignore (Shared_index.live_paths index base ~source:s ~target:t)
+    done
+  done;
+  Alcotest.(check (pair int int)) "every admitted path pair hits again"
+    (4096, (n * (n - 1)) - 4096)
+    (count "index.paths.hit" - hits, count "index.paths.miss" - misses);
+  let solved = ref 0 in
+  let memo_hits = count "solve.memo.hit" in
+  for d = 0 to 3 do
+    for k = 0 to 1499 do
+      let cs = [ { Constraint_set.source = d; target = k } ] in
+      ignore
+        (Shared_index.memoized index ~base
+           ~algorithm:Algorithms.Remove_first_edge base cs (fun () ->
+             incr solved;
+             cut))
+    done
+  done;
+  Alcotest.(check (pair int int)) "every admitted memo key skips its thunk"
+    (4096, 6000 - 4096)
+    (count "solve.memo.hit" - memo_hits, !solved);
+  Alcotest.(check (pair int int)) "re-asks leave both tables as they were"
+    (4096, 4096) (Shared_index.cache_sizes index)
 
 (* The same script served twice on one serving value, the second time
    for new users: every name is registered and every solve and path
@@ -414,6 +447,74 @@ let test_warm_pass_takes_no_lock () =
       Alcotest.(check (pair int int)) "the second pass took no lock"
         (registry, index) (locks ()))
 
+(* Words allocated per request by a warmed-up script, served on one
+   domain by [Engine.drain] with no pool: the same script twice, the
+   second time for new users, so every solve and path set is cached and
+   every metric registered by the first pass. The second pass's count
+   depends neither on the host nor on the measured durations (it reads
+   324.8 words per request), so the bound is that value plus 5%. The
+   pass starts on an empty minor heap and is far smaller than one, so
+   nothing is promoted during it, and it allocates nothing directly in
+   the major heap. *)
+let minor_words_per_request_bound = 341.0
+
+let test_warm_pass_allocation () =
+  let wf = (instance 11).Generator.workflow in
+  let pairs = connected_pairs wf 9 in
+  let types =
+    List.init 3 (fun t -> List.filteri (fun i _ -> i / 3 = t) pairs)
+  in
+  let single = List.map (fun p -> [ p ]) pairs in
+  let engine =
+    Engine.create ~algorithm:Algorithms.Remove_first_edge ~seed:3 wf
+  in
+  let requests = ref 0 in
+  let submit user r =
+    incr requests;
+    Engine.submit engine ~user r
+  in
+  let pass tag =
+    let users = Array.init 12 (Printf.sprintf "%s-%d" tag) in
+    Array.iteri
+      (fun u user ->
+        submit user (Engine.Add (List.nth types (u mod 3)));
+        submit user (Engine.Add (List.nth single (u mod 9))))
+      users;
+    ignore (Engine.drain engine);
+    Array.iteri
+      (fun u user ->
+        submit user (Engine.Add (List.nth single ((u + 4) mod 9)));
+        if u mod 4 = 0 then submit user Engine.Resolve;
+        submit user (Engine.Withdraw (List.nth types (u mod 3))))
+      users;
+    ignore (Engine.drain engine)
+  in
+  let traced = Trace.enabled () in
+  Trace.set_enabled false;
+  Fun.protect
+    ~finally:(fun () -> Trace.set_enabled traced)
+    (fun () ->
+      pass "first";
+      requests := 0;
+      Gc.minor ();
+      (* [Gc.minor_words], not [Gc.counters]: on OCaml 5.1 the latter's
+         minor count leaves out the words allocated since the last
+         minor collection, which here is all of them. *)
+      let _, promoted0, major0 = Gc.counters () in
+      let minor0 = Gc.minor_words () in
+      pass "second";
+      let minor1 = Gc.minor_words () in
+      let _, promoted1, major1 = Gc.counters () in
+      let per_request = (minor1 -. minor0) /. float_of_int !requests in
+      Alcotest.(check bool)
+        (Printf.sprintf "%.1f minor words per request, bound %.1f" per_request
+           minor_words_per_request_bound)
+        true
+        (per_request <= minor_words_per_request_bound);
+      Alcotest.(check (pair (float 0.0) (float 0.0)))
+        "no promoted and no major-heap words" (0.0, 0.0)
+        (promoted1 -. promoted0, major1 -. major0))
+
 let suite =
   [
     ("fan-out: 200 drains run on at most the pool's domains", `Quick, test_fanout_reuses_domains);
@@ -425,4 +526,5 @@ let suite =
     ("index: racing inserts of one key keep one entry", `Quick, test_index_racing_inserts);
     ("index: both caches stop at 4096 under racing inserts", `Quick, test_index_bounds);
     ("a warmed-up script takes no registry or index lock", `Quick, test_warm_pass_takes_no_lock);
+    ("a warmed-up script stays under its minor-words bound", `Quick, test_warm_pass_allocation);
   ]
