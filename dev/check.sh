@@ -73,6 +73,12 @@ dune exec bin/cdw.exe -- trace summarize "$OBS_DIR/trace.json" \
 # cumulative le buckets, a closing +Inf, matching _count/_sum.
 dune exec bin/cdw.exe -- trace prom-lint "$OBS_DIR/metrics.prom"
 test -s "$OBS_DIR/stats.jsonl"                                  # time series written
+# The same lint on a 2-shard exposition: shard labels and the
+# per-domain cdw_domain_* series only appear there.
+dune exec bin/cdw.exe -- serve-bench --quick --trials 1 --shards 2 \
+  --prom-out "$OBS_DIR/metrics-2.prom" > /dev/null
+grep -q '^cdw_domain_busy_us{shard="1"}' "$OBS_DIR/metrics-2.prom"
+dune exec bin/cdw.exe -- trace prom-lint "$OBS_DIR/metrics-2.prom"
 
 # Cross-process tracing + flight-recorder smoke: a traced 2-shard
 # networked server, driven by a traced client. The merged trace must

@@ -631,7 +631,6 @@ let serve_bench_cmd =
 let serve_cmd =
   let module Server = Cdw_net.Server in
   let module Trace = Cdw_obs.Trace in
-  let module Flight = Cdw_obs.Flight in
   let module Domain_acct = Cdw_engine.Domain_acct in
   let listen =
     Arg.(required & opt (some sockaddr_conv) None & info [ "listen" ] ~docv:"ADDR" ~doc:"Listen address: a Unix socket path (anything with a slash) or HOST:PORT. Required.")
@@ -747,7 +746,7 @@ let serve_cmd =
             (* The context thunk runs inside the SIGUSR1 handler: it
                reads only atomics (per-domain accounting, shard count),
                never a lock. *)
-            Flight.set_context
+            Trace.set_context
               (Some
                  (fun () ->
                    Json.Object
@@ -759,7 +758,7 @@ let serve_cmd =
                            (List.map Domain_acct.stats_json
                               (Serving.domain_stats serving)) );
                      ]));
-            Flight.install ~path;
+            Trace.install ~path;
             Printf.printf "flight recorder armed: SIGUSR1 dumps to %s\n" path)
           flight_out;
         match Server.start serving listen with
@@ -829,7 +828,7 @@ let serve_cmd =
             Server.stop server;
             (* The final flight dump covers the rings as the server
                went down — the record a post-mortem wants. *)
-            Option.iter (fun path -> Flight.write path) flight_out;
+            Option.iter (fun path -> Trace.flight_write path) flight_out;
             (* Close after stop: flushes and releases the ledger(s), so a
                clean shutdown leaves a strict-clean store behind. *)
             Serving.close serving;

@@ -1,46 +1,43 @@
 module Json = Cdw_util.Json
-module Prom = Cdw_obs.Prom
 
-type t = {
-  busy_us : int Atomic.t;
-  idle_us : int Atomic.t;
-  barrier_us : int Atomic.t;
-  sort_us : int Atomic.t;
-  journal_us : int Atomic.t;
-  execute_us : int Atomic.t;
-  gather_us : int Atomic.t;
-  journal_lag_us : int Atomic.t;
-  journal_lag_peak_us : int Atomic.t;
-  drains : int Atomic.t;
-  items : int Atomic.t;
-  inbox_depth_last : int Atomic.t;
-  inbox_depth_peak : int Atomic.t;
-}
+type counter =
+  | Busy
+  | Idle
+  | Barrier
+  | Sort
+  | Journal
+  | Execute
+  | Gather
+  | Journal_lag
+  | Drains
+  | Items
 
-let create () =
-  {
-    busy_us = Atomic.make 0;
-    idle_us = Atomic.make 0;
-    barrier_us = Atomic.make 0;
-    sort_us = Atomic.make 0;
-    journal_us = Atomic.make 0;
-    execute_us = Atomic.make 0;
-    gather_us = Atomic.make 0;
-    journal_lag_us = Atomic.make 0;
-    journal_lag_peak_us = Atomic.make 0;
-    drains = Atomic.make 0;
-    items = Atomic.make 0;
-    inbox_depth_last = Atomic.make 0;
-    inbox_depth_peak = Atomic.make 0;
-  }
+type gauge = Journal_lag_peak | Inbox_depth_last | Inbox_depth_peak
 
-let bump counter us =
-  if us > 0.0 then ignore (Atomic.fetch_and_add counter (int_of_float us))
+let counter_key = function
+  | Busy -> "domain.busy_us"
+  | Idle -> "domain.idle_us"
+  | Barrier -> "domain.barrier_us"
+  | Sort -> "domain.sort_us"
+  | Journal -> "domain.journal_us"
+  | Execute -> "domain.execute_us"
+  | Gather -> "domain.gather_us"
+  | Journal_lag -> "domain.journal_lag_us"
+  | Drains -> "domain.drains"
+  | Items -> "domain.items"
 
-(* Max-update without CAS: every counter here has a single writer (the
-   shard's pinned domain, or the one thread holding the group drain
-   lock), so read-then-set cannot lose a larger concurrent value. *)
-let set_max counter v = if v > Atomic.get counter then Atomic.set counter v
+let gauge_key = function
+  | Journal_lag_peak -> "domain.journal_lag_peak_us"
+  | Inbox_depth_last -> "domain.inbox_depth_last"
+  | Inbox_depth_peak -> "domain.inbox_depth_peak"
+
+let declare m =
+  List.iter
+    (fun c -> Metrics.incr ~by:0 m (counter_key c))
+    [ Busy; Idle; Barrier; Sort; Journal; Execute; Gather; Journal_lag; Drains; Items ];
+  List.iter
+    (fun g -> Metrics.set_gauge m (gauge_key g) 0.0)
+    [ Journal_lag_peak; Inbox_depth_last; Inbox_depth_peak ]
 
 type stats = {
   s_shard : int;
@@ -59,61 +56,56 @@ type stats = {
   s_inbox_depth_peak : int;
 }
 
-let stats ~shard t =
+let stats ~shard m =
+  let c k = Metrics.counter m (counter_key k) in
+  let g k =
+    match Metrics.gauge m (gauge_key k) with
+    | Some v -> int_of_float v
+    | None -> 0
+  in
   {
     s_shard = shard;
-    s_busy_us = Atomic.get t.busy_us;
-    s_idle_us = Atomic.get t.idle_us;
-    s_barrier_us = Atomic.get t.barrier_us;
-    s_sort_us = Atomic.get t.sort_us;
-    s_journal_us = Atomic.get t.journal_us;
-    s_execute_us = Atomic.get t.execute_us;
-    s_gather_us = Atomic.get t.gather_us;
-    s_journal_lag_us = Atomic.get t.journal_lag_us;
-    s_journal_lag_peak_us = Atomic.get t.journal_lag_peak_us;
-    s_drains = Atomic.get t.drains;
-    s_items = Atomic.get t.items;
-    s_inbox_depth_last = Atomic.get t.inbox_depth_last;
-    s_inbox_depth_peak = Atomic.get t.inbox_depth_peak;
+    s_busy_us = c Busy;
+    s_idle_us = c Idle;
+    s_barrier_us = c Barrier;
+    s_sort_us = c Sort;
+    s_journal_us = c Journal;
+    s_execute_us = c Execute;
+    s_gather_us = c Gather;
+    s_journal_lag_us = c Journal_lag;
+    s_journal_lag_peak_us = g Journal_lag_peak;
+    s_drains = c Drains;
+    s_items = c Items;
+    s_inbox_depth_last = g Inbox_depth_last;
+    s_inbox_depth_peak = g Inbox_depth_peak;
   }
 
-let fields s =
-  [
-    ("busy_us", s.s_busy_us);
-    ("idle_us", s.s_idle_us);
-    ("barrier_us", s.s_barrier_us);
-    ("sort_us", s.s_sort_us);
-    ("journal_us", s.s_journal_us);
-    ("execute_us", s.s_execute_us);
-    ("gather_us", s.s_gather_us);
-    ("journal_lag_us", s.s_journal_lag_us);
-    ("journal_lag_peak_us", s.s_journal_lag_peak_us);
-    ("drains", s.s_drains);
-    ("items", s.s_items);
-    ("inbox_depth_last", s.s_inbox_depth_last);
-    ("inbox_depth_peak", s.s_inbox_depth_peak);
-  ]
+(* The JSON field of a series: its registry name without "domain.". *)
+let field key =
+  let p = String.length "domain." in
+  String.sub key p (String.length key - p)
 
 let stats_json s =
+  let n v = Json.Number (float_of_int v) in
+  let c k v = (field (counter_key k), n v) in
+  let g k v = (field (gauge_key k), n v) in
   Json.Object
-    (("shard", Json.Number (float_of_int s.s_shard))
-    :: List.map (fun (k, v) -> (k, Json.Number (float_of_int v))) (fields s))
-
-let prometheus stats_list =
-  match stats_list with
-  | [] -> ""
-  | _ ->
-      Prom.render_sets
-        (List.map
-           (fun s ->
-             {
-               Prom.s_labels = [ ("shard", string_of_int s.s_shard) ];
-               s_counters =
-                 List.map (fun (k, v) -> ("domain_" ^ k, v)) (fields s);
-               s_gauges = [];
-               s_histograms = [];
-             })
-           stats_list)
+    [
+      ("shard", n s.s_shard);
+      c Busy s.s_busy_us;
+      c Idle s.s_idle_us;
+      c Barrier s.s_barrier_us;
+      c Sort s.s_sort_us;
+      c Journal s.s_journal_us;
+      c Execute s.s_execute_us;
+      c Gather s.s_gather_us;
+      c Journal_lag s.s_journal_lag_us;
+      g Journal_lag_peak s.s_journal_lag_peak_us;
+      c Drains s.s_drains;
+      c Items s.s_items;
+      g Inbox_depth_last s.s_inbox_depth_last;
+      g Inbox_depth_peak s.s_inbox_depth_peak;
+    ]
 
 let barrier_fraction stats_list =
   let busy =

@@ -1,15 +1,15 @@
-(** Per-drain-domain stall accounting: monotonic atomic counters every
-    pinned shard domain updates as it drains, answering "where did this
-    domain's wall time go" without tracing enabled.
+(** Per-drain-domain stall accounting: where each pinned shard domain's
+    wall time went, answered without tracing enabled.
 
-    The update path is single-writer per counter (the shard's pinned
-    domain for busy/idle/phase counters; the thread holding the group
-    drain lock for barrier), so writes are plain atomic adds and a
-    max-update needs no CAS. Readers ({!stats}) may run from any
-    thread, any time — including signal handlers: the flight recorder's
-    context thunk dumps these.
+    The series live in the shard engine's own {!Metrics} registry,
+    under the names {!counter_key} and {!gauge_key} give
+    (["domain.busy_us"], …), so the serving exposition renders them
+    with the rest of the shard's metrics under its [shard] label. This
+    module declares them ({!declare}) and reads them back ({!stats}).
+    Reading is lock-free: a flight dump's context thunk reads them from
+    a signal handler.
 
-    Semantics (all µs, all monotonic):
+    Counters (µs unless named otherwise, all monotonic):
     - [busy]: wall time inside the shard's drain, end to end;
     - [idle]: time the pinned domain spent waiting for a command;
     - [barrier]: after this shard finished a scattered drain, how long
@@ -20,36 +20,39 @@
       (they tile [busy] almost exactly; the remainder is bookkeeping);
     - [journal_lag]: Σ over ingested items of (ingest time − submit
       time) — how far write-behind journaling runs behind the submit
-      stream ([journal_lag_peak] is the worst single item);
+      stream;
+    - [drains], [items]: shard drains run and requests they took.
+
+    Gauges (levels, which a counter must never be):
+    - [journal_lag_peak]: the worst single item's journal lag;
     - [inbox_depth_last]/[_peak]: the MPSC inbox depth sampled at each
       drain (the inbox only grows between drains, so the drain-boundary
       sample {e is} the interval peak). *)
 
-type t = {
-  busy_us : int Atomic.t;
-  idle_us : int Atomic.t;
-  barrier_us : int Atomic.t;
-  sort_us : int Atomic.t;
-  journal_us : int Atomic.t;
-  execute_us : int Atomic.t;
-  gather_us : int Atomic.t;
-  journal_lag_us : int Atomic.t;
-  journal_lag_peak_us : int Atomic.t;
-  drains : int Atomic.t;
-  items : int Atomic.t;
-  inbox_depth_last : int Atomic.t;
-  inbox_depth_peak : int Atomic.t;
-}
+type counter =
+  | Busy
+  | Idle
+  | Barrier
+  | Sort
+  | Journal
+  | Execute
+  | Gather
+  | Journal_lag
+  | Drains
+  | Items
 
-val create : unit -> t
+type gauge = Journal_lag_peak | Inbox_depth_last | Inbox_depth_peak
 
-val bump : int Atomic.t -> float -> unit
-(** Add a (non-negative) µs duration to a counter. *)
+val counter_key : counter -> string
+(** The counter's registry name, e.g. ["domain.busy_us"]. *)
 
-val set_max : int Atomic.t -> int -> unit
-(** Raise a single-writer gauge to [v] if larger. *)
+val gauge_key : gauge -> string
 
-(** An immutable snapshot of one domain's counters. *)
+val declare : Metrics.t -> unit
+(** Register every series at zero, so a shard's exposition carries all
+    of them from its creation on, whether or not it idled or waited. *)
+
+(** An immutable snapshot of one domain's series. *)
 type stats = {
   s_shard : int;
   s_busy_us : int;
@@ -67,16 +70,12 @@ type stats = {
   s_inbox_depth_peak : int;
 }
 
-val stats : shard:int -> t -> stats
+val stats : shard:int -> Metrics.t -> stats
+(** The series of shard [shard]'s registry. *)
 
 val stats_json : stats -> Cdw_util.Json.t
 (** One flat object: [{"shard": i, "busy_us": ..., ...}] — the element
     shape of the serving metrics' ["domains"] array. *)
-
-val prometheus : stats list -> string
-(** The counters as a Prometheus exposition fragment
-    ([cdw_domain_busy_us{shard="i"} ...]); empty string for an empty
-    list. Appended to the serving exposition. *)
 
 val barrier_fraction : stats list -> float
 (** [Σ barrier / (Σ busy + Σ barrier)] across the domains — the share

@@ -35,9 +35,8 @@ module Worker : sig
   val create : ?on_idle:(float -> unit) -> init:(unit -> unit) -> unit -> 'a t
   (** The mailbox; no domain yet. On each spawn the new domain runs
       [init] once, then parks. [init] allocates the per-domain state
-      its jobs record into (the {!Cdw_obs.Trace} buffer, and the
-      {!Cdw_obs.Flight} ring for a domain that records flight entries),
-      so that one-time cost never lands in a measured span. [on_idle us]
+      its jobs record into (the {!Cdw_obs.Trace} buffer), so that
+      one-time cost never lands in a measured span. [on_idle us]
       runs on the worker's domain each time it takes a job or the stop
       order, with the µs it spent parked before it. *)
 

@@ -61,9 +61,7 @@ val set_gauge : t -> string -> float -> unit
     unlike {!incr}ed counters, a gauge may move in either direction. *)
 
 val gauge : t -> string -> float option
-(** Test-only: lets the epoch tests read a gauge.
-
-    [None] for never-set gauges. *)
+(** [None] for never-set gauges. *)
 
 (** {1 Latencies} *)
 

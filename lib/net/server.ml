@@ -5,7 +5,6 @@ module Metrics = Cdw_engine.Metrics
 module Serialize = Cdw_core.Serialize
 module Serving = Cdw_shard.Serving
 module Trace = Cdw_obs.Trace
-module Flight = Cdw_obs.Flight
 
 type t = {
   serving : Serving.t;
@@ -241,7 +240,7 @@ and answer t c f =
          connection and keep the connection alive. The flight recorder
          dumps its rings first — the post-mortem record of what the
          domains were doing when the bug fired. *)
-      Flight.fatal_dump ();
+      Trace.fatal_dump ();
       Metrics.incr t.metrics "net.errors";
       answer t c (fun () ->
           Wire.write_reply c.w

@@ -9,11 +9,35 @@ type event = {
   args : (string * string) list;
 }
 
+(* The flight ring: the last [ring_capacity] coarse spans a domain
+   completed, recorded whether or not tracing is on. Parallel arrays,
+   so an entry is four stores into preallocated slots and allocates
+   nothing. A dump reads the rings racily (a torn in-progress slot is
+   acceptable in a diagnostic artifact: the dump is best-effort by
+   design, and may run from a signal handler while drains are in
+   flight). *)
+type ring = {
+  names : string array;  (* "" = empty slot *)
+  shards : int array;  (* -1 = no shard *)
+  starts : Float.Array.t;  (* span start, µs since the Unix epoch *)
+  durs : Float.Array.t;  (* µs *)
+}
+
+let ring_capacity = 4096
+
+let no_ring =
+  {
+    names = [||];
+    shards = [||];
+    starts = Float.Array.create 0;
+    durs = Float.Array.create 0;
+  }
+
 (* One buffer per domain, reached through DLS: recording is plain
    (unsynchronized) stores into domain-private state, so tracing adds no
    inter-domain contention. The global registry is only touched when a
-   domain records its first span, and by [reset]/[export] — which the
-   contract restricts to quiescent moments. *)
+   domain first needs its buffer, and by [reset]/[export] — which the
+   contract restricts to quiescent moments — and by flight dumps. *)
 type buffer = {
   mutable tid : int;  (* Domain.self of the owner, or of the last one *)
   mutable live : bool;  (* false once the owner exited *)
@@ -22,6 +46,9 @@ type buffer = {
   mutable dropped : int;
   mutable last_ts : float;  (* monotonicity clamp *)
   mutable stack : (int * bool) list;  (* (span id, begin recorded) *)
+  mutable ring : ring;  (* [no_ring] until the domain's first entry *)
+  mutable next : int;  (* next ring slot to overwrite *)
+  mutable total : int;  (* ring entries ever recorded into this buffer *)
 }
 
 let enabled_flag = Atomic.make false
@@ -37,16 +64,16 @@ let next_sid = Atomic.make (((Unix.getpid () land 0xFFFF) lsl 40) lor 1)
 let registry : buffer list ref = ref []
 let registry_lock = Mutex.create ()
 
-(* A domain takes over the buffer of one that exited, once that holds
-   no events (never traced, or emptied by [reset]), before it allocates
-   a new one: joined pool helpers and shard workers leave no buffer
-   behind unless it holds events an export still needs. *)
+(* The one takeover rule (see the interface): a domain takes over the
+   buffer of one that exited once it holds no trace events, clearing
+   its flight ring, before it allocates a new one. *)
 let fresh_buffer () =
   let tid = (Domain.self () :> int) in
   Mutex.lock registry_lock;
   let b =
     match List.find_opt (fun b -> (not b.live) && b.len = 0) !registry with
     | Some b ->
+        Array.fill b.ring.names 0 (Array.length b.ring.names) "";
         b.tid <- tid;
         b.live <- true;
         b
@@ -60,6 +87,9 @@ let fresh_buffer () =
             dropped = 0;
             last_ts = 0.0;
             stack = [];
+            ring = no_ring;
+            next = 0;
+            total = 0;
           }
         in
         registry := b :: !registry;
@@ -90,8 +120,10 @@ let reset () =
     !registry;
   Mutex.unlock registry_lock
 
-let now_us b =
-  let t = (Unix.gettimeofday () -. Atomic.get epoch) *. 1e6 in
+(* [at] (seconds since the Unix epoch) as a trace timestamp: µs since
+   the trace epoch, clamped monotone per domain. *)
+let ts_of b at =
+  let t = (at -. Atomic.get epoch) *. 1e6 in
   let t = if t > b.last_ts then t else b.last_ts in
   b.last_ts <- t;
   t
@@ -111,7 +143,7 @@ let push b ev =
   b.events.(b.len) <- ev;
   b.len <- b.len + 1
 
-let begin_span b name args parent =
+let begin_span b name args parent at =
   let sid = Atomic.fetch_and_add next_sid 1 in
   let parent =
     match parent with
@@ -119,25 +151,67 @@ let begin_span b name args parent =
     | None -> ( match b.stack with (p, _) :: _ -> p | [] -> 0)
   in
   let recorded = b.len < Atomic.get capacity in
-  if recorded then push b { name; ph = 'B'; ts = now_us b; sid; parent; args }
+  if recorded then
+    push b { name; ph = 'B'; ts = ts_of b at; sid; parent; args }
   else b.dropped <- b.dropped + 1;
   b.stack <- (sid, recorded) :: b.stack
 
-let end_span b name =
+let end_span b name at =
   match b.stack with
   | [] -> ()  (* tracing was toggled mid-span; nothing to close *)
   | (sid, recorded) :: rest ->
       b.stack <- rest;
       if recorded then
-        push b { name; ph = 'E'; ts = now_us b; sid; parent = 0; args = [] }
+        push b
+          { name; ph = 'E'; ts = ts_of b at; sid; parent = 0; args = [] }
 
 let span ?(args = []) ?parent name f =
   if not (Atomic.get enabled_flag) then f ()
   else begin
     let b = Domain.DLS.get key in
-    begin_span b name args parent;
-    Fun.protect ~finally:(fun () -> end_span b name) f
+    begin_span b name args parent (Unix.gettimeofday ());
+    Fun.protect ~finally:(fun () -> end_span b name (Unix.gettimeofday ())) f
   end
+
+(* ---------------------------------------------------------------- *)
+(* Flight ring                                                        *)
+
+(* One ring entry, overwriting the oldest once the ring is full. *)
+let record b shard name ~t0_us ~dur_us =
+  if b.ring == no_ring then
+    b.ring <-
+      {
+        names = Array.make ring_capacity "";
+        shards = Array.make ring_capacity (-1);
+        starts = Float.Array.make ring_capacity 0.0;
+        durs = Float.Array.make ring_capacity 0.0;
+      };
+  let r = b.ring and i = b.next in
+  r.names.(i) <- name;
+  r.shards.(i) <- shard;
+  Float.Array.set r.starts i t0_us;
+  Float.Array.set r.durs i dur_us;
+  b.next <- (i + 1) mod ring_capacity;
+  b.total <- b.total + 1
+
+let timed ?(args = []) ?parent ?(shard = -1) name k f =
+  let b = Domain.DLS.get key in
+  let traced = Atomic.get enabled_flag in
+  let t0 = Unix.gettimeofday () in
+  if traced then begin
+    let args =
+      if shard < 0 then args else ("shard", string_of_int shard) :: args
+    in
+    begin_span b name args parent t0
+  end;
+  Fun.protect
+    ~finally:(fun () ->
+      let t1 = Unix.gettimeofday () in
+      if traced then end_span b name t1;
+      let dur_us = (t1 -. t0) *. 1e6 in
+      record b shard name ~t0_us:(t0 *. 1e6) ~dur_us;
+      k dur_us)
+    f
 
 let current_span () =
   if not (Atomic.get enabled_flag) then 0
@@ -156,30 +230,44 @@ let recorded_events () =
   List.fold_left (fun acc b -> acc + b.len) 0 (buffers ())
 
 let buffer_count () = List.length (buffers ())
+let flight_entries () =
+  List.fold_left (fun acc b -> acc + b.total) 0 (buffers ())
 
 let dropped () = List.fold_left (fun acc b -> acc + b.dropped) 0 (buffers ())
 
 let pid = float_of_int (Unix.getpid ())
 
-let event_json ~tid ev =
-  let base =
-    [
-      ("name", Json.String ev.name);
-      ("cat", Json.String "cdw");
-      ("ph", Json.String (String.make 1 ev.ph));
-      ("ts", Json.Number ev.ts);
-      ("pid", Json.Number pid);
-      ("tid", Json.Number (float_of_int tid));
-    ]
+(* The one trace-event writer, for span begin/end events and flight
+   entries alike: [dur] only for a complete ("X") event, [args] only
+   when there are some. *)
+let event_json ~cat ~ph ~ts ?dur ~tid name args =
+  Json.Object
+    ([
+       ("name", Json.String name);
+       ("cat", Json.String cat);
+       ("ph", Json.String ph);
+       ("ts", Json.Number ts);
+     ]
+    @ (match dur with Some d -> [ ("dur", Json.Number d) ] | None -> [])
+    @ [ ("pid", Json.Number pid); ("tid", Json.Number (float_of_int tid)) ]
+    @
+    match args with
+    | [] -> []
+    | _ ->
+        [
+          ( "args",
+            Json.Object (List.map (fun (k, v) -> (k, Json.String v)) args) );
+        ])
+
+let span_event_json ~tid ev =
+  let args =
+    if ev.ph <> 'B' then []
+    else
+      ("id", string_of_int ev.sid)
+      :: ("parent", string_of_int ev.parent)
+      :: ev.args
   in
-  if ev.ph <> 'B' then Json.Object base
-  else
-    let args =
-      ("id", Json.String (string_of_int ev.sid))
-      :: ("parent", Json.String (string_of_int ev.parent))
-      :: List.map (fun (k, v) -> (k, Json.String v)) ev.args
-    in
-    Json.Object (base @ [ ("args", Json.Object args) ])
+  event_json ~cat:"cdw" ~ph:(String.make 1 ev.ph) ~ts:ev.ts ~tid ev.name args
 
 let thread_name_json tid =
   Json.Object
@@ -218,7 +306,7 @@ let export () =
   let events =
     List.concat_map
       (fun b ->
-        List.init b.len (fun i -> event_json ~tid:b.tid b.events.(i)))
+        List.init b.len (fun i -> span_event_json ~tid:b.tid b.events.(i)))
       bs
   in
   Json.Object
@@ -267,10 +355,114 @@ let merge_exports ours theirs =
       ("traceEpochUs", Json.Number (epoch_us ours));
     ]
 
-let write path =
+let write_json path json =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
-      output_string oc (Json.to_string ~pretty:false (export ()));
+      output_string oc (Json.to_string ~pretty:false json);
       output_char oc '\n')
+
+let write path = write_json path (export ())
+
+(* ---------------------------------------------------------------- *)
+(* Flight dumps                                                       *)
+
+(* A context thunk dumped alongside the rings — the serving front end
+   hangs its counters here (shard count, per-domain accounting), so a
+   post-mortem dump carries state as well as recent spans. Must only
+   read atomics / immutable data: it runs from signal handlers. *)
+let context : (unit -> Json.t) option ref = ref None
+
+let set_context f =
+  Mutex.lock registry_lock;
+  context := f;
+  Mutex.unlock registry_lock
+
+(* A buffer's ring entries, oldest first: [next .. end) then
+   [0 .. next) once wrapped, empty slots left out. *)
+let ring_entries b =
+  let r = b.ring in
+  let n = Array.length r.names in
+  let start = if b.total >= n then b.next else 0 in
+  List.init (min b.total n) (fun i -> (start + i) mod n)
+  |> List.filter (fun i -> r.names.(i) <> "")
+
+let flight_export () =
+  let bs =
+    List.sort (fun a b -> compare a.tid b.tid) (buffers ())
+    |> List.filter_map (fun b ->
+           match ring_entries b with [] -> None | es -> Some (b, es))
+  in
+  let base =
+    List.fold_left
+      (fun acc (b, es) ->
+        List.fold_left
+          (fun acc i -> Float.min acc (Float.Array.get b.ring.starts i))
+          acc es)
+      infinity bs
+  in
+  let base = if base = infinity then 0.0 else base in
+  let events =
+    List.concat_map
+      (fun (b, es) ->
+        let r = b.ring in
+        List.map
+          (fun i ->
+            event_json ~cat:"flight" ~ph:"X"
+              ~ts:(Float.Array.get r.starts i -. base)
+              ~dur:(Float.Array.get r.durs i) ~tid:b.tid r.names.(i)
+              (if r.shards.(i) < 0 then []
+               else [ ("shard", string_of_int r.shards.(i)) ]))
+          es)
+      bs
+  in
+  let ctx =
+    Mutex.lock registry_lock;
+    let c = !context in
+    Mutex.unlock registry_lock;
+    match c with
+    | None -> []
+    | Some f -> ( try [ ("context", f ()) ] with _ -> [])
+  in
+  Json.Object
+    [
+      ( "traceEvents",
+        Json.Array (List.map (fun (b, _) -> thread_name_json b.tid) bs @ events)
+      );
+      ("displayTimeUnit", Json.String "ms");
+      ("traceEpochUs", Json.Number base);
+      ( "flight",
+        Json.Object
+          ([
+             ("recorded", Json.Number (float_of_int (flight_entries ())));
+             ("capacity_per_domain", Json.Number (float_of_int ring_capacity));
+           ]
+          @ ctx) );
+    ]
+
+let flight_write path = write_json path (flight_export ())
+let dump_path = ref None
+
+let installed () =
+  Mutex.lock registry_lock;
+  let p = !dump_path in
+  Mutex.unlock registry_lock;
+  p
+
+let fatal_dump () =
+  match installed () with
+  | None -> ()
+  | Some path -> ( try flight_write path with _ -> ())
+
+let install ~path =
+  Mutex.lock registry_lock;
+  dump_path := Some path;
+  Mutex.unlock registry_lock;
+  (* OCaml signal handlers run at safe points on the main execution
+     flow, not in asynchronous C context, so writing a file here is
+     fine — the same pattern as the CLI's SIGINT flush. *)
+  try
+    Sys.set_signal Sys.sigusr1
+      (Sys.Signal_handle (fun _ -> try flight_write path with _ -> ()))
+  with Invalid_argument _ -> ()

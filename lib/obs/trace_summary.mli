@@ -11,7 +11,8 @@
     execute, settle), so low coverage means un-instrumented time on the
     drain path.
 
-    ["X"] complete events — the {!Flight} recorder's dump format — are
+    ["X"] complete events — the flight recorder's dump format
+    ({!Trace.flight_export}) — are
     aggregated too, with self = total (they carry no nesting
     information).
 

@@ -2,7 +2,6 @@ module Algorithms = Cdw_core.Algorithms
 module Domain_acct = Cdw_engine.Domain_acct
 module Domain_pool = Cdw_engine.Domain_pool
 module Engine = Cdw_engine.Engine
-module Flight = Cdw_obs.Flight
 module Json = Cdw_util.Json
 module Metrics = Cdw_engine.Metrics
 module Store = Cdw_store.Store
@@ -31,7 +30,6 @@ type shard = {
   position : int;
   engine : Engine.t;
   inbox : item Mpsc.t;
-  acct : Domain_acct.t;  (* busy/idle/barrier/phase stall accounting *)
   pre_seq : (string, int) Hashtbl.t;
       (* first-submission seqs of items a migration ingested out of the
          inbox ahead of the next drain — the gather consults these so
@@ -62,13 +60,24 @@ type t = {
   drainer : drainer;
 }
 
-(* Runs once per pinned domain, before the first drain: allocating the
-   flight ring and trace buffer here keeps the (one-time, ~ms) lazy DLS
-   setup out of the first shard.drain span, which would otherwise show
-   up as unattributed wall in [trace summarize --scaling]. *)
-let worker_prewarm () =
-  Flight.prewarm ();
-  Trace.prewarm ()
+(* ---------------------------------------------------------------- *)
+(* Per-domain accounting: [Domain_acct]'s series in each shard
+   engine's registry, written only on the pinned path                 *)
+
+(* Add a (non-negative) µs duration to one of [shard]'s counters. *)
+let add_us shard c us =
+  if us > 0.0 then
+    Metrics.incr ~by:(int_of_float us) (Engine.metrics shard.engine)
+      (Domain_acct.counter_key c)
+
+(* Raise one of [shard]'s gauges to [v] if larger. Each has a single
+   writer (the shard's pinned domain), so read-then-set cannot lose a
+   larger concurrent value. *)
+let raise_gauge shard g v =
+  let m = Engine.metrics shard.engine and key = Domain_acct.gauge_key g in
+  match Metrics.gauge m key with
+  | Some cur when cur >= v -> ()
+  | Some _ | None -> Metrics.set_gauge m key v
 
 let group_of_engines engines =
   let members =
@@ -78,7 +87,6 @@ let group_of_engines engines =
           position;
           engine;
           inbox = Mpsc.create ();
-          acct = Domain_acct.create ();
           pre_seq = Hashtbl.create 16;
           pre_rejected = [];
           store = None;
@@ -96,9 +104,12 @@ let group_of_engines engines =
          Pinned
            (Array.map
               (fun s ->
-                Domain_pool.Worker.create
-                  ~on_idle:(Domain_acct.bump s.acct.Domain_acct.idle_us)
-                  ~init:worker_prewarm ())
+                Domain_acct.declare (Engine.metrics s.engine);
+                (* The prewarm keeps the one-time buffer setup out of
+                   the first shard.drain span, where [trace summarize
+                   --scaling] would count it as unattributed wall. *)
+                Domain_pool.Worker.create ~on_idle:(add_us s Domain_acct.Idle)
+                  ~init:Trace.prewarm ())
               members));
   }
 
@@ -140,19 +151,12 @@ let submit t ~user request =
 (* ---------------------------------------------------------------- *)
 (* Per-shard drain (runs on the shard's pinned domain)               *)
 
-(* One drain phase: a child trace span, a flight-recorder entry, and a
-   [Domain_acct] counter bump — the three observability surfaces record
-   the same interval, so a trace, a post-mortem flight dump and the
-   Prometheus counters all tell one story. *)
-let phase shard counter name f =
-  let t0 = Unix.gettimeofday () in
-  Fun.protect
-    ~finally:(fun () ->
-      let dur_us = (Unix.gettimeofday () -. t0) *. 1e6 in
-      Domain_acct.bump counter dur_us;
-      Flight.record ~shard:shard.position name ~t0_us:(t0 *. 1e6) ~dur_us)
-    (fun () ->
-      Trace.span name ~args:[ ("shard", string_of_int shard.position) ] f)
+(* A shard's drain or one of its phases: a trace span, a flight entry
+   and the shard's accounting counter [c], all from one pair of clock
+   reads, so a trace, a post-mortem flight dump and the exposition tell
+   one story. *)
+let phase ?parent shard c name f =
+  Trace.timed ?parent ~shard:shard.position name (add_us shard c) f
 
 (* The shard's whole inbox in the global submission order (CAS order
    under racing producers can differ from seq order). *)
@@ -207,30 +211,21 @@ let ingest shard items ~first ~rejected =
    all of a shard's drain wall time (the residue between [shard.drain]
    and the four children is span bookkeeping alone). *)
 let drain_shard shard ~parent =
-  let t0 = Unix.gettimeofday () in
-  Fun.protect
-    ~finally:(fun () ->
-      let dur_us = (Unix.gettimeofday () -. t0) *. 1e6 in
-      Domain_acct.bump shard.acct.Domain_acct.busy_us dur_us;
-      Atomic.incr shard.acct.Domain_acct.drains;
-      Flight.record ~shard:shard.position "shard.drain" ~t0_us:(t0 *. 1e6)
-        ~dur_us)
-    (fun () ->
-  Trace.span "shard.drain" ~parent
-    ~args:[ ("shard", string_of_int shard.position) ]
-    (fun () ->
-      let acct = shard.acct in
+  phase ~parent shard Domain_acct.Busy "shard.drain" (fun () ->
       let m = Engine.metrics shard.engine in
+      Metrics.incr m (Domain_acct.counter_key Drains);
       let items =
-        phase shard acct.Domain_acct.sort_us "shard.sort" (fun () ->
+        phase shard Sort "shard.sort" (fun () ->
             let items = take_inbox shard in
             let n = List.length items in
             (* The inbox only grows between drains (a drain takes it
                whole), so the batch size *is* the inter-drain depth
                peak. *)
-            Atomic.set acct.Domain_acct.inbox_depth_last n;
-            Domain_acct.set_max acct.Domain_acct.inbox_depth_peak n;
-            ignore (Atomic.fetch_and_add acct.Domain_acct.items n);
+            Metrics.set_gauge m
+              (Domain_acct.gauge_key Inbox_depth_last)
+              (float_of_int n);
+            raise_gauge shard Inbox_depth_peak (float_of_int n);
+            Metrics.incr ~by:n m (Domain_acct.counter_key Items);
             Metrics.record_ms m "queue_depth" (float_of_int n);
             items)
       in
@@ -244,7 +239,7 @@ let drain_shard shard ~parent =
       let carried = shard.pre_rejected in
       shard.pre_rejected <- [];
       let rejected =
-        phase shard acct.Domain_acct.journal_us "shard.journal" (fun () ->
+        phase shard Journal "shard.journal" (fun () ->
             (* Write-behind journal lag: how far ingest (where the WAL
                record is written) ran behind the submit stream. ms →
                µs. *)
@@ -256,16 +251,16 @@ let drain_shard shard ~parent =
                 lag := !lag +. l;
                 if l > !lag_peak then lag_peak := l)
               items;
-            Domain_acct.bump acct.Domain_acct.journal_lag_us (!lag *. 1000.0);
-            Domain_acct.set_max acct.Domain_acct.journal_lag_peak_us
-              (int_of_float (!lag_peak *. 1000.0));
+            add_us shard Journal_lag (!lag *. 1000.0);
+            raise_gauge shard Journal_lag_peak
+              (Float.trunc (!lag_peak *. 1000.0));
             ingest shard items ~first ~rejected:carried)
       in
       let replies =
-        phase shard acct.Domain_acct.execute_us "shard.execute" (fun () ->
+        phase shard Execute "shard.execute" (fun () ->
             Engine.drain shard.engine)
       in
-      phase shard acct.Domain_acct.gather_us "shard.gather" (fun () ->
+      phase shard Gather "shard.gather" (fun () ->
           (* Engine replies come back grouped by user: cut them into
              per-user runs, then append any rejected submits to their
              user's run (or open one) so no request goes unanswered. *)
@@ -299,7 +294,7 @@ let drain_shard shard ~parent =
                   | None -> max_int);
                 g_replies = rs;
               })
-            runs)))
+            runs))
 
 (* ---------------------------------------------------------------- *)
 (* Group drain: scatter to the workers, gather by sequence number      *)
@@ -309,64 +304,49 @@ let merge gathers =
     (fun g -> g.g_replies)
     (List.sort (fun a b -> compare a.g_seq b.g_seq) gathers)
 
-(* Caller-side twin of [phase]: flight entry + trace span, no shard. *)
-let observed name f =
-  let t0 = Unix.gettimeofday () in
-  Fun.protect
-    ~finally:(fun () ->
-      Flight.record name ~t0_us:(t0 *. 1e6)
-        ~dur_us:((Unix.gettimeofday () -. t0) *. 1e6))
-    (fun () -> Trace.span name f)
-
 let drain t =
   Mutex.protect t.drain_lock (fun () ->
       match t.drainer with
       | Fanout pool -> Engine.drain_fanout pool t.members.(0).engine
       | Pinned workers ->
-          let t0 = Unix.gettimeofday () in
-          Fun.protect
-            ~finally:(fun () ->
-              Flight.record "group.drain" ~t0_us:(t0 *. 1e6)
-                ~dur_us:((Unix.gettimeofday () -. t0) *. 1e6))
+          Trace.timed "group.drain"
+            ~args:[ ("shards", string_of_int t.shards) ]
+            ignore
             (fun () ->
-              Trace.span "group.drain"
-                ~args:[ ("shards", string_of_int t.shards) ]
-                (fun () ->
-                  let parent = Trace.current_span () in
-                  (* Each shard's drain runs on its own pinned domain,
-                     spawned by the shard's first drain and kept until
-                     [close], with no work-stealing in between. *)
-                  (* Spawn first: a failed spawn leaves no job
-                     outstanding. *)
-                  Array.iter Domain_pool.Worker.start workers;
-                  Array.iteri
-                    (fun i w ->
-                      Domain_pool.Worker.send w (fun () ->
-                          let g = drain_shard t.members.(i) ~parent in
-                          (g, Unix.gettimeofday () *. 1e6)))
-                    workers;
-                  (* Every shard finishes its drain before the first
-                     failure (lowest shard) is raised. *)
-                  let results =
-                    Array.map Domain_pool.Worker.await workers
-                    |> Array.map (function Ok r -> r | Error e -> raise e)
-                  in
-                  (* Each shard's barrier wait: the gap between its own
-                     finish and the slowest shard's. Charged here (under
-                     the drain lock — a single writer), not on the
-                     domains, which cannot know who finished last. *)
-                  let slowest =
-                    Array.fold_left
-                      (fun acc (_, fin) -> Float.max acc fin)
-                      neg_infinity results
-                  in
-                  Array.iteri
-                    (fun i (_, fin) ->
-                      Domain_acct.bump t.members.(i).acct.Domain_acct.barrier_us
-                        (slowest -. fin))
-                    results;
-                  let gathers = Array.to_list results |> List.concat_map fst in
-                  observed "group.merge" (fun () -> merge gathers))))
+              let parent = Trace.current_span () in
+              (* Each shard's drain runs on its own pinned domain,
+                 spawned by the shard's first drain and kept until
+                 [close], with no work-stealing in between. *)
+              (* Spawn first: a failed spawn leaves no job
+                 outstanding. *)
+              Array.iter Domain_pool.Worker.start workers;
+              Array.iteri
+                (fun i w ->
+                  Domain_pool.Worker.send w (fun () ->
+                      let g = drain_shard t.members.(i) ~parent in
+                      (g, Unix.gettimeofday () *. 1e6)))
+                workers;
+              (* Every shard finishes its drain before the first
+                 failure (lowest shard) is raised. *)
+              let results =
+                Array.map Domain_pool.Worker.await workers
+                |> Array.map (function Ok r -> r | Error e -> raise e)
+              in
+              (* Each shard's barrier wait: the gap between its own
+                 finish and the slowest shard's. Charged here (under
+                 the drain lock — a single writer), not on the
+                 domains, which cannot know who finished last. *)
+              let slowest =
+                Array.fold_left
+                  (fun acc (_, fin) -> Float.max acc fin)
+                  neg_infinity results
+              in
+              Array.iteri
+                (fun i (_, fin) ->
+                  add_us t.members.(i) Domain_acct.Barrier (slowest -. fin))
+                results;
+              let gathers = Array.to_list results |> List.concat_map fst in
+              Trace.timed "group.merge" ignore (fun () -> merge gathers)))
 
 (* ---------------------------------------------------------------- *)
 (* Epoch migration                                                   *)
@@ -387,7 +367,7 @@ let ingest_inbox shard =
 let migrate ?epoch:e t wf =
   Mutex.protect t.drain_lock (fun () ->
       let next = match e with Some e -> e | None -> epoch t + 1 in
-      observed "group.migrate" (fun () ->
+      Trace.timed "group.migrate" ignore (fun () ->
           Array.iter ingest_inbox t.members;
           (* Every shard installs the same pinned epoch; each engine
              normalizes [wf] through the identical serialized text, so
@@ -495,7 +475,9 @@ let domain_stats t =
   if direct t then []
   else
     Array.to_list
-      (Array.mapi (fun i s -> Domain_acct.stats ~shard:i s.acct) t.members)
+      (Array.mapi
+         (fun i s -> Domain_acct.stats ~shard:i (Engine.metrics s.engine))
+         t.members)
 
 let metrics_json t =
   let merged = metrics t in
@@ -572,7 +554,6 @@ let prometheus t =
     (List.mapi
        (fun i s -> ([ ("shard", string_of_int i) ], Engine.metrics s.engine))
        (Array.to_list t.members))
-  ^ Domain_acct.prometheus (domain_stats t)
 
 (* ---------------------------------------------------------------- *)
 (* Durability                                                        *)

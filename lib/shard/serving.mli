@@ -232,17 +232,17 @@ val metrics_json : t -> Cdw_util.Json.t
 
 val prometheus : t -> string
 (** All shards in one Prometheus exposition, each shard's series
-    labelled [shard="<i>"] ({!Cdw_engine.Metrics.prometheus_sets}),
-    followed by the per-domain accounting counters
-    ({!Cdw_engine.Domain_acct.prometheus}). *)
+    labelled [shard="<i>"] ({!Cdw_engine.Metrics.prometheus_sets}).
+    At N shards these include each pinned domain's accounting series
+    ([cdw_domain_*], {!Cdw_engine.Domain_acct}); one shard has none. *)
 
 val domain_stats : t -> Cdw_engine.Domain_acct.stats list
 (** One {!Cdw_engine.Domain_acct.stats} per pinned shard domain (index
     = shard id): busy/idle/barrier/phase µs, write-behind journal lag,
-    inbox depth gauges. Empty for one shard, which has no pinned
-    domain. Single-writer atomics — safe to read from any thread while
-    serving. Also embedded in {!metrics_json} as the ["domains"]
-    array. *)
+    inbox depth gauges, read from each shard engine's registry. Empty
+    for one shard, which has no pinned domain. Lock-free reads — safe
+    from any thread while serving, and from a signal handler. Also
+    embedded in {!metrics_json} as the ["domains"] array. *)
 
 (** {1 Durability} *)
 

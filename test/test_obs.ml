@@ -4,7 +4,6 @@
    Prometheus exposition rendering/parsing, disabled-tracing overhead,
    and the store's dark counters. *)
 
-module Flight = Cdw_obs.Flight
 module Histogram = Cdw_obs.Histogram
 module Prom = Cdw_obs.Prom
 module Telemetry = Cdw_obs.Telemetry
@@ -393,17 +392,17 @@ let test_telemetry_final_flush_on_stop () =
 (* Flight recorder                                                    *)
 
 let test_flight_record_and_export () =
-  let before = Flight.recorded () in
-  Flight.record ~shard:0 "flight.test" ~t0_us:1_000.0 ~dur_us:250.0;
-  Flight.record ~shard:0 "flight.test.timed" ~t0_us:1_250.0 ~dur_us:100.0;
+  let before = Trace.flight_entries () in
+  Trace.timed ~shard:0 "flight.test" ignore ignore;
+  Trace.timed ~shard:0 "flight.test.timed" ignore ignore;
   Alcotest.(check bool) "entries recorded" true
-    (Flight.recorded () >= before + 2);
-  Flight.set_context
+    (Trace.flight_entries () >= before + 2);
+  Trace.set_context
     (Some (fun () -> Json.Object [ ("answer", Json.Number 42.0) ]));
   let json =
     Fun.protect
-      ~finally:(fun () -> Flight.set_context None)
-      (fun () -> Flight.export ())
+      ~finally:(fun () -> Trace.set_context None)
+      (fun () -> Trace.flight_export ())
   in
   (* The dump is a trace-event document the summarizer aggregates. *)
   (match Trace_summary.of_json json with
@@ -423,13 +422,13 @@ let test_flight_record_and_export () =
 
 let test_flight_ring_is_bounded () =
   let n = 5_000 in
-  let before = Flight.recorded () in
-  for i = 1 to n do
-    Flight.record "flight.wrap" ~t0_us:(float_of_int i) ~dur_us:1.0
+  let before = Trace.flight_entries () in
+  for _ = 1 to n do
+    Trace.timed "flight.wrap" ignore ignore
   done;
   Alcotest.(check int) "every record counted" (before + n)
-    (Flight.recorded ());
-  let json = Flight.export () in
+    (Trace.flight_entries ());
+  let json = Trace.flight_export () in
   let events =
     Option.get (Option.bind (Json.member "traceEvents" json) Json.to_list)
   in
@@ -445,6 +444,44 @@ let test_flight_ring_is_bounded () =
     (Printf.sprintf "ring bounded: %d live entries out of %d recorded" wraps n)
     true
     (wraps >= 1 && wraps < n)
+
+(* A real 2-shard drain leaves in the rings every span the scaling
+   report keys on: the group drain and merge on the caller, and each
+   shard's drain and its four phases, tagged with the shard. *)
+let test_flight_holds_a_sharded_drain () =
+  let module Serving = Cdw_shard.Serving in
+  let wf, script = Workbench.workload Workbench.quick in
+  let serving = Serving.create ~shards:2 wf in
+  List.iter (fun (u, r) -> Serving.submit serving ~user:u r) script;
+  ignore (Serving.drain serving);
+  let events =
+    Option.get
+      (Option.bind (Json.member "traceEvents" (Trace.flight_export ()))
+         Json.to_list)
+  in
+  Serving.close serving;
+  let str k j = Option.bind (Json.member k j) Json.to_text in
+  let held name shard =
+    List.exists
+      (fun e ->
+        str "name" e = Some name
+        && Option.bind (Json.member "args" e) (str "shard") = shard)
+      events
+  in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " in the dump") true (held name None))
+    [ "group.drain"; "group.merge" ];
+  List.iter
+    (fun shard ->
+      List.iter
+        (fun name ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s of shard %s in the dump" name shard)
+            true
+            (held name (Some shard)))
+        [ "shard.drain"; "shard.sort"; "shard.journal"; "shard.execute"; "shard.gather" ])
+    [ "0"; "1" ]
 
 (* ---------------------------------------------------------------- *)
 (* Prometheus histogram conformance lint                              *)
@@ -505,7 +542,7 @@ let scaling_attempt () =
       ~seed:Workbench.quick.Workbench.seed ~shards:2 wf
   in
   (* Warm-up drain first: it forces the pinned-domain spawn (and its
-     prewarm of the flight ring and trace buffer) before the traced
+     prewarm of its trace buffer) before the traced
      window, so the report describes steady-state drains rather than
      startup. *)
   (match script with
@@ -532,7 +569,7 @@ let scaling_attempt () =
   in
   (* The flight recorder ran through the same drain (always on): its
      dump must yield a scaling report too. *)
-  (match Trace_summary.scaling_of_json (Flight.export ()) with
+  (match Trace_summary.scaling_of_json (Trace.flight_export ()) with
   | Ok s ->
       Alcotest.(check bool) "flight dump has group drains" true
         (s.Trace_summary.sc_drains >= 1)
@@ -659,6 +696,8 @@ let suite =
       test_flight_record_and_export;
     Alcotest.test_case "flight: ring stays bounded" `Quick
       test_flight_ring_is_bounded;
+    Alcotest.test_case "flight: a 2-shard drain's scaling spans" `Quick
+      test_flight_holds_a_sharded_drain;
     Alcotest.test_case "prom lint: our exposition conforms" `Quick
       test_prom_lint_real_exposition;
     Alcotest.test_case "prom lint: defects rejected" `Quick

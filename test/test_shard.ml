@@ -26,7 +26,6 @@ module Reach = Cdw_graph.Reach
 module Splitmix = Cdw_util.Splitmix
 module Json = Cdw_util.Json
 module Workbench = Cdw_engine.Workbench
-module Flight = Cdw_obs.Flight
 module Trace = Cdw_obs.Trace
 
 let shard_counts = [ 1; 2; 4; 7 ]
@@ -513,6 +512,95 @@ let test_merged_metrics_and_prometheus () =
         "every shard exposes its own engine.submitted series"
         [ "0"; "1"; "2"; "3" ] shard_labels
 
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec loop i = i + m <= n && (String.sub s i m = sub || loop (i + 1)) in
+  m = 0 || loop 0
+
+(* Every pinned shard domain accounts its own drains: one drain of the
+   quick script at two shards is one drain per shard, the items add up
+   to the script, the four phases fit inside the drain's busy time,
+   the group view merges counters by sum and levels by max, and the
+   shard-labelled exposition carries each shard's series once, with the
+   level series typed as gauges. One shard accounts nothing. *)
+let test_two_shard_accounting () =
+  let module Domain_acct = Cdw_engine.Domain_acct in
+  let module Prom = Cdw_obs.Prom in
+  let wf, script = Workbench.workload Workbench.quick in
+  let drained shards =
+    let serving =
+      Serving.create ~algorithm:Workbench.quick.Workbench.algorithm
+        ~seed:Workbench.quick.Workbench.seed ~shards wf
+    in
+    List.iter (fun (user, rq) -> Serving.submit serving ~user rq) script;
+    ignore (Serving.drain serving);
+    serving
+  in
+  let serving = drained 2 in
+  let stats = Serving.domain_stats serving in
+  Alcotest.(check (list int)) "one stats entry per shard" [ 0; 1 ]
+    (List.map (fun s -> s.Domain_acct.s_shard) stats);
+  List.iter
+    (fun (s : Domain_acct.stats) ->
+      Alcotest.(check int)
+        (Printf.sprintf "shard %d drained once" s.s_shard)
+        1 s.s_drains;
+      let phases =
+        s.s_sort_us + s.s_journal_us + s.s_execute_us + s.s_gather_us
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "shard %d: phases %d us <= busy %d us" s.s_shard phases
+           s.s_busy_us)
+        true (phases <= s.s_busy_us))
+    stats;
+  Alcotest.(check int) "items add up to the script" (List.length script)
+    (List.fold_left (fun acc s -> acc + s.Domain_acct.s_items) 0 stats);
+  (* The group view merges the shards' registries: counters add, a
+     level keeps the larger shard's value. *)
+  let merged = Serving.metrics serving in
+  Alcotest.(check int) "merged items = sum over shards"
+    (List.length script)
+    (Metrics.counter merged (Domain_acct.counter_key Items));
+  Alcotest.(check (option (float 0.0))) "merged inbox peak = larger shard's"
+    (Some
+       (float_of_int
+          (List.fold_left
+             (fun acc s -> max acc s.Domain_acct.s_inbox_depth_peak)
+             0 stats)))
+    (Metrics.gauge merged (Domain_acct.gauge_key Inbox_depth_peak));
+  let text = Serving.prometheus serving in
+  (match Result.bind (Prom.parse text) Prom.lint with
+  | Error e -> Alcotest.failf "2-shard exposition: %s" e
+  | Ok _ -> ());
+  let samples = Result.get_ok (Prom.parse text) in
+  List.iter
+    (fun shard ->
+      Alcotest.(check int)
+        (Printf.sprintf "cdw_domain_busy_us{shard=%S} once" shard)
+        1
+        (List.length
+           (List.filter
+              (fun (s : Prom.sample) ->
+                s.metric = "cdw_domain_busy_us"
+                && s.labels = [ ("shard", shard) ])
+              samples)))
+    [ "0"; "1" ];
+  (* A level series may fall between scrapes: it is a gauge, never a
+     counter. *)
+  List.iter
+    (fun name ->
+      let typed kind =
+        contains text (Printf.sprintf "# TYPE cdw_domain_%s %s\n" name kind)
+      in
+      Alcotest.(check bool) (name ^ " is a gauge") true
+        (typed "gauge" && not (typed "counter")))
+    [ "inbox_depth_last"; "inbox_depth_peak"; "journal_lag_peak_us" ];
+  Serving.close serving;
+  let one = drained 1 in
+  Alcotest.(check bool) "one shard exposes no cdw_domain_ series" false
+    (contains (Serving.prometheus one) "cdw_domain_");
+  Serving.close one
+
 (* ---------------------------------------------------------------- *)
 (* One base, and the one-shard shape                                  *)
 
@@ -847,9 +935,9 @@ let test_reading_unknown_user_creates_nothing () =
           Serving.close serving)
     [ 1; 2 ]
 
-(* A shard worker that exits hands its flight ring and its empty trace
-   buffer to the next domain: creating and closing groups does not
-   grow either registry. *)
+(* A shard worker that exits hands its buffer (trace events and flight
+   ring) to the next domain: creating and closing groups does not grow
+   the registry. *)
 let test_group_cycles_keep_registries_bounded () =
   let wf, script = Workbench.workload Workbench.quick in
   let cycle () =
@@ -859,13 +947,11 @@ let test_group_cycles_keep_registries_bounded () =
     Serving.close serving
   in
   cycle ();
-  let rings = Flight.ring_count () and buffers = Trace.buffer_count () in
+  let buffers = Trace.buffer_count () in
   for _ = 1 to 20 do
     cycle ()
   done;
-  Alcotest.(check int) "flight rings after 20 more groups" rings
-    (Flight.ring_count ());
-  Alcotest.(check int) "trace buffers after 20 more groups" buffers
+  Alcotest.(check int) "per-domain buffers after 20 more groups" buffers
     (Trace.buffer_count ())
 
 let suite =
@@ -876,6 +962,7 @@ let suite =
     ("crash recovery: torn-shard sweep (50 seeds)", `Slow, test_crash_recovery_sweep);
     ("group manifest: errors are clean", `Quick, test_group_manifest_errors);
     ("observability: merged metrics + labelled exposition", `Quick, test_merged_metrics_and_prometheus);
+    ("observability: 2-shard domain accounting + exposition", `Quick, test_two_shard_accounting);
     ("one base: shard engines share the group's frozen base", `Quick, test_shards_share_one_base);
     ("one shard: drain and migrate spawn no domain", `Quick, test_one_shard_spawns_no_domain);
     ("one shard: a journaled value writes group.json + shard-0/", `Quick, test_one_shard_group_layout);
