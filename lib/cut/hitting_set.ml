@@ -206,6 +206,58 @@ let solve_ilp ?(deadline = infinity) p =
   | Some x -> x
   | None -> solve_presolved_ilp ~deadline p
 
+module Vec = Cdw_util.Vec
+
+type pool = {
+  elem_weights : float Vec.t;
+  pool_sets : int array Vec.t;
+  cover : Cdw_lp.Simplex.cover;
+  mutable absorbed_elems : int; (* elements and sets the cover holds *)
+  mutable absorbed_sets : int;
+}
+
+let create_pool () =
+  {
+    elem_weights = Vec.create ();
+    pool_sets = Vec.create ();
+    cover = Cdw_lp.Simplex.cover_create ();
+    absorbed_elems = 0;
+    absorbed_sets = 0;
+  }
+
+let add_elem pool w = Vec.push pool.elem_weights w
+let add_set pool set = Vec.push pool.pool_sets set
+
+let pool_problem pool =
+  {
+    n_elems = Vec.length pool.elem_weights;
+    weights = Vec.to_array pool.elem_weights;
+    sets = Vec.to_array pool.pool_sets;
+  }
+
+(* [solve_ilp] on the pool's whole program, with one dual-simplex state
+   carried across calls: each call hands the cover what was added since
+   the last one, and a decline goes straight to the presolved path,
+   which returns what [solve_ilp] would. *)
+let solve_pool_ilp ?(deadline = infinity) pool =
+  let module Simplex = Cdw_lp.Simplex in
+  for e = pool.absorbed_elems to Vec.length pool.elem_weights - 1 do
+    let w = Vec.get pool.elem_weights e in
+    if w < 0.0 then invalid_arg "Hitting_set: negative weight";
+    Simplex.cover_add_column pool.cover w
+  done;
+  for i = pool.absorbed_sets to Vec.length pool.pool_sets - 1 do
+    let set = Vec.get pool.pool_sets i in
+    if Array.length set = 0 then
+      invalid_arg "Hitting_set: empty set cannot be hit";
+    Simplex.cover_add_row pool.cover set
+  done;
+  pool.absorbed_elems <- Vec.length pool.elem_weights;
+  pool.absorbed_sets <- Vec.length pool.pool_sets;
+  match Simplex.cover_solve ~deadline pool.cover with
+  | Some x -> x
+  | None -> solve_presolved_ilp ~deadline (pool_problem pool)
+
 let solve_greedy p =
   validate p;
   let chosen = Array.make p.n_elems false in

@@ -3,6 +3,7 @@ module Reach = Cdw_graph.Reach
 module Timing = Cdw_util.Timing
 module Trace = Cdw_obs.Trace
 module Simplex = Cdw_lp.Simplex
+module Vec = Cdw_util.Vec
 
 type backend = Ilp | Bnb | Greedy | Lp_rounding
 
@@ -34,30 +35,48 @@ let is_multicut g edges ~pairs =
 
 (* One surviving s→t path (as an edge list) by BFS, or None. The
    parent of each reached vertex is the id of the edge that reached it
-   (-1 for none); the queue is an array, as each vertex enters once. *)
-let find_path g s t =
+   (-1 for none); the queue is an array, as each vertex enters once.
+   One scratch serves a whole run: a vertex is seen when its stamp is
+   the current search's. *)
+type bfs = {
+  parent : int array;
+  seen : int array;
+  queue : int array;
+  mutable stamp : int;
+}
+
+let bfs_scratch g =
   let n = Digraph.n_vertices g in
-  let parent = Array.make n (-1) in
-  let seen = Array.make n false in
-  let queue = Array.make n 0 in
+  {
+    parent = Array.make n (-1);
+    seen = Array.make n 0;
+    queue = Array.make n 0;
+    stamp = 0;
+  }
+
+let find_path bfs g s t =
+  bfs.stamp <- bfs.stamp + 1;
+  let stamp = bfs.stamp and parent = bfs.parent and seen = bfs.seen
+  and queue = bfs.queue in
   let head = ref 0 and tail = ref 1 in
-  seen.(s) <- true;
+  seen.(s) <- stamp;
+  parent.(s) <- -1;
   queue.(0) <- s;
   let visit e =
     let u = Digraph.edge_dst e in
-    if not seen.(u) then begin
-      seen.(u) <- true;
+    if seen.(u) <> stamp then begin
+      seen.(u) <- stamp;
       parent.(u) <- Digraph.edge_id e;
       queue.(!tail) <- u;
       incr tail
     end
   in
-  while !head < !tail && not seen.(t) do
+  while !head < !tail && seen.(t) <> stamp do
     let v = queue.(!head) in
     incr head;
     Digraph.iter_out g v visit
   done;
-  if not seen.(t) then None
+  if seen.(t) <> stamp then None
   else begin
     let rec walk v acc =
       if parent.(v) < 0 then acc
@@ -70,12 +89,11 @@ let find_path g s t =
 
 (* Variable pool: dense indices for the edge ids mentioned by discovered
    paths — the program never materialises a column for an edge no path
-   uses. *)
+   uses. Each variable's weight is read once, when it is created. *)
 type pool = {
-  mutable var_of_edge : (int, int) Hashtbl.t;
-  mutable edge_of_var : Digraph.edge list; (* reversed *)
-  mutable n_vars : int;
-  mutable sets : int array list; (* reversed; each array = one path *)
+  var_of_edge : (int, int) Hashtbl.t;
+  edge_of_var : Digraph.edge Vec.t;
+  program : Hitting_set.pool;
   mutable n_sets : int;
   mutable max_len : int; (* longest pooled path, ≥ 1 *)
 }
@@ -83,44 +101,35 @@ type pool = {
 let fresh_pool () =
   {
     var_of_edge = Hashtbl.create 64;
-    edge_of_var = [];
-    n_vars = 0;
-    sets = [];
+    edge_of_var = Vec.create ();
+    program = Hitting_set.create_pool ();
     n_sets = 0;
     max_len = 1;
   }
 
-let var_for pool e =
+let var_for pool ~weight e =
   let id = Digraph.edge_id e in
   match Hashtbl.find_opt pool.var_of_edge id with
   | Some v -> v
   | None ->
-      let v = pool.n_vars in
+      let v = Vec.length pool.edge_of_var in
       Hashtbl.add pool.var_of_edge id v;
-      pool.edge_of_var <- e :: pool.edge_of_var;
-      pool.n_vars <- v + 1;
+      Vec.push pool.edge_of_var e;
+      Hitting_set.add_elem pool.program (weight e);
       v
 
-let add_path pool path =
-  let set = Array.of_list (List.map (var_for pool) path) in
-  pool.sets <- set :: pool.sets;
+let add_path pool ~weight path =
+  let set = Array.of_list (List.map (var_for pool ~weight) path) in
+  Hitting_set.add_set pool.program set;
   pool.n_sets <- pool.n_sets + 1;
   pool.max_len <- max pool.max_len (Array.length set)
 
-let pool_problem pool ~weight =
-  let edges = Array.of_list (List.rev pool.edge_of_var) in
-  let weights = Array.map weight edges in
-  {
-    Hitting_set.n_elems = pool.n_vars;
-    weights;
-    sets = Array.of_list (List.rev pool.sets);
-  }
-
 let chosen_edges pool chosen =
-  let edges = Array.of_list (List.rev pool.edge_of_var) in
   let acc = ref [] in
-  Array.iteri (fun v b -> if b then acc := edges.(v) :: !acc) chosen;
-  List.rev !acc
+  for v = Array.length chosen - 1 downto 0 do
+    if chosen.(v) then acc := Vec.get pool.edge_of_var v :: !acc
+  done;
+  !acc
 
 (* LP relaxation + threshold rounding: every pool path has ≤ L edges, so
    some variable on it is ≥ 1/L; keeping all x ≥ 1/L hits every pool
@@ -212,15 +221,15 @@ let run ~backend ~deadline g ~weight ~pairs =
       else []
     in
     Trace.span "multicut.hitting_set" ~args (fun () ->
-        let problem = pool_problem pool ~weight:scaled_weight in
+        let problem () = Hitting_set.pool_problem pool.program in
         let chosen =
           match backend with
-          | Ilp -> Hitting_set.solve_ilp ~deadline problem
-          | Bnb -> Hitting_set.solve_bnb ~deadline problem
-          | Greedy -> Hitting_set.solve_greedy problem
+          | Ilp -> Hitting_set.solve_pool_ilp ~deadline pool.program
+          | Bnb -> Hitting_set.solve_bnb ~deadline (problem ())
+          | Greedy -> Hitting_set.solve_greedy (problem ())
           | Lp_rounding ->
               let chosen, value =
-                lp_round ~deadline ~max_len:pool.max_len problem
+                lp_round ~deadline ~max_len:pool.max_len (problem ())
               in
               lp_value := value;
               chosen
@@ -266,18 +275,19 @@ let run ~backend ~deadline g ~weight ~pairs =
       fell_back = false;
     }
   in
+  let bfs = bfs_scratch g in
   let rec loop rounds violated candidate =
     Timing.check_deadline deadline;
     let paths =
       Trace.span "multicut.find_paths" (fun () ->
           with_removed g candidate (fun () ->
-              List.filter_map (fun (s, t) -> find_path g s t) pairs))
+              List.filter_map (fun (s, t) -> find_path bfs g s t) pairs))
     in
     let violated = List.length paths :: violated in
     match paths with
     | [] -> finish rounds violated candidate
     | paths ->
-        List.iter (add_path pool) paths;
+        List.iter (add_path pool ~weight:scaled_weight) paths;
         loop (rounds + 1) violated (solve_pool ())
   in
   loop 0 [] []

@@ -73,10 +73,16 @@ val solve :
     any set-up: a budgeted solve is one run of the loop under the
     tighter deadline, plus at most one greedy run after it, and each
     run validates the pairs, scans the live edges' weights for the
-    solver scale and builds its path pool once — a budgeted solve that
-    does not run out calls [weight] exactly as often as an unbudgeted
-    one. Each round finds its surviving paths by BFS (one per violated
-    pair, the first found in adjacency order). Raises
+    solver scale and builds its path pool once. A run calls [weight]
+    once per live edge for the scale and once more per pooled edge,
+    when a path first brings it into the pool, never again per round;
+    so a budgeted solve that does not run out calls [weight] exactly as
+    often as an unbudgeted one. With [Ilp], one dual-simplex state
+    lives for the run: each round appends its new edges and paths and
+    resumes from the last round's basis (see
+    {!Hitting_set.solve_pool_ilp}). Each round finds its surviving
+    paths by BFS (one per violated pair, the first found in adjacency
+    order) over one scratch the run allocates once. Raises
     [Cdw_util.Timing.Timeout] when [deadline] fires or, without
     [budget_ms], the node limit is hit; [Failure] from a stuck simplex
     without [budget_ms]; [Invalid_argument] when some pair shares a

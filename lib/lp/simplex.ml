@@ -258,168 +258,240 @@ let feasible_value problem x =
   && Array.for_all (fun xj -> xj >= -.feas_eps) x
 
 (* Dual simplex for the covering LP [min w·x, Σ_{e∈S} x_e ≥ 1, x ≥ 0],
-   certified for a unique 0/1 optimum; see the interface for the proof.
-   The tableau is one flat array: m constraint rows then the reduced-cost
-   row, each [n + m + 1] wide (structural columns, surplus columns, the
-   right-hand side last). Row i starts as [-a_i · x + s_i = -1] with the
-   surplus s_i basic at -1; the reduced costs start at [w ≥ 0], so the
-   start is dual-feasible and the dual simplex needs neither artificials
-   nor a phase 1. *)
+   certified for a unique 0/1 optimum; see the interface for the proof
+   and the state's contract. Each tableau row is a float array, [width]
+   long: cell 0 is the row's basic value, the others its columns,
+   numbered from 1 as they are added: a structural one per variable and
+   a surplus one per row. Every cell at or past [n_cols] is 0. Row i
+   starts as [-a_i · x + s_i = -1] with its surplus s_i basic at -1;
+   the reduced costs ([obj], same layout) start at [w ≥ 0], so the
+   start is dual-feasible and the dual simplex needs neither
+   artificials nor a phase 1. *)
 
 let cover_margin = 1e-7
 let cover_int_eps = 1e-9
 
-(* Scratch tableaux, shared by every domain: the tableau is major-heap
-   sized, and allocating one per call costs peak RSS. A call pops one
-   (or starts an empty one), grows it if needed and pushes it back, so
-   the pool holds one per concurrent caller. The shared pool is kept as
-   measured against per-domain buffers (DESIGN §17). *)
-type cover_scratch = { mutable cells : float array; mutable idx : int array }
+type cover = {
+  mutable width : int;
+  mutable n_cols : int; (* cells in use, the basic value's included *)
+  mutable n_vars : int;
+  mutable n_rows : int;
+  mutable rows : float array array;
+  mutable basis : int array; (* row -> its basic column *)
+  mutable sets : int array array; (* row -> its set *)
+  mutable obj : float array;
+  mutable var_of_col : int array; (* -1 for a surplus column *)
+  mutable col_of_var : int array;
+  mutable scratch : int array;
+      (* the pivot row's non-zero cells, then certify's column marks *)
+}
 
-let cover_pool : cover_scratch list Atomic.t = Atomic.make []
+let pivots = Atomic.make 0
+let declines = Atomic.make 0
+let cover_pivots () = Atomic.get pivots
+let cover_declines () = Atomic.get declines
 
-let rec take_scratch () =
-  match Atomic.get cover_pool with
-  | [] -> { cells = [||]; idx = [||] }
-  | s :: rest as l ->
-      if Atomic.compare_and_set cover_pool l rest then s else take_scratch ()
+let extend a len cap fill =
+  let b = Array.make cap fill in
+  Array.blit a 0 b 0 len;
+  b
 
-let rec give_scratch s =
-  let l = Atomic.get cover_pool in
-  if not (Atomic.compare_and_set cover_pool l (s :: l)) then give_scratch s
+let make ~cols ~rows =
+  {
+    width = cols + 1;
+    n_cols = 1;
+    n_vars = 0;
+    n_rows = 0;
+    rows = Array.make rows [||];
+    basis = Array.make rows 0;
+    sets = Array.make rows [||];
+    obj = Array.make (cols + 1) 0.0;
+    var_of_col = Array.make (cols + 1) (-1);
+    col_of_var = Array.make cols 0;
+    scratch = Array.make (cols + 1) 0;
+  }
 
-let cover_pivot cells idx ~m ~width ~row ~col =
-  let base = row * width in
-  let p = cells.(base + col) in
-  for j = 0 to width - 1 do
-    cells.(base + j) <- cells.(base + j) /. p
+let cover_create () = make ~cols:32 ~rows:8
+
+(* Make room for one more column. *)
+let reserve_column t =
+  if t.n_cols = t.width then begin
+    let w = 2 * t.width in
+    for i = 0 to t.n_rows - 1 do
+      t.rows.(i) <- extend t.rows.(i) t.n_cols w 0.0
+    done;
+    t.obj <- extend t.obj t.n_cols w 0.0;
+    t.var_of_col <- extend t.var_of_col t.n_cols w (-1);
+    t.col_of_var <- extend t.col_of_var t.n_vars w 0;
+    t.scratch <- Array.make w 0;
+    t.width <- w
+  end
+
+let cover_add_column t w =
+  reserve_column t;
+  let c = t.n_cols in
+  t.obj.(c) <- w;
+  t.var_of_col.(c) <- t.n_vars;
+  t.col_of_var.(t.n_vars) <- c;
+  t.n_vars <- t.n_vars + 1;
+  t.n_cols <- c + 1
+
+let cover_add_row t set =
+  reserve_column t;
+  let m = t.n_rows in
+  if m = Array.length t.rows then begin
+    let cap = max 4 (2 * m) in
+    t.rows <- extend t.rows m cap [||];
+    t.sets <- extend t.sets m cap [||];
+    t.basis <- extend t.basis m cap 0
+  end;
+  let s = t.n_cols in
+  let r = Array.make t.width 0.0 in
+  r.(0) <- -1.0;
+  Array.iter (fun e -> r.(t.col_of_var.(e)) <- -1.0) set;
+  r.(s) <- 1.0;
+  (* Express the row in the current basis: subtract each row whose
+     basic column it has a non-zero in. Basic columns are exactly unit
+     columns, so one pass in any order zeroes them all. *)
+  for i = 0 to m - 1 do
+    let f = r.(t.basis.(i)) in
+    if f <> 0.0 then begin
+      let ri = t.rows.(i) in
+      for j = 0 to s - 1 do
+        r.(j) <- r.(j) -. (f *. ri.(j))
+      done
+    end
   done;
-  (* Eliminate over the pivot row's non-zero columns only; idx's tail
-     past the basis holds their list. *)
+  t.rows.(m) <- r;
+  t.basis.(m) <- s;
+  t.sets.(m) <- set;
+  t.n_rows <- m + 1;
+  t.n_cols <- s + 1
+
+let cover_pivot t ~row ~col =
+  let r = t.rows.(row) in
+  let p = r.(col) in
+  for j = 0 to t.n_cols - 1 do
+    r.(j) <- r.(j) /. p
+  done;
+  (* Eliminate over the pivot row's non-zero cells only. *)
+  let nz = t.scratch in
   let n_nz = ref 0 in
-  for j = 0 to width - 1 do
-    if cells.(base + j) <> 0.0 then begin
-      idx.(m + !n_nz) <- j;
+  for j = 0 to t.n_cols - 1 do
+    if r.(j) <> 0.0 then begin
+      nz.(!n_nz) <- j;
       incr n_nz
     end
   done;
-  for i = 0 to m do
-    if i <> row then begin
-      let off = i * width in
-      let f = cells.(off + col) in
-      if f <> 0.0 then
-        for k = m to m + !n_nz - 1 do
-          let j = idx.(k) in
-          cells.(off + j) <- cells.(off + j) -. (f *. cells.(base + j))
-        done
+  let n_nz = !n_nz in
+  let eliminate target =
+    let f = target.(col) in
+    if f <> 0.0 then
+      for k = 0 to n_nz - 1 do
+        let j = nz.(k) in
+        target.(j) <- target.(j) -. (f *. r.(j))
+      done
+  in
+  for i = 0 to t.n_rows - 1 do
+    if i <> row then eliminate t.rows.(i)
+  done;
+  eliminate t.obj;
+  t.basis.(row) <- col
+
+(* At an optimum (every basic value non-negative): certify a unique 0/1
+   optimum or decline. *)
+let certify t =
+  let m = t.n_rows and w = t.n_cols in
+  (* Column marks: 1 basic, 2 nonbasic with a reduced cost within the
+     margin ("flat"), 0 the rest. *)
+  let mark = t.scratch in
+  Array.fill mark 0 w 0;
+  for i = 0 to m - 1 do
+    mark.(t.basis.(i)) <- 1
+  done;
+  let n_flat = ref 0 in
+  for j = 1 to w - 1 do
+    if mark.(j) = 0 && t.obj.(j) <= cover_margin then begin
+      mark.(j) <- 2;
+      incr n_flat
     end
   done;
-  idx.(row) <- col
-
-let cover_run ~deadline ~weights ~sets s =
-  let n = Array.length weights in
-  let m = Array.length sets in
-  let width = n + m + 1 in
-  let rhs = n + m in
-  let obj = m * width in
-  let n_cells = (m + 1) * width in
-  if Array.length s.cells < n_cells then s.cells <- Array.make n_cells 0.0
-  else Array.fill s.cells 0 n_cells 0.0;
-  if Array.length s.idx < m + width then s.idx <- Array.make (m + width) 0;
-  let cells = s.cells and idx = s.idx in
-  Array.iteri
-    (fun i set ->
-      let off = i * width in
-      Array.iter (fun e -> cells.(off + e) <- -1.0) set;
-      cells.(off + n + i) <- 1.0;
-      cells.(off + rhs) <- -1.0;
-      idx.(i) <- n + i)
-    sets;
-  Array.blit weights 0 cells obj n;
-  let max_pivots = 4 * (n + m) + 64 in
-  (* Optimal: every basic value is non-negative. Certify a unique 0/1
-     optimum or decline. *)
-  let certify () =
-    (* idx's tail marks each column: 1 basic, 2 nonbasic with a reduced
-       cost within the margin ("flat"), 0 the rest. *)
-    Array.fill idx m width 0;
-    for i = 0 to m - 1 do idx.(m + idx.(i)) <- 1 done;
-    let n_flat = ref 0 in
-    for j = 0 to rhs - 1 do
-      if idx.(m + j) = 0 && cells.(obj + j) <= cover_margin then begin
-        idx.(m + j) <- 2;
-        incr n_flat
+  (* Row i blocks the flat columns: its basic value is 0 and each flat
+     column has a positive entry in it. *)
+  let blocks i =
+    let r = t.rows.(i) in
+    let rec positive j =
+      j >= w || ((mark.(j) <> 2 || r.(j) > eps) && positive (j + 1))
+    in
+    Float.abs r.(0) <= cover_int_eps && positive 1
+  in
+  let rec blocked i = i < m && (blocks i || blocked (i + 1)) in
+  if !n_flat > 0 && not (blocked 0) then None
+  else begin
+    let x = Array.make t.n_vars false in
+    let integral = ref true in
+    for i = 0 to m - 1 do
+      let v = t.var_of_col.(t.basis.(i)) in
+      if v >= 0 then begin
+        let b = t.rows.(i).(0) in
+        if Float.abs (b -. 1.0) <= cover_int_eps then x.(v) <- true
+        else if Float.abs b > cover_int_eps then integral := false
       end
     done;
-    (* Row i blocks the flat columns: its basic value is 0 and each flat
-       column has a positive entry in it. *)
-    let blocks i =
-      let off = i * width in
-      let rec positive j =
-        j >= rhs || ((idx.(m + j) <> 2 || cells.(off + j) > eps) && positive (j + 1))
-      in
-      Float.abs cells.(off + rhs) <= cover_int_eps && positive 0
-    in
-    let rec blocked i = i < m && (blocks i || blocked (i + 1)) in
-    if !n_flat > 0 && not (blocked 0) then None
-    else begin
-      let x = Array.make n false in
-      let integral = ref true in
-      for i = 0 to m - 1 do
-        let j = idx.(i) in
-        if j < n then begin
-          let v = cells.((i * width) + rhs) in
-          if Float.abs (v -. 1.0) <= cover_int_eps then x.(j) <- true
-          else if Float.abs v > cover_int_eps then integral := false
-        end
-      done;
-      if !integral && Array.for_all (Array.exists (fun e -> x.(e))) sets then
-        Some x
-      else None
-    end
-  in
+    let covered i = Array.exists (fun e -> x.(e)) t.sets.(i) in
+    let rec all_covered i = i >= m || (covered i && all_covered (i + 1)) in
+    if !integral && all_covered 0 then Some x else None
+  end
+
+let cover_solve ?(deadline = infinity) t =
+  let m = t.n_rows and w = t.n_cols in
+  let max_pivots = (4 * (t.n_vars + m)) + 64 in
   let rec loop k =
     if k land 63 = 0 then Cdw_util.Timing.check_deadline deadline;
-    if k > max_pivots then None
+    if k > max_pivots then (k, None)
     else begin
       (* Leaving row: the most negative basic value. *)
       let row = ref (-1) in
       let worst = ref (-.eps) in
       for i = 0 to m - 1 do
-        let v = cells.((i * width) + rhs) in
+        let v = t.rows.(i).(0) in
         if v < !worst then begin
           worst := v;
           row := i
         end
       done;
-      if !row < 0 then certify ()
+      if !row < 0 then (k, certify t)
       else begin
         (* Entering column: the dual ratio test, smallest index on ties. *)
-        let base = !row * width in
+        let r = t.rows.(!row) in
         let col = ref (-1) in
         let best = ref infinity in
-        for j = 0 to rhs - 1 do
-          let a = cells.(base + j) in
+        for j = 1 to w - 1 do
+          let a = r.(j) in
           if a < -.eps then begin
-            let ratio = cells.(obj + j) /. -.a in
+            let ratio = t.obj.(j) /. -.a in
             if ratio < !best then begin
               best := ratio;
               col := j
             end
           end
         done;
-        if !col < 0 then None
+        if !col < 0 then (k, None)
         else begin
-          cover_pivot cells idx ~m ~width ~row:!row ~col:!col;
+          cover_pivot t ~row:!row ~col:!col;
           loop (k + 1)
         end
       end
     end
   in
-  loop 0
+  let k, answer = loop 0 in
+  ignore (Atomic.fetch_and_add pivots k);
+  if Option.is_none answer then Atomic.incr declines;
+  answer
 
-let solve_cover_unique ?(deadline = infinity) ~weights sets =
-  let s = take_scratch () in
-  Fun.protect
-    ~finally:(fun () -> give_scratch s)
-    (fun () -> cover_run ~deadline ~weights ~sets s)
+let solve_cover_unique ?deadline ~weights sets =
+  let n = Array.length weights and m = Array.length sets in
+  let t = make ~cols:(n + m) ~rows:m in
+  Array.iter (cover_add_column t) weights;
+  Array.iter (cover_add_row t) sets;
+  cover_solve ?deadline t

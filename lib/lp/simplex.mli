@@ -13,9 +13,10 @@
     Problem sizes here are the multicut LPs (edges on constraint paths ×
     path constraints), well within dense-tableau territory.
 
-    {!solve_cover_unique} is a separate dual simplex for the covering
-    LPs of the exact hitting set: it answers only when its optimum is
-    the unique 0/1 one, and declines otherwise. *)
+    {!cover} is a separate dual simplex for the covering LPs of the
+    exact hitting set, kept as a state that grows by columns and rows:
+    it answers only when its optimum is the unique 0/1 one, and declines
+    otherwise. {!solve_cover_unique} is its one-batch case. *)
 
 type relation = Le | Ge | Eq
 
@@ -34,24 +35,44 @@ val solve : ?deadline:float -> problem -> outcome
     [Cdw_util.Timing.Timeout] when the cooperative [deadline] (checked
     every few dozen pivots) has passed. *)
 
-val solve_cover_unique :
-  ?deadline:float -> weights:float array -> int array array -> bool array option
-(** [solve_cover_unique ~weights sets] is [Some x] only when [x] is
-    the unique optimum of the 0/1 covering program
-    [min w·x, Σ_{e∈S} x_e ≥ 1 for every S in sets, x ∈ {0,1}^n], and
-    [None] when it cannot certify that. Weights must be non-negative
-    and every set non-empty, with elements in [0, n).
+type cover
+(** The dual-simplex state of a covering program
+    [min w·x, Σ_{e∈S} x_e ≥ 1 for every row S, x ∈ {0,1}^n] that grows:
+    columns (variables) and rows (sets) are appended, never removed,
+    and {!cover_solve} may run between appends.
 
-    It runs a dense dual simplex on the LP relaxation
-    [min w·x, A x − s = 1, x, s ≥ 0], starting from the all-surplus
-    basis. That basis is dual-feasible because [w ≥ 0], so there are
-    no artificials, no phase 1 and no [x ≤ 1] rows. At the LP optimum
-    it answers [Some x] only when every basic value is 0 or 1 (within
-    1e-9), [x] covers every set, and every nonbasic column is either
-    steep or blocked. A steep column has a reduced cost [d_j] above
-    1e-7, a hundred times the primal's pivot tolerance. The other,
-    flat, columns are blocked when one tableau row has basic value 0
-    and a positive entry in every flat column.
+    Its contract, which holds between calls: the tableau is the
+    program's LP relaxation [min w·x, A x − s = 1, x, s ≥ 0] written in
+    the current basis, and that basis is dual-feasible. Both appends
+    keep it so. A new column has zeros in every existing row (no
+    earlier set names the new variable) and reduced cost [w_j ≥ 0].
+    A new row enters with its surplus basic: it is eliminated against
+    every current basic column, which leaves the reduced costs as they
+    were. So {!cover_solve} resumes the dual simplex from the last
+    basis instead of from the all-surplus one, and re-pivots no row it
+    already solved. *)
+
+val cover_create : unit -> cover
+(** An empty program: no columns, no rows. *)
+
+val cover_add_column : cover -> float -> unit
+(** Append a variable with the given weight, which must be
+    non-negative; it takes the next variable index, from 0. *)
+
+val cover_add_row : cover -> int array -> unit
+(** Append a set: a non-empty array of existing variable indices. *)
+
+val cover_solve : ?deadline:float -> cover -> bool array option
+(** [Some x] only when [x] is the unique optimum of the program as it
+    stands, and [None] when the dual simplex cannot certify that; the
+    state stays usable after either answer.
+
+    At the LP optimum it answers [Some x] only when every basic value
+    is 0 or 1 (within 1e-9), [x] covers every set, and every nonbasic
+    column is either steep or blocked. A steep column has a reduced
+    cost [d_j] above 1e-7, a hundred times the primal's pivot
+    tolerance. The other, flat, columns are blocked when one tableau
+    row has basic value 0 and a positive entry in every flat column.
 
     Why [x] is then the unique 0/1 optimum. Write [v_j] for a point's
     value of nonbasic column [j]; the nonbasic values fix the basic
@@ -74,12 +95,46 @@ val solve_cover_unique :
     there. The margin keeps that optimum unique beyond the primal's
     1e-9 tolerances, so its simplex lands on the same vertex.
 
+    The certificate does not depend on the pivot path. What it proves
+    (the program's unique 0/1 optimum, equal to its LP's only optimum)
+    is a property of the program, not of the basis it was read at, so
+    a resumed solve that certifies returns the same set as a cold one
+    on the whole program,
+    and as the presolve + {!Ilp.solve} path. Only whether it certifies
+    can depend on the path: at a degenerate optimum one basis may show
+    the blocking row and another not. A decline therefore needs no
+    second, cold attempt: the caller's fallback answers.
+
     It declines on tied optima (a flat column no row blocks), on a
-    fractional optimum, and after [4 (n + m) + 64] pivots. Tableaux
-    come from a pool shared by every domain: a call takes one for its
-    duration and returns it, grown if it had to be. Raises
-    [Cdw_util.Timing.Timeout] when [deadline], checked every 64 pivots
-    starting with the first, has passed. *)
+    fractional optimum, and after [4 (n + m) + 64] pivots in this call,
+    for [n] columns and [m] rows. Raises [Cdw_util.Timing.Timeout] when
+    [deadline], checked every 64 pivots starting with the first, has
+    passed. *)
+
+val solve_cover_unique :
+  ?deadline:float -> weights:float array -> int array array -> bool array option
+(** [solve_cover_unique ~weights sets] is {!cover_solve} on a fresh
+    state given every weight, then every set: [Some x] only when [x] is
+    the unique optimum of the 0/1 covering program over [sets], with
+    elements in [0, n). The first call starts from the all-surplus
+    basis, which is dual-feasible because [w ≥ 0], so there are no
+    artificials, no phase 1 and no [x ≤ 1] rows. The pivot rules are
+    every {!cover_solve}'s: the leaving row has the most negative basic
+    value (the first row on ties), and the entering column passes the
+    dual ratio test (on ties, the column added first; a row's surplus
+    column is added with the row). Here every structural column comes
+    before every surplus one, so this is the cold dual simplex on the
+    whole program, pivot for pivot. *)
+
+val cover_pivots : unit -> int
+(** Test-only: the work gate bounds the dual pivots of a fixed lazy
+    script. Dual-simplex pivots of every {!cover_solve} (and so
+    {!solve_cover_unique}) that returned, across domains. *)
+
+val cover_declines : unit -> int
+(** Test-only: the multicut differential bounds how often the warm
+    loop falls back. {!cover_solve} calls that returned [None], across
+    domains. *)
 
 val feasible_value : problem -> float array -> bool
 (** Check a point against all constraints (tolerance 1e-6); used by the

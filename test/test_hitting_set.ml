@@ -234,6 +234,67 @@ let test_certificate_past_deadline () =
            ~deadline:(Cdw_util.Timing.now_ms () -. 1.0)
            ~weights:p.Hs.weights p.Hs.sets))
 
+(* The warm state against the cold solvers. A program arrives in one to
+   four batches; every batch after the first brings new elements, and
+   its sets draw on old and new ones alike. After each batch, on the
+   whole program so far: a certified warm answer is [solve_ilp]'s;
+   warm-plus-fallback ([solve_pool_ilp]) is [solve_ilp]'s too, and so
+   the cold certificate's set whenever that one answers. *)
+let batched_program seed =
+  let module Sm = Cdw_util.Splitmix in
+  let rng = Sm.create seed in
+  let n_batches = 1 + Sm.int rng 4 in
+  let n = n_batches + Sm.int rng 10 in
+  let weights =
+    match Sm.int rng 3 with
+    | 0 -> Array.init n (fun _ -> float_of_int (1 + Sm.int rng 3))
+    | 1 -> Array.init n (fun _ -> Sm.float rng 10.0)
+    | _ -> Array.init n (fun _ -> float_of_int (Sm.int rng 2))
+  in
+  (* Batch k brings elements [k * n / n_batches, (k+1) * n / n_batches). *)
+  let batches =
+    List.init n_batches (fun k ->
+        let hi = (k + 1) * n / n_batches in
+        let sets =
+          Array.init (1 + Sm.int rng 4) (fun _ ->
+              Array.init (1 + Sm.int rng (min hi 4)) (fun _ -> Sm.int rng hi)
+              |> Array.to_list |> List.sort_uniq compare |> Array.of_list)
+        in
+        ((k * n / n_batches, hi), sets))
+  in
+  (weights, batches)
+
+let prop_warm_state_matches_cold =
+  Test_helpers.qcheck ~count:1_000
+    "warm state: every batch's answer is solve_ilp's and the cold certificate's"
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let weights, batches = batched_program seed in
+      let warm = Cdw_lp.Simplex.cover_create () in
+      let pool = Hs.create_pool () in
+      let sets = ref [||] in
+      List.for_all
+        (fun ((lo, hi), batch) ->
+          for e = lo to hi - 1 do
+            Cdw_lp.Simplex.cover_add_column warm weights.(e);
+            Hs.add_elem pool weights.(e)
+          done;
+          Array.iter
+            (fun set ->
+              Cdw_lp.Simplex.cover_add_row warm set;
+              Hs.add_set pool set)
+            batch;
+          sets := Array.append !sets batch;
+          let p = problem ~weights:(Array.sub weights 0 hi) ~sets:!sets in
+          let cold = Hs.solve_ilp p in
+          let answer = Hs.solve_pool_ilp pool in
+          (match Cdw_lp.Simplex.cover_solve warm with
+          | Some x -> x = cold
+          | None -> true)
+          && answer = cold
+          && match fast p with Some y -> answer = y | None -> true)
+        batches)
+
 let suite =
   [
     Alcotest.test_case "single set: cheapest element" `Quick test_single_set;
@@ -253,6 +314,7 @@ let suite =
     prop_presolve_preserves_optimum;
     prop_presolve_matches_reference;
     prop_certificate_is_the_optimum;
+    prop_warm_state_matches_cold;
     Alcotest.test_case "fast path answers and declines on ties" `Quick
       test_certificate_answers_and_declines;
     Alcotest.test_case "fast path: duplicate columns decline" `Quick

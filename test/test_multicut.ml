@@ -191,6 +191,180 @@ let test_budget_reads_weights_once () =
         unbudgeted !calls)
     [ 1; 2; 3; 4 ]
 
+(* ---- The warm lazy loop against the frozen cold one ---- *)
+
+module Reference = Multicut_reference
+module Generator = Cdw_workload.Generator
+module Gen_params = Cdw_workload.Gen_params
+module Workflow = Cdw_core.Workflow
+
+(* [Multicut.solve] with the [Ilp] backend, unbudgeted and under a
+   budget it does not exhaust, returns the reference loop's edges in
+   order, its rounds and its violated counts. *)
+let same_as (reference : Reference.result) (r : Multicut.result) =
+  (not r.Multicut.fell_back)
+  && List.map Digraph.edge_id r.Multicut.edges
+     = List.map Digraph.edge_id reference.Reference.edges
+  && r.Multicut.rounds = reference.Reference.rounds
+  && r.Multicut.violated = reference.Reference.violated
+
+let matches_reference g ~weight ~pairs =
+  let reference = Reference.solve g ~weight ~pairs in
+  same_as reference (Multicut.solve g ~weight ~pairs)
+  && same_as reference (Multicut.solve ~budget_ms:60_000.0 g ~weight ~pairs)
+
+let prop_matches_reference_random_dags =
+  Test_helpers.qcheck ~count:300 "Ilp: random DAGs match the cold reference loop"
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Cdw_util.Splitmix.create seed in
+      let n = 5 + Cdw_util.Splitmix.int rng 36 in
+      let density = 0.1 +. Cdw_util.Splitmix.float rng 0.3 in
+      let g = Test_helpers.random_dag ~seed ~n ~density in
+      let pairs = random_pairs rng g (1 + Cdw_util.Splitmix.int rng 6) in
+      (* Integer weights tie often, so the fallback runs too. *)
+      let weight =
+        if seed mod 2 = 0 then weight_of_seed seed
+        else fun e ->
+          0.5 +. float_of_int (Hashtbl.hash (seed, Digraph.edge_id e) mod 1000)
+      in
+      matches_reference g ~weight ~pairs)
+
+(* perfbench [minmc-dense]'s base: generator seed 42, 100 vertices,
+   k = 5, d = 0.15, with its cut weights. *)
+let minmc_dense_base =
+  lazy
+    (let wf =
+       (Generator.generate ~seed:42
+          {
+            Gen_params.default with
+            Gen_params.n_vertices = 100;
+            n_constraints = 0;
+            stages = 5;
+            density = 0.15;
+          })
+         .Generator.workflow
+     in
+     let w = Cdw_core.Utility.cut_weights wf in
+     (Workflow.graph wf, (fun e -> w.(Digraph.edge_id e)),
+      Cdw_engine.Workbench.connected_pairs wf))
+
+(* [count] pair sets of 1–6 connected pairs, from one fixed stream. *)
+let minmc_dense_pair_sets count =
+  let _, _, connected = Lazy.force minmc_dense_base in
+  let rng = Cdw_util.Splitmix.create 42 in
+  List.init count (fun _ ->
+      List.init
+        (1 + Cdw_util.Splitmix.int rng 6)
+        (fun _ -> connected.(Cdw_util.Splitmix.int rng (Array.length connected))))
+
+(* Every instance matches, and the warm loop falls back on no more
+   rounds than the reference's cold solves decline. A certified answer
+   is right whatever basis it was read at, so a tableau that went wrong
+   shows as declines the fallback then answers correctly: the decline
+   count is what catches it. *)
+let check_no_mismatch name instances =
+  let declines f =
+    let before = Cdw_lp.Simplex.cover_declines () in
+    let x = f () in
+    (x, Cdw_lp.Simplex.cover_declines () - before)
+  in
+  let references, cold =
+    declines (fun () ->
+        List.map
+          (fun (g, weight, pairs) -> Reference.solve g ~weight ~pairs)
+          instances)
+  in
+  let unbudgeted, warm =
+    declines (fun () ->
+        List.map
+          (fun (g, weight, pairs) -> Multicut.solve g ~weight ~pairs)
+          instances)
+  in
+  let budgeted =
+    List.map
+      (fun (g, weight, pairs) ->
+        Multicut.solve ~budget_ms:60_000.0 g ~weight ~pairs)
+      instances
+  in
+  let mismatches =
+    List.length
+      (List.filter not
+         (List.map2 same_as references unbudgeted
+         @ List.map2 same_as references budgeted))
+  in
+  Alcotest.(check int)
+    (Printf.sprintf "%s: mismatches of %d" name (2 * List.length instances))
+    0 mismatches;
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %d warm declines, reference %d" name warm cold)
+    true (warm <= cold)
+
+let test_minmc_dense_matches_reference () =
+  let g, weight, _ = Lazy.force minmc_dense_base in
+  check_no_mismatch "minmc-dense pair sets"
+    (List.map (fun pairs -> (g, weight, pairs)) (minmc_dense_pair_sets 2_000))
+
+(* Dense 1c, `cdw generate --uniform -d 0.2 --seed 7 -n 30`: its first
+   k constraints for every k, the whole instance last. *)
+let test_dense_1c_matches_reference () =
+  let inst = Generator.generate ~seed:7 (Gen_params.dataset1c ~n_constraints:30) in
+  let wf = inst.Generator.workflow in
+  let w = Cdw_core.Utility.cut_weights wf in
+  let weight e = w.(Digraph.edge_id e) in
+  let pairs = Cdw_core.Constraint_set.pairs inst.Generator.constraints in
+  check_no_mismatch "1c |N|=30 prefixes"
+    (List.init (List.length pairs) (fun k ->
+         (Workflow.graph wf, weight, List.filteri (fun i _ -> i <= k) pairs)))
+
+(* The work gate: a fixed lazy script of 300 [minmc-dense] pair sets.
+   Both counts are exact (pivots are integers; the words depend on
+   neither the host nor the clock: the solves run unbudgeted with
+   tracing off), so each bound is its measured value plus 5%. The warm
+   loop's pivots must also stay at most half the cold reference's. *)
+let script_pivots_bound = 2481
+let script_words_per_solve_bound = 4082.0
+
+let test_work_gate () =
+  let g, weight, _ = Lazy.force minmc_dense_base in
+  let script = minmc_dense_pair_sets 300 in
+  let traced = Cdw_obs.Trace.enabled () in
+  Cdw_obs.Trace.set_enabled false;
+  Fun.protect
+    ~finally:(fun () -> Cdw_obs.Trace.set_enabled traced)
+    (fun () ->
+      let pivots f =
+        let before = Cdw_lp.Simplex.cover_pivots () in
+        f ();
+        Cdw_lp.Simplex.cover_pivots () - before
+      in
+      let reference =
+        pivots (fun () ->
+            List.iter (fun pairs -> ignore (Reference.solve g ~weight ~pairs)) script)
+      in
+      (* One pass to warm every lazy structure, then the counted one. *)
+      List.iter (fun pairs -> ignore (Multicut.solve g ~weight ~pairs)) script;
+      let minor0 = Gc.minor_words () in
+      let warm =
+        pivots (fun () ->
+            List.iter (fun pairs -> ignore (Multicut.solve g ~weight ~pairs)) script)
+      in
+      let words =
+        (Gc.minor_words () -. minor0) /. float_of_int (List.length script)
+      in
+      Printf.printf "work gate: %d pivots (reference %d), %.1f words per solve\n"
+        warm reference words;
+      Alcotest.(check bool)
+        (Printf.sprintf "%d pivots, bound %d" warm script_pivots_bound)
+        true (warm <= script_pivots_bound);
+      Alcotest.(check bool)
+        (Printf.sprintf "%d pivots at most half the reference's %d" warm reference)
+        true (2 * warm <= reference);
+      Alcotest.(check bool)
+        (Printf.sprintf "%.1f minor words per solve, bound %.1f" words
+           script_words_per_solve_bound)
+        true (words <= script_words_per_solve_bound))
+
 let suite =
   [
     Alcotest.test_case "single pair reduces to min cut" `Quick
@@ -205,4 +379,11 @@ let suite =
     prop_backends;
     prop_audit_trail;
     prop_exact_vs_enumeration;
+    prop_matches_reference_random_dags;
+    Alcotest.test_case "Ilp: 2,000 minmc-dense pair sets match the cold reference loop"
+      `Quick test_minmc_dense_matches_reference;
+    Alcotest.test_case "Ilp: dense 1c |N|=30 matches the cold reference loop"
+      `Quick test_dense_1c_matches_reference;
+    Alcotest.test_case "Ilp: a fixed lazy script's pivots and words stay bounded"
+      `Quick test_work_gate;
   ]
