@@ -86,6 +86,8 @@ dune exec bin/cdw.exe -- trace prom-lint "$OBS_DIR/metrics-2.prom"
 # (>=80% of) every shard's drain wall to named phases; SIGUSR1 must
 # make the live server dump its flight rings as a summarizable trace.
 # Coverage floor 0.8, same rationale as the drain-coverage floor above.
+# Six trials give each shard six drains of ~0.2 ms: with two, one drain
+# the host preempted between two phases decided a shard's ratio.
 FLIGHT_DIR=$(mktemp -d)
 CLEANUP_DIRS="$CLEANUP_DIRS $FLIGHT_DIR"
 FSOCK="$FLIGHT_DIR/cdw.sock"
@@ -94,7 +96,7 @@ CDW=./_build/default/bin/cdw.exe   # direct binary: SIGUSR1 must hit the
 "$CDW" serve --listen "$FSOCK" --shards 2 --trace \
   --flight-out "$FLIGHT_DIR/flight.json" > /dev/null &
 FLIGHT_SERVER=$!
-"$CDW" serve-bench --quick --trials 2 --connect "$FSOCK" \
+"$CDW" serve-bench --quick --trials 6 --connect "$FSOCK" \
   --trace-out "$FLIGHT_DIR/trace.json" > /dev/null
 kill -USR1 "$FLIGHT_SERVER"                  # dump the flight rings
 sleep 0.5

@@ -30,136 +30,259 @@ type presolve_info = {
   forced : int list;
 }
 
+(* Word masks for [presolve]: a mask over [k] items is [words_for k]
+   words of [Sys.int_size] bits (63 on a 64-bit host), and a table of
+   masks is one flat array whose row [i] is the words
+   [i * words, (i + 1) * words). *)
+let bits = Sys.int_size
+
+let words_for k = (k + bits - 1) / bits
+let mem mask i = mask.(i / bits) land (1 lsl (i mod bits)) <> 0
+let set_bit mask i = mask.(i / bits) <- mask.(i / bits) lor (1 lsl (i mod bits))
+
+let clear_bit mask i =
+  mask.(i / bits) <- mask.(i / bits) land lnot (1 lsl (i mod bits))
+
+let rec popcount w acc =
+  if w = 0 then acc else popcount (w land (w - 1)) (acc + 1)
+
+(* Members of row [i] of [rows] under [mask]. *)
+let masked_card rows ~words ~mask i =
+  let c = ref 0 in
+  for w = 0 to words - 1 do
+    c := popcount (rows.((i * words) + w) land mask.(w)) !c
+  done;
+  !c
+
+(* Is row [i] of [rows] a subset of row [j] under [mask]? *)
+let masked_subset rows ~words ~mask i j =
+  let w = ref 0 in
+  while
+    !w < words
+    && rows.((i * words) + !w) land mask.(!w) land lnot rows.((j * words) + !w)
+       = 0
+  do
+    incr w
+  done;
+  !w = words
+
+(* Row [i]'s only member under [mask], or -1 when it has more than one. *)
+let only_member rows ~words ~mask i =
+  let found = ref (-1) in
+  let w = ref 0 in
+  while !w < words do
+    let x = rows.((i * words) + !w) land mask.(!w) in
+    if x <> 0 then
+      if !found >= 0 || x land (x - 1) <> 0 then begin
+        found := -1;
+        w := words
+      end
+      else begin
+        let b = ref 0 in
+        while x land (1 lsl !b) = 0 do incr b done;
+        found := (!w * bits) + !b
+      end;
+    incr w
+  done;
+  !found
+
 (* Classic set-cover reductions to fixpoint; see the interface for the
-   three rules. Bitset-based: element→set membership over m bits, set
-   →element contents over n bits, with activity masks, so each rule
-   round is O(m² + n²) word operations. *)
+   three rules. One kernel on flat word masks: [set_elems] holds each
+   set's elements and [elem_sets] each element's sets, next to one mask
+   of the live items per side. A round costs O(m² wn) words for the
+   rows and O(n k wm + k² wm) for the columns, for [wn] and [wm] the
+   words of a mask over the elements and over the sets and [k ≤ n] the
+   column classes below; decline pools have few classes, since the elements
+   of one shared edge chain are met by the same sets.
+
+   Each dominance rule drops exactly the items dominated by an item
+   live when the rule starts. Dominance with its tie-breaks is a strict
+   order, so a dominated item has an undominated dominator, which the
+   rule never drops; the sequential scan therefore does not depend on
+   its order. Row dominance still scans the live sets in order. Column
+   dominance reduces to classes of equal masked membership: inside a
+   class only the cheapest element (the first on ties) can survive, and
+   it drops when a class with a strictly larger membership holds an
+   element no heavier. Singleton sets force their elements in set
+   order, so [forced] keeps its order. *)
 let presolve p =
   validate p;
-  let module Bitset = Cdw_util.Bitset in
   let m = Array.length p.sets in
   let n = p.n_elems in
-  let set_elems = Array.init m (fun _ -> Bitset.create n) in
-  let elem_sets = Array.init n (fun _ -> Bitset.create m) in
+  let wm = words_for m and wn = words_for n in
+  let set_elems = Array.make (m * wn) 0 in
+  let elem_sets = Array.make (n * wm) 0 in
   Array.iteri
     (fun i s ->
       Array.iter
         (fun e ->
-          Bitset.add set_elems.(i) e;
-          Bitset.add elem_sets.(e) i)
+          if e < 0 || e >= n then
+            invalid_arg "Hitting_set: element out of range";
+          set_bit set_elems ((i * wn * bits) + e);
+          set_bit elem_sets ((e * wm * bits) + i))
         s)
     p.sets;
-  let set_mask = Bitset.create m in
-  for i = 0 to m - 1 do Bitset.add set_mask i done;
-  let elem_mask = Bitset.create n in
-  for e = 0 to n - 1 do Bitset.add elem_mask e done;
+  let set_live = Array.make wm 0 in
+  for i = 0 to m - 1 do set_bit set_live i done;
+  let elem_live = Array.make wn 0 in
+  for e = 0 to n - 1 do set_bit elem_live e done;
   let forced = ref [] in
-  let drop_set i = Bitset.remove set_mask i in
-  let drop_elem e = Bitset.remove elem_mask e in
-  let force e =
-    forced := e :: !forced;
-    Bitset.iter (fun i -> if Bitset.mem set_mask i then drop_set i) elem_sets.(e);
-    drop_elem e
-  in
+  let set_card = Array.make m 0 in
+  let elem_card = Array.make n 0 in
+  (* Column classes: each live element's class, and per class a
+     representative element (its membership is the class's), its
+     cheapest element (-1 while it has none with a comparable weight),
+     and the weight of the cheapest element of a class with a strictly
+     larger membership ([infinity] and [has_super] false when none). *)
+  let class_of = Array.make n 0 in
+  let class_rep = Array.make n 0 in
+  let class_best = Array.make n (-1) in
+  let has_super = Array.make n false in
+  let super_weight = Array.make n infinity in
   let changed = ref true in
   while !changed do
     changed := false;
-    (* Singleton sets force their element. *)
+    (* Singleton sets force their element, which satisfies every set
+       holding it. *)
     for i = 0 to m - 1 do
-      if
-        Bitset.mem set_mask i
-        && Bitset.masked_cardinal set_elems.(i) ~mask:elem_mask = 1
-      then begin
-        (match Bitset.masked_choose set_elems.(i) ~mask:elem_mask with
-        | Some e -> force e
-        | None -> assert false);
-        changed := true
+      if mem set_live i then begin
+        let e = only_member set_elems ~words:wn ~mask:elem_live i in
+        if e >= 0 then begin
+          forced := e :: !forced;
+          for w = 0 to wm - 1 do
+            set_live.(w) <- set_live.(w) land lnot elem_sets.((e * wm) + w)
+          done;
+          clear_bit elem_live e;
+          changed := true
+        end
       end
     done;
-    (* Row dominance: drop live supersets of other live sets. The
-       element mask is fixed throughout this rule, so each live set's
-       cardinality is counted once per pass, and the cardinality test
-       (implied by the subset relation) runs before the subset scan. *)
-    let set_card =
-      Array.init m (fun i ->
-          if Bitset.mem set_mask i then
-            Bitset.masked_cardinal set_elems.(i) ~mask:elem_mask
-          else 0)
-    in
+    (* Row dominance: drop live supersets of other live sets, the
+       smaller (or, on equal sets, the first) one kept. *)
+    for i = 0 to m - 1 do
+      set_card.(i) <-
+        (if mem set_live i then
+           masked_card set_elems ~words:wn ~mask:elem_live i
+         else 0)
+    done;
     for i = 0 to m - 1 do
       let ci = set_card.(i) in
       let j = ref 0 in
-      while !j < m && Bitset.mem set_mask i do
+      while !j < m && mem set_live i do
         let cj = set_card.(!j) in
         if
           !j <> i
-          && Bitset.mem set_mask !j
+          && mem set_live !j
           && (cj < ci || (cj = ci && !j < i))
-          && Bitset.masked_subset set_elems.(!j) set_elems.(i) ~mask:elem_mask
+          && masked_subset set_elems ~words:wn ~mask:elem_live !j i
         then begin
-          drop_set i;
+          clear_bit set_live i;
           changed := true
         end;
         incr j
       done
     done;
-    (* Column dominance: drop an element whose live membership is
-       covered by a cheaper-or-equal element's. The set mask is fixed
-       throughout this rule; as above, cardinalities are counted once
-       and the weight/cardinality test runs before the subset scan. *)
-    let elem_card =
-      Array.init n (fun e ->
-          if Bitset.mem elem_mask e then
-            Bitset.masked_cardinal elem_sets.(e) ~mask:set_mask
-          else 0)
-    in
+    (* Column dominance: drop an element that no live set holds, or
+       whose live membership is covered by a cheaper-or-equal element's
+       (fewer sets, then the lower index, breaking a weight tie). A NaN
+       weight neither dominates nor is dominated. *)
+    let n_classes = ref 0 in
     for f = 0 to n - 1 do
-      if Bitset.mem elem_mask f then begin
-        let cf = elem_card.(f) in
+      if mem elem_live f then begin
+        let cf = masked_card elem_sets ~words:wm ~mask:set_live f in
+        elem_card.(f) <- cf;
         if cf = 0 then begin
-          drop_elem f;
+          clear_bit elem_live f;
           changed := true
         end
         else begin
+          (* Equal membership: as many sets, and a subset. *)
+          let c = ref 0 in
+          while
+            !c < !n_classes
+            && not
+                 (elem_card.(class_rep.(!c)) = cf
+                 && masked_subset elem_sets ~words:wm ~mask:set_live f
+                      class_rep.(!c))
+          do
+            incr c
+          done;
+          if !c = !n_classes then begin
+            class_rep.(!c) <- f;
+            class_best.(!c) <- -1;
+            incr n_classes
+          end;
+          class_of.(f) <- !c;
           let wf = p.weights.(f) in
-          let e = ref 0 in
-          while !e < n && Bitset.mem elem_mask f do
-            let ce = elem_card.(!e) in
-            let we = p.weights.(!e) in
-            if
-              !e <> f
-              && Bitset.mem elem_mask !e
-              && cf <= ce
-              && (we < wf || (we = wf && (cf < ce || !e < f)))
-              && Bitset.masked_subset elem_sets.(f) elem_sets.(!e)
-                   ~mask:set_mask
-            then begin
-              drop_elem f;
-              changed := true
-            end;
-            incr e
-          done
+          let b = class_best.(!c) in
+          if (not (Float.is_nan wf)) && (b < 0 || wf < p.weights.(b)) then
+            class_best.(!c) <- f
+        end
+      end
+    done;
+    for a = 0 to !n_classes - 1 do
+      let ra = class_rep.(a) in
+      has_super.(a) <- false;
+      super_weight.(a) <- infinity;
+      for b = 0 to !n_classes - 1 do
+        let rb = class_rep.(b) and best = class_best.(b) in
+        if
+          best >= 0
+          && elem_card.(rb) > elem_card.(ra)
+          && masked_subset elem_sets ~words:wm ~mask:set_live ra rb
+        then begin
+          has_super.(a) <- true;
+          if p.weights.(best) < super_weight.(a) then
+            super_weight.(a) <- p.weights.(best)
+        end
+      done
+    done;
+    for f = 0 to n - 1 do
+      if mem elem_live f then begin
+        let a = class_of.(f) and wf = p.weights.(f) in
+        if
+          ((not (Float.is_nan wf)) && class_best.(a) <> f)
+          || (has_super.(a) && super_weight.(a) <= wf)
+        then begin
+          clear_bit elem_live f;
+          changed := true
         end
       end
     done
   done;
-  let kept_elems = Array.of_list (Bitset.to_list elem_mask) in
   let new_index = Array.make n (-1) in
-  Array.iteri (fun k e -> new_index.(e) <- k) kept_elems;
-  let sets =
-    List.map
-      (fun i ->
-        let acc = ref [] in
-        Bitset.iter
-          (fun e -> if Bitset.mem elem_mask e then acc := new_index.(e) :: !acc)
-          set_elems.(i);
-        Array.of_list (List.rev !acc))
-      (Bitset.to_list set_mask)
-    |> Array.of_list
-  in
+  let n_kept = ref 0 in
+  for e = 0 to n - 1 do
+    if mem elem_live e then begin
+      new_index.(e) <- !n_kept;
+      incr n_kept
+    end
+  done;
+  let kept_elems = Array.make !n_kept 0 in
+  Array.iteri (fun e k -> if k >= 0 then kept_elems.(k) <- e) new_index;
+  let n_sets = ref 0 in
+  for i = 0 to m - 1 do
+    if mem set_live i then incr n_sets
+  done;
+  let sets = Array.make !n_sets [||] in
+  let k = ref 0 in
+  for i = 0 to m - 1 do
+    if mem set_live i then begin
+      let s = Array.make (masked_card set_elems ~words:wn ~mask:elem_live i) 0 in
+      let j = ref 0 in
+      for e = 0 to n - 1 do
+        if new_index.(e) >= 0 && mem set_elems ((i * wn * bits) + e) then begin
+          s.(!j) <- new_index.(e);
+          incr j
+        end
+      done;
+      sets.(!k) <- s;
+      incr k
+    end
+  done;
   let weights = Array.map (fun e -> p.weights.(e)) kept_elems in
   {
-    reduced = { n_elems = Array.length kept_elems; weights; sets };
+    reduced = { n_elems = !n_kept; weights; sets };
     kept_elems;
     forced = List.rev !forced;
   }

@@ -6,57 +6,33 @@ type outcome =
 
 let int_eps = 1e-6
 
-(* LP relaxation of the subproblem where [fixed.(j) = Some v] pins
-   variable j: substitute pinned variables into the constraints and keep
-   only the free columns. Returns the free-variable index mapping. *)
-let relaxation (problem : Simplex.problem) fixed =
-  let n = Array.length problem.objective in
-  let free = ref [] in
-  for j = n - 1 downto 0 do
-    if fixed.(j) = None then free := j :: !free
-  done;
-  let free = Array.of_list !free in
-  let nf = Array.length free in
-  let col = Array.make n (-1) in
-  Array.iteri (fun k j -> col.(j) <- k) free;
-  let objective = Array.map (fun j -> problem.objective.(j)) free in
-  let shrink (a, rel, b) =
-    let a' = Array.make nf 0.0 in
-    let b' = ref b in
-    Array.iteri
-      (fun j aj ->
-        match fixed.(j) with
-        | None -> a'.(col.(j)) <- aj
-        | Some true -> b' := !b' -. aj
-        | Some false -> ())
-      a;
-    (a', rel, !b')
-  in
-  let upper_bounds =
-    List.init nf (fun k ->
-        let a = Array.make nf 0.0 in
-        a.(k) <- 1.0;
-        (a, Simplex.Le, 1.0))
-  in
-  let constraints = List.map shrink problem.constraints @ upper_bounds in
-  (({ objective; constraints } : Simplex.problem), free)
+(* Throughout, [fixed.(j)] is -1 while variable j is free and the 0 or
+   1 a branch pinned it to otherwise; the node's relaxation
+   ({!Simplex.solve_relaxation}) keeps the free variables in order. *)
 
 let fixed_cost (problem : Simplex.problem) fixed =
   let acc = ref 0.0 in
   Array.iteri
-    (fun j v -> if v = Some true then acc := !acc +. problem.objective.(j))
+    (fun j v -> if v = 1 then acc := !acc +. problem.objective.(j))
     fixed;
   !acc
 
-let most_fractional free x =
-  let best = ref None in
-  Array.iteri
-    (fun k j ->
-      let frac = Float.abs (x.(k) -. 0.5) in
-      match !best with
-      | Some (_, bf) when bf <= frac -> ()
-      | _ -> best := Some (j, frac))
-    free;
+(* The free variable whose relaxation value [x] is nearest 1/2, the
+   first on ties; -1 when every variable is fixed. *)
+let most_fractional fixed x =
+  let best = ref (-1) in
+  let best_frac = ref 0.0 in
+  let k = ref 0 in
+  for j = 0 to Array.length fixed - 1 do
+    if fixed.(j) < 0 then begin
+      let frac = Float.abs (x.(!k) -. 0.5) in
+      if !best < 0 || not (!best_frac <= frac) then begin
+        best := j;
+        best_frac := frac
+      end;
+      incr k
+    end
+  done;
   !best
 
 let solve ?(deadline = infinity) ?(node_limit = 200_000)
@@ -65,24 +41,25 @@ let solve ?(deadline = infinity) ?(node_limit = 200_000)
   let incumbent = ref None in
   let incumbent_value = ref infinity in
   let nodes = ref 0 in
-  let rec branch fixed =
+  let fixed = Array.make n (-1) in
+  let rec branch n_free =
     Timing.check_deadline deadline;
     incr nodes;
     if !nodes > node_limit then raise Timing.Timeout;
-    let lp, free = relaxation problem fixed in
-    if Array.length free = 0 then begin
+    let lp = Simplex.solve_relaxation ~deadline ~fixed problem in
+    if n_free = 0 then begin
       (* Fully assigned: check feasibility of the empty LP. *)
-      match Simplex.solve ~deadline lp with
+      match lp with
       | Simplex.Infeasible -> ()
       | Simplex.Optimal _ | Simplex.Unbounded ->
           let v = fixed_cost problem fixed in
           if v < !incumbent_value -. int_eps then begin
             incumbent_value := v;
-            incumbent := Some (Array.map (fun o -> o = Some true) fixed)
+            incumbent := Some (Array.map (fun v -> v = 1) fixed)
           end
     end
     else
-      match Simplex.solve ~deadline lp with
+      match lp with
       | Simplex.Infeasible -> ()
       | Simplex.Unbounded ->
           (* Every free variable carries an explicit x <= 1 row (and
@@ -100,30 +77,25 @@ let solve ?(deadline = infinity) ?(node_limit = 200_000)
                 x
             in
             let branch_most_fractional () =
-              match most_fractional free x with
-              | None -> ()
-              | Some (j, _) ->
-                  let try_value v =
-                    fixed.(j) <- Some v;
-                    branch fixed;
-                    fixed.(j) <- None
-                  in
-                  try_value true;
-                  try_value false
+              let j = most_fractional fixed x in
+              if j >= 0 then begin
+                fixed.(j) <- 1;
+                branch (n_free - 1);
+                fixed.(j) <- 0;
+                branch (n_free - 1);
+                fixed.(j) <- -1
+              end
             in
             if not fractional then begin
-              let assignment =
-                Array.mapi
-                  (fun j v ->
-                    match v with
-                    | Some b -> b
-                    | None ->
-                        let rec find k =
-                          if free.(k) = j then x.(k) > 0.5 else find (k + 1)
-                        in
-                        find 0)
-                  fixed
-              in
+              let assignment = Array.make n false in
+              let k = ref 0 in
+              for j = 0 to n - 1 do
+                if fixed.(j) >= 0 then assignment.(j) <- fixed.(j) = 1
+                else begin
+                  assignment.(j) <- x.(!k) > 0.5;
+                  incr k
+                end
+              done;
               (* The LP objective still carries the near-integral
                  residue (each coordinate may sit int_eps off its
                  integer), so score the *rounded* assignment at its
@@ -153,7 +125,7 @@ let solve ?(deadline = infinity) ?(node_limit = 200_000)
             else branch_most_fractional ()
           end
   in
-  branch (Array.make n None);
+  branch n;
   match !incumbent with
   | None -> Infeasible
   | Some x -> Optimal { x; objective_value = !incumbent_value }

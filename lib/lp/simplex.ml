@@ -18,7 +18,22 @@ type tableau = {
   n_struct : int;
   total : int;
   art_start : int; (* variables >= art_start are artificial *)
+  nz : int array; (* the pivot row's non-zero columns, reused by every pivot *)
+  mutable n_pivots : int;
 }
+
+let primal_pivot_count = Atomic.make 0
+let primal_pivots () = Atomic.get primal_pivot_count
+
+(* [target -= f * r] over the pivot row's non-zero columns [nz], for
+   [f] the target's entry in the pivot column. *)
+let eliminate target r ~col ~nz ~n_nz =
+  let f = target.(col) in
+  if Float.abs f > eps then
+    for k = 0 to n_nz - 1 do
+      let j = nz.(k) in
+      target.(j) <- target.(j) -. (f *. r.(j))
+    done
 
 let pivot t ~row ~col =
   let r = t.rows.(row) in
@@ -28,7 +43,7 @@ let pivot t ~row ~col =
      non-zero columns. At a zero column [x -. f *. 0.] is [x] (up to the
      sign of a zero, which no comparison sees), so skipping it leaves
      every value — and so the pivot sequence — unchanged. *)
-  let nz = Array.make (t.total + 1) 0 in
+  let nz = t.nz in
   let n_nz = ref 0 in
   for j = 0 to t.total do
     if r.(j) <> 0.0 then begin
@@ -37,196 +52,243 @@ let pivot t ~row ~col =
     end
   done;
   let n_nz = !n_nz in
-  let eliminate target =
-    let f = target.(col) in
-    if Float.abs f > eps then
-      for k = 0 to n_nz - 1 do
-        let j = nz.(k) in
-        target.(j) <- target.(j) -. (f *. r.(j))
-      done
-  in
-  Array.iteri (fun i row_i -> if i <> row then eliminate row_i) t.rows;
-  eliminate t.obj;
-  t.basis.(row) <- col
+  for i = 0 to Array.length t.rows - 1 do
+    if i <> row then eliminate t.rows.(i) r ~col ~nz ~n_nz
+  done;
+  eliminate t.obj r ~col ~nz ~n_nz;
+  t.basis.(row) <- col;
+  t.n_pivots <- t.n_pivots + 1
 
-(* Entering variable. Dantzig's rule (most negative reduced cost) is
-   fast but can cycle on degenerate problems; Bland's rule (smallest
-   index) cannot. We run Dantzig until the objective stalls, then switch
-   to Bland — the classic hybrid. *)
-let entering_bland t ~allow =
-  let rec loop j =
-    if j >= t.total then None
-    else if allow j && t.obj.(j) < -.eps then Some j
-    else loop (j + 1)
-  in
-  loop 0
+(* Entering variable among the columns below [limit], or -1 at an
+   optimum. Dantzig's rule (most negative reduced cost) is fast but can
+   cycle on degenerate problems; Bland's rule (smallest index) cannot.
+   We run Dantzig until the objective stalls, then switch to Bland —
+   the classic hybrid. *)
+let entering_bland t ~limit =
+  let j = ref 0 in
+  while !j < limit && not (t.obj.(!j) < -.eps) do incr j done;
+  if !j < limit then !j else -1
 
-let entering_dantzig t ~allow =
+let entering_dantzig t ~limit =
   let best = ref (-1) in
   let best_cost = ref (-.eps) in
-  for j = 0 to t.total - 1 do
-    if allow j && t.obj.(j) < !best_cost then begin
+  for j = 0 to limit - 1 do
+    if t.obj.(j) < !best_cost then begin
       best := j;
       best_cost := t.obj.(j)
     end
   done;
-  if !best >= 0 then Some !best else None
+  !best
 
+(* Leaving row by the ratio test, ties to the smaller basic variable;
+   -1 when no row bounds the entering column. *)
 let leaving t ~col =
-  let best = ref None in
-  Array.iteri
-    (fun i r ->
-      if r.(col) > eps then begin
-        let ratio = r.(t.total) /. r.(col) in
-        match !best with
-        | None -> best := Some (i, ratio)
-        | Some (bi, br) ->
-            if
-              ratio < br -. eps
-              || (Float.abs (ratio -. br) <= eps && t.basis.(i) < t.basis.(bi))
-            then best := Some (i, ratio)
-      end)
-    t.rows;
-  Option.map fst !best
+  let best = ref (-1) in
+  let best_ratio = ref 0.0 in
+  for i = 0 to Array.length t.rows - 1 do
+    let r = t.rows.(i) in
+    if r.(col) > eps then begin
+      let ratio = r.(t.total) /. r.(col) in
+      if
+        !best < 0
+        || ratio < !best_ratio -. eps
+        || Float.abs (ratio -. !best_ratio) <= eps
+           && t.basis.(i) < t.basis.(!best)
+      then begin
+        best := i;
+        best_ratio := ratio
+      end
+    end
+  done;
+  !best
 
 let stall_threshold = 64
 
-let optimize t ~allow ~max_pivots ~deadline =
+(* Pivot over the columns below [limit] until no reduced cost is
+   negative ([`Optimal]) or the entering column is unbounded. *)
+let optimize t ~limit ~max_pivots ~deadline =
   let last_objective = ref infinity in
   let stalled = ref 0 in
-  let rec loop k =
-    if k > max_pivots then failwith "Simplex: pivot cap exceeded";
-    if k land 63 = 0 then Cdw_util.Timing.check_deadline deadline;
+  let k = ref 0 in
+  let result = ref `Running in
+  while !result = `Running do
+    if !k > max_pivots then failwith "Simplex: pivot cap exceeded";
+    if !k land 63 = 0 then Cdw_util.Timing.check_deadline deadline;
     let objective = -.t.obj.(t.total) in
     if objective < !last_objective -. eps then begin
       last_objective := objective;
       stalled := 0
     end
     else incr stalled;
-    let enter =
-      if !stalled > stall_threshold then entering_bland else entering_dantzig
+    let col =
+      if !stalled > stall_threshold then entering_bland t ~limit
+      else entering_dantzig t ~limit
     in
-    match enter t ~allow with
-    | None -> `Optimal
-    | Some col -> (
-        match leaving t ~col with
-        | None -> `Unbounded
-        | Some row ->
-            pivot t ~row ~col;
-            loop (k + 1))
-  in
-  loop 0
+    if col < 0 then result := `Optimal
+    else begin
+      let row = leaving t ~col in
+      if row < 0 then result := `Unbounded
+      else begin
+        pivot t ~row ~col;
+        incr k
+      end
+    end
+  done;
+  !result
 
-let build problem =
+(* The tableau of [problem] with each variable [j] whose [fixed.(j)] is
+   0 or 1 pinned to that value and substituted into the right-hand
+   sides, the free ones ([fixed.(j) < 0]) renumbered in order, and, when
+   [boxed], a row [x_k <= 1] per free variable after the problem's
+   rows. A row with a negative right-hand side is negated and its
+   relation flipped. Slack columns follow the structural ones and the
+   artificials the slacks, each numbered in row order. *)
+let build ~fixed ~boxed problem =
   let n = Array.length problem.objective in
-  let constraints =
-    (* Normalise to non-negative right-hand sides. *)
-    List.map
-      (fun (a, rel, b) ->
-        if Array.length a <> n then
-          invalid_arg "Simplex: constraint arity mismatch";
-        if b >= 0.0 then (a, rel, b)
-        else
-          let a' = Array.map (fun v -> -.v) a in
-          let rel' = match rel with Le -> Ge | Ge -> Le | Eq -> Eq in
-          (a', rel', -.b))
-      problem.constraints
-  in
-  let m = List.length constraints in
-  let n_slack =
-    List.length (List.filter (fun (_, rel, _) -> rel <> Eq) constraints)
-  in
-  let n_art =
-    List.length (List.filter (fun (_, rel, _) -> rel <> Le) constraints)
-  in
-  let total = n + n_slack + n_art in
-  let rows = Array.init m (fun _ -> Array.make (total + 1) 0.0) in
-  let basis = Array.make m (-1) in
-  let slack = ref n in
-  let art = ref (n + n_slack) in
+  let nf = ref 0 in
+  Array.iter (fun v -> if v < 0 then incr nf) fixed;
+  let nf = !nf in
+  let free = Array.make nf 0 in
+  let k = ref 0 in
+  Array.iteri
+    (fun j v ->
+      if v < 0 then begin
+        free.(!k) <- j;
+        incr k
+      end)
+    fixed;
+  let m = List.length problem.constraints in
+  let rhs = Array.make m 0.0 in
+  let rels = Array.make m Le in
+  let negated = Array.make m false in
+  let n_slack = ref (if boxed then nf else 0) in
+  let n_art = ref 0 in
   List.iteri
     (fun i (a, rel, b) ->
-      Array.blit a 0 rows.(i) 0 n;
-      rows.(i).(total) <- b;
-      (match rel with
+      if Array.length a <> n then
+        invalid_arg "Simplex: constraint arity mismatch";
+      let b = ref b in
+      for j = 0 to n - 1 do
+        if fixed.(j) = 1 then b := !b -. a.(j)
+      done;
+      let b = !b in
+      if b >= 0.0 then begin
+        rhs.(i) <- b;
+        rels.(i) <- rel
+      end
+      else begin
+        rhs.(i) <- -.b;
+        negated.(i) <- true;
+        rels.(i) <- (match rel with Le -> Ge | Ge -> Le | Eq -> Eq)
+      end;
+      if rels.(i) <> Eq then incr n_slack;
+      if rels.(i) <> Le then incr n_art)
+    problem.constraints;
+  let n_slack = !n_slack and n_art = !n_art in
+  let total = nf + n_slack + n_art in
+  let n_rows = if boxed then m + nf else m in
+  let rows = Array.init n_rows (fun _ -> Array.make (total + 1) 0.0) in
+  let basis = Array.make n_rows (-1) in
+  let slack = ref nf in
+  let art = ref (nf + n_slack) in
+  List.iteri
+    (fun i (a, _, _) ->
+      let r = rows.(i) in
+      for k = 0 to nf - 1 do
+        let v = a.(free.(k)) in
+        r.(k) <- (if negated.(i) then -.v else v)
+      done;
+      r.(total) <- rhs.(i);
+      match rels.(i) with
       | Le ->
-          rows.(i).(!slack) <- 1.0;
+          r.(!slack) <- 1.0;
           basis.(i) <- !slack;
           incr slack
       | Ge ->
-          rows.(i).(!slack) <- -1.0;
+          r.(!slack) <- -1.0;
           incr slack;
-          rows.(i).(!art) <- 1.0;
+          r.(!art) <- 1.0;
           basis.(i) <- !art;
           incr art
       | Eq ->
-          rows.(i).(!art) <- 1.0;
+          r.(!art) <- 1.0;
           basis.(i) <- !art;
-          incr art))
-    constraints;
-  {
-    rows;
-    obj = Array.make (total + 1) 0.0;
-    basis;
-    n_struct = n;
-    total;
-    art_start = n + n_slack;
-  }
+          incr art)
+    problem.constraints;
+  for k = 0 to n_rows - m - 1 do
+    let r = rows.(m + k) in
+    r.(k) <- 1.0;
+    r.(total) <- 1.0;
+    r.(!slack) <- 1.0;
+    basis.(m + k) <- !slack;
+    incr slack
+  done;
+  let t =
+    {
+      rows;
+      obj = Array.make (total + 1) 0.0;
+      basis;
+      n_struct = nf;
+      total;
+      art_start = nf + n_slack;
+      nz = Array.make (total + 1) 0;
+      n_pivots = 0;
+    }
+  in
+  (t, free)
 
 (* Set the reduced-cost row for cost vector [c] (length total), given the
    current basis: obj_j = c_j - Σ_i c_basis(i) · T_ij. *)
 let set_objective t c =
   Array.fill t.obj 0 (t.total + 1) 0.0;
   Array.blit c 0 t.obj 0 t.total;
-  Array.iteri
-    (fun i r ->
-      let cb = c.(t.basis.(i)) in
-      if Float.abs cb > eps then
-        for j = 0 to t.total do t.obj.(j) <- t.obj.(j) -. (cb *. r.(j)) done)
-    t.rows
+  for i = 0 to Array.length t.rows - 1 do
+    let r = t.rows.(i) in
+    let cb = c.(t.basis.(i)) in
+    if Float.abs cb > eps then
+      for j = 0 to t.total do t.obj.(j) <- t.obj.(j) -. (cb *. r.(j)) done
+  done
 
-let solve ?(deadline = infinity) problem =
-  let t = build problem in
+let run ~deadline problem ~fixed ~boxed =
+  let t, free = build ~fixed ~boxed problem in
   let max_pivots = 100_000 + (200 * (t.total + Array.length t.rows)) in
   let has_art = t.art_start < t.total in
   let phase1_ok =
-    if not has_art then true
-    else begin
-      let c1 = Array.make t.total 0.0 in
-      for j = t.art_start to t.total - 1 do c1.(j) <- 1.0 done;
-      set_objective t c1;
-      (match optimize t ~allow:(fun _ -> true) ~max_pivots ~deadline with
-      | `Unbounded -> assert false (* phase-1 objective is bounded below by 0 *)
-      | `Optimal -> ());
-      (* The rhs cell of the reduced-cost row holds -(objective value). *)
-      -.t.obj.(t.total) <= feas_eps
-    end
+    (not has_art)
+    || begin
+         let c1 = Array.make t.total 0.0 in
+         for j = t.art_start to t.total - 1 do c1.(j) <- 1.0 done;
+         set_objective t c1;
+         (match optimize t ~limit:t.total ~max_pivots ~deadline with
+         | `Unbounded | `Running ->
+             assert false (* phase-1 objective is bounded below by 0 *)
+         | `Optimal -> ());
+         (* The rhs cell of the reduced-cost row holds -(objective value). *)
+         -.t.obj.(t.total) <= feas_eps
+       end
   in
-  if not phase1_ok then Infeasible
-  else begin
-    (* Drive any artificial still in the basis out (its value is 0). *)
-    Array.iteri
-      (fun i bv ->
-        if bv >= t.art_start then begin
+  let outcome =
+    if not phase1_ok then Infeasible
+    else begin
+      (* Drive any artificial still in the basis out (its value is 0). *)
+      for i = 0 to Array.length t.basis - 1 do
+        if t.basis.(i) >= t.art_start then begin
           let r = t.rows.(i) in
-          let rec find j =
-            if j >= t.art_start then ()
-            else if Float.abs r.(j) > eps then pivot t ~row:i ~col:j
-            else find (j + 1)
-          in
-          find 0
-        end)
-      t.basis;
-    let c2 = Array.make t.total 0.0 in
-    Array.blit problem.objective 0 c2 0 t.n_struct;
-    set_objective t c2;
-    let allow j = j < t.art_start in
-    match optimize t ~allow ~max_pivots ~deadline with
-    | `Unbounded -> Unbounded
-    | `Optimal ->
-        let x = Array.make t.n_struct 0.0 in
-        Array.iteri
-          (fun i bv ->
+          let j = ref 0 in
+          while !j < t.art_start && not (Float.abs r.(!j) > eps) do incr j done;
+          if !j < t.art_start then pivot t ~row:i ~col:!j
+        end
+      done;
+      let c = Array.make t.total 0.0 in
+      Array.iteri (fun k j -> c.(k) <- problem.objective.(j)) free;
+      set_objective t c;
+      match optimize t ~limit:t.art_start ~max_pivots ~deadline with
+      | `Unbounded -> Unbounded
+      | `Running -> assert false
+      | `Optimal ->
+          let x = Array.make t.n_struct 0.0 in
+          for i = 0 to Array.length t.basis - 1 do
+            let bv = t.basis.(i) in
             if bv < t.n_struct then begin
               (* Elimination roundoff can leave a basic value a hair
                  below zero; callers compare coordinates against
@@ -236,14 +298,27 @@ let solve ?(deadline = infinity) problem =
                  alone — masking those would hide real infeasibility. *)
               let v = t.rows.(i).(t.total) in
               x.(bv) <- (if v < 0.0 && v >= -.feas_eps then 0.0 else v)
-            end)
-          t.basis;
-        let value =
-          Array.fold_left ( +. ) 0.0
-            (Array.mapi (fun j xj -> problem.objective.(j) *. xj) x)
-        in
-        Optimal { x; objective_value = value }
-  end
+            end
+          done;
+          let value = ref 0.0 in
+          for k = 0 to t.n_struct - 1 do
+            value := !value +. (c.(k) *. x.(k))
+          done;
+          Optimal { x; objective_value = !value }
+    end
+  in
+  ignore (Atomic.fetch_and_add primal_pivot_count t.n_pivots);
+  outcome
+
+let solve ?(deadline = infinity) problem =
+  run ~deadline problem
+    ~fixed:(Array.make (Array.length problem.objective) (-1))
+    ~boxed:false
+
+let solve_relaxation ?(deadline = infinity) ~fixed problem =
+  if Array.length fixed <> Array.length problem.objective then
+    invalid_arg "Simplex: fixed arity mismatch";
+  run ~deadline problem ~fixed ~boxed:true
 
 let feasible_value problem x =
   List.for_all

@@ -35,6 +35,24 @@ val solve : ?deadline:float -> problem -> outcome
     [Cdw_util.Timing.Timeout] when the cooperative [deadline] (checked
     every few dozen pivots) has passed. *)
 
+val solve_relaxation :
+  ?deadline:float -> fixed:int array -> problem -> outcome
+(** The LP relaxation of a branch-and-bound node, as {!Ilp.solve} runs
+    it: [solve] on [problem] with each variable [j] whose [fixed.(j)]
+    is 0 or 1 pinned to that value (substituted into the right-hand
+    sides), the others ([fixed.(j) < 0]) kept in order as the
+    relaxation's variables, and a row [x_k ≤ 1] per kept variable after
+    the problem's rows. [x] is over the kept variables. The bound rows
+    are written into the tableau directly, never built as dense
+    constraint arrays; the tableau, and so every pivot, is the one
+    [solve] builds from that problem spelled out. Raises
+    [Invalid_argument] unless [fixed] has one entry per variable. *)
+
+val primal_pivots : unit -> int
+(** Test-only: the decline-path work gate holds the primal's pivots to
+    the frozen reference's. Pivots of every {!solve} and
+    {!solve_relaxation} that returned, across domains. *)
+
 type cover
 (** The dual-simplex state of a covering program
     [min w·x, Σ_{e∈S} x_e ≥ 1 for every row S, x ∈ {0,1}^n] that grows:

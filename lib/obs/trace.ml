@@ -176,8 +176,7 @@ let span ?(args = []) ?parent name f =
 (* ---------------------------------------------------------------- *)
 (* Flight ring                                                        *)
 
-(* One ring entry, overwriting the oldest once the ring is full. *)
-let record b shard name ~t0_us ~dur_us =
+let ensure_ring b =
   if b.ring == no_ring then
     b.ring <-
       {
@@ -185,7 +184,11 @@ let record b shard name ~t0_us ~dur_us =
         shards = Array.make ring_capacity (-1);
         starts = Float.Array.make ring_capacity 0.0;
         durs = Float.Array.make ring_capacity 0.0;
-      };
+      }
+
+(* One ring entry, overwriting the oldest once the ring is full. *)
+let record b shard name ~t0_us ~dur_us =
+  ensure_ring b;
   let r = b.ring and i = b.next in
   r.names.(i) <- name;
   r.shards.(i) <- shard;
@@ -218,7 +221,7 @@ let current_span () =
   else
     match (Domain.DLS.get key).stack with (sid, _) :: _ -> sid | [] -> 0
 
-let prewarm () = ignore (Domain.DLS.get key : buffer)
+let prewarm () = ensure_ring (Domain.DLS.get key)
 
 let buffers () =
   Mutex.lock registry_lock;

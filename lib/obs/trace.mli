@@ -75,11 +75,11 @@ val current_span : unit -> int
     a wire protocol and parent spans in another process. *)
 
 val prewarm : unit -> unit
-(** Allocate (or take over) the calling domain's buffer now instead of
-    lazily inside its first {!span} or {!timed}. Long-lived worker
-    domains call this at spawn so the one-time setup never inflates a
-    measured span. The flight ring itself is four flat arrays,
-    allocated by the domain's first entry. *)
+(** Allocate (or take over) the calling domain's buffer and its flight
+    ring now instead of lazily inside its first {!span} or {!timed}.
+    Long-lived worker domains call this at spawn so the one-time setup
+    never inflates a measured span. Other domains get the ring, four
+    flat arrays, with their first entry. *)
 
 val set_process_label : string -> unit
 (** Name this process's track in the exported timeline (the Perfetto

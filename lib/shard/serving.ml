@@ -105,9 +105,10 @@ let group_of_engines engines =
            (Array.map
               (fun s ->
                 Domain_acct.declare (Engine.metrics s.engine);
-                (* The prewarm keeps the one-time buffer setup out of
-                   the first shard.drain span, where [trace summarize
-                   --scaling] would count it as unattributed wall. *)
+                (* The prewarm keeps the one-time trace buffer and
+                   flight-ring setup out of the first shard.drain span,
+                   where [trace summarize --scaling] would count it as
+                   unattributed wall. *)
                 Domain_pool.Worker.create ~on_idle:(add_us s Domain_acct.Idle)
                   ~init:Trace.prewarm ())
               members));

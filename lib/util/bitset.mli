@@ -14,20 +14,23 @@ val mem : t -> int -> bool
 val add : t -> int -> unit
 
 val remove : t -> int -> unit
+(** Test-only: the frozen presolve (test/presolve_reference.ml) runs on it. *)
 
 val union_into : t -> t -> unit
 (** [union_into dst src] sets [dst := dst ∪ src]. The two sets must have
     the same capacity. *)
 
 val masked_subset : t -> t -> mask:t -> bool
-(** [masked_subset a b ~mask]: is [a ∩ mask ⊆ b ∩ mask]? All three must
+(** Test-only: the frozen presolve (test/presolve_reference.ml) runs on it.
+
+    [masked_subset a b ~mask]: is [a ∩ mask ⊆ b ∩ mask]? All three must
     share a capacity. *)
 
 val masked_cardinal : t -> mask:t -> int
-(** [|a ∩ mask|]. *)
+(** Test-only: the frozen presolve (test/presolve_reference.ml) runs on it. [|a ∩ mask|]. *)
 
 val masked_choose : t -> mask:t -> int option
-(** Smallest member of [a ∩ mask]. *)
+(** Test-only: the frozen presolve (test/presolve_reference.ml) runs on it. Smallest member of [a ∩ mask]. *)
 
 val cardinal : t -> int
 
@@ -35,3 +38,4 @@ val iter : (int -> unit) -> t -> unit
 (** Iterate set members in increasing order. *)
 
 val to_list : t -> int list
+(** Test-only: the frozen presolve (test/presolve_reference.ml) runs on it. *)

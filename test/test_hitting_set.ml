@@ -123,14 +123,56 @@ let prop_solvers_agree =
       && Float.abs (Hs.cost p ilp -. Hs.cost p bnb) < 1e-6
       && Hs.cost p ilp <= Hs.cost p greedy +. 1e-6)
 
+(* Programs shaped like the lazy multicut's declined pools: 10 to 60
+   elements (edges) laid out as chains of one to five consecutive ones
+   (path segments), and up to 16 sets (paths), each the union of one to
+   four chains, so every element of a chain has the same membership.
+   Weights tie heavily (from {1, 2}, or equal along a chain) or are
+   drawn from a continuum. *)
+let chain_problem rng =
+  let module Sm = Cdw_util.Splitmix in
+  let n = 10 + Sm.int rng 51 in
+  let chain_of = Array.make n 0 in
+  let n_chains = ref 0 in
+  let e = ref 0 in
+  while !e < n do
+    let len = 1 + Sm.int rng 5 in
+    for k = !e to min n (!e + len) - 1 do
+      chain_of.(k) <- !n_chains
+    done;
+    incr n_chains;
+    e := !e + len
+  done;
+  let chain_weight = Array.init !n_chains (fun _ -> float_of_int (1 + Sm.int rng 3)) in
+  let weights =
+    match Sm.int rng 3 with
+    | 0 -> Array.init n (fun _ -> float_of_int (1 + Sm.int rng 2))
+    | 1 -> Array.init n (fun k -> chain_weight.(chain_of.(k)))
+    | _ -> Array.init n (fun _ -> Sm.float rng 10.0)
+  in
+  let sets =
+    Array.init
+      (1 + Sm.int rng 16)
+      (fun _ ->
+        let chains = List.init (1 + Sm.int rng 4) (fun _ -> Sm.int rng !n_chains) in
+        Array.of_list
+          (List.filter
+             (fun k -> List.mem chain_of.(k) chains)
+             (List.init n Fun.id)))
+  in
+  problem ~weights ~sets
+
 (* Problems for the presolve differential: from a handful of elements up
    to more than two bitset words (63 bits each) of elements or sets,
    with weights drawn from {1, 2} (heavy ties), from a continuum, or all
    equal, and sets that often extend an earlier set (row dominance) or
-   copy another set's elements (column dominance). *)
+   copy another set's elements (column dominance); or, one time in
+   four, a decline-shaped [chain_problem]. *)
 let presolve_problem seed =
   let module Sm = Cdw_util.Splitmix in
   let rng = Sm.create seed in
+  if Sm.int rng 4 = 0 then chain_problem rng
+  else
   let size () =
     if Sm.int rng 3 = 0 then 64 + Sm.int rng 80 else 1 + Sm.int rng 12
   in
@@ -161,7 +203,7 @@ let presolve_problem seed =
   problem ~weights ~sets
 
 let prop_presolve_matches_reference =
-  Test_helpers.qcheck ~count:600
+  Test_helpers.qcheck ~count:800
     "presolve = reference presolve (same reduced problem, kept, forced)"
     QCheck2.Gen.(int_range 0 1_000_000)
     (fun seed ->
@@ -295,6 +337,89 @@ let prop_warm_state_matches_cold =
           && match fast p with Some y -> answer = y | None -> true)
         batches)
 
+(* The decline path as it stood before its kernels were rewritten:
+   the frozen presolve, then the frozen primal [Ilp] on the covering
+   program of what is left. *)
+let reference_decline (p : Hs.problem) =
+  let info = Presolve_reference.presolve p in
+  let q = info.Hs.reduced in
+  let chosen = Array.make p.Hs.n_elems false in
+  List.iter (fun e -> chosen.(e) <- true) info.Hs.forced;
+  (if Array.length q.Hs.sets > 0 then
+     let constraints =
+       Array.to_list
+         (Array.map
+            (fun s ->
+              let a = Array.make q.Hs.n_elems 0.0 in
+              Array.iter (fun e -> a.(e) <- 1.0) s;
+              (a, Cdw_lp.Simplex.Ge, 1.0))
+            q.Hs.sets)
+     in
+     match
+       Primal_reference.solve_ilp
+         { Cdw_lp.Simplex.objective = Array.copy q.Hs.weights; constraints }
+     with
+     | Cdw_lp.Ilp.Optimal { x; _ } ->
+         Array.iteri (fun k b -> if b then chosen.(info.Hs.kept_elems.(k)) <- true) x
+     | Cdw_lp.Ilp.Infeasible -> assert false);
+  chosen
+
+(* Tied programs with a fractional or tied LP core that presolve leaves
+   standing: 20 to 40 elements of weight 1, 2 or 3 and 10 to 24 sets of
+   two to five, so [Ilp] branches and its primal pivots. Their tableaux
+   stay under the minor heap's size limit, so per-pivot allocation shows
+   in the minor words. *)
+let tied_program seed =
+  let module Sm = Cdw_util.Splitmix in
+  let rng = Sm.create seed in
+  let n = 20 + Sm.int rng 21 in
+  let m = 10 + Sm.int rng 15 in
+  let weights = Array.init n (fun _ -> float_of_int (1 + Sm.int rng 3)) in
+  let sets =
+    Array.init m (fun _ ->
+        Array.init (2 + Sm.int rng 4) (fun _ -> Sm.int rng n)
+        |> Array.to_list |> List.sort_uniq compare |> Array.of_list)
+  in
+  problem ~weights ~sets
+
+(* The decline-path work gate: a fixed script of the programs among
+   [chain_problem] seeds 0–199 and [tied_program] seeds 0–199 that the
+   certificate declines, so each [solve_ilp] runs presolve + [Ilp].
+   Both counts are exact (pivots are integers; the words depend on
+   neither the host nor the clock, and nothing here traces). The
+   primal's pivots must equal the frozen reference path's, pivot for
+   pivot the same search, and the minor words per decline stay within
+   the measured value plus 5%. Every answer must be the reference
+   path's. *)
+let decline_words_bound = 5619.0
+
+let test_decline_work_gate () =
+  let script =
+    List.filter
+      (fun p -> fast p = None)
+      (List.init 200 (fun seed -> chain_problem (Cdw_util.Splitmix.create seed))
+      @ List.init 200 tied_program)
+  in
+  let n = List.length script in
+  let before = !Primal_reference.pivots in
+  let expected = List.map reference_decline script in
+  let reference = !Primal_reference.pivots - before in
+  let before = Cdw_lp.Simplex.primal_pivots () in
+  let answers = List.map Hs.solve_ilp script in
+  let pivots = Cdw_lp.Simplex.primal_pivots () - before in
+  let minor0 = Gc.minor_words () in
+  List.iter (fun p -> ignore (Hs.solve_ilp p)) script;
+  let words = (Gc.minor_words () -. minor0) /. float_of_int n in
+  Printf.printf "decline gate: %d declines, %d pivots (reference %d), %.1f words per decline\n"
+    n pivots reference words;
+  Alcotest.(check int) "answers unlike the reference path's" 0
+    (List.length (List.filter not (List.map2 ( = ) answers expected)));
+  Alcotest.(check int) "primal pivots, the reference's" reference pivots;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per decline, bound %.1f" words
+       decline_words_bound)
+    true (words <= decline_words_bound)
+
 let suite =
   [
     Alcotest.test_case "single set: cheapest element" `Quick test_single_set;
@@ -323,4 +448,6 @@ let suite =
       test_certificate_declines_fractional_root;
     Alcotest.test_case "fast path: past deadline raises Timeout" `Quick
       test_certificate_past_deadline;
+    Alcotest.test_case "decline path: pivots and words of a fixed script stay bounded"
+      `Quick test_decline_work_gate;
   ]
