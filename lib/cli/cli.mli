@@ -3,5 +3,7 @@
     commands in-process. *)
 
 val eval : ?argv:string array -> unit -> int
-(** Evaluate the command line (defaults to [Sys.argv]) and return the
+(** Test-only: [?argv] lets the CLI tests run commands in-process.
+
+    Evaluate the command line (defaults to [Sys.argv]) and return the
     exit code. *)

@@ -424,10 +424,10 @@ let remove_min_mc ?scheme ?deadline wf cs =
        }
        wf cs)
 
-let brute_force ?(deadline = infinity) ?max_paths ?utility wf cs =
+let brute_force ?max_paths ?utility wf cs =
   report ?utility wf
     (brute_force_impl
-       { Options.default with Options.deadline; max_paths; utility }
+       { Options.default with Options.max_paths; utility }
        wf cs)
 
 type name =

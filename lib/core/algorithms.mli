@@ -140,7 +140,6 @@ val remove_min_mc :
     paper's dataset 1c discussion). *)
 
 val brute_force :
-  ?deadline:float ->
   ?max_paths:int ->
   ?utility:(Workflow.t -> float) ->
   Workflow.t ->

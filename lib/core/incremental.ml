@@ -8,7 +8,6 @@ type t = {
   base : Workflow.t;
   algorithm : Workflow.t -> Constraint_set.t -> Algorithms.cut;
   oracle : base_oracle option;
-  shares_base : bool;
   mutable current : Workflow.t;
   mutable pristine : bool;
       (* [current] carries no cuts, i.e. equals the base graph-wise;
@@ -17,19 +16,17 @@ type t = {
   mutable stats : stats;
 }
 
-let create ?algorithm ?oracle ?(copy_base = true) wf =
+let create ?algorithm ?oracle wf =
   let algorithm =
     match algorithm with
     | Some f -> f
     | None -> fun wf cs -> Algorithms.cut Algorithms.Remove_min_mc wf cs
   in
-  let base = if copy_base then Workflow.copy wf else wf in
   {
-    base;
+    base = wf;
     algorithm;
     oracle;
-    shares_base = not copy_base;
-    current = (if copy_base then Workflow.copy wf else wf);
+    current = wf;
     pristine = true;
     accepted = [];
     stats = { solver_runs = 0; free_hits = 0; full_resolves = 0 };
@@ -67,7 +64,7 @@ let solve_on t wf cs =
 let resolve_all t =
   t.stats <- { t.stats with full_resolves = t.stats.full_resolves + 1 };
   if violated_on_base t t.accepted = [] then begin
-    t.current <- (if t.shares_base then t.base else Workflow.copy t.base);
+    t.current <- t.base;
     t.pristine <- true
   end
   else begin
@@ -193,7 +190,7 @@ let restore t ~constraints ~removed_ids =
       | [] ->
           t.accepted <- validated;
           if removed_ids = [] then begin
-            t.current <- (if t.shares_base then t.base else Workflow.copy t.base);
+            t.current <- t.base;
             t.pristine <- true
           end
           else begin

@@ -40,19 +40,15 @@ type base_oracle = { connected : source:int -> target:int -> bool }
 val create :
   ?algorithm:(Workflow.t -> Constraint_set.t -> Algorithms.cut) ->
   ?oracle:base_oracle ->
-  ?copy_base:bool ->
   Workflow.t ->
   t
 (** [algorithm] defaults to [Algorithms.cut Remove_min_mc]. The
-    session works on private copies; the input workflow is never
-    modified.
-
-    [copy_base] (default [true]) controls whether the session snapshots
-    the input workflow. A serving engine pooling hundreds of sessions
-    over one immutable base passes [~copy_base:false] to share that base
-    instead of duplicating it per session; the caller then guarantees
-    the input workflow is never mutated, and must treat {!workflow}'s
-    result as read-only (it aliases the base until the first cut). *)
+    session never modifies the input workflow: cuts go to copies. It
+    shares the input as its base, so that a serving engine pooling
+    hundreds of sessions over one immutable base does not duplicate it
+    per session; the caller guarantees the input is never mutated, and
+    must treat {!workflow}'s result as read-only (it aliases the base
+    until the first cut). *)
 
 val workflow : t -> Workflow.t
 (** The current consented workflow (satisfies every accepted

@@ -270,8 +270,7 @@ let to_dot ?(constraints = []) wf =
   in
   let edge_label e = float_token pi.(Digraph.edge_id e) in
   let dot =
-    Dot.to_dot ~name:"workflow" ~vertex_label:(Workflow.name wf) ~vertex_attrs
-      ~edge_label g
+    Dot.to_dot ~vertex_label:(Workflow.name wf) ~vertex_attrs ~edge_label g
   in
   match constraints with
   | [] -> dot

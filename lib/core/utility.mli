@@ -44,7 +44,10 @@ type weight_scheme =
 
 val cut_weights :
   ?model:Valuation.model -> ?scheme:weight_scheme -> Workflow.t -> float array
-(** Per edge id over the live graph (removed edges weigh 0); [scheme]
+(** Test-only: [?model] (default linear) lets the frozen-view tests check
+    that a [Subadditive] model bypasses the base memo.
+
+    Per edge id over the live graph (removed edges weigh 0); [scheme]
     defaults to [Path_count_mass].
 
     In the linear model the weights of an unmodified frozen base are

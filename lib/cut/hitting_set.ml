@@ -323,11 +323,11 @@ let solve_presolved_ilp ~deadline p =
 
 (* The certified dual simplex first: when it answers, its set is the
    unique optimum, which the presolved path would return as well. *)
-let solve_ilp ?(deadline = infinity) p =
+let solve_ilp p =
   validate p;
-  match Cdw_lp.Simplex.solve_cover_unique ~deadline ~weights:p.weights p.sets with
+  match Cdw_lp.Simplex.solve_cover_unique ~weights:p.weights p.sets with
   | Some x -> x
-  | None -> solve_presolved_ilp ~deadline p
+  | None -> solve_presolved_ilp ~deadline:infinity p
 
 module Vec = Cdw_util.Vec
 

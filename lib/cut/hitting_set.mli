@@ -31,7 +31,7 @@ val presolve : problem -> presolve_info
     Any optimal solution of [reduced], translated through [kept_elems]
     and extended with [forced], is optimal for the original problem. *)
 
-val solve_ilp : ?deadline:float -> problem -> bool array
+val solve_ilp : problem -> bool array
 (** Test-only: the cold one-shot solve, the per-round solver of the
     reference lazy loop the multicut tests hold {!solve_pool_ilp} to.
 
@@ -41,8 +41,8 @@ val solve_ilp : ?deadline:float -> problem -> bool array
     its pivot cap) {!Cdw_lp.Ilp} on the presolved problem, which would
     return the same set had the certificate held. Raises
     [Invalid_argument] on an empty set (unhittable); raises
-    [Cdw_util.Timing.Timeout] when [deadline] passes or the
-    branch-and-bound tree outgrows {!Cdw_lp.Ilp.solve}'s node limit. *)
+    [Cdw_util.Timing.Timeout] when the branch-and-bound tree outgrows
+    {!Cdw_lp.Ilp.solve}'s node limit. *)
 
 type pool
 (** A program that grows between solves, as the lazy multicut's path

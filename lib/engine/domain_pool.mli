@@ -65,7 +65,10 @@ end
 type t
 
 val create : ?domains:int -> unit -> t
-(** A pool [domains] wide, the calling domain included. The default is
+(** Test-only: [?domains] lets the pool tests fix the width whatever
+    the host's core count.
+
+    A pool [domains] wide, the calling domain included. The default is
     [Domain.recommended_domain_count] clamped to [1, 8]: consent solving
     saturates memory bandwidth long before it saturates a large core
     count. No domain is spawned until a {!run} needs one. *)

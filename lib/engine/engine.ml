@@ -33,7 +33,6 @@ type migration = {
 type t = {
   index : Shared_index.t;
   algorithm : Algorithms.name;
-  options : Algorithms.Options.t;
   seed : int;
   sessions : (string, Session.t) Hashtbl.t;
   mutable queue : (string * request * float) list;
@@ -46,9 +45,8 @@ type t = {
   lock : Mutex.t;  (* guards [sessions], [queue], [journal], [drains], [tier] *)
 }
 
-let create ?(algorithm = Algorithms.Remove_min_mc)
-    ?(options = Algorithms.Options.default) ?(seed = 0x5EED) ?max_paths wf =
-  let index = Shared_index.create ?max_paths wf in
+let create ?(algorithm = Algorithms.Remove_min_mc) ?(seed = 0x5EED) wf =
+  let index = Shared_index.create wf in
   (* The epoch gauge exists from birth: a scrape of a never-migrated
      engine reports epoch 0 rather than an absent series. *)
   Metrics.set_gauge (Shared_index.metrics index)
@@ -57,7 +55,6 @@ let create ?(algorithm = Algorithms.Remove_min_mc)
   {
     index;
     algorithm;
-    options;
     seed;
     sessions = Hashtbl.create 64;
     queue = [];
@@ -84,7 +81,7 @@ let session_seed t user = t.seed lxor Hashtbl.hash user
 
 (* A session of [user] on the current base, registered nowhere. *)
 let fresh t user =
-  Session.create ~index:t.index ~algorithm:t.algorithm ~options:t.options
+  Session.create ~index:t.index ~algorithm:t.algorithm
     ~rng_seed:(session_seed t user) user
 
 (* Under the lock: revive a parked session through the zero-solver-run

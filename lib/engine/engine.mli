@@ -84,18 +84,15 @@ type t
 
 val create :
   ?algorithm:Cdw_core.Algorithms.name ->
-  ?options:Cdw_core.Algorithms.Options.t ->
   ?seed:int ->
-  ?max_paths:int ->
   Cdw_core.Workflow.t ->
   t
-(** [algorithm] (default [Remove_min_mc]) and [options] (default
-    {!Cdw_core.Algorithms.Options.default}) configure every session's
-    solver; the options' [rng] and [paths_for] fields are overridden per
-    session (see {!Session.create}). [seed] (default [0x5EED]) drives
-    the per-session generators. [max_paths] configures the
-    {!Shared_index}. The workflow is copied once; the input is never
-    modified. *)
+(** [algorithm] (default [Remove_min_mc]) is every session's solver,
+    run with {!Cdw_core.Algorithms.Options.default} but for a
+    per-session [rng] and the shared index's [paths_for] (see
+    {!Session.create}). [seed] (default [0x5EED]) drives the
+    per-session generators. The workflow is copied once; the input is
+    never modified. *)
 
 val index : t -> Shared_index.t
 

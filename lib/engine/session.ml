@@ -4,7 +4,6 @@ module Splitmix = Cdw_util.Splitmix
 module Trace = Cdw_obs.Trace
 
 type t = {
-  id : string;
   inner : Incremental.t;
   rng : Splitmix.t;
   metrics : Metrics.t;
@@ -16,13 +15,13 @@ let counters =
     (fun a -> (a, "solve." ^ Algorithms.to_string a))
     Algorithms.all_names
 
-let create ~index ~algorithm ~(options : Algorithms.Options.t) ~rng_seed id =
+let create ~index ~algorithm ~rng_seed id =
   let metrics = Shared_index.metrics index in
   let rng = Splitmix.create rng_seed in
   let options =
     {
-      options with
-      Algorithms.Options.rng = Some rng;
+      Algorithms.Options.default with
+      rng = Some rng;
       paths_for = Some (Shared_index.path_provider index);
     }
   in
@@ -51,10 +50,9 @@ let create ~index ~algorithm ~(options : Algorithms.Options.t) ~rng_seed id =
     }
   in
   let inner =
-    Incremental.create ~algorithm:solver ~oracle ~copy_base:false
-      (Shared_index.base index)
+    Incremental.create ~algorithm:solver ~oracle (Shared_index.base index)
   in
-  { id; inner; rng; metrics }
+  { inner; rng; metrics }
 
 let workflow t = Incremental.workflow t.inner
 let constraints t = Incremental.constraints t.inner

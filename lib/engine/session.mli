@@ -37,14 +37,13 @@ type t
 val create :
   index:Shared_index.t ->
   algorithm:Cdw_core.Algorithms.name ->
-  options:Cdw_core.Algorithms.Options.t ->
   rng_seed:int ->
   string ->
   t
-(** [create ~index ~algorithm ~options ~rng_seed id]: [options] is the
-    engine-wide template; its [rng] is replaced by a fresh
-    [Splitmix.create rng_seed] and its [paths_for] by the shared
-    index's path provider. *)
+(** [create ~index ~algorithm ~rng_seed id] solves with
+    {!Cdw_core.Algorithms.Options.default}, but for a fresh
+    [Splitmix.create rng_seed] as its [rng] and the shared index's path
+    provider as its [paths_for]. *)
 
 val workflow : t -> Cdw_core.Workflow.t
 (** Test-only: the consent checks in the tests read the session workflow.

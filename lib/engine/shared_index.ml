@@ -143,7 +143,6 @@ type t = {
   mutable d : derived;
   lock : Mutex.t;  (* guards [inflight] *)
   lock_entries : int Atomic.t;
-  max_paths : int;
   metrics : Metrics.t;
 }
 
@@ -164,12 +163,13 @@ let derive wf =
     inflight = Memo.create 16;
   }
 
-let create ?(max_paths = 200_000) wf =
+let max_paths = 200_000
+
+let create wf =
   {
     d = derive wf;
     lock = Mutex.create ();
     lock_entries = Atomic.make 0;
-    max_paths;
     metrics = Metrics.create ();
   }
 
@@ -219,7 +219,7 @@ let base_entry t ~source ~target =
           ~args:[ ("repr", Digraph.repr_name (Workflow.graph d.base)) ]
           (fun () ->
             match
-              Paths.all_paths ~max_paths:t.max_paths (Workflow.graph d.base)
+              Paths.all_paths ~max_paths (Workflow.graph d.base)
                 ~src:source ~dst:target
             with
             | paths -> Cached (List.map (List.map Digraph.edge_id) paths)
@@ -233,7 +233,7 @@ let live_paths t wf ~source ~target =
   match base_entry t ~source ~target with
   | Overflow ->
       Metrics.incr t.metrics "index.paths.overflow";
-      Paths.all_paths ~max_paths:t.max_paths g ~src:source ~dst:target
+      Paths.all_paths ~max_paths g ~src:source ~dst:target
   | Cached ids ->
       List.filter_map
         (fun path ->

@@ -33,12 +33,12 @@
 
 type t
 
-val create : ?max_paths:int -> Cdw_core.Workflow.t -> t
+val create : Cdw_core.Workflow.t -> t
 (** Freezes the given workflow (a private immutable CSR base; the input
     is never modified) and precomputes the reachability snapshot, with a fresh metrics registry. The path sets of at most
     4096 (source, target) pairs are memoized; beyond that, path queries
-    fall through to plain enumeration. [max_paths] (default 200_000)
-    caps enumeration per pair; pairs that overflow are remembered as
+    fall through to plain enumeration. Enumeration is capped at
+    200,000 paths per pair; pairs that overflow are remembered as
     such and always answered by direct (capped) enumeration on the live
     workflow. *)
 

@@ -33,8 +33,10 @@ let fmt_tick v =
   else if Float.is_integer v then Printf.sprintf "%.0f" v
   else Printf.sprintf "%.2f" v
 
-let render ?(width = 640) ?(height = 420) ?(log_y = false) ?(x_label = "")
-    ?(y_label = "") ~title series =
+let width = 640
+let height = 420
+
+let render ?(log_y = false) ?(x_label = "") ?(y_label = "") ~title series =
   let usable =
     List.filter_map
       (fun s ->
@@ -154,10 +156,10 @@ let render ?(width = 640) ?(height = 420) ?(log_y = false) ?(x_label = "")
   out "</svg>\n";
   Buffer.contents buf
 
-let write ~dir ~name ?width ?height ?log_y ?x_label ?y_label ~title series =
+let write ~dir ~name ?log_y ?x_label ?y_label ~title series =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let path = Filename.concat dir (name ^ ".svg") in
-  let svg = render ?width ?height ?log_y ?x_label ?y_label ~title series in
+  let svg = render ?log_y ?x_label ?y_label ~title series in
   let oc = open_out path in
   output_string oc svg;
   close_out oc;

@@ -11,8 +11,6 @@ type series = {
 }
 
 val render :
-  ?width:int ->
-  ?height:int ->
   ?log_y:bool ->
   ?x_label:string ->
   ?y_label:string ->
@@ -29,8 +27,6 @@ val render :
 val write :
   dir:string ->
   name:string ->
-  ?width:int ->
-  ?height:int ->
   ?log_y:bool ->
   ?x_label:string ->
   ?y_label:string ->

@@ -5,7 +5,10 @@
     path remains. *)
 
 type result = {
-  value : float;  (** total capacity of the cut = max-flow value *)
+  value : float;
+      (** Test-only: the flow tests check max-flow/min-cut duality.
+
+          Total capacity of the cut = max-flow value. *)
   edges : Cdw_graph.Digraph.edge list;  (** original edges crossing the cut *)
 }
 

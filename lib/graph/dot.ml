@@ -5,11 +5,10 @@ let escape s =
     s;
   Buffer.contents buf
 
-let to_dot ?(name = "workflow") ?(vertex_label = string_of_int)
-    ?(vertex_attrs = fun _ -> []) ?(edge_label = fun _ -> "")
-    ?(show_removed = false) g =
+let to_dot ?(vertex_label = string_of_int) ?(vertex_attrs = fun _ -> [])
+    ?(edge_label = fun _ -> "") g =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Printf.sprintf "digraph \"%s\" {\n" (escape name));
+  Buffer.add_string buf "digraph \"workflow\" {\n";
   Buffer.add_string buf "  rankdir=LR;\n";
   Digraph.iter_vertices
     (fun v ->
@@ -20,19 +19,17 @@ let to_dot ?(name = "workflow") ?(vertex_label = string_of_int)
       in
       Buffer.add_string buf (Printf.sprintf "  n%d [%s];\n" v attrs))
     g;
-  let emit_edge e extra =
-    let label = edge_label e in
-    let label_attr =
-      if label = "" then "" else Printf.sprintf " label=\"%s\"" (escape label)
-    in
-    Buffer.add_string buf
-      (Printf.sprintf "  n%d -> n%d [%s%s];\n" (Digraph.edge_src e)
-         (Digraph.edge_dst e) extra label_attr)
-  in
   for id = 0 to Digraph.n_edges_total g - 1 do
     let e = Digraph.edge g id in
-    if not (Digraph.edge_removed g e) then emit_edge e ""
-    else if show_removed then emit_edge e "style=dashed, color=red,"
+    if not (Digraph.edge_removed g e) then begin
+      let label = edge_label e in
+      let label_attr =
+        if label = "" then "" else Printf.sprintf " label=\"%s\"" (escape label)
+      in
+      Buffer.add_string buf
+        (Printf.sprintf "  n%d -> n%d [%s];\n" (Digraph.edge_src e)
+           (Digraph.edge_dst e) label_attr)
+    end
   done;
   Buffer.add_string buf "}\n";
   Buffer.contents buf

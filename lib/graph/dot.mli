@@ -1,12 +1,9 @@
 (** Graphviz DOT export, for inspecting workflows and solutions. *)
 
 val to_dot :
-  ?name:string ->
   ?vertex_label:(int -> string) ->
   ?vertex_attrs:(int -> (string * string) list) ->
   ?edge_label:(Digraph.edge -> string) ->
-  ?show_removed:bool ->
   Digraph.t ->
   string
-(** Render the graph. Removed edges are drawn dashed red when
-    [show_removed] is true (default false: they are omitted). *)
+(** Render the graph's live edges; removed edges are omitted. *)

@@ -8,7 +8,11 @@
     fastest that way). *)
 
 type outcome =
-  | Optimal of { x : bool array; objective_value : float }
+  | Optimal of {
+      x : bool array;
+      objective_value : float;
+          (** Test-only: the ILP tests compare it with brute force. *)
+    }
   | Infeasible
 
 val solve :
@@ -16,6 +20,9 @@ val solve :
   ?node_limit:int ->
   Simplex.problem ->
   outcome
-(** Minimise over binary assignments. [node_limit] (default 200_000)
+(** Test-only: [?node_limit] lets a test trip the limit on a small
+    program.
+
+    Minimise over binary assignments. [node_limit] (default 200_000)
     bounds the number of branch-and-bound nodes; exceeding it — or the
     cooperative [deadline] — raises [Cdw_util.Timing.Timeout]. *)

@@ -131,7 +131,10 @@ val cover_solve : ?deadline:float -> cover -> bool array option
 
 val solve_cover_unique :
   ?deadline:float -> weights:float array -> int array array -> bool array option
-(** [solve_cover_unique ~weights sets] is {!cover_solve} on a fresh
+(** Test-only: [?deadline] (default none) lets a hitting-set test check
+    the certificate's timeout.
+
+    [solve_cover_unique ~weights sets] is {!cover_solve} on a fresh
     state given every weight, then every set: [Some x] only when [x] is
     the unique optimum of the 0/1 covering program over [sets], with
     elements in [0, n). The first call starts from the all-surplus

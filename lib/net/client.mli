@@ -17,7 +17,10 @@
 type t
 
 val connect : ?version:int -> Unix.sockaddr -> t
-(** Connect, retrying [ECONNREFUSED]/[ENOENT]/[ECONNRESET] every 50 ms
+(** Test-only: [?version] lets the protocol tests act as a 0x01 client
+    against a current server.
+
+    Connect, retrying [ECONNREFUSED]/[ENOENT]/[ECONNRESET] every 50 ms
     up to 100 times — enough to race a server that is still binding
     its socket. Raises the last [Unix.Unix_error] if the server never
     appears.

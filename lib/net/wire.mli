@@ -102,7 +102,10 @@ type reply =
     buffered reader and writer below) *)
 
 val encode_request : ?version:int -> ?trace:int -> request -> string
-(** [version] defaults to {!version} (0x02). [trace] (default 0 =
+(** Test-only: [?version] and [?trace] let the codec tests encode 0x01
+    payloads and traced ones without a span open.
+
+    [version] defaults to {!version} (0x02). [trace] (default 0 =
     untraced) is the sender's span id; raises [Invalid_argument] if a
     non-zero [trace] is combined with version 0x01, which has no field
     to carry it. *)

@@ -1,8 +1,7 @@
 type t = {
   emit : unit -> unit;  (* exception-guarded *)
-  stop_flag : bool Atomic.t;
+  halt : unit -> unit;  (* raise the stop flag, join the domain *)
   errors : int Atomic.t;
-  domain : unit Domain.t;
   mutable stopped : bool;
 }
 
@@ -26,19 +25,21 @@ let start ?(interval_s = 1.0) emit =
       loop ()
     end
   in
+  let domain = Domain.spawn loop in
   {
     emit = guarded;
-    stop_flag;
+    halt =
+      (fun () ->
+        Atomic.set stop_flag true;
+        Domain.join domain);
     errors;
-    domain = Domain.spawn loop;
     stopped = false;
   }
 
 let stop t =
   if not t.stopped then begin
     t.stopped <- true;
-    Atomic.set t.stop_flag true;
-    Domain.join t.domain;
+    t.halt ();
     t.emit ()
   end
 

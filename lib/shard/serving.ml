@@ -114,14 +114,13 @@ let group_of_engines engines =
               members));
   }
 
-let create ?algorithm ?options ?seed ?max_paths ?(shards = 1) wf =
+let create ?algorithm ?seed ?(shards = 1) wf =
   if shards < 1 then invalid_arg "Serving.create: shards must be >= 1";
   (* Freeze once: re-freezing a frozen workflow shares its snapshot and
      metadata, so every shard engine's base is this one base. *)
   let frozen = Workflow.freeze wf in
   group_of_engines
-    (Array.init shards (fun _ ->
-         Engine.create ?algorithm ?options ?seed ?max_paths frozen))
+    (Array.init shards (fun _ -> Engine.create ?algorithm ?seed frozen))
 
 let shards t = t.shards
 let engines t = Array.map (fun s -> s.engine) t.members
@@ -365,9 +364,9 @@ let ingest_inbox shard =
     ingest shard (take_inbox shard) ~first:shard.pre_seq
       ~rejected:shard.pre_rejected
 
-let migrate ?epoch:e t wf =
+let migrate t wf =
   Mutex.protect t.drain_lock (fun () ->
-      let next = match e with Some e -> e | None -> epoch t + 1 in
+      let next = epoch t + 1 in
       Trace.timed "group.migrate" ignore (fun () ->
           Array.iter ingest_inbox t.members;
           (* Every shard installs the same pinned epoch; each engine
@@ -575,7 +574,7 @@ let write_group_manifest root ~shards =
 let stores t =
   Array.of_list (List.filter_map (fun s -> s.store) (Array.to_list t.members))
 
-let journal ?fsync ?snapshot_every_bytes ~dir t =
+let journal ?fsync ~dir t =
   if t.members.(0).store <> None then
     invalid_arg "Serving.journal: already journaled";
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
@@ -583,9 +582,7 @@ let journal ?fsync ?snapshot_every_bytes ~dir t =
   Array.iteri
     (fun i s ->
       s.store <-
-        Some
-          (Store.create_for ?fsync ?snapshot_every_bytes ~dir:(shard_dir dir i)
-             s.engine))
+        Some (Store.create_for ?fsync ~dir:(shard_dir dir i) s.engine))
     t.members
 
 let snapshot t =
@@ -684,7 +681,7 @@ let summarize serving shard_recoveries =
 let verify root = per_ledger root Store.verify
 let recover root = Result.map (summarize ()) (per_ledger root Store.recover)
 
-let resume ?fsync ?snapshot_every_bytes root =
+let resume ?fsync root =
   Result.map
     (fun pairs ->
       let serving =
@@ -697,4 +694,4 @@ let resume ?fsync ?snapshot_every_bytes root =
     (per_ledger
        ~release:(fun (store, _) -> Store.close store)
        root
-       (Store.resume ?fsync ?snapshot_every_bytes))
+       (Store.resume ?fsync))

@@ -93,15 +93,13 @@ type t
 
 val create :
   ?algorithm:Cdw_core.Algorithms.name ->
-  ?options:Cdw_core.Algorithms.Options.t ->
   ?seed:int ->
-  ?max_paths:int ->
   ?shards:int ->
   Cdw_core.Workflow.t ->
   t
 (** [create ~shards wf] builds [shards] (default 1) engines over one
-    frozen copy of [wf], every engine configured identically (options
-    as in {!Cdw_engine.Engine.create}, same [seed] for all — that
+    frozen copy of [wf], every engine configured identically (default
+    options as in {!Cdw_engine.Engine.create}, same [seed] for all — that
     sameness is what makes the group bit-identical to a single
     engine). A multi-shard group spawns its pinned domains at its first
     {!drain}. Raises [Invalid_argument] if
@@ -133,7 +131,7 @@ val epoch : t -> int
 (** The shards' common base epoch ({!Cdw_engine.Engine.epoch}). *)
 
 val migrate :
-  ?epoch:int -> t -> Cdw_core.Workflow.t -> Cdw_engine.Engine.migration
+  t -> Cdw_core.Workflow.t -> Cdw_engine.Engine.migration
 (** Install a new base epoch on every shard and migrate every session
     onto it, live ({!Cdw_engine.Engine.migrate} semantics: each shard
     re-solves all of its sessions; [m_recomputed] and [m_dropped_pairs]
@@ -145,8 +143,7 @@ val migrate :
     queued old-base pairs are remapped with the rest of the engine
     queue. Seqs of ingested items carry over to the next drain's
     gather, so the merged reply order is still the single-engine order.
-    Every shard installs the same epoch number (default: current + 1,
-    or [epoch]). *)
+    Every shard installs the same epoch number, current + 1. *)
 
 val submit : t -> user:string -> Cdw_engine.Engine.request -> unit
 (** Route and enqueue one request. One shard: {!Cdw_engine.Engine.submit}
@@ -254,7 +251,6 @@ val shard_dir : string -> int -> string
 
 val journal :
   ?fsync:Cdw_store.Wal.fsync_policy ->
-  ?snapshot_every_bytes:int ->
   dir:string ->
   t ->
   unit
@@ -323,7 +319,6 @@ val recover : string -> (unit recovery, string) result
 
 val resume :
   ?fsync:Cdw_store.Wal.fsync_policy ->
-  ?snapshot_every_bytes:int ->
   string ->
   (t recovery, string) result
 (** Crash-restart entry point: {!Cdw_store.Store.resume} every shard

@@ -10,15 +10,15 @@ let table =
 
 let update t crc byte = t.((crc lxor byte) land 0xff) lxor (crc lsr 8)
 
-let bytes ?(crc = 0) ?(pos = 0) ?len b =
+let bytes ?(pos = 0) ?len b =
   let len = match len with Some l -> l | None -> Bytes.length b - pos in
   if pos < 0 || len < 0 || pos + len > Bytes.length b then
     invalid_arg "Crc32.bytes: slice out of bounds";
   let t = table in
-  let c = ref (crc lxor 0xFFFFFFFF) in
+  let c = ref 0xFFFFFFFF in
   for i = pos to pos + len - 1 do
     c := update t !c (Char.code (Bytes.unsafe_get b i))
   done;
   !c lxor 0xFFFFFFFF
 
-let string ?crc s = bytes ?crc (Bytes.unsafe_of_string s)
+let string s = bytes (Bytes.unsafe_of_string s)

@@ -5,9 +5,8 @@
     classic 256-entry reflected-table implementation. Values are plain
     non-negative [int]s below [2{^32}]. *)
 
-val string : ?crc:int -> string -> int
-(** [string s] is the CRC-32 of [s]; [?crc] continues a running
-    checksum ([string ~crc:(string a) b = string (a ^ b)]). *)
+val string : string -> int
+(** [string s] is the CRC-32 of [s]. *)
 
-val bytes : ?crc:int -> ?pos:int -> ?len:int -> bytes -> int
+val bytes : ?pos:int -> ?len:int -> bytes -> int
 (** Same over a [bytes] slice. *)

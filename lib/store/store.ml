@@ -366,7 +366,7 @@ let create ?fsync ?(snapshot_every_bytes = default_snapshot_every) ~dir
     lock = Mutex.create ();
   }
 
-let open_existing ?fsync ?(snapshot_every_bytes = default_snapshot_every) dir =
+let open_existing ?fsync dir =
   let* _manifest = read_manifest dir in
   let* snapshot = read_snapshot dir in
   let gen, offset =
@@ -379,7 +379,7 @@ let open_existing ?fsync ?(snapshot_every_bytes = default_snapshot_every) dir =
     {
       t_dir = dir;
       fsync = Option.value fsync ~default:(Every 32 : Wal.fsync_policy);
-      snapshot_every = snapshot_every_bytes;
+      snapshot_every = default_snapshot_every;
       gen;
       wal;
       last_snapshot_len = offset;
@@ -517,11 +517,11 @@ let attach t engine =
   in
   Engine.set_journal engine (Some hook)
 
-let create_for ?fsync ?snapshot_every_bytes ~dir engine =
+let create_for ?fsync ~dir engine =
   let wf = Shared_index.base (Engine.index engine) in
   let t =
-    create ?fsync ?snapshot_every_bytes ~dir
-      ~algorithm:(Engine.algorithm engine) ~seed:(Engine.seed engine) wf
+    create ?fsync ~dir ~algorithm:(Engine.algorithm engine)
+      ~seed:(Engine.seed engine) wf
   in
   attach t engine;
   t
@@ -747,7 +747,7 @@ let recover dir =
       tail;
     }
 
-let resume ?fsync ?snapshot_every_bytes dir =
+let resume ?fsync dir =
   let* recovery = recover dir in
   let path = wal_path dir ~generation:recovery.generation in
   (* Drop the torn/corrupt tail so new appends extend a valid log. *)
@@ -755,7 +755,7 @@ let resume ?fsync ?snapshot_every_bytes dir =
     let size = (Unix.stat path).Unix.st_size in
     if recovery.valid_end < size then Unix.truncate path recovery.valid_end
   end;
-  let* t = open_existing ?fsync ?snapshot_every_bytes dir in
+  let* t = open_existing ?fsync dir in
   attach t recovery.engine;
   (* A WAL shorter than its snapshot's offset lost a tail the snapshot
      covers (a ledger written before snapshots synced the WAL, or a

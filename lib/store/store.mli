@@ -62,7 +62,8 @@ val create :
   seed:int ->
   Cdw_core.Workflow.t ->
   t
-(** Test-only: the tests journal a bare engine.
+(** Test-only: the tests journal a bare engine, and pass
+    [?snapshot_every_bytes] to snapshot at every drain boundary.
 
     A fresh ledger: creates [dir] if needed, removes any previous
     ledger files in it, writes the manifest and an empty
@@ -89,7 +90,6 @@ val recover : string -> (recovery, string) result
 
 val resume :
   ?fsync:Wal.fsync_policy ->
-  ?snapshot_every_bytes:int ->
   string ->
   (t * recovery, string) result
 (** The crash-restart entry point: {!recover} the engine, truncate the
@@ -115,7 +115,6 @@ val attach : t -> Cdw_engine.Engine.t -> unit
 
 val create_for :
   ?fsync:Wal.fsync_policy ->
-  ?snapshot_every_bytes:int ->
   dir:string ->
   Cdw_engine.Engine.t ->
   t

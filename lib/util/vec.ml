@@ -5,9 +5,7 @@ type 'a t = {
       (* element used to fill freshly grown storage; set on first push *)
 }
 
-let create ?(capacity = 16) () =
-  ignore capacity;
-  { data = [||]; len = 0; dummy = None }
+let create () = { data = [||]; len = 0; dummy = None }
 
 let length v = v.len
 let check v i =

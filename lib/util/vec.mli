@@ -6,8 +6,8 @@
 
 type 'a t
 
-val create : ?capacity:int -> unit -> 'a t
-(** Fresh empty vector. [capacity] pre-allocates backing storage. *)
+val create : unit -> 'a t
+(** Fresh empty vector; its storage is allocated by the first push. *)
 
 val length : 'a t -> int
 

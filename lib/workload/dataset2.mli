@@ -18,5 +18,7 @@ val lengthen : ?seed:int -> Generator.t -> added:int -> Generator.t
     unchanged. *)
 
 val steps : ?seed:int -> n_steps:int -> unit -> Generator.t list
-(** The experiment series: base, then [n_steps] successive additions of
+(** Test-only: [?seed] lets the generator tests pin a second series.
+
+    The experiment series: base, then [n_steps] successive additions of
     50 vertices each (|V| = 150, 200, 250, …). *)

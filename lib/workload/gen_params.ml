@@ -1,4 +1,4 @@
-type distribution = Non_uniform | Uniform | Explicit of float array
+type distribution = Non_uniform | Uniform
 
 type t = {
   n_constraints : int;
@@ -43,7 +43,6 @@ let dataset3 ~n_vertices = { default with n_constraints = 5; n_vertices }
    decreasing shares with a small purpose tail. *)
 let shares p =
   match p.distribution with
-  | Explicit xs -> Array.copy xs
   | Uniform -> Array.make p.stages (1.0 /. float_of_int p.stages)
   | Non_uniform ->
       if p.stages = 5 then [| 0.50; 0.25; 0.10; 0.10; 0.05 |]
@@ -91,11 +90,4 @@ let validate p =
   else if p.density < 0.0 || p.density > 1.0 then Error "density outside [0,1]"
   else if p.value_lo < 0 || p.value_hi < p.value_lo then
     Error "bad valuation range"
-  else
-    match p.distribution with
-    | Explicit xs when Array.length xs <> p.stages ->
-        Error "distribution length must equal stages"
-    | Explicit xs
-      when Float.abs (Array.fold_left ( +. ) 0.0 xs -. 1.0) > 1e-6 ->
-        Error "distribution must sum to 1"
-    | _ -> Ok ()
+  else Ok ()

@@ -9,7 +9,6 @@ type distribution =
   | Non_uniform  (** the paper's NU = (50%, 25%, 10%, 10%, 5%) for k = 5;
                      generalised to halving shares for other k *)
   | Uniform  (** equal shares *)
-  | Explicit of float array  (** must have length [stages] and sum to 1 *)
 
 type t = {
   n_constraints : int;  (** |N| *)

@@ -12,7 +12,11 @@
 type t = {
   workflow : Cdw_core.Workflow.t;
   constraints : Cdw_core.Constraint_set.t;
-  stages : int array array;  (** stage index → vertex ids *)
+  stages : int array array;
+      (** Test-only: the generator tests check edges run between
+          consecutive stages.
+
+          Stage index → vertex ids. *)
 }
 
 val generate : ?seed:int -> Gen_params.t -> t

@@ -28,12 +28,7 @@ let test_validate_params () =
   bad "stages < 2" { Gen_params.default with Gen_params.stages = 1 };
   bad "density > 1" { Gen_params.default with Gen_params.density = 1.5 };
   bad "too few vertices" { Gen_params.default with Gen_params.n_vertices = 3 };
-  bad "bad range" { Gen_params.default with Gen_params.value_lo = 10; value_hi = 5 };
-  bad "bad explicit distribution"
-    {
-      Gen_params.default with
-      Gen_params.distribution = Gen_params.Explicit [| 0.5; 0.5 |];
-    }
+  bad "bad range" { Gen_params.default with Gen_params.value_lo = 10; value_hi = 5 }
 
 let check_instance (instance : Generator.t) p =
   let wf = instance.Generator.workflow in

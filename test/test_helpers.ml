@@ -67,8 +67,7 @@ let pp_params (p : Gen_params.t) =
     p.Gen_params.density
     (match p.Gen_params.distribution with
     | Gen_params.Uniform -> "uniform"
-    | Gen_params.Non_uniform -> "non-uniform"
-    | Gen_params.Explicit _ -> "explicit")
+    | Gen_params.Non_uniform -> "non-uniform")
 
 (* Candidate one-step shrinks, biggest reduction first. Floors keep the
    instance generable: at least one vertex per stage, k >= 2, one

@@ -41,11 +41,11 @@ let test_iter_order () =
   Vec.iter (fun x -> seen := x :: !seen) v;
   Alcotest.(check (list int)) "index order" [ 3; 1; 4; 1; 5 ] (List.rev !seen)
 
-let test_capacity_grows () =
-  let v = Vec.create ~capacity:2 () in
+let test_grows () =
+  let v = Vec.create () in
   Alcotest.(check int) "starts empty" 0 (Vec.length v);
   for i = 1 to 50 do Vec.push v i done;
-  Alcotest.(check int) "grew past capacity" 50 (Vec.length v);
+  Alcotest.(check int) "grew" 50 (Vec.length v);
   Alcotest.(check (array int)) "contents kept across growth"
     (Array.init 50 (fun i -> i + 1))
     (Vec.to_array v)
@@ -81,7 +81,7 @@ let suite =
     Alcotest.test_case "bounds checking" `Quick test_bounds;
     Alcotest.test_case "copy is independent" `Quick test_copy_independent;
     Alcotest.test_case "iter in index order" `Quick test_iter_order;
-    Alcotest.test_case "capacity is only a hint" `Quick test_capacity_grows;
+    Alcotest.test_case "grows past its first storage" `Quick test_grows;
     Alcotest.test_case "set and empty get are bounds-checked" `Quick test_set_bounds;
     Alcotest.test_case "to_array is a snapshot" `Quick test_to_array_snapshot;
     prop_push_like_append;
